@@ -1,6 +1,7 @@
 SMOKE_TRACE := /tmp/quill-smoke-trace.json
+BENCH_TARGETS := durability cdc pipeline skew failover
 
-.PHONY: all build test lint check clean
+.PHONY: all build test lint check bench-check clean
 
 all: build
 
@@ -24,6 +25,16 @@ check: build test lint
 	python3 -c "import json; d = json.load(open('$(SMOKE_TRACE)')); \
 	  assert d['traceEvents'], 'empty trace'; \
 	  print('trace ok: %d events' % len(d['traceEvents']))"
+
+# Regenerate every checked-in BENCH_*.json at scale 1 and fail on any
+# difference: their numbers are deterministic virtual time, so a change
+# that moves one must regenerate and commit it.
+bench-check: build
+	for t in $(BENCH_TARGETS); do \
+	  dune exec --no-print-directory bench/main.exe -- $$t 1 \
+	    --json BENCH_$$t.json > /dev/null || exit 1; \
+	done
+	git diff --exit-code -- $(BENCH_TARGETS:%=BENCH_%.json)
 
 clean:
 	dune clean

@@ -782,10 +782,7 @@ let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
   if parked <> 0 then
     failwith (Printf.sprintf "Dist_calvin.run: %d threads deadlocked" parked);
   let m = sh.metrics in
-  m.Metrics.elapsed <- Sim.horizon sim;
-  m.Metrics.busy <- Sim.busy_time sim;
-  m.Metrics.idle <- Sim.idle_time sim;
-  m.Metrics.threads <- cfg.nodes * (cfg.workers + 3);
+  Metrics.record_sim m sim ~threads:(cfg.nodes * (cfg.workers + 3));
   if cfg.pipeline then begin
     (* one scheduler (fill stalls) and one sequencer (drain stalls) per
        node — far fewer contributors than dist-quecc's per-role pools,
@@ -796,5 +793,4 @@ let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
   m.Metrics.msgs <- Net.messages_sent sh.net;
   m.Metrics.msg_retries <- Net.messages_retried sh.net;
   m.Metrics.msg_dup_drops <- Net.duplicates_dropped sh.net;
-  Quill_quecc.Engine.record_sim_breakdown m sim;
   m

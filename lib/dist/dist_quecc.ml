@@ -854,12 +854,10 @@ let run ?sim ?(faults = Faults.none) ?clients ?recorder cfg wl ~batches =
   if parked <> 0 then
     failwith (Printf.sprintf "Dist_quecc.run: %d threads deadlocked" parked);
   let m = sh.metrics in
-  m.Metrics.elapsed <- Sim.horizon sim;
-  m.Metrics.busy <- Sim.busy_time sim;
-  m.Metrics.idle <- Sim.idle_time sim;
-  m.Metrics.threads <-
-    (cfg.nodes * (cfg.planners + cfg.executors + 1))
-    + (match sh.rep with Some r -> Replication.threads r | None -> 0);
+  Metrics.record_sim m sim
+    ~threads:
+      ((cfg.nodes * (cfg.planners + cfg.executors + 1))
+      + match sh.rep with Some r -> Replication.threads r | None -> 0);
   if cfg.pipeline then begin
     (* fill stalls accumulate in executor threads, drain stalls in
        planner threads; recording the contributor counts makes the
@@ -883,5 +881,4 @@ let run ?sim ?(faults = Faults.none) ?clients ?recorder cfg wl ~batches =
            back makes [Db.checksum] — and every state assertion built on
            it — observe the replicated outcome. *)
         Db.overwrite_from ~src:(Replication.winner_db r) db);
-  Quill_quecc.Engine.record_sim_breakdown m sim;
   m

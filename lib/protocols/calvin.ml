@@ -122,7 +122,7 @@ let poison st =
   done
 
 let scheduler st (wl : Workload.t) ~txns =
-  Pcommon.in_phase st.sim Sim.Ph_plan (Sim.current_tid st.sim) @@ fun () ->
+  Sim.in_phase st.sim Sim.Ph_plan (Sim.current_tid st.sim) @@ fun () ->
   match st.clients with
   | None ->
       let stream = wl.Workload.new_stream 0 in
@@ -152,7 +152,7 @@ let worker st (wl : Workload.t) =
     | Some crt ->
         let txn = crt.txn in
         let outcome =
-          Pcommon.in_phase st.sim Sim.Ph_execute tid (fun () ->
+          Sim.in_phase st.sim Sim.Ph_execute tid (fun () ->
               Pcommon.run_direct st.sim st.costs st.db wl txn)
         in
         List.iter
@@ -213,10 +213,6 @@ let run ?sim ?clients cfg wl ~txns =
   let parked = Sim.run sim in
   if parked <> 0 && txns > 0 then
     failwith (Printf.sprintf "Calvin.run: %d threads deadlocked" parked);
-  st.metrics.Metrics.elapsed <- Sim.horizon sim;
-  st.metrics.Metrics.busy <- Sim.busy_time sim;
-  st.metrics.Metrics.idle <- Sim.idle_time sim;
-  st.metrics.Metrics.threads <- cfg.workers + 1;
+  Metrics.record_sim st.metrics sim ~threads:(cfg.workers + 1);
   st.metrics.Metrics.batches <- (txns + cfg.batch_size - 1) / cfg.batch_size;
-  Pcommon.record_sim_breakdown st.metrics sim;
   st.metrics

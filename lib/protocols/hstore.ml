@@ -76,7 +76,7 @@ let run ?sim ?clients cfg wl ~txns =
             parts;
           coordination_round st k;
           let outcome =
-            Pcommon.in_phase sim Sim.Ph_execute (Sim.current_tid sim)
+            Sim.in_phase sim Sim.Ph_execute (Sim.current_tid sim)
               (fun () -> Pcommon.run_direct sim cfg.costs st.db wl txn)
           in
           coordination_round st k;
@@ -119,9 +119,5 @@ let run ?sim ?clients cfg wl ~txns =
   let parked = Sim.run sim in
   if parked <> 0 then
     failwith (Printf.sprintf "Hstore.run: %d workers deadlocked" parked);
-  st.metrics.Metrics.elapsed <- Sim.horizon sim;
-  st.metrics.Metrics.busy <- Sim.busy_time sim;
-  st.metrics.Metrics.idle <- Sim.idle_time sim;
-  st.metrics.Metrics.threads <- cfg.workers;
-  Pcommon.record_sim_breakdown st.metrics sim;
+  Metrics.record_sim st.metrics sim ~threads:cfg.workers;
   st.metrics

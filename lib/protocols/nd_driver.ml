@@ -45,7 +45,7 @@ let run ?sim ?clients (module P : CC) cfg wl ~txns =
            until it commits or its own logic aborts; true = committed. *)
         let exec_txn txn =
           let committed = ref false in
-          Pcommon.in_phase sim Sim.Ph_execute tid (fun () ->
+          Sim.in_phase sim Sim.Ph_execute tid (fun () ->
               let rec attempt backoff =
                 txn.Txn.attempts <- txn.Txn.attempts + 1;
                 txn.Txn.status <- Txn.Active;
@@ -74,7 +74,7 @@ let run ?sim ?clients (module P : CC) cfg wl ~txns =
             let stream = wl.Workload.new_stream w in
             for _ = 1 to quota do
               let txn =
-                Pcommon.in_phase sim Sim.Ph_plan tid (fun () ->
+                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
                     Sim.tick sim cfg.costs.Costs.txn_overhead;
                     let txn = stream () in
                     txn.Txn.submit_time <- Sim.now sim;
@@ -91,7 +91,7 @@ let run ?sim ?clients (module P : CC) cfg wl ~txns =
               | None -> ()
               | Some e ->
                   let txn = e.Quill_clients.Clients.txn in
-                  Pcommon.in_phase sim Sim.Ph_plan tid (fun () ->
+                  Sim.in_phase sim Sim.Ph_plan tid (fun () ->
                       Sim.tick sim cfg.costs.Costs.txn_overhead;
                       txn.Txn.submit_time <- Sim.now sim);
                   let ok = exec_txn txn in
@@ -103,9 +103,5 @@ let run ?sim ?clients (module P : CC) cfg wl ~txns =
   let parked = Sim.run sim in
   if parked <> 0 then
     failwith (Printf.sprintf "Nd_driver(%s): %d workers deadlocked" P.name parked);
-  metrics.Metrics.elapsed <- Sim.horizon sim;
-  metrics.Metrics.busy <- Sim.busy_time sim;
-  metrics.Metrics.idle <- Sim.idle_time sim;
-  metrics.Metrics.threads <- cfg.workers;
-  Pcommon.record_sim_breakdown metrics sim;
+  Metrics.record_sim metrics sim ~threads:cfg.workers;
   metrics

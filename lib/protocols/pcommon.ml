@@ -5,37 +5,7 @@ open Quill_sim
 open Quill_storage
 open Quill_txn
 
-module Trace = Quill_trace.Trace
-
 let dummy_row = Row.make ~key:(-1) ~nfields:1
-
-(* Copy the simulator's per-phase busy / per-cause idle attribution into
-   the run's metrics. *)
-let record_sim_breakdown m sim =
-  Metrics.record_phases m
-    ~plan:(Sim.busy_in sim Sim.Ph_plan)
-    ~execute:(Sim.busy_in sim Sim.Ph_execute)
-    ~recover:(Sim.busy_in sim Sim.Ph_recover)
-    ~publish:(Sim.busy_in sim Sim.Ph_publish)
-    ~other:(Sim.busy_in sim Sim.Ph_other);
-  Metrics.record_idle m
-    ~barrier:(Sim.idle_in sim Sim.Cause_barrier)
-    ~ivar:(Sim.idle_in sim Sim.Cause_ivar)
-    ~chan:(Sim.idle_in sim Sim.Cause_chan)
-    ~sleep:(Sim.idle_in sim Sim.Cause_sleep)
-
-(* Run [f] as engine phase [ph], emitting a span covering its virtual
-   extent when tracing. *)
-let in_phase sim ph tid f =
-  Sim.set_phase sim ph;
-  let t0 = Sim.now sim in
-  let r = f () in
-  let tr = Sim.tracer sim in
-  if Trace.enabled tr then
-    Trace.span tr ~tid ~name:(Sim.phase_name ph) ~ts:t0
-      ~dur:(Sim.now sim - t0) ();
-  Sim.set_phase sim Sim.Ph_other;
-  r
 
 let locate sim (costs : Costs.t) db (frag : Fragment.t) =
   Sim.tick sim costs.Costs.index_probe;

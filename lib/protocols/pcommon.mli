@@ -2,17 +2,6 @@
 
 val dummy_row : Quill_storage.Row.t
 
-val record_sim_breakdown :
-  Quill_txn.Metrics.t -> Quill_sim.Sim.t -> unit
-(** Copy the simulator's per-phase busy and per-cause idle attribution
-    into the metrics record (call once, after [Sim.run] returns). *)
-
-val in_phase :
-  Quill_sim.Sim.t -> Quill_sim.Sim.phase -> int -> (unit -> 'a) -> 'a
-(** [in_phase sim ph tid f] runs [f] with the calling thread's phase set
-    to [ph], emits a span labelled with the phase over [f]'s virtual
-    extent when tracing is enabled, and restores [Ph_other]. *)
-
 val locate :
   Quill_sim.Sim.t ->
   Quill_sim.Costs.t ->

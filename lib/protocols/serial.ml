@@ -2,8 +2,7 @@ open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
-module Wal = Quill_wal.Wal
-module Cdc = Quill_cdc.Cdc
+module Commit_point = Quill_commit.Commit_point
 
 let dummy_row = Row.make ~key:(-1) ~nfields:1
 
@@ -12,15 +11,15 @@ type state = {
   costs : Costs.t;
   db : Db.t;
   wl : Workload.t;
-  wal : Wal.t option;
-  cdc : Cdc.t option;
+  cp : Commit_point.t;
   metrics : Metrics.t;
   mutable cur_row : Row.t;
   mutable cur_found : bool;
   mutable undo : (Row.t * int array) list;
   mutable inserts : (int * int) list;
-  mutable written : (int * Row.t) list;
   mutable slots : int array;
+  mutable group : int;  (* commit-group number *)
+  mutable in_group : int;  (* transactions run in the open group *)
 }
 
 let make_ctx st =
@@ -34,7 +33,7 @@ let make_ctx st =
     if st.cur_found then begin
       let row = st.cur_row in
       st.undo <- (row, Array.copy row.Row.data) :: st.undo;
-      st.written <- (frag.Fragment.table, row) :: st.written;
+      Commit_point.touch st.cp 0 ~table:frag.Fragment.table row;
       row.Row.data.(field) <- v
     end
   in
@@ -43,7 +42,9 @@ let make_ctx st =
     Sim.tick st.sim st.costs.Costs.index_insert;
     let tbl = Db.table st.db frag.Fragment.table in
     let home = Db.home st.db frag.Fragment.table frag.Fragment.key in
-    ignore (Table.insert tbl ~home ~key payload);
+    let row = Table.insert tbl ~home ~key payload in
+    Commit_point.touch_insert st.cp 0 ~table:frag.Fragment.table row
+      ~batch:st.group ~by:st.in_group;
     st.inserts <- (frag.Fragment.table, key) :: st.inserts
   in
   let input fid = st.slots.(fid) in
@@ -59,7 +60,6 @@ let exec_one st ctx txn =
   txn.Txn.attempts <- txn.Txn.attempts + 1;
   st.undo <- [];
   st.inserts <- [];
-  st.written <- [];
   st.slots <- Array.make (Array.length txn.Txn.frags) 0;
   let frags = txn.Txn.frags in
   let rec go i =
@@ -90,48 +90,6 @@ let exec_one st ctx txn =
   (match go 0 with
   | Exec.Ok ->
       txn.Txn.status <- Txn.Committed;
-      (* Stage CDC images before publish overwrites [committed]: the
-         hub keeps the first pre-image and the final post-image per
-         key, so per-transaction staging within a commit group
-         collapses to exactly the group's state delta. *)
-      (match st.cdc with
-      | Some c ->
-          List.iter
-            (fun (tid, (row : Row.t)) ->
-              Cdc.stage c ~table:tid ~key:row.Row.key
-                ~before:row.Row.committed ~after:row.Row.data)
-            st.written;
-          List.iter
-            (fun (tid, key) ->
-              match Table.find (Db.table st.db tid) key with
-              | Some row ->
-                  Cdc.stage_insert c ~table:tid ~key ~after:row.Row.data
-              | None -> ())
-            st.inserts
-      | None -> ());
-      List.iter (fun (_, row) -> Row.publish row) st.written;
-      (* Log the committed images into the WAL group buffer (the flush
-         happens at the group-commit boundary in [run_list]).  Replay
-         applies effects in log order, so per-transaction emission with
-         duplicates is idempotent — the last image of a row wins. *)
-      (match st.wal with
-      | Some w ->
-          List.iter
-            (fun (tid, (row : Row.t)) ->
-              Wal.log_effect w ~table:tid
-                ~home:(Table.home_of_key (Db.table st.db tid) row.Row.key)
-                ~key:row.Row.key row.Row.committed)
-            st.written;
-          List.iter
-            (fun (tid, key) ->
-              let tbl = Db.table st.db tid in
-              match Table.find tbl key with
-              | Some row ->
-                  Wal.log_effect w ~table:tid
-                    ~home:(Table.home_of_key tbl key) ~key row.Row.committed
-              | None -> ())
-            st.inserts
-      | None -> ());
       st.metrics.Metrics.committed <- st.metrics.Metrics.committed + 1
   | Exec.Abort | Exec.Blocked ->
       List.iter
@@ -149,100 +107,62 @@ let exec_one st ctx txn =
     (txn.Txn.finish_time - txn.Txn.submit_time)
 
 let run_list ?wal ?cdc ?crash_at ~batch_size sim costs wl next =
-  (match (cdc, crash_at) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Serial.run: --cdc cannot be combined with crash faults (a \
-         crash-truncated run would feed subscribers retracted commits)"
-  | _ -> ());
+  let db = wl.Workload.db in
+  let cp = Commit_point.create ?wal ?cdc ?crash_at ~slots:1 sim db in
   let st =
     {
       sim;
       costs;
-      db = wl.Workload.db;
+      db;
       wl;
-      wal;
-      cdc;
+      cp;
       metrics = Metrics.create ();
       cur_row = dummy_row;
       cur_found = false;
       undo = [];
       inserts = [];
-      written = [];
       slots = [||];
+      group = 0;
+      in_group = 0;
     }
   in
   let ctx = make_ctx st in
   Sim.spawn sim (fun () ->
       let tid = Sim.current_tid sim in
-      (* Group commit: [batch_size] transactions share one flush, the
-         serial analogue of QueCC's batch-aligned group commit.  The
-         CDC feed is sealed at the same boundary, so serial's feed
-         entries align with its commit groups. *)
-      let track = wal <> None || cdc <> None in
-      let bno = ref 0 in
-      let in_group = ref 0 in
+      (* Group commit: [batch_size] transactions share one commit point
+         (one stage, publish, WAL flush and feed seal), the serial
+         analogue of a QueCC batch. *)
       let group_committed = ref 0 in
-      let group_open = ref false in
       let close_group () =
-        (match wal with
-        | Some w ->
-            ignore (Wal.commit_batch w ~batch_no:!bno ~txns:!group_committed)
-        | None -> ());
-        (match cdc with
-        | Some c -> Cdc.publish c ~batch_no:!bno ~txns:!group_committed
-        | None -> ());
-        incr bno;
-        in_group := 0;
-        group_committed := 0;
-        group_open := false
-      in
-      let crash w =
-        Pcommon.in_phase sim Sim.Ph_recover tid (fun () ->
-            let m = st.metrics in
-            m.Metrics.crashes <- m.Metrics.crashes + 1;
-            Wal.recover w st.db;
-            m.Metrics.committed <- Wal.durable_txns w)
+        Commit_point.stage cp ~batch_no:st.group ~txns:!group_committed;
+        Commit_point.publish cp 0;
+        Commit_point.seal cp st.metrics ~tid;
+        st.group <- st.group + 1;
+        st.in_group <- 0;
+        group_committed := 0
       in
       let rec loop () =
-        let dead =
-          match crash_at with Some at -> Sim.now sim >= at | None -> false
-        in
-        if dead then
-          (* The crash lands between transactions: the open group was
-             never flushed and is lost with the process. *)
-          match wal with Some w -> crash w | None -> ()
+        (* The crash lands between transactions: the open group was
+           never flushed and is lost with the process. *)
+        if Commit_point.crash_due cp then Commit_point.seal cp st.metrics ~tid
         else
           match next () with
-          | None -> if track && !group_open then close_group ()
+          | None -> if st.in_group > 0 then close_group ()
           | Some txn ->
-              if track && not !group_open then begin
-                (match wal with
-                | Some w -> Wal.begin_batch w ~batch_no:!bno
-                | None -> ());
-                group_open := true
-              end;
               let c0 = st.metrics.Metrics.committed in
-              Pcommon.in_phase sim Sim.Ph_execute tid (fun () ->
+              Sim.in_phase sim Sim.Ph_execute tid (fun () ->
                   exec_one st ctx txn);
-              if track then begin
-                if st.metrics.Metrics.committed > c0 then
-                  incr group_committed;
-                incr in_group;
-                if !in_group >= batch_size then close_group ()
-              end;
+              if st.metrics.Metrics.committed > c0 then incr group_committed;
+              st.in_group <- st.in_group + 1;
+              if st.in_group >= batch_size then close_group ();
               loop ()
       in
       loop ());
   let parked = Sim.run sim in
   assert (parked = 0);
   let m = st.metrics in
-  m.Metrics.elapsed <- Sim.horizon sim;
-  m.Metrics.busy <- Sim.busy_time sim;
-  m.Metrics.idle <- Sim.idle_time sim;
-  m.Metrics.threads <- 1;
-  (match wal with Some w -> Wal.record w m | None -> ());
-  Pcommon.record_sim_breakdown m sim;
+  Metrics.record_sim m sim ~threads:1;
+  Commit_point.record cp m;
   m
 
 let run ?sim ?(costs = Costs.default) ?wal ?cdc ?crash_at

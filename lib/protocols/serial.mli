@@ -19,18 +19,16 @@ val run :
   Quill_txn.Metrics.t
 (** Generate [txns] transactions from stream 0 and run them serially.
 
-    [?wal] logs every committed transaction's row images and flushes
-    once per [batch_size] transactions (default 1024) — the serial
-    analogue of QueCC's batch-aligned group commit.  [?crash_at] stops
-    the run at the first transaction boundary at/after that virtual
-    time, losing the unflushed group, rebuilds the database from the
-    newest snapshot plus the log, and reconciles the committed count to
-    the durable boundary.
-
-    [?cdc] stages every committed transaction's images and seals one
-    ordered feed entry per commit group, at the same [batch_size]
-    boundary the WAL flushes on; cannot be combined with [?crash_at]
-    (the feed must never contain commits recovery retracts). *)
+    Every [batch_size] transactions (default 1024) form a commit group,
+    the serial analogue of a QueCC batch: the rows the group dirtied are
+    published together at the group boundary through
+    {!Quill_commit.Commit_point}.  [?wal] logs each of those rows once
+    and flushes once per group; [?cdc] seals one ordered feed entry per
+    group.  [?crash_at] (requires [?wal], excludes [?cdc]; otherwise
+    [Invalid_argument]) stops the run at the first transaction boundary
+    at/after that virtual time, losing the open group, rebuilds the
+    database from the newest snapshot plus the log, and reconciles the
+    committed count to the durable boundary. *)
 
 val run_txns :
   ?sim:Quill_sim.Sim.t ->
@@ -44,4 +42,4 @@ val run_txns :
   Quill_txn.Metrics.t
 (** Run a pre-generated transaction list serially in list order (used by
     the determinism tests to replay the exact batch another engine ran).
-    [?wal] / [?crash_at] / [?batch_size] behave as in {!run}. *)
+    [?wal] / [?cdc] / [?crash_at] / [?batch_size] behave as in {!run}. *)

@@ -5,8 +5,7 @@ open Quill_txn
 module Trace = Quill_trace.Trace
 module Clients = Quill_clients.Clients
 module Alog = Quill_analysis.Access_log
-module Wal = Quill_wal.Wal
-module Cdc = Quill_cdc.Cdc
+module Commit_point = Quill_commit.Commit_point
 
 type exec_mode = Speculative | Conservative
 type isolation = Serializable | Read_committed
@@ -134,9 +133,6 @@ type shared = {
   queues : qentry Vec.t array array array;
       (* [parity].[planner].[executor] *)
   rts : rt option array array;         (* [parity].[slot] -> runtime *)
-  touched : (int * Row.t) Vec.t array;
-      (* (table, row) per executor + one recovery slot; the rows dirtied
-         by the in-flight batch — publish set and WAL write set *)
   qstate : int array array array;      (* [parity].[planner].[executor] *)
   qsig : (int, unit) Hashtbl.t array array array;
       (* [parity].[planner].[executor] *)
@@ -162,12 +158,9 @@ type shared = {
       (* conflict-detector access log (--check-conflicts); None on the
          hot path *)
   abs : autobs option;
-  wal : Wal.t option;  (* durable group-commit log (--wal) *)
-  cdc : Cdc.t option;  (* ordered change-feed hub (--cdc) *)
-  crash_at : int option;
-      (* virtual time at/after which the node dies at its next batch
-         commit point, losing the in-flight batch *)
-  mutable crashed : bool;
+  cp : Commit_point.t;
+      (* the batch commit point: touched sets per executor + one
+         recovery slot, WAL, CDC and the crash point *)
   mutable batch_no : int;
 }
 
@@ -263,12 +256,6 @@ let dummy_rt =
     entry = None;
   }
 
-let mark_touched sh slot table row =
-  if not row.Row.dirty then begin
-    row.Row.dirty <- true;
-    Vec.push sh.touched.(slot) (table, row)
-  end
-
 (* Field-level speculation state: edges are recorded per (row, field) so
    that transactions touching disjoint fields of a hot row (Payment's
    d_ytd vs NewOrder's d_next_o_id) never cascade into each other. *)
@@ -337,7 +324,7 @@ let make_exec_ctx sh st =
         row.Row.undo <-
           (rt.bidx, field, Row.Uset row.Row.data.(field)) :: row.Row.undo
       end;
-      mark_touched sh st.eid frag.Fragment.table row;
+      Commit_point.touch sh.cp st.eid ~table:frag.Fragment.table row;
       row.Row.data.(field) <- v
     end
   in
@@ -350,7 +337,7 @@ let make_exec_ctx sh st =
         record_add rt row field;
         row.Row.undo <- (rt.bidx, field, Row.Uadd d) :: row.Row.undo
       end;
-      mark_touched sh st.eid frag.Fragment.table row;
+      Commit_point.touch sh.cp st.eid ~table:frag.Fragment.table row;
       row.Row.data.(field) <- row.Row.data.(field) + d
     end
   in
@@ -360,15 +347,10 @@ let make_exec_ctx sh st =
     let tbl = Db.table sh.db frag.Fragment.table in
     let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
     let row = Table.insert tbl ~home ~key payload in
-    if speculative then begin
-      row.Row.batch_tag <- sh.batch_no;
-      row.Row.inserter <- rt.bidx;
-      rt.inserts <- (frag.Fragment.table, key) :: rt.inserts
-    end;
-    if not row.Row.dirty then begin
-      row.Row.dirty <- true;
-      Vec.push sh.touched.(st.eid) (frag.Fragment.table, row)
-    end
+    if speculative then
+      rt.inserts <- (frag.Fragment.table, key) :: rt.inserts;
+    Commit_point.touch_insert sh.cp st.eid ~table:frag.Fragment.table row
+      ~batch:sh.batch_no ~by:rt.bidx
   in
   let input fid =
     Sim.tick sh.sim costs.Costs.cas;
@@ -967,7 +949,8 @@ let plan_slice_clients sh ~parity ~bno p entries rr =
 (* Speculative recovery: cascade closure, undo, serial re-execution     *)
 (* ------------------------------------------------------------------ *)
 
-let serial_ctx sh recovery_slot undo_log insert_log slots cur_row cur_found =
+let serial_ctx sh recovery_slot rt undo_log insert_log slots cur_row
+    cur_found =
   let costs = sh.cfg.costs in
   let read (frag : Fragment.t) field =
     Sim.tick sh.sim costs.Costs.row_read;
@@ -982,7 +965,7 @@ let serial_ctx sh recovery_slot undo_log insert_log slots cur_row cur_found =
     if !cur_found then begin
       let row = !cur_row in
       undo_log := (row, Array.copy row.Row.data) :: !undo_log;
-      mark_touched sh recovery_slot frag.Fragment.table row;
+      Commit_point.touch sh.cp recovery_slot ~table:frag.Fragment.table row;
       row.Row.data.(field) <- v
     end
   in
@@ -991,7 +974,7 @@ let serial_ctx sh recovery_slot undo_log insert_log slots cur_row cur_found =
     if !cur_found then begin
       let row = !cur_row in
       undo_log := (row, Array.copy row.Row.data) :: !undo_log;
-      mark_touched sh recovery_slot frag.Fragment.table row;
+      Commit_point.touch sh.cp recovery_slot ~table:frag.Fragment.table row;
       row.Row.data.(field) <- row.Row.data.(field) + d
     end
   in
@@ -1001,9 +984,10 @@ let serial_ctx sh recovery_slot undo_log insert_log slots cur_row cur_found =
     let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
     let row = Table.insert tbl ~home ~key payload in
     (* Recovery-pass inserts must land in the touched set too: the WAL
-       write set is emitted from it, and a replay that misses an insert
+       write set is staged from it, and a replay that misses an insert
        diverges from the fault-free run. *)
-    mark_touched sh recovery_slot frag.Fragment.table row;
+    Commit_point.touch_insert sh.cp recovery_slot ~table:frag.Fragment.table
+      row ~batch:sh.batch_no ~by:rt.bidx;
     insert_log := (frag.Fragment.table, key) :: !insert_log
   in
   let input fid = slots.(fid) in
@@ -1016,8 +1000,8 @@ let reexec_txn sh recovery_slot rt =
   let undo_log = ref [] and insert_log = ref [] in
   let slots = Array.make (Array.length rt.txn.Txn.frags) 0 in
   let cur_row = ref dummy_row and cur_found = ref false in
-  let ctx = serial_ctx sh recovery_slot undo_log insert_log slots cur_row
-              cur_found
+  let ctx =
+    serial_ctx sh recovery_slot rt undo_log insert_log slots cur_row cur_found
   in
   rt.txn.Txn.attempts <- rt.txn.Txn.attempts + 1;
   let outcome =
@@ -1086,29 +1070,24 @@ let recover sh ~parity =
        field writes of cascaded transactions.  Per-field WAW edges
        guarantee that any later writer of the same field is cascaded
        too, so reverting in reverse chronological order is exact. *)
-    Array.iter
-      (fun touched ->
-        Vec.iter
-          (fun (_, row) ->
-            if row.Row.undo <> [] then begin
-              let kept =
-                List.filter
-                  (fun (b, field, uop) ->
-                    if in_a.(b) then begin
-                      Sim.tick sh.sim costs.Costs.abort_cleanup;
-                      (match uop with
-                      | Row.Uset old -> row.Row.data.(field) <- old
-                      | Row.Uadd d ->
-                          row.Row.data.(field) <- row.Row.data.(field) - d);
-                      false
-                    end
-                    else true)
-                  row.Row.undo
-              in
-              row.Row.undo <- kept
-            end)
-          touched)
-      sh.touched;
+    Commit_point.iter_touched sh.cp (fun row ->
+        if row.Row.undo <> [] then begin
+          let kept =
+            List.filter
+              (fun (b, field, uop) ->
+                if in_a.(b) then begin
+                  Sim.tick sh.sim costs.Costs.abort_cleanup;
+                  (match uop with
+                  | Row.Uset old -> row.Row.data.(field) <- old
+                  | Row.Uadd d ->
+                      row.Row.data.(field) <- row.Row.data.(field) - d);
+                  false
+                end
+                else true)
+              row.Row.undo
+          in
+          row.Row.undo <- kept
+        end);
     (* Remove inserts made by cascaded transactions. *)
     for b = 0 to n - 1 do
       if in_a.(b) then
@@ -1225,25 +1204,18 @@ let next_batch_size sh abs =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let publish_slot sh slot =
-  Vec.iter
-    (fun (_, row) ->
-      Row.publish row;
-      row.Row.undo <- [];
-      row.Row.fstate <- [||];
-      row.Row.inserter <- -1)
-    sh.touched.(slot);
-  Vec.clear sh.touched.(slot)
-
+(* Account the batch's outcomes and retire its runtimes; returns how
+   many transactions the batch committed. *)
 let account ?clients sh ~parity =
   let now = Sim.now sh.sim in
   let rts = sh.rts.(parity) in
+  let m = sh.metrics in
+  let committed0 = m.Metrics.committed in
   for b = 0 to sh.cfg.batch_size - 1 do
     match rts.(b) with
     | None -> ()
     | Some rt ->
         rt.txn.Txn.finish_time <- now;
-        let m = sh.metrics in
         (match rt.txn.Txn.status with
         | Txn.Committed -> m.Metrics.committed <- m.Metrics.committed + 1
         | Txn.Aborted -> m.Metrics.logic_aborted <- m.Metrics.logic_aborted + 1
@@ -1255,146 +1227,55 @@ let account ?clients sh ~parity =
         | _ -> ());
         rts.(b) <- None
   done;
-  sh.metrics.Metrics.batches <- sh.metrics.Metrics.batches + 1
+  m.Metrics.batches <- m.Metrics.batches + 1;
+  m.Metrics.committed - committed0
 
-(* ------------------------------------------------------------------ *)
-(* Durability: group-commit WAL and crash recovery                     *)
-(* ------------------------------------------------------------------ *)
+(* Drain executor [st.eid]'s queues of the batch in buffer [parity],
+   after a queue-depth trace counter. *)
+let execute sh st ctx ~parity =
+  let e = st.eid in
+  let tr = Sim.tracer sh.sim in
+  if Trace.enabled tr then begin
+    let depth = ref 0 in
+    for p = 0 to sh.cfg.planners - 1 do
+      depth := !depth + Vec.length sh.queues.(parity).(p).(e)
+    done;
+    Trace.counter tr ~tid:e ~name:"queue_depth"
+      ~series:("exec" ^ string_of_int e) ~ts:(Sim.now sh.sim) ~value:!depth
+  end;
+  Sim.in_phase sh.sim Sim.Ph_execute e (fun () ->
+      drain_queues sh st ctx ~parity)
 
-(* Emit the batch's write set into the WAL group buffer.  Runs in the
-   recover phase, after cascade recovery has settled every row but
-   BEFORE publish clears the touched vectors: a touched row's [data] at
-   this point is exactly the image publish will install as committed, so
-   logging [data] now equals logging [committed] later.  A touched row
-   whose key no longer resolves was a rolled-back insert — skipped.  The
-   flush itself ([wal_flush]) happens after the publish barrier, so a
-   snapshot roll clones the fully published database. *)
-let wal_emit sh ~bno =
-  match sh.wal with
-  | None -> ()
-  | Some w ->
-      Wal.begin_batch w ~batch_no:bno;
-      Array.iter
-        (fun touched ->
-          Vec.iter
-            (fun (tid, (row : Row.t)) ->
-              let tbl = Db.table sh.db tid in
-              match Table.find tbl row.Row.key with
-              | Some r ->
-                  Wal.log_effect w ~table:tid
-                    ~home:(Table.home_of_key tbl r.Row.key)
-                    ~key:r.Row.key r.Row.data
-              | None -> ())
-            touched)
-        sh.touched
+(* Publish the touched sets thread [t] owns: its executor slot, plus the
+   recovery slot on thread 0.  Nothing is published in a batch the node
+   died in. *)
+let publish_own sh t =
+  let crashed = Commit_point.crashed sh.cp in
+  if (not crashed) && (t < sh.cfg.executors || t = 0) then
+    Sim.in_phase sh.sim Sim.Ph_publish t (fun () ->
+        if t < sh.cfg.executors then Commit_point.publish sh.cp t;
+        if t = 0 then Commit_point.publish sh.cp sh.cfg.executors)
 
-(* Stage the batch's change set into the CDC hub at the same seam
-   [wal_emit] uses: every status is settled but publish has not yet
-   overwritten the [committed] pre-images, so each touched row yields
-   exactly (pre-batch committed, post-batch data).  A row whose
-   [inserter] is still set was inserted by this batch (publish resets
-   the mark); one whose key no longer resolves was a rolled-back insert
-   — skipped.  The hub dedupes rows touched from several executor
-   slots. *)
-let cdc_emit sh =
-  match sh.cdc with
-  | None -> ()
-  | Some c ->
-      Array.iter
-        (fun touched ->
-          Vec.iter
-            (fun (tid, (row : Row.t)) ->
-              let tbl = Db.table sh.db tid in
-              match Table.find tbl row.Row.key with
-              | Some r ->
-                  if r.Row.inserter >= 0 then
-                    Cdc.stage_insert c ~table:tid ~key:r.Row.key
-                      ~after:r.Row.data
-                  else
-                    Cdc.stage c ~table:tid ~key:r.Row.key
-                      ~before:r.Row.committed ~after:r.Row.data
-              | None -> ())
-            touched)
-        sh.touched
-
-(* Group commit: append the commit marker and flush the whole batch with
-   one modeled fsync.  [txns] counts this batch's committed
-   transactions, so the durable-transaction boundary equals the
-   committed count at every durable batch.  Called with the batch
-   published and every other thread parked short of the next batch's row
-   accesses, so the snapshot [Db.clone] inside cannot race a writer. *)
-let wal_flush sh ~txns ~bno =
-  match sh.wal with
-  | None -> ()
-  | Some w -> ignore (Wal.commit_batch w ~batch_no:bno ~txns)
-
-(* Seal the batch's feed entry after the publish barrier (and after the
-   WAL flush): the database is fully committed, so subscriber snapshot
-   catch-up sees exactly the state the feed has reached. *)
-let cdc_seal sh ~txns ~bno =
-  match sh.cdc with
-  | None -> ()
-  | Some c -> Cdc.publish c ~batch_no:bno ~txns
-
-let committed_in sh ~parity =
-  let n = ref 0 in
-  Array.iter
-    (function
-      | Some rt when rt.txn.Txn.status = Txn.Committed -> incr n
-      | Some _ | None -> ())
-    sh.rts.(parity);
-  !n
-
-(* The crash killed the node mid-batch: the in-flight batch was never
-   flushed or accounted, so it is lost.  Model the reboot, rebuild the
-   database from the newest snapshot plus the WAL (checksum-validated,
-   truncating at the first damaged record), and reconcile the committed
-   count to what the log proves durable — any batch acked before its
-   group survived the disk (a failing or wedged fsync) is retracted
-   here, which is exactly the lost-commit window the durability tests
-   measure. *)
-let crash_recover sh =
-  let m = sh.metrics in
-  m.Metrics.crashes <- m.Metrics.crashes + 1;
-  (* the reboot cost is charged inside Wal.recover, with the replay *)
-  match sh.wal with
-  | None -> ()
-  | Some w ->
-      Wal.recover w sh.db;
-      m.Metrics.committed <- Wal.durable_txns w
-
-let crash_due sh =
-  match sh.crash_at with
-  | Some at -> (not sh.crashed) && Sim.now sh.sim >= at
-  | None -> false
-
-(* Copy the simulator's per-phase busy / per-cause idle attribution into
-   the run's metrics. *)
-let record_sim_breakdown m sim =
-  Metrics.record_phases m
-    ~plan:(Sim.busy_in sim Sim.Ph_plan)
-    ~execute:(Sim.busy_in sim Sim.Ph_execute)
-    ~recover:(Sim.busy_in sim Sim.Ph_recover)
-    ~publish:(Sim.busy_in sim Sim.Ph_publish)
-    ~other:(Sim.busy_in sim Sim.Ph_other);
-  Metrics.record_idle m
-    ~barrier:(Sim.idle_in sim Sim.Cause_barrier)
-    ~ivar:(Sim.idle_in sim Sim.Cause_ivar)
-    ~chan:(Sim.idle_in sim Sim.Cause_chan)
-    ~sleep:(Sim.idle_in sim Sim.Cause_sleep)
-
-(* Run [f] as engine phase [ph], emitting a span covering its virtual
-   extent when tracing.  The span includes wait time inside the phase;
-   busy attribution (Sim.busy_in) counts only ticks. *)
-let in_phase sim ph tid f =
-  Sim.set_phase sim ph;
-  let t0 = Sim.now sim in
-  f ();
-  let tr = Sim.tracer sim in
-  if Trace.enabled tr then
-    Trace.span tr ~tid ~name:(Sim.phase_name ph) ~ts:t0
-      ~dur:(Sim.now sim - t0) ();
-  Sim.set_phase sim Sim.Ph_other
+(* The batch epilogue, run by the thread that closes batch [bno]
+   (lockstep thread 0, pipelined executor 0) once every executor has
+   drained it.  At the commit point: settle every status (speculative
+   recovery or conservative finalize), account, stage the touched rows
+   and rebalance — unless the node dies here, in which case the batch is
+   never accounted or logged.  [published] is the path's own publish
+   hand-off and returns once every slot is published; the seal (or crash
+   recovery) follows it, while the next batch's executors are still held
+   short of their first row access. *)
+let close_batch ?clients sh ~parity ~tid ~bno ~published =
+  Sim.in_phase sh.sim Sim.Ph_recover tid (fun () ->
+      if not (Commit_point.crash_due sh.cp) then begin
+        if sh.cfg.mode = Speculative then recover sh ~parity
+        else finalize_statuses sh ~parity;
+        let txns = account ?clients sh ~parity in
+        Commit_point.stage sh.cp ~batch_no:bno ~txns;
+        rebalance sh ~bno
+      end);
+  published ();
+  Commit_point.seal sh.cp sh.metrics ~tid
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep execution (the oracle): plan | execute | recover | publish  *)
@@ -1420,70 +1301,33 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
         in
         let ctx = make_ctx sh st in
         let rr = ref t in
-        let tr = Sim.tracer sim in
-        let queue_depth_counter () =
-          if Trace.enabled tr then begin
-            let depth = ref 0 in
-            for p = 0 to cfg.planners - 1 do
-              depth := !depth + Vec.length sh.queues.(0).(p).(t)
-            done;
-            Trace.counter tr ~tid:t ~name:"queue_depth"
-              ~series:("exec" ^ string_of_int t) ~ts:(Sim.now sim)
-              ~value:!depth
-          end
+        (* Every thread publishes its slots between two barriers; the
+           seal on thread 0 follows, while the next batch's executors are
+           held at the post-plan barrier. *)
+        let published () =
+          Sim.Barrier.await sim barrier;
+          publish_own sh t;
+          Sim.Barrier.await sim barrier
         in
-        let wal_txns = ref 0 in
-        let run_batch plan_fn account_fn =
-          if t < cfg.planners then in_phase sim Sim.Ph_plan t plan_fn;
+        let run_batch plan_fn =
+          if t < cfg.planners then Sim.in_phase sim Sim.Ph_plan t plan_fn;
           Sim.Barrier.await sim barrier;
-          if t < cfg.executors then begin
-            queue_depth_counter ();
-            in_phase sim Sim.Ph_execute t (fun () ->
-                drain_queues sh st ctx ~parity:0)
-          end;
+          if t < cfg.executors then execute sh st ctx ~parity:0;
           Sim.Barrier.await sim barrier;
+          (* A crash at thread 0's commit point kills the batch; every
+             thread unwinds after the publish barrier. *)
           if t = 0 then
-            in_phase sim Sim.Ph_recover t (fun () ->
-                (* The crash point: thread 0 reaches the batch commit
-                   point past the crash time — the in-flight batch dies
-                   (never logged, never accounted) and every thread
-                   unwinds after the publish barrier. *)
-                if crash_due sh then sh.crashed <- true
-                else begin
-                  if cfg.mode = Speculative then recover sh ~parity:0
-                  else finalize_statuses sh ~parity:0;
-                  wal_emit sh ~bno:sh.batch_no;
-                  cdc_emit sh;
-                  wal_txns := committed_in sh ~parity:0;
-                  account_fn ();
-                  rebalance sh ~bno:sh.batch_no
-                end);
-          Sim.Barrier.await sim barrier;
-          if (not sh.crashed) && (t < cfg.executors || t = 0) then
-            in_phase sim Sim.Ph_publish t (fun () ->
-                if t < cfg.executors then publish_slot sh t;
-                if t = 0 then publish_slot sh cfg.executors);
-          Sim.Barrier.await sim barrier;
-          (* Group-commit flush after the publish barrier so a snapshot
-             roll clones fully published state; the next batch's
-             executors are held at the post-plan barrier until thread 0
-             arrives, so the flush cannot race a row access. *)
-          if t = 0 then
-            if sh.crashed then
-              in_phase sim Sim.Ph_recover t (fun () -> crash_recover sh)
-            else begin
-              wal_flush sh ~txns:!wal_txns ~bno:sh.batch_no;
-              cdc_seal sh ~txns:!wal_txns ~bno:sh.batch_no
-            end
+            close_batch ?clients sh ~parity:0 ~tid:t ~bno:sh.batch_no
+              ~published
+          else published ()
         in
         match clients with
         | None ->
             for b = 0 to batches - 1 do
-              if not sh.crashed then begin
+              if not (Commit_point.crashed sh.cp) then begin
                 if t = 0 then sh.batch_no <- b;
-                run_batch
-                  (fun () -> plan_slice sh ~parity:0 ~bno:b t streams.(t) rr)
-                  (fun () -> account sh ~parity:0)
+                run_batch (fun () ->
+                    plan_slice sh ~parity:0 ~bno:b t streams.(t) rr)
               end
             done
         | Some c ->
@@ -1501,11 +1345,9 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
               end;
               Sim.Barrier.await sim barrier;
               if !continue_ then begin
-                run_batch
-                  (fun () ->
+                run_batch (fun () ->
                     plan_slice_clients sh ~parity:0 ~bno:sh.batch_no t
-                      !pending rr)
-                  (fun () -> account ~clients:c sh ~parity:0);
+                      !pending rr);
                 loop ()
               end
             in
@@ -1592,7 +1434,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
         | None, None ->
             for b = 0 to batches - 1 do
               await_drained b;
-              in_phase sim Sim.Ph_plan tid (fun () ->
+              Sim.in_phase sim Sim.Ph_plan tid (fun () ->
                   plan_slice sh ~parity:(b land 1) ~bno:b p streams.(p) rr);
               Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
             done
@@ -1605,7 +1447,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
               if sz = 0 then
                 Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
               else begin
-                in_phase sim Sim.Ph_plan tid (fun () ->
+                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
                     plan_slice sh ~parity:(b land 1) ~bno:b ~size:sz p
                       streams.(p) rr);
                 Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b);
@@ -1628,7 +1470,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
               if Array.length entries = 0 then
                 Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
               else begin
-                in_phase sim Sim.Ph_plan tid (fun () ->
+                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
                     plan_slice_clients sh ~parity:(b land 1) ~bno:b p entries
                       rr);
                 Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b);
@@ -1644,24 +1486,11 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
                    cur_found = false }
         in
         let ctx = make_ctx sh st in
-        let tr = Sim.tracer sim in
-        let queue_depth_counter parity =
-          if Trace.enabled tr then begin
-            let depth = ref 0 in
-            for p = 0 to cfg.planners - 1 do
-              depth := !depth + Vec.length sh.queues.(parity).(p).(e)
-            done;
-            Trace.counter tr ~tid:e ~name:"queue_depth"
-              ~series:("exec" ^ string_of_int e) ~ts:(Sim.now sim)
-              ~value:!depth
-          end
-        in
-        let wal_txns = ref 0 in
         let rec loop b =
           let go =
             if e = 0 then begin
               let go =
-                (not sh.crashed)
+                (not (Commit_point.crashed sh.cp))
                 && (match (clients, sh.abs) with
                    | None, None ->
                        b < batches
@@ -1702,62 +1531,36 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
           in
           if go then begin
             let parity = b land 1 in
-            queue_depth_counter parity;
-            in_phase sim Sim.Ph_execute e (fun () ->
-                drain_queues sh st ctx ~parity);
+            execute sh st ctx ~parity;
             Sim.Gate.arrive sim (gate exec_done_g ~parties:cfg.executors b);
+            let published = gate published_g ~parties:cfg.executors b in
+            let publish () =
+              publish_own sh e;
+              Sim.Gate.arrive sim published
+            in
             if e = 0 then begin
               Sim.Gate.await sim (gate exec_done_g ~parties:cfg.executors b);
-              in_phase sim Sim.Ph_recover e (fun () ->
-                  (* The crash point, pipelined: executor 0 reaches batch
-                     b's commit point past the crash time — b dies
-                     unlogged and unaccounted. *)
-                  if crash_due sh then sh.crashed <- true
-                  else begin
-                    if cfg.mode = Speculative then recover sh ~parity
-                    else finalize_statuses sh ~parity;
-                    wal_emit sh ~bno:b;
-                    cdc_emit sh;
-                    wal_txns := committed_in sh ~parity;
-                    account ?clients sh ~parity;
-                    rebalance sh ~bno:b
-                  end);
-              Sim.Ivar.fill sim (ivar recovered_iv b) ();
-              if sh.crashed then begin
-                (* Unblock planners already committed to future batches:
-                   they plan into buffers nobody drains and unwind.  The
-                   horizon covers the deepest batch number any planner
-                   loop can reach. *)
-                let horizon =
-                  match sh.abs with
-                  | Some _ -> (batches * cfg.batch_size) + 2
-                  | None -> batches + 2
-                in
-                for bb = b + 1 to horizon do
-                  let iv = ivar recovered_iv bb in
-                  if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sim iv ()
-                done
-              end
-            end
-            else ignore (Sim.Ivar.read sim (ivar recovered_iv b));
-            if not sh.crashed then
-              in_phase sim Sim.Ph_publish e (fun () ->
-                  publish_slot sh e;
-                  if e = 0 then publish_slot sh cfg.executors);
-            Sim.Gate.arrive sim (gate published_g ~parties:cfg.executors b);
-            if e = 0 then begin
-              Sim.Gate.await sim (gate published_g ~parties:cfg.executors b);
-              (* Group-commit flush once every slot of b is published (a
-                 snapshot roll clones fully published state); executors
-                 of b+1 are still parked on start(b+1), which is filled
-                 below in [loop], so the flush cannot race a row
-                 access. *)
-              if sh.crashed then
-                in_phase sim Sim.Ph_recover e (fun () -> crash_recover sh)
-              else begin
-                wal_flush sh ~txns:!wal_txns ~bno:b;
-                cdc_seal sh ~txns:!wal_txns ~bno:b
-              end;
+              close_batch ?clients sh ~parity ~tid:e ~bno:b
+                ~published:(fun () ->
+                  Sim.Ivar.fill sim (ivar recovered_iv b) ();
+                  if Commit_point.crashed sh.cp then begin
+                    (* Unblock planners already committed to future
+                       batches: they plan into buffers nobody drains and
+                       unwind.  The horizon covers the deepest batch
+                       number any planner loop can reach. *)
+                    let horizon =
+                      match sh.abs with
+                      | Some _ -> (batches * cfg.batch_size) + 2
+                      | None -> batches + 2
+                    in
+                    for bb = b + 1 to horizon do
+                      let iv = ivar recovered_iv bb in
+                      if not (Sim.Ivar.is_full iv) then
+                        Sim.Ivar.fill sim iv ()
+                    done
+                  end;
+                  publish ();
+                  Sim.Gate.await sim published);
               (* Drop sync state no thread can reach again: everything
                  of batch b except recovered(b), which planners of batch
                  b+2 still await. *)
@@ -1768,6 +1571,10 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
               Hashtbl.remove pending_iv b;
               Hashtbl.remove size_iv b;
               if b >= 2 then Hashtbl.remove recovered_iv (b - 2)
+            end
+            else begin
+              ignore (Sim.Ivar.read sim (ivar recovered_iv b));
+              publish ()
             end;
             loop (b + 1)
           end
@@ -1783,12 +1590,6 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       invalid_arg
         "Quecc.Engine.run: crash faults and open-loop clients cannot be \
          combined (a crashed node strands the admission queue)"
-  | _ -> ());
-  (match (crash_at, cdc) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Quecc.Engine.run: --cdc cannot be combined with crash faults (a \
-         crash-truncated run would feed subscribers retracted commits)"
   | _ -> ());
   (match cfg.split with
   | Some sc -> assert (sc.hot_threshold > 0 && sc.max_subqueues >= 2)
@@ -1839,7 +1640,6 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
             Array.init cfg.planners (fun _ ->
                 Array.init cfg.executors (fun _ -> Vec.create ())));
       rts = Array.init nbuf (fun _ -> Array.make cfg.batch_size None);
-      touched = Array.init (cfg.executors + 1) (fun _ -> Vec.create ());
       qstate =
         (if cfg.steal then
            Array.init nbuf (fun _ ->
@@ -1866,10 +1666,9 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       metrics = Metrics.create ();
       recorder;
       abs;
-      wal;
-      cdc;
-      crash_at;
-      crashed = false;
+      cp =
+        Commit_point.create ?wal ?cdc ?crash_at ~slots:(cfg.executors + 1) sim
+          wl.Workload.db;
       batch_no = 0;
     }
   in
@@ -1894,10 +1693,6 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
   if parked <> 0 then
     failwith (Printf.sprintf "Quecc.Engine.run: %d threads deadlocked" parked);
   let m = sh.metrics in
-  m.Metrics.elapsed <- Sim.horizon sim;
-  m.Metrics.busy <- Sim.busy_time sim;
-  m.Metrics.idle <- Sim.idle_time sim;
-  m.Metrics.threads <- nthreads;
-  (match wal with Some w -> Wal.record w m | None -> ());
-  record_sim_breakdown m sim;
+  Metrics.record_sim m sim ~threads:nthreads;
+  Commit_point.record sh.cp m;
   m

@@ -107,20 +107,20 @@ val run :
     recording never ticks the simulator, so committed state is
     bit-identical with and without it.
 
-    [?wal] makes every batch durable with one group-commit flush at its
-    commit point (effects captured before publish, flushed after — see
-    {!Quill_wal.Wal}).  [?crash_at] kills the node at its first batch
-    commit point at/after that virtual time: the in-flight batch is
-    lost, the database is rebuilt from the newest snapshot plus the log,
-    the committed count is reconciled to the durable boundary, and the
-    run ends.  Crash faults cannot be combined with [?clients] (a dead
+    [?wal], [?cdc] and [?crash_at] hang off the batch commit point
+    ({!Quill_commit.Commit_point}).  [?wal] makes every batch durable
+    with one group-commit flush (effects staged before publish, flushed
+    after — see {!Quill_wal.Wal}).  [?cdc] stages every batch's change
+    set into the ordered feed in the same pass and seals it right after
+    the commit point, so subscribers observe the deterministic batch
+    commit order (see {!Quill_cdc.Cdc}).  [?crash_at] kills the node at
+    its first batch commit point at/after that virtual time: the
+    in-flight batch is lost, the database is rebuilt from the newest
+    snapshot plus the log, the committed count is reconciled to the
+    durable boundary, and the run ends.  [?crash_at] requires [?wal] and
+    cannot be combined with [?cdc] (a crash-truncated run would feed
+    subscribers commits recovery then retracts) or [?clients] (a dead
     node strands the admission queue); [Invalid_argument] otherwise.
-
-    [?cdc] stages every batch's change set into the ordered feed at the
-    WAL seam and seals it right after the commit point, so subscribers
-    observe the deterministic batch commit order (see {!Quill_cdc.Cdc}).
-    Cannot be combined with [?crash_at]: a crash-truncated run would
-    feed subscribers commits recovery then retracts.
 
     Closed-loop by default: [batches] fixed-size batches cut from the
     workload stream.  With [?clients], batches are formed from whatever
@@ -129,10 +129,6 @@ val run :
     exhausted; [batches] is ignored.  Commit/abort outcomes are reported
     back through {!Quill_clients.Clients.complete}, so aborted
     transactions return in a later batch after their backoff. *)
-
-val record_sim_breakdown : Quill_txn.Metrics.t -> Quill_sim.Sim.t -> unit
-(** Copy the simulator's per-phase busy and per-cause idle attribution
-    into the metrics record (also used by the distributed engines). *)
 
 val plan_order_for_dist :
   Quill_txn.Fragment.t array -> Quill_txn.Fragment.t array

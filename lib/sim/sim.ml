@@ -203,6 +203,17 @@ let threads_completed t = t.completed
 let tracer t = t.tracer
 let current_tid t = (cur t).tid
 
+(* The span includes wait time inside the phase; busy attribution
+   ([busy_in]) counts only ticks. *)
+let in_phase t ph tid f =
+  set_phase t ph;
+  let t0 = now t in
+  let r = f () in
+  if Trace.enabled t.tracer then
+    Trace.span t.tracer ~tid ~name:(phase_name ph) ~ts:t0 ~dur:(now t - t0) ();
+  set_phase t Ph_other;
+  r
+
 let wake t ~cause th at resume =
   let at = if at > th.clock then at else th.clock in
   let at = at + t.wake_cost in

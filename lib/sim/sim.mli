@@ -97,6 +97,12 @@ val tracer : t -> Quill_trace.Trace.t
 val current_tid : t -> int
 (** Thread id of the calling thread (stable spawn index). *)
 
+val in_phase : t -> phase -> int -> (unit -> 'a) -> 'a
+(** [in_phase t ph tid f] runs [f] with the calling thread's phase set
+    to [ph], emits a span labelled with the phase on trace lane [tid]
+    over [f]'s virtual extent when tracing is enabled, and restores
+    [Ph_other]. *)
+
 (** Write-once cell: the cross-thread data-dependency primitive. *)
 module Ivar : sig
   type 'a iv

@@ -181,18 +181,21 @@ let create () =
     client_lat = Stats.Hist.create ();
   }
 
-let record_phases t ~plan ~execute ~recover ~publish ~other =
-  t.plan_busy <- plan;
-  t.exec_busy <- execute;
-  t.recover_busy <- recover;
-  t.publish_busy <- publish;
-  t.other_busy <- other
-
-let record_idle t ~barrier ~ivar ~chan ~sleep =
-  t.idle_barrier <- barrier;
-  t.idle_ivar <- ivar;
-  t.idle_chan <- chan;
-  t.idle_sleep <- sleep
+let record_sim t sim ~threads =
+  let module Sim = Quill_sim.Sim in
+  t.elapsed <- Sim.horizon sim;
+  t.busy <- Sim.busy_time sim;
+  t.idle <- Sim.idle_time sim;
+  t.threads <- threads;
+  t.plan_busy <- Sim.busy_in sim Sim.Ph_plan;
+  t.exec_busy <- Sim.busy_in sim Sim.Ph_execute;
+  t.recover_busy <- Sim.busy_in sim Sim.Ph_recover;
+  t.publish_busy <- Sim.busy_in sim Sim.Ph_publish;
+  t.other_busy <- Sim.busy_in sim Sim.Ph_other;
+  t.idle_barrier <- Sim.idle_in sim Sim.Cause_barrier;
+  t.idle_ivar <- Sim.idle_in sim Sim.Cause_ivar;
+  t.idle_chan <- Sim.idle_in sim Sim.Cause_chan;
+  t.idle_sleep <- Sim.idle_in sim Sim.Cause_sleep
 
 let phase_busy t = t.plan_busy + t.exec_busy + t.recover_busy + t.publish_busy
 

@@ -104,11 +104,11 @@ type t = {
 
 val create : unit -> t
 
-val record_phases :
-  t -> plan:int -> execute:int -> recover:int -> publish:int -> other:int ->
-  unit
-
-val record_idle : t -> barrier:int -> ivar:int -> chan:int -> sleep:int -> unit
+val record_sim : t -> Quill_sim.Sim.t -> threads:int -> unit
+(** The end-of-run epilogue every engine shares (call once, after
+    [Sim.run] returns): copy the simulator's horizon, busy and idle
+    totals, per-phase busy and per-cause idle attribution, plus the
+    run's thread count, into the record. *)
 
 val phase_busy : t -> int
 (** Busy ns covered by the four labelled phases (excludes [other_busy]). *)

@@ -131,6 +131,108 @@ let test_feed_replays_to_committed_state () =
   Tutil.check_bool "every event post-image = committed image" true !ok;
   Tutil.check_bool "shadow saw rows" true (Hashtbl.length shadow > 0)
 
+(* One quecc run over 1-warehouse TPC-C (NewOrder inserts, invalid-item
+   aborts) with the full feed retained, plus the pre-run database. *)
+let tpcc_feed ?(seed = 9) ?(threads = 2) ?(batch_size = 256)
+    ?(subscribe = fun _ -> ()) mode isolation =
+  let wl = Tpcc.make (Tutil.small_tpcc ~seed ()) in
+  let before = Db.clone wl.Workload.db in
+  let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
+  let cdc =
+    Cdc.create ~record_feed:true ~sim ~costs:Costs.default wl.Workload.db
+  in
+  subscribe cdc;
+  let cfg =
+    {
+      Qe.default_cfg with
+      Qe.planners = threads;
+      executors = threads;
+      batch_size;
+      mode;
+      isolation;
+    }
+  in
+  let m = Qe.run ~sim ~cdc cfg wl ~batches:4 in
+  Cdc.finish cdc;
+  (cdc, m, wl, before)
+
+(* An insert is a row whose inserter mark is set, in every execution
+   mode: speculative and conservative runs commit the same state, so
+   they must publish the byte-identical feed. *)
+let test_tpcc_feed_identical_across_modes () =
+  List.iter
+    (fun (label, iso) ->
+      let spec, ms, wls, _ = tpcc_feed Qe.Speculative iso in
+      let cons, mc, wlc, _ = tpcc_feed Qe.Conservative iso in
+      Tutil.check_int (label ^ ": same commits") ms.Metrics.committed
+        mc.Metrics.committed;
+      Tutil.check_int
+        (label ^ ": same committed state")
+        (Db.checksum wls.Workload.db)
+        (Db.checksum wlc.Workload.db);
+      Tutil.check_bool (label ^ ": feed has events") true (Cdc.events spec > 0);
+      Alcotest.(check string)
+        (label ^ ": conservative feed byte-identical to speculative")
+        (Cdc.feed spec) (Cdc.feed cons))
+    [ ("quecc", Qe.Serializable); ("quecc-rc", Qe.Read_committed) ]
+
+(* Every committed change reaches the feed, inserts included: each row
+   whose committed image differs from the pre-run database (or that did
+   not exist before) has an event carrying exactly that image, and an
+   inserted row's first event has no pre-image.  This configuration
+   cascades NewOrders into speculative recovery, whose re-executed
+   inserts must carry the insert mark too. *)
+let test_tpcc_feed_covers_every_change () =
+  let shadow : (int * int, bool * int array) Hashtbl.t = Hashtbl.create 4096 in
+  let subscribe hub =
+    ignore
+      (Cdc.subscribe hub ~name:"shadow"
+         {
+           Cdc.on_batch =
+             (fun b ->
+               Array.iter
+                 (fun (ev : Cdc.event) ->
+                   let k = (ev.Cdc.table, ev.Cdc.key) in
+                   let inserted =
+                     match Hashtbl.find_opt shadow k with
+                     | Some (ins, _) -> ins
+                     | None -> ev.Cdc.before = None
+                   in
+                   Hashtbl.replace shadow k (inserted, Array.copy ev.Cdc.after))
+                 b.Cdc.events);
+           on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
+           on_caught_up = (fun ~batch_no:_ -> ());
+         })
+  in
+  let _, m, wl, before =
+    tpcc_feed ~seed:3 ~threads:8 ~batch_size:512 ~subscribe Qe.Speculative
+      Qe.Serializable
+  in
+  Tutil.check_bool "recovery re-executed transactions" true
+    (m.Metrics.cascades > 0);
+  let db = wl.Workload.db in
+  let missing = ref 0 and inserts = ref 0 in
+  for tid = 0 to Db.ntables db - 1 do
+    let check (row : Row.t) =
+      let prior = Table.find (Db.table before tid) row.Row.key in
+      let changed =
+        match prior with
+        | Some r -> r.Row.committed <> row.Row.committed
+        | None -> true
+      in
+      if changed then
+        match Hashtbl.find_opt shadow (tid, row.Row.key) with
+        | Some (ins, img) when img = row.Row.committed && ins = (prior = None)
+          ->
+            if ins then incr inserts
+        | _ -> incr missing
+    in
+    Table.iter_dense check (Db.table db tid);
+    Table.iter_inserted check (Db.table db tid)
+  done;
+  Tutil.check_int "changed rows without a matching event" 0 !missing;
+  Tutil.check_bool "inserts reached the feed" true (!inserts > 0)
+
 let test_serial_feed_deterministic () =
   let run () =
     let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed:7 ()) in
@@ -327,8 +429,9 @@ let test_rejections () =
   let cdc = Cdc.create ~sim ~costs:Costs.default wl.Workload.db in
   Alcotest.check_raises "engine rejects cdc + crash_at"
     (Invalid_argument
-       "Quecc.Engine.run: --cdc cannot be combined with crash faults (a \
-        crash-truncated run would feed subscribers retracted commits)")
+       "Commit_point.create: a CDC feed cannot be combined with crash \
+        faults (a crash-truncated run would feed subscribers retracted \
+        commits)")
     (fun () ->
       ignore
         (Qe.run ~sim ~cdc ~crash_at:1_000
@@ -377,6 +480,10 @@ let () =
             test_feed_identical_across_modes;
           Alcotest.test_case "feed replays to committed state" `Quick
             test_feed_replays_to_committed_state;
+          Alcotest.test_case "tpcc feed identical across exec modes" `Quick
+            test_tpcc_feed_identical_across_modes;
+          Alcotest.test_case "tpcc feed covers every change" `Quick
+            test_tpcc_feed_covers_every_change;
           Alcotest.test_case "serial group-commit feed" `Quick
             test_serial_feed_deterministic;
           qc qcheck_feed_identity;

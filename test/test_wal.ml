@@ -224,28 +224,70 @@ let test_fsync_fail_degrades () =
 
 (* ------------------------- serial engine ------------------------- *)
 
-let test_serial_crash_recovers () =
-  let cfg = Tutil.small_ycsb () in
-  let probe = Serial.run (Ycsb.make cfg) ~txns:1024 in
-  let crash_at = probe.Metrics.elapsed / 2 in
-  let wl = Ycsb.make cfg in
-  let costs = Costs.default in
-  let sim = Sim.create ~wake_cost:costs.Costs.wakeup () in
-  let w = Wal.create ~sim ~costs ~snapshot_every:2 wl.Workload.db in
-  let m =
-    Serial.run ~sim ~costs ~wal:w ~crash_at ~batch_size:128 wl ~txns:1024
+(* Serial with a WAL over [make ()], crashed halfway through the
+   fault-free run's virtual time.  The durable prefix is whole 128-txn
+   commit groups of stream 0, so a fresh serial run of exactly those
+   transactions must land on the recovered state.  Returns the
+   fault-free run's metrics and the oracle's. *)
+let check_serial_crash_recovers make ~txns =
+  let run ?crash_at () =
+    let wl = make () in
+    let costs = Costs.default in
+    let sim = Sim.create ~wake_cost:costs.Costs.wakeup () in
+    let w = Wal.create ~sim ~costs ~snapshot_every:2 wl.Workload.db in
+    let m = Serial.run ~sim ~costs ~wal:w ?crash_at ~batch_size:128 wl ~txns in
+    (wl, m, w)
   in
+  let _, clean, _ = run () in
+  let wl, m, w = run ~crash_at:(clean.Metrics.elapsed / 2) () in
   Tutil.check_int "crashed once" 1 m.Metrics.crashes;
   Tutil.check_int "committed = durable txns" (Wal.durable_txns w)
     m.Metrics.committed;
-  Tutil.check_bool "durable prefix only" true (m.Metrics.committed < 1024);
-  (* the durable prefix is the first N txns of stream 0: a fresh serial
-     run of exactly N must land on the same state *)
-  let wl2 = Ycsb.make cfg in
-  let m2 = Serial.run wl2 ~txns:m.Metrics.committed in
-  Tutil.check_int "oracle commits" m.Metrics.committed m2.Metrics.committed;
+  let durable = m.Metrics.durable_batches in
+  Tutil.check_bool "durable prefix only" true
+    (durable > 0 && durable * 128 < txns);
+  let wl2 = make () in
+  let m2 = Serial.run wl2 ~txns:(durable * 128) in
+  Tutil.check_int "oracle commits" m2.Metrics.committed m.Metrics.committed;
   Tutil.check_bool "recovered state = truncated serial run" true
-    (Db.checksum wl.Workload.db = Db.checksum wl2.Workload.db)
+    (Db.checksum wl.Workload.db = Db.checksum wl2.Workload.db);
+  (clean, m2)
+
+let test_serial_crash_recovers () =
+  ignore
+    (check_serial_crash_recovers
+       (fun () -> Ycsb.make (Tutil.small_ycsb ()))
+       ~txns:1024)
+
+(* TPC-C brings inserts and invalid-item aborts into the commit groups,
+   which the per-group WAL logs as each dirtied row's final image. *)
+let test_serial_crash_recovers_tpcc () =
+  let clean, oracle =
+    check_serial_crash_recovers
+      (fun () -> Tpcc.make (Tutil.small_tpcc ()))
+      ~txns:2048
+  in
+  Tutil.check_bool "prefix holds invalid-item aborts" true
+    (oracle.Metrics.logic_aborted > 0);
+  (* Logging one effect per write, rather than each dirtied row once per
+     group, takes 3_274_200 bytes on this run. *)
+  Tutil.check_bool "per-group WAL no larger than per-write logging" true
+    (clean.Metrics.wal_bytes <= 3_274_200)
+
+(* A crash point with nothing durable to recover from is a caller error
+   in both engines that own a commit point, not a silent truncation. *)
+let test_crash_needs_wal () =
+  let expect label f =
+    Alcotest.check_raises label
+      (Invalid_argument
+         "Commit_point.create: crash faults need a WAL (nothing durable to \
+          recover from otherwise)")
+      (fun () -> ignore (f (Ycsb.make (Tutil.small_ycsb ()))))
+  in
+  expect "serial rejects crash_at without a WAL" (fun wl ->
+      Serial.run ~crash_at:1_000 wl ~txns:1024);
+  expect "quecc rejects crash_at without a WAL" (fun wl ->
+      Engine.run ~crash_at:1_000 (quecc_cfg ()) wl ~batches:8)
 
 (* ------------------------- harness validation ------------------------- *)
 
@@ -354,6 +396,8 @@ let () =
             test_crash_recovers_with_inserts;
           Alcotest.test_case "serial engine" `Quick
             test_serial_crash_recovers;
+          Alcotest.test_case "serial engine, tpcc" `Quick
+            test_serial_crash_recovers_tpcc;
           qc prop_crash_recovers_to_oracle;
         ] );
       ( "damaged-tails",
@@ -370,6 +414,7 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "validation" `Quick test_experiment_validation;
+          Alcotest.test_case "crash needs a wal" `Quick test_crash_needs_wal;
           Alcotest.test_case "crash path" `Quick test_experiment_crash_path;
         ] );
     ]
