@@ -294,81 +294,80 @@ let has_remote_inputs sh node txn =
            f.Fragment.data_deps)
     txn.Txn.frags
 
-let dummy_row = Row.make ~key:(-1) ~nfields:1
+(* The accessors of one local sub-transaction, reading and writing
+   through [cur] and dirtying rows into the node's touched set.  On
+   [replay] (crash recovery) cross-node traffic is suppressed — input
+   values were computed and broadcast before the crash and their ivars
+   are still full — and inserts published before the crash, which
+   survive it, are skipped. *)
+let sub_ctx sh node rt (cur : Direct.cursor) cur_frag ~replay =
+  let costs = sh.cfg.costs in
+  let read (_ : Fragment.t) field =
+    Sim.tick sh.sim costs.Costs.row_read;
+    if cur.found then cur.row.Row.data.(field) else 0
+  in
+  let write _frag field v =
+    Sim.tick sh.sim costs.Costs.row_write;
+    if cur.found then begin
+      let row = cur.row in
+      if not row.Row.dirty then begin
+        row.Row.dirty <- true;
+        Vec.push sh.ns.(node).touched row
+      end;
+      row.Row.data.(field) <- v
+    end
+  in
+  let add frag field d = write frag field (read frag field + d) in
+  let insert (frag : Fragment.t) ~key payload =
+    Sim.tick sh.sim costs.Costs.index_insert;
+    let tbl = Db.table sh.db frag.Fragment.table in
+    if not (replay && Table.find tbl key <> None) then begin
+      let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
+      ignore (Table.insert tbl ~home ~key payload)
+    end
+  in
+  let input producer_fid =
+    let frag = match !cur_frag with Some f -> f | None -> assert false in
+    let deps = frag.Fragment.data_deps in
+    let rec find i = if deps.(i) = producer_fid then i else find (i + 1) in
+    Sim.Ivar.read sh.sim rt.inputs.(frag.Fragment.fid).(find 0)
+  in
+  let output fid v =
+    if not replay then
+      List.iter
+        (fun (dst, iv) ->
+          if dst = node then begin
+            if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sh.sim iv v
+          end
+          else Net.send sh.net ~src:node ~dst ~bytes:16 (Fill { iv; v }))
+        rt.producers.(fid)
+  in
+  let found _ = cur.found in
+  { Exec.read; write; add; insert; input; output; found }
 
 (* Re-execute one local sub-transaction during crash recovery.  The
    sequencer log (this epoch's subs in sequence order) is Calvin's redo
    log: replaying it serially against the rolled-back partition
    reproduces the pre-crash state, because deterministic locking made
    the concurrent original equivalent to exactly that serial order.
-   Cross-node traffic is suppressed — input values were computed and
-   broadcast before the crash and their ivars are still full — and the
-   abort vote is not re-cast (the outcome is already decided).  Returns
-   whether the sub was replayed (aborted txns left no persistent
+   The abort vote is not re-cast (the outcome is already decided).
+   Returns whether the sub was replayed (aborted txns left no persistent
    writes, so they are skipped). *)
 let replay_sub sh node sub =
-  let costs = sh.cfg.costs in
   let rt = sub.rt in
   if rt.aborted_local.(node) then false
   else begin
     let txn = rt.txn in
-    let cur_row = ref dummy_row and cur_found = ref false in
-    let cur_frag = ref None in
-    let read (_ : Fragment.t) field =
-      Sim.tick sh.sim costs.Costs.row_read;
-      if !cur_found then (!cur_row).Row.data.(field) else 0
-    in
-    let write _frag field v =
-      Sim.tick sh.sim costs.Costs.row_write;
-      if !cur_found then begin
-        let row = !cur_row in
-        if not row.Row.dirty then begin
-          row.Row.dirty <- true;
-          Vec.push sh.ns.(node).touched row
-        end;
-        row.Row.data.(field) <- v
-      end
-    in
-    let add frag field d = write frag field (read frag field + d) in
-    let insert (frag : Fragment.t) ~key payload =
-      Sim.tick sh.sim costs.Costs.index_insert;
-      let tbl = Db.table sh.db frag.Fragment.table in
-      (* Inserts published before the crash survive it. *)
-      if Table.find tbl key = None then begin
-        let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
-        ignore (Table.insert tbl ~home ~key payload)
-      end
-    in
-    let input producer_fid =
-      let frag = match !cur_frag with Some f -> f | None -> assert false in
-      let deps = frag.Fragment.data_deps in
-      let rec find i = if deps.(i) = producer_fid then i else find (i + 1) in
-      Sim.Ivar.read sh.sim rt.inputs.(frag.Fragment.fid).(find 0)
-    in
-    let output _ _ = () in
-    let found _ = !cur_found in
-    let ctx = { Exec.read; write; add; insert; input; output; found } in
+    let cur = Direct.cursor () and cur_frag = ref None in
+    let ctx = sub_ctx sh node rt cur cur_frag ~replay:true in
     Array.iter
       (fun (f : Fragment.t) ->
         if frag_node sh f = node then begin
           cur_frag := Some f;
-          (match f.Fragment.mode with
-          | Fragment.Insert ->
-              cur_row := dummy_row;
-              cur_found := true
-          | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-              Sim.tick sh.sim costs.Costs.index_probe;
-              match
-                Table.find (Db.table sh.db f.Fragment.table) f.Fragment.key
-              with
-              | Some row ->
-                  cur_row := row;
-                  cur_found := true
-              | None ->
-                  cur_row := dummy_row;
-                  cur_found := false));
-          Sim.tick sh.sim costs.Costs.logic;
-          match sh.wl.Workload.exec ctx txn f with
+          match
+            Direct.step sh.sim sh.cfg.costs sh.wl ctx cur
+              ~locate:(Direct.find sh.db) txn f
+          with
           | Exec.Ok | Exec.Abort -> ()
           | Exec.Blocked -> assert false
         end)
@@ -390,27 +389,19 @@ let maybe_recover sh node =
   do
     let c = crashes.(ns.crash_idx) in
     ns.crash_idx <- ns.crash_idx + 1;
-    let t0 = Sim.now sh.sim in
-    Sim.set_phase sh.sim Sim.Ph_recover;
-    Vec.iter Row.revert ns.touched;
-    Vec.clear ns.touched;
-    let restart = c.Faults.at + c.Faults.down in
-    if restart > Sim.now sh.sim then
-      Sim.sleep sh.sim (restart - Sim.now sh.sim);
-    Sim.tick sh.sim sh.cfg.costs.Costs.crash_reboot;
-    Vec.iter
-      (fun sub ->
-        if replay_sub sh node sub then
-          sh.metrics.Metrics.redone <- sh.metrics.Metrics.redone + 1)
-      ns.subs;
-    sh.metrics.Metrics.crashes <- sh.metrics.Metrics.crashes + 1;
-    let tr = Sim.tracer sh.sim in
-    if Trace.enabled tr then
-      Trace.span tr ~tid:(Sim.current_tid sh.sim) ~cat:"phase" ~name:"recover"
-        ~ts:t0
-        ~dur:(Sim.now sh.sim - t0)
-        ();
-    Sim.set_phase sh.sim Sim.Ph_other
+    Sim.in_phase sh.sim Sim.Ph_recover (Sim.current_tid sh.sim) (fun () ->
+        Vec.iter Row.revert ns.touched;
+        Vec.clear ns.touched;
+        let restart = c.Faults.at + c.Faults.down in
+        if restart > Sim.now sh.sim then
+          Sim.sleep sh.sim (restart - Sim.now sh.sim);
+        Sim.tick sh.sim sh.cfg.costs.Costs.crash_reboot;
+        Vec.iter
+          (fun sub ->
+            if replay_sub sh node sub then
+              sh.metrics.Metrics.redone <- sh.metrics.Metrics.redone + 1)
+          ns.subs;
+        sh.metrics.Metrics.crashes <- sh.metrics.Metrics.crashes + 1)
   done
 
 let check_node_done sh node =
@@ -470,11 +461,7 @@ let scheduler_thread sh node epochs =
     let stop = Sim.Ivar.read sh.sim (get_commit sh e node) in
     (* All local sub-transactions are done: publish committed state. *)
     Sim.set_phase sh.sim Sim.Ph_publish;
-    Vec.iter
-      (fun row ->
-        Row.publish row;
-        row.Row.dirty <- false)
-      sh.ns.(node).touched;
+    Vec.iter Row.publish sh.ns.(node).touched;
     Vec.clear sh.ns.(node).touched;
     Vec.clear sh.ns.(node).subs;
     Sim.set_phase sh.sim Sim.Ph_other;
@@ -523,49 +510,8 @@ let exec_sub sh node sub =
       if n <> node then
         Net.send sh.net ~src:node ~dst:n ~bytes:(8 + (16 * nreads)) Reads)
     rt.participants;
-  let cur_row = ref dummy_row and cur_found = ref false in
-  let cur_frag = ref None in
-  let read (_ : Fragment.t) field =
-    Sim.tick sh.sim costs.Costs.row_read;
-    if !cur_found then (!cur_row).Row.data.(field) else 0
-  in
-  let write _frag field v =
-    Sim.tick sh.sim costs.Costs.row_write;
-    if !cur_found then begin
-      let row = !cur_row in
-      if not row.Row.dirty then begin
-        row.Row.dirty <- true;
-        Vec.push sh.ns.(node).touched row
-      end;
-      row.Row.data.(field) <- v
-    end
-  in
-  let add frag field d = write frag field (read frag field + d) in
-  let insert (frag : Fragment.t) ~key payload =
-    Sim.tick sh.sim costs.Costs.index_insert;
-    let tbl = Db.table sh.db frag.Fragment.table in
-    let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
-    ignore (Table.insert tbl ~home ~key payload)
-  in
-  let input producer_fid =
-    let frag = match !cur_frag with Some f -> f | None -> assert false in
-    let deps = frag.Fragment.data_deps in
-    let rec find i =
-      if deps.(i) = producer_fid then i else find (i + 1)
-    in
-    Sim.Ivar.read sh.sim rt.inputs.(frag.Fragment.fid).(find 0)
-  in
-  let output fid v =
-    List.iter
-      (fun (dst, iv) ->
-        if dst = node then begin
-          if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sh.sim iv v
-        end
-        else Net.send sh.net ~src:node ~dst ~bytes:16 (Fill { iv; v }))
-      rt.producers.(fid)
-  in
-  let found _ = !cur_found in
-  let ctx = { Exec.read; write; add; insert; input; output; found } in
+  let cur = Direct.cursor () and cur_frag = ref None in
+  let ctx = sub_ctx sh node rt cur cur_frag ~replay:false in
   (* Dependency-free abortable fragments first, so a commit-dependency
      wait can never sit ahead of its own abort decision. *)
   Array.iter
@@ -577,23 +523,10 @@ let exec_sub sh node sub =
         then Sim.Ivar.read sh.sim rt.resolved.(node);
         if not rt.aborted_local.(node) then begin
           cur_frag := Some f;
-          (match f.Fragment.mode with
-          | Fragment.Insert ->
-              cur_row := dummy_row;
-              cur_found := true
-          | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-              Sim.tick sh.sim costs.Costs.index_probe;
-              match
-                Table.find (Db.table sh.db f.Fragment.table) f.Fragment.key
-              with
-              | Some row ->
-                  cur_row := row;
-                  cur_found := true
-              | None ->
-                  cur_row := dummy_row;
-                  cur_found := false));
-          Sim.tick sh.sim costs.Costs.logic;
-          match sh.wl.Workload.exec ctx txn f with
+          match
+            Direct.step sh.sim costs sh.wl ctx cur ~locate:(Direct.find sh.db)
+              txn f
+          with
           | Exec.Ok ->
               if f.Fragment.abortable then begin
                 rt.pending_aborters <- rt.pending_aborters - 1;

@@ -344,26 +344,24 @@ type est = {
   egid : int;
   mutable cur_rt : drt option;
   mutable cur_frag : Fragment.t option;
-  mutable cur_row : Row.t;
-  mutable cur_found : bool;
+  cur : Direct.cursor;
   mutable replaying : bool;  (* re-executing queues during recovery *)
 }
-
-let dummy_row = Row.make ~key:(-1) ~nfields:1
 
 let make_ctx sh st =
   let costs = sh.cfg.costs in
   let the_rt () =
     match st.cur_rt with Some rt -> rt | None -> assert false
   in
+  let cur = st.cur in
   let read (_ : Fragment.t) field =
     Sim.tick sh.sim costs.Costs.row_read;
-    if st.cur_found then st.cur_row.Row.data.(field) else 0
+    if cur.found then cur.row.Row.data.(field) else 0
   in
   let write _frag field v =
     Sim.tick sh.sim costs.Costs.row_write;
-    if st.cur_found then begin
-      let row = st.cur_row in
+    if cur.found then begin
+      let row = cur.row in
       if not row.Row.dirty then begin
         row.Row.dirty <- true;
         Vec.push sh.touched.(st.egid) row
@@ -407,7 +405,7 @@ let make_ctx sh st =
         else Net.send sh.net ~src:st.node ~dst ~bytes:16 (Fill { iv; v }))
       rt.producers.(fid)
   in
-  let found _ = st.cur_found in
+  let found _ = cur.found in
   { Exec.read; write; add; insert; input; output; found }
 
 let exec_entry sh st ctx e =
@@ -423,23 +421,10 @@ let exec_entry sh st ctx e =
     else begin
       st.cur_rt <- Some rt;
       st.cur_frag <- Some frag;
-      (match frag.Fragment.mode with
-      | Fragment.Insert ->
-          st.cur_row <- dummy_row;
-          st.cur_found <- true
-      | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-          Sim.tick sh.sim costs.Costs.index_probe;
-          match
-            Table.find (Db.table sh.db frag.Fragment.table) frag.Fragment.key
-          with
-          | Some row ->
-              st.cur_row <- row;
-              st.cur_found <- true
-          | None ->
-              st.cur_row <- dummy_row;
-              st.cur_found <- false));
-      Sim.tick sh.sim costs.Costs.logic;
-      match sh.wl.Workload.exec ctx rt.txn frag with
+      match
+        Direct.step sh.sim costs sh.wl ctx st.cur ~locate:(Direct.find sh.db)
+          rt.txn frag
+      with
       | Exec.Ok ->
           if frag.Fragment.abortable && not e.voted then begin
             e.voted <- true;
@@ -452,8 +437,8 @@ let exec_entry sh st ctx e =
 
 let executor_thread sh node e batches =
   let egid = (node * sh.cfg.executors) + e in
-  let st = { node; egid; cur_rt = None; cur_frag = None; cur_row = dummy_row;
-             cur_found = false; replaying = false } in
+  let st = { node; egid; cur_rt = None; cur_frag = None;
+             cur = Direct.cursor (); replaying = false } in
   let ctx =
     match sh.recorder with
     | None -> make_ctx sh st
@@ -468,7 +453,6 @@ let executor_thread sh node e batches =
   let done_ = Array.make nprio 0 in
   let crashes = sh.crash_plan.(node) in
   let crash_idx = ref 0 in
-  let tr = Sim.tracer sh.sim in
   (* Consume every planned crash whose time has passed.  Crashes
      materialize at entry boundaries: the executor rolls its partition
      back to the last published batch, sits out the downtime, pays the
@@ -480,32 +464,26 @@ let executor_thread sh node e batches =
     do
       let c = crashes.(!crash_idx) in
       incr crash_idx;
-      let t0 = Sim.now sh.sim in
-      Sim.set_phase sh.sim Sim.Ph_recover;
-      Vec.iter Row.revert sh.touched.(egid);
-      Vec.clear sh.touched.(egid);
-      let restart = c.Faults.at + c.Faults.down in
-      if restart > Sim.now sh.sim then
-        Sim.sleep sh.sim (restart - Sim.now sh.sim);
-      Sim.tick sh.sim sh.cfg.costs.Costs.crash_reboot;
-      st.replaying <- true;
-      for prio = 0 to nprio - 1 do
-        match qs.(prio) with
-        | None -> ()
-        | Some q ->
-            for i = 0 to done_.(prio) - 1 do
-              exec_entry sh st ctx (Vec.get q i);
-              sh.metrics.Metrics.redone <- sh.metrics.Metrics.redone + 1
-            done
-      done;
-      st.replaying <- false;
-      if e = 0 then
-        sh.metrics.Metrics.crashes <- sh.metrics.Metrics.crashes + 1;
-      if Trace.enabled tr then
-        Trace.span tr ~tid:(Sim.current_tid sh.sim) ~cat:"phase"
-          ~name:"recover" ~ts:t0
-          ~dur:(Sim.now sh.sim - t0)
-          ();
+      Sim.in_phase sh.sim Sim.Ph_recover (Sim.current_tid sh.sim) (fun () ->
+          Vec.iter Row.revert sh.touched.(egid);
+          Vec.clear sh.touched.(egid);
+          let restart = c.Faults.at + c.Faults.down in
+          if restart > Sim.now sh.sim then
+            Sim.sleep sh.sim (restart - Sim.now sh.sim);
+          Sim.tick sh.sim sh.cfg.costs.Costs.crash_reboot;
+          st.replaying <- true;
+          for prio = 0 to nprio - 1 do
+            match qs.(prio) with
+            | None -> ()
+            | Some q ->
+                for i = 0 to done_.(prio) - 1 do
+                  exec_entry sh st ctx (Vec.get q i);
+                  sh.metrics.Metrics.redone <- sh.metrics.Metrics.redone + 1
+                done
+          done;
+          st.replaying <- false;
+          if e = 0 then
+            sh.metrics.Metrics.crashes <- sh.metrics.Metrics.crashes + 1);
       Sim.set_phase sh.sim Sim.Ph_execute
     done
   in
@@ -544,11 +522,7 @@ let executor_thread sh node e batches =
     let stop = Sim.Ivar.read sh.sim (get_commit sh b node) in
     (* Publish committed state for this executor's rows. *)
     Sim.set_phase sh.sim Sim.Ph_publish;
-    Vec.iter
-      (fun row ->
-        Row.publish row;
-        row.Row.dirty <- false)
-      sh.touched.(egid);
+    Vec.iter Row.publish sh.touched.(egid);
     Vec.clear sh.touched.(egid);
     Sim.set_phase sh.sim Sim.Ph_other;
     stop

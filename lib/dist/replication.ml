@@ -253,100 +253,35 @@ let heartbeat t =
 (* Backup side: speculative execution                                  *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_row = Row.make ~key:(-1) ~nfields:1
-
-(* Serial-style execution context against the replica database.  Writes
-   go to the live versions only; each transaction keeps an undo list and
-   each batch a written-row set, so a batch is both publishable (commit
-   marker) and erasable (failover) after the fact. *)
-type est = {
-  e_db : Db.t;
-  mutable e_row : Row.t;
-  mutable e_found : bool;
-  mutable e_rec : trec;
-  mutable e_slots : int array;
-  e_written : Row.t Vec.t;
-}
-
-let make_ctx t st =
-  let costs = t.costs in
-  let read (_ : Fragment.t) field =
-    Sim.tick t.sim costs.Costs.row_read;
-    if st.e_found then st.e_row.Row.data.(field) else 0
-  in
-  let write _frag field v =
-    Sim.tick t.sim costs.Costs.row_write;
-    if st.e_found then begin
-      let row = st.e_row in
-      st.e_rec.t_undo <- (row, Array.copy row.Row.data) :: st.e_rec.t_undo;
+(* A backup's runner executes against the replica database, writing the
+   live versions only: each transaction keeps its undo log and each batch
+   a written-row set ([k_written]), so a batch is both publishable
+   (commit marker) and erasable (failover) after the fact. *)
+let backup_runner t bk =
+  Direct.create ~db:bk.k_db ~charge:Direct.Per_txn
+    ~touch:(fun ~table:_ row ->
       if not row.Row.dirty then begin
         row.Row.dirty <- true;
-        Vec.push st.e_written row
-      end;
-      row.Row.data.(field) <- v
-    end
-  in
-  let add frag field d = write frag field (read frag field + d) in
-  let insert (frag : Fragment.t) ~key payload =
-    Sim.tick t.sim costs.Costs.index_insert;
-    let tbl = Db.table st.e_db frag.Fragment.table in
-    let home = Db.home st.e_db frag.Fragment.table frag.Fragment.key in
-    ignore (Table.insert tbl ~home ~key payload);
-    st.e_rec.t_inserts <- (frag.Fragment.table, key) :: st.e_rec.t_inserts
-  in
-  let input fid = st.e_slots.(fid) in
-  let output fid v =
-    if fid < Array.length st.e_slots then st.e_slots.(fid) <- v
-  in
-  let found _ = st.e_found in
-  { Exec.read; write; add; insert; input; output; found }
+        Vec.push bk.k_written row
+      end)
+    t.sim t.costs t.wl
 
 let undo_trec db tr =
-  List.iter (fun (row, saved) -> Row.restore row saved) tr.t_undo;
-  List.iter (fun (tid, key) -> Table.remove (Db.table db tid) key) tr.t_inserts;
+  Direct.revert db tr.t_undo tr.t_inserts;
   tr.t_undo <- [];
   tr.t_inserts <- []
 
 (* Speculatively execute one transaction; commit-or-restore against the
    replica's live versions only. *)
-let spec_txn t st ctx txn =
-  let costs = t.costs in
-  Sim.tick t.sim costs.Costs.txn_overhead;
-  let tr = { t_txn = txn; t_ok = false; t_undo = []; t_inserts = [] } in
-  st.e_rec <- tr;
-  st.e_slots <- Array.make (Array.length txn.Txn.frags) 0;
-  let frags = txn.Txn.frags in
-  let rec go i =
-    if i >= Array.length frags then Exec.Ok
-    else begin
-      let frag = frags.(i) in
-      (match frag.Fragment.mode with
-      | Fragment.Insert ->
-          st.e_row <- dummy_row;
-          st.e_found <- true
-      | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-          Sim.tick t.sim costs.Costs.index_probe;
-          match
-            Table.find (Db.table st.e_db frag.Fragment.table) frag.Fragment.key
-          with
-          | Some row ->
-              st.e_row <- row;
-              st.e_found <- true
-          | None ->
-              st.e_row <- dummy_row;
-              st.e_found <- false));
-      Sim.tick t.sim costs.Costs.logic;
-      match t.wl.Workload.exec ctx txn frag with
-      | Exec.Ok -> go (i + 1)
-      | (Exec.Abort | Exec.Blocked) as r -> r
-    end
-  in
-  (match go 0 with
-  | Exec.Ok -> tr.t_ok <- true
-  | Exec.Abort | Exec.Blocked ->
-      Sim.tick t.sim costs.Costs.abort_cleanup;
-      undo_trec st.e_db tr);
-  tr
+let spec_txn t direct txn =
+  Sim.tick t.sim t.costs.Costs.txn_overhead;
+  let ok = Direct.run direct txn = Exec.Ok in
+  {
+    t_txn = txn;
+    t_ok = ok;
+    t_undo = (if ok then Direct.undo direct else []);
+    t_inserts = (if ok then Direct.inserts direct else []);
+  }
 
 (* All slices of a fully-received batch, concatenated in planner order
    (= global batch-slot order: planner slices are contiguous ascending). *)
@@ -358,8 +293,8 @@ let spec_batch t bk st b =
   Sim.set_phase t.sim Sim.Ph_execute;
   let r = bk.k_recs.(b) in
   let txns = batch_txns bk b in
-  Vec.clear st.e_written;
-  r.b_trecs <- Array.map (fun txn -> spec_txn t st (make_ctx t st) txn) txns;
+  Vec.clear bk.k_written;
+  r.b_trecs <- Array.map (spec_txn t st) txns;
   (* Snapshot each written row's end-of-batch live value: that — not
      whatever later speculative batches leave in [data] — is what the
      commit marker publishes. *)
@@ -368,7 +303,7 @@ let spec_batch t bk st b =
     (fun row ->
       row.Row.dirty <- false;
       pub := (row, Array.copy row.Row.data) :: !pub)
-    st.e_written;
+    bk.k_written;
   r.b_publish <- !pub;
   r.b_specced <- true;
   bk.k_spec <- b;
@@ -378,8 +313,6 @@ let spec_batch t bk st b =
   if lag > m.Metrics.rep_lag_max then m.Metrics.rep_lag_max <- lag;
   Sim.set_phase t.sim Sim.Ph_other
 
-(* Make ctx once per txn: spec_txn needs [st.e_rec] rebound first, and
-   the ctx closures read through [st], so one ctx per backup suffices. *)
 let spec_ready t bk st =
   (* speculate ahead while fully received and within the lag bound *)
   while
@@ -563,22 +496,7 @@ let failover t bk st ~pre =
 (* ------------------------------------------------------------------ *)
 
 let backup_thread t bk =
-  let st =
-    {
-      e_db = bk.k_db;
-      e_row = dummy_row;
-      e_found = false;
-      e_rec =
-        {
-          t_txn = Txn.make ~tid:(-1) [||];
-          t_ok = false;
-          t_undo = [];
-          t_inserts = [];
-        };
-      e_slots = [||];
-      e_written = bk.k_written;
-    }
-  in
+  let st = backup_runner t bk in
   let detect = detect_timeout t.costs in
   let rec loop () =
     (* After a failover the protocol runs against the elected leader

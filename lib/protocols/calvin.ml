@@ -146,6 +146,7 @@ let scheduler st (wl : Workload.t) ~txns =
 
 let worker st (wl : Workload.t) =
   let tid = Sim.current_tid st.sim in
+  let direct = Direct.create ~charge:Direct.Per_row st.sim st.costs wl in
   let rec loop () =
     match Sim.Chan.recv st.sim st.work with
     | None -> ()
@@ -153,7 +154,7 @@ let worker st (wl : Workload.t) =
         let txn = crt.txn in
         let outcome =
           Sim.in_phase st.sim Sim.Ph_execute tid (fun () ->
-              Pcommon.run_direct st.sim st.costs st.db wl txn)
+              Pcommon.run_locked direct txn)
         in
         List.iter
           (fun (t, k, _) ->

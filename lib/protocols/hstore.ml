@@ -59,6 +59,7 @@ let run ?sim ?clients cfg wl ~txns =
       (txns / cfg.workers) + if w < txns mod cfg.workers then 1 else 0
     in
     Sim.spawn sim (fun () ->
+        let direct = Direct.create ~charge:Direct.Per_row sim cfg.costs wl in
         (* One admitted transaction: partition locks, two coordination
            rounds, execute; true = committed. *)
         let do_txn txn =
@@ -77,7 +78,7 @@ let run ?sim ?clients cfg wl ~txns =
           coordination_round st k;
           let outcome =
             Sim.in_phase sim Sim.Ph_execute (Sim.current_tid sim)
-              (fun () -> Pcommon.run_direct sim cfg.costs st.db wl txn)
+              (fun () -> Pcommon.run_locked direct txn)
           in
           coordination_round st k;
           List.iter

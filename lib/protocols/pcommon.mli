@@ -1,15 +1,5 @@
 (** Shared helpers for the protocol implementations. *)
 
-val dummy_row : Quill_storage.Row.t
-
-val locate :
-  Quill_sim.Sim.t ->
-  Quill_sim.Costs.t ->
-  Quill_storage.Db.t ->
-  Quill_txn.Fragment.t ->
-  Quill_storage.Row.t option
-(** Index probe (cost-charged) for the fragment's routing key. *)
-
 (** Small association maps keyed by physical row identity; access sets
     are tens of entries, so linear scans beat hashing. *)
 module Rowmap : sig
@@ -24,26 +14,10 @@ module Rowmap : sig
 
   val iter : (Quill_storage.Row.t -> 'a -> unit) -> 'a t -> unit
   val iter_rev : (Quill_storage.Row.t -> 'a -> unit) -> 'a t -> unit
-  val clear : 'a t -> unit
-  val is_empty : 'a t -> bool
-  val length : 'a t -> int
   val elements : 'a t -> (Quill_storage.Row.t * 'a) list
 end
 
-type attempt = {
-  mutable slots : int array;
-  mutable inserts : (int * int * int array * int) list;
-}
-
-val new_attempt : Quill_txn.Txn.t -> attempt
-
-val run_direct :
-  Quill_sim.Sim.t ->
-  Quill_sim.Costs.t ->
-  Quill_storage.Db.t ->
-  Quill_txn.Workload.t ->
-  Quill_txn.Txn.t ->
-  Quill_txn.Exec.outcome
-(** In-place execution with undo and commit-time publish: the execution
-    core for engines whose serialization is external (serial, H-Store,
-    Calvin once locks are held). *)
+val run_locked : Quill_txn.Direct.t -> Quill_txn.Txn.t -> Quill_txn.Exec.outcome
+(** [Direct.run], then publish every written row on commit: the execution
+    core of H-Store and Calvin, whose locks (partition or row) make the
+    transaction the only writer of its rows until it finishes. *)

@@ -24,12 +24,12 @@ let run_txn st ~wid:_ (wl : Workload.t) txn =
   let wset : wentry Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
   let inserts = ref [] in
   let slots = Array.make (Array.length txn.Txn.frags) 0 in
-  let cur_row = ref Pcommon.dummy_row and cur_found = ref false in
+  let cur = Direct.cursor () in
   let read (_ : Fragment.t) field =
     Sim.tick st.sim st.costs.Costs.row_read;
-    if not !cur_found then 0
+    if not cur.found then 0
     else begin
-      let row = !cur_row in
+      let row = cur.row in
       match Pcommon.Rowmap.find wset row with
       | Some w -> w.wcopy.(field)
       | None ->
@@ -41,8 +41,8 @@ let run_txn st ~wid:_ (wl : Workload.t) txn =
   in
   let write (frag : Fragment.t) field v =
     Sim.tick st.sim st.costs.Costs.row_write;
-    if !cur_found then begin
-      let row = !cur_row in
+    if cur.found then begin
+      let row = cur.row in
       let w =
         match Pcommon.Rowmap.find wset row with
         | Some w -> w
@@ -67,32 +67,11 @@ let run_txn st ~wid:_ (wl : Workload.t) txn =
   in
   let input fid = slots.(fid) in
   let output fid v = if fid < Array.length slots then slots.(fid) <- v in
-  let found _ = !cur_found in
+  let found _ = cur.found in
   let ctx = { Exec.read; write; add; insert; input; output; found } in
-  let frags = txn.Txn.frags in
-  let rec go i =
-    if i >= Array.length frags then Exec.Ok
-    else begin
-      let frag = frags.(i) in
-      (match frag.Fragment.mode with
-      | Fragment.Insert ->
-          cur_row := Pcommon.dummy_row;
-          cur_found := true
-      | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-          match Pcommon.locate st.sim st.costs st.db frag with
-          | Some row ->
-              cur_row := row;
-              cur_found := true
-          | None ->
-              cur_row := Pcommon.dummy_row;
-              cur_found := false));
-      Sim.tick st.sim st.costs.Costs.logic;
-      match wl.Workload.exec ctx txn frag with
-      | Exec.Ok -> go (i + 1)
-      | (Exec.Abort | Exec.Blocked) as r -> r
-    end
-  in
-  match go 0 with
+  match
+    Direct.steps st.sim st.costs wl ctx cur ~locate:(Direct.find st.db) txn
+  with
   | Exec.Abort -> Exec.Abort
   | Exec.Blocked -> Exec.Blocked
   | Exec.Ok ->

@@ -99,16 +99,15 @@ struct
     let written : unit Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
     let inserts = ref [] in
     let slots = ref [||] in
-    let cur_row = ref Pcommon.dummy_row and cur_found = ref false in
-    let blocked = ref false in
+    let cur = Direct.cursor () in
     let read (_ : Fragment.t) field =
       Sim.tick st.sim st.costs.Costs.row_read;
-      if !cur_found then (!cur_row).Row.data.(field) else 0
+      if cur.found then cur.row.Row.data.(field) else 0
     in
     let write _frag field v =
       Sim.tick st.sim st.costs.Costs.row_write;
-      if !cur_found then begin
-        let row = !cur_row in
+      if cur.found then begin
+        let row = cur.row in
         (match Pcommon.Rowmap.find undo row with
         | None -> Pcommon.Rowmap.add undo row (Array.copy row.Row.data)
         | Some _ -> ());
@@ -131,39 +130,20 @@ struct
     in
     let input fid = !slots.(fid) in
     let output fid v = if fid < Array.length !slots then !slots.(fid) <- v in
-    let found _ = !cur_found in
+    let found _ = cur.found in
     let ctx = { Exec.read; write; add; insert; input; output; found } in
     slots := Array.make (Array.length txn.Txn.frags) 0;
-    let frags = txn.Txn.frags in
-    let rec go i =
-      if i >= Array.length frags then Exec.Ok
-      else begin
-        let frag = frags.(i) in
-        (match frag.Fragment.mode with
-        | Fragment.Insert ->
-            cur_row := Pcommon.dummy_row;
-            cur_found := true
-        | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-            match Pcommon.locate st.sim st.costs st.db frag with
-            | Some row ->
-                if acquire st ts row frag.Fragment.mode held then begin
-                  cur_row := row;
-                  cur_found := true
-                end
-                else blocked := true
-            | None ->
-                cur_row := Pcommon.dummy_row;
-                cur_found := false));
-        if !blocked then Exec.Blocked
-        else begin
-          Sim.tick st.sim st.costs.Costs.logic;
-          match wl.Workload.exec ctx txn frag with
-          | Exec.Ok -> go (i + 1)
-          | (Exec.Abort | Exec.Blocked) as r -> r
-        end
-      end
+    (* A lock the policy refuses aborts the attempt before its logic. *)
+    let locate (frag : Fragment.t) =
+      match Direct.find st.db frag with
+      | Some row when not (acquire st ts row frag.Fragment.mode held) ->
+          raise Exec.Blocked_exn
+      | r -> r
     in
-    let outcome = go 0 in
+    let outcome =
+      try Direct.steps st.sim st.costs wl ctx cur ~locate txn
+      with Exec.Blocked_exn -> Exec.Blocked
+    in
     (match outcome with
     | Exec.Ok -> Pcommon.Rowmap.iter (fun row () -> Row.publish row) written
     | Exec.Abort | Exec.Blocked ->

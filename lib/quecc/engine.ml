@@ -236,11 +236,10 @@ let do_abort sh rt =
 type exec_state = {
   eid : int;
   mutable cur_rt : rt;
-  mutable cur_row : Row.t;
-  mutable cur_found : bool;
+  cur : Direct.cursor;
+  locate : Fragment.t -> Row.t option;
 }
 
-let dummy_row = Row.make ~key:(-1) ~nfields:1
 let dummy_txn = Txn.make ~tid:(-1) [||]
 
 let dummy_rt =
@@ -302,11 +301,12 @@ let record_add rt row f =
 let make_exec_ctx sh st =
   let costs = sh.cfg.costs in
   let speculative = sh.cfg.mode = Speculative in
+  let cur = st.cur in
   let read (frag : Fragment.t) field =
     Sim.tick sh.sim costs.Costs.row_read;
-    if not st.cur_found then 0
+    if not cur.found then 0
     else begin
-      let row = st.cur_row in
+      let row = cur.row in
       match (sh.cfg.isolation, frag.Fragment.mode) with
       | Read_committed, Fragment.Read -> row.Row.committed.(field)
       | _ ->
@@ -314,33 +314,26 @@ let make_exec_ctx sh st =
           row.Row.data.(field)
     end
   in
-  let write (frag : Fragment.t) field v =
+  (* A set ([is_add] false, [x] the value) or a commutative add ([x] the
+     delta); speculative mode records its edges and undo op. *)
+  let update (frag : Fragment.t) field ~is_add x =
     Sim.tick sh.sim costs.Costs.row_write;
-    if st.cur_found then begin
-      let row = st.cur_row in
+    if cur.found then begin
+      let row = cur.row in
       let rt = st.cur_rt in
+      let old = row.Row.data.(field) in
       if speculative then begin
-        record_write rt row field;
+        if is_add then record_add rt row field else record_write rt row field;
         row.Row.undo <-
-          (rt.bidx, field, Row.Uset row.Row.data.(field)) :: row.Row.undo
+          (rt.bidx, field, if is_add then Row.Uadd x else Row.Uset old)
+          :: row.Row.undo
       end;
       Commit_point.touch sh.cp st.eid ~table:frag.Fragment.table row;
-      row.Row.data.(field) <- v
+      row.Row.data.(field) <- (if is_add then old + x else x)
     end
   in
-  let add (frag : Fragment.t) field d =
-    Sim.tick sh.sim costs.Costs.row_write;
-    if st.cur_found then begin
-      let row = st.cur_row in
-      let rt = st.cur_rt in
-      if speculative then begin
-        record_add rt row field;
-        row.Row.undo <- (rt.bidx, field, Row.Uadd d) :: row.Row.undo
-      end;
-      Commit_point.touch sh.cp st.eid ~table:frag.Fragment.table row;
-      row.Row.data.(field) <- row.Row.data.(field) + d
-    end
-  in
+  let write frag field v = update frag field ~is_add:false v in
+  let add frag field d = update frag field ~is_add:true d in
   let insert (frag : Fragment.t) ~key payload =
     Sim.tick sh.sim costs.Costs.index_insert;
     let rt = st.cur_rt in
@@ -362,34 +355,37 @@ let make_exec_ctx sh st =
     if Array.length rt.slots > 0 && not (Sim.Ivar.is_full rt.slots.(fid)) then
       Sim.Ivar.fill sh.sim rt.slots.(fid) v
   in
-  let found _frag = st.cur_found in
+  let found _frag = cur.found in
   { Exec.read; write; add; insert; input; output; found }
-
-(* Executor context, with conflict-detector interposition when a
-   recorder is active.  Read-committed reads are flagged so the checker
-   exempts them from ordering rules, exactly as planning exempts them
-   from steal signatures. *)
-let make_ctx sh st =
-  let ctx = make_exec_ctx sh st in
-  match sh.recorder with
-  | None -> ctx
-  | Some log ->
-      Alog.wrap_exec_ctx log
-        ~rc_read:(fun (f : Fragment.t) ->
-          sh.cfg.isolation = Read_committed
-          && f.Fragment.mode = Fragment.Read)
-        ctx
 
 (* Lazily reset per-batch row state the first time a row is seen.  Rows
    touched in the previous batch were reset at publish time, so this only
    matters for correctness of [last_writer] tags across batches. *)
 let locate sh (frag : Fragment.t) =
-  let tbl = Db.table sh.db frag.Fragment.table in
-  match Table.find tbl frag.Fragment.key with
+  match Direct.find sh.db frag with
   | Some row ->
       Row.reset_batch_state row sh.batch_no;
       Some row
   | None -> None
+
+(* Executor [eid]'s state and context, with conflict-detector
+   interposition when a recorder is active.  Read-committed reads are
+   flagged so the checker exempts them from ordering rules, exactly as
+   planning exempts them from steal signatures. *)
+let new_executor sh eid =
+  let st =
+    { eid; cur_rt = dummy_rt; cur = Direct.cursor (); locate = locate sh }
+  in
+  let ctx = make_exec_ctx sh st in
+  ( st,
+    match sh.recorder with
+    | None -> ctx
+    | Some log ->
+        Alog.wrap_exec_ctx log
+          ~rc_read:(fun (f : Fragment.t) ->
+            sh.cfg.isolation = Read_committed
+            && f.Fragment.mode = Fragment.Read)
+          ctx )
 
 let exec_entry sh st ctx { rt; frag } =
   let costs = sh.cfg.costs in
@@ -408,21 +404,10 @@ let exec_entry sh st ctx { rt; frag } =
       Sim.tick sh.sim costs.Costs.abort_cleanup
     else begin
       st.cur_rt <- rt;
-      (match frag.Fragment.mode with
-      | Fragment.Insert ->
-          st.cur_row <- dummy_row;
-          st.cur_found <- true
-      | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-          Sim.tick sh.sim costs.Costs.index_probe;
-          match locate sh frag with
-          | Some row ->
-              st.cur_row <- row;
-              st.cur_found <- true
-          | None ->
-              st.cur_row <- dummy_row;
-              st.cur_found <- false));
-      Sim.tick sh.sim costs.Costs.logic;
-      match sh.wl.Workload.exec ctx rt.txn frag with
+      match
+        Direct.step sh.sim costs sh.wl ctx st.cur ~locate:st.locate rt.txn
+          frag
+      with
       | Exec.Ok -> if frag.Fragment.abortable then resolve_arrive sh rt
       | Exec.Abort ->
           assert frag.Fragment.abortable;
@@ -542,11 +527,7 @@ let spawn_segment_runner sh e ~parity =
     if Vec.length work > 0 then
       Sim.spawn ~at:(Sim.now sh.sim) sh.sim (fun () ->
           Sim.set_phase sh.sim Sim.Ph_execute;
-          let st =
-            { eid = e; cur_rt = dummy_rt; cur_row = dummy_row;
-              cur_found = false }
-          in
-          let ctx = make_ctx sh st in
+          let st, ctx = new_executor sh e in
           Vec.iter
             (fun (p, sg) ->
               Sim.Ivar.read sh.sim sg.sg_prev;
@@ -949,102 +930,25 @@ let plan_slice_clients sh ~parity ~bno p entries rr =
 (* Speculative recovery: cascade closure, undo, serial re-execution     *)
 (* ------------------------------------------------------------------ *)
 
-let serial_ctx sh recovery_slot rt undo_log insert_log slots cur_row
-    cur_found =
-  let costs = sh.cfg.costs in
-  let read (frag : Fragment.t) field =
-    Sim.tick sh.sim costs.Costs.row_read;
-    if not !cur_found then 0
-    else
-      match (sh.cfg.isolation, frag.Fragment.mode) with
-      | Read_committed, Fragment.Read -> (!cur_row).Row.committed.(field)
-      | _ -> (!cur_row).Row.data.(field)
-  in
-  let write (frag : Fragment.t) field v =
-    Sim.tick sh.sim costs.Costs.row_write;
-    if !cur_found then begin
-      let row = !cur_row in
-      undo_log := (row, Array.copy row.Row.data) :: !undo_log;
-      Commit_point.touch sh.cp recovery_slot ~table:frag.Fragment.table row;
-      row.Row.data.(field) <- v
-    end
-  in
-  let add (frag : Fragment.t) field d =
-    Sim.tick sh.sim costs.Costs.row_write;
-    if !cur_found then begin
-      let row = !cur_row in
-      undo_log := (row, Array.copy row.Row.data) :: !undo_log;
-      Commit_point.touch sh.cp recovery_slot ~table:frag.Fragment.table row;
-      row.Row.data.(field) <- row.Row.data.(field) + d
-    end
-  in
-  let insert (frag : Fragment.t) ~key payload =
-    Sim.tick sh.sim costs.Costs.index_insert;
-    let tbl = Db.table sh.db frag.Fragment.table in
-    let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
-    let row = Table.insert tbl ~home ~key payload in
-    (* Recovery-pass inserts must land in the touched set too: the WAL
-       write set is staged from it, and a replay that misses an insert
-       diverges from the fault-free run. *)
-    Commit_point.touch_insert sh.cp recovery_slot ~table:frag.Fragment.table
-      row ~batch:sh.batch_no ~by:rt.bidx;
-    insert_log := (frag.Fragment.table, key) :: !insert_log
-  in
-  let input fid = slots.(fid) in
-  let output fid v = slots.(fid) <- v in
-  let found _ = !cur_found in
-  { Exec.read; write; add; insert; input; output; found }
-
+(* Re-execute one cascaded transaction serially, in place with undo; its
+   touched rows land in the recovery slot.  Recovery-pass inserts must be
+   marked there too: the WAL write set is staged from the touched set, and
+   a replay that misses an insert diverges from the fault-free run. *)
 let reexec_txn sh recovery_slot rt =
-  let costs = sh.cfg.costs in
-  let undo_log = ref [] and insert_log = ref [] in
-  let slots = Array.make (Array.length rt.txn.Txn.frags) 0 in
-  let cur_row = ref dummy_row and cur_found = ref false in
-  let ctx =
-    serial_ctx sh recovery_slot rt undo_log insert_log slots cur_row cur_found
+  let direct =
+    Direct.create ~locate:(locate sh)
+      ~touch:(Commit_point.touch sh.cp recovery_slot)
+      ~inserted:(fun ~table row ->
+        Commit_point.touch_insert sh.cp recovery_slot ~table row
+          ~batch:sh.batch_no ~by:rt.bidx)
+      ~read_committed:(sh.cfg.isolation = Read_committed)
+      ~add_reads:false sh.sim sh.cfg.costs sh.wl
   in
   rt.txn.Txn.attempts <- rt.txn.Txn.attempts + 1;
-  let outcome =
-    let frags = rt.txn.Txn.frags in
-    let rec go i =
-      if i >= Array.length frags then Exec.Ok
-      else begin
-        let frag = frags.(i) in
-        (match frag.Fragment.mode with
-        | Fragment.Insert ->
-            cur_row := dummy_row;
-            cur_found := true
-        | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-            Sim.tick sh.sim costs.Costs.index_probe;
-            match locate sh frag with
-            | Some row ->
-                cur_row := row;
-                cur_found := true
-            | None ->
-                cur_row := dummy_row;
-                cur_found := false));
-        Sim.tick sh.sim costs.Costs.logic;
-        match sh.wl.Workload.exec ctx rt.txn frag with
-        | Exec.Ok -> go (i + 1)
-        | Exec.Abort -> Exec.Abort
-        | Exec.Blocked -> assert false
-      end
-    in
-    go 0
-  in
-  match outcome with
-  | Exec.Ok -> rt.txn.Txn.status <- Txn.Committed
-  | Exec.Abort | Exec.Blocked ->
-      (* Roll back this attempt's own effects. *)
-      List.iter
-        (fun (row, saved) ->
-          Sim.tick sh.sim costs.Costs.abort_cleanup;
-          Row.restore row saved)
-        !undo_log;
-      List.iter
-        (fun (tid, key) -> Table.remove (Db.table sh.db tid) key)
-        !insert_log;
-      rt.txn.Txn.status <- Txn.Aborted
+  rt.txn.Txn.status <-
+    (match Direct.run direct rt.txn with
+    | Exec.Ok -> Txn.Committed
+    | Exec.Abort | Exec.Blocked -> Txn.Aborted)
 
 let recover sh ~parity =
   let rts = sh.rts.(parity) in
@@ -1055,11 +959,7 @@ let recover sh ~parity =
     match rts.(b) with
     | None -> ()
     | Some rt ->
-        if rt.logic_abort then begin
-          in_a.(b) <- true;
-          any := true
-        end
-        else if Vec.exists (fun d -> in_a.(d)) rt.deps_on then begin
+        if rt.logic_abort || Vec.exists (fun d -> in_a.(d)) rt.deps_on then begin
           in_a.(b) <- true;
           any := true
         end
@@ -1111,16 +1011,10 @@ let recover sh ~parity =
             sh.metrics.Metrics.cascades <- sh.metrics.Metrics.cascades + 1;
             reexec_txn sh recovery_slot rt
     done
-  end;
-  (* Finalize statuses. *)
-  for b = 0 to n - 1 do
-    match rts.(b) with
-    | None -> ()
-    | Some rt ->
-        if rt.txn.Txn.status = Txn.Active then rt.txn.Txn.status <- Txn.Committed
-  done
+  end
 
-(* Conservative mode: every surviving transaction commits. *)
+(* Every transaction still active after recovery (speculative) or
+   execution (conservative) commits. *)
 let finalize_statuses sh ~parity =
   for i = 0 to sh.cfg.batch_size - 1 do
     match sh.rts.(parity).(i) with
@@ -1268,8 +1162,8 @@ let publish_own sh t =
 let close_batch ?clients sh ~parity ~tid ~bno ~published =
   Sim.in_phase sh.sim Sim.Ph_recover tid (fun () ->
       if not (Commit_point.crash_due sh.cp) then begin
-        if sh.cfg.mode = Speculative then recover sh ~parity
-        else finalize_statuses sh ~parity;
+        if sh.cfg.mode = Speculative then recover sh ~parity;
+        finalize_statuses sh ~parity;
         let txns = account ?clients sh ~parity in
         Commit_point.stage sh.cp ~batch_no:bno ~txns;
         rebalance sh ~bno
@@ -1296,10 +1190,7 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
   let pending = ref [||] in
   for t = 0 to nthreads - 1 do
     Sim.spawn sim (fun () ->
-        let st = { eid = t; cur_rt = dummy_rt; cur_row = dummy_row;
-                   cur_found = false }
-        in
-        let ctx = make_ctx sh st in
+        let st, ctx = new_executor sh t in
         let rr = ref t in
         (* Every thread publishes its slots between two barriers; the
            seal on thread 0 follows, while the next batch's executors are
@@ -1482,10 +1373,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
   (* Executor threads. *)
   for e = 0 to cfg.executors - 1 do
     Sim.spawn sim (fun () ->
-        let st = { eid = e; cur_rt = dummy_rt; cur_row = dummy_row;
-                   cur_found = false }
-        in
-        let ctx = make_ctx sh st in
+        let st, ctx = new_executor sh e in
         let rec loop b =
           let go =
             if e = 0 then begin

@@ -119,6 +119,17 @@ let test_metrics () =
 
 (* ------------------------- workload serial executor ----------------- *)
 
+let dummy_ctx =
+  {
+    Exec.read = (fun _ _ -> 0);
+    write = (fun _ _ _ -> ());
+    add = (fun _ _ _ -> ());
+    insert = (fun _ ~key:_ _ -> ());
+    input = (fun _ -> 0);
+    output = (fun _ _ -> ());
+    found = (fun _ -> true);
+  }
+
 let test_exec_txn_stops_at_abort () =
   let calls = ref [] in
   let wl =
@@ -133,17 +144,6 @@ let test_exec_txn_stops_at_abort () =
       describe = "";
     }
   in
-  let dummy_ctx =
-    {
-      Exec.read = (fun _ _ -> 0);
-      write = (fun _ _ _ -> ());
-      add = (fun _ _ _ -> ());
-      insert = (fun _ ~key:_ _ -> ());
-      input = (fun _ -> 0);
-      output = (fun _ _ -> ());
-      found = (fun _ -> true);
-    }
-  in
   let t =
     Txn.make ~tid:0
       [|
@@ -154,6 +154,143 @@ let test_exec_txn_stops_at_abort () =
   in
   Tutil.check_bool "aborts" true (Workload.exec_txn wl dummy_ctx t = Exec.Abort);
   Alcotest.(check (list int)) "stopped at abort" [ 0; 1 ] (List.rev !calls)
+
+(* ------------------------- in-place runner ------------------------- *)
+
+module Sim = Quill_sim.Sim
+module Costs = Quill_sim.Costs
+module Db = Quill_storage.Db
+module Table = Quill_storage.Table
+
+(* One 4-field table of 100 dense rows; [exec] is the fragment logic. *)
+let direct_wl exec =
+  let db = Db.create ~nparts:1 in
+  ignore (Db.add_table db ~name:"t" ~nfields:4 ~capacity:100);
+  { Workload.name = "t"; db; new_stream = (fun _ () -> assert false); exec;
+    describe = "" }
+
+(* Run [f] on one simulated thread; returns its result and busy time. *)
+let in_sim f =
+  let sim = Sim.create () in
+  let r = ref None in
+  Sim.spawn sim (fun () -> r := Some (f sim));
+  ignore (Sim.run sim);
+  (Option.get !r, Sim.busy_time sim)
+
+let row wl key = Table.dense (Db.table wl.Workload.db 0) key
+
+(* Two writes to row 0, an insert and a write to row 1, then a logic
+   abort: the attempt rolls back, charged per the runner's policy. *)
+let test_direct_rollback () =
+  let txn =
+    Txn.make ~tid:0
+      [|
+        frag ~fid:0 ~key:0 Fragment.Write;
+        frag ~fid:1 ~key:0 Fragment.Insert;
+        frag ~fid:2 ~key:1 Fragment.Write;
+        frag ~fid:3 ~abortable:true ~key:2 Fragment.Read;
+      |]
+  in
+  let exec ctx _ (f : Fragment.t) =
+    match f.Fragment.fid with
+    | 0 ->
+        ctx.Exec.write f 0 5;
+        ctx.Exec.write f 1 6;
+        Exec.Ok
+    | 1 ->
+        ctx.Exec.insert f ~key:1000 [| 1; 2; 3; 4 |];
+        Exec.Ok
+    | 2 ->
+        ctx.Exec.write f 0 7;
+        Exec.Ok
+    | _ -> Exec.Abort
+  in
+  let costs = { Costs.zero with Costs.abort_cleanup = 1000 } in
+  List.iter
+    (fun (charge, name, expect) ->
+      let wl = direct_wl exec in
+      (row wl 0).Quill_storage.Row.data.(2) <- 9;
+      let touched = ref 0 and inserted = ref 0 in
+      let r, busy =
+        in_sim (fun sim ->
+            let d =
+              Direct.create ~charge
+                ~touch:(fun ~table:_ _ -> incr touched)
+                ~inserted:(fun ~table:_ _ -> incr inserted)
+                sim costs wl
+            in
+            Direct.run d txn)
+      in
+      Tutil.check_bool (name ^ ": aborts") true (r = Exec.Abort);
+      Tutil.check_int (name ^ ": abort charge") expect busy;
+      Alcotest.(check (array int))
+        (name ^ ": row 0 restored") [| 0; 0; 9; 0 |]
+        (row wl 0).Quill_storage.Row.data;
+      Tutil.check_int (name ^ ": row 1 restored") 0
+        (row wl 1).Quill_storage.Row.data.(0);
+      Tutil.check_bool (name ^ ": insert removed") true
+        (Table.find (Db.table wl.Workload.db 0) 1000 = None);
+      Tutil.check_int (name ^ ": touch per write") 3 !touched;
+      Tutil.check_int (name ^ ": inserted hook") 1 !inserted)
+    [
+      (Direct.Per_write, "per-write", 3000);
+      (Direct.Per_row, "per-row", 2000);
+      (Direct.Per_txn, "per-txn", 1000);
+    ]
+
+(* [add_reads] decides whether a commutative add also pays a read;
+   [read_committed] points Read fragments at the committed image. *)
+let test_direct_add_and_isolation () =
+  let seen = ref (-1) in
+  let txn =
+    Txn.make ~tid:0
+      [| frag ~fid:0 ~key:3 Fragment.Read; frag ~fid:1 ~key:4 Fragment.Rmw |]
+  in
+  let exec ctx _ (f : Fragment.t) =
+    if f.Fragment.fid = 0 then seen := ctx.Exec.read f 0
+    else ctx.Exec.add f 0 5;
+    Exec.Ok
+  in
+  let costs = { Costs.zero with Costs.row_read = 10; row_write = 100 } in
+  List.iter
+    (fun (add_reads, read_committed, busy_want, seen_want) ->
+      let wl = direct_wl exec in
+      (row wl 3).Quill_storage.Row.data.(0) <- 42;
+      let r, busy =
+        in_sim (fun sim ->
+            Direct.run
+              (Direct.create ~add_reads ~read_committed sim costs wl)
+              txn)
+      in
+      let name = Printf.sprintf "add_reads=%b rc=%b" add_reads read_committed in
+      Tutil.check_bool (name ^ ": commits") true (r = Exec.Ok);
+      Tutil.check_int (name ^ ": charge") busy_want busy;
+      Tutil.check_int (name ^ ": read image") seen_want !seen;
+      Tutil.check_int (name ^ ": add applied") 5
+        (row wl 4).Quill_storage.Row.data.(0))
+    [ (true, false, 120, 42); (false, false, 110, 42); (false, true, 110, 0) ]
+
+(* A [locate] that raises (2PL refusing a lock) stops the step after the
+   probe, before the logic charge and the fragment's logic. *)
+let test_direct_step_locate_raises () =
+  let ran = ref false in
+  let wl = direct_wl (fun _ _ _ -> ran := true; Exec.Ok) in
+  let f = frag ~fid:0 ~key:0 Fragment.Write in
+  let txn = Txn.make ~tid:0 [| f |] in
+  let costs = { Costs.zero with Costs.index_probe = 7; logic = 1000 } in
+  let r, busy =
+    in_sim (fun sim ->
+        match
+          Direct.step sim costs wl dummy_ctx (Direct.cursor ())
+            ~locate:(fun _ -> raise Exec.Blocked_exn)
+            txn f
+        with
+        | _ -> false
+        | exception Exec.Blocked_exn -> true)
+  in
+  Tutil.check_bool "raised" true r;
+  Tutil.check_int "probe only" 7 busy;
+  Tutil.check_bool "logic skipped" false !ran
 
 let () =
   Alcotest.run "txn"
@@ -173,5 +310,14 @@ let () =
         [
           Alcotest.test_case "exec stops at abort" `Quick
             test_exec_txn_stops_at_abort;
+        ] );
+      ( "direct",
+        [
+          Alcotest.test_case "rollback per abort charge" `Quick
+            test_direct_rollback;
+          Alcotest.test_case "add charge and rc reads" `Quick
+            test_direct_add_and_isolation;
+          Alcotest.test_case "locate raising skips logic" `Quick
+            test_direct_step_locate_raises;
         ] );
     ]
