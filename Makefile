@@ -1,7 +1,7 @@
 SMOKE_TRACE := /tmp/quill-smoke-trace.json
 BENCH_TARGETS := durability cdc pipeline skew failover
 
-.PHONY: all build test lint check bench-check clean
+.PHONY: all build test lint check bench-check perf-ab clean
 
 all: build
 
@@ -35,6 +35,18 @@ bench-check: build
 	    --json BENCH_$$t.json > /dev/null || exit 1; \
 	done
 	git diff --exit-code -- $(BENCH_TARGETS:%=BENCH_%.json)
+
+# Wall-clock A/B of bench/perf: BASE (a git revision, required) against
+# the working tree, PAIRS alternating runs of SECONDS each per workload.
+# Exits 1 if a virtual metric or checksum differs for the same seed.
+PAIRS ?= 10
+SECONDS ?= 20
+SEED ?= 42
+WORKLOADS ?= ycsb-pipe tpcc-durable ycsb-hot-nd ycsb-open
+
+perf-ab:
+	scripts/perf_ab.sh --base '$(BASE)' --pairs $(PAIRS) --seconds $(SECONDS) \
+	  --seed $(SEED) --workloads '$(WORKLOADS)'
 
 clean:
 	dune clean

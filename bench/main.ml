@@ -24,12 +24,19 @@ let micro_tests () =
     Test.make ~name:"zipf-sample-0.99"
       (Staged.stage (fun () -> ignore (Zipf.sample_scrambled zipf rng)))
   in
-  let heap = Heap.create ~cmp:compare in
-  let bench_heap =
-    Test.make ~name:"heap-push-pop"
+  (* The scheduler's context switch: 16 runnable fibers, each tick
+     yields to the next one due. *)
+  let bench_sim_switch =
+    Test.make ~name:"sim-16-fiber-tick"
       (Staged.stage (fun () ->
-           Heap.push heap (Rng.int rng 1000);
-           ignore (Heap.pop heap)))
+           let sim = Quill_sim.Sim.create () in
+           for _ = 1 to 16 do
+             Quill_sim.Sim.spawn sim (fun () ->
+                 for _ = 1 to 64 do
+                   Quill_sim.Sim.tick sim 10
+                 done)
+           done;
+           ignore (Quill_sim.Sim.run sim)))
   in
   let ycsb =
     Ycsb.make { Ycsb.default with Ycsb.table_size = 10_000; nparts = 4 }
@@ -77,7 +84,7 @@ let micro_tests () =
   Test.make_grouped ~name:"quill"
     [
       bench_zipf;
-      bench_heap;
+      bench_sim_switch;
       bench_gen_ycsb;
       bench_gen_tpcc;
       bench_sim_tick;

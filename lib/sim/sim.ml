@@ -42,10 +42,26 @@ let phase_name = function
   | Ph_recover -> "recover"
   | Ph_publish -> "publish"
 
+(* The run queue is a binary min-heap private to the scheduler, keyed on
+   [(at, ord)] with inline int comparisons.  [ord] is unique per
+   scheduled entry, so the minimum (hence the dispatch order) does not
+   depend on the heap's layout.
+
+   A context switch is the hot path: most [tick]s on a busy core yield
+   to another core due at or before the new clock.  The yielding thread
+   re-enters the queue through its own preallocated [self] entry and
+   handler, and is not pushed: it is held aside in [held] and merged
+   with the root by the dispatch loop in one sift-down (or dispatched
+   directly when it is still the minimum).  A switch therefore
+   allocates only the runtime's continuation.  Entries for wake-ups
+   from blocking primitives are fresh records pushed as usual. *)
 type t = {
-  runq : entry Heap.t;
+  mutable heap : entry array;  (* [heap.(0 .. size-1)] is the queue *)
+  mutable size : int;
+  mutable held : entry;        (* meaningful only when [has_held] *)
+  mutable has_held : bool;
   mutable order : int;
-  mutable current : thread option;
+  mutable current : thread;    (* [no_thread] between dispatches *)
   mutable spawned : int;
   mutable completed : int;
   mutable busy : int;
@@ -57,26 +73,58 @@ type t = {
   tracer : Trace.t;
 }
 
-and thread = { tid : int; mutable clock : time; mutable phase : int }
+(* [tid < 0] only for [no_thread].  [k] is the continuation a yield
+   parked; [self] is the entry that re-enters it. *)
+and thread = {
+  tid : int;
+  mutable clock : time;
+  mutable phase : int;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  self : entry;
+}
 
 (* [phantom] entries are scheduler bookkeeping (e.g. receive timeouts)
    that may never fire: they must not drag the horizon forward, or an
-   unused timeout would inflate the run's elapsed time. *)
-and entry = { at : time; ord : int; phantom : bool; resume : unit -> unit }
+   unused timeout would inflate the run's elapsed time.  [at] and [ord]
+   are mutable only so a thread's [self] entry can be reused. *)
+and entry = {
+  mutable at : time;
+  mutable ord : int;
+  phantom : bool;
+  resume : unit -> unit;
+}
 
 type _ Effect.t +=
   | Suspend : (thread -> (unit, unit) Effect.Deep.continuation -> unit)
       -> unit Effect.t
+  | Yield : unit Effect.t
 
-let compare_entry a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c else compare a.ord b.ord
+(* A continuation parked once at startup and never resumed: the initial
+   [k] of every thread, overwritten before it is first read. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let cell : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Yield
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Yield -> Some (fun k -> cell := Some k) | _ -> None);
+    };
+  match !cell with Some k -> k | None -> assert false
+
+let no_entry = { at = max_int; ord = max_int; phantom = true; resume = ignore }
+let no_thread = { tid = -1; clock = 0; phase = 0; k = no_k; self = no_entry }
 
 let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
   {
-    runq = Heap.create ~cmp:compare_entry;
+    heap = Array.make 64 no_entry;
+    size = 0;
+    held = no_entry;
+    has_held = false;
     order = 0;
-    current = None;
+    current = no_thread;
     spawned = 0;
     completed = 0;
     busy = 0;
@@ -88,19 +136,69 @@ let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
     tracer;
   }
 
+let[@inline] before a b = a.at < b.at || (a.at = b.at && a.ord < b.ord)
+
+(* Sift [e] up from the hole at [i]. *)
+let rec sift_up h i e =
+  let p = (i - 1) / 2 in
+  if i > 0 && before e (Array.unsafe_get h p) then begin
+    Array.unsafe_set h i (Array.unsafe_get h p);
+    sift_up h p e
+  end
+  else Array.unsafe_set h i e
+
+(* Sift [e] down from the hole at [i] in [h.(0 .. n-1)]. *)
+let rec sift_down h n i e =
+  let l = (2 * i) + 1 in
+  if l >= n then Array.unsafe_set h i e
+  else begin
+    let c =
+      if l + 1 < n && before (Array.unsafe_get h (l + 1)) (Array.unsafe_get h l)
+      then l + 1
+      else l
+    in
+    let ce = Array.unsafe_get h c in
+    if before ce e then begin
+      Array.unsafe_set h i ce;
+      sift_down h n c e
+    end
+    else Array.unsafe_set h i e
+  end
+
+let push t e =
+  if t.size = Array.length t.heap then begin
+    let h = Array.make (2 * t.size) no_entry in
+    Array.blit t.heap 0 h 0 t.size;
+    t.heap <- h
+  end;
+  sift_up t.heap t.size e;
+  t.size <- t.size + 1
+
+(* Remove the root and put [e] in its place. *)
+let replace_root t e = sift_down t.heap t.size 0 e
+
+let pop_root t =
+  let top = t.heap.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let last = t.heap.(n) in
+  t.heap.(n) <- no_entry;
+  if n > 0 then replace_root t last;
+  top
+
 let schedule ?(phantom = false) t ~at resume =
   if (not phantom) && at > t.horizon then t.horizon <- at;
-  Heap.push t.runq { at; ord = t.order; phantom; resume };
+  push t { at; ord = t.order; phantom; resume };
   t.order <- t.order + 1
 
 let cur t =
-  match t.current with
-  | Some th -> th
-  | None -> failwith "Sim: primitive used outside a simulated thread"
+  let th = t.current in
+  if th.tid < 0 then failwith "Sim: primitive used outside a simulated thread";
+  th
 
 (* Build the closure that re-enters a parked thread. *)
 let make_resume t th k () =
-  t.current <- Some th;
+  t.current <- th;
   Effect.Deep.continue k ()
 
 (* Park the calling thread; [f] receives the thread and its continuation
@@ -108,39 +206,79 @@ let make_resume t th k () =
    list). *)
 let suspend (_ : t) f = Effect.perform (Suspend f)
 
-let reschedule t th k = schedule t ~at:th.clock (make_resume t th k)
-
 let spawn ?(at = 0) t body =
-  let th = { tid = t.spawned; clock = at; phase = 0 } in
+  let rec th = { tid = t.spawned; clock = at; phase = 0; k = no_k; self }
+  and self =
+    {
+      at;
+      ord = 0;
+      phantom = false;
+      resume =
+        (fun () ->
+          t.current <- th;
+          Effect.Deep.continue th.k ());
+    }
+  in
   t.spawned <- t.spawned + 1;
+  (* Preallocated so a yield allocates neither the handler nor its
+     [Some]: park [k] and hold [self] aside at the current clock. *)
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        th.k <- k;
+        self.at <- th.clock;
+        self.ord <- t.order;
+        t.order <- t.order + 1;
+        t.held <- self;
+        t.has_held <- true)
+  in
   let start () =
-    t.current <- Some th;
+    t.current <- th;
     Effect.Deep.match_with body ()
       {
         retc = (fun () -> t.completed <- t.completed + 1);
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
             match eff with
-            | Suspend f ->
-                Some
-                  (fun (k : (a, unit) Effect.Deep.continuation) -> f th k)
+            | Yield -> on_yield
+            | Suspend f -> Some (fun k -> f th k)
             | _ -> None);
       }
   in
   schedule t ~at start
 
+(* Dispatch the minimum of the held-aside entry and the queue. *)
+let rec loop t =
+  if t.has_held then begin
+    t.has_held <- false;
+    let h = t.held in
+    if t.size = 0 || before h t.heap.(0) then dispatch t h
+    else begin
+      let e = t.heap.(0) in
+      replace_root t h;
+      dispatch t e
+    end
+  end
+  else if t.size > 0 then dispatch t (pop_root t)
+
+and dispatch t e =
+  if (not e.phantom) && e.at > t.horizon then t.horizon <- e.at;
+  e.resume ();
+  loop t
+
 let run t =
-  let rec loop () =
-    match Heap.pop t.runq with
-    | None -> ()
-    | Some e ->
-        if (not e.phantom) && e.at > t.horizon then t.horizon <- e.at;
-        e.resume ();
-        loop ()
-  in
-  loop ();
-  t.current <- None;
+  (match loop t with
+  | () -> ()
+  | exception ex ->
+      (* A fiber's exception escaped: leave no thread current and no
+         yield entry pending. *)
+      let bt = Printexc.get_raw_backtrace () in
+      t.current <- no_thread;
+      t.has_held <- false;
+      Printexc.raise_with_backtrace ex bt);
+  t.current <- no_thread;
   t.spawned - t.completed
 
 let now t = (cur t).clock
@@ -150,12 +288,11 @@ let advance t th n =
   if th.clock > t.horizon then t.horizon <- th.clock
 
 (* Yield only when another thread is due at or before our new clock; this
-   keeps the virtual-time ordering invariant while avoiding a heap
-   operation per tick on quiet cores. *)
+   keeps the virtual-time ordering invariant while avoiding a switch per
+   tick on quiet cores.  Reads the root without allocating. *)
 let maybe_yield t th =
-  match Heap.peek t.runq with
-  | Some e when e.at <= th.clock -> suspend t (fun th k -> reschedule t th k)
-  | Some _ | None -> ()
+  if t.size > 0 && (Array.unsafe_get t.heap 0).at <= th.clock then
+    Effect.perform Yield
 
 (* Charge [dt] of idle time to [cause], starting at the thread's current
    clock; emits a wait span when tracing.  Does not move the clock. *)
@@ -180,7 +317,7 @@ let sleep t n =
   advance t th n;
   maybe_yield t th
 
-let yield t = suspend t (fun th k -> reschedule t th k)
+let yield (_ : t) = Effect.perform Yield
 
 let set_phase t ph = (cur t).phase <- phase_index ph
 
@@ -192,7 +329,7 @@ let phase_of_index = function
   | _ -> Ph_other
 
 let phase t = phase_of_index (cur t).phase
-let in_thread t = t.current <> None
+let in_thread t = t.current.tid >= 0
 let busy_time t = t.busy
 let busy_in t ph = t.busy_by_phase.(phase_index ph)
 let idle_time t = t.idle

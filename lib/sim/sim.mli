@@ -14,7 +14,18 @@
     by the running thread happen "at" its current clock, and the scheduler
     only runs the globally minimal runnable clock, so shared-state events
     are totally ordered by virtual time (ties broken by scheduling order,
-    deterministically). *)
+    deterministically).
+
+    The run queue is a min-heap on [(at, ord)], where [ord] numbers every
+    (re)scheduling; the dispatch order is exactly "smallest [at], then
+    earliest scheduled".  A [tick] or [sleep] yields only when another
+    entry is due at or before the caller's new clock.  That yield — the
+    context switch, the simulator's hottest path — allocates nothing but
+    the runtime's continuation: the yielding thread is held aside and
+    merged with the queue's root in one sift-down.  Adding, removing or
+    moving a yield point changes tie order, hence virtual results; the
+    dispatch order is pinned by a golden trace and a reference-scheduler
+    property in [test/test_sim.ml]. *)
 
 type t
 type time = int
@@ -48,7 +59,10 @@ val spawn : ?at:time -> t -> (unit -> unit) -> unit
 
 val run : t -> int
 (** Execute until no thread is runnable.  Returns the number of threads
-    still parked on a blocking primitive (0 for a quiescent shutdown). *)
+    still parked on a blocking primitive (0 for a quiescent shutdown).
+    An exception raised by a thread escapes [run]; afterwards no thread
+    is current ({!in_thread} is [false]) and the threads still queued
+    resume on the next [run]. *)
 
 val now : t -> time
 (** Clock of the calling thread (must be called from inside a thread). *)

@@ -199,33 +199,6 @@ let prop_vec_model =
       && Vec.length v = List.length xs
       && List.for_all2 ( = ) (Vec.to_list v) xs)
 
-(* ------------------------- Heap ------------------------- *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "heap sorts" [ 9; 8; 5; 3; 2; 1 ] !out
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pop order = sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
 (* ------------------------- Bitset ------------------------- *)
 
 let test_bitset_basic () =
@@ -403,9 +376,6 @@ let () =
           Alcotest.test_case "sort/fold" `Quick test_vec_sort_fold;
           qc prop_vec_model;
         ] );
-      ( "heap",
-        [ Alcotest.test_case "order" `Quick test_heap_order; qc prop_heap_sorts ]
-      );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick test_bitset_basic;

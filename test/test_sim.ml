@@ -331,6 +331,210 @@ let test_tracer_zero_overhead () =
   Tutil.check_bool "wait spans recorded" true
     (Quill_trace.Trace.num_events tr > 0)
 
+(* ------------------------- dispatch order ------------------------- *)
+
+(* [(tid, now)] after every step of a fixed program that exercises each
+   way a thread leaves and re-enters the run queue: tick, sleep and
+   yield, [spawn ~at] during [run], Ivar, Chan (plain and
+   [recv_timeout], timed out and served), Barrier and Gate.  The
+   expected string pins the dispatch order: a scheduler change that
+   alters it moves virtual results. *)
+let golden_trace () =
+  let s = Sim.create ~wake_cost:3 () in
+  let log = Buffer.create 512 in
+  let step tag =
+    Buffer.add_string log
+      (Printf.sprintf "%s:%d@%d " tag (Sim.current_tid s) (Sim.now s))
+  in
+  let iv = Sim.Ivar.create () in
+  let ch = Sim.Chan.create () in
+  let b = Sim.Barrier.create 3 in
+  let g = Sim.Gate.create 2 in
+  (* tid 0: producer; spawns tid 3 mid-run *)
+  Sim.spawn s (fun () ->
+      step "p0";
+      Sim.tick s 5;
+      step "p1";
+      Sim.yield s;
+      step "p2";
+      Sim.Ivar.fill s iv 1;
+      step "p3";
+      Sim.Chan.send ~delay:7 s ch 10;
+      step "p4";
+      Sim.sleep s 4;
+      step "p5";
+      Sim.spawn ~at:(Sim.now s + 2) s (fun () ->
+          step "s0";
+          Sim.tick s 1;
+          step "s1";
+          Sim.yield s;
+          step "s2";
+          Sim.Gate.arrive s g;
+          step "s3");
+      Sim.tick s 3;
+      step "p6";
+      Sim.Barrier.await s b;
+      step "p7";
+      Sim.Gate.arrive s g;
+      step "p8";
+      Sim.tick s 40;
+      Sim.Chan.send s ch 20;
+      step "p9";
+      Sim.tick s 2;
+      step "p10");
+  (* tid 1: consumer *)
+  Sim.spawn s (fun () ->
+      step "c0";
+      let v = Sim.Ivar.read s iv in
+      step (Printf.sprintf "c1=%d" v);
+      let m = Sim.Chan.recv s ch in
+      step (Printf.sprintf "c2=%d" m);
+      (match Sim.Chan.recv_timeout s ch ~timeout:5 with
+      | None -> step "c3=timeout"
+      | Some m -> step (Printf.sprintf "c3=%d" m));
+      Sim.Barrier.await s b;
+      step "c4";
+      Sim.Gate.await s g;
+      step "c5";
+      (match Sim.Chan.recv_timeout s ch ~timeout:100 with
+      | None -> step "c6=timeout"
+      | Some m -> step (Printf.sprintf "c6=%d" m));
+      Sim.yield s;
+      step "c7");
+  (* tid 2: ticker, starts late *)
+  Sim.spawn ~at:3 s (fun () ->
+      for i = 1 to 6 do
+        Sim.tick s (i * 2);
+        step (Printf.sprintf "t%d" i);
+        if i = 3 then Sim.yield s;
+        if i = 4 then Sim.sleep s 1
+      done;
+      Sim.Barrier.await s b;
+      step "t7";
+      Sim.Gate.await s g;
+      step "t8");
+  let parked = Sim.run s in
+  Buffer.add_string log
+    (Printf.sprintf "| parked=%d busy=%d idle=%d horizon=%d" parked
+       (Sim.busy_time s) (Sim.idle_time s) (Sim.horizon s));
+  Buffer.contents log
+
+let golden_expected =
+  "p0:0@0 c0:1@0 p1:0@5 t1:2@5 p2:0@5 p3:0@5 p4:0@5 c1=1:1@8 c2=10:1@15 \
+   t2:2@9 p5:0@9 s0:3@11 p6:0@12 s1:3@12 s2:3@12 s3:3@12 t3:2@15 \
+   c3=timeout:1@23 t4:2@23 t5:2@34 t6:2@46 t7:2@49 c4:1@49 p7:0@49 \
+   p8:0@49 t8:2@52 c5:1@52 p9:0@89 p10:0@91 c6=20:1@92 c7:1@92 | \
+   parked=0 busy=93 idle=140 horizon=92"
+
+let test_golden_dispatch_order () =
+  Alcotest.(check string) "golden trace" golden_expected (golden_trace ())
+
+(* Random tick/sleep/yield programs against a reference scheduler: run
+   the runnable fiber with the minimum [(clock, seq)], where [seq] counts
+   (re)schedulings; after a tick or sleep, yield only when another fiber
+   is due at or before the new clock; [yield] always reschedules.  Each
+   fiber logs [(fid, clock)] on start and after every operation. *)
+type op = Tick of int | Sleep of int | Yield_op
+
+let reference progs =
+  let log = ref [] and seq = ref 0 and q = ref [] in
+  let add clock f ops = q := (clock, !seq, f, ops) :: !q; incr seq in
+  List.iteri (fun f (start, ops) -> add start f ops) progs;
+  let rec run () =
+    match List.sort compare !q with
+    | [] -> ()
+    | ((clock, _, f, ops) as e) :: _ ->
+        q := List.filter (fun e' -> e' <> e) !q;
+        log := (f, clock) :: !log;
+        let rec go clock = function
+          | [] -> ()
+          | op :: rest ->
+              let clock, yields =
+                match op with
+                | Tick n | Sleep n ->
+                    let c = clock + n in
+                    (c, List.exists (fun (c', _, _, _) -> c' <= c) !q)
+                | Yield_op -> (clock, true)
+              in
+              if yields then add clock f rest
+              else begin
+                log := (f, clock) :: !log;
+                go clock rest
+              end
+        in
+        go clock ops;
+        run ()
+  in
+  run ();
+  List.rev !log
+
+let simulated progs =
+  let s = Sim.create () in
+  let log = ref [] in
+  let note () = log := (Sim.current_tid s, Sim.now s) :: !log in
+  List.iter
+    (fun (at, ops) ->
+      Sim.spawn ~at s (fun () ->
+          note ();
+          List.iter
+            (fun op ->
+              (match op with
+              | Tick n -> Sim.tick s n
+              | Sleep n -> Sim.sleep s n
+              | Yield_op -> Sim.yield s);
+              note ())
+            ops))
+    progs;
+  let parked = Sim.run s in
+  (parked, List.rev !log)
+
+let arb_progs =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun n -> Tick n) (int_bound 20));
+        (2, map (fun n -> Sleep n) (int_bound 20));
+        (1, return Yield_op);
+      ]
+  in
+  let fiber = pair (int_bound 20) (list_size (int_bound 12) op) in
+  let print_op = function
+    | Tick n -> Printf.sprintf "T%d" n
+    | Sleep n -> Printf.sprintf "S%d" n
+    | Yield_op -> "Y"
+  in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list
+         (QCheck.Print.pair string_of_int (QCheck.Print.list print_op)))
+    (list_size (int_range 1 16) fiber)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"dispatch order matches reference scheduler"
+    ~count:300 arb_progs (fun progs ->
+      simulated progs = (0, reference progs))
+
+(* A fiber's exception escapes [run]; afterwards no thread is current,
+   and the fibers still queued run on a later [run]. *)
+let test_run_after_raise () =
+  let s = Sim.create () in
+  Sim.spawn s (fun () ->
+      Sim.tick s 1;
+      failwith "boom");
+  Sim.spawn s (fun () ->
+      Sim.tick s 1;
+      Sim.yield s;
+      Sim.tick s 5);
+  (match Sim.run s with
+  | _ -> Alcotest.fail "expected the fiber's exception"
+  | exception Failure msg -> Alcotest.(check string) "exn" "boom" msg);
+  Tutil.check_bool "not in thread" false (Sim.in_thread s);
+  Tutil.check_int "raised fiber stays unfinished" 1 (Sim.run s);
+  Tutil.check_bool "still not in thread" false (Sim.in_thread s);
+  Tutil.check_int "survivor finished" 1 (Sim.threads_completed s);
+  Tutil.check_int "horizon" 6 (Sim.horizon s)
+
 (* ------------------------- stress ------------------------- *)
 
 let test_many_threads () =
@@ -381,6 +585,11 @@ let () =
           Alcotest.test_case "spawn at" `Quick test_spawn_at;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "many threads" `Quick test_many_threads;
+          Alcotest.test_case "golden dispatch order" `Quick
+            test_golden_dispatch_order;
+          qc prop_matches_reference;
+          Alcotest.test_case "run after a fiber raises" `Quick
+            test_run_after_raise;
         ] );
       ( "ivar",
         [
