@@ -138,12 +138,15 @@ let usage ?hint () =
     \                 fig-scalability|fig-modes|fig-latency|fig-batch|\n\
     \                 pipeline|skew|fault-tolerance|failover|durability|\n\
     \                 cdc|overload|micro|all]\n\
-    \                [scale] [--trace FILE] [--phase-table] [--faults SPEC]\n\
-    \                [--arrival RATE] [--admission POLICY[:DEPTH]]\n\
-    \                [--deadline TIME] [--retries N[:BACKOFF]]\n\
+    \                [scale] [--trace FILE] [--phase-table]\n\
+    \                [--check-conflicts  (QueCC runs: verify planned order)]\n\
+    \                [--faults SPEC  (fault-tolerance/failover)]\n\
     \                [--json FILE  (pipeline/skew/failover/durability/cdc: \
      machine-readable results)]\n\
-    \                [--check-conflicts  (QueCC runs: verify planned order)]";
+    \                [--arrival RATE] [--admission POLICY[:DEPTH]]\n\
+    \                [--deadline TIME] [--retries N[:BACKOFF]]  (overload)\n\
+    \                micro reads no flags; a flag the target does not read \
+     is an error";
   exit 2
 
 (* Pull the option flags out of argv; what remains is positional. *)
@@ -155,6 +158,7 @@ type opts = {
   mutable deadline : int option;
   mutable retries : (int * int) option;
   mutable json : string option;
+  mutable seen : string list;  (* option flags given, checked per target *)
 }
 
 let parse_args () =
@@ -167,6 +171,7 @@ let parse_args () =
       deadline = None;
       retries = None;
       json = None;
+      seen = [];
     }
   in
   let positional = ref [] in
@@ -188,7 +193,9 @@ let parse_args () =
   in
   let rec go i =
     if i < Array.length Sys.argv then begin
-      (match Sys.argv.(i) with
+      let a = Sys.argv.(i) in
+      if String.length a > 0 && a.[0] = '-' then o.seen <- a :: o.seen;
+      (match a with
       | "--trace" -> o.trace_file <- Some (value "--trace" i)
       | "--faults" ->
           o.faults <-
@@ -226,9 +233,60 @@ let parse_args () =
   go 1;
   (o, List.rev !positional)
 
+(* Every target with the option flags it reads.  The suite-wide flags
+   apply to every experiment; a flag the chosen target never reads is a
+   usage error, not silently ignored. *)
+let targets o ~scale =
+  let module X = H.Experiments in
+  let suite = [ "--trace"; "--phase-table"; "--check-conflicts" ] in
+  let plain name (run : ?scale:float -> unit -> unit) =
+    (name, suite, fun () -> run ~scale ())
+  in
+  let json = o.json in
+  [
+    plain "table2-row1" X.table2_row1;
+    plain "table2-row2" X.table2_row2;
+    plain "table2-row3" X.table2_row3;
+    plain "fig-contention" X.fig_contention;
+    plain "fig-scalability" X.fig_scalability;
+    plain "fig-modes" X.fig_modes;
+    plain "fig-latency" X.fig_latency;
+    plain "fig-batch" X.fig_batch;
+    ("pipeline", "--json" :: suite, fun () -> X.pipeline ~scale ?json ());
+    ("skew", "--json" :: suite, fun () -> X.skew ~scale ?json ());
+    ( "fault-tolerance",
+      "--faults" :: suite,
+      fun () -> X.fault_tolerance ~scale ?plan:o.faults () );
+    ( "failover",
+      "--json" :: "--faults" :: suite,
+      fun () -> X.failover ~scale ?json ?plan:o.faults () );
+    ("durability", "--json" :: suite, fun () -> X.durability ~scale ?json ());
+    ("cdc", "--json" :: suite, fun () -> X.cdc ~scale ?json ());
+    ( "overload",
+      [ "--arrival"; "--admission"; "--deadline"; "--retries" ] @ suite,
+      fun () ->
+        X.overload ~scale ?arrival:o.arrival ?admission:o.admission
+          ?deadline:o.deadline ?retries:o.retries () );
+    ("micro", [], run_micro);
+    ( "all",
+      suite,
+      fun () ->
+        X.all ~scale ();
+        run_micro () );
+  ]
+
+(* Fail before the run, not after it: the experiment writes its JSON
+   only once every row has finished. *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path
+  | exception Sys_error msg -> usage ~hint:("cannot write --json: " ^ msg) ()
+
 let () =
   let o, positional = parse_args () in
-  let trace_file = o.trace_file and faults = o.faults in
   let arg = match positional with a :: _ -> a | [] -> "all" in
   let scale =
     match positional with
@@ -239,35 +297,23 @@ let () =
             usage ~hint:("scale must be a positive number, got " ^ s) ())
     | _ -> 0.5
   in
-  (match trace_file with
-  | Some _ -> H.Experiments.tracer := Quill_trace.Trace.create ()
-  | None -> ());
+  let run =
+    match List.find_opt (fun (n, _, _) -> n = arg) (targets o ~scale) with
+    | None -> usage ~hint:("unknown experiment " ^ arg) ()
+    | Some (_, reads, run) ->
+        List.iter
+          (fun flag ->
+            if not (List.mem flag reads) then
+              usage ~hint:(Printf.sprintf "%s is not read by %s" flag arg) ())
+          (List.rev o.seen);
+        run
+  in
+  Option.iter check_writable o.json;
+  if o.trace_file <> None then
+    H.Experiments.tracer := Quill_trace.Trace.create ();
   Printf.printf "quill benchmark harness (scale=%.2f)\n%!" scale;
-  (match arg with
-  | "table2-row1" -> H.Experiments.table2_row1 ~scale ()
-  | "table2-row2" -> H.Experiments.table2_row2 ~scale ()
-  | "table2-row3" -> H.Experiments.table2_row3 ~scale ()
-  | "fig-contention" -> H.Experiments.fig_contention ~scale ()
-  | "fig-scalability" -> H.Experiments.fig_scalability ~scale ()
-  | "fig-modes" -> H.Experiments.fig_modes ~scale ()
-  | "fig-latency" -> H.Experiments.fig_latency ~scale ()
-  | "fig-batch" -> H.Experiments.fig_batch ~scale ()
-  | "pipeline" -> H.Experiments.pipeline ~scale ?json:o.json ()
-  | "skew" -> H.Experiments.skew ~scale ?json:o.json ()
-  | "fault-tolerance" -> H.Experiments.fault_tolerance ~scale ?plan:faults ()
-  | "failover" ->
-      H.Experiments.failover ~scale ?json:o.json ?plan:faults ()
-  | "durability" -> H.Experiments.durability ~scale ?json:o.json ()
-  | "cdc" -> H.Experiments.cdc ~scale ?json:o.json ()
-  | "overload" ->
-      H.Experiments.overload ~scale ?arrival:o.arrival ?admission:o.admission
-        ?deadline:o.deadline ?retries:o.retries ()
-  | "micro" -> run_micro ()
-  | "all" ->
-      H.Experiments.all ~scale ();
-      run_micro ()
-  | a -> usage ~hint:("unknown experiment " ^ a) ());
-  (match trace_file with
+  run ();
+  (match o.trace_file with
   | Some path ->
       let tr = !H.Experiments.tracer in
       Quill_trace.Trace.write_file tr path;

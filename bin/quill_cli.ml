@@ -174,19 +174,9 @@ let run_cmd engine workload threads txns batch theta mp abort_ratio warehouses
       let m = E.run ~tracer ?recorder exp in
       Format.printf "%s on %s:@.  %a@." engine workload
         Quill_txn.Metrics.pp m;
-      if Quill_txn.Metrics.clients_active m then
-        Format.printf "  %a@." Quill_txn.Metrics.pp_clients m;
-      if Quill_txn.Metrics.replicated m then
-        Format.printf "  %a@." Quill_txn.Metrics.pp_replication m;
-      if Quill_txn.Metrics.walled m then
-        Format.printf "  %a@." Quill_txn.Metrics.pp_wal m;
-      if Quill_txn.Metrics.cdc_active m then
-        Format.printf "  %a@." Quill_txn.Metrics.pp_cdc m;
+      Quill_harness.Report.phase_tables := phase_table;
       Quill_harness.Report.print_table ~title:"result"
         [ { Quill_harness.Report.label = engine; metrics = m } ];
-      if phase_table then
-        Quill_harness.Report.print_phase_table ~title:"result"
-          [ { Quill_harness.Report.label = engine; metrics = m } ];
       (match trace_file with
       | Some path ->
           Quill_trace.Trace.write_file tracer path;

@@ -22,8 +22,11 @@ let records_conflicts (engine : E.engine) =
   | E.Mvto | E.Hstore | E.Calvin | E.Dist_calvin _ ->
       false
 
-let run_exp ?on_workload e =
-  if not (!check_conflicts && records_conflicts e.E.engine) then
+(* [record:false] keeps a run out of the conflict recorder even under
+   --check-conflicts (replication and the WAL touch rows outside the
+   planned-queue attribution). *)
+let run_exp ?(record = true) ?on_workload e =
+  if not (record && !check_conflicts && records_conflicts e.E.engine) then
     E.run ~tracer:!tracer ?on_workload e
   else begin
     let module CC = Quill_analysis.Conflict_check in
@@ -38,6 +41,18 @@ let run_exp ?on_workload e =
            (List.length r.CC.violations) e.E.name);
     m
   end
+
+(* [run_exp] plus the checksum of the committed database it left. *)
+let run_checksummed ?record e =
+  let db = ref None in
+  let on_workload wl = db := Some wl.Quill_txn.Workload.db in
+  let m = run_exp ?record ~on_workload e in
+  (m, match !db with Some db -> Quill_storage.Db.checksum db | None -> 0)
+
+module J = Bench_json
+
+(* Every BENCH row reports throughput with one decimal. *)
+let tput m = J.Fixed (1, Quill_txn.Metrics.throughput m)
 
 let run_row engine spec ~threads ~txns ~batch_size =
   let e = E.make ~threads ~txns ~batch_size engine spec in
@@ -288,7 +303,8 @@ let fig_batch ?(scale = 1.0) () =
   in
   Report.print_table
     ~title:
-      "Batch-size sensitivity: larger batches amortize planning but pay        latency (YCSB theta=0.9, 8 cores)"
+      "Batch-size sensitivity: larger batches amortize planning but pay \
+       latency (YCSB theta=0.9, 8 cores)"
     rows
 
 (* Pipelined batch execution: the PR's headline experiment.  Each theta
@@ -373,26 +389,18 @@ let pipeline ?(scale = 1.0) ?json () =
             compare (n1, t1, p1, s1) (n2, t2, p2, s2))
           !results
       in
-      let n = List.length rows in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"pipeline\",\n  \"scale\": %g,\n  \"rows\": [\n"
-        scale;
-      List.iteri
-        (fun i (name, theta, pipe, steal, m) ->
-          Printf.fprintf oc
-            "    {\"engine\": %S, \"theta\": %g, \"pipeline\": %b, \
-             \"steal\": %b, \"tput\": %.1f, \"committed\": %d, \
-             \"fill_stall\": %d, \"drain_stall\": %d, \
-             \"stolen_queues\": %d}%s\n"
-            name theta pipe steal (M.throughput m) m.M.committed
-            m.M.pipe_fill_stall m.M.pipe_drain_stall m.M.stolen_queues
-            (if i = n - 1 then "" else ",");
-          )
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "pipeline: wrote %s\n" path
+      J.write path ~experiment:"pipeline" ~scale
+        (List.map
+           (fun (name, theta, pipe, steal, m) ->
+             [
+               ("engine", J.Str name); ("theta", J.Num theta);
+               ("pipeline", J.Bool pipe); ("steal", J.Bool steal);
+               ("tput", tput m); ("committed", J.Int m.M.committed);
+               ("fill_stall", J.Int m.M.pipe_fill_stall);
+               ("drain_stall", J.Int m.M.pipe_drain_stall);
+               ("stolen_queues", J.Int m.M.stolen_queues);
+             ])
+           rows)
 
 (* Adaptive planning under skew: QueCC with hot-key queue splitting and
    dynamic repartitioning against the plain planner, on a YCSB variant
@@ -413,13 +421,7 @@ let skew ?(scale = 1.0) ?json () =
       E.make ~threads:8 ~txns ~batch_size:1024 ?split ~adapt_repart quecc
         spec
     in
-    let wl_ref = ref None in
-    let m = run_exp ~on_workload:(fun wl -> wl_ref := Some wl) e in
-    let chk =
-      match !wl_ref with
-      | Some wl -> Quill_storage.Db.checksum wl.Quill_txn.Workload.db
-      | None -> 0
-    in
+    let m, chk = run_checksummed e in
     results := (theta, split, adapt_repart, chk, m) :: !results;
     { Report.label; metrics = m }
   in
@@ -464,27 +466,20 @@ let skew ?(scale = 1.0) ?json () =
             compare (t1, s1, r1) (t2, s2, r2))
           !results
       in
-      let n = List.length rows in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"skew\",\n  \"scale\": %g,\n  \"rows\": [\n"
-        scale;
-      List.iteri
-        (fun i (theta, split, repart, chk, m) ->
-          Printf.fprintf oc
-            "    {\"engine\": \"quecc\", \"theta\": %g, \"split\": %d, \
-             \"repart\": %b, \"tput\": %.1f, \"committed\": %d, \
-             \"split_keys\": %d, \"split_subqueues\": %d, \
-             \"repart_moves\": %d, \"db_checksum\": %d}%s\n"
-            theta
-            (match split with Some t -> t | None -> 0)
-            repart (M.throughput m) m.M.committed m.M.split_keys
-            m.M.split_subqueues m.M.repart_moves chk
-            (if i = n - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "skew: wrote %s\n" path
+      J.write path ~experiment:"skew" ~scale
+        (List.map
+           (fun (theta, split, repart, chk, m) ->
+             [
+               ("engine", J.Str (E.engine_name quecc)); ("theta", J.Num theta);
+               ("split", J.Int (Option.value split ~default:0));
+               ("repart", J.Bool repart); ("tput", tput m);
+               ("committed", J.Int m.M.committed);
+               ("split_keys", J.Int m.M.split_keys);
+               ("split_subqueues", J.Int m.M.split_subqueues);
+               ("repart_moves", J.Int m.M.repart_moves);
+               ("db_checksum", J.Int chk);
+             ])
+           rows)
 
 (* One crash mid-run on node 1 plus 1% drop and 1% duplication: the
    EXPERIMENTS.md robustness headline.  The crash time is tuned to land
@@ -548,7 +543,7 @@ let fault_tolerance ?(scale = 1.0) ?(plan = default_fault_plan) () =
    checksums, failover_ns and the fault-free epoch_ns for the CI
    failover-smoke job; [plan] overrides the probed mid-run crash.
 
-   Rows run through [E.run] directly: replication does not compose with
+   Rows run with [~record:false]: replication does not compose with
    the conflict recorder (the backups replay txns outside the planned
    queue attribution), so the suite-wide --check-conflicts flag must not
    attach one here. *)
@@ -572,13 +567,7 @@ let failover ?(scale = 1.0) ?json ?plan () =
       E.make ~threads:4 ~txns ~batch_size:1024 ~faults ~replicas ~spec_lag:2
         (E.Dist_quecc 1) spec
     in
-    let wl_ref = ref None in
-    let m = E.run ~tracer:!tracer ~on_workload:(fun wl -> wl_ref := Some wl) e in
-    let chk =
-      match !wl_ref with
-      | Some wl -> Quill_storage.Db.checksum wl.Quill_txn.Workload.db
-      | None -> 0
-    in
+    let m, chk = run_checksummed ~record:false e in
     results := !results @ [ (label, replicas, chk, m) ];
     ({ Report.label; metrics = m }, m)
   in
@@ -613,30 +602,22 @@ let failover ?(scale = 1.0) ?json ?plan () =
   match json with
   | None -> ()
   | Some path ->
-      let n = List.length !results in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"failover\",\n\
-        \  \"scale\": %g,\n\
-        \  \"epoch_ns\": %d,\n\
-        \  \"rows\": [\n"
-        scale epoch_ns;
-      List.iteri
-        (fun i (label, replicas, chk, m) ->
-          Printf.fprintf oc
-            "    {\"label\": %S, \"replicas\": %d, \"tput\": %.1f, \
-             \"committed\": %d, \"crashes\": %d, \"failovers\": %d, \
-             \"failover_ns\": %d, \"spec_executed\": %d, \"spec_wasted\": \
-             %d, \"rep_lag_max\": %d, \"db_checksum\": %d}%s\n"
-            label replicas (M.throughput m) m.M.committed m.M.crashes
-            m.M.failovers m.M.failover_time m.M.spec_executed m.M.spec_wasted
-            m.M.rep_lag_max chk
-            (if i = n - 1 then "" else ","))
-        !results;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "failover: wrote %s\n" path
+      J.write path ~experiment:"failover" ~scale
+        ~head:[ ("epoch_ns", J.Int epoch_ns) ]
+        (List.map
+           (fun (label, replicas, chk, m) ->
+             [
+               ("label", J.Str label); ("replicas", J.Int replicas);
+               ("tput", tput m); ("committed", J.Int m.M.committed);
+               ("crashes", J.Int m.M.crashes);
+               ("failovers", J.Int m.M.failovers);
+               ("failover_ns", J.Int m.M.failover_time);
+               ("spec_executed", J.Int m.M.spec_executed);
+               ("spec_wasted", J.Int m.M.spec_wasted);
+               ("rep_lag_max", J.Int m.M.rep_lag_max);
+               ("db_checksum", J.Int chk);
+             ])
+           !results)
 
 (* Durability (ISSUE 9 headline): QueCC's planned queues already fix the
    commit order, so durability is one group-commit fsync per batch — the
@@ -650,7 +631,7 @@ let failover ?(scale = 1.0) ?json ?plan () =
    compared.  [json] dumps per-row counters plus the oracle comparison
    for the CI durability-smoke job.
 
-   Rows run through [E.run] directly: the WAL's commit-point index
+   Rows run with [~record:false]: the WAL's commit-point index
    probes happen outside planned-queue attribution, so the suite-wide
    --check-conflicts recorder must not attach here (same reason as
    [failover]). *)
@@ -670,14 +651,7 @@ let durability ?(scale = 1.0) ?json () =
       E.make ~name:label ~threads ~txns ~batch_size ~faults ~wal
         ~snapshot_every:8 engine spec
     in
-    let wl_ref = ref None in
-    let m = E.run ~tracer:!tracer ~on_workload:(fun wl -> wl_ref := Some wl) e in
-    let chk =
-      match !wl_ref with
-      | Some wl -> Quill_storage.Db.checksum wl.Quill_txn.Workload.db
-      | None -> 0
-    in
-    (m, chk)
+    run_checksummed ~record:false e
   in
   let row label engine ~txns ~wal ~faults =
     let m, chk = run_one label engine ~txns ~wal ~faults in
@@ -740,38 +714,38 @@ let durability ?(scale = 1.0) ?json () =
   match json with
   | None -> ()
   | Some path ->
-      let n = List.length !results in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"durability\",\n\
-        \  \"scale\": %g,\n\
-        \  \"overhead_pct\": %.2f,\n\
-        \  \"crash\": {\"durable_batches\": %d, \"durable_txns\": %d, \
-         \"recovered_committed\": %d, \"oracle_committed\": %d, \
-         \"recovered_checksum\": %d, \"oracle_checksum\": %d, \
-         \"state_match\": %b, \"recovery_ns\": %d},\n\
-        \  \"rows\": [\n"
-        scale overhead_pct mcrash.M.durable_batches durable_txns
-        mcrash.M.committed oracle_committed crash_chk oracle_chk state_match
-        mcrash.M.recovery_time;
-      List.iteri
-        (fun i (label, wal, chk, m) ->
-          Printf.fprintf oc
-            "    {\"label\": %S, \"wal\": %b, \"tput\": %.1f, \
-             \"committed\": %d, \"durable_batches\": %d, \"wal_bytes\": %d, \
-             \"fsyncs\": %d, \"fsync_fails\": %d, \"snapshots\": %d, \
-             \"truncations\": %d, \"torn\": %d, \"crashes\": %d, \
-             \"recovery_ns\": %d, \"db_checksum\": %d}%s\n"
-            label wal (M.throughput m) m.M.committed m.M.durable_batches
-            m.M.wal_bytes m.M.wal_fsyncs m.M.wal_fsync_fails m.M.snapshots
-            m.M.wal_truncations m.M.torn_records m.M.crashes m.M.recovery_time
-            chk
-            (if i = n - 1 then "" else ","))
-        !results;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "durability: wrote %s\n" path
+      let crash =
+        [
+          ("durable_batches", J.Int mcrash.M.durable_batches);
+          ("durable_txns", J.Int durable_txns);
+          ("recovered_committed", J.Int mcrash.M.committed);
+          ("oracle_committed", J.Int oracle_committed);
+          ("recovered_checksum", J.Int crash_chk);
+          ("oracle_checksum", J.Int oracle_chk);
+          ("state_match", J.Bool state_match);
+          ("recovery_ns", J.Int mcrash.M.recovery_time);
+        ]
+      in
+      J.write path ~experiment:"durability" ~scale
+        ~head:
+          [ ("overhead_pct", J.Fixed (2, overhead_pct)); ("crash", J.Obj crash) ]
+        (List.map
+           (fun (label, wal, chk, m) ->
+             [
+               ("label", J.Str label); ("wal", J.Bool wal); ("tput", tput m);
+               ("committed", J.Int m.M.committed);
+               ("durable_batches", J.Int m.M.durable_batches);
+               ("wal_bytes", J.Int m.M.wal_bytes);
+               ("fsyncs", J.Int m.M.wal_fsyncs);
+               ("fsync_fails", J.Int m.M.wal_fsync_fails);
+               ("snapshots", J.Int m.M.snapshots);
+               ("truncations", J.Int m.M.wal_truncations);
+               ("torn", J.Int m.M.torn_records);
+               ("crashes", J.Int m.M.crashes);
+               ("recovery_ns", J.Int m.M.recovery_time);
+               ("db_checksum", J.Int chk);
+             ])
+           !results)
 
 (* CDC (ISSUE 10 headline): QueCC's planning phase fixes the commit
    order before execution starts, so the change stream is a pure
@@ -861,35 +835,29 @@ let cdc ?(scale = 1.0) ?json () =
   (match json with
   | None -> ()
   | Some path ->
-      let n = List.length !results in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"cdc\",\n\
-        \  \"scale\": %g,\n\
-        \  \"overhead_pct\": %.2f,\n\
-        \  \"deterministic\": %b,\n\
-        \  \"view_ok\": %b,\n\
-        \  \"rows\": [\n"
-        scale overhead_pct deterministic view_ok;
-      List.iteri
-        (fun i (label, feed, m) ->
-          let d, bytes, events =
-            match feed with Some f -> f | None -> (0, 0, 0)
-          in
-          Printf.fprintf oc
-            "    {\"label\": %S, \"tput\": %.1f, \"committed\": %d, \
-             \"digest\": %d, \"feed_bytes\": %d, \"events\": %d, \
-             \"batches\": %d, \"subs\": %d, \"lag_max\": %d, \
-             \"catchup\": %d, \"view_refreshes\": %d}%s\n"
-            label (M.throughput m) m.M.committed d bytes events
-            m.M.cdc_batches m.M.cdc_subs m.M.cdc_lag_max m.M.cdc_catchup
-            m.M.view_refreshes
-            (if i = n - 1 then "" else ","))
-        !results;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "cdc: wrote %s\n" path)
+      J.write path ~experiment:"cdc" ~scale
+        ~head:
+          [
+            ("overhead_pct", J.Fixed (2, overhead_pct));
+            ("deterministic", J.Bool deterministic);
+            ("view_ok", J.Bool view_ok);
+          ]
+        (List.map
+           (fun (label, feed, m) ->
+             let d, bytes, events =
+               Option.value feed ~default:(0, 0, 0)
+             in
+             [
+               ("label", J.Str label); ("tput", tput m);
+               ("committed", J.Int m.M.committed); ("digest", J.Int d);
+               ("feed_bytes", J.Int bytes); ("events", J.Int events);
+               ("batches", J.Int m.M.cdc_batches);
+               ("subs", J.Int m.M.cdc_subs);
+               ("lag_max", J.Int m.M.cdc_lag_max);
+               ("catchup", J.Int m.M.cdc_catchup);
+               ("view_refreshes", J.Int m.M.view_refreshes);
+             ])
+           !results))
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,298 +1,177 @@
 open Quill_common
-open Quill_txn
+open Quill_txn.Metrics
 
-type row = {
-  label : string;
-  metrics : Metrics.t;
-}
-
-let header =
-  [
-    "engine"; "tput (txn/s)"; "p50 lat"; "p99 lat"; "cc-aborts"; "commits";
-    "util"; "msgs"; "x vs first";
-  ]
+type row = { label : string; metrics : Quill_txn.Metrics.t }
 
 let fmt_lat ns =
   if ns >= 1_000_000 then Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
   else if ns >= 1000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
   else Printf.sprintf "%dns" ns
 
-let to_cells ?baseline r =
-  let m = r.metrics in
-  let tput = Metrics.throughput m in
-  let base = match baseline with Some b -> b | None -> tput in
-  [
-    r.label;
-    Tablefmt.fmt_si tput;
-    fmt_lat (Stats.Hist.percentile m.Metrics.lat 50.0);
-    fmt_lat (Stats.Hist.percentile m.Metrics.lat 99.0);
-    string_of_int m.Metrics.cc_aborts;
-    string_of_int m.Metrics.committed;
-    Printf.sprintf "%.2f" (Metrics.utilization m);
-    string_of_int m.Metrics.msgs;
-    (if base > 0.0 then Printf.sprintf "%.2fx" (tput /. base) else "-");
-  ]
-
-(* Per-phase breakdown: where each engine's CPU time went (plan /
-   execute / recover / publish) and what its idle time waited on. *)
-(* The pipeline columns ride at the END of the row so downstream parsers
-   keyed on the leading column indices (the chaos-smoke CI job) keep
-   working. *)
-let phase_header =
-  [
-    "engine"; "plan"; "execute"; "recover"; "publish"; "other"; "busy%";
-    "idle:barrier"; "idle:ivar"; "idle:chan"; "idle:sleep"; "fill-stall/thr";
-    "drain-stall/thr"; "stolen"; "steal a/r"; "split k/q"; "repart"; "resize";
-  ]
-
 let pct part whole =
   if whole <= 0 then "-"
   else Printf.sprintf "%.1f%%" (100.0 *. float_of_int part /. float_of_int whole)
 
-let phase_cells r =
-  let m = r.metrics in
-  let span = m.Metrics.busy + m.Metrics.idle in
-  [
-    r.label;
-    pct m.Metrics.plan_busy m.Metrics.busy;
-    pct m.Metrics.exec_busy m.Metrics.busy;
-    pct m.Metrics.recover_busy m.Metrics.busy;
-    pct m.Metrics.publish_busy m.Metrics.busy;
-    pct m.Metrics.other_busy m.Metrics.busy;
-    pct m.Metrics.busy span;
-    pct m.Metrics.idle_barrier span;
-    pct m.Metrics.idle_ivar span;
-    pct m.Metrics.idle_chan span;
-    pct m.Metrics.idle_sleep span;
-    (* Stall cells are per-contributing-thread averages (absolute time),
-       not % of the aggregate span: engines stall in very different
-       numbers of threads (dist-calvin: one sequencer per node;
-       dist-quecc: a planner pool per node), so raw sums were off by the
-       thread-count ratio and never engine-comparable. *)
-    fmt_lat (Metrics.fill_stall_avg m);
-    fmt_lat (Metrics.drain_stall_avg m);
-    string_of_int m.Metrics.stolen_queues;
-    Printf.sprintf "%d/%d" m.Metrics.steal_attempts m.Metrics.steal_rejects;
-    Printf.sprintf "%d/%d" m.Metrics.split_keys m.Metrics.split_subqueues;
-    string_of_int m.Metrics.repart_moves;
-    string_of_int m.Metrics.batch_resizes;
-  ]
+(* A metric group: the rule deciding whether a table prints it, and its
+   columns (header text plus a cell over the row's metrics; [base] is
+   the table's baseline throughput, read only by the speedup column). *)
+type group = {
+  name : string;
+  active : t -> bool;
+  columns : (string * (base:float -> t -> string)) list;
+}
 
-let print_phase_table ~title rows =
-  Printf.printf "\n== %s: phase breakdown ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:phase_header (List.map phase_cells rows)
+let group name active columns = { name; active; columns }
+let col head f = (head, fun ~base:_ m -> f m)
+let int head f = col head (fun m -> string_of_int (f m))
+let si head f = col head (fun m -> Tablefmt.fmt_si (f m))
+let bytes head f = si head (fun m -> float_of_int (f m))
+let lat head f = col head (fun m -> fmt_lat (f m))
+let pair head f g = col head (fun m -> Printf.sprintf "%d/%d" (f m) (g m))
+let of_busy head f = col head (fun m -> pct (f m) m.busy)
+let of_span head f = col head (fun m -> pct (f m) (m.busy + m.idle))
+let percentile head hist p = lat head (fun m -> Stats.Hist.percentile (hist m) p)
 
-(* Robustness columns: crash/recovery work and message-fault traffic.
-   Only meaningful (and only printed automatically) when a fault plan
-   actually fired. *)
-let fault_header =
-  [
-    "engine"; "crashes"; "redone"; "recover time"; "recover%"; "retries";
-    "dup-drops";
-  ]
+let phase_tables = ref false (* the CLI/bench --phase-table flag *)
 
-let fault_cells r =
-  let m = r.metrics in
-  [
-    r.label;
-    string_of_int m.Metrics.crashes;
-    string_of_int m.Metrics.redone;
-    fmt_lat m.Metrics.recover_busy;
-    pct m.Metrics.recover_busy m.Metrics.busy;
-    string_of_int m.Metrics.msg_retries;
-    string_of_int m.Metrics.msg_dup_drops;
-  ]
+let core =
+  group "core" (fun _ -> true)
+    [
+      si "tput (txn/s)" throughput;
+      percentile "p50 lat" (fun m -> m.lat) 50.0;
+      percentile "p99 lat" (fun m -> m.lat) 99.0;
+      int "cc-aborts" (fun m -> m.cc_aborts);
+      int "commits" (fun m -> m.committed);
+      col "util" (fun m -> Printf.sprintf "%.2f" (utilization m));
+      int "msgs" (fun m -> m.msgs);
+      ( "x vs first",
+        fun ~base m ->
+          if base > 0.0 then Printf.sprintf "%.2fx" (throughput m /. base)
+          else "-" );
+    ]
 
-let print_fault_table ~title rows =
-  Printf.printf "\n== %s: fault tolerance ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:fault_header (List.map fault_cells rows)
+(* CPU time per phase (% of busy), idle time per wait cause (% of
+   busy+idle), then the pipeline columns, last so the chaos-smoke CI
+   job's column indices hold.  Stalls are per-contributing-thread
+   averages: engines stall in very different numbers of threads. *)
+let phases =
+  group "phases" (fun _ -> !phase_tables)
+    [
+      of_busy "plan" (fun m -> m.plan_busy);
+      of_busy "execute" (fun m -> m.exec_busy);
+      of_busy "recover" (fun m -> m.recover_busy);
+      of_busy "publish" (fun m -> m.publish_busy);
+      of_busy "other" (fun m -> m.other_busy);
+      of_span "busy%" (fun m -> m.busy);
+      of_span "idle:barrier" (fun m -> m.idle_barrier);
+      of_span "idle:ivar" (fun m -> m.idle_ivar);
+      of_span "idle:chan" (fun m -> m.idle_chan);
+      of_span "idle:sleep" (fun m -> m.idle_sleep);
+      lat "fill-stall/thr" fill_stall_avg;
+      lat "drain-stall/thr" drain_stall_avg;
+      int "stolen" (fun m -> m.stolen_queues);
+      pair "steal a/r" (fun m -> m.steal_attempts) (fun m -> m.steal_rejects);
+      pair "split k/q" (fun m -> m.split_keys) (fun m -> m.split_subqueues);
+      int "repart" (fun m -> m.repart_moves);
+      int "resize" (fun m -> m.batch_resizes);
+    ]
 
-let any_faulted rows = List.exists (fun r -> Metrics.faulted r.metrics) rows
+let faults =
+  group "faults" faulted
+    [
+      int "crashes" (fun m -> m.crashes);
+      int "redone" (fun m -> m.redone);
+      lat "recover time" (fun m -> m.recover_busy);
+      of_busy "recover%" (fun m -> m.recover_busy);
+      int "retries" (fun m -> m.msg_retries);
+      int "dup-drops" (fun m -> m.msg_dup_drops);
+    ]
 
-(* Overload columns: offered vs goodput, admission-control drops and
-   client-visible latency.  Only meaningful (and only printed
-   automatically) when a run used the open-loop client layer. *)
-let client_header =
-  [
-    "engine"; "offered/s"; "goodput/s"; "shed"; "dl-miss"; "retries";
-    "retry-exh"; "qmax"; "c-p50"; "c-p95"; "c-p99";
-  ]
+(* Client latency runs from first offer to commit. *)
+let clients =
+  group "clients" clients_active
+    [
+      si "offered/s" offered_rate;
+      si "goodput/s" throughput;
+      int "shed" (fun m -> m.shed);
+      int "dl-miss" (fun m -> m.deadline_miss);
+      int "retries" (fun m -> m.client_retries);
+      int "retry-exh" (fun m -> m.retry_exhausted);
+      int "qmax" (fun m -> m.qmax);
+      percentile "c-p50" (fun m -> m.client_lat) 50.0;
+      percentile "c-p95" (fun m -> m.client_lat) 95.0;
+      percentile "c-p99" (fun m -> m.client_lat) 99.0;
+    ]
 
-let client_cells r =
-  let m = r.metrics in
-  let cpct p = fmt_lat (Stats.Hist.percentile m.Metrics.client_lat p) in
-  [
-    r.label;
-    Tablefmt.fmt_si (Metrics.offered_rate m);
-    Tablefmt.fmt_si (Metrics.goodput m);
-    string_of_int m.Metrics.shed;
-    string_of_int m.Metrics.deadline_miss;
-    string_of_int m.Metrics.client_retries;
-    string_of_int m.Metrics.retry_exhausted;
-    string_of_int m.Metrics.qmax;
-    cpct 50.0;
-    cpct 95.0;
-    cpct 99.0;
-  ]
+let replication =
+  group "replication" replicated
+    [
+      int "replicas" (fun m -> m.replicas);
+      int "spec-exec" (fun m -> m.spec_executed);
+      int "spec-wasted" (fun m -> m.spec_wasted);
+      int "lag-max" (fun m -> m.rep_lag_max);
+      int "failovers" (fun m -> m.failovers);
+      col "failover time" (fun m ->
+          if m.failovers > 0 then fmt_lat m.failover_time else "-");
+      bytes "msg-bytes" (fun m -> m.msg_bytes);
+      int "dups-sent" (fun m -> m.msg_dups_sent);
+    ]
 
-let print_client_table ~title rows =
-  Printf.printf "\n== %s: offered load vs goodput ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:client_header (List.map client_cells rows)
+let wal =
+  group "wal" walled
+    [
+      int "durable-b" (fun m -> m.durable_batches);
+      col "group-avg" (fun m -> Printf.sprintf "%.1f" (wal_group_size m));
+      bytes "wal-bytes" (fun m -> m.wal_bytes);
+      int "fsyncs" (fun m -> m.wal_fsyncs);
+      int "fsync-fail" (fun m -> m.wal_fsync_fails);
+      int "snaps" (fun m -> m.snapshots);
+      int "truncs" (fun m -> m.wal_truncations);
+      int "torn" (fun m -> m.torn_records);
+      col "recovery" (fun m ->
+          if m.recovery_time > 0 then fmt_lat m.recovery_time else "-");
+    ]
 
-let any_clients rows = List.exists (fun r -> Metrics.clients_active r.metrics) rows
+let cdc =
+  group "cdc" cdc_active
+    [
+      int "events" (fun m -> m.cdc_events);
+      bytes "feed-bytes" (fun m -> m.cdc_bytes);
+      int "cdc-b" (fun m -> m.cdc_batches);
+      int "subs" (fun m -> m.cdc_subs);
+      int "sub-lag-max" (fun m -> m.cdc_lag_max);
+      int "catchup-b" (fun m -> m.cdc_catchup);
+      int "view-refr" (fun m -> m.view_refreshes);
+    ]
 
-(* Replication columns: backup speculation and failover accounting plus
-   the replication stream's wire traffic.  Only meaningful (and only
-   printed automatically) when a run had backups attached. *)
-let rep_header =
-  [
-    "engine"; "replicas"; "spec-exec"; "spec-wasted"; "lag-max"; "failovers";
-    "failover time"; "msg-bytes"; "dups-sent";
-  ]
+let groups = [ core; phases; faults; clients; replication; wal; cdc ]
+let name g = g.name
+let header g = "engine" :: List.map fst g.columns
 
-let rep_cells r =
-  let m = r.metrics in
-  [
-    r.label;
-    string_of_int m.Metrics.replicas;
-    string_of_int m.Metrics.spec_executed;
-    string_of_int m.Metrics.spec_wasted;
-    string_of_int m.Metrics.rep_lag_max;
-    string_of_int m.Metrics.failovers;
-    (if m.Metrics.failovers > 0 then fmt_lat m.Metrics.failover_time else "-");
-    Tablefmt.fmt_si (float_of_int m.Metrics.msg_bytes);
-    string_of_int m.Metrics.msg_dups_sent;
-  ]
+let cells ?baseline g r =
+  let base = Option.value baseline ~default:(throughput r.metrics) in
+  r.label :: List.map (fun (_, cell) -> cell ~base r.metrics) g.columns
 
-let print_rep_table ~title rows =
-  Printf.printf "\n== %s: replication ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:rep_header (List.map rep_cells rows)
-
-let any_replicated rows =
-  List.exists (fun r -> Metrics.replicated r.metrics) rows
-
-(* Durability columns: group-commit amortization, snapshot/truncation
-   churn and what recovery cost when a crash or disk fault hit.  Only
-   meaningful (and only printed automatically) when a run had a WAL. *)
-let wal_header =
-  [
-    "engine"; "durable-b"; "group-avg"; "wal-bytes"; "fsyncs"; "fsync-fail";
-    "snaps"; "truncs"; "torn"; "recovery";
-  ]
-
-let wal_cells r =
-  let m = r.metrics in
-  [
-    r.label;
-    string_of_int m.Metrics.durable_batches;
-    Printf.sprintf "%.1f" (Metrics.wal_group_size m);
-    Tablefmt.fmt_si (float_of_int m.Metrics.wal_bytes);
-    string_of_int m.Metrics.wal_fsyncs;
-    string_of_int m.Metrics.wal_fsync_fails;
-    string_of_int m.Metrics.snapshots;
-    string_of_int m.Metrics.wal_truncations;
-    string_of_int m.Metrics.torn_records;
-    (if m.Metrics.recovery_time > 0 then fmt_lat m.Metrics.recovery_time
-     else "-");
-  ]
-
-let print_wal_table ~title rows =
-  Printf.printf "\n== %s: durability ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:wal_header (List.map wal_cells rows)
-
-let any_walled rows = List.exists (fun r -> Metrics.walled r.metrics) rows
-
-(* CDC columns: feed volume, subscription lag and catch-up work, and
-   materialized-view refreshes.  Only meaningful (and only printed
-   automatically) when a run had a CDC hub attached. *)
-let cdc_header =
-  [
-    "engine"; "events"; "feed-bytes"; "cdc-b"; "subs"; "sub-lag-max";
-    "catchup-b"; "view-refr";
-  ]
-
-let cdc_cells r =
-  let m = r.metrics in
-  [
-    r.label;
-    string_of_int m.Metrics.cdc_events;
-    Tablefmt.fmt_si (float_of_int m.Metrics.cdc_bytes);
-    string_of_int m.Metrics.cdc_batches;
-    string_of_int m.Metrics.cdc_subs;
-    string_of_int m.Metrics.cdc_lag_max;
-    string_of_int m.Metrics.cdc_catchup;
-    string_of_int m.Metrics.view_refreshes;
-  ]
-
-let print_cdc_table ~title rows =
-  Printf.printf "\n== %s: change data capture ==\n" title;
-  match rows with
-  | [] -> print_endline "(no rows)"
-  | rows -> Tablefmt.print ~header:cdc_header (List.map cdc_cells rows)
-
-let any_cdc rows = List.exists (fun r -> Metrics.cdc_active r.metrics) rows
-
-(* When set, [print_table] and [print_sweep] follow every metrics table
-   with the phase breakdown (the CLI/bench --phase-table flag). *)
-let phase_tables = ref false
+(* One table per group any row activates, the first row as baseline. *)
+let print_groups = function
+  | [] -> ()
+  | first :: _ as rows ->
+      let baseline = throughput first.metrics in
+      List.iter
+        (fun g ->
+          if List.exists (fun r -> g.active r.metrics) rows then
+            Tablefmt.print ~header:(header g) (List.map (cells ~baseline g) rows))
+        groups
 
 let print_table ~title rows =
   Printf.printf "\n== %s ==\n" title;
-  (match rows with
-  | [] -> print_endline "(no rows)"
-  | first :: _ ->
-      let base = Metrics.throughput first.metrics in
-      Tablefmt.print ~header
-        (List.map (fun r -> to_cells ~baseline:base r) rows));
-  if !phase_tables && rows <> [] then
-    Tablefmt.print ~header:phase_header (List.map phase_cells rows);
-  if any_faulted rows then
-    Tablefmt.print ~header:fault_header (List.map fault_cells rows);
-  if any_clients rows then
-    Tablefmt.print ~header:client_header (List.map client_cells rows);
-  if any_replicated rows then
-    Tablefmt.print ~header:rep_header (List.map rep_cells rows);
-  if any_walled rows then
-    Tablefmt.print ~header:wal_header (List.map wal_cells rows);
-  if any_cdc rows then
-    Tablefmt.print ~header:cdc_header (List.map cdc_cells rows)
+  if rows = [] then print_endline "(no rows)";
+  print_groups rows
 
 let print_sweep ~title ~param series =
   Printf.printf "\n== %s ==\n" title;
   List.iter
     (fun (value, rows) ->
       Printf.printf "-- %s = %s --\n" param value;
-      match rows with
-      | [] -> ()
-      | first :: _ ->
-          let base = Metrics.throughput first.metrics in
-          Tablefmt.print ~header
-            (List.map (fun r -> to_cells ~baseline:base r) rows);
-          if !phase_tables then
-            Tablefmt.print ~header:phase_header (List.map phase_cells rows);
-          if any_faulted rows then
-            Tablefmt.print ~header:fault_header (List.map fault_cells rows);
-          if any_clients rows then
-            Tablefmt.print ~header:client_header (List.map client_cells rows);
-          if any_replicated rows then
-            Tablefmt.print ~header:rep_header (List.map rep_cells rows);
-          if any_walled rows then
-            Tablefmt.print ~header:wal_header (List.map wal_cells rows);
-          if any_cdc rows then
-            Tablefmt.print ~header:cdc_header (List.map cdc_cells rows))
+      print_groups rows)
     series
-
-let best_throughput rows =
-  List.fold_left
-    (fun acc r -> Float.max acc (Metrics.throughput r.metrics))
-    0.0 rows

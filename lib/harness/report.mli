@@ -1,86 +1,40 @@
-(** Benchmark report rendering: one row per engine/configuration with the
-    metrics the paper reports (throughput, latency, aborts). *)
+(** Benchmark report tables: one row per engine/configuration.  The
+    metric catalogue describes each group of {!Quill_txn.Metrics.t}
+    columns once, as data, and every table is derived from it. *)
 
-type row = {
-  label : string;
-  metrics : Quill_txn.Metrics.t;
-}
+type row = { label : string; metrics : Quill_txn.Metrics.t }
 
-val header : string list
+type group
+(** A named list of columns (header text plus a cell over a row's
+    metrics) with the rule deciding whether a table prints it. *)
 
-val to_cells : ?baseline:float -> row -> string list
-(** [baseline] is a throughput used for the speedup column (defaults to
-    the row's own throughput, i.e. 1.00x). *)
+val core : group
+(** Throughput, p50/p99 latency, cc aborts, commits, utilization,
+    messages and the speedup over the baseline ("x vs first").  Always
+    printed. *)
+
+val groups : group list
+(** The catalogue in print order: core; phases (busy time per phase,
+    idle time per wait cause, pipeline and adaptive-planning counters;
+    printed when {!phase_tables} is set); then faults, clients,
+    replication, wal and cdc, each printed when any row's counters for
+    it are live. *)
+
+val name : group -> string
+val header : group -> string list
+
+val cells : ?baseline:float -> group -> row -> string list
+(** One table row, label first.  [baseline] is the throughput the
+    speedup column divides by (defaults to the row's own, i.e. 1.00x). *)
+
+val phase_tables : bool ref
+(** When true, every table includes the phases group (default false). *)
 
 val print_table : title:string -> row list -> unit
-(** Prints the table with the FIRST row as the speedup baseline (so
-    "x vs first" reads as QueCC-relative when QueCC is first). *)
+(** Prints one table per active group, with the FIRST row as the
+    speedup baseline (so "x vs first" reads as QueCC-relative when QueCC
+    is first). *)
 
 val print_sweep :
   title:string -> param:string -> (string * row list) list -> unit
-(** Series output: one table per parameter value. *)
-
-val phase_header : string list
-
-val phase_cells : row -> string list
-
-val print_phase_table : title:string -> row list -> unit
-(** Per-phase CPU breakdown (plan/execute/recover/publish/other as % of
-    busy time) plus idle time split by wait cause (% of busy+idle). *)
-
-val fault_header : string list
-val fault_cells : row -> string list
-
-val print_fault_table : title:string -> row list -> unit
-(** Robustness columns: crashes consumed, redone work, recovery time
-    (absolute and as % of busy), message retries and suppressed
-    duplicates.  {!print_table}/{!print_sweep} append this table
-    automatically whenever any row's fault counters are nonzero. *)
-
-val client_header : string list
-val client_cells : row -> string list
-
-val print_client_table : title:string -> row list -> unit
-(** Overload columns: offered vs goodput rates, admission-queue sheds,
-    deadline misses, retry traffic and client-visible latency
-    percentiles (queueing + service + retries, from first offer to
-    commit).  {!print_table}/{!print_sweep} append this table
-    automatically whenever any row ran with the open-loop client
-    layer. *)
-
-val rep_header : string list
-val rep_cells : row -> string list
-
-val print_rep_table : title:string -> row list -> unit
-(** Replication columns: backup count, speculative execution done and
-    rolled back, the worst observed commit-marker lag, failover count
-    and time, and the replication stream's wire bytes plus fault-plan
-    duplicate injections.  {!print_table}/{!print_sweep} append this
-    table automatically whenever any row ran with backups. *)
-
-val wal_header : string list
-val wal_cells : row -> string list
-
-val print_wal_table : title:string -> row list -> unit
-(** Durability columns: durable batch count, average group-commit size,
-    log bytes and fsync traffic, snapshot/truncation churn, torn-record
-    detections and the recovery-scan time when a crash or disk fault
-    hit.  {!print_table}/{!print_sweep} append this table automatically
-    whenever any row ran with a WAL. *)
-
-val cdc_header : string list
-val cdc_cells : row -> string list
-
-val print_cdc_table : title:string -> row list -> unit
-(** CDC columns: canonical feed events and serialized bytes, feed
-    entries published, subscription count, the worst observed
-    subscriber lag, batches absorbed through catch-up (late join or
-    overflow re-seed) and materialized-view refreshes.
-    {!print_table}/{!print_sweep} append this table automatically
-    whenever any row ran with a CDC hub. *)
-
-val phase_tables : bool ref
-(** When true, {!print_table} and {!print_sweep} append the phase
-    breakdown after every metrics table (default false). *)
-
-val best_throughput : row list -> float
+(** Series output: the tables of {!print_table} per parameter value. *)

@@ -47,4 +47,8 @@ val to_chrome_json : t -> string
     [{"displayTimeUnit":"ns","traceEvents":[...]}].  [ts]/[dur] are
     emitted in (fractional) microseconds as the format requires. *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s] (quotes, backslashes and
+    control characters escaped; no surrounding quotes). *)
+
 val write_file : t -> string -> unit

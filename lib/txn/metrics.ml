@@ -219,27 +219,8 @@ let pp fmt t =
     (Stats.Hist.percentile t.lat 99.0)
     (utilization t)
 
-let pp_phases fmt t =
-  let pct part whole =
-    if whole <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
-  in
-  Format.fprintf fmt
-    "busy: plan=%d exec=%d recover=%d publish=%d other=%d (phases=%.1f%%); \
-     idle: barrier=%d ivar=%d chan=%d sleep=%d"
-    t.plan_busy t.exec_busy t.recover_busy t.publish_busy t.other_busy
-    (pct (phase_busy t) t.busy)
-    t.idle_barrier t.idle_ivar t.idle_chan t.idle_sleep
-
 let faulted t =
   t.crashes > 0 || t.redone > 0 || t.msg_retries > 0 || t.msg_dup_drops > 0
-
-let pp_faults fmt t =
-  Format.fprintf fmt
-    "crashes=%d redone=%d recover_busy=%dns retries=%d dup_drops=%d" t.crashes
-    t.redone t.recover_busy t.msg_retries t.msg_dup_drops
-
-let pipelined t =
-  t.pipe_fill_stall > 0 || t.pipe_drain_stall > 0 || t.stolen_queues > 0
 
 (* Per-thread stall averages: the raw sums add one elapsed-sized term
    per participating thread, so engines with different planner/executor
@@ -247,30 +228,7 @@ let pipelined t =
 let fill_stall_avg t = t.pipe_fill_stall / max 1 t.pipe_fill_threads
 let drain_stall_avg t = t.pipe_drain_stall / max 1 t.pipe_drain_threads
 
-let adaptive t =
-  t.split_keys > 0 || t.split_subqueues > 0 || t.repart_moves > 0
-  || t.batch_resizes > 0
-
-let pp_pipeline fmt t =
-  Format.fprintf fmt
-    "fill_stall=%dns/thr drain_stall=%dns/thr stolen=%d \
-     steal_attempts=%d steal_rejects=%d"
-    (fill_stall_avg t) (drain_stall_avg t) t.stolen_queues t.steal_attempts
-    t.steal_rejects
-
-let pp_adaptive fmt t =
-  Format.fprintf fmt
-    "split_keys=%d split_subqueues=%d repart_moves=%d batch_resizes=%d"
-    t.split_keys t.split_subqueues t.repart_moves t.batch_resizes
-
 let replicated t = t.replicas > 0
-
-let pp_replication fmt t =
-  Format.fprintf fmt
-    "replicas=%d spec_exec=%d spec_wasted=%d lag_max=%d failovers=%d \
-     failover_time=%dns bytes=%d dups_sent=%d"
-    t.replicas t.spec_executed t.spec_wasted t.rep_lag_max t.failovers
-    t.failover_time t.msg_bytes t.msg_dups_sent
 
 let walled t = t.wal_fsyncs > 0 || t.wal_bytes > 0 || t.wal_fsync_fails > 0
 
@@ -278,37 +236,10 @@ let wal_group_size t =
   if t.wal_fsyncs = 0 then 0.0
   else float_of_int t.wal_group_txns /. float_of_int t.wal_fsyncs
 
-let pp_wal fmt t =
-  Format.fprintf fmt
-    "wal_bytes=%d fsyncs=%d (fails=%d) group=%.0ftxn snapshots=%d \
-     truncations=%d torn=%d durable_batches=%d recovery=%dns"
-    t.wal_bytes t.wal_fsyncs t.wal_fsync_fails (wal_group_size t) t.snapshots
-    t.wal_truncations t.torn_records t.durable_batches t.recovery_time
-
 let cdc_active t = t.cdc_subs > 0 || t.cdc_events > 0 || t.cdc_batches > 0
 
-let pp_cdc fmt t =
-  Format.fprintf fmt
-    "cdc_events=%d bytes=%d batches=%d subs=%d lag_max=%d catchup=%d \
-     view_refreshes=%d"
-    t.cdc_events t.cdc_bytes t.cdc_batches t.cdc_subs t.cdc_lag_max
-    t.cdc_catchup t.view_refreshes
-
 let clients_active t = t.offered > 0
-
-let goodput t =
-  if t.elapsed <= 0 then 0.0
-  else float_of_int t.committed /. (float_of_int t.elapsed /. 1e9)
 
 let offered_rate t =
   if t.elapsed <= 0 then 0.0
   else float_of_int t.offered /. (float_of_int t.elapsed /. 1e9)
-
-let pp_clients fmt t =
-  Format.fprintf fmt
-    "offered=%d (%.0f/s) goodput=%.0f/s shed=%d dl_miss=%d retries=%d \
-     retry_exh=%d qmax=%d c-p50=%dns c-p99=%dns"
-    t.offered (offered_rate t) (goodput t) t.shed t.deadline_miss
-    t.client_retries t.retry_exhausted t.qmax
-    (Stats.Hist.percentile t.client_lat 50.0)
-    (Stats.Hist.percentile t.client_lat 99.0)

@@ -120,20 +120,13 @@ val abort_rate : t -> float
 (** cc aborts / (commits + cc aborts): wasted-execution fraction. *)
 
 val utilization : t -> float
-val pp : Format.formatter -> t -> unit
 
-val pp_phases : Format.formatter -> t -> unit
-(** One-line per-phase busy / per-cause idle breakdown. *)
+val pp : Format.formatter -> t -> unit
+(** One-line summary: commits, aborts, throughput, p50/p99 latency and
+    utilization. *)
 
 val faulted : t -> bool
 (** True when any fault/recovery counter is nonzero. *)
-
-val pp_faults : Format.formatter -> t -> unit
-(** One-line crash / redone-work / message-fault summary. *)
-
-val pipelined : t -> bool
-(** True when any pipeline counter is nonzero (the run overlapped
-    planning and execution, or stole queues). *)
 
 val fill_stall_avg : t -> int
 (** [pipe_fill_stall] per contributing thread: comparable across engines
@@ -142,22 +135,8 @@ val fill_stall_avg : t -> int
 val drain_stall_avg : t -> int
 (** [pipe_drain_stall] per contributing thread. *)
 
-val adaptive : t -> bool
-(** True when any adaptive-planning counter is nonzero (hot-key splits,
-    repartition moves or batch resizes happened). *)
-
-val pp_pipeline : Format.formatter -> t -> unit
-(** One-line fill-stall / drain-stall / steal summary (stalls shown
-    per contributing thread). *)
-
-val pp_adaptive : Format.formatter -> t -> unit
-(** One-line split / repartition / batch-resize summary. *)
-
 val replicated : t -> bool
 (** True when the run streamed queues to backup replicas. *)
-
-val pp_replication : Format.formatter -> t -> unit
-(** One-line replication / speculation / failover summary. *)
 
 val walled : t -> bool
 (** True when the run appended to (or tried to flush) a WAL. *)
@@ -165,25 +144,11 @@ val walled : t -> bool
 val wal_group_size : t -> float
 (** Mean transactions per successful group-commit flush. *)
 
-val pp_wal : Format.formatter -> t -> unit
-(** One-line WAL bytes / fsync / snapshot / truncation / recovery
-    summary. *)
-
 val cdc_active : t -> bool
 (** True when the run published a change feed or had subscribers. *)
-
-val pp_cdc : Format.formatter -> t -> unit
-(** One-line feed / subscription-lag / catch-up / view summary. *)
 
 val clients_active : t -> bool
 (** True when the run was driven by open-loop clients (offered > 0). *)
 
-val goodput : t -> float
-(** Committed transactions per virtual second (same as throughput; the
-    client tables use the offered-vs-goodput framing). *)
-
 val offered_rate : t -> float
 (** Offered transactions per virtual second. *)
-
-val pp_clients : Format.formatter -> t -> unit
-(** One-line offered/goodput/shed/deadline/retry/latency summary. *)

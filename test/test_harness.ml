@@ -275,23 +275,73 @@ let test_trace_export_and_phases () =
     m.Metrics.elapsed
 
 let test_report_rendering () =
+  let module R = Quill_harness.Report in
   let m = Metrics.create () in
   m.Metrics.committed <- 1234;
   m.Metrics.elapsed <- 1_000_000_000;
+  m.Metrics.threads <- 8;
+  m.Metrics.busy <- 6_000_000_000;
+  m.Metrics.idle <- 2_000_000_000;
+  m.Metrics.crashes <- 1;
+  m.Metrics.offered <- 2000;
+  m.Metrics.replicas <- 2;
+  m.Metrics.failovers <- 1;
+  m.Metrics.wal_fsyncs <- 3;
+  m.Metrics.recovery_time <- 40_000;
+  m.Metrics.cdc_events <- 10;
   Quill_common.Stats.Hist.add m.Metrics.lat 5_000;
-  let cells =
-    Quill_harness.Report.to_cells { Quill_harness.Report.label = "x"; metrics = m }
-  in
-  Tutil.check_int "cell count" (List.length Quill_harness.Report.header)
-    (List.length cells);
-  Alcotest.(check string) "label" "x" (List.hd cells);
+  Quill_common.Stats.Hist.add m.Metrics.client_lat 7_000;
+  let r = { R.label = "x"; metrics = m } in
+  (* Tablefmt.render raises on a row longer than its header and
+     misaligns a shorter one, so every group must match exactly. *)
+  Tutil.check_int "seven groups" 7 (List.length R.groups);
+  List.iter
+    (fun g ->
+      let cells = R.cells g r in
+      Tutil.check_int (R.name g ^ " cell count") (List.length (R.header g))
+        (List.length cells);
+      Alcotest.(check string) (R.name g ^ " label") "x" (List.hd cells);
+      ignore (Quill_common.Tablefmt.render ~header:(R.header g) [ cells ]))
+    R.groups;
+  let cells = R.cells R.core r in
   Alcotest.(check string) "tput si" "1.23k" (List.nth cells 1);
   (* speedup vs explicit baseline *)
-  let cells2 =
-    Quill_harness.Report.to_cells ~baseline:617.0
-      { Quill_harness.Report.label = "x"; metrics = m }
-  in
+  let cells2 = R.cells ~baseline:617.0 R.core r in
   Alcotest.(check string) "speedup" "2.00x" (List.nth cells2 8)
+
+(* The BENCH writer's layout, and JSON (not OCaml) string escapes: a
+   label with a quote, a backslash and a control character must still
+   parse. *)
+let test_bench_json () =
+  let module J = Quill_harness.Bench_json in
+  let s =
+    J.render ~experiment:"t" ~scale:0.25
+      ~head:
+        [
+          ("overhead_pct", J.Fixed (2, 1.5));
+          ("crash", J.Obj [ ("ok", J.Bool true) ]);
+        ]
+      [
+        [ ("label", J.Str "a\"b\\c\001d"); ("tput", J.Fixed (1, 2.0)) ];
+        [ ("label", J.Str "plain"); ("theta", J.Num 0.6); ("n", J.Int 3) ];
+      ]
+  in
+  (match Tutil.json_error s with
+  | None -> ()
+  | Some err -> Alcotest.failf "bench JSON malformed: %s\n%s" err s);
+  Alcotest.(check string) "layout"
+    {|{
+  "experiment": "t",
+  "scale": 0.25,
+  "overhead_pct": 1.50,
+  "crash": {"ok": true},
+  "rows": [
+    {"label": "a\"b\\c\u0001d", "tput": 2.0},
+    {"label": "plain", "theta": 0.6, "n": 3}
+  ]
+}
+|}
+    s
 
 let () =
   Alcotest.run "harness"
@@ -315,5 +365,8 @@ let () =
             test_trace_export_and_phases;
         ] );
       ( "report",
-        [ Alcotest.test_case "rendering" `Quick test_report_rendering ] );
+        [
+          Alcotest.test_case "rendering" `Quick test_report_rendering;
+          Alcotest.test_case "bench json" `Quick test_bench_json;
+        ] );
     ]

@@ -159,9 +159,18 @@ let json_error s =
       | Some '"' -> advance ()
       | Some '\\' ->
           advance ();
-          if peek () = None then fail "bad escape";
-          advance ();
+          (match peek () with
+          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
+          | Some 'u' ->
+              advance ();
+              for _ = 1 to 4 do
+                match peek () with
+                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
+                | _ -> fail "bad \\u escape"
+              done
+          | _ -> fail "bad escape");
           go ()
+      | Some c when Char.code c < 0x20 -> fail "raw control character"
       | Some _ ->
           advance ();
           go ()
