@@ -251,7 +251,7 @@ let list_engines_cmd () =
    observability), so the flag groups mirror the Capability sets the
    chokepoint validates against. *)
 let s_workload = "WORKLOAD AND SCALE"
-let s_exec = "EXECUTION (quecc family)"
+let s_exec = "EXECUTION (pipeline and adaptive capabilities)"
 let s_faults = "FAULT INJECTION (faults capability)"
 let s_clients = "OPEN-LOOP CLIENTS (clients capability)"
 let s_wal = "DURABILITY (wal capability)"
@@ -360,9 +360,9 @@ let pipeline_t =
     value & flag
     & info [ "pipeline" ] ~docs:s_exec
         ~doc:
-          "QueCC engines: overlap planning of batch N+1 with execution of \
-           batch N (committed state stays bit-identical per seed).  \
-           Ignored by engines without a planning phase.")
+          "QueCC and the distributed engines: overlap planning of batch \
+           N+1 with execution of batch N (committed state stays \
+           bit-identical per seed).  Other engines reject it (exit 2).")
 
 let steal_t =
   Arg.(
@@ -387,7 +387,7 @@ let adapt_t =
     & opt (some string) None
     & info [ "adapt" ] ~docs:s_exec ~docv:"repart|batch|all"
         ~doc:
-          "QueCC adaptive planning: 'repart' rebalances key-to-executor routing between batches from queue-depth counters (state-identical); 'batch' auto-tunes the batch size from pipeline stall counters (pipelined closed-loop runs only; alters the schedule); 'all' enables both.")
+          "QueCC adaptive planning: 'repart' rebalances key-to-executor routing between batches from queue-depth counters (state-identical); 'batch' auto-tunes the batch size from pipeline stall counters (pipelined closed-loop runs only, exit 2 otherwise; alters the schedule); 'all' enables both.")
 
 let replicas_t =
   Arg.(

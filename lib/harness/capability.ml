@@ -1,6 +1,6 @@
-type t = Faults | Clients | Dist | Wal | Cdc | Replication
+type t = Faults | Clients | Dist | Wal | Cdc | Replication | Pipeline | Adaptive
 
-let all = [ Faults; Clients; Dist; Wal; Cdc; Replication ]
+let all = [ Faults; Clients; Dist; Wal; Cdc; Replication; Pipeline; Adaptive ]
 
 let to_string = function
   | Faults -> "faults"
@@ -9,6 +9,8 @@ let to_string = function
   | Wal -> "wal"
   | Cdc -> "cdc"
   | Replication -> "replication"
+  | Pipeline -> "pipeline"
+  | Adaptive -> "adaptive"
 
 let mem = List.mem
 

@@ -13,6 +13,11 @@ type t =
   | Wal          (** durable group-commit WAL ([--wal]) *)
   | Cdc          (** ordered commit-stream subscriptions ([--cdc]) *)
   | Replication  (** HA queue replication ([--replicas N]) *)
+  | Pipeline     (** overlapped plan/execute batches ([--pipeline]) *)
+  | Adaptive
+      (** queue-level adaptation: work stealing ([--steal]), hot-key
+          splitting ([--split]) and between-batch adaptation
+          ([--adapt]) *)
 
 val all : t list
 (** Every capability, in canonical order. *)

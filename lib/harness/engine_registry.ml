@@ -91,7 +91,7 @@ let () =
 let quecc_module name mode isolation : Engine_intf.t =
   (module struct
     let name = name
-    let caps = [ C.Faults; C.Clients; C.Wal; C.Cdc ]
+    let caps = [ C.Faults; C.Clients; C.Wal; C.Cdc; C.Pipeline; C.Adaptive ]
     let nodes = 1
     let nparts _ = None
 
@@ -279,7 +279,7 @@ let nodes_suffix ~prefix s =
 let dist_quecc_module n : Engine_intf.t =
   (module struct
     let name = Printf.sprintf "dist-quecc-%dn" n
-    let caps = [ C.Faults; C.Clients; C.Dist; C.Replication ]
+    let caps = [ C.Faults; C.Clients; C.Dist; C.Replication; C.Pipeline ]
     let nodes = n
     let nparts cfg = Some (n * max 1 (cfg.RC.threads / 2))
 
@@ -303,7 +303,7 @@ let dist_quecc_module n : Engine_intf.t =
 let dist_calvin_module n : Engine_intf.t =
   (module struct
     let name = Printf.sprintf "dist-calvin-%dn" n
-    let caps = [ C.Faults; C.Clients; C.Dist ]
+    let caps = [ C.Faults; C.Clients; C.Dist; C.Pipeline ]
     let nodes = n
     let nparts _ = Some (n * 4)
 

@@ -135,6 +135,13 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
          (if t.replicas > 0 then
             [ (Capability.Replication, "--replicas") ]
           else []);
+         (if t.pipeline then [ (Capability.Pipeline, "--pipeline") ] else []);
+         (if t.steal then [ (Capability.Adaptive, "--steal") ] else []);
+         (if t.split <> None then [ (Capability.Adaptive, "--split") ]
+          else []);
+         (if t.adapt_repart || t.adapt_batch then
+            [ (Capability.Adaptive, "--adapt") ]
+          else []);
        ]);
   (* Cross-feature constraints (combinations of features the engine
      individually supports). *)

@@ -21,8 +21,8 @@ let default_split = { hot_threshold = 32; max_subqueues = 8 }
 
 (* Between-batch adaptation.  [repartition] remaps virtual partitions
    ([spread] per executor) to executors by measured per-partition load;
-   [auto_batch] lets pipelined runs tune the batch size from the
-   fill/drain stall split, never below [min_batch]. *)
+   [auto_batch] lets pipelined closed-loop runs tune the batch size
+   from the fill/drain stall split, never below [min_batch]. *)
 type adapt_cfg = {
   repartition : bool;
   spread : int;
@@ -240,20 +240,7 @@ type exec_state = {
   locate : Fragment.t -> Row.t option;
 }
 
-let dummy_txn = Txn.make ~tid:(-1) [||]
-
-let dummy_rt =
-  {
-    txn = dummy_txn;
-    bidx = -1;
-    slots = [||];
-    resolved = Sim.Ivar.create ();
-    pending_aborters = 0;
-    deps_on = Vec.create ();
-    inserts = [];
-    logic_abort = false;
-    entry = None;
-  }
+let dummy_rt = make_rt (Txn.make ~tid:(-1) [||]) (-1)
 
 (* Field-level speculation state: edges are recorded per (row, field) so
    that transactions touching disjoint fields of a hot row (Payment's
@@ -903,27 +890,27 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
          else 1)
     done
 
-let plan_slice sh ~parity ~bno ?size p stream rr =
-  let batch_size = match size with Some s -> s | None -> sh.cfg.batch_size in
-  let start, count =
-    slice_bounds ~batch_size ~planners:sh.cfg.planners p
-  in
-  plan_txns sh ~parity ~bno p ~start ~count
-    ~get:(fun _ -> (stream (), None))
-    rr
+(* Where a batch's transactions come from: [Stream n], [n] transactions
+   drawn from the planners' workload streams, each planner its own
+   slice (closed loop, fixed or auto-tuned size), or [Admitted entries],
+   whatever the admission queue held at batch-close (client mode,
+   variable size). *)
+type work = Stream of int | Admitted of Clients.entry array
 
-(* Client mode: the batch is whatever [drain] returned at batch-close, so
-   its size varies; planners split it the same way they split a fixed
-   batch.  A planner whose slice is empty still clears its queues. *)
-let plan_slice_clients sh ~parity ~bno p entries rr =
-  let start, count =
-    slice_bounds ~batch_size:(Array.length entries)
-      ~planners:sh.cfg.planners p
+(* Plan planner [p]'s slice of the batch; every planner splits it the
+   same way, and one whose slice is empty still clears its queues. *)
+let plan_work sh ~streams ~parity ~bno p work rr =
+  let batch_size =
+    match work with Stream n -> n | Admitted es -> Array.length es
   in
+  let start, count = slice_bounds ~batch_size ~planners:sh.cfg.planners p in
   plan_txns sh ~parity ~bno p ~start ~count
     ~get:(fun j ->
-      let e = entries.(start + j) in
-      (e.Clients.txn, Some e))
+      match work with
+      | Stream _ -> (streams.(p) (), None)
+      | Admitted es ->
+          let e = es.(start + j) in
+          (e.Clients.txn, Some e))
     rr
 
 (* ------------------------------------------------------------------ *)
@@ -1094,6 +1081,25 @@ let next_batch_size sh abs =
   abs.abs_remaining <- abs.abs_remaining - sz;
   sz
 
+(* Batch [b]'s work, or [None] at the end of the run: once the node has
+   crashed, once the [batches] fixed-size batches are out, once the
+   auto-tuned budget is spent, or once a drain comes back empty (every
+   client transaction is finally resolved).  Only the fixed-size answer
+   is a pure function of [b]; the other two consume state, so each batch
+   asks once and shares the answer. *)
+let next_work ?clients sh ~batches b =
+  if Commit_point.crashed sh.cp then None
+  else
+    match (clients, sh.abs) with
+    | Some c, _ -> (
+        match Clients.drain c ~node:0 ~max:sh.cfg.batch_size with
+        | [||] -> None
+        | es -> Some (Admitted es))
+    | None, Some abs -> (
+        match next_batch_size sh abs with 0 -> None | n -> Some (Stream n))
+    | None, None ->
+        if b < batches then Some (Stream sh.cfg.batch_size) else None
+
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1144,8 +1150,7 @@ let execute sh st ctx ~parity =
    recovery slot on thread 0.  Nothing is published in a batch the node
    died in. *)
 let publish_own sh t =
-  let crashed = Commit_point.crashed sh.cp in
-  if (not crashed) && (t < sh.cfg.executors || t = 0) then
+  if t < sh.cfg.executors && not (Commit_point.crashed sh.cp) then
     Sim.in_phase sh.sim Sim.Ph_publish t (fun () ->
         if t < sh.cfg.executors then Commit_point.publish sh.cp t;
         if t = 0 then Commit_point.publish sh.cp sh.cfg.executors)
@@ -1180,14 +1185,12 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
   let cfg = sh.cfg in
   let nthreads = max cfg.planners cfg.executors in
   let barrier = Sim.Barrier.create nthreads in
-  (* Client mode: thread 0 closes each batch by draining the admission
-     queue; the resulting (variable-size) batch is shared through
-     [pending].  [continue_] flips when the drain comes back empty —
-     every client transaction is finally resolved, so no batch can ever
-     form again.  All threads read it after the same barrier, keeping
-     barrier counts uniform. *)
-  let continue_ = ref true in
-  let pending = ref [||] in
+  let local = clients = None && sh.abs = None in
+  (* A shared decision is made by thread 0 strictly before the round
+     barrier and read by everyone strictly after it, so every thread runs
+     the same barrier sequence (a bare loop check here deadlocks: late
+     checkers exit while early checkers park on the round barrier). *)
+  let decision = ref None in
   for t = 0 to nthreads - 1 do
     Sim.spawn sim (fun () ->
         let st, ctx = new_executor sh t in
@@ -1200,49 +1203,35 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
           publish_own sh t;
           Sim.Barrier.await sim barrier
         in
-        let run_batch plan_fn =
-          if t < cfg.planners then Sim.in_phase sim Sim.Ph_plan t plan_fn;
-          Sim.Barrier.await sim barrier;
-          if t < cfg.executors then execute sh st ctx ~parity:0;
-          Sim.Barrier.await sim barrier;
-          (* A crash at thread 0's commit point kills the batch; every
-             thread unwinds after the publish barrier. *)
-          if t = 0 then
-            close_batch ?clients sh ~parity:0 ~tid:t ~bno:sh.batch_no
-              ~published
-          else published ()
-        in
-        match clients with
-        | None ->
-            for b = 0 to batches - 1 do
-              if not (Commit_point.crashed sh.cp) then begin
-                if t = 0 then sh.batch_no <- b;
-                run_batch (fun () ->
-                    plan_slice sh ~parity:0 ~bno:b t streams.(t) rr)
-              end
-            done
-        | Some c ->
-            (* Every thread runs the same barrier sequence per round:
-               thread 0 decides [continue_] strictly before the round
-               barrier and everyone reads it strictly after, so the
-               decision can never race a thread's loop check (a bare
-               [while !continue_] here deadlocks: late checkers exit
-               while early checkers park on the round barrier). *)
-            let rec loop () =
-              if t = 0 then begin
-                pending := Clients.drain c ~node:0 ~max:cfg.batch_size;
-                continue_ := Array.length !pending > 0;
-                if !continue_ then sh.batch_no <- sh.batch_no + 1
-              end;
+        let rec loop b =
+          let work =
+            if local then next_work ?clients sh ~batches b
+            else begin
+              if t = 0 then decision := next_work ?clients sh ~batches b;
               Sim.Barrier.await sim barrier;
-              if !continue_ then begin
-                run_batch (fun () ->
-                    plan_slice_clients sh ~parity:0 ~bno:sh.batch_no t
-                      !pending rr);
-                loop ()
-              end
-            in
-            loop ())
+              !decision
+            end
+          in
+          match work with
+          | None -> ()
+          | Some w ->
+              if t = 0 then sh.batch_no <- b;
+              if t < cfg.planners then
+                Sim.in_phase sim Sim.Ph_plan t (fun () ->
+                    plan_work sh ~streams ~parity:0 ~bno:b t w rr);
+              Sim.Barrier.await sim barrier;
+              if t < cfg.executors then execute sh st ctx ~parity:0;
+              Sim.Barrier.await sim barrier;
+              (* A crash at thread 0's commit point kills the batch; every
+                 thread unwinds after the publish barrier. *)
+              if t = 0 then
+                close_batch ?clients sh ~parity:0 ~tid:t ~bno:b ~published
+              else published ();
+              loop (b + 1)
+        in
+        (* Client batches are numbered from 1: the WAL's snapshot cadence
+           follows the batch number. *)
+        loop (if clients = None then 0 else 1))
   done;
   nthreads
 
@@ -1251,217 +1240,139 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
 (* double-buffered queues, one hand-off per batch.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-batch one-shot synchronisation, lazily created on first access
-   (any thread may get there first; creation never yields, so the
-   check-then-add pair is atomic under the cooperative scheduler):
-     planned(b)    gate(planners)   planners arrive after planning b
-     start(b)      bool ivar        executor 0 opens batch b (false = stop)
-     exec_done(b)  gate(executors)  executors arrive after draining b
-     recovered(b)  unit ivar        recovery + accounting of b is done
-     published(b)  gate(executors)  all slots of b are published
-     pending(b)    entries ivar     client mode: the drained batch b
-   Batch b for an executor: await start(b) -> drain parity (b land 1) ->
-   arrive exec_done(b) -> [e0: recover/account, fill recovered(b)] ->
-   publish own slot -> arrive published(b) -> [e0: await published(b),
-   await planned(b+1), advance batch_no, fill start(b+1)].  A planner
-   plans b as soon as recovered(b-2) is filled — the parity buffer is
+(* Per-batch one-shot synchronisation.  Batch b for an executor: await
+   start -> drain parity (b land 1) -> arrive exec_done -> [e0:
+   recover/account, fill recovered] -> publish own slot -> arrive
+   published -> [e0: await published, then open b+1].  A planner plans
+   b as soon as recovered(b-2) is filled — the parity buffer is
    guaranteed drained — so planning b overlaps execution of b-1 and
    publish/recovery of b-2 overlaps planning of b.  Publish of b
    completing before start(b+1) is what keeps read-committed reads and
    cross-slot recovery exact: committed images only ever change between
    batches, exactly as in the lockstep path. *)
+type batch_sync = {
+  planned : Sim.Gate.g;  (* planners arrive after planning b *)
+  start : bool Sim.Ivar.iv;  (* executor 0 opens b (false = stop) *)
+  exec_done : Sim.Gate.g;  (* executors arrive after draining b *)
+  recovered : unit Sim.Ivar.iv;  (* recovery + accounting of b is done *)
+  published : Sim.Gate.g;  (* all slots of b are published *)
+  decision : work option Sim.Ivar.iv;
+      (* b's work unless every thread decides it locally *)
+}
+
 let spawn_pipelined sim sh ?clients ~batches ~streams () =
   let cfg = sh.cfg in
   let m = sh.metrics in
-  let planned_g : (int, Sim.Gate.g) Hashtbl.t = Hashtbl.create 16 in
-  let exec_done_g : (int, Sim.Gate.g) Hashtbl.t = Hashtbl.create 16 in
-  let published_g : (int, Sim.Gate.g) Hashtbl.t = Hashtbl.create 16 in
-  let start_iv : (int, bool Sim.Ivar.iv) Hashtbl.t = Hashtbl.create 16 in
-  let recovered_iv : (int, unit Sim.Ivar.iv) Hashtbl.t = Hashtbl.create 16 in
-  let pending_iv : (int, Clients.entry array Sim.Ivar.iv) Hashtbl.t =
-    Hashtbl.create 16
+  let local = clients = None && sh.abs = None in
+  (* One record per batch in flight, created on first access (any thread
+     may get there first; creation never yields, so the check-then-add
+     pair is atomic under the cooperative scheduler) and removed once
+     batch b+2 closes: by then every planner of b+2 has read
+     recovered(b). *)
+  let syncs : (int, batch_sync) Hashtbl.t = Hashtbl.create 4 in
+  let sync b =
+    try Hashtbl.find syncs b
+    with Not_found ->
+      let s =
+        {
+          planned = Sim.Gate.create cfg.planners;
+          start = Sim.Ivar.create ();
+          exec_done = Sim.Gate.create cfg.executors;
+          recovered = Sim.Ivar.create ();
+          published = Sim.Gate.create cfg.executors;
+          decision = Sim.Ivar.create ();
+        }
+      in
+      Hashtbl.add syncs b s;
+      s
   in
-  (* Auto-batch mode: planner 0 publishes the tuned size of batch b
-     through size(b); 0 = the transaction budget is spent, unwind (the
-     closed-loop analogue of client mode's empty drain). *)
-  let size_iv : (int, int Sim.Ivar.iv) Hashtbl.t = Hashtbl.create 16 in
-  let gate tbl ~parties b =
-    match Hashtbl.find_opt tbl b with
-    | Some g -> g
-    | None ->
-        let g = Sim.Gate.create parties in
-        Hashtbl.add tbl b g;
-        g
+  (* Batch b's work.  A shared decision is made by planner 0 once the
+     buffer frees; the other planners and executor 0 read it. *)
+  let work_of ?(decide = false) s b =
+    if local then next_work ?clients sh ~batches b
+    else begin
+      if decide then
+        Sim.Ivar.fill sim s.decision (next_work ?clients sh ~batches b);
+      Sim.Ivar.read sim s.decision
+    end
   in
-  let ivar : 'a. (int, 'a Sim.Ivar.iv) Hashtbl.t -> int -> 'a Sim.Ivar.iv =
-   fun tbl b ->
-    match Hashtbl.find_opt tbl b with
-    | Some iv -> iv
-    | None ->
-        let iv = Sim.Ivar.create () in
-        Hashtbl.add tbl b iv;
-        iv
-  in
-  let fill_stall t0 =
-    m.Metrics.pipe_fill_stall <-
-      m.Metrics.pipe_fill_stall + (Sim.now sim - t0)
-  in
+  (* Only a fixed-size run knows its end before deciding a batch. *)
+  let may_run b = (not local) || b < batches in
   (* Planner threads (trace tids above the executor range). *)
   for p = 0 to cfg.planners - 1 do
     Sim.spawn sim (fun () ->
         let tid = cfg.executors + p in
         let rr = ref p in
-        let await_drained b =
-          (* The parity buffer for b is reusable once batch b-2 has been
-             recovered and accounted. *)
-          if b >= 2 then begin
-            let t0 = Sim.now sim in
-            Sim.Ivar.read sim (ivar recovered_iv (b - 2));
-            m.Metrics.pipe_drain_stall <-
-              m.Metrics.pipe_drain_stall + (Sim.now sim - t0)
+        let rec loop b =
+          if may_run b then begin
+            (* The parity buffer for b is reusable once batch b-2 has been
+               recovered and accounted. *)
+            if b >= 2 then begin
+              let t0 = Sim.now sim in
+              Sim.Ivar.read sim (sync (b - 2)).recovered;
+              m.Metrics.pipe_drain_stall <-
+                m.Metrics.pipe_drain_stall + (Sim.now sim - t0)
+            end;
+            let s = sync b in
+            let work = work_of ~decide:(p = 0) s b in
+            Option.iter
+              (fun w ->
+                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
+                    plan_work sh ~streams ~parity:(b land 1) ~bno:b p w rr))
+              work;
+            Sim.Gate.arrive sim s.planned;
+            if Option.is_some work then loop (b + 1)
           end
         in
-        match (clients, sh.abs) with
-        | None, None ->
-            for b = 0 to batches - 1 do
-              await_drained b;
-              Sim.in_phase sim Sim.Ph_plan tid (fun () ->
-                  plan_slice sh ~parity:(b land 1) ~bno:b p streams.(p) rr);
-              Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
-            done
-        | None, Some abs ->
-            let rec loop b =
-              await_drained b;
-              if p = 0 then
-                Sim.Ivar.fill sim (ivar size_iv b) (next_batch_size sh abs);
-              let sz = Sim.Ivar.read sim (ivar size_iv b) in
-              if sz = 0 then
-                Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
-              else begin
-                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
-                    plan_slice sh ~parity:(b land 1) ~bno:b ~size:sz p
-                      streams.(p) rr);
-                Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b);
-                loop (b + 1)
-              end
-            in
-            loop 0
-        | Some c, _ ->
-            (* Planner 0 closes each batch by draining the admission
-               queue and shares it through pending(b); an empty drain
-               means every client transaction is finally resolved (the
-               executors' accounting wakes the drain), so batch b never
-               forms and everyone unwinds. *)
-            let rec loop b =
-              await_drained b;
-              if p = 0 then
-                Sim.Ivar.fill sim (ivar pending_iv b)
-                  (Clients.drain c ~node:0 ~max:cfg.batch_size);
-              let entries = Sim.Ivar.read sim (ivar pending_iv b) in
-              if Array.length entries = 0 then
-                Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b)
-              else begin
-                Sim.in_phase sim Sim.Ph_plan tid (fun () ->
-                    plan_slice_clients sh ~parity:(b land 1) ~bno:b p entries
-                      rr);
-                Sim.Gate.arrive sim (gate planned_g ~parties:cfg.planners b);
-                loop (b + 1)
-              end
-            in
-            loop 0)
+        loop 0)
   done;
   (* Executor threads. *)
   for e = 0 to cfg.executors - 1 do
     Sim.spawn sim (fun () ->
         let st, ctx = new_executor sh e in
         let rec loop b =
+          let s = sync b in
+          let t0 = Sim.now sim in
           let go =
-            if e = 0 then begin
+            if e > 0 then Sim.Ivar.read sim s.start
+            else begin
               let go =
-                (not (Commit_point.crashed sh.cp))
-                && (match (clients, sh.abs) with
-                   | None, None ->
-                       b < batches
-                       && begin
-                            let t0 = Sim.now sim in
-                            Sim.Gate.await sim
-                              (gate planned_g ~parties:cfg.planners b);
-                            fill_stall t0;
-                            true
-                          end
-                   | None, Some _ ->
-                       let t0 = Sim.now sim in
-                       Sim.Gate.await sim
-                         (gate planned_g ~parties:cfg.planners b);
-                       fill_stall t0;
-                       Sim.Ivar.read sim (ivar size_iv b) > 0
-                   | Some _, _ ->
-                       let t0 = Sim.now sim in
-                       Sim.Gate.await sim
-                         (gate planned_g ~parties:cfg.planners b);
-                       fill_stall t0;
-                       Array.length (Sim.Ivar.read sim (ivar pending_iv b))
-                       > 0)
+                may_run b
+                && (not (Commit_point.crashed sh.cp))
+                && begin
+                     Sim.Gate.await sim s.planned;
+                     Option.is_some (work_of s b)
+                   end
               in
               (* batch_no is only read between start(b) and the end of
                  publish(b), so advancing it here cannot race the
                  planners: they never touch rows. *)
               if go then sh.batch_no <- b;
-              Sim.Ivar.fill sim (ivar start_iv b) go;
-              go
-            end
-            else begin
-              let t0 = Sim.now sim in
-              let go = Sim.Ivar.read sim (ivar start_iv b) in
-              fill_stall t0;
+              Sim.Ivar.fill sim s.start go;
               go
             end
           in
+          m.Metrics.pipe_fill_stall <-
+            m.Metrics.pipe_fill_stall + (Sim.now sim - t0);
           if go then begin
             let parity = b land 1 in
             execute sh st ctx ~parity;
-            Sim.Gate.arrive sim (gate exec_done_g ~parties:cfg.executors b);
-            let published = gate published_g ~parties:cfg.executors b in
+            Sim.Gate.arrive sim s.exec_done;
             let publish () =
               publish_own sh e;
-              Sim.Gate.arrive sim published
+              Sim.Gate.arrive sim s.published
             in
             if e = 0 then begin
-              Sim.Gate.await sim (gate exec_done_g ~parties:cfg.executors b);
+              Sim.Gate.await sim s.exec_done;
               close_batch ?clients sh ~parity ~tid:e ~bno:b
                 ~published:(fun () ->
-                  Sim.Ivar.fill sim (ivar recovered_iv b) ();
-                  if Commit_point.crashed sh.cp then begin
-                    (* Unblock planners already committed to future
-                       batches: they plan into buffers nobody drains and
-                       unwind.  The horizon covers the deepest batch
-                       number any planner loop can reach. *)
-                    let horizon =
-                      match sh.abs with
-                      | Some _ -> (batches * cfg.batch_size) + 2
-                      | None -> batches + 2
-                    in
-                    for bb = b + 1 to horizon do
-                      let iv = ivar recovered_iv bb in
-                      if not (Sim.Ivar.is_full iv) then
-                        Sim.Ivar.fill sim iv ()
-                    done
-                  end;
+                  Sim.Ivar.fill sim s.recovered ();
                   publish ();
-                  Sim.Gate.await sim published);
-              (* Drop sync state no thread can reach again: everything
-                 of batch b except recovered(b), which planners of batch
-                 b+2 still await. *)
-              Hashtbl.remove planned_g b;
-              Hashtbl.remove exec_done_g b;
-              Hashtbl.remove published_g b;
-              Hashtbl.remove start_iv b;
-              Hashtbl.remove pending_iv b;
-              Hashtbl.remove size_iv b;
-              if b >= 2 then Hashtbl.remove recovered_iv (b - 2)
+                  Sim.Gate.await sim s.published);
+              Hashtbl.remove syncs (b - 2)
             end
             else begin
-              ignore (Sim.Ivar.read sim (ivar recovered_iv b));
+              Sim.Ivar.read sim s.recovered;
               publish ()
             end;
             loop (b + 1)
@@ -1479,11 +1390,16 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
         "Quecc.Engine.run: crash faults and open-loop clients cannot be \
          combined (a crashed node strands the admission queue)"
   | _ -> ());
+  (match cfg.adapt with
+  | Some a ->
+      assert (a.spread > 0 && a.min_batch > 0);
+      if a.auto_batch && ((not cfg.pipeline) || clients <> None) then
+        invalid_arg
+          "Quecc.Engine.run: batch auto-tuning needs a pipelined \
+           closed-loop run (it tunes from the pipeline's fill/drain stalls)"
+  | None -> ());
   (match cfg.split with
   | Some sc -> assert (sc.hot_threshold > 0 && sc.max_subqueues >= 2)
-  | None -> ());
-  (match cfg.adapt with
-  | Some a -> assert (a.spread > 0 && a.min_batch > 0)
   | None -> ());
   let sim =
     match sim with
@@ -1491,12 +1407,15 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
     | None -> Sim.create ~wake_cost:cfg.costs.Costs.wakeup ()
   in
   let nbuf = if cfg.pipeline then 2 else 1 in
-  let split_on = cfg.split <> None && cfg.executors > 1 in
-  let seg_matrix () =
-    Array.init nbuf (fun _ ->
-        Array.init cfg.planners (fun _ ->
-            Array.init cfg.executors (fun _ -> Vec.create ())))
+  (* A [parity].[planner].[executor] matrix, or none when [on] is off. *)
+  let matrix ?(on = true) f =
+    if on then
+      Array.init nbuf (fun _ ->
+          Array.init cfg.planners (fun _ ->
+              Array.init cfg.executors (fun _ -> f ())))
+    else [||]
   in
+  let split_on = cfg.split <> None && cfg.executors > 1 in
   let rmap, vload =
     match cfg.adapt with
     | Some a when a.repartition ->
@@ -1507,7 +1426,7 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
   in
   let abs =
     match cfg.adapt with
-    | Some a when a.auto_batch && cfg.pipeline && clients = None ->
+    | Some a when a.auto_batch ->
         Some
           {
             abs_remaining = batches * cfg.batch_size;
@@ -1523,32 +1442,14 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       sim;
       wl;
       db = wl.Workload.db;
-      queues =
-        Array.init nbuf (fun _ ->
-            Array.init cfg.planners (fun _ ->
-                Array.init cfg.executors (fun _ -> Vec.create ())));
+      queues = matrix Vec.create;
       rts = Array.init nbuf (fun _ -> Array.make cfg.batch_size None);
-      qstate =
-        (if cfg.steal then
-           Array.init nbuf (fun _ ->
-               Array.init cfg.planners (fun _ ->
-                   Array.make cfg.executors 0))
-         else [||]);
-      qsig =
-        (if cfg.steal then
-           Array.init nbuf (fun _ ->
-               Array.init cfg.planners (fun _ ->
-                   Array.init cfg.executors (fun _ -> Hashtbl.create 64)))
-         else [||]);
-      qpend =
-        (if cfg.steal then
-           Array.init nbuf (fun _ ->
-               Array.init cfg.planners (fun _ ->
-                   Array.make cfg.executors 1))
-         else [||]);
-      chain_starts = (if split_on then seg_matrix () else [||]);
-      chain_joins = (if split_on then seg_matrix () else [||]);
-      segs = (if split_on then seg_matrix () else [||]);
+      qstate = matrix ~on:cfg.steal (fun () -> 0);
+      qsig = matrix ~on:cfg.steal (fun () -> Hashtbl.create 64);
+      qpend = matrix ~on:cfg.steal (fun () -> 1);
+      chain_starts = matrix ~on:split_on Vec.create;
+      chain_joins = matrix ~on:split_on Vec.create;
+      segs = matrix ~on:split_on Vec.create;
       rmap;
       vload;
       metrics = Metrics.create ();

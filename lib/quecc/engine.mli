@@ -46,10 +46,12 @@ type adapt_cfg = {
           two batches after measurement (the pipeline-safe lag) *)
   spread : int;
   auto_batch : bool;
-      (** pipelined closed-loop runs only: tune the planned batch size
-          from the fill/drain stall split, conserving the total
-          transaction budget (changes the schedule, so committed state
-          is NOT bit-identical to the fixed-size run) *)
+      (** pipelined closed-loop runs only ({!run} raises
+          [Invalid_argument] without [pipeline] or with [?clients]):
+          tune the planned batch size from the fill/drain stall split,
+          conserving the total transaction budget (changes the schedule,
+          so committed state is NOT bit-identical to the fixed-size
+          run) *)
   min_batch : int;  (** auto-tuner floor *)
 }
 

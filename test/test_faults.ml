@@ -448,10 +448,10 @@ let prop_crash_pipeline_oracle =
       && m.Metrics.committed = m2.Metrics.committed
       && Db.checksum wl.Workload.db = Db.checksum wl2.Workload.db)
 
-(* Crash recovery composed with the hot-key split flag (PR 7) through
-   the harness: the full --pipeline --split cfg surface must survive a
-   mid-run crash with the fault-free committed state, on both dist
-   engines. *)
+(* Crash recovery composed with --pipeline through the harness: a
+   pipelined run must survive a mid-run crash with the fault-free
+   committed state, on both dist engines.  Neither reads --split, so the
+   capability check rejects it there. *)
 let test_crash_with_split_flag () =
   List.iter
     (fun engine ->
@@ -459,7 +459,7 @@ let test_crash_with_split_flag () =
         let held = ref None in
         let e =
           Quill_harness.Experiment.make ~threads:4 ~txns:384 ~batch_size:128
-            ~faults ~pipeline:true ~split:8 engine
+            ~faults ~pipeline:true engine
             (Quill_harness.Experiment.Ycsb (ycsb_for ()))
         in
         let m =

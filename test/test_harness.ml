@@ -122,6 +122,8 @@ let test_capability_sweep () =
               | e -> e
             in
             mk ~name ~replicas:2 engine tiny_ycsb
+        | Cap.Pipeline -> mk ~name ~pipeline:true engine tiny_ycsb
+        | Cap.Adaptive -> mk ~name ~steal:true engine tiny_ycsb
       in
       let effect_of cap (m : Metrics.t) =
         match cap with
@@ -131,6 +133,8 @@ let test_capability_sweep () =
         | Cap.Wal -> m.Metrics.wal_fsyncs > 0
         | Cap.Cdc -> m.Metrics.cdc_events > 0
         | Cap.Replication -> Metrics.replicated m
+        | Cap.Pipeline -> m.Metrics.pipe_fill_threads > 0
+        | Cap.Adaptive -> m.Metrics.steal_attempts > 0
       in
       List.iter
         (fun cap ->

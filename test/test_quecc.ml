@@ -476,6 +476,28 @@ let test_autobatch_deterministic_and_conserving () =
   Tutil.check_int "committed + aborted = total" (128 * 4)
     (m1.Metrics.committed + m1.Metrics.logic_aborted)
 
+(* Auto-tuning reads the pipeline's stall split, which lockstep and
+   client-mode runs do not have: both are rejected up front rather than
+   silently run at the fixed size. *)
+let test_autobatch_rejected_off_pipeline () =
+  let module E = Quill_harness.Experiment in
+  let reject name ?clients ~pipeline () =
+    Alcotest.check_raises name
+      (Invalid_argument
+         "Quecc.Engine.run: batch auto-tuning needs a pipelined closed-loop \
+          run (it tunes from the pipeline's fill/drain stalls)")
+      (fun () ->
+        ignore
+          (E.run
+             (E.make ~threads:2 ~txns:256 ~batch_size:128 ?clients ~pipeline
+                ~adapt_batch:true
+                (E.Quecc (Engine.Speculative, Engine.Serializable))
+                (E.Ycsb (Tutil.small_ycsb ())))))
+  in
+  reject "lockstep" ~pipeline:false ();
+  reject "client mode" ~clients:Quill_clients.Clients.default ~pipeline:true
+    ()
+
 let prop_pipeline_bit_identical =
   QCheck.Test.make
     ~name:"pipelined == lockstep committed state on random configs" ~count:10
@@ -505,6 +527,120 @@ let prop_pipeline_bit_identical =
           m.Metrics.logic_aborted )
       in
       fp false = fp true)
+
+(* ------------------------- golden schedules ------------------------- *)
+
+(* Client mode and batch auto-tuning run in no BENCH file, so their exact
+   schedules are pinned here: virtual time, both pipeline stalls,
+   commits, batch resizes, the committed-state checksum and, with CDC
+   on, the feed digest.  A change to how either spawn path sources or
+   hands off its batches must leave every value as it is. *)
+let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
+    ?(adapt_batch = false) ?(adapt_repart = false) ?(steal = false) name
+    expect =
+  let module E = Quill_harness.Experiment in
+  let clients =
+    if clients then
+      Some
+        { Quill_clients.Clients.default with
+          Quill_clients.Clients.arrival = Quill_clients.Clients.Poisson 2e6;
+          seed = 7 }
+    else None
+  in
+  let e =
+    E.make ~threads:4 ~txns:1024 ~batch_size:128 ?clients ~pipeline
+      ~wal:durable ~cdc:durable ~snapshot_every:2 ~adapt_batch ~adapt_repart
+      ~steal
+      (E.Quecc (Engine.Speculative, Engine.Serializable))
+      (E.Ycsb (Tutil.small_ycsb ~abort_ratio:0.1 ()))
+  in
+  let db = ref None and digest = ref [] in
+  let m =
+    E.run
+      ~on_workload:(fun wl -> db := Some wl.Workload.db)
+      ~on_cdc:(fun h -> digest := [ ("digest", Quill_cdc.Cdc.digest h) ])
+      e
+  in
+  let checksum = match !db with Some d -> Db.checksum d | None -> 0 in
+  let got =
+    [
+      ("elapsed", m.Metrics.elapsed);
+      ("busy", m.Metrics.busy);
+      ("fill_stall", m.Metrics.pipe_fill_stall);
+      ("drain_stall", m.Metrics.pipe_drain_stall);
+      ("committed", m.Metrics.committed);
+      ("batch_resizes", m.Metrics.batch_resizes);
+      ("checksum", checksum);
+    ]
+    @ !digest
+  in
+  Alcotest.(check (list (pair string int))) name expect got
+
+let test_golden_schedules () =
+  golden ~clients:true "lockstep clients"
+    [
+      ("elapsed", 1447502);
+      ("busy", 4310710);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("committed", 999);
+      ("batch_resizes", 0);
+      ("checksum", 375564231417489309);
+    ];
+  golden ~clients:true ~durable:true "lockstep clients + wal + cdc"
+    [
+      ("elapsed", 1904122);
+      ("busy", 4773400);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("committed", 999);
+      ("batch_resizes", 0);
+      ("checksum", 375564231417489309);
+      ("digest", 8677611);
+    ];
+  golden ~clients:true ~pipeline:true "pipelined clients"
+    [
+      ("elapsed", 1190827);
+      ("busy", 4302940);
+      ("fill_stall", 61168);
+      ("drain_stall", 3692120);
+      ("committed", 999);
+      ("batch_resizes", 0);
+      ("checksum", 375564231417489309);
+    ];
+  golden ~clients:true ~pipeline:true ~durable:true
+    "pipelined clients + wal + cdc"
+    [
+      ("elapsed", 2007574);
+      ("busy", 5132922);
+      ("fill_stall", 2513484);
+      ("drain_stall", 6634300);
+      ("committed", 999);
+      ("batch_resizes", 0);
+      ("checksum", 375564231417489309);
+      ("digest", 4102366264);
+    ];
+  golden ~pipeline:true ~adapt_batch:true "pipelined auto-batch"
+    [
+      ("elapsed", 1011025);
+      ("busy", 3913860);
+      ("fill_stall", 138600);
+      ("drain_stall", 2971600);
+      ("committed", 988);
+      ("batch_resizes", 3);
+      ("checksum", 180940947452833136);
+    ];
+  golden ~pipeline:true ~adapt_batch:true ~adapt_repart:true ~steal:true
+    "pipelined auto-batch + repart + steal"
+    [
+      ("elapsed", 991245);
+      ("busy", 3970595);
+      ("fill_stall", 138600);
+      ("drain_stall", 2894920);
+      ("committed", 988);
+      ("batch_resizes", 3);
+      ("checksum", 180940947452833136);
+    ]
 
 (* ------------------------- property tests ------------------------- *)
 
@@ -579,6 +715,10 @@ let () =
           Alcotest.test_case "split fires + oracle" `Quick test_split_fires;
           Alcotest.test_case "repartition fires + oracle" `Quick
             test_repart_fires;
+          Alcotest.test_case "golden client + auto-batch schedules" `Quick
+            test_golden_schedules;
+          Alcotest.test_case "auto-batch rejected off the pipeline" `Quick
+            test_autobatch_rejected_off_pipeline;
           Alcotest.test_case "auto-batch deterministic + conserving" `Quick
             test_autobatch_deterministic_and_conserving;
           qc prop_adaptive_bit_identical;

@@ -116,6 +116,28 @@ let test_crash_recovers_with_inserts () =
      effects around the WAL write set *)
   check_crash_recovers "aborts" (Tutil.small_ycsb ~abort_ratio:0.1 ())
 
+(* A crashed pipelined node stops planning.  Its planners can be at
+   most two batches past the durable boundary (the batch the crash
+   killed and the one planned behind it), so they never plan more than a
+   fault-free run of [durable + 2] batches does. *)
+let test_crash_stops_planning () =
+  let cfg = Tutil.small_ycsb () in
+  let batches = 8 in
+  let _, mprobe = run_plain ~pipeline:true ~batches cfg in
+  let _, _, m, _ =
+    run_wal ~crash_at:(mprobe.Metrics.elapsed / 2) ~snapshot_every:2
+      ~pipeline:true ~batches cfg
+  in
+  let durable = m.Metrics.durable_batches in
+  Tutil.check_bool "the crash left batches unplanned" true
+    (durable + 2 < batches);
+  let _, mref = run_plain ~pipeline:true ~batches:(durable + 2) cfg in
+  Tutil.check_bool
+    (Printf.sprintf "plan busy %d <= fault-free %d batches' %d"
+       m.Metrics.plan_busy (durable + 2) mref.Metrics.plan_busy)
+    true
+    (m.Metrics.plan_busy <= mref.Metrics.plan_busy)
+
 (* Random seeds x crash points x snapshot intervals: the recovered state
    always equals the serial oracle at the last durable batch. *)
 let prop_crash_recovers_to_oracle =
@@ -329,7 +351,7 @@ let test_experiment_validation () =
     (Invalid_argument
        "Experiment.run: network faults (drop/dup/delay/partition) requires \
         the 'dist' capability, but engine quecc provides {faults, clients, \
-        wal, cdc}")
+        wal, cdc, pipeline, adaptive}")
     (fun () ->
       ignore
         (E.run
@@ -392,6 +414,8 @@ let () =
           Alcotest.test_case "lockstep" `Quick test_crash_recovers_lockstep;
           Alcotest.test_case "pipelined" `Quick
             test_crash_recovers_pipelined;
+          Alcotest.test_case "pipelined crash stops planning" `Quick
+            test_crash_stops_planning;
           Alcotest.test_case "with aborts" `Quick
             test_crash_recovers_with_inserts;
           Alcotest.test_case "serial engine" `Quick
