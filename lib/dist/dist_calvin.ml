@@ -3,7 +3,6 @@ open Quill_sim
 open Quill_storage
 open Quill_txn
 module Faults = Quill_faults.Faults
-module Trace = Quill_trace.Trace
 module Clients = Quill_clients.Clients
 
 type cfg = {
@@ -18,22 +17,9 @@ let default_cfg =
   { nodes = 4; workers = 4; batch_size = 2048; costs = Costs.default;
     pipeline = false }
 
-(* Shared (cross-node) transaction runtime, built by the sequencer. *)
-type xrt = {
-  txn : Txn.t;
-  inputs : int Sim.Ivar.iv array array;
-  producers : (int * int Sim.Ivar.iv) list array;
-  participants : int list;
-  resolved : unit Sim.Ivar.iv array;
-  aborted_local : bool array;
-  mutable pending_aborters : int;
-  mutable aborted : bool;
-  centry : Clients.entry option;     (* admission provenance *)
-}
-
 (* Node-local sub-transaction. *)
 type sub = {
-  rt : xrt;
+  rt : Dist_rt.rt;
   locks : (int * int * bool) list;   (* (table, key, exclusive) local keys *)
   mutable pending : int;
   may_block : bool;
@@ -47,16 +33,9 @@ type lockq = {
   waiting : (sub * lock_mode) Queue.t;
 }
 
-type msg =
-  | Slice of { epoch : int; src : int; rts : xrt array }
-  | Fill of { iv : int Sim.Ivar.iv; v : int }
-  | Reads                               (* read-broadcast cost carrier *)
-  | Resolve of { rt : xrt; aborted : bool }
-  | Node_done
-  | Epoch_commit of { epoch : int; stop : bool }
-      (* [stop] piggybacks the termination decision on the commit (see
-         Dist_quecc): epoch quota reached, or client layer exhausted. *)
-  | Stop
+(* The engine's own messages: one node's sequenced slice of an epoch,
+   and the read-broadcast cost carrier. *)
+type own = Slice of { epoch : int; src : int; rts : Dist_rt.rt array } | Reads
 
 type nstate = {
   locktab : (int * int, lockq) Hashtbl.t;
@@ -67,157 +46,58 @@ type nstate = {
   subs : sub Vec.t;
       (* this epoch's local sub-txns in sequencer-log order: Calvin's
          redo log for crash recovery *)
-  mutable crash_idx : int;  (* next unconsumed crash in the fault plan *)
+  crash_next : int ref;  (* next unconsumed crash in the fault plan *)
 }
 
 type shared = {
   cfg : cfg;
-  sim : Sim.t;
-  wl : Workload.t;
-  db : Db.t;
-  net : msg Net.t;
+  d : own Dist_rt.t;
   ns : nstate array;
-  crash_plan : Faults.crash array array;   (* per node, sorted by time *)
-  slices : (int * int * int, xrt array Sim.Ivar.iv) Hashtbl.t;
+  slices : (int * int * int, Dist_rt.rt array Sim.Ivar.iv) Hashtbl.t;
       (* (epoch, src, receiving node) *)
-  epoch_rts : (int * int, xrt array) Hashtbl.t;          (* accounting *)
-  commits : (int * int, bool Sim.Ivar.iv) Hashtbl.t;     (* epoch, node *)
-  metrics : Metrics.t;
-  mutable done_count : int;
-  mutable epochs_done : int;
-  total_epochs : int;
-  clients : Clients.t option;
 }
 
-let node_of_part sh part = part * sh.cfg.nodes / Db.nparts sh.db
-
-let frag_node sh (f : Fragment.t) =
-  node_of_part sh (Db.home sh.db f.Fragment.table f.Fragment.key)
-
-let get_iv tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some iv -> iv
-  | None ->
-      let iv = Sim.Ivar.create () in
-      Hashtbl.replace tbl key iv;
-      iv
-
-let get_slice sh epoch src dst = get_iv sh.slices (epoch, src, dst)
-let get_commit sh epoch node = get_iv sh.commits (epoch, node)
+let get_slice sh epoch src dst = Dist_rt.get_iv sh.slices (epoch, src, dst)
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let make_xrt ?centry sh txn =
-  let n = Array.length txn.Txn.frags in
-  let inputs =
-    Array.map
-      (fun (f : Fragment.t) ->
-        Array.map (fun _ -> Sim.Ivar.create ()) f.Fragment.data_deps)
-      txn.Txn.frags
-  in
-  let producers = Array.make n [] in
-  Array.iteri
-    (fun fid (f : Fragment.t) ->
-      let consumer_node = frag_node sh f in
-      Array.iteri
-        (fun i d ->
-          producers.(d) <- (consumer_node, inputs.(fid).(i)) :: producers.(d))
-        f.Fragment.data_deps)
-    txn.Txn.frags;
-  let participants =
-    let seen = Array.make sh.cfg.nodes false in
-    Array.iter (fun f -> seen.(frag_node sh f) <- true) txn.Txn.frags;
-    let acc = ref [] in
-    for i = sh.cfg.nodes - 1 downto 0 do
-      if seen.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  txn.Txn.status <- Txn.Active;
-  {
-    txn;
-    inputs;
-    producers;
-    participants;
-    resolved = Array.init sh.cfg.nodes (fun _ -> Sim.Ivar.create ());
-    aborted_local = Array.make sh.cfg.nodes false;
-    pending_aborters = txn.Txn.n_abortable;
-    aborted = false;
-    centry;
-  }
-
-let sequencer_thread sh node stream epochs =
-  let costs = sh.cfg.costs in
-  let base = sh.cfg.batch_size / sh.cfg.nodes in
-  let count = base + if node < sh.cfg.batch_size mod sh.cfg.nodes then 1 else 0 in
-  let seq_txn ?centry txn =
-    Sim.tick sh.sim costs.Costs.txn_overhead;
-    txn.Txn.submit_time <- Sim.now sh.sim;
-    txn.Txn.attempts <- txn.Txn.attempts + 1;
-    make_xrt ?centry sh txn
-  in
-  (* Sequence one epoch's slice and broadcast it (no commit await —
-     the caller decides how far ahead to run). *)
-  let seq_epoch e rts =
-    let bytes =
-      40 * Array.fold_left
-             (fun acc rt -> acc + Array.length rt.txn.Txn.frags)
-             1 rts
-    in
-    Hashtbl.replace sh.epoch_rts (e, node) rts;
-    for dst = 0 to sh.cfg.nodes - 1 do
-      if dst = node then Sim.Ivar.fill sh.sim (get_slice sh e node node) rts
-      else Net.send sh.net ~src:node ~dst ~bytes (Slice { epoch = e; src = node; rts })
-    done;
-    Sim.set_phase sh.sim Sim.Ph_other
-  in
-  let await_commit e = Sim.Ivar.read sh.sim (get_commit sh e node) in
-  match sh.clients with
-  | None ->
-      if sh.cfg.pipeline then
-        (* Lag-1 pipelining: sequence epoch [e] once epoch [e-2] has
-           committed, so sequencing (and the slice broadcast) of the
-           next epoch overlaps scheduling and execution of the current
-           one.  All cross-epoch state is epoch-keyed (slices,
-           epoch_rts, commits), so no double-buffering is needed — the
-           lag only bounds how many epochs are in flight. *)
-        for e = 0 to epochs - 1 do
-          if e >= 2 then begin
-            let t0 = Sim.now sh.sim in
-            ignore (await_commit (e - 2));
-            sh.metrics.Metrics.pipe_drain_stall <-
-              sh.metrics.Metrics.pipe_drain_stall + (Sim.now sh.sim - t0)
-          end;
-          Sim.set_phase sh.sim Sim.Ph_plan;
-          seq_epoch e (Array.init count (fun _ -> seq_txn (stream ())))
-        done
-      else
-        for e = 0 to epochs - 1 do
-          Sim.set_phase sh.sim Sim.Ph_plan;
-          seq_epoch e (Array.init count (fun _ -> seq_txn (stream ())));
-          ignore (await_commit e)
-        done
-  | Some c ->
-      (* Client mode: each node's sequencer closes the epoch against its
-         local admission queue (up to the node's epoch share), blocking
-         until an arrival or local exhaustion — an empty slice once the
-         node's clients are done.  Stays sequential under [pipeline]:
-         epoch contents depend on the previous epoch's completions, and
-         the stop decision rides on its commit. *)
-      let rec loop e =
-        Sim.set_phase sh.sim Sim.Ph_plan;
-        let entries = Clients.drain c ~node ~max:count in
-        let rts =
+let sequencer_thread sh node stream =
+  let d = sh.d in
+  let start, count = Dist_rt.slice d ~parts:sh.cfg.nodes node in
+  (* Sequence one epoch's slice into its global slots and broadcast it
+     (the plan loop decides how far ahead to run).  In client mode the
+     sequencer closes the epoch against its node's admission queue (up
+     to the node's epoch share), blocking until an arrival or local
+     exhaustion — an empty slice once the node's clients are done. *)
+  let seq_epoch e =
+    Sim.set_phase d.sim Sim.Ph_plan;
+    let rts =
+      match d.clients with
+      | None -> Array.init count (fun _ -> Dist_rt.admit d (stream ()))
+      | Some c ->
           Array.map
-            (fun (en : Clients.entry) -> seq_txn ~centry:en en.Clients.txn)
-            entries
-        in
-        seq_epoch e rts;
-        if not (await_commit e) then loop (e + 1)
-      in
-      loop 0
+            (fun (en : Clients.entry) ->
+              Dist_rt.admit d ~centry:en en.Clients.txn)
+            (Clients.drain c ~node ~max:count)
+    in
+    let bytes =
+      40
+      * Array.fold_left
+          (fun acc (rt : Dist_rt.rt) -> acc + Array.length rt.txn.Txn.frags)
+          1 rts
+    in
+    Array.iteri (fun j rt -> Dist_rt.set_slot d ~batch:e (start + j) rt) rts;
+    for dst = 0 to sh.cfg.nodes - 1 do
+      if dst = node then Sim.Ivar.fill d.sim (get_slice sh e node node) rts
+      else
+        Net.send d.net ~src:node ~dst ~bytes
+          (Dist_rt.Own (Slice { epoch = e; src = node; rts }))
+    done;
+    Sim.set_phase d.sim Sim.Ph_other
+  in
+  Dist_rt.plan_loop d ~node seq_epoch
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic lock manager (per node)                               *)
@@ -228,7 +108,7 @@ let compatible holders m =
   | X -> holders = []
   | S -> List.for_all (fun (_, hm) -> hm = S) holders
 
-let dispatch sh node sub = Sim.Chan.send sh.sim sh.ns.(node).work (Some sub)
+let dispatch sh node sub = Sim.Chan.send sh.d.sim sh.ns.(node).work (Some sub)
 
 let grant sh node sub =
   sub.pending <- sub.pending - 1;
@@ -272,7 +152,7 @@ let local_lock_set sh node txn =
       match f.Fragment.mode with
       | Fragment.Insert -> ()
       | Fragment.Read | Fragment.Write | Fragment.Rmw ->
-          if frag_node sh f = node then begin
+          if sh.d.node_of f = node then begin
             let x = f.Fragment.mode <> Fragment.Read in
             let key = (f.Fragment.table, f.Fragment.key) in
             let rec merge = function
@@ -286,150 +166,66 @@ let local_lock_set sh node txn =
   List.map (fun ((t, k), x) -> (t, k, x)) !acc
 
 let has_remote_inputs sh node txn =
+  let node_of = sh.d.node_of in
   Array.exists
     (fun (f : Fragment.t) ->
-      frag_node sh f = node
+      node_of f = node
       && Array.exists
-           (fun d -> frag_node sh txn.Txn.frags.(d) <> node)
+           (fun d -> node_of txn.Txn.frags.(d) <> node)
            f.Fragment.data_deps)
     txn.Txn.frags
 
-(* The accessors of one local sub-transaction, reading and writing
-   through [cur] and dirtying rows into the node's touched set.  On
-   [replay] (crash recovery) cross-node traffic is suppressed — input
-   values were computed and broadcast before the crash and their ivars
-   are still full — and inserts published before the crash, which
-   survive it, are skipped. *)
-let sub_ctx sh node rt (cur : Direct.cursor) cur_frag ~replay =
-  let costs = sh.cfg.costs in
-  let read (_ : Fragment.t) field =
-    Sim.tick sh.sim costs.Costs.row_read;
-    if cur.found then cur.row.Row.data.(field) else 0
-  in
-  let write _frag field v =
-    Sim.tick sh.sim costs.Costs.row_write;
-    if cur.found then begin
-      let row = cur.row in
-      if not row.Row.dirty then begin
-        row.Row.dirty <- true;
-        Vec.push sh.ns.(node).touched row
-      end;
-      row.Row.data.(field) <- v
-    end
-  in
-  let add frag field d = write frag field (read frag field + d) in
-  let insert (frag : Fragment.t) ~key payload =
-    Sim.tick sh.sim costs.Costs.index_insert;
-    let tbl = Db.table sh.db frag.Fragment.table in
-    if not (replay && Table.find tbl key <> None) then begin
-      let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
-      ignore (Table.insert tbl ~home ~key payload)
-    end
-  in
-  let input producer_fid =
-    let frag = match !cur_frag with Some f -> f | None -> assert false in
-    let deps = frag.Fragment.data_deps in
-    let rec find i = if deps.(i) = producer_fid then i else find (i + 1) in
-    Sim.Ivar.read sh.sim rt.inputs.(frag.Fragment.fid).(find 0)
-  in
-  let output fid v =
-    if not replay then
-      List.iter
-        (fun (dst, iv) ->
-          if dst = node then begin
-            if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sh.sim iv v
-          end
-          else Net.send sh.net ~src:node ~dst ~bytes:16 (Fill { iv; v }))
-        rt.producers.(fid)
-  in
-  let found _ = cur.found in
-  { Exec.read; write; add; insert; input; output; found }
+let local_frags sh node (rt : Dist_rt.rt) f =
+  Array.iter
+    (fun frag -> if sh.d.node_of frag = node then f frag)
+    (Quill_quecc.Engine.plan_order_for_dist rt.txn.Txn.frags)
 
-(* Re-execute one local sub-transaction during crash recovery.  The
-   sequencer log (this epoch's subs in sequence order) is Calvin's redo
-   log: replaying it serially against the rolled-back partition
+(* Crash recovery replays the sequencer log (this epoch's subs in
+   sequence order) serially against the rolled-back partition.  That
    reproduces the pre-crash state, because deterministic locking made
    the concurrent original equivalent to exactly that serial order.
-   The abort vote is not re-cast (the outcome is already decided).
-   Returns whether the sub was replayed (aborted txns left no persistent
-   writes, so they are skipped). *)
-let replay_sub sh node sub =
-  let rt = sub.rt in
-  if rt.aborted_local.(node) then false
-  else begin
-    let txn = rt.txn in
-    let cur = Direct.cursor () and cur_frag = ref None in
-    let ctx = sub_ctx sh node rt cur cur_frag ~replay:true in
-    Array.iter
-      (fun (f : Fragment.t) ->
-        if frag_node sh f = node then begin
-          cur_frag := Some f;
-          match
-            Direct.step sh.sim sh.cfg.costs sh.wl ctx cur
-              ~locate:(Direct.find sh.db) txn f
-          with
-          | Exec.Ok | Exec.Abort -> ()
-          | Exec.Blocked -> assert false
-        end)
-      (Quill_quecc.Engine.plan_order_for_dist txn.Txn.frags);
-    true
-  end
+   Aborted txns left no persistent writes, so they are skipped. *)
+let replay_log sh node () =
+  let d = sh.d in
+  let st, ctx = Dist_rt.executor ~replay:true d ~node sh.ns.(node).touched in
+  Vec.iter
+    (fun sub ->
+      let rt = sub.rt in
+      if not rt.aborted_local.(node) then begin
+        local_frags sh node rt (fun f ->
+            match Dist_rt.run_frag d st ctx rt f with
+            | Exec.Ok | Exec.Abort -> ()
+            | Exec.Blocked -> assert false);
+        d.metrics.Metrics.redone <- d.metrics.Metrics.redone + 1
+      end)
+    sh.ns.(node).subs;
+  d.metrics.Metrics.crashes <- d.metrics.Metrics.crashes + 1
 
 (* Consume planned crashes once all of the node's sub-txns for the
-   epoch finished, before the node reports Node_done.  A crash rolls
-   the node's partitions back to the last committed epoch and replays
-   the sequencer log — epoch granularity, coarser than dist-quecc's
-   per-queue-entry replay. *)
-let maybe_recover sh node =
-  let ns = sh.ns.(node) in
-  let crashes = sh.crash_plan.(node) in
-  while
-    ns.crash_idx < Array.length crashes
-    && crashes.(ns.crash_idx).Faults.at <= Sim.now sh.sim
-  do
-    let c = crashes.(ns.crash_idx) in
-    ns.crash_idx <- ns.crash_idx + 1;
-    Sim.in_phase sh.sim Sim.Ph_recover (Sim.current_tid sh.sim) (fun () ->
-        Vec.iter Row.revert ns.touched;
-        Vec.clear ns.touched;
-        let restart = c.Faults.at + c.Faults.down in
-        if restart > Sim.now sh.sim then
-          Sim.sleep sh.sim (restart - Sim.now sh.sim);
-        Sim.tick sh.sim sh.cfg.costs.Costs.crash_reboot;
-        Vec.iter
-          (fun sub ->
-            if replay_sub sh node sub then
-              sh.metrics.Metrics.redone <- sh.metrics.Metrics.redone + 1)
-          ns.subs;
-        sh.metrics.Metrics.crashes <- sh.metrics.Metrics.crashes + 1)
-  done
-
+   epoch finished, before the node reports done: epoch granularity,
+   coarser than dist-quecc's per-queue-entry replay. *)
 let check_node_done sh node =
   let ns = sh.ns.(node) in
   if ns.expected >= 0 && ns.completed = ns.expected then begin
     ns.expected <- -1;
     ns.completed <- 0;
-    maybe_recover sh node;
-    Net.send sh.net ~src:node ~dst:0 ~bytes:8 Node_done
+    Dist_rt.consume_crashes sh.d ~node ns.crash_next ~touched:ns.touched
+      ~replay:(replay_log sh node);
+    Dist_rt.report_done sh.d ~node
   end
 
-let scheduler_thread sh node epochs =
+let scheduler_thread sh node =
+  let d = sh.d in
   let costs = sh.cfg.costs in
   (* One epoch: request locks in sequencer order, wait for the epoch
      commit, publish; returns the commit's stop decision. *)
   let sched_epoch e =
-    Sim.set_phase sh.sim Sim.Ph_plan;
+    Sim.set_phase d.sim Sim.Ph_plan;
     let count = ref 0 in
     for src = 0 to sh.cfg.nodes - 1 do
-      let t0 = Sim.now sh.sim in
-      let rts = Sim.Ivar.read sh.sim (get_slice sh e src node) in
-      (* In a pipelined run, waiting on a slice means the pipeline ran
-         dry (sequencing/shipping slower than execution). *)
-      if sh.cfg.pipeline then
-        sh.metrics.Metrics.pipe_fill_stall <-
-          sh.metrics.Metrics.pipe_fill_stall + (Sim.now sh.sim - t0);
+      let rts = Dist_rt.await_work d sh.slices (e, src, node) in
       Array.iter
-        (fun rt ->
+        (fun (rt : Dist_rt.rt) ->
           if List.mem node rt.participants then begin
             incr count;
             let locks = local_lock_set sh node rt.txn in
@@ -447,120 +243,67 @@ let scheduler_thread sh node epochs =
             Vec.push sh.ns.(node).subs sub;
             List.iter
               (fun (t, k, x) ->
-                Sim.tick sh.sim costs.Costs.lock_mgr_op;
+                Sim.tick d.sim costs.Costs.lock_mgr_op;
                 request sh node sub (t, k) (if x then X else S))
               locks;
             grant sh node sub
           end)
-        rts;
-      Hashtbl.remove sh.slices (e, src, node)
+        rts
     done;
     sh.ns.(node).expected <- !count;
     check_node_done sh node;
-    Sim.set_phase sh.sim Sim.Ph_other;
-    let stop = Sim.Ivar.read sh.sim (get_commit sh e node) in
+    Sim.set_phase d.sim Sim.Ph_other;
     (* All local sub-transactions are done: publish committed state. *)
-    Sim.set_phase sh.sim Sim.Ph_publish;
-    Vec.iter Row.publish sh.ns.(node).touched;
-    Vec.clear sh.ns.(node).touched;
+    let stop = Dist_rt.publish d ~node e sh.ns.(node).touched in
     Vec.clear sh.ns.(node).subs;
-    Sim.set_phase sh.sim Sim.Ph_other;
     stop
   in
-  (match sh.clients with
-  | None -> for e = 0 to epochs - 1 do ignore (sched_epoch e) done
-  | Some _ ->
-      let rec loop e = if not (sched_epoch e) then loop (e + 1) in
-      loop 0);
+  Dist_rt.batch_loop d sched_epoch;
   (* Poison the worker pool after the final epoch. *)
   for _ = 1 to sh.cfg.workers do
-    Sim.Chan.send sh.sim sh.ns.(node).work None
+    Sim.Chan.send d.sim sh.ns.(node).work None
   done
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let broadcast_resolution sh ~self rt aborted =
-  List.iter
-    (fun n ->
-      if n = self then begin
-        if aborted then rt.aborted_local.(n) <- true;
-        if not (Sim.Ivar.is_full rt.resolved.(n)) then
-          Sim.Ivar.fill sh.sim rt.resolved.(n) ()
-      end
-      else Net.send sh.net ~src:self ~dst:n ~bytes:16 (Resolve { rt; aborted }))
-    rt.participants
-
 let exec_sub sh node sub =
-  Sim.set_phase sh.sim Sim.Ph_execute;
+  let d = sh.d in
+  Sim.set_phase d.sim Sim.Ph_execute;
   let costs = sh.cfg.costs in
   let rt = sub.rt in
-  let txn = rt.txn in
   (* Calvin read broadcast: one message per other participant. *)
   let nreads =
     Array.fold_left
       (fun acc (f : Fragment.t) ->
-        if frag_node sh f = node && not (Fragment.updates f) then acc + 1
+        if d.node_of f = node && not (Fragment.updates f) then acc + 1
         else acc)
-      0 txn.Txn.frags
+      0 rt.txn.Txn.frags
   in
   List.iter
     (fun n ->
       if n <> node then
-        Net.send sh.net ~src:node ~dst:n ~bytes:(8 + (16 * nreads)) Reads)
+        Net.send d.net ~src:node ~dst:n ~bytes:(8 + (16 * nreads))
+          (Dist_rt.Own Reads))
     rt.participants;
-  let cur = Direct.cursor () and cur_frag = ref None in
-  let ctx = sub_ctx sh node rt cur cur_frag ~replay:false in
+  let st, ctx = Dist_rt.executor d ~node sh.ns.(node).touched in
   (* Dependency-free abortable fragments first, so a commit-dependency
      wait can never sit ahead of its own abort decision. *)
-  Array.iter
-    (fun (f : Fragment.t) ->
-      if frag_node sh f = node && not rt.aborted_local.(node) then begin
-        if
-          f.Fragment.commit_dep
-          && not (Sim.Ivar.is_full rt.resolved.(node))
-        then Sim.Ivar.read sh.sim rt.resolved.(node);
-        if not rt.aborted_local.(node) then begin
-          cur_frag := Some f;
-          match
-            Direct.step sh.sim costs sh.wl ctx cur ~locate:(Direct.find sh.db)
-              txn f
-          with
-          | Exec.Ok ->
-              if f.Fragment.abortable then begin
-                rt.pending_aborters <- rt.pending_aborters - 1;
-                if rt.pending_aborters = 0 && not rt.aborted then
-                  broadcast_resolution sh ~self:node rt false
-              end
-          | Exec.Abort ->
-              if not rt.aborted then begin
-                rt.aborted <- true;
-                txn.Txn.status <- Txn.Aborted;
-                broadcast_resolution sh ~self:node rt true;
-                Array.iter
-                  (Array.iter (fun iv ->
-                       if not (Sim.Ivar.is_full iv) then
-                         Sim.Ivar.fill sh.sim iv 0))
-                  rt.inputs
-              end
-          | Exec.Blocked -> assert false
-        end
-      end)
-    (Quill_quecc.Engine.plan_order_for_dist txn.Txn.frags);
+  local_frags sh node rt (fun f -> ignore (Dist_rt.step d st ctx rt f));
   (* Release local locks; grants may dispatch further sub-txns. *)
   List.iter
     (fun (t, k, _) ->
-      Sim.tick sh.sim costs.Costs.lock_release;
+      Sim.tick d.sim costs.Costs.lock_release;
       release sh node sub (t, k))
     sub.locks;
   sh.ns.(node).completed <- sh.ns.(node).completed + 1;
   check_node_done sh node;
-  Sim.set_phase sh.sim Sim.Ph_other
+  Sim.set_phase d.sim Sim.Ph_other
 
 let worker_thread sh node =
   let rec loop () =
-    match Sim.Chan.recv sh.sim sh.ns.(node).work with
+    match Sim.Chan.recv sh.d.sim sh.ns.(node).work with
     | None -> ()
     | Some sub ->
         (* A sub-transaction that may block on remote inputs or remote
@@ -568,113 +311,41 @@ let worker_thread sh node =
            pipeline) keeps draining; see DESIGN.md on Calvin worker-pool
            deadlock avoidance. *)
         if sub.may_block then
-          Sim.spawn ~at:(Sim.now sh.sim) sh.sim (fun () -> exec_sub sh node sub)
+          Sim.spawn ~at:(Sim.now sh.d.sim) sh.d.sim (fun () ->
+              exec_sub sh node sub)
         else exec_sub sh node sub;
         loop ()
   in
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Demux / commit coordination                                         *)
-(* ------------------------------------------------------------------ *)
 
 let demux_thread sh node =
-  let rec loop () =
-    match Net.recv sh.net ~node with
-    | Slice { epoch; src; rts } ->
-        Sim.Ivar.fill sh.sim (get_slice sh epoch src node) rts;
-        loop ()
-    | Fill { iv; v } ->
-        if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sh.sim iv v;
-        loop ()
-    | Reads -> loop ()
-    | Resolve { rt; aborted } ->
-        if aborted then rt.aborted_local.(node) <- true;
-        if not (Sim.Ivar.is_full rt.resolved.(node)) then
-          Sim.Ivar.fill sh.sim rt.resolved.(node) ();
-        loop ()
-    | Node_done ->
-        assert (node = 0);
-        sh.done_count <- sh.done_count + 1;
-        if sh.done_count = sh.cfg.nodes then begin
-          sh.done_count <- 0;
-          let e = sh.epochs_done in
-          sh.epochs_done <- e + 1;
-          (* Account every transaction of the epoch. *)
-          let now = Sim.now sh.sim in
-          for src = 0 to sh.cfg.nodes - 1 do
-            match Hashtbl.find_opt sh.epoch_rts (e, src) with
-            | None -> ()
-            | Some rts ->
-                Array.iter
-                  (fun rt ->
-                    rt.txn.Txn.finish_time <- now;
-                    (match rt.txn.Txn.status with
-                    | Txn.Aborted ->
-                        sh.metrics.Metrics.logic_aborted <-
-                          sh.metrics.Metrics.logic_aborted + 1
-                    | Txn.Active | Txn.Committed ->
-                        rt.txn.Txn.status <- Txn.Committed;
-                        sh.metrics.Metrics.committed <-
-                          sh.metrics.Metrics.committed + 1
-                    | Txn.Pending -> assert false);
-                    Stats.Hist.add sh.metrics.Metrics.lat
-                      (now - rt.txn.Txn.submit_time);
-                    match (sh.clients, rt.centry) with
-                    | Some c, Some ce ->
-                        Clients.complete c ce
-                          ~ok:(rt.txn.Txn.status = Txn.Committed)
-                    | _ -> ())
-                  rts;
-                Hashtbl.remove sh.epoch_rts (e, src)
-          done;
-          sh.metrics.Metrics.batches <- sh.metrics.Metrics.batches + 1;
-          (* Stop decision after accounting, where client exhaustion is
-             monotone-stable (see Dist_quecc.demux_thread). *)
-          let stop =
-            match sh.clients with
-            | None -> sh.epochs_done = sh.total_epochs
-            | Some c -> Clients.exhausted c
-          in
-          for dst = 0 to sh.cfg.nodes - 1 do
-            if dst = 0 then Sim.Ivar.fill sh.sim (get_commit sh e 0) stop
-            else
-              Net.send sh.net ~src:0 ~dst ~bytes:8
-                (Epoch_commit { epoch = e; stop })
-          done;
-          if stop then
-            for dst = 1 to sh.cfg.nodes - 1 do
-              Net.send sh.net ~src:0 ~dst ~bytes:8 Stop
-            done
-          else loop ()
-        end
-        else loop ()
-    | Epoch_commit { epoch = e; stop } ->
-        Sim.Ivar.fill sh.sim (get_commit sh e node) stop;
-        loop ()
-    | Stop -> ()
-  in
-  loop ()
+  Dist_rt.demux sh.d ~node
+    ~own:(function
+      | Slice { epoch; src; rts } ->
+          Sim.Ivar.fill sh.d.sim (get_slice sh epoch src node) rts
+      | Reads -> ())
+    ()
 
 let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
   assert (cfg.nodes > 0 && cfg.workers > 0);
   let db = wl.Workload.db in
   if Db.nparts db mod cfg.nodes <> 0 then
     invalid_arg "Dist_calvin.run: nparts must be a multiple of nodes";
-  Faults.check_nodes faults ~nodes:cfg.nodes ~name:"Dist_calvin.run";
-  let frt = if Faults.active faults then Some (Faults.make faults) else None in
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:cfg.costs.Costs.wakeup ()
+  let d =
+    (* partition p is homed at node p * nodes / nparts *)
+    Dist_rt.create ~name:"Dist_calvin.run" ?sim ~faults ?clients
+      ~costs:cfg.costs ~nodes:cfg.nodes ~pipeline:cfg.pipeline
+      ~batch_size:cfg.batch_size ~batches
+      ~node_of:(fun (f : Fragment.t) ->
+        Db.home db f.Fragment.table f.Fragment.key * cfg.nodes / Db.nparts db)
+      wl
   in
   let sh =
     {
       cfg;
-      sim;
-      wl;
-      db;
-      net = Net.create ?faults:frt sim cfg.costs ~nodes:cfg.nodes;
+      d;
       ns =
         Array.init cfg.nodes (fun _ ->
             {
@@ -684,46 +355,27 @@ let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
               completed = 0;
               touched = Vec.create ();
               subs = Vec.create ();
-              crash_idx = 0;
+              crash_next = ref 0;
             });
-      crash_plan =
-        Array.init cfg.nodes (fun n -> Faults.crashes_for faults ~node:n);
       slices = Hashtbl.create 64;
-      epoch_rts = Hashtbl.create 64;
-      commits = Hashtbl.create 64;
-      metrics = Metrics.create ();
-      done_count = 0;
-      epochs_done = 0;
-      total_epochs = batches;
-      clients;
     }
   in
+  let sim = d.sim in
   for node = 0 to cfg.nodes - 1 do
     let stream =
       match clients with
       | Some _ -> fun () -> assert false (* arrivals come from clients *)
       | None -> wl.Workload.new_stream node
     in
-    Sim.spawn sim (fun () -> sequencer_thread sh node stream batches);
-    Sim.spawn sim (fun () -> scheduler_thread sh node batches);
+    Sim.spawn sim (fun () -> sequencer_thread sh node stream);
+    Sim.spawn sim (fun () -> scheduler_thread sh node);
     for _ = 1 to cfg.workers do
       Sim.spawn sim (fun () -> worker_thread sh node)
     done;
     Sim.spawn sim (fun () -> demux_thread sh node)
   done;
-  let parked = Sim.run sim in
-  if parked <> 0 then
-    failwith (Printf.sprintf "Dist_calvin.run: %d threads deadlocked" parked);
-  let m = sh.metrics in
-  Metrics.record_sim m sim ~threads:(cfg.nodes * (cfg.workers + 3));
-  if cfg.pipeline then begin
-    (* one scheduler (fill stalls) and one sequencer (drain stalls) per
-       node — far fewer contributors than dist-quecc's per-role pools,
-       which is why raw stall sums were never engine-comparable *)
-    m.Metrics.pipe_fill_threads <- cfg.nodes;
-    m.Metrics.pipe_drain_threads <- cfg.nodes
-  end;
-  m.Metrics.msgs <- Net.messages_sent sh.net;
-  m.Metrics.msg_retries <- Net.messages_retried sh.net;
-  m.Metrics.msg_dup_drops <- Net.duplicates_dropped sh.net;
-  m
+  (* one scheduler (fill stalls) and one sequencer (drain stalls) per
+     node — far fewer contributors than dist-quecc's per-role pools,
+     which is why raw stall sums were never engine-comparable *)
+  Dist_rt.run d ~threads:(cfg.nodes * (cfg.workers + 3))
+    ~fill_threads:cfg.nodes ~drain_threads:cfg.nodes

@@ -26,9 +26,10 @@ type cfg = {
   costs : Quill_sim.Costs.t;
   pipeline : bool;
       (** sequence epoch [N+1] while epoch [N] executes (lag-1: epoch
-          [N] is sequenced once [N-2] committed).  All cross-epoch state
-          is epoch-keyed, so the committed state per seed is identical
-          to the sequential schedule.  Ignored in client mode. *)
+          [N] is sequenced once [N-2] committed).  Epoch runtimes are
+          double-buffered by epoch parity, so the committed state per
+          seed is identical to the sequential schedule.  Not with
+          open-loop clients (see {!run}). *)
 }
 
 val default_cfg : cfg
@@ -48,4 +49,5 @@ val run :
     names a node outside the cluster.  With [?clients] (created with
     [~nodes:cfg.nodes]), each node's sequencer closes epochs against its
     local admission queue and the run continues until the client layer
-    is exhausted ([batches] ignored). *)
+    is exhausted ([batches] ignored); [pipeline] with [?clients] raises
+    [Invalid_argument]. *)

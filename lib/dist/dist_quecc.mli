@@ -33,8 +33,7 @@ type cfg = {
           most two batches are in flight).  Planning touches no rows and
           batch runtimes are double-buffered by batch parity, so the
           committed state per seed is identical to the sequential
-          schedule.  Ignored in client mode, where a batch can only
-          close against the previous batch's completions. *)
+          schedule.  Not with open-loop clients (see {!run}). *)
   replicas : int;
       (** HA mode when positive: stream every planned batch to this many
           backup nodes over a dedicated replication network, gate each
@@ -74,4 +73,6 @@ val run :
     each node admits transactions at its local admission queue —
     planner 0 of each node closes batches against it — and the run
     continues until the client layer is exhausted ([batches] ignored);
-    the stop decision piggybacks on the per-batch commit broadcast. *)
+    the stop decision piggybacks on the per-batch commit broadcast.
+    [pipeline] with [?clients] raises [Invalid_argument]: a batch can
+    only close against the previous batch's completions. *)

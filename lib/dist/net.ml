@@ -1,4 +1,5 @@
 open Quill_sim
+open Quill_txn
 module Faults = Quill_faults.Faults
 
 (* Every message travels in an envelope carrying the sender and a
@@ -119,8 +120,11 @@ let recv_timeout t ~node ~timeout =
   in
   go ()
 
-let messages_sent t = t.msgs
-let bytes_sent t = t.bytes
 let messages_retried t = t.retries
-let duplicates_sent t = t.dups_sent
-let duplicates_dropped t = t.dups_dropped
+
+let record t (m : Metrics.t) =
+  m.Metrics.msgs <- m.Metrics.msgs + t.msgs;
+  m.Metrics.msg_retries <- m.Metrics.msg_retries + t.retries;
+  m.Metrics.msg_dup_drops <- m.Metrics.msg_dup_drops + t.dups_dropped;
+  m.Metrics.msg_bytes <- m.Metrics.msg_bytes + t.bytes;
+  m.Metrics.msg_dups_sent <- m.Metrics.msg_dups_sent + t.dups_sent

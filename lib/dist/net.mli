@@ -41,15 +41,9 @@ val recv_timeout : 'a t -> node:int -> timeout:int -> 'a option
 (** Like {!recv} but waits at most [timeout] virtual ns for a fresh
     (non-duplicate) message; [None] on timeout. *)
 
-val messages_sent : 'a t -> int
-(** Total non-loopback messages (duplicate copies not included). *)
-
-val bytes_sent : 'a t -> int
-
 val messages_retried : 'a t -> int
 (** Retransmissions implied by fault-plan drops. *)
 
-val duplicates_sent : 'a t -> int
-
-val duplicates_dropped : 'a t -> int
-(** Stale copies suppressed at receivers by sequence number. *)
+val record : 'a t -> Quill_txn.Metrics.t -> unit
+(** Add this network's non-loopback messages, bytes, retries, duplicate
+    copies sent and stale copies dropped to the run's metrics. *)

@@ -164,13 +164,7 @@ let winner_db t = t.backups.(t.winner - 1).k_db
 (* Leader side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let ack_iv t batch =
-  match Hashtbl.find_opt t.acks batch with
-  | Some iv -> iv
-  | None ->
-      let iv = Sim.Ivar.create () in
-      Hashtbl.replace t.acks batch iv;
-      iv
+let ack_iv t batch = Dist_rt.get_iv t.acks batch
 
 let bytes_of_txns txns =
   32 * max 1 (Array.fold_left (fun a (x : Txn.t) ->
@@ -540,12 +534,5 @@ let spawn t =
 let threads t = t.replicas + 2
 
 let record t =
-  let m = t.metrics in
-  m.Metrics.replicas <- t.replicas;
-  m.Metrics.msgs <- m.Metrics.msgs + Net.messages_sent t.net;
-  m.Metrics.msg_retries <- m.Metrics.msg_retries + Net.messages_retried t.net;
-  m.Metrics.msg_dup_drops <-
-    m.Metrics.msg_dup_drops + Net.duplicates_dropped t.net;
-  m.Metrics.msg_bytes <- m.Metrics.msg_bytes + Net.bytes_sent t.net;
-  m.Metrics.msg_dups_sent <-
-    m.Metrics.msg_dups_sent + Net.duplicates_sent t.net
+  t.metrics.Metrics.replicas <- t.replicas;
+  Net.record t.net t.metrics

@@ -486,6 +486,23 @@ let test_experiment_runs_clients () =
       E.Dist_calvin 2;
     ]
 
+(* The distributed engines close each batch against the completions of
+   the one before, so they cannot plan ahead: pipelining with open-loop
+   clients is rejected, not run as sequential batches. *)
+let test_dist_reject_pipelined_clients () =
+  List.iter
+    (fun (engine, prefix) ->
+      let e =
+        E.make ~threads:4 ~txns:256 ~batch_size:128 ~clients:C.default
+          ~pipeline:true engine
+          (E.Ycsb (Tutil.small_ycsb ()))
+      in
+      Alcotest.check_raises (E.engine_name engine)
+        (Invalid_argument
+           (prefix ^ ": pipeline does not compose with open-loop clients"))
+        (fun () -> ignore (E.run e)))
+    [ (E.Dist_quecc 2, "Dist_quecc.run"); (E.Dist_calvin 2, "Dist_calvin.run") ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "clients"
@@ -527,5 +544,7 @@ let () =
             test_serial_rejects_clients;
           Alcotest.test_case "all engines run open-loop" `Quick
             test_experiment_runs_clients;
+          Alcotest.test_case "dist engines reject pipelined clients" `Quick
+            test_dist_reject_pipelined_clients;
         ] );
     ]

@@ -183,6 +183,181 @@ let test_dq_beats_dc_on_messages () =
   Tutil.check_bool "queue shipping amortizes messages" true
     (m1.Metrics.msgs * 4 < m2.Metrics.msgs)
 
+let test_dc_records_msg_bytes () =
+  let wl = Ycsb.make (ycsb_for ~nparts:4 ~mp:0.5 ()) in
+  let m = Dc.run (dc_cfg ()) wl ~batches:2 in
+  Tutil.check_bool "payload bytes recorded" true (m.Metrics.msg_bytes > 0)
+
+(* ------------------------- golden schedules ------------------------- *)
+
+(* The exact schedules of both distributed engines, pinned: virtual
+   time, busy time, messages, outcomes, crash replays, both pipeline
+   stalls and the committed-state checksum.  The workload chains data
+   dependencies across nodes and aborts some transactions, so value
+   fills and abort resolutions flow.  A change to the cross-node runtime
+   shared by the two engines must leave every value as it is. *)
+let golden_ycsb () =
+  ycsb_for ~nparts:4 ~mp:0.5 ~chain_deps:true ~abort_ratio:0.1 ()
+
+let golden_faults s =
+  match Quill_faults.Faults.parse s with
+  | Ok f -> f
+  | Error e -> failwith e
+
+let golden_clients sim wl =
+  Quill_clients.Clients.create ~sim ~nodes:2 wl
+    { Quill_clients.Clients.default with
+      Quill_clients.Clients.arrival = Quill_clients.Clients.Poisson 2e6;
+      total = 384;
+      seed = 7 }
+
+(* [run sim wl] runs one engine; its result is pinned with [expect]. *)
+let golden ?(nparts = 4) name run expect =
+  let wl = Ycsb.make { (golden_ycsb ()) with Ycsb.nparts } in
+  let sim =
+    Quill_sim.Sim.create ~wake_cost:Quill_sim.Costs.default.wakeup ()
+  in
+  let m = run sim wl in
+  let got =
+    [
+      ("elapsed", m.Metrics.elapsed);
+      ("busy", m.Metrics.busy);
+      ("msgs", m.Metrics.msgs);
+      ("committed", m.Metrics.committed);
+      ("logic_aborted", m.Metrics.logic_aborted);
+      ("redone", m.Metrics.redone);
+      ("fill_stall", m.Metrics.pipe_fill_stall);
+      ("drain_stall", m.Metrics.pipe_drain_stall);
+      ("checksum", Db.checksum wl.Workload.db);
+    ]
+  in
+  Alcotest.(check (list (pair string int))) name expect got
+
+let test_golden_schedules () =
+  let noisy =
+    golden_faults "crash@t=150us:node=1:down=50us,drop=0.05,dup=0.05,seed=7"
+  in
+  let dq ?faults ?(clients = false) cfg sim wl =
+    let clients = if clients then Some (golden_clients sim wl) else None in
+    Dq.run ~sim ?faults ?clients cfg wl
+      ~batches:(if clients = None then 4 else 0)
+  in
+  let dc ?faults ?(clients = false) cfg sim wl =
+    let clients = if clients then Some (golden_clients sim wl) else None in
+    Dc.run ~sim ?faults ?clients cfg wl
+      ~batches:(if clients = None then 4 else 0)
+  in
+  golden "dist-quecc lockstep" (dq (dq_cfg ()))
+    [
+      ("elapsed", 7852236);
+      ("busy", 6363680);
+      ("msgs", 742);
+      ("committed", 488);
+      ("logic_aborted", 24);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 3754524370845509379)
+    ];
+  golden "dist-quecc pipelined" (dq (dq_cfg ~pipeline:true ()))
+    [
+      ("elapsed", 7747802);
+      ("busy", 6363680);
+      ("msgs", 742);
+      ("committed", 488);
+      ("logic_aborted", 24);
+      ("redone", 0);
+      ("fill_stall", 156815);
+      ("drain_stall", 14212208);
+      ("checksum", 3754524370845509379)
+    ];
+  golden "dist-quecc clients" (dq ~clients:true (dq_cfg ()))
+    [
+      ("elapsed", 6004928);
+      ("busy", 4948450);
+      ("msgs", 569);
+      ("committed", 372);
+      ("logic_aborted", 51);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1341492139027834592)
+    ];
+  golden "dist-quecc crash + drop/dup" (dq ~faults:noisy (dq_cfg ()))
+    [
+      ("elapsed", 10126538);
+      ("busy", 6565635);
+      ("msgs", 742);
+      ("committed", 488);
+      ("logic_aborted", 24);
+      ("redone", 21);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 3754524370845509379)
+    ];
+  golden ~nparts:2 "dist-quecc replicas=2 leader kill"
+    (dq ~faults:(golden_faults "crash@t=300us:node=0")
+       (dq_cfg ~nodes:1 ~replicas:2 ~spec_lag:2 ()))
+    [
+      ("elapsed", 2616322);
+      ("busy", 4104010);
+      ("msgs", 28);
+      ("committed", 486);
+      ("logic_aborted", 26);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1146175515754635975)
+    ];
+  golden "dist-calvin lockstep" (dc (dc_cfg ()))
+    [
+      ("elapsed", 2959787);
+      ("busy", 12184520);
+      ("msgs", 1005);
+      ("committed", 490);
+      ("logic_aborted", 22);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1912161862395229957)
+    ];
+  golden "dist-calvin pipelined" (dc (dc_cfg ~pipeline:true ()))
+    [
+      ("elapsed", 2890247);
+      ("busy", 12184520);
+      ("msgs", 1005);
+      ("committed", 490);
+      ("logic_aborted", 22);
+      ("redone", 0);
+      ("fill_stall", 55010);
+      ("drain_stall", 2739356);
+      ("checksum", 1912161862395229957)
+    ];
+  golden "dist-calvin clients" (dc ~clients:true (dc_cfg ()))
+    [
+      ("elapsed", 2778805);
+      ("busy", 9830610);
+      ("msgs", 801);
+      ("committed", 372);
+      ("logic_aborted", 51);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1341492139027834592)
+    ];
+  golden "dist-calvin crash + drop/dup" (dc ~faults:noisy (dc_cfg ()))
+    [
+      ("elapsed", 3807141);
+      ("busy", 12539410);
+      ("msgs", 1006);
+      ("committed", 490);
+      ("logic_aborted", 22);
+      ("redone", 82);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1912161862395229957)
+    ]
+
 let prop_dq_oracle_random =
   QCheck.Test.make ~name:"dist-quecc == serial oracle across seeds" ~count:6
     QCheck.(pair (int_range 0 500) (int_range 0 100))
@@ -224,6 +399,8 @@ let () =
             test_dc_per_txn_messaging;
           Alcotest.test_case "quecc ships fewer messages" `Quick
             test_dq_beats_dc_on_messages;
+          Alcotest.test_case "records message bytes" `Quick
+            test_dc_records_msg_bytes;
         ] );
       ( "pipeline",
         [
@@ -231,5 +408,10 @@ let () =
             test_dq_pipeline_identical;
           Alcotest.test_case "dist-calvin pipelined identical" `Quick
             test_dc_pipeline_identical;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "golden dist schedules" `Quick
+            test_golden_schedules;
         ] );
     ]

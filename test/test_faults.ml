@@ -409,6 +409,36 @@ let test_dc_crash_recovers_to_oracle () =
   Tutil.check_bool "state matches fault-free oracle" true
     (Db.checksum wl.Workload.db = Db.checksum wl2.Workload.db)
 
+(* Replay re-executes work whose value fills went out before the crash;
+   sending them again would only feed receivers copies they drop.  With
+   no network faults the crash therefore costs no message on either
+   engine.  (The downtime can reorder an abort ahead of fragments it then
+   skips, which moves a few messages either way; this schedule moves
+   none.) *)
+let test_crash_replay_sends_no_messages () =
+  let cfg = Tutil.small_tpcc ~warehouses:4 ~nparts:4 () in
+  List.iter
+    (fun (name, run) ->
+      let m0 = run Faults.none in
+      let plan =
+        {
+          Faults.none with
+          Faults.crashes =
+            [ { Faults.node = 1; at = m0.Metrics.elapsed / 5; down = 20_000 } ];
+        }
+      in
+      let m = run plan in
+      Tutil.check_int (name ^ ": crash fired") 1 m.Metrics.crashes;
+      Tutil.check_bool (name ^ ": work replayed") true (m.Metrics.redone > 0);
+      Tutil.check_int (name ^ ": fault-free message count") m0.Metrics.msgs
+        m.Metrics.msgs)
+    [
+      ( "dist-quecc",
+        fun faults -> Dq.run ~faults (dq_cfg ()) (Tpcc.make cfg) ~batches:3 );
+      ( "dist-calvin",
+        fun faults -> Dc.run ~faults (dc_cfg ()) (Tpcc.make cfg) ~batches:3 );
+    ]
+
 (* Crash recovery composed with the pipelined planner (PR 5): a node
    crash mid-run with planning/execution overlap must still converge to
    the exact fault-free Serial-oracle state, on both dist engines. *)
@@ -723,6 +753,8 @@ let () =
             test_dq_crash_recovers_to_oracle;
           Alcotest.test_case "dist-calvin crash -> oracle state" `Quick
             test_dc_crash_recovers_to_oracle;
+          Alcotest.test_case "crash replay sends no messages" `Quick
+            test_crash_replay_sends_no_messages;
           qc prop_crash_pipeline_oracle;
           Alcotest.test_case "crash x split flag (both engines)" `Quick
             test_crash_with_split_flag;
