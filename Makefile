@@ -1,7 +1,7 @@
 SMOKE_TRACE := /tmp/quill-smoke-trace.json
 BENCH_TARGETS := durability cdc pipeline skew failover
 
-.PHONY: all build test lint check bench-check perf-ab clean
+.PHONY: all build test lint check bench-check bench-diff perf-ab clean
 
 all: build
 
@@ -35,6 +35,12 @@ bench-check: build
 	    --json BENCH_$$t.json > /dev/null || exit 1; \
 	done
 	git diff --exit-code -- $(BENCH_TARGETS:%=BENCH_%.json)
+
+# Byte-identity of every bench target's stdout and JSON at scale 0.25:
+# BASE (a git revision, required) against the working tree.  Exits 1 on
+# any difference.
+bench-diff:
+	scripts/bench_diff.sh --base '$(BASE)'
 
 # Wall-clock A/B of bench/perf: BASE (a git revision, required) against
 # the working tree, PAIRS alternating runs of SECONDS each per workload.

@@ -171,7 +171,6 @@ let nd_module name (cc : (module Quill_protocols.Nd_driver.CC)) :
     let run ?sim ?clients ?faults:_ ?wal:_ ?cdc:_ ~cfg wl =
       Quill_protocols.Nd_driver.run ?sim ?clients cc
         {
-          Quill_protocols.Nd_driver.default_cfg with
           Quill_protocols.Nd_driver.workers = cfg.RC.threads;
           costs = cfg.RC.costs;
         }

@@ -5,8 +5,6 @@ open Quill_txn
 
 type cfg = { workers : int; batch_size : int; costs : Costs.t }
 
-let default_cfg = { workers = 4; batch_size = 512; costs = Costs.default }
-
 type mode = S | X
 
 type crt = {

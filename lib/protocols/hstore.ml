@@ -5,8 +5,6 @@ open Quill_txn
 
 type cfg = { workers : int; costs : Costs.t }
 
-let default_cfg = { workers = 4; costs = Costs.default }
-
 type state = {
   sim : Sim.t;
   costs : Costs.t;

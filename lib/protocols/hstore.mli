@@ -16,8 +16,6 @@ type cfg = {
   costs : Quill_sim.Costs.t;
 }
 
-val default_cfg : cfg
-
 val run :
   ?sim:Quill_sim.Sim.t ->
   ?clients:Quill_clients.Clients.t ->

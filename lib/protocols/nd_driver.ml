@@ -17,15 +17,13 @@ module type CC = sig
     t -> wid:int -> Workload.t -> Txn.t -> Exec.outcome
 end
 
-type cfg = {
-  workers : int;
-  costs : Costs.t;
-  backoff : int;
-  max_backoff : int;
-}
+type cfg = { workers : int; costs : Costs.t }
 
-let default_cfg =
-  { workers = 4; costs = Costs.default; backoff = 500; max_backoff = 200_000 }
+let default_cfg = { workers = 4; costs = Costs.default }
+
+(* Retry backoff in virtual ns: the base, doubled per retry up to the cap. *)
+let backoff = 500
+let max_backoff = 200_000
 
 let run ?sim ?clients (module P : CC) cfg wl ~txns =
   assert (cfg.workers > 0 && txns >= 0);
@@ -61,9 +59,9 @@ let run ?sim ?clients (module P : CC) cfg wl ~txns =
                 | Exec.Blocked ->
                     metrics.Metrics.cc_aborts <- metrics.Metrics.cc_aborts + 1;
                     Sim.sleep sim (backoff + Rng.int jitter (backoff + 1));
-                    attempt (min (backoff * 2) cfg.max_backoff)
+                    attempt (min (backoff * 2) max_backoff)
               in
-              attempt cfg.backoff);
+              attempt backoff);
           txn.Txn.finish_time <- Sim.now sim;
           Stats.Hist.add metrics.Metrics.lat
             (txn.Txn.finish_time - txn.Txn.submit_time);

@@ -1,7 +1,8 @@
 (** Driver for non-deterministic protocols: a pool of symmetric worker
     threads (thread-to-transaction assignment), each generating from its
     own stream and retrying on concurrency-control aborts with bounded
-    exponential backoff. *)
+    exponential backoff (500 virtual ns, doubled per retry up to 200 us,
+    plus per-worker jitter). *)
 
 module type CC = sig
   val name : string
@@ -19,12 +20,7 @@ module type CC = sig
       the driver retries. *)
 end
 
-type cfg = {
-  workers : int;
-  costs : Quill_sim.Costs.t;
-  backoff : int;        (** base backoff in virtual ns, doubled per retry *)
-  max_backoff : int;
-}
+type cfg = { workers : int; costs : Quill_sim.Costs.t }
 
 val default_cfg : cfg
 

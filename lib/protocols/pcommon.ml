@@ -27,7 +27,6 @@ module Rowmap = struct
       | e :: rest -> e :: go rest
     in
     t := go !t
-  let iter f (t : 'a t) = List.iter (fun (r, v) -> f r v) !t
   let iter_rev f (t : 'a t) = List.iter (fun (r, v) -> f r v) (List.rev !t)
   let elements (t : 'a t) = !t
 end

@@ -12,12 +12,12 @@ module Rowmap : sig
   val replace : 'a t -> Quill_storage.Row.t -> 'a -> unit
   (** Replaces the existing binding (adds when absent). *)
 
-  val iter : (Quill_storage.Row.t -> 'a -> unit) -> 'a t -> unit
   val iter_rev : (Quill_storage.Row.t -> 'a -> unit) -> 'a t -> unit
   val elements : 'a t -> (Quill_storage.Row.t * 'a) list
 end
 
 val run_locked : Quill_txn.Direct.t -> Quill_txn.Txn.t -> Quill_txn.Exec.outcome
-(** [Direct.run], then publish every written row on commit: the execution
-    core of H-Store and Calvin, whose locks (partition or row) make the
-    transaction the only writer of its rows until it finishes. *)
+(** [Direct.run], then publish every written row on commit, once per row
+    given a [Per_row] runner: the execution core of H-Store, Calvin and
+    2PL, whose locks (partition or row) make the transaction the only
+    writer of its rows until it finishes. *)

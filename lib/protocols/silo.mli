@@ -1,7 +1,7 @@
-(** Silo-style optimistic concurrency control (Tu et al., SOSP'13):
-    invisible reads recording per-row TIDs, transaction-local write
-    buffers, and a commit protocol that latches the write set in
-    deterministic order, validates the read set and installs under a new
-    TID.  Plugs into {!Nd_driver}. *)
+(** Silo-style optimistic concurrency control (Tu et al., SOSP'13), an
+    {!Occ} policy: invisible reads record per-row TIDs, writes are
+    buffered, and commit validates that every TID read is unchanged and
+    not latched by another committer, then installs under a TID above
+    every one seen.  Plugs into {!Nd_driver}. *)
 
 include Nd_driver.CC

@@ -1,7 +1,8 @@
 (* Strict two-phase locking with the NoWait and WaitDie deadlock-avoidance
    policies (Yu et al., VLDB'14 configurations).  Locks live in the row
    ([Row.lock]: 0 free, -1 exclusive, n>0 shared); writes are applied in
-   place under the exclusive lock with undo on abort.
+   place under the exclusive lock by [Direct], which undoes them on
+   abort.
 
    WaitDie waits by spin-sleeping, as main-memory implementations do;
    [Row.lock_tx] tracks the oldest (smallest) timestamp among current
@@ -92,69 +93,28 @@ struct
         row.Row.lock <- 0;
         row.Row.lock_tx <- max_int
 
+  (* The attempt runs in place through [Direct]: a lock the policy
+     refuses raises in [locate], which ends the attempt [Blocked] before
+     the fragment's logic; inserted rows stay X-locked until the end. *)
   let run_txn st ~wid:_ (wl : Workload.t) txn =
     let ts = txn.Txn.tid in
     let held : held Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
-    let undo : int array Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
-    let written : unit Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
-    let inserts = ref [] in
-    let slots = ref [||] in
-    let cur = Direct.cursor () in
-    let read (_ : Fragment.t) field =
-      Sim.tick st.sim st.costs.Costs.row_read;
-      if cur.found then cur.row.Row.data.(field) else 0
-    in
-    let write _frag field v =
-      Sim.tick st.sim st.costs.Costs.row_write;
-      if cur.found then begin
-        let row = cur.row in
-        (match Pcommon.Rowmap.find undo row with
-        | None -> Pcommon.Rowmap.add undo row (Array.copy row.Row.data)
-        | Some _ -> ());
-        if Pcommon.Rowmap.find written row = None then
-          Pcommon.Rowmap.add written row ();
-        row.Row.data.(field) <- v
-      end
-    in
-    let add frag field d = write frag field (read frag field + d) in
-  let insert (frag : Fragment.t) ~key payload =
-      Sim.tick st.sim st.costs.Costs.index_insert;
-      let tbl = Db.table st.db frag.Fragment.table in
-      let home = Db.home st.db frag.Fragment.table frag.Fragment.key in
-      let row = Table.insert tbl ~home ~key payload in
-      (* Keep the new row exclusively locked until commit. *)
-      row.Row.lock <- -1;
-      row.Row.lock_tx <- ts;
-      Pcommon.Rowmap.add held row Exclusive;
-      inserts := (frag.Fragment.table, key) :: !inserts
-    in
-    let input fid = !slots.(fid) in
-    let output fid v = if fid < Array.length !slots then !slots.(fid) <- v in
-    let found _ = cur.found in
-    let ctx = { Exec.read; write; add; insert; input; output; found } in
-    slots := Array.make (Array.length txn.Txn.frags) 0;
-    (* A lock the policy refuses aborts the attempt before its logic. *)
     let locate (frag : Fragment.t) =
       match Direct.find st.db frag with
       | Some row when not (acquire st ts row frag.Fragment.mode held) ->
           raise Exec.Blocked_exn
       | r -> r
     in
-    let outcome =
-      try Direct.steps st.sim st.costs wl ctx cur ~locate txn
-      with Exec.Blocked_exn -> Exec.Blocked
+    let inserted ~table:_ row =
+      row.Row.lock <- -1;
+      row.Row.lock_tx <- ts;
+      Pcommon.Rowmap.add held row Exclusive
     in
-    (match outcome with
-    | Exec.Ok -> Pcommon.Rowmap.iter (fun row () -> Row.publish row) written
-    | Exec.Abort | Exec.Blocked ->
-        Pcommon.Rowmap.iter
-          (fun row saved ->
-            Sim.tick st.sim st.costs.Costs.abort_cleanup;
-            Row.restore row saved)
-          undo;
-        List.iter
-          (fun (tid, key) -> Table.remove (Db.table st.db tid) key)
-          !inserts);
+    let direct =
+      Direct.create ~db:st.db ~locate ~inserted ~charge:Direct.Per_row st.sim
+        st.costs wl
+    in
+    let outcome = Pcommon.run_locked direct txn in
     (* Strict 2PL: release everything at the end, success or not. *)
     Pcommon.Rowmap.iter_rev (fun row mode -> release st row mode) held;
     outcome

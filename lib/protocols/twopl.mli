@@ -1,8 +1,10 @@
 (** Strict two-phase locking with the NoWait and WaitDie
     deadlock-avoidance policies (the classic pessimistic baselines of
-    Yu et al., VLDB'14).  Writes go in place under exclusive row locks
-    with undo on abort; NoWait aborts on any conflict, WaitDie lets
-    older transactions wait (spin) and kills younger ones. *)
+    Yu et al., VLDB'14).  Transactions run in place through
+    {!Quill_txn.Direct}, whose [locate] takes the row locks: writes land
+    under exclusive locks and are undone on abort; NoWait aborts on any
+    conflict, WaitDie lets older transactions wait (spin) and kills
+    younger ones. *)
 
 type policy = No_wait | Wait_die
 

@@ -27,17 +27,6 @@ let step sim (costs : Costs.t) (wl : Workload.t) ctx cur ~locate txn
   Sim.tick sim costs.Costs.logic;
   wl.Workload.exec ctx txn frag
 
-let steps sim costs wl ctx cur ~locate txn =
-  let frags = txn.Txn.frags in
-  let rec go i =
-    if i >= Array.length frags then Exec.Ok
-    else
-      match step sim costs wl ctx cur ~locate txn frags.(i) with
-      | Exec.Ok -> go (i + 1)
-      | (Exec.Abort | Exec.Blocked) as r -> r
-  in
-  go 0
-
 type abort_charge = Per_write | Per_row | Per_txn
 
 (* The current attempt: data-dependency slots and the undo/insert logs. *)
@@ -75,10 +64,17 @@ let create ?db ?locate ?(touch = no_hook) ?(inserted = no_hook)
       cur.row.Row.committed.(field)
     else cur.row.Row.data.(field)
   in
-  (* Log the pre-image and show the row to the hook before writing. *)
+  (* Log the pre-image and show the row to the hook before writing;
+     [Per_row] logs only the image before the attempt's first write to
+     the row. *)
+  let logged row =
+    (* lint: phys-eq-ok -- row identity, as in Pcommon.Rowmap *)
+    charge = Per_row && List.exists (fun (r, _) -> r == row) att.undo
+  in
   let set (frag : Fragment.t) field v =
     let row = cur.row in
-    att.undo <- (row, Array.copy row.Row.data) :: att.undo;
+    if not (logged row) then
+      att.undo <- (row, Array.copy row.Row.data) :: att.undo;
     touch ~table:frag.Fragment.table row;
     row.Row.data.(field) <- v
   in
@@ -110,29 +106,15 @@ let revert db undo inserts =
   List.iter (fun (row, saved) -> Row.restore row saved) undo;
   List.iter (fun (table, key) -> Table.remove (Db.table db table) key) inserts
 
-(* [Per_row] restores only each row's oldest image, the one taken before
-   the attempt's first write to it. *)
 let rollback t =
   let cleanup () = Sim.tick t.sim t.costs.Costs.abort_cleanup in
   (match t.charge with
-  | Per_write ->
+  | Per_write | Per_row ->
       List.iter
         (fun (row, saved) ->
           cleanup ();
           Row.restore row saved)
         t.att.undo
-  | Per_row ->
-      let rec go = function
-        | [] -> ()
-        | (row, saved) :: older ->
-            (* lint: phys-eq-ok -- row identity, as in Pcommon.Rowmap *)
-            if not (List.exists (fun (r, _) -> r == row) older) then begin
-              cleanup ();
-              Row.restore row saved
-            end;
-            go older
-      in
-      go t.att.undo
   | Per_txn ->
       cleanup ();
       revert t.db t.att.undo []);
@@ -145,7 +127,16 @@ let run t txn =
   att.slots <- Array.make (Array.length txn.Txn.frags) 0;
   att.undo <- [];
   att.inserts <- [];
-  let r = steps t.sim t.costs t.wl t.ctx t.cur ~locate:t.locate txn in
+  let frags = txn.Txn.frags in
+  let rec go i =
+    if i >= Array.length frags then Exec.Ok
+    else
+      match step t.sim t.costs t.wl t.ctx t.cur ~locate:t.locate txn frags.(i) with
+      | Exec.Ok -> go (i + 1)
+      | (Exec.Abort | Exec.Blocked) as r -> r
+  in
+  (* A [locate] that refuses (2PL) ends the attempt like a conflict. *)
+  let r = try go 0 with Exec.Blocked_exn -> Exec.Blocked in
   if r <> Exec.Ok then rollback t;
   r
 

@@ -12,7 +12,8 @@
     versions, logging a full-row undo image per write and rolling the
     attempt back on abort.  It is the execution core of the serial
     engine, QueCC's speculative-recovery re-execution, HA-QueCC backup
-    speculation, and H-Store / Calvin once their locks are held.  What
+    speculation, H-Store / Calvin once their locks are held, and 2PL,
+    whose [locate] takes the locks.  What
     differs between them is a parameter of {!create}. *)
 
 type cursor = { mutable row : Quill_storage.Row.t; mutable found : bool }
@@ -38,24 +39,15 @@ val step :
 (** [step sim costs wl ctx cur ~locate txn frag]: position [cur] (an
     [index_probe] tick, then [locate], for non-insert fragments), charge
     [logic], and run [frag]'s logic.  An exception raised by [locate]
-    (2PL's [Exec.Blocked_exn]) propagates before the logic charge. *)
-
-val steps :
-  Quill_sim.Sim.t ->
-  Quill_sim.Costs.t ->
-  Workload.t ->
-  Exec.ctx ->
-  cursor ->
-  locate:(Fragment.t -> Quill_storage.Row.t option) ->
-  Txn.t ->
-  Exec.outcome
-(** {!step} every fragment in program order, stopping at the first
-    [Abort] or [Blocked]. *)
+    (2PL's [Exec.Blocked_exn]) leaves the step after the probe, before
+    the logic charge; {!run} maps [Blocked_exn] to [Blocked]. *)
 
 (** How a rolled-back attempt is charged [abort_cleanup]. *)
 type abort_charge =
   | Per_write  (** once per logged write (serial, QueCC recovery) *)
-  | Per_row    (** once per distinct written row (H-Store, Calvin) *)
+  | Per_row
+      (** once per distinct written row, which is also logged only once
+          (H-Store, Calvin, 2PL) *)
   | Per_txn    (** once per aborted attempt (HA-QueCC backups) *)
 
 type t
@@ -88,13 +80,15 @@ val create :
 
 val run : t -> Txn.t -> Exec.outcome
 (** Execute every fragment in program order from fresh slots and logs,
-    stopping at the first [Abort] or [Blocked].  On a non-[Ok] outcome
-    the attempt's writes are restored and its inserts removed, charged
-    per the runner's [abort_charge]. *)
+    stopping at the first [Abort] or [Blocked]; a [locate] raising
+    [Exec.Blocked_exn] counts as [Blocked].  On a non-[Ok] outcome the
+    attempt's writes are restored and its inserts removed, charged per
+    the runner's [abort_charge]. *)
 
 val undo : t -> (Quill_storage.Row.t * int array) list
 (** The last attempt's undo log, newest first: one (row, image before
-    the write) per write. *)
+    the write) per write; under [Per_row], one per distinct row, holding
+    its image before the attempt's first write to it. *)
 
 val inserts : t -> (int * int) list
 (** The last attempt's inserts as (table, key), newest first. *)

@@ -6,8 +6,8 @@
 #                      [--workloads "ycsb-pipe tpcc-durable ycsb-hot-nd ycsb-open"]
 #   make perf-ab BASE=REV [PAIRS=10] [SECONDS=20] [SEED=42] [WORKLOADS="..."]
 #
-# REV is exported with `git archive` into _build/perf-ab/<sha>/ and built
-# there once.  For each workload the script then runs
+# REV is exported into _build/perf-ab/<sha>/ and built there by
+# scripts/export_base.sh.  For each workload the script then runs
 # `perf.exe bench --trace 0` PAIRS times per side, alternating which side
 # goes first, and one `perf.exe run --json` per side for the
 # committed-state checksum.  It prints, per workload x end-to-end metric,
@@ -40,20 +40,12 @@ done
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
-sha=$(git rev-parse --verify "$base^{commit}")
 ab="$root/_build/perf-ab"
-base_dir="$ab/$sha"
+base_dir=$(scripts/export_base.sh "$base" ./bench/perf/perf.exe)
 out="$ab/out"
 mkdir -p "$out"
 rm -f "$out"/*
 
-if [ ! -x "$base_dir/_build/default/bench/perf/perf.exe" ]; then
-  echo "perf-ab: building base $sha in $base_dir" >&2
-  rm -rf "$base_dir"
-  mkdir -p "$base_dir"
-  git archive "$sha" | tar -x -C "$base_dir"
-  dune build --root "$base_dir" --no-print-directory ./bench/perf/perf.exe
-fi
 echo "perf-ab: building the working tree" >&2
 dune build ./bench/perf/perf.exe
 mkdir -p "$ab/new"

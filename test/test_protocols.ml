@@ -15,6 +15,9 @@ open Quill_protocols
 let nd_cfg workers =
   { Nd_driver.default_cfg with Nd_driver.workers }
 
+let calvin_cfg workers =
+  { Calvin.workers; batch_size = 512; costs = Quill_sim.Costs.default }
+
 let all_cc : (string * (module Nd_driver.CC)) list =
   [
     ("2pl-nowait", (module Twopl.No_wait_cc));
@@ -60,7 +63,7 @@ let test_additive_hstore () =
 
 let test_additive_calvin () =
   additive_check "calvin" (fun wl ->
-      Calvin.run { Calvin.default_cfg with Calvin.workers = 3 } wl ~txns:2000)
+      Calvin.run (calvin_cfg 3) wl ~txns:2000)
 
 let test_abort_rates_under_contention () =
   (* ND protocols must actually abort under contention — otherwise the
@@ -83,7 +86,7 @@ let test_deterministic_engines_have_no_cc_aborts () =
   in
   Tutil.check_int "hstore abort-free" 0 m.Metrics.cc_aborts;
   let wl2 = Ycsb.make (Tutil.small_ycsb ~table_size:64 ~theta:0.0 ()) in
-  let m2 = Calvin.run { Calvin.default_cfg with Calvin.workers = 3 } wl2
+  let m2 = Calvin.run (calvin_cfg 3) wl2
              ~txns:500
   in
   Tutil.check_int "calvin abort-free" 0 m2.Metrics.cc_aborts
@@ -95,7 +98,7 @@ let test_calvin_matches_serial () =
   let wl = Ycsb.make cfg in
   let wl_rec, logs = Tutil.record wl in
   let m =
-    Calvin.run { Calvin.default_cfg with Calvin.workers = 4 } wl_rec ~txns:600
+    Calvin.run (calvin_cfg 4) wl_rec ~txns:600
   in
   let wl_oracle = Ycsb.make cfg in
   let txns = Quill_common.Vec.to_list (Hashtbl.find logs 0) in
@@ -153,7 +156,7 @@ let test_calvin_lock_manager_bottleneck () =
      manager: going 2 -> 8 workers helps far less than 4x. *)
   let tput workers =
     let wl = Ycsb.make (Tutil.small_ycsb ~table_size:8_000 ~theta:0.0 ()) in
-    let m = Calvin.run { Calvin.default_cfg with Calvin.workers } wl ~txns:3000 in
+    let m = Calvin.run (calvin_cfg workers) wl ~txns:3000 in
     Metrics.throughput m
   in
   let t2 = tput 2 and t8 = tput 8 in
@@ -185,6 +188,159 @@ let test_mvto_versions () =
       Tutil.check_bool "chain bounded" true (List.length row.Row.versions <= 8);
       Tutil.check_int "committed = live" row.Row.data.(0) row.Row.committed.(0))
     (Db.table_by_name wl.Workload.db "usertable")
+
+(* ------------------------- golden schedules ------------------------- *)
+
+module E = Quill_harness.Experiment
+
+(* The ND protocols' exact schedules, closed loop and behind open-loop
+   clients: virtual time, busy time, commits, both abort counts, p99 and
+   the committed-state checksum.  A refactor of the protocols or their
+   shared runners must leave every value as it is. *)
+let golden_workloads =
+  [
+    ("chained ycsb",
+     E.Ycsb (Tutil.small_ycsb ~theta:0.9 ~abort_ratio:0.1 ~chain_deps:true ()));
+    ("rmw ycsb",
+     E.Ycsb (Tutil.small_ycsb ~theta:0.99 ~mp_ratio:0.5 ~read_ratio:0.0 ()));
+    ("tpcc payment", E.Tpcc (Tutil.small_tpcc ~payment_only:true ()));
+    ("tpcc 2w", E.Tpcc (Tutil.small_tpcc ~warehouses:2 ()));
+  ]
+
+let golden_nd_engines = E.[ Twopl_nowait; Twopl_waitdie; Silo; Tictoc; Mvto ]
+
+(* [elapsed; busy; committed; logic_aborted; cc_aborts; p99; checksum]. *)
+let golden_nd engine workload ~clients =
+  let clients =
+    if clients then
+      Some
+        { Quill_clients.Clients.default with
+          Quill_clients.Clients.arrival = Quill_clients.Clients.Poisson 1e6;
+          seed = 7 }
+    else None
+  in
+  let e =
+    E.make ~threads:4 ~txns:1024 ~batch_size:128 ?clients engine workload
+  in
+  let db = ref None in
+  let m = E.run ~on_workload:(fun wl -> db := Some wl.Workload.db) e in
+  let checksum = match !db with Some d -> Db.checksum d | None -> 0 in
+  [
+    m.Metrics.elapsed;
+    m.Metrics.busy;
+    m.Metrics.committed;
+    m.Metrics.logic_aborted;
+    m.Metrics.cc_aborts;
+    Quill_common.Stats.Hist.percentile m.Metrics.lat 99.0;
+    checksum;
+  ]
+
+(* [golden_nd]'s values per engine, workload and loop. *)
+let golden_nd_expect =
+  [
+    ("2pl-nowait chained ycsb closed",
+     [ 1142936; 3901385; 985; 39; 285; 13311; 2511843955240449167 ]);
+    ("2pl-nowait chained ycsb open",
+     [ 1143400; 4161250; 1003; 104; 299; 12287; 2949693572401802026 ]);
+    ("2pl-nowait rmw ycsb closed",
+     [ 1619187; 4850010; 1024; 0; 597; 36863; 3399060117009271151 ]);
+    ("2pl-nowait rmw ycsb open",
+     [ 1606252; 4931425; 1024; 0; 627; 40959; 3399060117009271151 ]);
+    ("2pl-nowait tpcc payment closed",
+     [ 7656912; 7489900; 1021; 3; 101; 18431; 3844684704405354516 ]);
+    ("2pl-nowait tpcc payment open",
+     [ 7683381; 7561765; 1021; 12; 226; 344063; 3844684704405354516 ]);
+    ("2pl-nowait tpcc 2w closed",
+     [ 5323974; 10399275; 1016; 8; 833; 110591; 2723279764805203541 ]);
+    ("2pl-nowait tpcc 2w open",
+     [ 5253568; 10910460; 1016; 32; 861; 188415; 4122524828556760228 ]);
+    ("2pl-waitdie chained ycsb closed",
+     [ 1041309; 3816250; 987; 37; 183; 11263; 4211696880506004335 ]);
+    ("2pl-waitdie chained ycsb open",
+     [ 1111257; 4047345; 1002; 107; 198; 10239; 3789387592944718698 ]);
+    ("2pl-waitdie rmw ycsb closed",
+     [ 1357316; 4488305; 1024; 0; 387; 18431; 3399060117009271151 ]);
+    ("2pl-waitdie rmw ycsb open",
+     [ 1358179; 4533180; 1024; 0; 436; 17407; 3399060117009271151 ]);
+    ("2pl-waitdie tpcc payment closed",
+     [ 5551846; 8048770; 1021; 3; 1491; 196607; 3844684704405354516 ]);
+    ("2pl-waitdie tpcc payment open",
+     [ 5878642; 8009735; 1021; 12; 1109; 376831; 3844684704405354516 ]);
+    ("2pl-waitdie tpcc 2w closed",
+     [ 4138102; 10795910; 1016; 8; 860; 106495; 3720011750315133044 ]);
+    ("2pl-waitdie tpcc 2w open",
+     [ 4297072; 10800520; 1016; 32; 911; 106495; 4293352432350284380 ]);
+    ("silo chained ycsb closed",
+     [ 1148661; 4330180; 989; 35; 166; 12799; 281123926232619435 ]);
+    ("silo chained ycsb open",
+     [ 1197512; 4566500; 1000; 112; 187; 12799; 3611642565957805172 ]);
+    ("silo rmw ycsb closed",
+     [ 2068091; 6385175; 1024; 0; 463; 40959; 3399060117009271151 ]);
+    ("silo rmw ycsb open",
+     [ 2059834; 6327360; 1024; 0; 453; 30719; 3399060117009271151 ]);
+    ("silo tpcc payment closed",
+     [ 6780629; 11102820; 1021; 3; 283; 114687; 3844684704405354516 ]);
+    ("silo tpcc payment open",
+     [ 6275160; 13898130; 1021; 12; 491; 294911; 3844684704405354516 ]);
+    ("silo tpcc 2w closed",
+     [ 5377423; 15983535; 1016; 8; 309; 204799; 2097030886603471936 ]);
+    ("silo tpcc 2w open",
+     [ 4640646; 16984255; 1016; 32; 366; 196607; 3263267998785023212 ]);
+    ("tictoc chained ycsb closed",
+     [ 1116434; 4205335; 987; 37; 126; 12287; 2549834724304724079 ]);
+    ("tictoc chained ycsb open",
+     [ 1152339; 4431165; 1001; 107; 144; 12799; 1999827706098533294 ]);
+    ("tictoc rmw ycsb closed",
+     [ 2068091; 6385175; 1024; 0; 463; 40959; 3399060117009271151 ]);
+    ("tictoc rmw ycsb open",
+     [ 2059834; 6327360; 1024; 0; 453; 30719; 3399060117009271151 ]);
+    ("tictoc tpcc payment closed",
+     [ 4903391; 12357950; 1021; 3; 408; 155647; 3844684704405354516 ]);
+    ("tictoc tpcc payment open",
+     [ 4424152; 13758225; 1021; 12; 527; 188415; 3844684704405354516 ]);
+    ("tictoc tpcc 2w closed",
+     [ 4749286; 14141370; 1016; 8; 211; 147455; 1456118152126278366 ]);
+    ("tictoc tpcc 2w open",
+     [ 4477831; 15300755; 1016; 32; 227; 172031; 3263267998785023212 ]);
+    ("mvto chained ycsb closed",
+     [ 1145399; 4172770; 983; 41; 247; 18431; 1413885171679176529 ]);
+    ("mvto chained ycsb open",
+     [ 1217534; 4444980; 999; 118; 274; 16383; 2076286722449374159 ]);
+    ("mvto rmw ycsb closed",
+     [ 3173042; 6302870; 1024; 0; 597; 106495; 3399060117009271151 ]);
+    ("mvto rmw ycsb open",
+     [ 2662797; 6574575; 1024; 0; 738; 77823; 3399060117009271151 ]);
+    ("mvto tpcc payment closed",
+     [ 5670475; 12641005; 1021; 3; 711; 139263; 3844684704405354516 ]);
+    ("mvto tpcc payment open",
+     [ 5641944; 13396095; 1021; 12; 811; 311295; 3844684704405354516 ]);
+    ("mvto tpcc 2w closed",
+     [ 4190583; 12431615; 1016; 8; 366; 94207; 3167856933690843845 ]);
+    ("mvto tpcc 2w open",
+     [ 3781679; 13139395; 1016; 32; 414; 98303; 3263267998785023212 ]);
+  ]
+
+let test_golden_nd () =
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (wname, workload) ->
+          List.iter
+            (fun clients ->
+              let name =
+                Printf.sprintf "%s %s %s" (E.engine_name engine) wname
+                  (if clients then "open" else "closed")
+              in
+              Alcotest.(check (list int))
+                name
+                (List.assoc name golden_nd_expect)
+                (golden_nd engine workload ~clients))
+            [ false; true ])
+        golden_workloads)
+    golden_nd_engines;
+  Tutil.check_int "every pin checked"
+    (List.length golden_nd_engines * List.length golden_workloads * 2)
+    (List.length golden_nd_expect)
 
 let prop_nd_additive =
   QCheck.Test.make ~name:"nd protocols keep the additive invariant" ~count:10
@@ -228,6 +384,7 @@ let () =
           Alcotest.test_case "run-to-run determinism" `Quick
             test_run_to_run_determinism;
           Alcotest.test_case "mvto version chains" `Quick test_mvto_versions;
+          Alcotest.test_case "golden nd schedules" `Quick test_golden_nd;
         ] );
       ( "shapes",
         [

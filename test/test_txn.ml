@@ -292,6 +292,43 @@ let test_direct_step_locate_raises () =
   Tutil.check_int "probe only" 7 busy;
   Tutil.check_bool "logic skipped" false !ran
 
+(* A second fragment whose [locate] refuses (2PL's lock conflict) after
+   the first fragment wrote and inserted: [run] ends the attempt
+   [Blocked] and rolls it back, charged per the runner's policy. *)
+let test_direct_run_locate_raises () =
+  let txn =
+    Txn.make ~tid:0
+      [|
+        frag ~fid:0 ~key:0 Fragment.Write;
+        frag ~fid:1 ~key:0 Fragment.Insert;
+        frag ~fid:2 ~key:1 Fragment.Write;
+      |]
+  in
+  let exec ctx _ (f : Fragment.t) =
+    (match f.Fragment.fid with
+    | 0 ->
+        ctx.Exec.write f 0 5;
+        ctx.Exec.write f 1 6
+    | _ -> ctx.Exec.insert f ~key:1000 [| 1; 2; 3; 4 |]);
+    Exec.Ok
+  in
+  let costs = { Costs.zero with Costs.abort_cleanup = 1000 } in
+  let wl = direct_wl exec in
+  let locate (f : Fragment.t) =
+    if f.Fragment.fid = 2 then raise Exec.Blocked_exn
+    else Direct.find wl.Workload.db f
+  in
+  let r, busy =
+    in_sim (fun sim ->
+        Direct.run (Direct.create ~locate ~charge:Direct.Per_row sim costs wl) txn)
+  in
+  Tutil.check_bool "blocked" true (r = Exec.Blocked);
+  Alcotest.(check (array int)) "row 0 restored" [| 0; 0; 0; 0 |]
+    (row wl 0).Quill_storage.Row.data;
+  Tutil.check_bool "insert removed" true
+    (Table.find (Db.table wl.Workload.db 0) 1000 = None);
+  Tutil.check_int "abort charge per row" 1000 busy
+
 let () =
   Alcotest.run "txn"
     [
@@ -319,5 +356,7 @@ let () =
             test_direct_add_and_isolation;
           Alcotest.test_case "locate raising skips logic" `Quick
             test_direct_step_locate_raises;
+          Alcotest.test_case "run rolls back a raising locate" `Quick
+            test_direct_run_locate_raises;
         ] );
     ]
