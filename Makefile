@@ -15,9 +15,11 @@ test:
 lint:
 	dune exec bin/quill_lint.exe
 
-# Full verification: build, test suite, determinism lint, then a CLI
-# smoke run that exports a trace, validates the Chrome trace-event JSON
-# actually parses, and replays the planned-order conflict check.
+# Full verification: build, test suite, determinism lint, then CLI
+# smoke runs: one exports a trace, validates the Chrome trace-event JSON
+# actually parses, and replays the planned-order conflict check; one
+# drives a per-transaction engine in open loop with deadlines and
+# retries; and a non-finite --deadline must be rejected with exit 2.
 check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine quecc --workload ycsb \
 	  --txns 2048 --batch 512 --trace $(SMOKE_TRACE) --phase-table \
@@ -25,6 +27,11 @@ check: build test lint
 	python3 -c "import json; d = json.load(open('$(SMOKE_TRACE)')); \
 	  assert d['traceEvents'], 'empty trace'; \
 	  print('trace ok: %d events' % len(d['traceEvents']))"
+	dune exec bin/quill_cli.exe -- run --engine calvin --txns 2048 \
+	  --arrival 200000 --admission deadline:64 --deadline 20us --retries 2
+	dune exec bin/quill_cli.exe -- run --engine calvin --txns 2048 \
+	  --arrival 200000 --admission deadline:64 --deadline inf; \
+	  test $$? -eq 2
 
 # Regenerate every checked-in BENCH_*.json at scale 1 and fail on any
 # difference: their numbers are deterministic virtual time, so a change

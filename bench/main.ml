@@ -210,12 +210,11 @@ let parse_args () =
             Some
               (parsed "--admission" Quill_clients.Clients.parse_admission
                  (value "--admission" i))
-      | "--deadline" -> (
-          let s = value "--deadline" i in
-          match Quill_clients.Clients.parse_time s with
-          | d -> o.deadline <- Some d
-          | exception _ ->
-              usage ~hint:("bad --deadline " ^ s ^ " (want NUM[ns|us|ms|s])") ())
+      | "--deadline" ->
+          o.deadline <-
+            Some
+              (parsed "--deadline" Quill_faults.Faults.parse_time
+                 (value "--deadline" i))
       | "--retries" ->
           o.retries <-
             Some

@@ -1,9 +1,9 @@
 (* Command-line front end: run any engine x workload x parameters and
-   print metrics, or replay the paper's experiment suite.
+   print metrics.  The paper's experiment suite runs through
+   bench/main.exe.
 
      quill_cli run --engine quecc --workload ycsb --theta 0.9 --threads 8
      quill_cli run --engine tictoc --workload tpcc --warehouses 1
-     quill_cli experiments --only table2-row3 --scale 0.5
      quill_cli list-engines *)
 
 open Cmdliner
@@ -41,14 +41,8 @@ let clients_cfg ~seed arrival admission deadline retries =
       | None -> cfg
     in
     let cfg =
-      match deadline with
-      | Some s -> (
-          match C.parse_time s with
-          | d -> { cfg with C.deadline = d }
-          | exception _ ->
-              Printf.eprintf
-                "quill_cli: bad --deadline %S (want NUM[ns|us|ms|s])\n" s;
-              exit 2)
+      match get "deadline" Quill_faults.Faults.parse_time deadline with
+      | Some d -> { cfg with C.deadline = d }
       | None -> cfg
     in
     let cfg =
@@ -195,30 +189,6 @@ let run_cmd engine workload threads txns batch theta mp abort_ratio warehouses
                the QueCC family does)@."
               engine;
           if not (CC.ok r) then exit 1
-
-let experiments_cmd only scale check_conflicts =
-  let module X = Quill_harness.Experiments in
-  X.check_conflicts := check_conflicts;
-  match only with
-  | None -> X.all ~scale ()
-  | Some "table2-row1" -> X.table2_row1 ~scale ()
-  | Some "table2-row2" -> X.table2_row2 ~scale ()
-  | Some "table2-row3" -> X.table2_row3 ~scale ()
-  | Some "fig-contention" -> X.fig_contention ~scale ()
-  | Some "fig-scalability" -> X.fig_scalability ~scale ()
-  | Some "fig-modes" -> X.fig_modes ~scale ()
-  | Some "fig-latency" -> X.fig_latency ~scale ()
-  | Some "fig-batch" -> X.fig_batch ~scale ()
-  | Some "pipeline" -> X.pipeline ~scale ()
-  | Some "skew" -> X.skew ~scale ()
-  | Some "fault-tolerance" -> X.fault_tolerance ~scale ()
-  | Some "failover" -> X.failover ~scale ()
-  | Some "durability" -> X.durability ~scale ()
-  | Some "cdc" -> X.cdc ~scale ()
-  | Some "overload" -> X.overload ~scale ()
-  | Some other ->
-      Printf.eprintf "unknown experiment %s\n" other;
-      exit 2
 
 (* Each engine name with the capability set its module advertises, so
    the listing answers "which flags does this engine honor" directly. *)
@@ -499,24 +469,9 @@ let run_term =
     $ wal_t $ snapshot_every_t $ cdc_t $ views_t $ global_zipf_t
     $ check_conflicts_t $ trace_t $ phase_table_t)
 
-let only_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "only" ] ~doc:"Run a single experiment by id.")
-
-let scale_t =
-  Arg.(value & opt float 0.5 & info [ "scale" ] ~doc:"Scale factor.")
-
-let experiments_term =
-  Term.(const experiments_cmd $ only_t $ scale_t $ check_conflicts_t)
-
 let cmds =
   [
     Cmd.v (Cmd.info "run" ~doc:"Run one engine on one workload.") run_term;
-    Cmd.v
-      (Cmd.info "experiments" ~doc:"Replay the paper's experiment suite.")
-      experiments_term;
     Cmd.v
       (Cmd.info "list-engines" ~doc:"List available engines.")
       Term.(const list_engines_cmd $ const ());

@@ -238,8 +238,10 @@ let complete t (e : entry) ~ok =
 (* Arrival generators                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let quota cfg gi =
-  (cfg.total / cfg.clients) + if gi < cfg.total mod cfg.clients then 1 else 0
+(* Worker [i]'s share of [total] split evenly across [n]. *)
+let share total n i = (total / n) + if i < total mod n then 1 else 0
+
+let quota cfg gi = share cfg.total cfg.clients gi
 
 (* Exponential interarrival gap in ns at [rate] txn/s. *)
 let exp_gap rng rate =
@@ -332,6 +334,27 @@ let create ~sim ~nodes (wl : Workload.t) cfg =
   done;
   t
 
+(* ------------------------------------------------------------------ *)
+(* Per-transaction worker loop                                         *)
+(* ------------------------------------------------------------------ *)
+
+let serve ?clients (wl : Workload.t) ~workers ~worker ~txns run =
+  match clients with
+  | None ->
+      let stream = wl.Workload.new_stream worker in
+      for _ = 1 to share txns workers worker do
+        ignore (run stream)
+      done
+  | Some t ->
+      let rec loop () =
+        match take t ~node:0 with
+        | None -> ()
+        | Some e ->
+            complete t e ~ok:(run (fun () -> e.txn));
+            loop ()
+      in
+      loop ()
+
 let record t (m : Metrics.t) =
   m.Metrics.offered <- t.offered;
   m.Metrics.shed <- t.shed;
@@ -349,20 +372,10 @@ exception Bad of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* "5ms" -> 5_000_000 ns; bare numbers are ns (same grammar as Faults). *)
-let parse_time s =
-  let len = String.length s in
-  let split n mul = (String.sub s 0 (len - n), mul) in
-  let num, mul =
-    if len > 2 && String.sub s (len - 2) 2 = "ns" then split 2 1.
-    else if len > 2 && String.sub s (len - 2) 2 = "us" then split 2 1e3
-    else if len > 2 && String.sub s (len - 2) 2 = "ms" then split 2 1e6
-    else if len > 1 && s.[len - 1] = 's' then split 1 1e9
-    else (s, 1.)
-  in
-  match float_of_string_opt num with
-  | Some f when f >= 0. -> int_of_float ((f *. mul) +. 0.5)
-  | _ -> failf "bad time %S (want NUM[ns|us|ms|s])" s
+let time s =
+  match Quill_faults.Faults.parse_time s with
+  | Ok ns -> ns
+  | Error m -> raise (Bad m)
 
 let wrap f s = try Ok (f s) with Bad m -> Error m
 
@@ -377,7 +390,7 @@ let parse_arrival =
       | [ "burst"; r; on; off ] -> (
           match float_of_string_opt r with
           | Some rate when rate > 0.0 ->
-              let on_ns = parse_time on and off_ns = parse_time off in
+              let on_ns = time on and off_ns = time off in
               if on_ns <= 0 then failf "bad burst on-period %S" on;
               Bursty { rate; on_ns; off_ns }
           | Some _ | None -> failf "bad burst rate %S" r)
@@ -414,7 +427,7 @@ let parse_retries =
       let n, backoff =
         match String.split_on_char ':' s with
         | [ n ] -> (n, default.backoff)
-        | [ n; b ] -> (n, parse_time b)
+        | [ n; b ] -> (n, time b)
         | _ -> failf "bad retries %S (want N[:BACKOFF])" s
       in
       match int_of_string_opt n with

@@ -77,6 +77,22 @@ val complete : t -> entry -> ok:bool -> unit
     exhausted.  Every entry returned by [take]/[drain] must be
     completed exactly once. *)
 
+val serve :
+  ?clients:t ->
+  Quill_txn.Workload.t ->
+  workers:int ->
+  worker:int ->
+  txns:int ->
+  ((unit -> Quill_txn.Txn.t) -> bool) ->
+  unit
+(** One per-transaction worker's loop.  [run draw] executes one
+    transaction, obtained by calling [draw] (typically through
+    {!Quill_txn.Txn.admit}), and returns true when it committed.  Closed
+    loop: [worker]'s even share of [txns] from its own stream
+    [new_stream worker].  With [?clients]: take from node 0's admission
+    queue, run and {!complete} until the client layer is exhausted.
+    Must be called from a sim thread. *)
+
 val exhausted : t -> bool
 (** True when every offered transaction has been finally resolved
     (committed, shed, deadline-missed, or retry-exhausted).  Stable:
@@ -93,7 +109,7 @@ val arrival_to_string : arrival -> string
 
 val parse_arrival : string -> (arrival, string) result
 (** ["250000"] or ["2.5e6"] (Poisson txn/s) or ["burst:RATE:ON:OFF"]
-    with ON/OFF in the NUM[ns|us|ms|s] time grammar. *)
+    with ON/OFF in {!Quill_faults.Faults.parse_time}'s grammar. *)
 
 val parse_admission : string -> (policy * int, string) result
 (** ["block:256" | "shed:256" | "shed-newest:256" | "deadline:256"];
@@ -101,7 +117,3 @@ val parse_admission : string -> (policy * int, string) result
 
 val parse_retries : string -> (int * int, string) result
 (** ["N[:BACKOFF]"] -> (max_retries, base backoff ns). *)
-
-val parse_time : string -> int
-(** NUM[ns|us|ms|s] -> ns; bare numbers are ns.  Raises on bad input
-    (internal; exposed for the deadline flag and tests). *)

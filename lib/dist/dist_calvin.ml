@@ -4,6 +4,7 @@ open Quill_storage
 open Quill_txn
 module Faults = Quill_faults.Faults
 module Clients = Quill_clients.Clients
+module Dlock = Quill_protocols.Dlock
 
 type cfg = {
   nodes : int;
@@ -20,17 +21,8 @@ let default_cfg =
 (* Node-local sub-transaction. *)
 type sub = {
   rt : Dist_rt.rt;
-  locks : (int * int * bool) list;   (* (table, key, exclusive) local keys *)
-  mutable pending : int;
   may_block : bool;
       (* waits on remote value fills or remote abort resolution *)
-}
-
-type lock_mode = S | X
-
-type lockq = {
-  mutable holders : (sub * lock_mode) list;
-  waiting : (sub * lock_mode) Queue.t;
 }
 
 (* The engine's own messages: one node's sequenced slice of an epoch,
@@ -38,8 +30,8 @@ type lockq = {
 type own = Slice of { epoch : int; src : int; rts : Dist_rt.rt array } | Reads
 
 type nstate = {
-  locktab : (int * int, lockq) Hashtbl.t;
-  work : sub option Sim.Chan.ch;
+  locks : sub Dlock.t;
+  work : sub Dlock.ticket option Sim.Chan.ch;
   mutable expected : int;   (* -1 until the scheduler finished the epoch *)
   mutable completed : int;
   touched : Row.t Vec.t;
@@ -99,72 +91,6 @@ let sequencer_thread sh node stream =
   in
   Dist_rt.plan_loop d ~node seq_epoch
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic lock manager (per node)                               *)
-(* ------------------------------------------------------------------ *)
-
-let compatible holders m =
-  match m with
-  | X -> holders = []
-  | S -> List.for_all (fun (_, hm) -> hm = S) holders
-
-let dispatch sh node sub = Sim.Chan.send sh.d.sim sh.ns.(node).work (Some sub)
-
-let grant sh node sub =
-  sub.pending <- sub.pending - 1;
-  if sub.pending = 0 then dispatch sh node sub
-
-let get_q ns key =
-  match Hashtbl.find_opt ns.locktab key with
-  | Some q -> q
-  | None ->
-      let q = { holders = []; waiting = Queue.create () } in
-      Hashtbl.replace ns.locktab key q;
-      q
-
-let request sh node sub key m =
-  let q = get_q sh.ns.(node) key in
-  if compatible q.holders m && Queue.is_empty q.waiting then begin
-    q.holders <- (sub, m) :: q.holders;
-    grant sh node sub
-  end
-  else Queue.push (sub, m) q.waiting
-
-let release sh node sub key =
-  let q = get_q sh.ns.(node) key in
-  q.holders <- List.filter (fun (s, _) -> s != sub) q.holders;
-  let rec drain () =
-    match Queue.peek_opt q.waiting with
-    | Some (s, m) when compatible q.holders m ->
-        ignore (Queue.pop q.waiting);
-        q.holders <- (s, m) :: q.holders;
-        grant sh node s;
-        drain ()
-    | Some _ | None -> ()
-  in
-  drain ()
-
-(* Local lock set: keys homed here; X when any access updates. *)
-let local_lock_set sh node txn =
-  let acc = ref [] in
-  Array.iter
-    (fun (f : Fragment.t) ->
-      match f.Fragment.mode with
-      | Fragment.Insert -> ()
-      | Fragment.Read | Fragment.Write | Fragment.Rmw ->
-          if sh.d.node_of f = node then begin
-            let x = f.Fragment.mode <> Fragment.Read in
-            let key = (f.Fragment.table, f.Fragment.key) in
-            let rec merge = function
-              | [] -> [ (key, x) ]
-              | (k, x0) :: rest when k = key -> (k, x || x0) :: rest
-              | e :: rest -> e :: merge rest
-            in
-            acc := merge !acc
-          end)
-    txn.Txn.frags;
-  List.map (fun ((t, k), x) -> (t, k, x)) !acc
-
 let has_remote_inputs sh node txn =
   let node_of = sh.d.node_of in
   Array.exists
@@ -216,7 +142,6 @@ let check_node_done sh node =
 
 let scheduler_thread sh node =
   let d = sh.d in
-  let costs = sh.cfg.costs in
   (* One epoch: request locks in sequencer order, wait for the epoch
      commit, publish; returns the commit's stop decision. *)
   let sched_epoch e =
@@ -228,12 +153,9 @@ let scheduler_thread sh node =
         (fun (rt : Dist_rt.rt) ->
           if List.mem node rt.participants then begin
             incr count;
-            let locks = local_lock_set sh node rt.txn in
             let sub =
               {
                 rt;
-                locks;
-                pending = List.length locks + 1;
                 may_block =
                   has_remote_inputs sh node rt.txn
                   || (rt.txn.Txn.n_abortable > 0
@@ -241,12 +163,8 @@ let scheduler_thread sh node =
               }
             in
             Vec.push sh.ns.(node).subs sub;
-            List.iter
-              (fun (t, k, x) ->
-                Sim.tick d.sim costs.Costs.lock_mgr_op;
-                request sh node sub (t, k) (if x then X else S))
-              locks;
-            grant sh node sub
+            Dlock.acquire sh.ns.(node).locks sub
+              (Dlock.lock_set ~keep:(fun f -> d.node_of f = node) rt.txn)
           end)
         rts
     done;
@@ -268,11 +186,10 @@ let scheduler_thread sh node =
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let exec_sub sh node sub =
+let exec_sub sh node tk =
   let d = sh.d in
   Sim.set_phase d.sim Sim.Ph_execute;
-  let costs = sh.cfg.costs in
-  let rt = sub.rt in
+  let rt = (Dlock.owner tk).rt in
   (* Calvin read broadcast: one message per other participant. *)
   let nreads =
     Array.fold_left
@@ -292,11 +209,7 @@ let exec_sub sh node sub =
      wait can never sit ahead of its own abort decision. *)
   local_frags sh node rt (fun f -> ignore (Dist_rt.step d st ctx rt f));
   (* Release local locks; grants may dispatch further sub-txns. *)
-  List.iter
-    (fun (t, k, _) ->
-      Sim.tick d.sim costs.Costs.lock_release;
-      release sh node sub (t, k))
-    sub.locks;
+  Dlock.release sh.ns.(node).locks tk;
   sh.ns.(node).completed <- sh.ns.(node).completed + 1;
   check_node_done sh node;
   Sim.set_phase d.sim Sim.Ph_other
@@ -305,15 +218,15 @@ let worker_thread sh node =
   let rec loop () =
     match Sim.Chan.recv sh.d.sim sh.ns.(node).work with
     | None -> ()
-    | Some sub ->
+    | Some tk ->
         (* A sub-transaction that may block on remote inputs or remote
            abort resolution runs on a helper so the worker (and lock
            pipeline) keeps draining; see DESIGN.md on Calvin worker-pool
            deadlock avoidance. *)
-        if sub.may_block then
+        if (Dlock.owner tk).may_block then
           Sim.spawn ~at:(Sim.now sh.d.sim) sh.d.sim (fun () ->
-              exec_sub sh node sub)
-        else exec_sub sh node sub;
+              exec_sub sh node tk)
+        else exec_sub sh node tk;
         loop ()
   in
   loop ()
@@ -348,9 +261,12 @@ let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
       d;
       ns =
         Array.init cfg.nodes (fun _ ->
+            let work = Sim.Chan.create () in
             {
-              locktab = Hashtbl.create 4096;
-              work = Sim.Chan.create ();
+              locks =
+                Dlock.create d.sim cfg.costs ~on_grant:(fun tk ->
+                    Sim.Chan.send d.sim work (Some tk));
+              work;
               expected = -1;
               completed = 0;
               touched = Vec.create ();

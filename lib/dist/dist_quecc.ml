@@ -347,10 +347,7 @@ let run ?sim ?(faults = Faults.none) ?clients ?recorder cfg wl ~batches =
         Array.concat
           (List.init (p_global sh) (fun gid ->
                Array.init (count gid) (fun _ ->
-                   Sim.tick sim cfg.costs.Costs.txn_overhead;
-                   let txn = streams.(gid) () in
-                   txn.Txn.submit_time <- Sim.now sim;
-                   txn.Txn.attempts <- txn.Txn.attempts + 1;
+                   let txn = Txn.admit sim cfg.costs streams.(gid) in
                    Array.iter
                      (fun (_ : Fragment.t) ->
                        Sim.tick sim cfg.costs.Costs.plan_fragment)

@@ -56,11 +56,7 @@ let create ~name ?sim ?(faults = Faults.none) ?clients ?(fail_stop = false)
   Faults.check_nodes faults ~nodes ~name;
   if pipeline && clients <> None then
     invalid_arg (name ^ ": pipeline does not compose with open-loop clients");
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim costs in
   let frt = if Faults.active faults then Some (Faults.make faults) else None in
   {
     name;
@@ -104,9 +100,7 @@ let slice t ~parts i =
 (* ------------------------------------------------------------------ *)
 
 let admit t ?centry txn =
-  Sim.tick t.sim t.costs.Costs.txn_overhead;
-  txn.Txn.submit_time <- Sim.now t.sim;
-  txn.Txn.attempts <- txn.Txn.attempts + 1;
+  let txn = Txn.admit t.sim t.costs (fun () -> txn) in
   let inputs =
     Array.map
       (fun (f : Fragment.t) ->
@@ -127,7 +121,6 @@ let admit t ?centry txn =
   let participants =
     List.filter (fun n -> seen.(n)) (List.init t.nodes Fun.id)
   in
-  txn.Txn.status <- Txn.Active;
   {
     txn;
     inputs;
@@ -367,19 +360,15 @@ let commit ?(committed = ignore) t =
       match slot with
       | None -> ()
       | Some rt ->
-          let txn = rt.txn in
-          txn.Txn.finish_time <- now;
-          (match txn.Txn.status with
-          | Txn.Aborted ->
-              m.Metrics.logic_aborted <- m.Metrics.logic_aborted + 1
-          | Txn.Active | Txn.Committed ->
-              txn.Txn.status <- Txn.Committed;
-              m.Metrics.committed <- m.Metrics.committed + 1
-          | Txn.Pending -> assert false);
-          Stats.Hist.add m.Metrics.lat (now - txn.Txn.submit_time);
+          let ok =
+            match rt.txn.Txn.status with
+            | Txn.Active | Txn.Committed -> true
+            | Txn.Aborted -> false
+            | Txn.Pending -> assert false
+          in
+          Metrics.retire m rt.txn ~ok ~now;
           (match (t.clients, rt.centry) with
-          | Some c, Some ce ->
-              Clients.complete c ce ~ok:(txn.Txn.status = Txn.Committed)
+          | Some c, Some ce -> Clients.complete c ce ~ok
           | _ -> ());
           slots.(i) <- None)
     slots;

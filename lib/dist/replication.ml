@@ -357,18 +357,7 @@ let account_batch t bk b =
   let now = Sim.now t.sim in
   let m = t.metrics in
   Array.iter
-    (fun tr ->
-      let txn = tr.t_txn in
-      txn.Txn.finish_time <- now;
-      if tr.t_ok then begin
-        txn.Txn.status <- Txn.Committed;
-        m.Metrics.committed <- m.Metrics.committed + 1
-      end
-      else begin
-        txn.Txn.status <- Txn.Aborted;
-        m.Metrics.logic_aborted <- m.Metrics.logic_aborted + 1
-      end;
-      Stats.Hist.add m.Metrics.lat (max 0 (now - txn.Txn.submit_time)))
+    (fun tr -> Metrics.retire m tr.t_txn ~ok:tr.t_ok ~now)
     bk.k_recs.(b).b_trecs;
   m.Metrics.batches <- m.Metrics.batches + 1
 

@@ -55,7 +55,8 @@ let time_str ns =
   else if ns > 0 && ns mod 1_000 = 0 then string_of_int (ns / 1_000) ^ "us"
   else string_of_int ns ^ "ns"
 
-(* "5ms" -> 5_000_000 ns; bare numbers are ns. *)
+(* "5ms" -> 5_000_000 ns; bare numbers are ns.  NaN, infinities and
+   anything past [max_int] ns are rejected, not wrapped. *)
 let parse_time s =
   let len = String.length s in
   let split n mul = (String.sub s 0 (len - n), mul) in
@@ -67,8 +68,11 @@ let parse_time s =
     else (s, 1.)
   in
   match float_of_string_opt num with
-  | Some f when f >= 0. -> int_of_float ((f *. mul) +. 0.5)
-  | _ -> failf "bad time %S (want NUM[ns|us|ms|s])" s
+  | Some f when f >= 0. && (f *. mul) +. 0.5 < float_of_int max_int ->
+      Ok (int_of_float ((f *. mul) +. 0.5))
+  | _ -> Error (Printf.sprintf "bad time %S (want NUM[ns|us|ms|s])" s)
+
+let time s = match parse_time s with Ok ns -> ns | Error m -> raise (Bad m)
 
 let parse s =
   let prob k v =
@@ -119,7 +123,7 @@ let parse s =
               {
                 !sp with
                 crashes =
-                  { node = 0; at = parse_time v; down = 500_000 } :: !sp.crashes;
+                  { node = 0; at = time v; down = 500_000 } :: !sp.crashes;
               };
             ctx := `Crash
         | "part" ->
@@ -128,7 +132,7 @@ let parse s =
               {
                 !sp with
                 partitions =
-                  { a = 0; b = 1; from_t = parse_time v; until_t = -1 }
+                  { a = 0; b = 1; from_t = time v; until_t = -1 }
                   :: !sp.partitions;
               };
             ctx := `Part
@@ -140,7 +144,7 @@ let parse s =
         | "fsync-fail" ->
             want_t ();
             once "fsync-fail" !sp.fsync_fail_at;
-            sp := { !sp with fsync_fail_at = Some (parse_time v) };
+            sp := { !sp with fsync_fail_at = Some (time v) };
             ctx := `Top
         | "corrupt" ->
             if k <> "off" then failf "corrupt@ wants off=N, got %S" a;
@@ -160,7 +164,7 @@ let parse s =
         | "delay" ->
             sp := { !sp with delay_p = prob k v };
             ctx := `Delay
-        | "by" when !ctx = `Delay -> sp := { !sp with delay_by = parse_time v }
+        | "by" when !ctx = `Delay -> sp := { !sp with delay_by = time v }
         | "seed" -> (
             ctx := `Top;
             match int_of_string_opt v with
@@ -170,13 +174,13 @@ let parse s =
             sp := { !sp with max_retries = nat k v };
             ctx := `Top
         | "rto" ->
-            sp := { !sp with rto = parse_time v };
+            sp := { !sp with rto = time v };
             ctx := `Top
         | "node" -> with_crash (fun c -> { c with node = nat k v })
-        | "down" -> with_crash (fun c -> { c with down = parse_time v })
+        | "down" -> with_crash (fun c -> { c with down = time v })
         | "a" -> with_part (fun p -> { p with a = nat k v })
         | "b" -> with_part (fun p -> { p with b = nat k v })
-        | "until" -> with_part (fun p -> { p with until_t = parse_time v })
+        | "until" -> with_part (fun p -> { p with until_t = time v })
         | _ -> failf "unknown fault key %S" a)
   in
   try

@@ -83,6 +83,11 @@ val parse : string -> (spec, string) result
 (** Parse the spec grammar above.  The error string is a one-line
     human-readable diagnostic. *)
 
+val parse_time : string -> (int, string) result
+(** The time grammar every flag shares: [NUM[ns|us|ms|s]] -> ns, bare
+    numbers are ns.  Negative, non-finite and out-of-range (above
+    [max_int] ns) values are errors. *)
+
 val to_string : spec -> string
 (** Canonical spec string; [parse (to_string s)] round-trips. *)
 

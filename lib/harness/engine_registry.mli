@@ -1,7 +1,7 @@
 (** The engine registry: the one place engine names are parsed, printed
     and dispatched.
 
-    Each engine family registers a {!family} record at module-load time;
+    Each engine family registers its names, parser and modules here;
     {!Experiment.run}, the CLI and the bench driver resolve engines to
     first-class {!Engine_intf.S} modules through it and never match on
     engine constructors themselves. *)
@@ -18,21 +18,6 @@ type engine =
   | Calvin
   | Dist_quecc of int   (** nodes *)
   | Dist_calvin of int  (** nodes *)
-
-type family = {
-  family_names : string list;
-      (** names advertised in [--help] / error messages (patterns like
-          ["dist-quecc-<n>n"] stand for the parameterized forms) *)
-  parse : string -> engine option;
-  name_of : engine -> string option;
-  resolve : engine -> Engine_intf.t option;
-  centralized : engine list;
-      (** members of {!all_centralized}, comparison-table order *)
-}
-
-val register_family : family -> unit
-(** Append a family; later families only see names earlier ones
-    rejected. *)
 
 val engine_name : engine -> string
 (** Canonical name; round-trips through {!engine_of_string}.  Raises

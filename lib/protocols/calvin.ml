@@ -1,30 +1,15 @@
-open Quill_common
 open Quill_sim
-open Quill_storage
 open Quill_txn
 
 type cfg = { workers : int; batch_size : int; costs : Costs.t }
 
-type mode = S | X
-
-type crt = {
-  txn : Txn.t;
-  locks : (int * int * mode) list;   (* deduped (table, key, mode) *)
-  mutable pending : int;
-  entry : Quill_clients.Clients.entry option;
-}
-
-type lockq = {
-  mutable holders : (crt * mode) list;
-  waiting : (crt * mode) Queue.t;
-}
+type crt = { txn : Txn.t; entry : Quill_clients.Clients.entry option }
 
 type state = {
   sim : Sim.t;
   costs : Costs.t;
-  db : Db.t;
-  locktab : (int * int, lockq) Hashtbl.t;
-  work : crt option Sim.Chan.ch;
+  locks : crt Dlock.t;
+  work : crt Dlock.ticket option Sim.Chan.ch;
   metrics : Metrics.t;
   mutable completed : int;
   mutable total : int;
@@ -32,87 +17,11 @@ type state = {
   clients : Quill_clients.Clients.t option;
 }
 
-(* Deduplicate the lock set: one request per key, X if any access
-   updates.  Insert fragments lock nothing themselves — their key is
-   computed at run time; the serializing row (e.g. the TPC-C district)
-   is already X-locked, which prevents duplicate keys (DESIGN.md). *)
-let lock_set txn =
-  let acc = ref [] in
-  Array.iter
-    (fun (f : Fragment.t) ->
-      match f.Fragment.mode with
-      | Fragment.Insert -> ()
-      | Fragment.Read | Fragment.Write | Fragment.Rmw ->
-          let m =
-            match f.Fragment.mode with Fragment.Read -> S | _ -> X
-          in
-          let key = (f.Fragment.table, f.Fragment.key) in
-          let rec merge = function
-            | [] -> [ (key, m) ]
-            | (k, m0) :: rest when k = key ->
-                (k, if m = X || m0 = X then X else S) :: rest
-            | e :: rest -> e :: merge rest
-          in
-          acc := merge !acc)
-    txn.Txn.frags;
-  List.map (fun ((t, k), m) -> (t, k, m)) !acc
-
-let get_q st key =
-  match Hashtbl.find_opt st.locktab key with
-  | Some q -> q
-  | None ->
-      let q = { holders = []; waiting = Queue.create () } in
-      Hashtbl.replace st.locktab key q;
-      q
-
-let compatible holders m =
-  match m with
-  | X -> holders = []
-  | S -> List.for_all (fun (_, hm) -> hm = S) holders
-
-let dispatch st crt = Sim.Chan.send st.sim st.work (Some crt)
-
-let grant st crt =
-  crt.pending <- crt.pending - 1;
-  if crt.pending = 0 then dispatch st crt
-
-(* Request in batch order; FIFO per key (no barging past waiters). *)
-let request st crt key m =
-  let q = get_q st key in
-  if compatible q.holders m && Queue.is_empty q.waiting then begin
-    q.holders <- (crt, m) :: q.holders;
-    grant st crt
-  end
-  else Queue.push (crt, m) q.waiting
-
-let release st crt key =
-  let q = get_q st key in
-  q.holders <- List.filter (fun (c, _) -> c != crt) q.holders;
-  let rec drain () =
-    match Queue.peek_opt q.waiting with
-    | Some (c, m) when compatible q.holders m ->
-        ignore (Queue.pop q.waiting);
-        q.holders <- (c, m) :: q.holders;
-        grant st c;
-        drain ()
-    | Some _ | None -> ()
-  in
-  drain ()
-
+(* Admit in sequence order and request the transaction's locks; the
+   lock table dispatches it to the worker pool once it holds them all. *)
 let sequence st txn entry =
-  Sim.tick st.sim st.costs.Costs.txn_overhead;
-  txn.Txn.submit_time <- Sim.now st.sim;
-  txn.Txn.status <- Txn.Active;
-  txn.Txn.attempts <- txn.Txn.attempts + 1;
-  let locks = lock_set txn in
-  let crt = { txn; locks; pending = List.length locks + 1; entry } in
-  (* The +1 guards against dispatching before all requests are issued. *)
-  List.iter
-    (fun (t, k, m) ->
-      Sim.tick st.sim st.costs.Costs.lock_mgr_op;
-      request st crt (t, k) m)
-    locks;
-  grant st crt
+  let txn = Txn.admit st.sim st.costs (fun () -> txn) in
+  Dlock.acquire st.locks { txn; entry } (Dlock.lock_set txn)
 
 let poison st =
   for _ = 1 to st.nworkers do
@@ -148,32 +57,18 @@ let worker st (wl : Workload.t) =
   let rec loop () =
     match Sim.Chan.recv st.sim st.work with
     | None -> ()
-    | Some crt ->
-        let txn = crt.txn in
+    | Some tk ->
+        let crt = Dlock.owner tk in
         let outcome =
           Sim.in_phase st.sim Sim.Ph_execute tid (fun () ->
-              Pcommon.run_locked direct txn)
+              Pcommon.run_locked direct crt.txn)
         in
-        List.iter
-          (fun (t, k, _) ->
-            Sim.tick st.sim st.costs.Costs.lock_release;
-            release st crt (t, k))
-          crt.locks;
-        (match outcome with
-        | Exec.Ok ->
-            txn.Txn.status <- Txn.Committed;
-            st.metrics.Metrics.committed <- st.metrics.Metrics.committed + 1
-        | Exec.Abort ->
-            txn.Txn.status <- Txn.Aborted;
-            st.metrics.Metrics.logic_aborted <-
-              st.metrics.Metrics.logic_aborted + 1
-        | Exec.Blocked -> assert false);
-        txn.Txn.finish_time <- Sim.now st.sim;
-        Stats.Hist.add st.metrics.Metrics.lat
-          (txn.Txn.finish_time - txn.Txn.submit_time);
+        Dlock.release st.locks tk;
+        assert (outcome <> Exec.Blocked);
+        let ok = outcome = Exec.Ok in
+        Metrics.retire st.metrics crt.txn ~ok ~now:(Sim.now st.sim);
         (match (st.clients, crt.entry) with
-        | Some c, Some e ->
-            Quill_clients.Clients.complete c e ~ok:(outcome = Exec.Ok)
+        | Some c, Some e -> Quill_clients.Clients.complete c e ~ok
         | _ -> ());
         st.completed <- st.completed + 1;
         if st.completed = st.total then
@@ -186,18 +81,16 @@ let worker st (wl : Workload.t) =
 
 let run ?sim ?clients cfg wl ~txns =
   assert (cfg.workers > 0);
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:cfg.costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim cfg.costs in
+  let work = Sim.Chan.create () in
   let st =
     {
       sim;
       costs = cfg.costs;
-      db = wl.Workload.db;
-      locktab = Hashtbl.create 4096;
-      work = Sim.Chan.create ();
+      locks =
+        Dlock.create sim cfg.costs ~on_grant:(fun tk ->
+            Sim.Chan.send sim work (Some tk));
+      work;
       metrics = Metrics.create ();
       completed = 0;
       total = (match clients with None -> txns | Some _ -> max_int);

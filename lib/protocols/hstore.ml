@@ -1,4 +1,3 @@
-open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
@@ -38,11 +37,7 @@ let coordination_round st k =
 
 let run ?sim ?clients cfg wl ~txns =
   assert (cfg.workers > 0);
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:cfg.costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim cfg.costs in
   let st =
     {
       sim;
@@ -53,67 +48,36 @@ let run ?sim ?clients cfg wl ~txns =
     }
   in
   for w = 0 to cfg.workers - 1 do
-    let quota =
-      (txns / cfg.workers) + if w < txns mod cfg.workers then 1 else 0
-    in
     Sim.spawn sim (fun () ->
         let direct = Direct.create ~charge:Direct.Per_row sim cfg.costs wl in
-        (* One admitted transaction: partition locks, two coordination
-           rounds, execute; true = committed. *)
-        let do_txn txn =
-          Sim.tick sim cfg.costs.Costs.txn_overhead;
-          txn.Txn.submit_time <- Sim.now sim;
-          txn.Txn.status <- Txn.Active;
-          txn.Txn.attempts <- txn.Txn.attempts + 1;
-          let parts = txn_parts st cfg.workers txn in
-          let k = List.length parts in
-          (* Deterministic deadlock-free acquisition: ascending order. *)
-          List.iter
-            (fun p ->
-              Sim.tick sim cfg.costs.Costs.lock_acquire;
-              Plock.acquire sim st.plocks.(p))
-            parts;
-          coordination_round st k;
-          let outcome =
-            Sim.in_phase sim Sim.Ph_execute (Sim.current_tid sim)
-              (fun () -> Pcommon.run_locked direct txn)
-          in
-          coordination_round st k;
-          List.iter
-            (fun p ->
-              Sim.tick sim cfg.costs.Costs.lock_release;
-              Plock.release sim st.plocks.(p))
-            parts;
-          (match outcome with
-          | Exec.Ok ->
-              txn.Txn.status <- Txn.Committed;
-              st.metrics.Metrics.committed <- st.metrics.Metrics.committed + 1
-          | Exec.Abort ->
-              txn.Txn.status <- Txn.Aborted;
-              st.metrics.Metrics.logic_aborted <-
-                st.metrics.Metrics.logic_aborted + 1
-          | Exec.Blocked -> assert false);
-          txn.Txn.finish_time <- Sim.now sim;
-          Stats.Hist.add st.metrics.Metrics.lat
-            (txn.Txn.finish_time - txn.Txn.submit_time);
-          outcome = Exec.Ok
-        in
-        match clients with
-        | None ->
-            let stream = wl.Workload.new_stream w in
-            for _ = 1 to quota do
-              ignore (do_txn (stream ()))
-            done
-        | Some c ->
-            let rec loop () =
-              match Quill_clients.Clients.take c ~node:0 with
-              | None -> ()
-              | Some e ->
-                  let ok = do_txn e.Quill_clients.Clients.txn in
-                  Quill_clients.Clients.complete c e ~ok;
-                  loop ()
+        (* One transaction: partition locks, two coordination rounds,
+           execute. *)
+        Quill_clients.Clients.serve ?clients wl ~workers:cfg.workers ~worker:w
+          ~txns (fun draw ->
+            let txn = Txn.admit sim cfg.costs draw in
+            let parts = txn_parts st cfg.workers txn in
+            let k = List.length parts in
+            (* Deterministic deadlock-free acquisition: ascending order. *)
+            List.iter
+              (fun p ->
+                Sim.tick sim cfg.costs.Costs.lock_acquire;
+                Plock.acquire sim st.plocks.(p))
+              parts;
+            coordination_round st k;
+            let outcome =
+              Sim.in_phase sim Sim.Ph_execute (Sim.current_tid sim) (fun () ->
+                  Pcommon.run_locked direct txn)
             in
-            loop ())
+            coordination_round st k;
+            List.iter
+              (fun p ->
+                Sim.tick sim cfg.costs.Costs.lock_release;
+                Plock.release sim st.plocks.(p))
+              parts;
+            assert (outcome <> Exec.Blocked);
+            let ok = outcome = Exec.Ok in
+            Metrics.retire st.metrics txn ~ok ~now:(Sim.now sim);
+            ok))
   done;
   let parked = Sim.run sim in
   if parked <> 0 then

@@ -1,22 +1,12 @@
-open Quill_common
 open Quill_sim
 open Quill_txn
 module Commit_point = Quill_commit.Commit_point
 
-let exec_one sim (costs : Costs.t) metrics direct txn =
-  Sim.tick sim costs.Costs.txn_overhead;
-  txn.Txn.submit_time <- Sim.now sim;
-  txn.Txn.status <- Txn.Active;
-  txn.Txn.attempts <- txn.Txn.attempts + 1;
-  (match Direct.run direct txn with
-  | Exec.Ok ->
-      txn.Txn.status <- Txn.Committed;
-      metrics.Metrics.committed <- metrics.Metrics.committed + 1
-  | Exec.Abort | Exec.Blocked ->
-      txn.Txn.status <- Txn.Aborted;
-      metrics.Metrics.logic_aborted <- metrics.Metrics.logic_aborted + 1);
-  txn.Txn.finish_time <- Sim.now sim;
-  Stats.Hist.add metrics.Metrics.lat (txn.Txn.finish_time - txn.Txn.submit_time)
+let exec_one sim costs metrics direct txn =
+  let txn = Txn.admit sim costs (fun () -> txn) in
+  let ok = Direct.run direct txn = Exec.Ok in
+  Metrics.retire metrics txn ~ok ~now:(Sim.now sim);
+  ok
 
 let run_list ?wal ?cdc ?crash_at ~batch_size sim costs wl next =
   let cp =
@@ -53,10 +43,10 @@ let run_list ?wal ?cdc ?crash_at ~batch_size sim costs wl next =
           match next () with
           | None -> if !in_group > 0 then close_group ()
           | Some txn ->
-              let c0 = metrics.Metrics.committed in
-              Sim.in_phase sim Sim.Ph_execute tid (fun () ->
-                  exec_one sim costs metrics direct txn);
-              if metrics.Metrics.committed > c0 then incr group_committed;
+              if
+                Sim.in_phase sim Sim.Ph_execute tid (fun () ->
+                    exec_one sim costs metrics direct txn)
+              then incr group_committed;
               incr in_group;
               if !in_group >= batch_size then close_group ();
               loop ()
@@ -70,11 +60,7 @@ let run_list ?wal ?cdc ?crash_at ~batch_size sim costs wl next =
 
 let run ?sim ?(costs = Costs.default) ?wal ?cdc ?crash_at
     ?(batch_size = 1024) wl ~txns =
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim costs in
   let stream = wl.Workload.new_stream 0 in
   let remaining = ref txns in
   let next () =
@@ -88,11 +74,7 @@ let run ?sim ?(costs = Costs.default) ?wal ?cdc ?crash_at
 
 let run_txns ?sim ?(costs = Costs.default) ?wal ?cdc ?crash_at
     ?(batch_size = 1024) wl txns =
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim costs in
   let remaining = ref txns in
   let next () =
     match !remaining with

@@ -194,7 +194,6 @@ let make_rt ?entry txn bidx =
       Array.init (Array.length txn.Txn.frags) (fun _ -> Sim.Ivar.create ())
     else [||]
   in
-  txn.Txn.status <- Txn.Active;
   {
     txn;
     bidx;
@@ -813,10 +812,8 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
   (* Pass 2: the original planning loop, now with hot keys diverted into
      chain segments. *)
   for j = 0 to count - 1 do
-    Sim.tick sh.sim costs.Costs.txn_overhead;
     let txn, entry = slice.(j) in
-    txn.Txn.submit_time <- Sim.now sh.sim;
-    txn.Txn.attempts <- txn.Txn.attempts + 1;
+    let txn = Txn.admit sh.sim costs (fun () -> txn) in
     let rt = make_rt ?entry txn (start + j) in
     sh.rts.(parity).(start + j) <- Some rt;
     Array.iter
@@ -1115,15 +1112,15 @@ let account ?clients sh ~parity =
     match rts.(b) with
     | None -> ()
     | Some rt ->
-        rt.txn.Txn.finish_time <- now;
-        (match rt.txn.Txn.status with
-        | Txn.Committed -> m.Metrics.committed <- m.Metrics.committed + 1
-        | Txn.Aborted -> m.Metrics.logic_aborted <- m.Metrics.logic_aborted + 1
-        | Txn.Active | Txn.Pending -> assert false);
-        Stats.Hist.add m.Metrics.lat (now - rt.txn.Txn.submit_time);
+        let ok =
+          match rt.txn.Txn.status with
+          | Txn.Committed -> true
+          | Txn.Aborted -> false
+          | Txn.Active | Txn.Pending -> assert false
+        in
+        Metrics.retire m rt.txn ~ok ~now;
         (match (clients, rt.entry) with
-        | Some c, Some e ->
-            Clients.complete c e ~ok:(rt.txn.Txn.status = Txn.Committed)
+        | Some c, Some e -> Clients.complete c e ~ok
         | _ -> ());
         rts.(b) <- None
   done;
@@ -1401,11 +1398,7 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
   (match cfg.split with
   | Some sc -> assert (sc.hot_threshold > 0 && sc.max_subqueues >= 2)
   | None -> ());
-  let sim =
-    match sim with
-    | Some s -> s
-    | None -> Sim.create ~wake_cost:cfg.costs.Costs.wakeup ()
-  in
+  let sim = Sim.of_costs ?sim cfg.costs in
   let nbuf = if cfg.pipeline then 2 else 1 in
   (* A [parity].[planner].[executor] matrix, or none when [on] is off. *)
   let matrix ?(on = true) f =

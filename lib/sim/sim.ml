@@ -136,6 +136,9 @@ let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
     tracer;
   }
 
+let of_costs ?sim (costs : Costs.t) =
+  match sim with Some s -> s | None -> create ~wake_cost:costs.Costs.wakeup ()
+
 let[@inline] before a b = a.at < b.at || (a.at = b.at && a.ord < b.ord)
 
 (* Sift [e] up from the hole at [i]. *)

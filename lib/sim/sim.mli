@@ -53,6 +53,10 @@ val create : ?wake_cost:int -> ?tracer:Quill_trace.Trace.t -> unit -> t
     disabled) receives wait spans for idle time; it never affects
     virtual time. *)
 
+val of_costs : ?sim:t -> Costs.t -> t
+(** [sim] when given, else a fresh simulator whose [wake_cost] is the
+    cost model's [wakeup]: every engine's run prologue. *)
+
 val spawn : ?at:time -> t -> (unit -> unit) -> unit
 (** Register a thread whose body starts executing at virtual time [at]
     (default 0).  Must be called before or during [run]. *)

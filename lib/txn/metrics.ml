@@ -197,6 +197,18 @@ let record_sim t sim ~threads =
   t.idle_chan <- Sim.idle_in sim Sim.Cause_chan;
   t.idle_sleep <- Sim.idle_in sim Sim.Cause_sleep
 
+let retire t (txn : Txn.t) ~ok ~now =
+  txn.Txn.finish_time <- now;
+  if ok then begin
+    txn.Txn.status <- Txn.Committed;
+    t.committed <- t.committed + 1
+  end
+  else begin
+    txn.Txn.status <- Txn.Aborted;
+    t.logic_aborted <- t.logic_aborted + 1
+  end;
+  Stats.Hist.add t.lat (now - txn.Txn.submit_time)
+
 let phase_busy t = t.plan_busy + t.exec_busy + t.recover_busy + t.publish_busy
 
 let throughput t =

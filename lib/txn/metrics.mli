@@ -110,6 +110,12 @@ val record_sim : t -> Quill_sim.Sim.t -> threads:int -> unit
     totals, per-phase busy and per-cause idle attribution, plus the
     run's thread count, into the record. *)
 
+val retire : t -> Txn.t -> ok:bool -> now:int -> unit
+(** The one end of a transaction's lifecycle: stamp [finish_time = now],
+    set the final status ([Committed] when [ok], else [Aborted]), count
+    it in [committed] or [logic_aborted] and add its latency since
+    [submit_time] to [lat]. *)
+
 val phase_busy : t -> int
 (** Busy ns covered by the four labelled phases (excludes [other_busy]). *)
 

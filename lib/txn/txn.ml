@@ -44,7 +44,13 @@ let make ~tid frags =
     attempts = 0;
   }
 
-let reset t = t.status <- Pending
+let admit sim (costs : Quill_sim.Costs.t) draw =
+  Quill_sim.Sim.tick sim costs.Quill_sim.Costs.txn_overhead;
+  let t = draw () in
+  t.submit_time <- Quill_sim.Sim.now sim;
+  t.status <- Active;
+  t.attempts <- t.attempts + 1;
+  t
 
 let partitions db t =
   let parts =

@@ -26,8 +26,13 @@ val make : tid:int -> Fragment.t array -> t
 (** Validates fragment numbering ([frags.(i).fid = i] and data deps point
     backwards) and computes each fragment's [commit_dep] flag. *)
 
-val reset : t -> unit
-(** Clear runtime state for re-execution (retry loops). *)
+val admit : Quill_sim.Sim.t -> Quill_sim.Costs.t -> (unit -> t) -> t
+(** The one start of a transaction's lifecycle: charge [txn_overhead],
+    then call [draw] for the transaction, stamp its [submit_time], mark
+    it [Active] and count one attempt.  [draw] is a thunk so a caller
+    that generates the transaction after the overhead tick (the ND
+    driver) and one that generated it before (the distributed runtime)
+    keep their generation times. *)
 
 val partitions : Quill_storage.Db.t -> t -> int list
 (** Distinct home partitions touched, ascending. *)

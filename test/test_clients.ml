@@ -20,18 +20,32 @@ let arrival_ok s =
   | Error e -> Alcotest.failf "parse_arrival %S failed: %s" s e
 
 let test_parse_time () =
+  let parse_time = Quill_faults.Faults.parse_time in
   List.iter
-    (fun (s, ns) -> Tutil.check_int ("parse_time " ^ s) ns (C.parse_time s))
+    (fun (s, ns) ->
+      match parse_time s with
+      | Ok v -> Tutil.check_int ("parse_time " ^ s) ns v
+      | Error e -> Alcotest.failf "parse_time %S failed: %s" s e)
     [
       ("500ns", 500); ("2us", 2_000); ("1.5ms", 1_500_000);
       ("1s", 1_000_000_000); ("300", 300); ("0", 0);
     ];
   List.iter
     (fun s ->
-      match C.parse_time s with
-      | exception _ -> ()
-      | v -> Alcotest.failf "expected parse_time %S to raise, got %d" s v)
-    [ "oops"; "-3us"; "5miles"; "" ]
+      match parse_time s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "expected parse_time %S to fail, got %d" s v)
+    [ "oops"; "-3us"; "5miles"; ""; "inf"; "1e30s"; "nan"; "infs" ];
+  (* The flags built on the grammar reject the same values. *)
+  List.iter
+    (fun (flag, r) ->
+      match r with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "expected %s to be rejected" flag)
+    [
+      ("burst on=inf", Result.map ignore (C.parse_arrival "burst:1e6:inf:1us"));
+      ("retries backoff=nan", Result.map ignore (C.parse_retries "3:nan"));
+    ]
 
 let test_parse_arrival () =
   (match arrival_ok "250000" with

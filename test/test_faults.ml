@@ -81,6 +81,9 @@ let test_parse_errors () =
       "crash";
       "dup=0.1:by=3ms";
       (* by only valid on delay *)
+      "delay=0.1:by=inf";
+      "rto=1e30s";
+      "part@t=1ms:a=0:b=1:until=nan";
     ]
 
 let test_parse_crash_validation () =
@@ -95,6 +98,9 @@ let test_parse_crash_validation () =
     [
       ("crash@t=0", "crash@ wants a positive virtual time, got t=0ns");
       ("crash@t=-1ms", "bad time \"-1ms\" (want NUM[ns|us|ms|s])");
+      ("crash@t=inf:node=1", "bad time \"inf\" (want NUM[ns|us|ms|s])");
+      ("crash@t=1e30s", "bad time \"1e30s\" (want NUM[ns|us|ms|s])");
+      ("crash@t=nan", "bad time \"nan\" (want NUM[ns|us|ms|s])");
       ( "crash@t=5ms:down=0",
         "crash@ wants a positive down time, got down=0ns" );
       ( "crash@t=1ms:node=2,crash@t=2ms:node=2:down=1us",

@@ -179,6 +179,44 @@ let test_plock () =
   Alcotest.(check (list int)) "fifo handoff" [ 0; 1; 2 ] (List.rev !order);
   Tutil.check_bool "free at end" false (Plock.held l)
 
+(* Calvin's lock table: with S held and an X queued, a later S waits
+   behind the X instead of barging past it; the X is granted only on the
+   first release, the S after the X's, and each ticket is granted once.
+   A multi-key ticket is granted when its last key is. *)
+let test_dlock () =
+  let open Quill_sim in
+  let s = Sim.create () in
+  let granted = ref [] in
+  let lt =
+    Dlock.create s Costs.default ~on_grant:(fun tk -> granted := tk :: !granted)
+  in
+  let check what want =
+    Alcotest.(check (list string))
+      what want
+      (List.rev_map Dlock.owner !granted)
+  in
+  let release name =
+    Dlock.release lt (List.find (fun tk -> Dlock.owner tk = name) !granted)
+  in
+  Sim.spawn s (fun () ->
+      Dlock.acquire lt "s1" [ (0, 7, false) ];
+      Dlock.acquire lt "x" [ (0, 7, true) ];
+      Dlock.acquire lt "s2" [ (0, 7, false) ];
+      Dlock.acquire lt "both" [ (0, 8, false); (0, 7, false) ];
+      check "only the first S" [ "s1" ];
+      release "s1";
+      check "X on the first release" [ "s1"; "x" ];
+      release "x";
+      check "queued S together after the X" [ "s1"; "x"; "s2"; "both" ];
+      release "s2";
+      release "both";
+      check "each ticket granted once" [ "s1"; "x"; "s2"; "both" ];
+      Tutil.check_int "one charge per request and per release (5 keys)"
+        (5
+        * (Costs.default.Costs.lock_mgr_op + Costs.default.Costs.lock_release))
+        (Sim.now s));
+  Tutil.check_int "parked" 0 (Sim.run s)
+
 let test_mvto_versions () =
   (* MVTO run leaves version chains bounded and committed = live. *)
   let wl = Ycsb.make (Tutil.small_ycsb ~table_size:64 ~read_ratio:0.5 ()) in
@@ -193,9 +231,9 @@ let test_mvto_versions () =
 
 module E = Quill_harness.Experiment
 
-(* The ND protocols' exact schedules, closed loop and behind open-loop
-   clients: virtual time, busy time, commits, both abort counts, p99 and
-   the committed-state checksum.  A refactor of the protocols or their
+(* The per-transaction engines' exact schedules, closed loop and behind
+   open-loop clients: virtual time, busy time, commits, both abort
+   counts, p99 and the committed-state checksum.  A refactor of the protocols or their
    shared runners must leave every value as it is. *)
 let golden_workloads =
   [
@@ -207,7 +245,17 @@ let golden_workloads =
     ("tpcc 2w", E.Tpcc (Tutil.small_tpcc ~warehouses:2 ()));
   ]
 
-let golden_nd_engines = E.[ Twopl_nowait; Twopl_waitdie; Silo; Tictoc; Mvto ]
+(* Each pinned engine with the loops it runs in: the ND protocols and the
+   per-transaction deterministic engines, closed and open loop; serial
+   takes no clients. *)
+let golden_nd_engines =
+  let both = [ false; true ] in
+  E.
+    [
+      (Twopl_nowait, both); (Twopl_waitdie, both); (Silo, both);
+      (Tictoc, both); (Mvto, both); (Hstore, both); (Calvin, both);
+      (Serial, [ false ]);
+    ]
 
 (* [elapsed; busy; committed; logic_aborted; cc_aborts; p99; checksum]. *)
 let golden_nd engine workload ~clients =
@@ -318,11 +366,52 @@ let golden_nd_expect =
      [ 4190583; 12431615; 1016; 8; 366; 94207; 3167856933690843845 ]);
     ("mvto tpcc 2w open",
      [ 3781679; 13139395; 1016; 32; 414; 98303; 3263267998785023212 ]);
+    ("hstore chained ycsb closed",
+     [ 3598805; 4110920; 985; 39; 0; 55295; 1738850774117926276 ]);
+    ("hstore chained ycsb open",
+     [ 3809194; 4374910; 1001; 111; 0; 53247; 3251603820908429399 ]);
+    ("hstore rmw ycsb closed",
+     [ 7825590; 6445960; 1024; 0; 0; 73727; 3399060117009271151 ]);
+    ("hstore rmw ycsb open",
+     [ 7851034; 6445960; 1024; 0; 0; 73727; 3399060117009271151 ]);
+    ("hstore tpcc payment closed",
+     [ 28334720; 20355690; 1021; 3; 0; 155647; 3844684704405354516 ]);
+    ("hstore tpcc payment open",
+     [ 28643734; 20593685; 1021; 12; 0; 155647; 3844684704405354516 ]);
+    ("hstore tpcc 2w closed",
+     [ 29185215; 21866295; 1016; 8; 0; 196607; 527710866764555079 ]);
+    ("hstore tpcc 2w open",
+     [ 29827469; 22351295; 1016; 32; 0; 196607; 4122524828556760228 ]);
+    ("calvin chained ycsb closed",
+     [ 9475430; 12350310; 984; 40; 0; 12287; 1518634225530193001 ]);
+    ("calvin chained ycsb open",
+     [ 10381894; 13437490; 996; 126; 0; 12287; 4008407949772811656 ]);
+    ("calvin rmw ycsb closed",
+     [ 9475550; 12697600; 1024; 0; 0; 12350; 3027097019011861538 ]);
+    ("calvin rmw ycsb open",
+     [ 9476054; 12697600; 1024; 0; 0; 12350; 3399060117009271151 ]);
+    ("calvin tpcc payment closed",
+     [ 11842385; 18218190; 1023; 1; 0; 46365; 908476939025030008 ]);
+    ("calvin tpcc payment open",
+     [ 12332269; 18940275; 1021; 12; 0; 46365; 3844684704405354516 ]);
+    ("calvin tpcc 2w closed",
+     [ 20728295; 29416165; 1016; 8; 0; 221183; 3898850969671227978 ]);
+    ("calvin tpcc 2w open",
+     [ 19941019; 28598735; 1016; 32; 0; 221183; 4122524828556760228 ]);
+    ("serial chained ycsb closed",
+     [ 2878310; 2878310; 984; 40; 0; 2815; 1518634225530193001 ]);
+    ("serial rmw ycsb closed",
+     [ 3225600; 3225600; 1024; 0; 0; 2900; 3027097019011861538 ]);
+    ("serial tpcc payment closed",
+     [ 6319950; 6319950; 1023; 1; 0; 15640; 908476939025030008 ]);
+    ("serial tpcc 2w closed",
+     [ 8430380; 8430380; 1016; 8; 0; 44620; 3898850969671227978 ]);
   ]
 
 let test_golden_nd () =
+  let checked = ref 0 in
   List.iter
-    (fun engine ->
+    (fun (engine, loops) ->
       List.iter
         (fun (wname, workload) ->
           List.iter
@@ -334,13 +423,12 @@ let test_golden_nd () =
               Alcotest.(check (list int))
                 name
                 (List.assoc name golden_nd_expect)
-                (golden_nd engine workload ~clients))
-            [ false; true ])
+                (golden_nd engine workload ~clients);
+              incr checked)
+            loops)
         golden_workloads)
     golden_nd_engines;
-  Tutil.check_int "every pin checked"
-    (List.length golden_nd_engines * List.length golden_workloads * 2)
-    (List.length golden_nd_expect)
+  Tutil.check_int "every pin checked" !checked (List.length golden_nd_expect)
 
 let prop_nd_additive =
   QCheck.Test.make ~name:"nd protocols keep the additive invariant" ~count:10
@@ -394,4 +482,6 @@ let () =
             test_calvin_lock_manager_bottleneck;
         ] );
       ("plock", [ Alcotest.test_case "fifo mutex" `Quick test_plock ]);
+      ( "dlock",
+        [ Alcotest.test_case "fifo S/X queues, no barging" `Quick test_dlock ] );
     ]
