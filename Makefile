@@ -1,4 +1,6 @@
 SMOKE_TRACE := /tmp/quill-smoke-trace.json
+SMOKE_OUT := /tmp/quill-smoke.out
+SMOKE_ERR := /tmp/quill-smoke.err
 BENCH_TARGETS := durability cdc pipeline skew failover
 
 .PHONY: all build test lint check bench-check bench-diff perf-ab clean
@@ -19,7 +21,10 @@ lint:
 # smoke runs: one exports a trace, validates the Chrome trace-event JSON
 # actually parses, and replays the planned-order conflict check; one
 # drives a per-transaction engine in open loop with deadlines and
-# retries; and a non-finite --deadline must be rejected with exit 2.
+# retries; a non-finite --deadline must be rejected with exit 2; and so
+# must a zero batch size (with a one-line message naming the flag), an
+# unwritable --trace path and a non-finite bench scale, before the run
+# prints anything (the last one writing no --json file).
 check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine quecc --workload ycsb \
 	  --txns 2048 --batch 512 --trace $(SMOKE_TRACE) --phase-table \
@@ -32,6 +37,15 @@ check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine calvin --txns 2048 \
 	  --arrival 200000 --admission deadline:64 --deadline inf; \
 	  test $$? -eq 2
+	dune exec bin/quill_cli.exe -- run --batch 0 2>$(SMOKE_ERR); \
+	  test $$? -eq 2 && grep -q -- '--batch must be' $(SMOKE_ERR)
+	dune exec bin/quill_cli.exe -- run --txns 512 \
+	  --trace /nonexistent/t.json >$(SMOKE_OUT); \
+	  test $$? -eq 2 && test ! -s $(SMOKE_OUT)
+	rm -f /tmp/quill-inf.json
+	dune exec bench/main.exe -- pipeline inf --json /tmp/quill-inf.json \
+	  >$(SMOKE_OUT); test $$? -eq 2 && test ! -s $(SMOKE_OUT) \
+	  && test ! -e /tmp/quill-inf.json
 
 # Regenerate every checked-in BENCH_*.json at scale 1 and fail on any
 # difference: their numbers are deterministic virtual time, so a change

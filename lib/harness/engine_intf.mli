@@ -1,7 +1,7 @@
 (** First-class-module engine API.
 
-    Every engine family adapts its native [run] to this shape and
-    registers with {!Engine_registry}; the harness ({!Experiment.run}),
+    Every engine family adapts its native [run] to this shape in
+    {!Engine_registry.resolve}; the harness ({!Experiment.run}),
     the CLI and the bench driver dispatch through the registry instead
     of per-engine [match] arms.  Optional features (faults, clients,
     WAL, CDC, replication) are validated against the engine's

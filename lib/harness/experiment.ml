@@ -104,7 +104,32 @@ let respec_parts spec nparts =
 let batches t = max 1 ((t.txns + (t.batch_size / 2)) / t.batch_size)
 let effective_txns t = batches t * t.batch_size
 
+(* Range checks, each naming its flag: a bad value is rejected here,
+   before [batches] divides by the batch size or a workload asserts. *)
+let check_ranges t =
+  let need ok flag want =
+    if not ok then invalid_arg ("Experiment.run: " ^ flag ^ " must be " ^ want)
+  in
+  need (t.threads >= 1) "--threads" ">= 1";
+  need (t.batch_size >= 1) "--batch" ">= 1";
+  need (Option.fold ~none:true ~some:(fun n -> n >= 1) t.split) "--split" ">= 1";
+  need (t.replicas >= 0) "--replicas" ">= 0";
+  need (t.spec_lag >= 1) "--spec-lag" ">= 1";
+  need (t.snapshot_every >= 1) "--snapshot-every" ">= 1";
+  let prob p = p >= 0.0 && p <= 1.0 in
+  match t.workload with
+  | Ycsb c ->
+      need
+        (c.Ycsb.table_size >= c.Ycsb.ops_per_txn)
+        "--table-size"
+        (Printf.sprintf ">= the %d operations per transaction" c.Ycsb.ops_per_txn);
+      need (c.Ycsb.theta >= 0.0 && c.Ycsb.theta < 1.0) "--theta" "in [0, 1)";
+      need (prob c.Ycsb.mp_ratio) "--mp" "in [0, 1]";
+      need (prob c.Ycsb.abort_ratio) "--abort-ratio" "in [0, 1]"
+  | Tpcc c -> need (c.Tpcc_defs.warehouses >= 1) "--warehouses" ">= 1"
+
 let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
+  check_ranges t;
   Trace.begin_process tracer t.name;
   let batches = batches t in
   let txns = batches * t.batch_size in
@@ -145,8 +170,6 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
        ]);
   (* Cross-feature constraints (combinations of features the engine
      individually supports). *)
-  if t.snapshot_every < 1 then
-    invalid_arg "Experiment.run: --snapshot-every must be >= 1";
   let dist = Capability.mem Capability.Dist M.caps in
   (* Crash and disk faults on a centralized engine are only survivable
      through the WAL. *)

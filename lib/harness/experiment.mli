@@ -142,6 +142,13 @@ val run :
   Quill_txn.Metrics.t
 (** Builds a fresh database, runs, returns metrics.
 
+    Numeric fields are range-checked first (threads, batch size, split
+    threshold, replicas, spec lag and snapshot period; YCSB table size
+    against the operations per transaction, theta in \[0, 1), the
+    multi-partition and abort ratios in \[0, 1\]; TPC-C warehouses):
+    [Invalid_argument] names the CLI flag, before any workload is
+    built.
+
     Every optional feature the experiment requests is validated against
     the engine's {!Capability} set in one place, here, before the
     engine runs; [Invalid_argument] names the engine, the offending

@@ -347,6 +347,426 @@ let test_bench_json () =
 |}
     s
 
+(* ------------------------------------------------------------------ *)
+(* The command line                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Cli = Quill_harness.Cli
+module C = Quill_clients.Clients
+open Quill_workloads
+
+(* Every bad value is rejected by the one chokepoint with an
+   Invalid_argument naming its flag, before the workload is built. *)
+let test_range_checks () =
+  let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
+  let ycsb f = E.Ycsb (f { Ycsb.default with Ycsb.table_size = 1_000 }) in
+  let tpcc w = E.Tpcc { Tpcc.default with Tpcc_defs.warehouses = w } in
+  let reject flag exp =
+    match E.run exp with
+    | _ -> Alcotest.failf "%s: bad value ran" flag
+    | exception Invalid_argument msg ->
+        Tutil.check_bool (flag ^ " named in: " ^ msg) true
+          (Tutil.contains msg flag)
+  in
+  let make ?threads ?batch_size ?split ?replicas ?spec_lag ?snapshot_every
+      spec =
+    E.make ?threads ?batch_size ?split ?replicas ?spec_lag ?snapshot_every
+      ~txns:256 q spec
+  in
+  let ok = ycsb Fun.id in
+  reject "--threads" (make ~threads:0 ok);
+  reject "--batch" (make ~batch_size:0 ok);
+  reject "--batch" (make ~batch_size:(-5) ok);
+  reject "--split" (make ~split:0 ok);
+  reject "--replicas" (make ~replicas:(-1) ok);
+  reject "--spec-lag" (make ~spec_lag:0 ok);
+  reject "--snapshot-every" (make ~snapshot_every:0 ok);
+  reject "--table-size" (make (ycsb (fun c -> { c with Ycsb.table_size = 5 })));
+  List.iter
+    (fun theta ->
+      reject "--theta" (make (ycsb (fun c -> { c with Ycsb.theta }))))
+    [ 1.0; -0.1; Float.nan ];
+  List.iter
+    (fun p ->
+      reject "--mp" (make (ycsb (fun c -> { c with Ycsb.mp_ratio = p })));
+      reject "--abort-ratio"
+        (make (ycsb (fun c -> { c with Ycsb.abort_ratio = p }))))
+    [ 2.0; -0.5 ];
+  reject "--warehouses" (make (tpcc 0));
+  (* the bounds themselves are legal *)
+  List.iter
+    (fun spec -> ignore (E.run (make ~threads:1 ~batch_size:1 spec)))
+    [
+      ycsb (fun c ->
+          {
+            c with
+            Ycsb.table_size = c.Ycsb.ops_per_txn;
+            nparts = 1;
+            mp_ratio = 1.0;
+            abort_ratio = 1.0;
+          });
+      E.Tpcc (Tpcc.payment_mix { Tpcc.default with Tpcc_defs.warehouses = 1 });
+    ]
+
+let null_fmt = Format.make_formatter (fun _ _ _ -> ()) ignore
+
+let eval cmd argv =
+  Cmdliner.Cmd.eval_value ~catch:false ~help:null_fmt ~err:null_fmt
+    ~argv:(Array.of_list argv) cmd
+
+(* quill_cli's run command: the experiment plus the observability flags. *)
+let run_cmd =
+  Cmdliner.(
+    Cmd.v (Cmd.info "run")
+      Term.(
+        const (fun e _ _ _ -> e)
+        $ Cli.experiment $ Cli.trace $ Cli.phase_table $ Cli.check_conflicts))
+
+let parse_run args =
+  match eval run_cmd ("quill_cli" :: args) with
+  | Ok (`Ok e) -> Some e
+  | Ok (`Help | `Version) | Error _ -> None
+
+let bench = Cli.bench ~micro:ignore
+
+let bench_accepts args =
+  match eval bench ("main.exe" :: args) with
+  | Ok (`Ok _) -> true
+  | Ok (`Help | `Version) | Error _ -> false
+
+(* A quill_cli line exits 2 when it is a command-line error or its
+   experiment is rejected with Invalid_argument. *)
+let run_rejected args =
+  match parse_run args with
+  | None -> true
+  | Some exp -> (
+      match E.run exp with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
+(* The exit-2 steps of CI and `make check`, and the repros of values that
+   used to die on an assertion, a division by zero or a late Sys_error,
+   or ran silently. *)
+let test_cli_rejections () =
+  let gone f = Tutil.check_bool (f ^ " not written") false (Sys.file_exists f) in
+  List.iter gone [ "x.json"; "y.json" ];
+  List.iter
+    (fun args ->
+      Tutil.check_bool (String.concat " " args ^ " rejected") false
+        (bench_accepts args))
+    [
+      [ "durability"; "0.01"; "--faults"; "drop=0.5"; "--json"; "x.json" ];
+      [ "fig-latency"; "0.01"; "--json"; "y.json"; "--arrival"; "1000" ];
+      [ "pipeline"; "0.01"; "--json"; "no-such-dir/z.json" ];
+      [ "fig-batch"; "0.01"; "--trace"; "/nonexistent/t.json" ];
+      [ "pipeline"; "inf"; "--json"; "x.json" ];
+      [ "pipeline"; "nan" ];
+      [ "pipeline"; "0" ];
+      [ "fig-batch"; "0.01"; "--phase-table"; "extra" ];
+      [ "fig-batch"; "0.01"; "--phase-table"; "--phase-table" ];
+      [ "0.25" ];
+    ];
+  List.iter gone [ "x.json"; "y.json" ];
+  List.iter
+    (fun args ->
+      Tutil.check_bool (String.concat " " args ^ " rejected") true
+        (run_rejected args))
+    [
+      [ "--engine"; "silo"; "--workload"; "ycsb"; "--pipeline" ];
+      [ "-e"; "dist-quecc-4n"; "--pipeline"; "--arrival"; "2000000" ];
+      [ "-e"; "dist-calvin-4n"; "--pipeline"; "--arrival"; "2000000" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--split"; "bogus" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--adapt"; "wat" ];
+      [ "--engine"; "silo"; "--workload"; "ycsb"; "--split"; "32" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--adapt"; "batch" ];
+      [ "--engine"; "dist-quecc-1n"; "--replicas"; "2"; "--spec-lag"; "0" ];
+      [ "--engine"; "silo"; "--replicas"; "2" ];
+      [ "--engine"; "silo"; "--wal" ];
+      [ "--engine"; "quecc"; "--wal"; "--snapshot-every"; "0" ];
+      [ "--engine"; "quecc"; "--txns"; "2048"; "--faults"; "crash@t=1ms" ];
+      [ "--engine"; "quecc"; "--wal"; "--faults"; "torn@rec=1,torn@rec=2" ];
+      [ "--engine"; "silo"; "--cdc" ];
+      [ "--engine"; "hstore"; "--views" ];
+      [ "--engine"; "quecc"; "--cdc"; "--wal"; "--faults"; "crash@t=1ms" ];
+      [ "--engine"; "calvin"; "--txns"; "2048"; "--arrival"; "200000";
+        "--admission"; "deadline:64"; "--deadline"; "inf" ];
+      [ "--batch"; "0" ];
+      [ "--batch=-5" ];
+      [ "--threads"; "0" ];
+      [ "--table-size"; "5" ];
+      [ "-w"; "tpcc"; "--warehouses"; "0" ];
+      [ "--theta"; "1.0" ];
+      [ "--mp"; "2" ];
+      [ "--abort-ratio"; "5" ];
+      [ "--txns"; "512"; "--trace"; "/nonexistent/t.json" ];
+      [ "--engine"; "dist-quecc-<n>n" ];
+      [ "--seed"; "1"; "--seed"; "2" ];
+      [ "stray" ];
+    ]
+
+(* Every bench target x every flag: accepted exactly when the target
+   reads the flag. *)
+let test_bench_read_sets () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "quill-cli.json" in
+  let flags =
+    [
+      ("--trace", [ "--trace"; path ]);
+      ("--phase-table", [ "--phase-table" ]);
+      ("--check-conflicts", [ "--check-conflicts" ]);
+      ("--json", [ "--json"; path ]);
+      ("--faults", [ "--faults"; "drop=0.5" ]);
+      ("--arrival", [ "--arrival"; "1000" ]);
+      ("--admission", [ "--admission"; "shed:64" ]);
+      ("--deadline", [ "--deadline"; "5ms" ]);
+      ("--retries", [ "--retries"; "2:5us" ]);
+    ]
+  in
+  let suite = [ "--trace"; "--phase-table"; "--check-conflicts" ] in
+  let json = "--json" :: suite in
+  let reads =
+    [
+      ("table2-row1", suite);
+      ("table2-row2", suite);
+      ("table2-row3", suite);
+      ("fig-contention", suite);
+      ("fig-scalability", suite);
+      ("fig-modes", suite);
+      ("fig-latency", suite);
+      ("fig-batch", suite);
+      ("pipeline", json);
+      ("skew", json);
+      ("fault-tolerance", "--faults" :: suite);
+      ("failover", "--faults" :: json);
+      ("durability", json);
+      ("cdc", json);
+      ("overload", [ "--arrival"; "--admission"; "--deadline"; "--retries" ] @ suite);
+      ("micro", []);
+      ("all", suite);
+    ]
+  in
+  List.iter
+    (fun (target, read) ->
+      Tutil.check_bool (target ^ " alone") true (bench_accepts [ target ]);
+      Tutil.check_bool (target ^ " with a scale") true
+        (bench_accepts [ target; "0.25" ]);
+      List.iter
+        (fun (flag, args) ->
+          Tutil.check_bool
+            (Printf.sprintf "%s %s accepted iff read" target flag)
+            (List.mem flag read)
+            (bench_accepts ((target :: "0.25" :: args))))
+        flags)
+    reads;
+  (* no target: everything at scale 0.5, reading the suite flags *)
+  Tutil.check_bool "no target" true (bench_accepts []);
+  List.iter
+    (fun (flag, args) ->
+      Tutil.check_bool ("no target, " ^ flag) (List.mem flag suite)
+        (bench_accepts args))
+    flags;
+  Tutil.check_bool "temp path left alone" false (Sys.file_exists path)
+
+(* The command lines of CI, the Makefile, scripts/bench_diff.sh and the
+   README parse to what they meant before the grammar moved. *)
+let test_documented_lines () =
+  let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
+  let ycsb ?(threads = 8) ?(theta = 0.0) ?(global_zipf = false) () =
+    E.Ycsb
+      {
+        Ycsb.default with
+        Ycsb.table_size = 100_000;
+        nparts = threads;
+        theta;
+        abort_threshold = 128;
+        global_zipf;
+        seed = 42;
+      }
+  in
+  let fault s = match Quill_faults.Faults.parse s with Ok f -> f | Error m -> failwith m in
+  let smoke = Filename.concat (Filename.get_temp_dir_name ()) "quill-smoke.json" in
+  List.iter
+    (fun (line, expect) ->
+      match parse_run (String.split_on_char ' ' line) with
+      | None -> Alcotest.failf "%s: does not parse" line
+      | Some e -> Tutil.check_bool line true (e = expect))
+    [
+      ( "--engine quecc --workload ycsb --txns 2048 --batch 512 --trace "
+        ^ smoke ^ " --phase-table --pipeline --steal --check-conflicts",
+        E.make ~txns:2048 ~batch_size:512 ~pipeline:true ~steal:true q
+          (ycsb ()) );
+      ( "--engine calvin --txns 2048 --arrival 200000 --admission deadline:64 \
+         --deadline 20us --retries 2",
+        E.make ~txns:2048
+          ~clients:
+            {
+              C.default with
+              C.seed = 42;
+              arrival = C.Poisson 200_000.;
+              policy = C.Deadline;
+              depth = 64;
+              deadline = 20_000;
+              max_retries = 2;
+            }
+          E.Calvin (ycsb ()) );
+      ("--engine quecc --workload ycsb --theta 0.9", E.make q (ycsb ~theta:0.9 ()));
+      ( "--engine tictoc --workload tpcc --warehouses 1",
+        E.make E.Tictoc
+          (E.Tpcc
+             (Tpcc.payment_mix
+                { Tpcc.default with Tpcc_defs.warehouses = 1; nparts = 8; seed = 42 }))
+      );
+      ( "--engine quecc --workload ycsb --theta 0.9 --global-zipf --split 32 \
+         --adapt repart --phase-table",
+        E.make ~split:32 ~adapt_repart:true q
+          (ycsb ~theta:0.9 ~global_zipf:true ()) );
+      ( "--engine dist-quecc-1n --threads 4 --replicas 2 --spec-lag 2 --faults \
+         crash@t=2ms:node=0",
+        E.make ~threads:4 ~replicas:2 ~spec_lag:2
+          ~faults:(fault "crash@t=2ms:node=0") (E.Dist_quecc 1)
+          (ycsb ~threads:4 ()) );
+      ( "--engine quecc --wal --snapshot-every 4 --faults crash@t=2ms",
+        E.make ~wal:true ~snapshot_every:4 ~faults:(fault "crash@t=2ms") q
+          (ycsb ()) );
+      ( "--engine quecc --cdc --views --phase-table",
+        E.make ~cdc:true ~views:true q (ycsb ()) );
+      ( "-e dist-quecc",
+        E.make ~name:"dist-quecc" (E.Dist_quecc 4) (ycsb ()) );
+    ];
+  let json t = Filename.concat (Filename.get_temp_dir_name ()) (t ^ ".json") in
+  let crash = "crash@t=200us:node=1:down=200us,drop=0.01,dup=0.01,seed=7" in
+  List.iter
+    (fun args ->
+      Tutil.check_bool (String.concat " " args) true (bench_accepts args))
+    ([
+       [];
+       [ "table2-row3"; "0.5" ];
+       [ "skew"; "0.5" ];
+       [ "failover"; "0.5"; "--json"; json "failover" ];
+       [ "durability"; "0.5"; "--json"; json "durability" ];
+       [ "cdc"; "0.5"; "--json"; json "cdc" ];
+       [ "all"; "0.5" ];
+       [ "pipeline"; "0.25"; "--check-conflicts" ];
+       [ "fault-tolerance"; "0.25"; "--check-conflicts"; "--faults"; crash ];
+       [ "fault-tolerance"; "0.25"; "--phase-table"; "--faults"; crash ];
+       [ "overload"; "0.25" ];
+       [ "fig-latency"; "0.125" ];
+     ]
+    @ List.map
+        (fun t -> [ t; "1"; "--json"; json t ])
+        [ "durability"; "cdc"; "pipeline"; "skew"; "failover" ]
+    @ List.map
+        (fun t ->
+          [ t; "0.25"; "--phase-table" ]
+          @
+          if List.mem t [ "pipeline"; "skew"; "failover"; "durability"; "cdc" ]
+          then [ "--json"; json t ]
+          else [])
+        [
+          "table2-row1"; "table2-row2"; "table2-row3"; "fig-contention";
+          "fig-scalability"; "fig-modes"; "fig-latency"; "fig-batch";
+          "pipeline"; "skew"; "fault-tolerance"; "failover"; "durability";
+          "cdc"; "overload";
+        ])
+
+(* Random valid flag sets: parse, print back with [to_argv], parse again
+   and get the same experiment. *)
+let qcheck_to_argv =
+  let open QCheck.Gen in
+  let maybe g = map (function Some x -> x | None -> []) (opt g) in
+  let valued name g = map (fun v -> [ name ^ "=" ^ v ]) g in
+  let num = map string_of_int in
+  let real lo hi = map (Printf.sprintf "%.17g") (float_range lo hi) in
+  let time = map2 (Printf.sprintf "%d%s") (int_range 1 5000) (oneofl [ "ns"; "us"; "ms" ]) in
+  let flag name = map (fun b -> if b then [ name ] else []) bool in
+  let gen =
+    map List.concat
+      (flatten_l
+         [
+           valued "--engine"
+             (oneofl
+                ("dist-quecc-1n" :: "dist-calvin-3n"
+                :: List.filter
+                     (fun n -> not (String.contains n '<'))
+                     (Quill_harness.Engine_registry.names ())));
+           maybe (valued "--workload" (oneofl [ "ycsb"; "tpcc"; "tpcc-full" ]));
+           maybe (valued "--threads" (num (int_range 1 16)));
+           maybe (valued "--txns" (num (int_range 1 50_000)));
+           maybe (valued "--batch" (num (int_range 1 4096)));
+           maybe (valued "--theta" (real 0.0 0.99));
+           maybe (valued "--mp" (real 0.0 1.0));
+           maybe (valued "--abort-ratio" (real 0.0 1.0));
+           maybe (valued "--warehouses" (num (int_range 1 8)));
+           maybe (valued "--table-size" (num (int_range 10 200_000)));
+           maybe (valued "--seed" (num (int_range 0 1000)));
+           maybe
+             (valued "--faults"
+                (oneofl
+                   [
+                     "drop=0.01";
+                     "crash@t=5ms:node=1,drop=0.01,seed=7";
+                     "torn@rec=3";
+                     "part@t=1ms:a=0:b=1:until=2ms,dup=0.2,seed=3";
+                     "delay=0.1:by=5us,retries=4,rto=3us";
+                   ]));
+           maybe
+             (valued "--arrival"
+                (oneof
+                   [
+                     real 1.0 1e7;
+                     map3 (Printf.sprintf "burst:%s:%s:%s") (real 1.0 1e7) time
+                       time;
+                   ]));
+           maybe
+             (valued "--admission"
+                (map2 ( ^ )
+                   (oneofl [ "block"; "shed"; "shed-oldest"; "shed-newest"; "deadline" ])
+                   (oneof [ return ""; map (Printf.sprintf ":%d") (int_range 1 4096) ])));
+           maybe (valued "--deadline" time);
+           maybe
+             (valued "--retries"
+                (map2 ( ^ ) (num (int_range 0 9))
+                   (oneof [ return ""; map (fun t -> ":" ^ t) time ])));
+           flag "--pipeline";
+           flag "--steal";
+           maybe (valued "--split" (num (int_range 1 256)));
+           maybe (valued "--adapt" (oneofl [ "repart"; "batch"; "all" ]));
+           maybe (valued "--replicas" (num (int_range 0 4)));
+           maybe (valued "--spec-lag" (num (int_range 1 8)));
+           flag "--wal";
+           maybe (valued "--snapshot-every" (num (int_range 1 64)));
+           flag "--cdc";
+           flag "--views";
+           flag "--global-zipf";
+         ])
+  in
+  QCheck.Test.make ~count:300 ~name:"to_argv parses back to the same experiment"
+    (QCheck.make gen ~print:(String.concat " "))
+    (fun args ->
+      match parse_run args with
+      | None -> QCheck.Test.fail_reportf "does not parse"
+      | Some e -> (
+          let argv = Cli.to_argv e in
+          match parse_run argv with
+          | Some e' when e' = e -> true
+          | Some _ -> QCheck.Test.fail_reportf "differs: %s" (String.concat " " argv)
+          | None -> QCheck.Test.fail_reportf "no parse: %s" (String.concat " " argv)))
+
+let test_to_argv_rejects () =
+  let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
+  let rejected what exp =
+    match Cli.to_argv exp with
+    | _ -> Alcotest.failf "%s: printed a command line" what
+    | exception Invalid_argument _ -> ()
+  in
+  let costs = Quill_sim.Costs.default in
+  rejected "costs"
+    (E.make ~costs:{ costs with Quill_sim.Costs.wakeup = costs.wakeup + 1 } q
+       tiny_ycsb);
+  rejected "label" (E.make ~name:"my label" q tiny_ycsb);
+  rejected "workload" (E.make q tiny_ycsb);
+  Tutil.check_bool "the CLI's own default prints" true
+    (parse_run [] |> Option.map Cli.to_argv <> None)
+
 let () =
   Alcotest.run "harness"
     [
@@ -367,6 +787,15 @@ let () =
             test_effective_txns_equal;
           Alcotest.test_case "trace export and phases" `Quick
             test_trace_export_and_phases;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "range checks" `Quick test_range_checks;
+          Alcotest.test_case "rejections" `Quick test_cli_rejections;
+          Alcotest.test_case "bench read sets" `Quick test_bench_read_sets;
+          Alcotest.test_case "documented lines" `Quick test_documented_lines;
+          Alcotest.test_case "to_argv rejects" `Quick test_to_argv_rejects;
+          QCheck_alcotest.to_alcotest qcheck_to_argv;
         ] );
       ( "report",
         [
