@@ -24,7 +24,9 @@ lint:
 # retries; a non-finite --deadline must be rejected with exit 2; and so
 # must a zero batch size (with a one-line message naming the flag), an
 # unwritable --trace path and a non-finite bench scale, before the run
-# prints anything (the last one writing no --json file).
+# prints anything (the last one writing no --json file); and a YCSB table
+# whose last partition is smaller than a transaction's key draw, under a
+# timeout so that a regression fails instead of hanging.
 check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine quecc --workload ycsb \
 	  --txns 2048 --batch 512 --trace $(SMOKE_TRACE) --phase-table \
@@ -39,6 +41,8 @@ check: build test lint
 	  test $$? -eq 2
 	dune exec bin/quill_cli.exe -- run --batch 0 2>$(SMOKE_ERR); \
 	  test $$? -eq 2 && grep -q -- '--batch must be' $(SMOKE_ERR)
+	timeout 60 dune exec bin/quill_cli.exe -- run --workload ycsb \
+	  --table-size 20 --threads 8; test $$? -eq 2
 	dune exec bin/quill_cli.exe -- run --txns 512 \
 	  --trace /nonexistent/t.json >$(SMOKE_OUT); \
 	  test $$? -eq 2 && test ! -s $(SMOKE_OUT)

@@ -66,7 +66,8 @@ let crashed t = t.crashed
 (* Every status is settled but publish has not yet overwritten the
    [committed] pre-images, so a touched row's [data] is exactly the image
    publish will install: logging it now equals logging [committed]
-   later, and the CDC entry gets (pre-batch committed, post-batch data).
+   later, the WAL can still journal the pre-image, and the CDC entry
+   gets (pre-batch committed, post-batch data).
    The key is re-resolved because recovery may have removed the row or
    re-inserted it under the same key. *)
 let stage t ~batch_no ~txns =
@@ -83,8 +84,7 @@ let stage t ~batch_no ~txns =
                let key = r.Row.key in
                Option.iter
                  (fun w ->
-                   Wal.log_effect w ~table ~home:(Table.home_of_key tbl key)
-                     ~key r.Row.data)
+                   Wal.log_row w ~table ~home:(Table.home_of_key tbl key) r)
                  t.wal;
                Option.iter
                  (fun c ->
@@ -108,7 +108,7 @@ let publish t slot =
   Vec.clear t.touched.(slot)
 
 (* Sealing runs after the publish barrier: a WAL snapshot roll then
-   clones fully published state, and subscriber catch-up sees exactly
+   takes fully published state as its base, and subscriber catch-up sees exactly
    the state the feed has reached.  On a crash the in-flight batch was
    never flushed, so it is lost; any batch acked before its group
    survived the disk (a failing or wedged fsync) is retracted by the
@@ -122,7 +122,7 @@ let seal t (m : Metrics.t) ~tid =
            [Wal.recover], with the replay *)
         Option.iter
           (fun w ->
-            Wal.recover w t.db;
+            Wal.recover w;
             m.Metrics.committed <- Wal.durable_txns w)
           t.wal)
   else begin

@@ -57,8 +57,9 @@ val crashed : t -> bool
 val stage : t -> batch_no:int -> txns:int -> unit
 (** Stage the batch that committed [txns] transactions: a WAL batch
     header, then per touched row whose key still resolves (a rolled-back
-    insert does not) one WAL effect with its [data] and one CDC staging
-    (an insert, or an update from [committed] to [data]).  Probes
+    insert does not) one WAL effect with its [data] (journaling the
+    row's pre-batch image, see {!Quill_wal.Wal.log_row}) and one CDC
+    staging (an insert, or an update from [committed] to [data]).  Probes
     nothing when neither sink is attached. *)
 
 val publish : t -> int -> unit
@@ -70,10 +71,10 @@ val seal : t -> Quill_txn.Metrics.t -> tid:int -> unit
     durable transaction count equals the committed count at every
     durable batch) plus flush, then the CDC feed entry.  Call it after
     every slot is published, with no thread able to touch a row: a WAL
-    snapshot roll clones the database here.  After {!crash_due}: recover
-    the database from the WAL as phase [Ph_recover] on trace lane
-    [tid], count the crash and reset [committed] to the durable
-    transaction count. *)
+    snapshot roll takes the database as it stands here.  After
+    {!crash_due}: recover the database from the WAL as phase
+    [Ph_recover] on trace lane [tid], count the crash and reset
+    [committed] to the durable transaction count. *)
 
 val record : t -> Quill_txn.Metrics.t -> unit
 (** Add the WAL's counters into a metrics record. *)

@@ -223,6 +223,22 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
     | Some nparts -> respec_parts t.workload nparts
     | None -> t.workload
   in
+  (* YCSB draws a transaction's distinct keys inside one partition, and
+     the partition count is only final here. *)
+  (match spec with
+  | Ycsb c
+    when (not c.Ycsb.global_zipf)
+         && Ycsb.min_part_rows c < c.Ycsb.ops_per_txn ->
+      invalid_arg
+        (Printf.sprintf
+           "Experiment.run: --table-size %d leaves the last of %d \
+            partitions %d rows, fewer than the %d distinct keys a \
+            transaction draws from one partition (try a multiple of %d \
+            >= %d)"
+           c.Ycsb.table_size c.Ycsb.nparts (Ycsb.min_part_rows c)
+           c.Ycsb.ops_per_txn c.Ycsb.nparts
+           (c.Ycsb.nparts * c.Ycsb.ops_per_txn))
+  | _ -> ());
   let wl = build_workload spec in
   let sim = Sim.create ~wake_cost:t.costs.Costs.wakeup ~tracer () in
   Option.iter (fun f -> f wl) on_workload;

@@ -147,7 +147,9 @@ val run :
     against the operations per transaction, theta in \[0, 1), the
     multi-partition and abort ratios in \[0, 1\]; TPC-C warehouses):
     [Invalid_argument] names the CLI flag, before any workload is
-    built.
+    built.  Once the engine has fixed the partition count, a YCSB
+    table whose last partition holds fewer rows than a transaction's
+    distinct keys is rejected the same way ([--table-size]).
 
     Every optional feature the experiment requests is validated against
     the engine's {!Capability} set in one place, here, before the

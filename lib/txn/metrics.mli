@@ -70,7 +70,7 @@ type t = {
   mutable wal_group_txns : int;
       (** transactions covered by successful flushes; group size =
           [wal_group_txns / wal_fsyncs] *)
-  mutable snapshots : int;      (** periodic [Db.clone] snapshots taken *)
+  mutable snapshots : int;      (** periodic WAL snapshot rolls *)
   mutable wal_truncations : int;(** log truncations behind a snapshot *)
   mutable torn_records : int;
       (** invalid records detected (and truncated at) by the recovery

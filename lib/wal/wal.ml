@@ -4,6 +4,7 @@ module Db = Quill_storage.Db
 module Table = Quill_storage.Table
 module Row = Quill_storage.Row
 module Metrics = Quill_txn.Metrics
+module Vec = Quill_common.Vec
 
 type disk = {
   torn_rec : int option;
@@ -26,13 +27,18 @@ type t = {
   costs : Costs.t;
   disk : disk;
   snapshot_every : int;
-  db : Db.t;  (* the live database the run mutates; snapshot source *)
+  db : Db.t;  (* the live database the run mutates *)
+  (* The undo journal: each row staged since the last roll, once, with
+     its image at the roll ([None]: inserted since).  The snapshot is
+     the live database with these put back. *)
+  journal : (int * int * int * int array option) Vec.t;
+      (* (table, home, key, pre-roll image) *)
+  journaled : (int, unit) Hashtbl.t array;  (* per table: keys journaled *)
   log : Buffer.t;  (* bytes on the modeled disk (since last truncation) *)
   pending : (int * string) Queue.t;  (* (rec_no, record) awaiting flush *)
   mutable pending_bytes : int;
   mutable rec_no : int;  (* records ever appended, across truncations *)
   mutable wedged : bool;  (* a torn write killed the disk *)
-  mutable snapshot : Db.t;
   mutable snap_batch : int;
   mutable snap_txns : int;
   mutable durable_batch : int;
@@ -59,14 +65,13 @@ let create ?(disk = no_disk_faults) ~sim ~costs ~snapshot_every db =
     disk;
     snapshot_every;
     db;
+    journal = Vec.create ();
+    journaled = Array.init (Db.ntables db) (fun _ -> Hashtbl.create 64);
     log = Buffer.create 4096;
     pending = Queue.create ();
     pending_bytes = 0;
     rec_no = 0;
     wedged = false;
-    (* The creation-time snapshot: recovery always has a base, even
-       before the first snapshot roll. *)
-    snapshot = Db.clone db;
     snap_batch = -1;
     snap_txns = 0;
     durable_batch = -1;
@@ -129,6 +134,24 @@ let log_effect t ~table ~home ~key payload =
     payload;
   append t t_effect (Buffer.contents payload_buf)
 
+(* Before publish overwrites [committed], the first staging since the
+   roll journals it: the database was clean at the roll and only a
+   staged row is ever published, so [committed] is still the row's
+   roll-time image (an unpublished insert was absent then). *)
+let log_row t ~table ~home (row : Row.t) =
+  let key = row.Row.key in
+  let seen = t.journaled.(table) in
+  if not (Hashtbl.mem seen key) then begin
+    Hashtbl.replace seen key ();
+    Vec.push t.journal
+      ( table,
+        home,
+        key,
+        if row.Row.inserter >= 0 then None
+        else Some (Array.copy row.Row.committed) )
+  end;
+  log_effect t ~table ~home ~key row.Row.data
+
 (* One modeled fsync of the whole pending group.  A failing fsync is
    reported to the caller; a torn write is NOT — the record loses half
    its bytes, the disk wedges, and only the recovery scan's checksums
@@ -178,10 +201,13 @@ let commit_batch t ~batch_no ~txns =
     t.durable_txns <- t.durable_txns + txns;
     (* Roll a snapshot every [snapshot_every] durable batches and
        truncate the log behind it: replay never has to cross a snapshot
-       barrier, so recovery time and log size stay bounded. *)
+       barrier, so recovery time and log size stay bounded.  The live,
+       fully published database is the new snapshot, so rolling only
+       empties the journal. *)
     if (batch_no + 1) mod t.snapshot_every = 0 then begin
       Sim.tick t.sim t.costs.Costs.wal_fsync;
-      t.snapshot <- Db.clone t.db;
+      Vec.clear t.journal;
+      Array.iter Hashtbl.clear t.journaled;
       t.snap_batch <- batch_no;
       t.snap_txns <- t.durable_txns;
       Buffer.clear t.log;
@@ -205,7 +231,29 @@ let apply_effect db ~table ~home ~key payload =
       row.Row.dirty <- false
   | None -> ignore (Table.insert tbl ~home ~key payload)
 
-let recover t db =
+(* The database as of the last roll: a copy of the live one with every
+   row back at its committed image, the inserts no batch published
+   dropped, and every journaled row put back. *)
+let snapshot t =
+  let snap = Db.clone t.db in
+  for table = 0 to Db.ntables snap - 1 do
+    let tbl = Db.table snap table in
+    Table.iter_inserted
+      (fun (r : Row.t) ->
+        if r.Row.inserter >= 0 then Table.remove tbl r.Row.key)
+      (Db.table t.db table);
+    Table.iter_dense Row.revert tbl;
+    Table.iter_inserted Row.revert tbl
+  done;
+  Vec.iter
+    (fun (table, home, key, pre) ->
+      match pre with
+      | None -> Table.remove (Db.table snap table) key
+      | Some img -> apply_effect snap ~table ~home ~key img)
+    t.journal;
+  snap
+
+let recover t =
   let bytes = Bytes.of_string (Buffer.contents t.log) in
   (* At-rest bit rot lands between the last flush and the scan. *)
   (match t.disk.corrupt_off with
@@ -213,7 +261,8 @@ let recover t db =
       Bytes.set bytes off
         (Char.chr (Char.code (Bytes.get bytes off) lxor 0x10))
   | _ -> ());
-  Db.overwrite_from ~src:t.snapshot db;
+  let db = t.db in
+  Db.overwrite_from ~src:(snapshot t) db;
   let len = Bytes.length bytes in
   let s = Bytes.unsafe_to_string bytes in
   let pos = ref 0 in

@@ -17,13 +17,23 @@
     so a torn tail, a failed flush, or a flipped bit is {e detected} at
     recovery rather than silently loaded.
 
-    Periodic snapshots ([Db.clone] every [snapshot_every] durable
-    batches, plus one at creation) truncate the log behind the snapshot
-    barrier, bounding both replay time and log size.  {!recover}
-    rebuilds a database from the newest snapshot plus a replay of every
-    complete, checksum-valid commit group in the remaining log; the
-    scan truncates at the first invalid record and degrades to the last
-    durable batch — never aborts, never loads garbage.
+    Every [snapshot_every] durable batches the log rolls: the live
+    database becomes the new snapshot and the log is truncated behind
+    it, bounding both replay time and log size.  Nothing is copied at a
+    roll or at creation.  Instead the log keeps an undo journal, fed at
+    the commit point: the first time since the last roll that a row is
+    staged ({!log_row}), its image as of the roll is recorded, so a roll
+    costs O(rows changed since the previous one).  {!recover} rebuilds
+    the snapshot from the live database and the journal, then replays
+    every complete, checksum-valid commit group in the remaining log;
+    the scan truncates at the first invalid record and degrades to the
+    last durable batch — never aborts, never loads garbage.
+
+    The journal relies on the database being clean at every roll (and
+    at creation): every row published, [data] = [committed], no dirty
+    bit and no unpublished insert, and no run ever mutating an index.
+    Then the only rows that differ from the snapshot are the ones
+    published since, and every published row was staged first.
 
     Disk faults (threaded from the [torn@rec=K] / [fsync-fail@t=TIME] /
     [corrupt@off=N] clauses of {!Quill_faults.Faults}, but expressed
@@ -55,9 +65,9 @@ val create :
   snapshot_every:int ->
   Quill_storage.Db.t ->
   t
-(** A fresh log for one run.  Takes the initial snapshot ([Db.clone] of
-    the database as given — the loaded, pre-run state) so recovery
-    always has a base.  [snapshot_every] >= 1 is the snapshot period in
+(** A fresh log for one run over the live database [db], which must be
+    clean (see above).  The loaded, pre-run state is the first snapshot;
+    nothing is copied.  [snapshot_every] >= 1 is the snapshot period in
     durable batches. *)
 
 val begin_batch : t -> batch_no:int -> unit
@@ -66,7 +76,15 @@ val begin_batch : t -> batch_no:int -> unit
 val log_effect : t -> table:int -> home:int -> key:int -> int array -> unit
 (** Append one row effect (the row's post-batch committed payload) to
     the group buffer.  Nothing reaches the modeled disk until
-    {!commit_batch} flushes. *)
+    {!commit_batch} flushes.  The journal does not see it: a caller
+    that mutates the database itself must stage through {!log_row}. *)
+
+val log_row : t -> table:int -> home:int -> Quill_storage.Row.t -> unit
+(** Stage a row of the live database after its batch settled and
+    before publish: {!log_effect} of its [data], and, the first time
+    since the last roll, a journal entry with the row's image as of
+    that roll — its [committed], or "absent" for an unpublished insert
+    ([inserter >= 0]). *)
 
 val commit_batch : t -> batch_no:int -> txns:int -> bool
 (** Append the commit marker, then flush the whole group with one
@@ -74,8 +92,9 @@ val commit_batch : t -> batch_no:int -> txns:int -> bool
     ns).  Returns [true] when the marker is durable — the flush
     succeeded and no record of the group was torn.  On a durable commit
     the log may roll into a new snapshot + truncation per
-    [snapshot_every].  On failure the group is lost (as it would be on
-    real hardware) and the durable boundary stays where it was. *)
+    [snapshot_every], which empties the journal.  On failure the group
+    is lost (as it would be on real hardware) and the durable boundary
+    stays where it was. *)
 
 val durable_batch : t -> int
 (** Highest batch number whose commit marker is durable; -1 when only
@@ -85,12 +104,17 @@ val durable_txns : t -> int
 (** Total transactions covered by durable commit markers (including
     batches folded into snapshots). *)
 
-val recover : t -> Quill_storage.Db.t -> unit
-(** Crash recovery: overwrite [db] from the newest snapshot, then scan
-    the log and apply every complete, checksum-valid commit group.  The
-    scan stops and truncates at the first invalid record (torn tail,
-    bad crc, impossible length); effects of a batch with no valid
-    commit marker are discarded.  Afterwards {!durable_batch} /
+val recover : t -> unit
+(** Crash recovery of the live database: rebuild the newest snapshot
+    (one [Db.clone] of the live database, every row reverted to
+    [committed], unpublished inserts dropped, journaled rows put back),
+    overwrite the database from it, then scan the log and apply every
+    complete, checksum-valid commit group.  Groups lost to a failed or
+    wedged flush are reverted with the rest: the snapshot is of the
+    live database at the roll, not of the durable log.  The scan stops
+    and truncates at the first invalid record (torn tail, bad crc,
+    impossible length); effects of a batch with no valid commit marker
+    are discarded.  Afterwards {!durable_batch} /
     {!durable_txns} reflect what was actually recovered (which is how
     the run's committed count is reconciled).  Ticks [crash_reboot]
     plus [wal_byte]-per-scanned-byte plus [row_write] per applied

@@ -57,6 +57,13 @@ let build_db cfg =
     tbl;
   db
 
+(* Partitions are [part_size] rows each, in key order; the last one gets
+   the remainder. *)
+let part_size cfg = (cfg.table_size + cfg.nparts - 1) / cfg.nparts
+
+let min_part_rows cfg =
+  max 0 (cfg.table_size - ((cfg.nparts - 1) * part_size cfg))
+
 (* Draw [n] distinct keys respecting the single-/multi-partition choice.
    With [global_zipf] the scrambled-zipfian draw is used as the key
    directly instead of being folded into a chosen partition, so the
@@ -77,7 +84,7 @@ let draw_keys cfg zipf rng n =
     keys
   end
   else begin
-  let part_size = (cfg.table_size + cfg.nparts - 1) / cfg.nparts in
+  let part_size = part_size cfg in
   let multi = cfg.nparts > 1 && Rng.chance rng cfg.mp_ratio in
   let parts =
     if multi then begin

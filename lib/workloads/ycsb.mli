@@ -34,6 +34,12 @@ val default : cfg
 (** 100k rows, 10 fields, 10 ops, 50% reads, uniform, 4 partitions, no
     multi-partition txns, no aborts. *)
 
+val min_part_rows : cfg -> int
+(** Rows in the smallest partition: the last, which gets what the
+    others leave, possibly none.  Unless [global_zipf] is set, a
+    transaction draws its [ops_per_txn] distinct keys inside one
+    partition, so a smaller last partition never finishes the draw. *)
+
 val make : cfg -> Quill_txn.Workload.t
 (** Builds and populates the database, returns the workload handle. *)
 

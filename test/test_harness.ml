@@ -382,6 +382,8 @@ let test_range_checks () =
   reject "--spec-lag" (make ~spec_lag:0 ok);
   reject "--snapshot-every" (make ~snapshot_every:0 ok);
   reject "--table-size" (make (ycsb (fun c -> { c with Ycsb.table_size = 5 })));
+  reject "--table-size"
+    (make (ycsb (fun c -> { c with Ycsb.table_size = 81; nparts = 8 })));
   List.iter
     (fun theta ->
       reject "--theta" (make (ycsb (fun c -> { c with Ycsb.theta }))))
@@ -494,6 +496,12 @@ let test_cli_rejections () =
       [ "--batch=-5" ];
       [ "--threads"; "0" ];
       [ "--table-size"; "5" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--table-size"; "20";
+        "--threads"; "8" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--table-size"; "81";
+        "--threads"; "8" ];
+      (* one partition of 20 rows for quecc, but four for dist-quecc *)
+      [ "--engine"; "dist-quecc-4n"; "--table-size"; "20"; "--threads"; "1" ];
       [ "-w"; "tpcc"; "--warehouses"; "0" ];
       [ "--theta"; "1.0" ];
       [ "--mp"; "2" ];

@@ -30,12 +30,13 @@ let quecc_cfg ?(planners = 4) ?(executors = 4) ?(batch_size = 128)
     adapt = None;
   }
 
-(* Run quecc with a WAL attached (and optionally a crash), recording the
-   generated transactions so the serial oracle can replay them. *)
+(* Run quecc with a WAL attached (and optionally a crash) over [make ()],
+   recording the generated transactions so the serial oracle can replay
+   them. *)
 let run_wal ?disk ?crash_at ?(snapshot_every = 4) ?(planners = 4)
     ?(executors = 4) ?(batch_size = 128) ?(batches = 4) ?(pipeline = false)
-    cfg =
-  let wl = Ycsb.make cfg in
+    make =
+  let wl = make () in
   let wl_rec, logs = Tutil.record wl in
   let costs = Costs.default in
   let sim = Sim.create ~wake_cost:costs.Costs.wakeup () in
@@ -48,8 +49,8 @@ let run_wal ?disk ?crash_at ?(snapshot_every = 4) ?(planners = 4)
   (wl, logs, m, w)
 
 let run_plain ?(planners = 4) ?(executors = 4) ?(batch_size = 128)
-    ?(batches = 4) ?(pipeline = false) cfg =
-  let wl = Ycsb.make cfg in
+    ?(batches = 4) ?(pipeline = false) make =
+  let wl = make () in
   let m =
     Engine.run
       (quecc_cfg ~planners ~executors ~batch_size ~pipeline ())
@@ -57,20 +58,28 @@ let run_plain ?(planners = 4) ?(executors = 4) ?(batch_size = 128)
   in
   (wl, m)
 
-(* Serial-oracle state after the first [batches] batches of the recorded
-   streams (the durable prefix a recovered run must reproduce). *)
-let oracle_state cfg logs ~streams ~batch_size ~batches =
-  let wl = Ycsb.make cfg in
+(* Serial-oracle database after the first [batches] batches of the
+   recorded streams (the durable prefix a recovered run must
+   reproduce). *)
+let oracle_db make logs ~streams ~batch_size ~batches =
+  let wl = make () in
   let txns = Tutil.batch_order logs ~streams ~batch_size ~batches in
   let m = Serial.run_txns wl txns in
-  (Db.checksum wl.Workload.db, m)
+  (wl.Workload.db, m)
+
+let oracle_state make logs ~streams ~batch_size ~batches =
+  let db, m = oracle_db make logs ~streams ~batch_size ~batches in
+  (Db.checksum db, m)
+
+let ycsb cfg () = Ycsb.make cfg
+let tpcc () = Tpcc.make (Tutil.small_tpcc ())
 
 (* ------------------------- state neutrality ------------------------- *)
 
 let test_wal_is_state_neutral () =
   let cfg = Tutil.small_ycsb () in
-  let wl_w, _, mw, _ = run_wal ~snapshot_every:2 cfg in
-  let wl_p, mp = run_plain cfg in
+  let wl_w, _, mw, _ = run_wal ~snapshot_every:2 (ycsb cfg) in
+  let wl_p, mp = run_plain (ycsb cfg) in
   Tutil.check_bool "same final state with and without WAL" true
     (Db.checksum wl_w.Workload.db = Db.checksum wl_p.Workload.db);
   Tutil.check_int "same commits" mp.Metrics.committed mw.Metrics.committed;
@@ -85,16 +94,17 @@ let test_wal_is_state_neutral () =
 (* ------------------------- crash recovery ------------------------- *)
 
 let check_crash_recovers ?(pipeline = false) name cfg =
-  let _, mprobe = run_plain ~pipeline cfg in
+  let _, mprobe = run_plain ~pipeline (ycsb cfg) in
   let crash_at = mprobe.Metrics.elapsed / 2 in
   let wl, logs, m, w =
-    run_wal ~crash_at ~snapshot_every:2 ~pipeline cfg
+    run_wal ~crash_at ~snapshot_every:2 ~pipeline (ycsb cfg)
   in
   Tutil.check_int (name ^ ": crashed once") 1 m.Metrics.crashes;
   let durable = m.Metrics.durable_batches in
   Tutil.check_bool (name ^ ": lost the in-flight tail") true (durable < 4);
   let oracle, ms =
-    oracle_state cfg logs ~streams:4 ~batch_size:128 ~batches:durable
+    oracle_state (ycsb cfg) logs ~streams:4 ~batch_size:128
+      ~batches:durable
   in
   Tutil.check_bool
     (name ^ ": recovered state = serial oracle at the durable boundary")
@@ -111,10 +121,95 @@ let test_crash_recovers_lockstep () =
 let test_crash_recovers_pipelined () =
   check_crash_recovers ~pipeline:true "pipelined" (Tutil.small_ycsb ())
 
-let test_crash_recovers_with_inserts () =
+let test_crash_recovers_with_aborts () =
   (* abort_ratio > 0 exercises recovery-pass cascades and rolled-back
      effects around the WAL write set *)
   check_crash_recovers "aborts" (Tutil.small_ycsb ~abort_ratio:0.1 ())
+
+(* The recovered database equals the serial oracle's row for row and
+   insert for insert, with no row left dirty, and the committed count
+   matches. *)
+let check_recovered_state name (db, m) (oracle, (ms : Metrics.t)) =
+  Tutil.check_int (name ^ ": checksum = truncated serial oracle")
+    (Db.checksum oracle) (Db.checksum db);
+  Tutil.check_int (name ^ ": live images = committed ones")
+    (Db.checksum oracle) (Db.live_checksum db);
+  for table = 0 to Db.ntables db - 1 do
+    let tbl = Db.table db table in
+    Tutil.check_int
+      (Printf.sprintf "%s: %s inserts = oracle's" name (Table.name tbl))
+      (Table.inserted_count (Db.table oracle table))
+      (Table.inserted_count tbl)
+  done;
+  Tutil.check_int (name ^ ": committed = oracle's") ms.Metrics.committed
+    m.Metrics.committed
+
+(* Whether batch [b] of the recorded streams holds a NewOrder (whose
+   inserts then sit unpublished in the database when that batch is
+   killed). *)
+let batch_has_new_order logs ~batch_size b =
+  let all = Tutil.batch_order logs ~streams:4 ~batch_size ~batches:(b + 1) in
+  List.exists
+    (fun (t : Txn.t) ->
+      Array.length t.Txn.frags > 0
+      && t.Txn.frags.(0).Fragment.op = Tpcc_defs.op_no_wh)
+    (List.filteri (fun i _ -> i >= b * batch_size) all)
+
+(* QueCC over 1-warehouse TPC-C: NewOrder inserts in every batch, the
+   killed one included, and at least one snapshot roll before the
+   crash, so recovery must drop the killed batch's inserts and put back
+   every row a batch after the roll changed or inserted. *)
+let test_crash_recovers_tpcc_inserts () =
+  List.iter
+    (fun (pipeline, snapshot_every) ->
+      let name =
+        Printf.sprintf "%s, snapshot every %d"
+          (if pipeline then "pipelined" else "lockstep")
+          snapshot_every
+      in
+      let batches = 6 in
+      let _, mprobe = run_plain ~pipeline ~batches tpcc in
+      let crash_at = mprobe.Metrics.elapsed * 2 / 3 in
+      let wl, logs, m, _ =
+        run_wal ~crash_at ~snapshot_every ~pipeline ~batches tpcc
+      in
+      let durable = m.Metrics.durable_batches in
+      Tutil.check_int (name ^ ": crashed once") 1 m.Metrics.crashes;
+      Tutil.check_bool (name ^ ": a roll before the crash") true
+        (m.Metrics.snapshots >= 1);
+      Tutil.check_bool (name ^ ": the killed batch inserts") true
+        (durable < batches && batch_has_new_order logs ~batch_size:128 durable);
+      check_recovered_state name
+        (wl.Workload.db, m)
+        (oracle_db tpcc logs ~streams:4 ~batch_size:128 ~batches:durable))
+    [ (false, 1); (false, 2); (true, 1); (true, 2) ]
+
+(* Groups lost to a failing fsync stay committed in memory, so their
+   rows (and inserts) are staged after the last roll; a later crash must
+   revert them to that roll and replay only the durable log.  The
+   recovered state is the serial oracle at the durable boundary, not
+   the in-memory state the lost groups left. *)
+let test_fsync_fail_then_crash () =
+  let batches = 8 in
+  let _, mprobe = run_plain ~batches tpcc in
+  let elapsed = mprobe.Metrics.elapsed in
+  let disk =
+    { Wal.no_disk_faults with Wal.fsync_fail_at = Some (elapsed * 4 / 10) }
+  in
+  let wl, logs, m, w =
+    run_wal ~disk ~crash_at:(elapsed * 8 / 10) ~snapshot_every:2 ~batches tpcc
+  in
+  let durable = m.Metrics.durable_batches in
+  Tutil.check_int "crashed once" 1 m.Metrics.crashes;
+  Tutil.check_bool "a roll before the failing fsyncs" true
+    (m.Metrics.snapshots >= 1);
+  Tutil.check_bool "groups lost before the crash" true
+    (m.Metrics.wal_fsync_fails >= 2);
+  Tutil.check_int "durable boundary = Wal.durable_batch" (durable - 1)
+    (Wal.durable_batch w);
+  check_recovered_state "fsync-fail + crash"
+    (wl.Workload.db, m)
+    (oracle_db tpcc logs ~streams:4 ~batch_size:128 ~batches:durable)
 
 (* A crashed pipelined node stops planning.  Its planners can be at
    most two batches past the durable boundary (the batch the crash
@@ -123,15 +218,17 @@ let test_crash_recovers_with_inserts () =
 let test_crash_stops_planning () =
   let cfg = Tutil.small_ycsb () in
   let batches = 8 in
-  let _, mprobe = run_plain ~pipeline:true ~batches cfg in
+  let _, mprobe = run_plain ~pipeline:true ~batches (ycsb cfg) in
   let _, _, m, _ =
     run_wal ~crash_at:(mprobe.Metrics.elapsed / 2) ~snapshot_every:2
-      ~pipeline:true ~batches cfg
+      ~pipeline:true ~batches (ycsb cfg)
   in
   let durable = m.Metrics.durable_batches in
   Tutil.check_bool "the crash left batches unplanned" true
     (durable + 2 < batches);
-  let _, mref = run_plain ~pipeline:true ~batches:(durable + 2) cfg in
+  let _, mref =
+    run_plain ~pipeline:true ~batches:(durable + 2) (ycsb cfg)
+  in
   Tutil.check_bool
     (Printf.sprintf "plan busy %d <= fault-free %d batches' %d"
        m.Metrics.plan_busy (durable + 2) mref.Metrics.plan_busy)
@@ -148,16 +245,17 @@ let prop_crash_recovers_to_oracle =
     (fun (seed, frac10, snapshot_every) ->
       let cfg = Tutil.small_ycsb ~table_size:2_000 ~seed () in
       let _, mprobe =
-        run_plain ~planners:2 ~executors:2 ~batch_size:64 cfg
+        run_plain ~planners:2 ~executors:2 ~batch_size:64 (ycsb cfg)
       in
       let crash_at = max 1 (mprobe.Metrics.elapsed * frac10 / 10) in
       let wl, logs, m, _ =
         run_wal ~crash_at ~snapshot_every ~planners:2 ~executors:2
-          ~batch_size:64 cfg
+          ~batch_size:64 (ycsb cfg)
       in
       let durable = m.Metrics.durable_batches in
       let oracle, ms =
-        oracle_state cfg logs ~streams:2 ~batch_size:64 ~batches:durable
+        oracle_state (ycsb cfg) logs ~streams:2 ~batch_size:64
+          ~batches:durable
       in
       Db.checksum wl.Workload.db = oracle
       && m.Metrics.committed = ms.Metrics.committed)
@@ -182,7 +280,7 @@ let toy_wal ?disk ~snapshot_every () =
         done;
         ignore (Wal.commit_batch wal ~batch_no:b ~txns:20)
       done;
-      Wal.recover wal db);
+      Wal.recover wal);
   ignore (Sim.run sim);
   (Option.get !w, db)
 
@@ -417,7 +515,11 @@ let () =
           Alcotest.test_case "pipelined crash stops planning" `Quick
             test_crash_stops_planning;
           Alcotest.test_case "with aborts" `Quick
-            test_crash_recovers_with_inserts;
+            test_crash_recovers_with_aborts;
+          Alcotest.test_case "tpcc inserts, rolls before the crash" `Quick
+            test_crash_recovers_tpcc_inserts;
+          Alcotest.test_case "fsync failure, then crash" `Quick
+            test_fsync_fail_then_crash;
           Alcotest.test_case "serial engine" `Quick
             test_serial_crash_recovers;
           Alcotest.test_case "serial engine, tpcc" `Quick
