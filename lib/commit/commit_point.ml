@@ -11,7 +11,8 @@ type t = {
   wal : Wal.t option;
   cdc : Cdc.t option;
   crash_at : int option;
-  touched : (int * Row.t) Vec.t array;  (* (table, row) per slot *)
+  tables : int Vec.t array;  (* per slot: each touched row's table ... *)
+  rows : Row.t Vec.t array;  (* ... and the row, in touch order *)
   mutable crashed : bool;
   mutable batch_no : int;  (* the staged batch, sealed next *)
   mutable txns : int;
@@ -35,7 +36,8 @@ let create ?wal ?cdc ?crash_at ~slots sim db =
     wal;
     cdc;
     crash_at;
-    touched = Array.init slots (fun _ -> Vec.create ());
+    tables = Array.init slots (fun _ -> Vec.create ());
+    rows = Array.init slots (fun _ -> Vec.create ());
     crashed = false;
     batch_no = 0;
     txns = 0;
@@ -44,15 +46,13 @@ let create ?wal ?cdc ?crash_at ~slots sim db =
 let touch t slot ~table (row : Row.t) =
   if not row.Row.dirty then begin
     row.Row.dirty <- true;
-    Vec.push t.touched.(slot) (table, row)
+    Vec.push t.tables.(slot) table;
+    Vec.push t.rows.(slot) row
   end
 
-let touch_insert t slot ~table (row : Row.t) ~batch ~by =
-  row.Row.batch_tag <- batch;
+let touch_insert t slot ~table (row : Row.t) ~by =
   row.Row.inserter <- by;
   touch t slot ~table row
-
-let iter_touched t f = Array.iter (Vec.iter (fun (_, row) -> f row)) t.touched
 
 let crash_due t =
   match t.crash_at with
@@ -75,37 +75,39 @@ let stage t ~batch_no ~txns =
   t.txns <- txns;
   if t.wal <> None || t.cdc <> None then begin
     Option.iter (fun w -> Wal.begin_batch w ~batch_no) t.wal;
-    Array.iter
-      (Vec.iter (fun (table, (row : Row.t)) ->
-           let tbl = Db.table t.db table in
-           match Table.find tbl row.Row.key with
-           | None -> ()
-           | Some r ->
-               let key = r.Row.key in
-               Option.iter
-                 (fun w ->
-                   Wal.log_row w ~table ~home:(Table.home_of_key tbl key) r)
-                 t.wal;
-               Option.iter
-                 (fun c ->
-                   if r.Row.inserter >= 0 then
-                     Cdc.stage_insert c ~table ~key ~after:r.Row.data
-                   else
-                     Cdc.stage c ~table ~key ~before:r.Row.committed
-                       ~after:r.Row.data)
-                 t.cdc))
-      t.touched
+    Array.iteri
+      (fun slot tables ->
+        Vec.iteri
+          (fun i table ->
+            let tbl = Db.table t.db table in
+            match Table.find tbl (Vec.get t.rows.(slot) i).Row.key with
+            | None -> ()
+            | Some r ->
+                let key = r.Row.key in
+                Option.iter
+                  (fun w ->
+                    Wal.log_row w ~table ~home:(Table.home_of_key tbl key) r)
+                  t.wal;
+                Option.iter
+                  (fun c ->
+                    if r.Row.inserter >= 0 then
+                      Cdc.stage_insert c ~table ~key ~after:r.Row.data
+                    else
+                      Cdc.stage c ~table ~key ~before:r.Row.committed
+                        ~after:r.Row.data)
+                  t.cdc)
+          tables)
+      t.tables
   end
 
 let publish t slot =
   Vec.iter
-    (fun (_, row) ->
+    (fun row ->
       Row.publish row;
-      row.Row.undo <- [];
-      row.Row.fstate <- [||];
       row.Row.inserter <- -1)
-    t.touched.(slot);
-  Vec.clear t.touched.(slot)
+    t.rows.(slot);
+  Vec.clear t.tables.(slot);
+  Vec.clear t.rows.(slot)
 
 (* Sealing runs after the publish barrier: a WAL snapshot roll then
    takes fully published state as its base, and subscriber catch-up sees exactly

@@ -37,15 +37,14 @@ val create :
 
 val touch : t -> int -> table:int -> Quill_storage.Row.t -> unit
 (** [touch t slot ~table row]: add [row] to [slot]'s touched set unless
-    its dirty flag says it is already in one. *)
+    its dirty flag says it is already in one.  A touched set is two
+    parallel vectors, the table ids and the rows, so a touch allocates
+    nothing once they have grown to a batch's size. *)
 
 val touch_insert :
-  t -> int -> table:int -> Quill_storage.Row.t -> batch:int -> by:int -> unit
-(** Mark a freshly inserted row as inserted in [batch] by the batch's
-    transaction [by], then {!touch} it. *)
-
-val iter_touched : t -> (Quill_storage.Row.t -> unit) -> unit
-(** Every touched row, slot by slot (QueCC's cascade undo). *)
+  t -> int -> table:int -> Quill_storage.Row.t -> by:int -> unit
+(** Mark a freshly inserted row as inserted by the batch's transaction
+    [by], then {!touch} it. *)
 
 val crash_due : t -> bool
 (** Whether the node dies at this commit point: [true] once, at the
@@ -63,8 +62,10 @@ val stage : t -> batch_no:int -> txns:int -> unit
     nothing when neither sink is attached. *)
 
 val publish : t -> int -> unit
-(** Publish and clear one slot's touched set, resetting each row's
-    per-batch state. *)
+(** Publish and clear one slot's touched set, clearing each row's
+    [inserter] mark.  Every row a batch inserts or writes is in a
+    touched set, so after the last slot is published no row carries
+    state from the batch. *)
 
 val seal : t -> Quill_txn.Metrics.t -> tid:int -> unit
 (** Commit the staged batch: WAL commit marker (carrying [txns], so the

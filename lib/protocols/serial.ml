@@ -18,7 +18,7 @@ let run_list ?wal ?cdc ?crash_at ~batch_size sim costs wl next =
   let direct =
     Direct.create ~touch:(Commit_point.touch cp 0)
       ~inserted:(fun ~table row ->
-        Commit_point.touch_insert cp 0 ~table row ~batch:!group ~by:!in_group)
+        Commit_point.touch_insert cp 0 ~table row ~by:!in_group)
       sim costs wl
   in
   Sim.spawn sim (fun () ->

@@ -72,9 +72,6 @@ type rt = {
                                         when the txn has no data deps *)
   resolved : unit Sim.Ivar.iv;       (* commit-dependency gate *)
   mutable pending_aborters : int;
-  deps_on : int Vec.t;               (* speculation/WAW edges: bidxs read
-                                        or overwritten (speculative mode) *)
-  mutable inserts : (int * int) list; (* (table, key) for undo *)
   mutable logic_abort : bool;
   entry : Clients.entry option;      (* admission-queue provenance, for
                                         client completion / retry *)
@@ -161,6 +158,10 @@ type shared = {
   cp : Commit_point.t;
       (* the batch commit point: touched sets per executor + one
          recovery slot, WAL, CDC and the crash point *)
+  journal : Journal.t;
+      (* the executing batch's speculative accesses (speculative mode);
+         one suffices, because batch b+1 starts executing only after
+         batch b is recovered and published *)
   mutable batch_no : int;
 }
 
@@ -200,8 +201,6 @@ let make_rt ?entry txn bidx =
     slots;
     resolved = Sim.Ivar.create ();
     pending_aborters = txn.Txn.n_abortable;
-    deps_on = Vec.create ();
-    inserts = [];
     logic_abort = false;
     entry;
   }
@@ -236,57 +235,15 @@ type exec_state = {
   eid : int;
   mutable cur_rt : rt;
   cur : Direct.cursor;
-  locate : Fragment.t -> Row.t option;
+  locate : Fragment.t -> Row.t option;  (* [Direct.find] on the database *)
 }
 
 let dummy_rt = make_rt (Txn.make ~tid:(-1) [||]) (-1)
 
-(* Field-level speculation state: edges are recorded per (row, field) so
-   that transactions touching disjoint fields of a hot row (Payment's
-   d_ytd vs NewOrder's d_next_o_id) never cascade into each other. *)
-let fstate row =
-  if Array.length row.Row.fstate = 0 then
-    row.Row.fstate <- Array.make (Array.length row.Row.data) (-1, [], []);
-  row.Row.fstate
-
-let add_edge rt b = if b >= 0 && b <> rt.bidx then Vec.push rt.deps_on b
-
-(* Reading field [f]: depend on its last in-batch writer and on every
-   pending commutative adder (their deltas are visible in the value), and
-   register as a reader (future anti-dependency). *)
-let record_read rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) ads;
-  st.(f) <- (w, rt.bidx :: rs, ads)
-
-(* Writing field [f]: depend on the previous writer and adders (so undo
-   chains revert in order) and on every reader since (anti-dep). *)
-let record_write rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) rs;
-  List.iter (add_edge rt) ads;
-  st.(f) <- (rt.bidx, [], [])
-
-(* Commutative add on field [f]: other adds commute (no edges between
-   them), but the previous set-writer's undo would clobber us, and prior
-   readers must drag us along if they re-execute. *)
-let record_add rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) rs;
-  st.(f) <- (w, rs, rt.bidx :: ads)
-
 let make_exec_ctx sh st =
   let costs = sh.cfg.costs in
   let speculative = sh.cfg.mode = Speculative in
+  let j = sh.journal in
   let cur = st.cur in
   let read (frag : Fragment.t) field =
     Sim.tick sh.sim costs.Costs.row_read;
@@ -296,25 +253,26 @@ let make_exec_ctx sh st =
       match (sh.cfg.isolation, frag.Fragment.mode) with
       | Read_committed, Fragment.Read -> row.Row.committed.(field)
       | _ ->
-          if speculative then record_read st.cur_rt row field;
+          if speculative then
+            Journal.read j ~bidx:st.cur_rt.bidx ~table:frag.Fragment.table row
+              field;
           row.Row.data.(field)
     end
   in
   (* A set ([is_add] false, [x] the value) or a commutative add ([x] the
-     delta); speculative mode records its edges and undo op. *)
+     delta); speculative mode journals it. *)
   let update (frag : Fragment.t) field ~is_add x =
     Sim.tick sh.sim costs.Costs.row_write;
     if cur.found then begin
       let row = cur.row in
-      let rt = st.cur_rt in
+      let table = frag.Fragment.table in
       let old = row.Row.data.(field) in
       if speculative then begin
-        if is_add then record_add rt row field else record_write rt row field;
-        row.Row.undo <-
-          (rt.bidx, field, if is_add then Row.Uadd x else Row.Uset old)
-          :: row.Row.undo
+        let bidx = st.cur_rt.bidx in
+        if is_add then Journal.add j ~bidx ~table row field ~delta:x
+        else Journal.set j ~bidx ~table row field ~old
       end;
-      Commit_point.touch sh.cp st.eid ~table:frag.Fragment.table row;
+      Commit_point.touch sh.cp st.eid ~table row;
       row.Row.data.(field) <- (if is_add then old + x else x)
     end
   in
@@ -327,9 +285,9 @@ let make_exec_ctx sh st =
     let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
     let row = Table.insert tbl ~home ~key payload in
     if speculative then
-      rt.inserts <- (frag.Fragment.table, key) :: rt.inserts;
+      Journal.insert j ~bidx:rt.bidx ~table:frag.Fragment.table row;
     Commit_point.touch_insert sh.cp st.eid ~table:frag.Fragment.table row
-      ~batch:sh.batch_no ~by:rt.bidx
+      ~by:rt.bidx
   in
   let input fid =
     Sim.tick sh.sim costs.Costs.cas;
@@ -344,23 +302,18 @@ let make_exec_ctx sh st =
   let found _frag = cur.found in
   { Exec.read; write; add; insert; input; output; found }
 
-(* Lazily reset per-batch row state the first time a row is seen.  Rows
-   touched in the previous batch were reset at publish time, so this only
-   matters for correctness of [last_writer] tags across batches. *)
-let locate sh (frag : Fragment.t) =
-  match Direct.find sh.db frag with
-  | Some row ->
-      Row.reset_batch_state row sh.batch_no;
-      Some row
-  | None -> None
-
 (* Executor [eid]'s state and context, with conflict-detector
    interposition when a recorder is active.  Read-committed reads are
    flagged so the checker exempts them from ordering rules, exactly as
    planning exempts them from steal signatures. *)
 let new_executor sh eid =
   let st =
-    { eid; cur_rt = dummy_rt; cur = Direct.cursor (); locate = locate sh }
+    {
+      eid;
+      cur_rt = dummy_rt;
+      cur = Direct.cursor ();
+      locate = Direct.find sh.db;
+    }
   in
   let ctx = make_exec_ctx sh st in
   ( st,
@@ -920,11 +873,10 @@ let plan_work sh ~streams ~parity ~bno p work rr =
    a replay that misses an insert diverges from the fault-free run. *)
 let reexec_txn sh recovery_slot rt =
   let direct =
-    Direct.create ~locate:(locate sh)
+    Direct.create
       ~touch:(Commit_point.touch sh.cp recovery_slot)
       ~inserted:(fun ~table row ->
-        Commit_point.touch_insert sh.cp recovery_slot ~table row
-          ~batch:sh.batch_no ~by:rt.bidx)
+        Commit_point.touch_insert sh.cp recovery_slot ~table row ~by:rt.bidx)
       ~read_committed:(sh.cfg.isolation = Read_committed)
       ~add_reads:false sh.sim sh.cfg.costs sh.wl
   in
@@ -934,58 +886,19 @@ let reexec_txn sh recovery_slot rt =
     | Exec.Ok -> Txn.Committed
     | Exec.Abort | Exec.Blocked -> Txn.Aborted)
 
+(* Only a batch with a logic abort replays its journal: the closure of
+   the aborters in batch order, its writes and inserts undone newest
+   first, then serial re-execution in batch order. *)
 let recover sh ~parity =
   let rts = sh.rts.(parity) in
   let n = sh.cfg.batch_size in
-  let in_a = Array.make n false in
-  let any = ref false in
-  for b = 0 to n - 1 do
-    match rts.(b) with
-    | None -> ()
-    | Some rt ->
-        if rt.logic_abort || Vec.exists (fun d -> in_a.(d)) rt.deps_on then begin
-          in_a.(b) <- true;
-          any := true
-        end
-  done;
-  if !any then begin
-    let costs = sh.cfg.costs in
-    (* Undo: walk each affected row's log newest-first, reverting the
-       field writes of cascaded transactions.  Per-field WAW edges
-       guarantee that any later writer of the same field is cascaded
-       too, so reverting in reverse chronological order is exact. *)
-    Commit_point.iter_touched sh.cp (fun row ->
-        if row.Row.undo <> [] then begin
-          let kept =
-            List.filter
-              (fun (b, field, uop) ->
-                if in_a.(b) then begin
-                  Sim.tick sh.sim costs.Costs.abort_cleanup;
-                  (match uop with
-                  | Row.Uset old -> row.Row.data.(field) <- old
-                  | Row.Uadd d ->
-                      row.Row.data.(field) <- row.Row.data.(field) - d);
-                  false
-                end
-                else true)
-              row.Row.undo
-          in
-          row.Row.undo <- kept
-        end);
-    (* Remove inserts made by cascaded transactions. *)
-    for b = 0 to n - 1 do
-      if in_a.(b) then
-        match rts.(b) with
-        | None -> ()
-        | Some rt ->
-            List.iter
-              (fun (tid, key) ->
-                Sim.tick sh.sim costs.Costs.abort_cleanup;
-                Table.remove (Db.table sh.db tid) key)
-              rt.inserts;
-            rt.inserts <- []
-    done;
-    (* Serial deterministic re-execution in batch order. *)
+  let aborter = function Some rt -> rt.logic_abort | None -> false in
+  if Array.exists aborter rts then begin
+    let in_a =
+      Journal.closure sh.journal n ~aborted:(fun b -> aborter rts.(b))
+    in
+    Journal.revert sh.journal sh.db in_a ~charge:(fun () ->
+        Sim.tick sh.sim sh.cfg.costs.Costs.abort_cleanup);
     let recovery_slot = sh.cfg.executors in
     for b = 0 to n - 1 do
       if in_a.(b) then
@@ -995,7 +908,8 @@ let recover sh ~parity =
             sh.metrics.Metrics.cascades <- sh.metrics.Metrics.cascades + 1;
             reexec_txn sh recovery_slot rt
     done
-  end
+  end;
+  Journal.clear sh.journal
 
 (* Every transaction still active after recovery (speculative) or
    execution (conservative) commits. *)
@@ -1451,6 +1365,7 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       cp =
         Commit_point.create ?wal ?cdc ?crash_at ~slots:(cfg.executors + 1) sim
           wl.Workload.db;
+      journal = Journal.create ~tables:(Db.ntables wl.Workload.db);
       batch_no = 0;
     }
   in

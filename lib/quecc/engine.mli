@@ -19,8 +19,9 @@
     resolve dependencies" the paper allows.
 
     Two execution mechanisms are provided (section 3.2): {e speculative}
-    (writes applied immediately with undo tracking; logic aborts trigger a
-    deterministic cascade-recovery pass) and {e conservative} (fragments
+    (writes applied immediately, every access appended to the batch's
+    {!Journal}; a logic abort replays it to find the cascade, undo its
+    writes and re-execute it serially) and {e conservative} (fragments
     with commit dependencies wait until the transaction's abortable
     fragments resolve).  Two isolation levels: {e serializable} and
     {e read-committed} (reads served from the committed version, routed

@@ -1,5 +1,3 @@
-type uop = Uset of int | Uadd of int
-
 type t = {
   key : int;
   data : int array;
@@ -10,10 +8,7 @@ type t = {
   mutable wts : int;
   mutable rts : int;
   mutable versions : version list;
-  mutable batch_tag : int;
   mutable inserter : int;
-  mutable fstate : (int * int list * int list) array;
-  mutable undo : (int * int * uop) list;
   mutable dirty : bool;
 }
 
@@ -34,10 +29,7 @@ let make ~key ~nfields =
     wts = 0;
     rts = 0;
     versions = [];
-    batch_tag = -1;
     inserter = -1;
-    fstate = [||];
-    undo = [];
     dirty = false;
   }
 
@@ -52,11 +44,3 @@ let restore t saved = Array.blit saved 0 t.data 0 (Array.length t.data)
 let revert t =
   Array.blit t.committed 0 t.data 0 (Array.length t.data);
   t.dirty <- false
-
-let reset_batch_state t batch =
-  if t.batch_tag <> batch then begin
-    t.batch_tag <- batch;
-    t.inserter <- -1;
-    t.fstate <- [||];
-    t.undo <- []
-  end

@@ -11,10 +11,6 @@
     race-free; virtual-time ordering of accesses is provided by
     {!Quill_sim.Sim}. *)
 
-(** Undo-log entry payload: revert a [Uset] by restoring the old value,
-    a [Uadd] by subtracting the delta (commutative updates). *)
-type uop = Uset of int | Uadd of int
-
 type t = {
   key : int;
   data : int array;                 (** live / latest version *)
@@ -29,16 +25,12 @@ type t = {
   mutable rts : int;
   (* --- MVTO --- *)
   mutable versions : version list;  (** newest first *)
-  (* --- QueCC per-batch state (touched only by the home executor) --- *)
-  mutable batch_tag : int;          (** batch id for lazy reset *)
-  mutable inserter : int;           (** batch txn index that inserted the row
-                                        this batch, -1 otherwise *)
-  mutable fstate : (int * int list * int list) array;
-      (** per-field speculation state: (last in-batch writer or -1,
-          readers since that write, commutative adders since that
-          write); [[||]] when untracked this batch *)
-  mutable undo : (int * int * uop) list;
-      (** (txn idx, field, revert info), newest first *)
+  (* --- batch engines --- *)
+  mutable inserter : int;
+      (** index in its batch of the transaction that inserted the row,
+          until the batch is published; -1 otherwise.  The row's only
+          per-batch state: QueCC journals its speculation per batch
+          ([Quill_quecc.Journal]), not on the row. *)
   mutable dirty : bool;             (** live differs from committed *)
 }
 
@@ -61,7 +53,3 @@ val revert : t -> unit
 (** Discard uncommitted live data: copy the committed version back over
     [data] and clear [dirty].  Crash recovery rolls a node's touched
     rows back to the last published batch boundary with this. *)
-
-val reset_batch_state : t -> int -> unit
-(** [reset_batch_state row batch] lazily (re)initializes the QueCC
-    per-batch fields when the row is first touched in [batch]. *)

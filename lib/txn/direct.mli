@@ -5,8 +5,8 @@
     on the fragment's record (an insert has none; any other mode pays an
     index probe), charge the logic cost, and run the workload's logic
     against the engine's {!Exec.ctx}.  {!step} is that sequence; engines
-    differ only in how the record is located ([locate]: QueCC resets
-    per-batch row state, 2PL acquires a lock) and in the context.
+    differ only in how the record is located ([locate]: 2PL acquires a
+    lock, the others use {!find}) and in the context.
 
     {!run} executes a whole transaction in place against live row
     versions, logging a full-row undo image per write and rolling the

@@ -64,6 +64,10 @@ let part_size cfg = (cfg.table_size + cfg.nparts - 1) / cfg.nparts
 let min_part_rows cfg =
   max 0 (cfg.table_size - ((cfg.nparts - 1) * part_size cfg))
 
+(* Whether [x] is among [a.(0 .. n-1)]: an allocation-free scan. *)
+let rec mem_prefix (a : int array) (x : int) n =
+  n > 0 && (a.(n - 1) = x || mem_prefix a x (n - 1))
+
 (* Draw [n] distinct keys respecting the single-/multi-partition choice.
    With [global_zipf] the scrambled-zipfian draw is used as the key
    directly instead of being folded into a chosen partition, so the
@@ -76,7 +80,7 @@ let draw_keys cfg zipf rng n =
     let i = ref 0 in
     while !i < n do
       let key = min (Zipf.sample_scrambled zipf rng) (cfg.table_size - 1) in
-      if not (Array.exists (fun k -> k = key) (Array.sub keys 0 !i)) then begin
+      if not (mem_prefix keys key !i) then begin
         keys.(!i) <- key;
         incr i
       end
@@ -94,7 +98,7 @@ let draw_keys cfg zipf rng n =
       let count = ref 0 in
       while !count < k do
         let p = Rng.int rng cfg.nparts in
-        if not (Array.exists (( = ) p) chosen) then begin
+        if not (mem_prefix chosen p !count) then begin
           chosen.(!count) <- p;
           incr count
         end
@@ -110,7 +114,7 @@ let draw_keys cfg zipf rng n =
     let base = Zipf.sample_scrambled zipf rng in
     let key = (base mod part_size) + (p * part_size) in
     let key = if key >= cfg.table_size then cfg.table_size - 1 else key in
-    if not (Array.exists (fun k -> k = key) (Array.sub keys 0 !i)) then begin
+    if not (mem_prefix keys key !i) then begin
       keys.(!i) <- key;
       incr i
     end

@@ -532,9 +532,11 @@ let prop_pipeline_bit_identical =
 
 (* Client mode and batch auto-tuning run in no BENCH file, so their exact
    schedules are pinned here: virtual time, both pipeline stalls,
-   commits, batch resizes, the committed-state checksum and, with CDC
-   on, the feed digest.  A change to how either spawn path sources or
-   hands off its batches must leave every value as it is. *)
+   commits, batch resizes, the cascade count, the recover phase's busy
+   time, the committed-state checksum and, with CDC on, the feed
+   digest.  A change to how either spawn path sources or hands off its
+   batches, or to how speculation is recorded and recovered, must leave
+   every value as it is. *)
 let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
     ?(adapt_batch = false) ?(adapt_repart = false) ?(steal = false) name
     expect =
@@ -570,6 +572,8 @@ let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
       ("drain_stall", m.Metrics.pipe_drain_stall);
       ("committed", m.Metrics.committed);
       ("batch_resizes", m.Metrics.batch_resizes);
+      ("cascades", m.Metrics.cascades);
+      ("recover_busy", m.Metrics.recover_busy);
       ("checksum", checksum);
     ]
     @ !digest
@@ -585,6 +589,8 @@ let test_golden_schedules () =
       ("drain_stall", 0);
       ("committed", 999);
       ("batch_resizes", 0);
+      ("cascades", 158);
+      ("recover_busy", 298910);
       ("checksum", 375564231417489309);
     ];
   golden ~clients:true ~durable:true "lockstep clients + wal + cdc"
@@ -595,6 +601,8 @@ let test_golden_schedules () =
       ("drain_stall", 0);
       ("committed", 999);
       ("batch_resizes", 0);
+      ("cascades", 139);
+      ("recover_busy", 246630);
       ("checksum", 375564231417489309);
       ("digest", 8677611);
     ];
@@ -606,6 +614,8 @@ let test_golden_schedules () =
       ("drain_stall", 3692120);
       ("committed", 999);
       ("batch_resizes", 0);
+      ("cascades", 157);
+      ("recover_busy", 295930);
       ("checksum", 375564231417489309);
     ];
   golden ~clients:true ~pipeline:true ~durable:true
@@ -617,6 +627,8 @@ let test_golden_schedules () =
       ("drain_stall", 6634300);
       ("committed", 999);
       ("batch_resizes", 0);
+      ("cascades", 157);
+      ("recover_busy", 296090);
       ("checksum", 375564231417489309);
       ("digest", 4102366264);
     ];
@@ -628,6 +640,8 @@ let test_golden_schedules () =
       ("drain_stall", 2971600);
       ("committed", 988);
       ("batch_resizes", 3);
+      ("cascades", 49);
+      ("recover_busy", 91220);
       ("checksum", 180940947452833136);
     ];
   golden ~pipeline:true ~adapt_batch:true ~adapt_repart:true ~steal:true
@@ -639,8 +653,185 @@ let test_golden_schedules () =
       ("drain_stall", 2894920);
       ("committed", 988);
       ("batch_resizes", 3);
+      ("cascades", 61);
+      ("recover_busy", 136280);
       ("checksum", 180940947452833136);
     ]
+
+(* Speculative TPC-C: NewOrder's invalid-item aborts cascade through the
+   district row, which Payment updates on a disjoint field ([d_ytd]
+   against [d_next_o_id]).  Eight threads make some aborters write
+   before their abort is decided, so the pinned cascade count and
+   recovery time depend on edges being kept per field, not per row. *)
+let golden_tpcc ~pipeline name expect =
+  let module E = Quill_harness.Experiment in
+  let e =
+    E.make ~threads:8 ~txns:2048 ~batch_size:256 ~pipeline
+      (E.Quecc (Engine.Speculative, Engine.Serializable))
+      (E.Tpcc (Tutil.small_tpcc ()))
+  in
+  let db = ref None in
+  let m = E.run ~on_workload:(fun wl -> db := Some wl.Workload.db) e in
+  let checksum = match !db with Some d -> Db.checksum d | None -> 0 in
+  Alcotest.(check (list (pair string int)))
+    name expect
+    [
+      ("elapsed", m.Metrics.elapsed);
+      ("cascades", m.Metrics.cascades);
+      ("recover_busy", m.Metrics.recover_busy);
+      ("committed", m.Metrics.committed);
+      ("checksum", checksum);
+    ]
+
+let test_golden_tpcc () =
+  golden_tpcc ~pipeline:false "lockstep tpcc"
+    [
+      ("elapsed", 11120010);
+      ("cascades", 22);
+      ("recover_busy", 288140);
+      ("committed", 2039);
+      ("checksum", 4242084225238047927);
+    ];
+  golden_tpcc ~pipeline:true "pipelined tpcc"
+    [
+      ("elapsed", 10223125);
+      ("cascades", 9);
+      ("recover_busy", 78010);
+      ("committed", 2039);
+      ("checksum", 1076902745064484743);
+    ]
+
+(* Cascades under hot-key splitting and work stealing, against the serial
+   oracle: chain segments write on foreign executors and stolen queues
+   run ahead of their owner's order, so recovery must undo their writes
+   in their real execution order.  No one input does both.  The planner
+   never splits a key that a transaction with data dependencies touches
+   (with [chain_deps] nearly every transaction has one), and skewed keys
+   put every queue's signature in conflict, so no steal is safe; the
+   steal run therefore uses one partition over uniform keys, which leaves
+   three executors idle with disjoint queues to take. *)
+let test_split_steal_cascades_oracle () =
+  List.iter
+    (fun (name, cfg, batch_size, (what, fired)) ->
+      let wl, logs, m =
+        run_engine ~batch_size ~pipeline:true ~steal:true ?split:tiny_split
+          cfg
+      in
+      Tutil.check_bool (name ^ ": " ^ what) true (fired m);
+      Tutil.check_bool
+        (name ^ ": cascades beyond the aborters")
+        true
+        (m.Metrics.cascades > m.Metrics.logic_aborted);
+      let oracle, m_serial, _ =
+        serial_state cfg logs ~streams:4 ~batch_size ~batches:4
+      in
+      Tutil.check_int (name ^ ": commits match serial")
+        m_serial.Metrics.committed m.Metrics.committed;
+      Tutil.check_int (name ^ ": aborts match serial")
+        m_serial.Metrics.logic_aborted m.Metrics.logic_aborted;
+      Tutil.check_bool (name ^ ": state equals serial") true
+        (Db.checksum wl.Workload.db = oracle))
+    [
+      ( "split",
+        Tutil.small_ycsb ~table_size:2_000 ~nparts:4 ~theta:0.9
+          ~global_zipf:true ~abort_ratio:0.2 (),
+        128,
+        ("split fired", fun m -> m.Metrics.split_keys > 0) );
+      ( "steal + chain deps",
+        Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.0
+          ~read_ratio:0.0 ~abort_ratio:0.2 ~chain_deps:true (),
+        32,
+        ("steals fired", fun m -> m.Metrics.stolen_queues > 0) );
+    ]
+
+(* ------------------------- speculation journal ------------------------- *)
+
+module J = Quill_quecc.Journal
+
+(* A two-field table with dense rows 0..3. *)
+let journal_db () =
+  let db = Db.create ~nparts:1 in
+  let t = Db.add_table db ~name:"t" ~nfields:2 ~capacity:4 in
+  (db, t, Db.table db t)
+
+(* The replay's edge rules one at a time: [accesses] appended in
+   execution order, then the closure of [aborted] over 6 transactions. *)
+let test_journal_edges () =
+  let db, t, tbl = journal_db () in
+  let row = Table.dense tbl in
+  let closure name accesses aborted expect =
+    let j = J.create ~tables:1 in
+    List.iter (fun push -> push j) accesses;
+    let c = J.closure j 6 ~aborted:(fun b -> List.mem b aborted) in
+    Alcotest.(check (list int))
+      name expect
+      (List.filter (fun b -> c.(b)) [ 0; 1; 2; 3; 4; 5 ])
+  in
+  let rd b k f j = J.read j ~bidx:b ~table:t (row k) f
+  and st b k f j = J.set j ~bidx:b ~table:t (row k) f ~old:0
+  and ad b k f j = J.add j ~bidx:b ~table:t (row k) f ~delta:1 in
+  closure "read after write" [ st 0 0 0; rd 1 0 0 ] [ 0 ] [ 0; 1 ];
+  closure "another field" [ st 0 0 0; rd 1 0 1 ] [ 0 ] [ 0 ];
+  closure "another row" [ st 0 0 0; rd 1 1 0 ] [ 0 ] [ 0 ];
+  closure "write after read" [ rd 0 0 0; st 1 0 0 ] [ 0 ] [ 0; 1 ];
+  closure "write after write" [ st 0 0 0; st 1 0 0 ] [ 0 ] [ 0; 1 ];
+  closure "adds commute" [ ad 0 0 0; ad 1 0 0 ] [ 0 ] [ 0 ];
+  closure "read after add" [ ad 0 0 0; ad 1 0 0; rd 2 0 0 ] [ 0 ] [ 0; 2 ];
+  closure "add after read" [ rd 0 0 0; ad 1 0 0 ] [ 0 ] [ 0; 1 ];
+  closure "write after add" [ ad 0 0 0; st 1 0 0 ] [ 0 ] [ 0; 1 ];
+  closure "a write ends the readers" [ rd 0 0 0; st 1 0 0; st 2 0 0 ] [ 0 ]
+    [ 0; 1; 2 ];
+  closure "readers before a write are not dragged by a later abort"
+    [ rd 0 0 0; st 1 0 0; rd 2 0 0 ] [ 2 ] [ 2 ];
+  closure "transitive"
+    [ st 0 0 0; rd 1 0 0; st 1 1 1; rd 2 1 1; rd 3 1 0 ]
+    [ 0 ] [ 0; 1; 2 ];
+  closure "only earlier transactions drag" [ st 3 0 0; rd 1 0 0 ] [ 3 ]
+    [ 3 ];
+  let ins = Table.insert tbl ~home:0 ~key:100 [| 0; 0 |] in
+  ins.Row.inserter <- 1;
+  closure "access to an inserted row"
+    [ (fun j -> J.insert j ~bidx:1 ~table:t ins);
+      (fun j -> J.read j ~bidx:4 ~table:t ins 1) ]
+    [ 1 ] [ 1; 4 ];
+  ignore db
+
+(* Undo is newest first: a set restores its old value, an add subtracts
+   its delta, an insert is removed; one charge per undone entry, none for
+   reads or for transactions outside the closure. *)
+let test_journal_revert () =
+  let db, t, tbl = journal_db () in
+  let r0 = Table.dense tbl 0 and r1 = Table.dense tbl 1 in
+  let j = J.create ~tables:1 in
+  let set b row f v =
+    J.set j ~bidx:b ~table:t row f ~old:row.Row.data.(f);
+    row.Row.data.(f) <- v
+  and add b row f d =
+    J.add j ~bidx:b ~table:t row f ~delta:d;
+    row.Row.data.(f) <- row.Row.data.(f) + d
+  in
+  r0.Row.data.(0) <- 5;
+  add 0 r0 0 3;
+  set 1 r0 0 7;
+  J.read j ~bidx:1 ~table:t r0 0;
+  add 1 r0 0 10;
+  set 1 r1 1 9;
+  let ins = Table.insert tbl ~home:0 ~key:100 [| 1; 1 |] in
+  ins.Row.inserter <- 1;
+  J.insert j ~bidx:1 ~table:t ins;
+  set 2 r0 0 4;
+  let c = J.closure j 3 ~aborted:(fun b -> b = 1) in
+  Alcotest.(check (array bool)) "closure" [| false; true; true |] c;
+  let charges = ref 0 in
+  J.revert j db c ~charge:(fun () -> incr charges);
+  Tutil.check_int "sets and adds of the closure undone" 8 r0.Row.data.(0);
+  Tutil.check_int "set undone" 0 r1.Row.data.(1);
+  Tutil.check_bool "insert removed" true (Table.find tbl 100 = None);
+  Tutil.check_int "one charge per undone entry" 5 !charges;
+  J.clear j;
+  charges := 0;
+  J.revert j db [| true; true; true |] ~charge:(fun () -> incr charges);
+  Tutil.check_int "cleared" 0 !charges
 
 (* ------------------------- property tests ------------------------- *)
 
@@ -717,11 +908,21 @@ let () =
             test_repart_fires;
           Alcotest.test_case "golden client + auto-batch schedules" `Quick
             test_golden_schedules;
+          Alcotest.test_case "golden speculative tpcc" `Quick
+            test_golden_tpcc;
+          Alcotest.test_case "split + steal cascades == serial" `Quick
+            test_split_steal_cascades_oracle;
           Alcotest.test_case "auto-batch rejected off the pipeline" `Quick
             test_autobatch_rejected_off_pipeline;
           Alcotest.test_case "auto-batch deterministic + conserving" `Quick
             test_autobatch_deterministic_and_conserving;
           qc prop_adaptive_bit_identical;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "edge rules" `Quick test_journal_edges;
+          Alcotest.test_case "revert newest first" `Quick
+            test_journal_revert;
         ] );
       ( "behaviour",
         [

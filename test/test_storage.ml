@@ -15,19 +15,38 @@ let test_row_publish_restore () =
   Tutil.check_int "restored live" 7 r.Row.data.(0);
   Tutil.check_int "committed kept" 10 r.Row.committed.(0)
 
+(* A row's only batch state is its [inserter] mark: set when a batch
+   inserts the row, kept while the batch is staged (stage logs the row
+   as an insert by it), cleared by publish, which also cleans the row. *)
 let test_row_batch_reset () =
-  let r = Row.make ~key:1 ~nfields:2 in
-  r.Row.inserter <- 5;
-  r.Row.fstate <- [| (1, [ 2 ], []) |];
-  r.Row.undo <- [ (1, 0, Row.Uset 0) ];
-  Row.reset_batch_state r 7;
-  Tutil.check_int "inserter reset" (-1) r.Row.inserter;
-  Tutil.check_bool "fstate reset" true (Array.length r.Row.fstate = 0);
-  Tutil.check_bool "undo reset" true (r.Row.undo = []);
-  (* same batch: no re-reset *)
-  r.Row.inserter <- 9;
-  Row.reset_batch_state r 7;
-  Tutil.check_int "idempotent per batch" 9 r.Row.inserter
+  let module Cp = Quill_commit.Commit_point in
+  let db = Db.create ~nparts:2 in
+  let t = Db.add_table db ~name:"t" ~nfields:2 ~capacity:4 in
+  let tbl = Db.table db t in
+  let cp = Cp.create ~slots:2 (Quill_sim.Sim.create ()) db in
+  let r = Table.insert tbl ~home:1 ~key:100 [| 1; 2 |] in
+  Tutil.check_int "fresh row unmarked" (-1) r.Row.inserter;
+  Cp.touch_insert cp 1 ~table:t r ~by:5;
+  r.Row.data.(0) <- 7;
+  Cp.touch cp 1 ~table:t r;
+  Cp.touch cp 0 ~table:t r;
+  Tutil.check_int "marked by its inserter" 5 r.Row.inserter;
+  Tutil.check_bool "dirty" true r.Row.dirty;
+  Cp.stage cp ~batch_no:0 ~txns:1;
+  Cp.publish cp 0;
+  Tutil.check_int "survives until its own slot is published" 5
+    r.Row.inserter;
+  Cp.publish cp 1;
+  Tutil.check_int "cleared by publish" (-1) r.Row.inserter;
+  Tutil.check_bool "clean" false r.Row.dirty;
+  Tutil.check_int "published" 7 r.Row.committed.(0);
+  (* the next batch starts from a clean row *)
+  let d = Table.dense tbl 2 in
+  d.Row.data.(1) <- 3;
+  Cp.touch cp 0 ~table:t d;
+  Tutil.check_int "dense rows are never marked" (-1) d.Row.inserter;
+  Cp.publish cp 0;
+  Tutil.check_int "committed image" 3 d.Row.committed.(1)
 
 (* ------------------------- table ------------------------- *)
 
