@@ -7,7 +7,9 @@ open Quill_txn
    bit-identical database to the same run without it (the test suite
    asserts this).  All ordering information is carried by [seq], a global
    append counter: the cooperative scheduler runs one thread at a time,
-   so [seq] is the true total order in which the accesses happened. *)
+   and a row access is recorded only after [Sim.sync] (a thread that
+   charged with [Sim.tick_local] rejoins the dispatch order first), so
+   [seq] is the true total order in which the accesses happened. *)
 
 type op = Read | Write | Insert | Committed_read
 
@@ -59,6 +61,7 @@ let no_slot =
     s_batch = -1 }
 
 type t = {
+  mutable sync : unit -> unit;
   mutable now : unit -> int;
   mutable phase : unit -> Sim.phase;
   mutable tid : unit -> int;
@@ -73,6 +76,7 @@ type t = {
 
 let create () =
   {
+    sync = ignore;
     now = (fun () -> 0);
     phase = (fun () -> Sim.Ph_other);
     tid = (fun () -> -1);
@@ -82,7 +86,8 @@ let create () =
     slots = Hashtbl.create 16;
   }
 
-let attach t ~now ~phase ~tid =
+let attach t ~sync ~now ~phase ~tid =
+  t.sync <- sync;
   t.now <- now;
   t.phase <- phase;
   t.tid <- tid
@@ -104,6 +109,7 @@ let set_slot t ~thread ~owner ~prio ~subseq ~pos ~batch =
       s_pos = pos; s_batch = batch }
 
 let record_row t ~table ~key ~op =
+  t.sync ();
   let s =
     match Hashtbl.find_opt t.slots (t.tid ()) with
     | Some s -> s
@@ -145,6 +151,7 @@ let record_probe t ~table ~key ~insert =
 let with_sim t sim f =
   let safe default g () = if Sim.in_thread sim then g () else default in
   attach t
+    ~sync:(safe () (fun () -> Sim.sync sim))
     ~now:(safe 0 (fun () -> Sim.now sim))
     ~phase:(safe Sim.Ph_other (fun () -> Sim.phase sim))
     ~tid:(safe (-1) (fun () -> Sim.current_tid sim));

@@ -52,12 +52,15 @@ val create : unit -> t
 
 val attach :
   t ->
+  sync:(unit -> unit) ->
   now:(unit -> int) ->
   phase:(unit -> Quill_sim.Sim.phase) ->
   tid:(unit -> int) ->
   unit
-(** Install the clock/phase/thread-id thunks (called once per run, after
-    the simulator exists). *)
+(** Install the sync/clock/phase/thread-id thunks (called once per run,
+    after the simulator exists).  [sync] runs before each row access is
+    recorded: {!with_sim} passes [Sim.sync], so the log's order is the
+    dispatch order even for threads charging with [Sim.tick_local]. *)
 
 val clear : t -> unit
 

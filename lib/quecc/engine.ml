@@ -210,12 +210,16 @@ let fill_unfilled_slots sh rt =
     (fun iv -> if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill sh.sim iv 0)
     rt.slots
 
+(* Both sync first: the abort count, status and slots are shared with
+   the transaction's other executors. *)
 let resolve_arrive sh rt =
+  Sim.sync sh.sim;
   rt.pending_aborters <- rt.pending_aborters - 1;
   if rt.pending_aborters = 0 && not (Sim.Ivar.is_full rt.resolved) then
     Sim.Ivar.fill sh.sim rt.resolved ()
 
 let do_abort sh rt =
+  Sim.sync sh.sim;
   if rt.txn.Txn.status <> Txn.Aborted then begin
     rt.txn.Txn.status <- Txn.Aborted;
     rt.logic_abort <- true;
@@ -240,13 +244,18 @@ type exec_state = {
 
 let dummy_rt = make_rt (Txn.make ~tid:(-1) [||]) (-1)
 
+(* A read-committed read: served from the committed image, so planning
+   may spread it over any executor. *)
+let is_rc sh (f : Fragment.t) =
+  sh.cfg.isolation = Read_committed && f.Fragment.mode = Fragment.Read
+
 let make_exec_ctx sh st =
   let costs = sh.cfg.costs in
   let speculative = sh.cfg.mode = Speculative in
   let j = sh.journal in
   let cur = st.cur in
   let read (frag : Fragment.t) field =
-    Sim.tick sh.sim costs.Costs.row_read;
+    Sim.tick_local sh.sim costs.Costs.row_read;
     if not cur.found then 0
     else begin
       let row = cur.row in
@@ -262,7 +271,7 @@ let make_exec_ctx sh st =
   (* A set ([is_add] false, [x] the value) or a commutative add ([x] the
      delta); speculative mode journals it. *)
   let update (frag : Fragment.t) field ~is_add x =
-    Sim.tick sh.sim costs.Costs.row_write;
+    Sim.tick_local sh.sim costs.Costs.row_write;
     if cur.found then begin
       let row = cur.row in
       let table = frag.Fragment.table in
@@ -296,8 +305,11 @@ let make_exec_ctx sh st =
   in
   let output fid v =
     let rt = st.cur_rt in
-    if Array.length rt.slots > 0 && not (Sim.Ivar.is_full rt.slots.(fid)) then
-      Sim.Ivar.fill sh.sim rt.slots.(fid) v
+    if Array.length rt.slots > 0 then begin
+      Sim.sync sh.sim;
+      if not (Sim.Ivar.is_full rt.slots.(fid)) then
+        Sim.Ivar.fill sh.sim rt.slots.(fid) v
+    end
   in
   let found _frag = cur.found in
   { Exec.read; write; add; insert; input; output; found }
@@ -320,15 +332,16 @@ let new_executor sh eid =
     match sh.recorder with
     | None -> ctx
     | Some log ->
-        Alog.wrap_exec_ctx log
-          ~rc_read:(fun (f : Fragment.t) ->
-            sh.cfg.isolation = Read_committed
-            && f.Fragment.mode = Fragment.Read)
-          ctx )
+        Alog.wrap_exec_ctx log ~rc_read:(is_rc sh) ctx )
 
 let exec_entry sh st ctx { rt; frag } =
   let costs = sh.cfg.costs in
-  Sim.tick sh.sim costs.Costs.queue_op;
+  (* Only an abortable fragment changes a transaction's status mid-batch
+     and only value slots hand data across executors: a transaction with
+     neither is private to the executors running its fragments. *)
+  if rt.txn.Txn.n_abortable > 0 || Array.length rt.slots > 0 then
+    Sim.tick sh.sim costs.Costs.queue_op
+  else Sim.tick_local sh.sim costs.Costs.queue_op;
   if rt.txn.Txn.status = Txn.Aborted then
     Sim.tick sh.sim costs.Costs.abort_cleanup
   else begin
@@ -343,9 +356,11 @@ let exec_entry sh st ctx { rt; frag } =
       Sim.tick sh.sim costs.Costs.abort_cleanup
     else begin
       st.cur_rt <- rt;
+      (* A read-committed read may run on any executor and probe a key
+         another executor inserts this batch: its probe syncs. *)
       match
-        Direct.step sh.sim costs sh.wl ctx st.cur ~locate:st.locate rt.txn
-          frag
+        Direct.step ~local:(not (is_rc sh frag)) sh.sim costs sh.wl ctx st.cur
+          ~locate:st.locate rt.txn frag
       with
       | Exec.Ok -> if frag.Fragment.abortable then resolve_arrive sh rt
       | Exec.Abort ->
@@ -382,11 +397,13 @@ let steal_safe sh parity v cand =
 
 (* Pick a queue for an idle executor to steal: the victim with the most
    unclaimed work, then its tail-most (lowest-priority) unclaimed queue
-   that passes the disjointness check.  Runs without any Sim call, so
-   the find + claim pair is atomic under the cooperative scheduler; the
-   caller charges [Costs.steal_scan] per candidate examined (counted in
-   [scanned]) after claiming. *)
+   that passes the disjointness check.  It syncs first (peers' claim
+   state is read as of the thief's clock) and then runs without any Sim
+   call, so the find + claim pair is atomic under the cooperative
+   scheduler; the caller charges [Costs.steal_scan] per candidate
+   examined (counted in [scanned]) after claiming. *)
 let find_steal sh ~parity ~thief ~scanned =
+  Sim.sync sh.sim;
   let pn = sh.cfg.planners and en = sh.cfg.executors in
   let qs = sh.queues.(parity) and qstate = sh.qstate.(parity) in
   let load = Array.make en 0 in
@@ -455,8 +472,10 @@ let drain_with sh st ctx ~owner ~subseq p q =
 (* Helper thread running executor [e]'s assigned chain segments for one
    batch.  The work list is snapshotted at spawn (the plan phase reuses
    the parity-indexed rows two batches later) and the helper gets its
-   own exec state/ctx — [exec_state] scratch spans Sim.tick points, so
-   it cannot be shared with the concurrently draining executor. *)
+   own exec state/ctx — [exec_state]'s scratch (the current runtime and
+   cursor) lives across an entry's switch points (its value-slot reads
+   and syncs), so it cannot be shared with the concurrently draining
+   executor. *)
 let spawn_segment_runner sh e ~parity =
   if sh.segs <> [||] then begin
     let work = Vec.create () in
@@ -511,11 +530,14 @@ let drain_queues sh st ctx ~parity =
        steal-done.  No Sim call between decrement and flip, so it is
        atomic under the cooperative scheduler. *)
     let finish p v =
+      Sim.sync sh.sim;
       sh.qpend.(parity).(p).(v) <- sh.qpend.(parity).(p).(v) - 1;
       if sh.qpend.(parity).(p).(v) = 0 then qstate.(p).(v) <- 2
     in
     for p = 0 to sh.cfg.planners - 1 do
       chain_begin sh ~parity p e;
+      (* A thief may have claimed the queue while this one ran ahead. *)
+      Sim.sync sh.sim;
       if qstate.(p).(e) = 0 then begin
         qstate.(p).(e) <- 1;
         drain ~owner:e ~subseq:(-1) p sh.queues.(parity).(p).(e);
@@ -625,9 +647,7 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
     | _ -> None
   in
   let bpar = bno land 1 in
-  let is_rc (f : Fragment.t) =
-    sh.cfg.isolation = Read_committed && f.Fragment.mode = Fragment.Read
-  in
+  let is_rc = is_rc sh in
   (* Home-executor routing: the base modulo map, refined through the
      virtual-partition map when repartitioning is on.  Also feeds the
      per-vpart load counters the next rebalance consumes. *)
@@ -771,7 +791,7 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
     sh.rts.(parity).(start + j) <- Some rt;
     Array.iter
       (fun (f : Fragment.t) ->
-        Sim.tick sh.sim costs.Costs.plan_fragment;
+        Sim.tick_local sh.sim costs.Costs.plan_fragment;
         let rc_read = is_rc f in
         let e =
           if rc_read then begin
@@ -997,8 +1017,10 @@ let next_batch_size sh abs =
    auto-tuned budget is spent, or once a drain comes back empty (every
    client transaction is finally resolved).  Only the fixed-size answer
    is a pure function of [b]; the other two consume state, so each batch
-   asks once and shares the answer. *)
+   asks once and shares the answer.  The admission queue and the crash
+   flag are shared, so it syncs first. *)
 let next_work ?clients sh ~batches b =
+  Sim.sync sh.sim;
   if Commit_point.crashed sh.cp then None
   else
     match (clients, sh.abs) with
@@ -1059,8 +1081,9 @@ let execute sh st ctx ~parity =
 
 (* Publish the touched sets thread [t] owns: its executor slot, plus the
    recovery slot on thread 0.  Nothing is published in a batch the node
-   died in. *)
+   died in (the crash flag is shared: sync first). *)
 let publish_own sh t =
+  Sim.sync sh.sim;
   if t < sh.cfg.executors && not (Commit_point.crashed sh.cp) then
     Sim.in_phase sh.sim Sim.Ph_publish t (fun () ->
         if t < sh.cfg.executors then Commit_point.publish sh.cp t;
@@ -1247,6 +1270,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
           let go =
             if e > 0 then Sim.Ivar.read sim s.start
             else begin
+              Sim.sync sim (* before the shared crash flag *);
               let go =
                 may_run b
                 && (not (Commit_point.crashed sh.cp))

@@ -54,13 +54,22 @@ let phase_name = function
    with the root by the dispatch loop in one sift-down (or dispatched
    directly when it is still the minimum).  A switch therefore
    allocates only the runtime's continuation.  Entries for wake-ups
-   from blocking primitives are fresh records pushed as usual. *)
+   from blocking primitives are fresh records pushed as usual.
+
+   [tick_local] charges without yielding and records the clock as a
+   pending yield point; [sync] replays the points in order, re-entering
+   the queue through [self] at each one where [tick]'s rule would have
+   yielded.  A dispatched [self] goes on with the replay without
+   resuming the fiber, so a thread's private work costs one resume per
+   sync instead of one per tick, in the dispatch order of the all-[tick]
+   program. *)
 type t = {
   mutable heap : entry array;  (* [heap.(0 .. size-1)] is the queue *)
   mutable size : int;
   mutable held : entry;        (* meaningful only when [has_held] *)
   mutable has_held : bool;
   mutable order : int;
+  mutable resumes : int;       (* fiber resumptions, starts included *)
   mutable current : thread;    (* [no_thread] between dispatches *)
   mutable spawned : int;
   mutable completed : int;
@@ -74,13 +83,18 @@ type t = {
 }
 
 (* [tid < 0] only for [no_thread].  [k] is the continuation a yield
-   parked; [self] is the entry that re-enters it. *)
+   parked; [self] is the entry that re-enters it.  [pts.(next ..
+   npts-1)] are the yield points [tick_local] recorded and [sync] has
+   not replayed yet, in clock order. *)
 and thread = {
   tid : int;
   mutable clock : time;
   mutable phase : int;
   mutable k : (unit, unit) Effect.Deep.continuation;
   self : entry;
+  mutable pts : time array;
+  mutable npts : int;
+  mutable next : int;
 }
 
 (* [phantom] entries are scheduler bookkeeping (e.g. receive timeouts)
@@ -115,7 +129,17 @@ let no_k : (unit, unit) Effect.Deep.continuation =
   match !cell with Some k -> k | None -> assert false
 
 let no_entry = { at = max_int; ord = max_int; phantom = true; resume = ignore }
-let no_thread = { tid = -1; clock = 0; phase = 0; k = no_k; self = no_entry }
+let no_thread =
+  {
+    tid = -1;
+    clock = 0;
+    phase = 0;
+    k = no_k;
+    self = no_entry;
+    pts = [||];
+    npts = 0;
+    next = 0;
+  }
 
 let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
   {
@@ -124,6 +148,7 @@ let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
     held = no_entry;
     has_held = false;
     order = 0;
+    resumes = 0;
     current = no_thread;
     spawned = 0;
     completed = 0;
@@ -202,6 +227,7 @@ let cur t =
 (* Build the closure that re-enters a parked thread. *)
 let make_resume t th k () =
   t.current <- th;
+  t.resumes <- t.resumes + 1;
   Effect.Deep.continue k ()
 
 (* Park the calling thread; [f] receives the thread and its continuation
@@ -209,8 +235,65 @@ let make_resume t th k () =
    list). *)
 let suspend (_ : t) f = Effect.perform (Suspend f)
 
+(* Put [th]'s [self] entry at [(p, next ord)]: where a yield at clock
+   [p] re-enters the queue. *)
+let[@inline] place t th p =
+  let self = th.self in
+  self.at <- p;
+  self.ord <- t.order;
+  t.order <- t.order + 1
+
+let[@inline] due t p = t.size > 0 && (Array.unsafe_get t.heap 0).at <= p
+
+let push_point th p =
+  let n = th.npts in
+  if n = Array.length th.pts then begin
+    let a = Array.make (max 16 (2 * n)) 0 in
+    Array.blit th.pts 0 a 0 n;
+    th.pts <- a
+  end;
+  Array.unsafe_set th.pts n p;
+  th.npts <- n + 1
+
+(* Consume [th]'s pending points up to the first one at which [tick]'s
+   rule yields, placing [self] there; [false] (and nothing pending) when
+   none does.  The queue is the one the all-[tick] program would see at
+   that point: only this thread's private work lies in between. *)
+let rec replay t th =
+  let i = th.next in
+  if i < th.npts then begin
+    th.next <- i + 1;
+    let p = Array.unsafe_get th.pts i in
+    if due t p then begin
+      place t th p;
+      true
+    end
+    else replay t th
+  end
+  else begin
+    th.npts <- 0;
+    th.next <- 0;
+    false
+  end
+
+let sync_thread t th =
+  if th.npts > 0 && replay t th then Effect.perform Yield
+
+let sync t = sync_thread t (cur t)
+
 let spawn ?(at = 0) t body =
-  let rec th = { tid = t.spawned; clock = at; phase = 0; k = no_k; self }
+  if t.current.tid >= 0 then sync t;
+  let rec th =
+    {
+      tid = t.spawned;
+      clock = at;
+      phase = 0;
+      k = no_k;
+      self;
+      pts = [||];
+      npts = 0;
+      next = 0;
+    }
   and self =
     {
       at;
@@ -218,25 +301,37 @@ let spawn ?(at = 0) t body =
       phantom = false;
       resume =
         (fun () ->
-          t.current <- th;
-          Effect.Deep.continue th.k ());
+          (* A replayed yield point: go on with the replay, and resume
+             the fiber only once no point is left. *)
+          if th.npts > 0 && replay t th then begin
+            t.held <- self;
+            t.has_held <- true
+          end
+          else begin
+            t.current <- th;
+            t.resumes <- t.resumes + 1;
+            Effect.Deep.continue th.k ()
+          end);
     }
   in
   t.spawned <- t.spawned + 1;
   (* Preallocated so a yield allocates neither the handler nor its
-     [Some]: park [k] and hold [self] aside at the current clock. *)
+     [Some]: park [k] and hold [self] (already placed) aside. *)
   let on_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         th.k <- k;
-        self.at <- th.clock;
-        self.ord <- t.order;
-        t.order <- t.order + 1;
         t.held <- self;
         t.has_held <- true)
   in
+  (* A thread replays its pending points before it completes. *)
+  let body () =
+    body ();
+    sync_thread t th
+  in
   let start () =
     t.current <- th;
+    t.resumes <- t.resumes + 1;
     Effect.Deep.match_with body ()
       {
         retc = (fun () -> t.completed <- t.completed + 1);
@@ -294,8 +389,10 @@ let advance t th n =
    keeps the virtual-time ordering invariant while avoiding a switch per
    tick on quiet cores.  Reads the root without allocating. *)
 let maybe_yield t th =
-  if t.size > 0 && (Array.unsafe_get t.heap 0).at <= th.clock then
+  if due t th.clock then begin
+    place t th th.clock;
     Effect.perform Yield
+  end
 
 (* Charge [dt] of idle time to [cause], starting at the thread's current
    clock; emits a wait span when tracing.  Does not move the clock. *)
@@ -307,20 +404,41 @@ let charge_idle t th cause dt =
       ~name:("wait:" ^ cause_name cause)
       ~ts:th.clock ~dur:dt ()
 
-let tick t n =
-  let th = cur t in
+let[@inline] charge t th n =
   t.busy <- t.busy + n;
   t.busy_by_phase.(th.phase) <- t.busy_by_phase.(th.phase) + n;
-  advance t th n;
-  maybe_yield t th
+  advance t th n
+
+(* Until the first point at which a [tick] would yield, nothing needs
+   recording: the queue cannot change while this thread runs. *)
+let tick_local t n =
+  let th = cur t in
+  charge t th n;
+  if th.npts > 0 || due t th.clock then push_point th th.clock
+
+let tick t n =
+  let th = cur t in
+  charge t th n;
+  if th.npts = 0 then maybe_yield t th
+  else begin
+    push_point th th.clock;
+    sync_thread t th
+  end
+
+let resumes t = t.resumes
 
 let sleep t n =
   let th = cur t in
+  sync_thread t th;
   charge_idle t th Cause_sleep n;
   advance t th n;
   maybe_yield t th
 
-let yield (_ : t) = Effect.perform Yield
+let yield t =
+  let th = cur t in
+  sync_thread t th;
+  place t th th.clock;
+  Effect.perform Yield
 
 let set_phase t ph = (cur t).phase <- phase_index ph
 
@@ -349,8 +467,11 @@ let in_phase t ph tid f =
   set_phase t ph;
   let t0 = now t in
   let r = f () in
-  if Trace.enabled t.tracer then
-    Trace.span t.tracer ~tid ~name:(phase_name ph) ~ts:t0 ~dur:(now t - t0) ();
+  if Trace.enabled t.tracer then begin
+    (* Emit in the all-[tick] program's order. *)
+    sync t;
+    Trace.span t.tracer ~tid ~name:(phase_name ph) ~ts:t0 ~dur:(now t - t0) ()
+  end;
   set_phase t Ph_other;
   r
 
@@ -388,6 +509,7 @@ module Ivar = struct
   let is_full iv = match iv.st with Full _ -> true | Empty _ -> false
 
   let fill t iv v =
+    sync t;
     match iv.st with
     | Full _ -> invalid_arg "Sim.Ivar.fill: already full"
     | Empty waiters ->
@@ -396,6 +518,7 @@ module Ivar = struct
         Vec.iter (fun (th, r) -> wake t ~cause:Cause_ivar th at r) waiters
 
   let rec read t iv =
+    sync t;
     match iv.st with
     | Full (tf, v) ->
         catch_up t (cur t) Cause_ivar tf;
@@ -424,6 +547,7 @@ module Chan = struct
   let create () = { q = Queue.create (); waiters = Queue.create () }
 
   let send ?(delay = 0) t ch v =
+    sync t;
     let arrival = now t + delay in
     Queue.push (arrival, v) ch.q;
     let rec wake_one () =
@@ -465,6 +589,7 @@ module Chan = struct
         end)
 
   let rec recv t ch =
+    sync t;
     if Queue.is_empty ch.q then begin
       park t ch ~deadline:max_int;
       recv t ch
@@ -481,6 +606,7 @@ module Chan = struct
      still returned. *)
   let recv_timeout t ch ~timeout =
     if timeout < 0 then invalid_arg "Sim.Chan.recv_timeout: negative timeout";
+    sync t;
     let deadline = (cur t).clock + timeout in
     let rec go () =
       let th = cur t in
@@ -507,6 +633,7 @@ module Chan = struct
     go ()
 
   let try_recv t ch =
+    sync t;
     match Queue.peek_opt ch.q with
     | Some (arrival, _) when arrival <= now t ->
         let _, v = Queue.pop ch.q in
@@ -530,6 +657,7 @@ module Barrier = struct
 
   let await t b =
     let th = cur t in
+    sync_thread t th;
     b.arrived <- b.arrived + 1;
     if th.clock > b.t_max then b.t_max <- th.clock;
     if b.arrived = b.parties then begin
@@ -564,6 +692,7 @@ module Gate = struct
     g
 
   let arrive t g =
+    sync t;
     if g.remaining <= 0 then invalid_arg "Sim.Gate.arrive: already open";
     g.remaining <- g.remaining - 1;
     if g.remaining = 0 then Ivar.fill t g.iv ()

@@ -14,7 +14,8 @@
     by the running thread happen "at" its current clock, and the scheduler
     only runs the globally minimal runnable clock, so shared-state events
     are totally ordered by virtual time (ties broken by scheduling order,
-    deterministically).
+    deterministically).  A thread that charges with {!tick_local} runs
+    ahead of that order on private state and rejoins it at {!sync}.
 
     The run queue is a min-heap on [(at, ord)], where [ord] numbers every
     (re)scheduling; the dispatch order is exactly "smallest [at], then
@@ -74,6 +75,27 @@ val now : t -> time
 val tick : t -> int -> unit
 (** Charge [n] ns of CPU work to the calling thread, yielding to any
     thread whose wake-up time has been reached. *)
+
+val tick_local : t -> int -> unit
+(** [tick] without the yield: charge [n] ns of busy time exactly as
+    [tick] does and advance the clock, recording the new clock as a
+    pending yield point.  For work on state no other thread reads or
+    writes until the caller's next {!sync}. *)
+
+val sync : t -> unit
+(** Replay the calling thread's pending yield points in order: at each
+    point where [tick] would have yielded, the thread re-enters the run
+    queue there, and it resumes once no point is left.  The dispatch
+    order is then exactly that of the program with every [tick_local]
+    read as [tick].  A no-op with nothing pending.  Call it before
+    touching state another thread reads or writes; [tick] and every
+    primitive of this module ([sleep], [yield], [spawn], {!Ivar},
+    {!Chan}, {!Barrier}, {!Gate}) sync first. *)
+
+val resumes : t -> int
+(** Fiber resumptions so far, starts included: the simulator's context
+    switches (a replayed yield point that does not resume its fiber is
+    not one). *)
 
 val sleep : t -> int -> unit
 (** Advance the clock by [n] ns of idle (not busy) time. *)

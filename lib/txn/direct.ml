@@ -9,14 +9,15 @@ let cursor () = { row = dummy_row; found = false }
 let find db (frag : Fragment.t) =
   Table.find (Db.table db frag.Fragment.table) frag.Fragment.key
 
-let step sim (costs : Costs.t) (wl : Workload.t) ctx cur ~locate txn
-    (frag : Fragment.t) =
+let step ?(local = false) sim (costs : Costs.t) (wl : Workload.t) ctx cur
+    ~locate txn (frag : Fragment.t) =
+  let tick sim n = if local then Sim.tick_local sim n else Sim.tick sim n in
   (match frag.Fragment.mode with
   | Fragment.Insert ->
       cur.row <- dummy_row;
       cur.found <- true
   | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
-      Sim.tick sim costs.Costs.index_probe;
+      tick sim costs.Costs.index_probe;
       match locate frag with
       | Some row ->
           cur.row <- row;
@@ -24,7 +25,7 @@ let step sim (costs : Costs.t) (wl : Workload.t) ctx cur ~locate txn
       | None ->
           cur.row <- dummy_row;
           cur.found <- false));
-  Sim.tick sim costs.Costs.logic;
+  tick sim costs.Costs.logic;
   wl.Workload.exec ctx txn frag
 
 type abort_charge = Per_write | Per_row | Per_txn

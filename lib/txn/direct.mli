@@ -27,6 +27,7 @@ val find : Quill_storage.Db.t -> Fragment.t -> Quill_storage.Row.t option
 (** The plain index lookup for the fragment's routing key (no cost). *)
 
 val step :
+  ?local:bool ->
   Quill_sim.Sim.t ->
   Quill_sim.Costs.t ->
   Workload.t ->
@@ -40,7 +41,14 @@ val step :
     [index_probe] tick, then [locate], for non-insert fragments), charge
     [logic], and run [frag]'s logic.  An exception raised by [locate]
     (2PL's [Exec.Blocked_exn]) leaves the step after the probe, before
-    the logic charge; {!run} maps [Blocked_exn] to [Blocked]. *)
+    the logic charge; {!run} maps [Blocked_exn] to [Blocked].
+    [local] (default false) charges the probe and the logic with
+    {!Quill_sim.Sim.tick_local}: only for a fragment whose [locate] and
+    context touch no state another thread reads or writes before they
+    sync.  A lookup of a key another thread may insert meanwhile is not
+    such a fragment: QueCC passes [~local:true] for fragments on their
+    key's home executor, not for read-committed reads, which may run on
+    any executor. *)
 
 (** How a rolled-back attempt is charged [abort_cleanup]. *)
 type abort_charge =

@@ -117,7 +117,7 @@ let test_lint_d6_e0 () =
 let make_log () =
   let phase = ref Sim.Ph_execute and tid = ref 0 in
   let log = A.create () in
-  A.attach log
+  A.attach log ~sync:ignore
     ~now:(fun () -> 0)
     ~phase:(fun () -> !phase)
     ~tid:(fun () -> !tid);

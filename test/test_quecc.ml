@@ -34,11 +34,14 @@ let serial_state cfg logs ~streams ~batch_size ~batches =
 
 let check_against_oracle ?mode ?isolation ?(planners = 4) ?(executors = 4)
     ?(batch_size = 128) ?(batches = 4) ?(pipeline = false) ?(steal = false)
-    ?split ?adapt name cfg =
+    ?split ?adapt ?fired name cfg =
   let wl, logs, m =
     run_engine ?mode ?isolation ~planners ~executors ~batch_size ~batches
       ~pipeline ~steal ?split ?adapt cfg
   in
+  Option.iter
+    (fun (what, f) -> Tutil.check_bool (name ^ ": " ^ what) true (f m))
+    fired;
   let oracle, m_serial, _ =
     serial_state cfg logs ~streams:planners ~batch_size ~batches
   in
@@ -309,9 +312,19 @@ let test_pipeline_oracle () =
   check_against_oracle ~pipeline:true ~mode:Engine.Conservative
     "pipelined conservative"
     (Tutil.small_ycsb ~abort_ratio:0.2 ~chain_deps:true ~theta:0.9 ());
+  (* Skewed keys cascade on the asymmetric layout, but make every steal
+     unsafe; one partition leaves four executors idle, and small batches
+     of uniform keys over 100k rows keep the three planners' queues
+     disjoint enough to take (7 steals). *)
   check_against_oracle ~pipeline:true ~steal:true ~planners:3 ~executors:5
     "pipelined+steal asymmetric"
-    (Tutil.small_ycsb ~theta:0.7 ~abort_ratio:0.1 ())
+    (Tutil.small_ycsb ~theta:0.7 ~abort_ratio:0.1 ());
+  check_against_oracle ~pipeline:true ~steal:true ~planners:3 ~executors:5
+    ~batch_size:32
+    ~fired:("steals fired", fun m -> m.Metrics.stolen_queues > 0)
+    "pipelined+steal asymmetric, stealing"
+    (Tutil.small_ycsb ~table_size:100_000 ~nparts:1 ~theta:0.0
+       ~read_ratio:0.0 ~abort_ratio:0.1 ())
 
 (* Overlap buys real virtual time on a planning-heavy schedule; the
    bench pipeline sweep documents ~1.25x at full scale, the test
@@ -333,6 +346,30 @@ let test_pipeline_faster () =
     (Printf.sprintf "pipelined (%.0f) beats lockstep (%.0f) by 1.1x+" t1 t0)
     true
     (t1 > 1.1 *. t0)
+
+(* Executors and planners charge their private work with
+   [Sim.tick_local], so a pipelined run with nothing to hand across
+   threads mid-batch (no logic aborts, no data dependencies) resumes a
+   fiber about once per transaction: 1.02 here, against 53.5 when every
+   charge is a yielding [tick].  A guard on the simulator's speed that
+   needs no wall clock. *)
+let test_pipeline_switches () =
+  let cfg = Tutil.small_ycsb ~table_size:20_000 ~nparts:4 ~theta:0.6 () in
+  let sim = Quill_sim.Sim.of_costs Quill_sim.Costs.default in
+  let m =
+    Engine.run ~sim
+      { Engine.default_cfg with Engine.planners = 4; executors = 4;
+        batch_size = 1024; pipeline = true }
+      (Ycsb.make cfg) ~batches:8
+  in
+  Tutil.check_int "all committed" (8 * 1024) m.Metrics.committed;
+  let per_txn =
+    float_of_int (Quill_sim.Sim.resumes sim)
+    /. float_of_int m.Metrics.committed
+  in
+  Tutil.check_bool
+    (Printf.sprintf "%.2f resumes per committed txn <= 2" per_txn)
+    true (per_txn <= 2.0)
 
 (* Work stealing needs genuine imbalance with sparse key overlap to
    fire: a single-partition workload homes every queue on executor 0,
@@ -663,16 +700,20 @@ let test_golden_schedules () =
    against [d_next_o_id]).  Eight threads make some aborters write
    before their abort is decided, so the pinned cascade count and
    recovery time depend on edges being kept per field, not per row. *)
-let golden_tpcc ~pipeline name expect =
+let run_small_tpcc ?(mode = Engine.Speculative)
+    ?(isolation = Engine.Serializable) ~pipeline () =
   let module E = Quill_harness.Experiment in
   let e =
     E.make ~threads:8 ~txns:2048 ~batch_size:256 ~pipeline
-      (E.Quecc (Engine.Speculative, Engine.Serializable))
+      (E.Quecc (mode, isolation))
       (E.Tpcc (Tutil.small_tpcc ()))
   in
   let db = ref None in
   let m = E.run ~on_workload:(fun wl -> db := Some wl.Workload.db) e in
-  let checksum = match !db with Some d -> Db.checksum d | None -> 0 in
+  (m, match !db with Some d -> Db.checksum d | None -> 0)
+
+let golden_tpcc ~pipeline name expect =
+  let m, checksum = run_small_tpcc ~pipeline () in
   Alcotest.(check (list (pair string int)))
     name expect
     [
@@ -699,6 +740,59 @@ let test_golden_tpcc () =
       ("recover_busy", 78010);
       ("committed", 2039);
       ("checksum", 1076902745064484743);
+    ]
+
+(* Read-committed TPC-C: RC reads are spread over every executor, and
+   OrderStatus/StockLevel read orders a NewOrder of the same batch may
+   insert on another executor, so whether the probe finds the row (and
+   charges [row_read]) depends on the probe running in dispatch order.
+   Busy time moves if an RC probe runs ahead of its peers. *)
+let test_golden_tpcc_rc () =
+  List.iter
+    (fun (name, mode, pipeline, expect) ->
+      let m, checksum =
+        run_small_tpcc ~mode ~isolation:Engine.Read_committed ~pipeline ()
+      in
+      Alcotest.(check (list (pair string int)))
+        name expect
+        [
+          ("elapsed", m.Metrics.elapsed);
+          ("busy", m.Metrics.busy);
+          ("cascades", m.Metrics.cascades);
+          ("committed", m.Metrics.committed);
+          ("checksum", checksum);
+        ])
+    [
+      ( "lockstep speculative rc",
+        Engine.Speculative,
+        false,
+        [
+          ("elapsed", 8152600);
+          ("busy", 23145920);
+          ("cascades", 9);
+          ("committed", 2039);
+          ("checksum", 1573379805016338376);
+        ] );
+      ( "pipelined speculative rc",
+        Engine.Speculative,
+        true,
+        [
+          ("elapsed", 7458910);
+          ("busy", 23144555);
+          ("cascades", 9);
+          ("committed", 2039);
+          ("checksum", 1076902745064484743);
+        ] );
+      ( "pipelined conservative rc",
+        Engine.Conservative,
+        true,
+        [
+          ("elapsed", 7383540);
+          ("busy", 23065645);
+          ("cascades", 0);
+          ("committed", 2039);
+          ("checksum", 1076902745064484743);
+        ] );
     ]
 
 (* Cascades under hot-key splitting and work stealing, against the serial
@@ -897,6 +991,8 @@ let () =
         [
           Alcotest.test_case "pipelined oracle" `Quick test_pipeline_oracle;
           Alcotest.test_case "pipelined faster" `Quick test_pipeline_faster;
+          Alcotest.test_case "fiber switches per txn" `Quick
+            test_pipeline_switches;
           Alcotest.test_case "steal conservation" `Quick
             test_steal_conservation;
           qc prop_pipeline_bit_identical;
@@ -910,6 +1006,8 @@ let () =
             test_golden_schedules;
           Alcotest.test_case "golden speculative tpcc" `Quick
             test_golden_tpcc;
+          Alcotest.test_case "golden read-committed tpcc" `Quick
+            test_golden_tpcc_rc;
           Alcotest.test_case "split + steal cascades == serial" `Quick
             test_split_steal_cascades_oracle;
           Alcotest.test_case "auto-batch rejected off the pipeline" `Quick

@@ -429,36 +429,43 @@ let golden_expected =
 let test_golden_dispatch_order () =
   Alcotest.(check string) "golden trace" golden_expected (golden_trace ())
 
-(* Random tick/sleep/yield programs against a reference scheduler: run
-   the runnable fiber with the minimum [(clock, seq)], where [seq] counts
-   (re)schedulings; after a tick or sleep, yield only when another fiber
-   is due at or before the new clock; [yield] always reschedules.  Each
-   fiber logs [(fid, clock)] on start and after every operation. *)
-type op = Tick of int | Sleep of int | Yield_op
+(* Random tick/sleep/yield/local/sync programs against a reference
+   scheduler: run the runnable fiber with the minimum [(clock, seq)],
+   where [seq] counts (re)schedulings; after a tick, local tick or
+   sleep, yield only when another fiber is due at or before the new
+   clock; [yield] always reschedules; [sync] never does.  The reference
+   reads every [Local] as a [Tick]: [Sim.tick_local] defers those yields
+   to the next sync point, where they must replay exactly.  Each fiber
+   logs [(fid, clock)] on start and after every operation but a local
+   tick, which it performs without being resumed. *)
+type op = Tick of int | Sleep of int | Yield_op | Local of int | Sync_op
 
 let reference progs =
   let log = ref [] and seq = ref 0 and q = ref [] in
-  let add clock f ops = q := (clock, !seq, f, ops) :: !q; incr seq in
-  List.iteri (fun f (start, ops) -> add start f ops) progs;
+  (* [logs]: whether the fiber notes its clock when dispatched. *)
+  let add clock f ops logs = q := (clock, !seq, f, ops, logs) :: !q; incr seq in
+  List.iteri (fun f (start, ops) -> add start f ops true) progs;
   let rec run () =
     match List.sort compare !q with
     | [] -> ()
-    | ((clock, _, f, ops) as e) :: _ ->
+    | ((clock, _, f, ops, logs) as e) :: _ ->
         q := List.filter (fun e' -> e' <> e) !q;
-        log := (f, clock) :: !log;
+        if logs then log := (f, clock) :: !log;
         let rec go clock = function
           | [] -> ()
           | op :: rest ->
               let clock, yields =
                 match op with
-                | Tick n | Sleep n ->
+                | Tick n | Sleep n | Local n ->
                     let c = clock + n in
-                    (c, List.exists (fun (c', _, _, _) -> c' <= c) !q)
+                    (c, List.exists (fun (c', _, _, _, _) -> c' <= c) !q)
                 | Yield_op -> (clock, true)
+                | Sync_op -> (clock, false)
               in
-              if yields then add clock f rest
+              let logs = match op with Local _ -> false | _ -> true in
+              if yields then add clock f rest logs
               else begin
-                log := (f, clock) :: !log;
+                if logs then log := (f, clock) :: !log;
                 go clock rest
               end
         in
@@ -478,11 +485,12 @@ let simulated progs =
           note ();
           List.iter
             (fun op ->
-              (match op with
-              | Tick n -> Sim.tick s n
-              | Sleep n -> Sim.sleep s n
-              | Yield_op -> Sim.yield s);
-              note ())
+              match op with
+              | Tick n -> Sim.tick s n; note ()
+              | Sleep n -> Sim.sleep s n; note ()
+              | Yield_op -> Sim.yield s; note ()
+              | Local n -> Sim.tick_local s n
+              | Sync_op -> Sim.sync s; note ())
             ops))
     progs;
   let parked = Sim.run s in
@@ -496,13 +504,17 @@ let arb_progs =
         (4, map (fun n -> Tick n) (int_bound 20));
         (2, map (fun n -> Sleep n) (int_bound 20));
         (1, return Yield_op);
+        (6, map (fun n -> Local n) (int_bound 20));
+        (1, return Sync_op);
       ]
   in
-  let fiber = pair (int_bound 20) (list_size (int_bound 12) op) in
+  let fiber = pair (int_bound 20) (list_size (int_bound 16) op) in
   let print_op = function
     | Tick n -> Printf.sprintf "T%d" n
     | Sleep n -> Printf.sprintf "S%d" n
     | Yield_op -> "Y"
+    | Local n -> Printf.sprintf "L%d" n
+    | Sync_op -> "Z"
   in
   QCheck.make
     ~print:
@@ -512,8 +524,109 @@ let arb_progs =
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"dispatch order matches reference scheduler"
-    ~count:300 arb_progs (fun progs ->
+    ~count:500 arb_progs (fun progs ->
       simulated progs = (0, reference progs))
+
+(* ------------------------- local ticks ------------------------- *)
+
+(* Run [prog] with [local] as the charge of its private work, logging
+   [tag:tid@clock] at each step. *)
+let logged prog local =
+  let s = Sim.create ~wake_cost:2 () in
+  let log = Buffer.create 128 in
+  let step tag =
+    Buffer.add_string log
+      (Printf.sprintf "%s:%d@%d " tag (Sim.current_tid s) (Sim.now s))
+  in
+  prog s (local s) step;
+  Tutil.check_int "parked" 0 (Sim.run s);
+  Buffer.add_string log
+    (Printf.sprintf "| busy=%d idle=%d horizon=%d" (Sim.busy_time s)
+       (Sim.idle_time s) (Sim.horizon s));
+  Buffer.contents log
+
+(* A runs 100 -> 200 in two private halves; B runs 120 -> 200.  With
+   every tick yielding, A re-enters the queue at 150 (B is due at 120),
+   B then yields to it at 200 and A at 200 again, behind B: B reaches
+   the Ivar first.  A single yield at A's final clock would put A at
+   (200, older) ahead of B's yield: the replay must re-enter at 150. *)
+let test_local_tie () =
+  (* [explicit]: A syncs before the race; otherwise [Ivar.fill] does. *)
+  let prog explicit s loc step =
+    let iv = Sim.Ivar.create () in
+    let race name =
+      match Sim.Ivar.fill s iv name with
+      | () -> step ("fill-" ^ name)
+      | exception Invalid_argument _ ->
+          step ("read-" ^ name ^ "=" ^ Sim.Ivar.read s iv)
+    in
+    Sim.spawn ~at:100 s (fun () ->
+        loc 50;
+        loc 50;
+        if explicit then Sim.sync s;
+        race "A");
+    Sim.spawn ~at:120 s (fun () ->
+        Sim.tick s 80;
+        race "B")
+  in
+  List.iter
+    (fun explicit ->
+      let prog = prog explicit in
+      let local = logged prog Sim.tick_local in
+      Alcotest.(check string) "local == tick" (logged prog Sim.tick) local;
+      Alcotest.(check string) "B first"
+        "fill-B:1@200 read-A=B:0@200 | busy=180 idle=0 horizon=200" local)
+    [ true; false ]
+
+(* [sync] with nothing pending neither yields nor resumes anyone, and a
+   local tick that no thread is due before records nothing to sync. *)
+let test_sync_noop () =
+  let s = Sim.create () in
+  let order = Buffer.create 16 in
+  Sim.spawn s (fun () ->
+      Buffer.add_string order "a0 ";
+      let r0 = Sim.resumes s in
+      Sim.sync s;
+      Sim.tick_local s 5;
+      Sim.sync s;
+      Tutil.check_int "no resume" r0 (Sim.resumes s);
+      Buffer.add_string order (Printf.sprintf "a1@%d " (Sim.now s)));
+  Sim.spawn ~at:10 s (fun () -> Buffer.add_string order "b0 ");
+  Tutil.check_int "parked" 0 (Sim.run s);
+  Alcotest.(check string) "order" "a0 a1@5 b0 " (Buffer.contents order);
+  Tutil.check_int "busy" 5 (Sim.busy_time s)
+
+(* [spawn] and [Ivar.fill] replay the caller's pending points first: the
+   spawned thread's entry and the fill's wake-up get the order numbers of
+   the all-[tick] program, and a local tail is replayed at completion. *)
+let test_local_then_primitives () =
+  let prog s loc step =
+    let iv = Sim.Ivar.create () in
+    Sim.spawn s (fun () ->
+        loc 3;
+        loc 3;
+        Sim.spawn ~at:4 s (fun () ->
+            step "c0";
+            loc 2;
+            step (Printf.sprintf "c1=%d" (Sim.Ivar.read s iv)));
+        step "a0";
+        loc 2;
+        loc 1;
+        Sim.Ivar.fill s iv 7;
+        step "a1";
+        loc 4);
+    Sim.spawn ~at:2 s (fun () ->
+        Sim.tick s 2;
+        step "b0";
+        Sim.tick s 5;
+        step "b1";
+        step (Printf.sprintf "b2=%d" (Sim.Ivar.read s iv)));
+    Sim.spawn ~at:9 s (fun () ->
+        Sim.tick s 1;
+        step "d0")
+  in
+  Alcotest.(check string) "local == tick"
+    (logged prog Sim.tick) (logged prog Sim.tick_local)
 
 (* A fiber's exception escapes [run]; afterwards no thread is current,
    and the fibers still queued run on a later [run]. *)
@@ -588,6 +701,11 @@ let () =
           Alcotest.test_case "golden dispatch order" `Quick
             test_golden_dispatch_order;
           qc prop_matches_reference;
+          Alcotest.test_case "local tick tie" `Quick test_local_tie;
+          Alcotest.test_case "sync with nothing pending" `Quick
+            test_sync_noop;
+          Alcotest.test_case "spawn + fill after local ticks" `Quick
+            test_local_then_primitives;
           Alcotest.test_case "run after a fiber raises" `Quick
             test_run_after_raise;
         ] );
