@@ -10,8 +10,8 @@
     With [verify] set, every time the subscription's cursor reaches the
     newest batch the incremental sums are checked against a full
     recompute from the committed database — the view-equals-recompute
-    invariant the CDC acceptance tests and the [cdc-smoke] CI job gate
-    on.  Divergence raises [Failure]. *)
+    invariant the CDC acceptance tests and the [cdc] experiment's claims
+    rely on.  Divergence raises [Failure]. *)
 
 type t
 

@@ -104,7 +104,7 @@ let has_remote_inputs sh node txn =
 let local_frags sh node (rt : Dist_rt.rt) f =
   Array.iter
     (fun frag -> if sh.d.node_of frag = node then f frag)
-    (Quill_quecc.Engine.plan_order_for_dist rt.txn.Txn.frags)
+    (Quill_quecc.Engine.plan_order rt.txn.Txn.frags)
 
 (* Crash recovery replays the sequencer log (this epoch's subs in
    sequence order) serially against the rolled-back partition.  That

@@ -56,8 +56,6 @@ let get_reg sh batch prio egid = Dist_rt.get_iv sh.reg (batch, prio, egid)
 (* Planning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let plan_order = Quill_quecc.Engine.plan_order_for_dist
-
 (* The contiguous slot range owned by a node (union of its planners'
    slices; used whole by planner 0 in client mode). *)
 let node_slot_range sh node =
@@ -78,7 +76,7 @@ let planner_thread sh node p stream =
         Sim.tick d.sim costs.Costs.plan_fragment;
         Vec.push out.(frag_part ~db:d.db ~parts:(e_global sh) f)
           { rt; frag = f })
-      (plan_order txn.Txn.frags)
+      (Quill_quecc.Engine.plan_order txn.Txn.frags)
   in
   let start, count = Dist_rt.slice d ~parts:(p_global sh) gid in
   let fill =

@@ -606,7 +606,8 @@ let bench ~micro =
 (* Every rejection exits 2 with one line: cmdliner's message, unwrapped,
    without the usage dump that follows it, and Invalid_argument / Failure
    from the run (e.g. a fault plan naming a node that doesn't exist) is
-   reported without a backtrace. *)
+   reported without a backtrace.  A run whose experiment claims fail
+   exits 1 with one line per false claim. *)
 let eval cmd =
   let prog = Cmd.name cmd in
   let reject line =
@@ -618,8 +619,11 @@ let eval cmd =
   Format.pp_set_margin err max_int;
   match Cmd.eval_value ~catch:false ~err cmd with
   | Ok (`Ok run) -> (
-      try run ()
-      with Invalid_argument msg | Failure msg -> reject (prog ^ ": " ^ msg))
+      try run () with
+      | Invalid_argument msg | Failure msg -> reject (prog ^ ": " ^ msg)
+      | X.Claim_failed lines ->
+          List.iter (Printf.eprintf "%s: claim failed: %s\n" prog) lines;
+          exit 1)
   | Ok (`Help | `Version) -> ()
   | Error _ ->
       Format.pp_print_flush err ();

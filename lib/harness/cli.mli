@@ -60,4 +60,6 @@ val bench : micro:(unit -> unit) -> (unit -> unit) Cmdliner.Cmd.t
 val eval : (unit -> unit) Cmdliner.Cmd.t -> unit
 (** Parses [Sys.argv] and runs the command.  A command-line error, or
     [Invalid_argument] / [Failure] from the run, prints one line
-    ([<prog>: ... (try '<prog> --help')]) and exits 2. *)
+    ([<prog>: ... (try '<prog> --help')]) and exits 2.
+    {!Experiments.Claim_failed} prints one [<prog>: claim failed: ...]
+    line per false claim and exits 1. *)

@@ -15,6 +15,34 @@ let tracer = ref Quill_trace.Trace.null
    about planned queues, which only the QueCC engines have. *)
 let check_conflicts = ref false
 
+(* ------------------------------------------------------------------ *)
+(* Claims                                                              *)
+(* ------------------------------------------------------------------ *)
+
+exception Claim_failed of string list
+
+(* A claim and the line that reports it false, naming the value and the
+   bound it missed. *)
+let claim holds fmt = Printf.ksprintf (fun line -> (holds, line)) fmt
+
+let check claims =
+  match
+    List.filter_map (fun (holds, line) -> if holds then None else Some line)
+      claims
+  with
+  | [] -> ()
+  | failed -> raise (Claim_failed failed)
+
+(* Runs replayed through the conflict checker so far. *)
+let conflict_checked = ref 0
+
+(* Under --check-conflicts, the checker replayed some run since [since]
+   (an empty replay would check nothing). *)
+let recorded_since since =
+  claim
+    ((not !check_conflicts) || !conflict_checked > since)
+    "conflict-check: no run was recorded"
+
 let records_conflicts (engine : E.engine) =
   match engine with
   | E.Quecc _ | E.Dist_quecc _ -> true
@@ -34,11 +62,14 @@ let run_exp ?(record = true) ?on_workload e =
     let m = E.run ~tracer:!tracer ~recorder:log ?on_workload e in
     let r = CC.check_log log in
     Format.printf "[conflict-check] %s: %a@." e.E.name CC.pp_report r;
-    if not (CC.ok r) then
-      failwith
-        (Printf.sprintf
-           "conflict-check: %d planned-order violations in %s"
-           (List.length r.CC.violations) e.E.name);
+    incr conflict_checked;
+    check
+      [
+        claim (CC.ok r) "conflict-check: %d planned-order violations in %s"
+          (List.length r.CC.violations) e.E.name;
+        claim (r.CC.r_rows > 0) "conflict-check: 0 row accesses recorded in %s"
+          e.E.name;
+      ];
     m
   end
 
@@ -307,17 +338,17 @@ let fig_batch ?(scale = 1.0) () =
        latency (YCSB theta=0.9, 8 cores)"
     rows
 
-(* Pipelined batch execution: the PR's headline experiment.  Each theta
-   runs QueCC with the pipeline off, on, and on-with-stealing on the
-   same workload spec, so the off row is the oracle both for state
-   (bit-identical per seed, covered by the test suite) and for the
-   speedup the sweep table shows.  The distributed engines get the
-   lag-1 variant at low contention.  [json] additionally dumps every
-   row as machine-readable JSON — the CI perf-trajectory artifact. *)
+(* Pipelined batch execution.  Each theta runs QueCC with the pipeline
+   off, on, and on-with-stealing on the same workload spec, so the off
+   row is the oracle both for state (bit-identical per seed, covered by
+   the test suite) and for the speedup the sweep table shows.  The
+   distributed engines get the lag-1 variant at low contention.  [json]
+   additionally dumps every row as machine-readable JSON. *)
 let pipeline ?(scale = 1.0) ?json () =
   let module M = Quill_txn.Metrics in
   let txns = scaled scale 16_384 ~min_v:4096 in
   let size = scaled scale 200_000 ~min_v:20_000 in
+  let checked0 = !conflict_checked in
   let results = ref [] in
   let row engine label ~theta ~pipeline ~steal ~threads ~batch_size spec =
     let e = E.make ~threads ~txns ~batch_size ~pipeline ~steal engine spec in
@@ -377,18 +408,18 @@ let pipeline ?(scale = 1.0) ?json () =
       "Distributed lag-1 pipelining: plan/sequence batch N+1 during batch \
        N (YCSB theta=0, 20% multi-node, 4 nodes)"
     drows;
-  match json with
+  (* OCaml evaluates list elements right-to-left, so [results]
+     accumulates in a surprising order; sort on the identifying fields
+     for a stable artifact. *)
+  let rows =
+    List.sort
+      (fun (n1, t1, p1, s1, _) (n2, t2, p2, s2, _) ->
+        compare (n1, t1, p1, s1) (n2, t2, p2, s2))
+      !results
+  in
+  (match json with
   | None -> ()
   | Some path ->
-      (* OCaml evaluates list elements right-to-left, so [results]
-         accumulates in a surprising order; sort on the identifying
-         fields for a stable artifact. *)
-      let rows =
-        List.sort
-          (fun (n1, t1, p1, s1, _) (n2, t2, p2, s2, _) ->
-            compare (n1, t1, p1, s1) (n2, t2, p2, s2))
-          !results
-      in
       J.write path ~experiment:"pipeline" ~scale
         (List.map
            (fun (name, theta, pipe, steal, m) ->
@@ -400,7 +431,44 @@ let pipeline ?(scale = 1.0) ?json () =
                ("drain_stall", J.Int m.M.pipe_drain_stall);
                ("stolen_queues", J.Int m.M.stolen_queues);
              ])
-           rows)
+           rows));
+  let find name theta ~pipe =
+    List.find_map
+      (fun (n, t, p, s, m) ->
+        if n = name && t = theta && p = pipe && not s then Some m else None)
+      rows
+  in
+  let piped =
+    List.filter_map
+      (fun (n, t, p, s, m) -> if p && not s then Some (n, t, m) else None)
+      rows
+  in
+  let pair_claims (name, theta, m) =
+    match find name theta ~pipe:false with
+    | None ->
+        [ claim false "pipeline: %s theta=%.2f: no lockstep row" name theta ]
+    | Some b ->
+        [
+          claim (m.M.committed = b.M.committed)
+            "pipeline: %s theta=%.2f: commits diverge (%d vs %d)" name theta
+            m.M.committed b.M.committed;
+          claim (M.throughput m >= M.throughput b)
+            "pipeline: %s theta=%.2f: pipelined tput %.1f < lockstep %.1f" name
+            theta (M.throughput m) (M.throughput b);
+        ]
+  in
+  let quecc = E.engine_name (E.Quecc (Qe.Speculative, Qe.Serializable)) in
+  let speedup =
+    match (find quecc 0.0 ~pipe:true, find quecc 0.0 ~pipe:false) with
+    | Some m, Some b -> M.throughput m /. M.throughput b
+    | _ -> 0.0
+  in
+  check
+    (recorded_since checked0
+    :: claim (piped <> []) "pipeline: no pipelined rows"
+    :: claim (speedup >= 1.1)
+         "pipeline: quecc theta=0 pipeline speedup %.3f < 1.1" speedup
+    :: List.concat_map pair_claims piped)
 
 (* Adaptive planning under skew: QueCC with hot-key queue splitting and
    dynamic repartitioning against the plain planner, on a YCSB variant
@@ -408,8 +476,7 @@ let pipeline ?(scale = 1.0) ?json () =
    stream — the worst case for static key→executor routing).  The plain
    row at each theta is the state oracle: splitting and repartitioning
    are schedule-preserving, so the committed-state checksum must match
-   it bit-for-bit (also dumped to [json] for the CI skew-smoke job,
-   alongside the split/repartition counters the job asserts fire). *)
+   it bit-for-bit ([json] dumps it with the split/repartition counters). *)
 let skew ?(scale = 1.0) ?json () =
   let module M = Quill_txn.Metrics in
   let txns = scaled scale 16_384 ~min_v:4096 in
@@ -425,6 +492,7 @@ let skew ?(scale = 1.0) ?json () =
     results := (theta, split, adapt_repart, chk, m) :: !results;
     { Report.label; metrics = m }
   in
+  let thetas = [ 0.0; 0.6; 0.9 ] in
   let series =
     List.map
       (fun theta ->
@@ -449,7 +517,7 @@ let skew ?(scale = 1.0) ?json () =
           ]
         in
         (Printf.sprintf "theta=%.2f" theta, rows))
-      [ 0.0; 0.6; 0.9 ]
+      thetas
   in
   Report.print_sweep
     ~title:
@@ -457,7 +525,7 @@ let skew ?(scale = 1.0) ?json () =
        repartitioning vs the static planner (YCSB global-zipf, 8 cores, \
        committed state identical per seed)"
     ~param:"contention" series;
-  match json with
+  (match json with
   | None -> ()
   | Some path ->
       let rows =
@@ -479,7 +547,41 @@ let skew ?(scale = 1.0) ?json () =
                ("repart_moves", J.Int m.M.repart_moves);
                ("db_checksum", J.Int chk);
              ])
-           rows)
+           rows));
+  let pick theta split repart =
+    List.find
+      (fun (t, s, r, _, _) -> t = theta && s = split && r = repart)
+      !results
+  in
+  let _, _, _, _, hot = pick 0.9 (Some 32) true in
+  let _, _, _, _, plain0 = pick 0.0 None false in
+  let ratio = M.throughput hot /. M.throughput plain0 in
+  let same theta =
+    let group = List.filter (fun (t, _, _, _, _) -> t = theta) !results in
+    let values f = List.map (fun r -> string_of_int (f r)) group in
+    let one f = List.length (List.sort_uniq compare (values f)) = 1 in
+    let chk (_, _, _, c, _) = c and committed (_, _, _, _, m) = m.M.committed in
+    [
+      claim (one chk)
+        "skew: theta=%.2f: adaptive rows diverge from plain (checksums %s)"
+        theta (String.concat ", " (values chk));
+      claim (one committed) "skew: theta=%.2f: commit counts diverge (%s)" theta
+        (String.concat ", " (values committed));
+    ]
+  in
+  check
+    (claim
+       (hot.M.split_keys > 0 && hot.M.split_subqueues > 0)
+       "skew: splitting never fired at theta=0.90 (split k/q %d/%d)"
+       hot.M.split_keys hot.M.split_subqueues
+    :: claim (hot.M.repart_moves > 0)
+         "skew: repartitioning never fired at theta=0.90 (%d moves)"
+         hot.M.repart_moves
+    :: claim (ratio >= 0.85)
+         "skew: adaptive theta=0.90 holds only %.3f of theta=0 tput (bound \
+          0.85)"
+         ratio
+    :: List.concat_map same thetas)
 
 (* One crash mid-run on node 1 plus 1% drop and 1% duplication: the
    EXPERIMENTS.md robustness headline.  The crash time is tuned to land
@@ -496,7 +598,10 @@ let default_fault_plan =
   | Ok s -> s
   | Error _ -> assert false
 
-let fault_tolerance ?(scale = 1.0) ?(plan = default_fault_plan) () =
+let fault_tolerance ?(scale = 1.0) ?plan () =
+  let own_plan = plan = None in
+  let plan = Option.value plan ~default:default_fault_plan in
+  let checked0 = !conflict_checked in
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
   let spec =
@@ -529,19 +634,36 @@ let fault_tolerance ?(scale = 1.0) ?(plan = default_fault_plan) () =
     ~title:
       "Fault tolerance: dist-quecc (queue replay) vs dist-calvin (sequencer \
        replay) under an identical fault plan (4 nodes x 8 cores)"
-    ~param:"fault plan" series
+    ~param:"fault plan" series;
+  let recover =
+    List.concat_map
+      (fun (_, rows) ->
+        List.map (fun r -> r.Report.metrics.Quill_txn.Metrics.recover_busy)
+          rows)
+      series
+  in
+  check
+    (recorded_since checked0
+    :: (if own_plan then
+          [
+            claim
+              (List.exists (fun t -> t > 0) recover)
+              "fault-tolerance: no recovery time recorded under the crash \
+               plan (recover busy ns per row: %s)"
+              (String.concat ", " (List.map string_of_int recover));
+          ]
+        else []))
 
-(* HA replication and leader failover (ISSUE 8 headline): a single-node
-   dist-quecc leader streams its planned queues to two backups that
-   speculatively execute behind a bounded commit-marker lag.  Three rows:
-   the unreplicated baseline, the replicated fault-free run (the
-   replication tax), and the replicated run with the leader killed
-   mid-run (the failover bill).  All three must commit the same
-   transactions to the same state — replication is visibility-deferred
-   speculation over the same deterministic plan, and failover loses
-   nothing the leader ever acknowledged.  [json] dumps per-row
-   checksums, failover_ns and the fault-free epoch_ns for the CI
-   failover-smoke job; [plan] overrides the probed mid-run crash.
+(* HA replication and leader failover: a single-node dist-quecc leader
+   streams its planned queues to two backups that speculatively execute
+   behind a bounded commit-marker lag.  Three rows: the unreplicated
+   baseline, the replicated fault-free run (the replication tax), and
+   the replicated run with the leader killed mid-run (the failover
+   bill).  All three must commit the same transactions to the same
+   state — replication is visibility-deferred speculation over the same
+   deterministic plan, and failover loses nothing the leader ever
+   acknowledged.  [json] dumps per-row checksums, failover_ns and the
+   fault-free epoch_ns; [plan] overrides the probed mid-run crash.
 
    Rows run with [~record:false]: replication does not compose with
    the conflict recorder (the backups replay txns outside the planned
@@ -569,11 +691,16 @@ let failover ?(scale = 1.0) ?json ?plan () =
     in
     let m, chk = run_checksummed ~record:false e in
     results := !results @ [ (label, replicas, chk, m) ];
-    ({ Report.label; metrics = m }, m)
+    ({ Report.label; metrics = m }, (label, m, chk))
   in
-  let base, _ = row "dist-quecc-1n" ~replicas:0 ~faults:Quill_faults.Faults.none in
-  let ha, mha = row "+2 replicas" ~replicas:2 ~faults:Quill_faults.Faults.none in
+  let base, (_, mbase, base_chk) =
+    row "dist-quecc-1n" ~replicas:0 ~faults:Quill_faults.Faults.none
+  in
+  let ha, ((_, mha, _) as ha_run) =
+    row "+2 replicas" ~replicas:2 ~faults:Quill_faults.Faults.none
+  in
   let epoch_ns = mha.M.elapsed / max 1 (E.batches (E.make (E.Dist_quecc 1) spec ~txns ~batch_size:1024)) in
+  let own_plan = plan = None in
   let plan =
     match plan with
     | Some p -> p
@@ -592,14 +719,16 @@ let failover ?(scale = 1.0) ?json ?plan () =
             ];
         }
   in
-  let crash, _ = row "+2 replicas, leader crash" ~replicas:2 ~faults:plan in
+  let crash, ((_, mcrash, _) as crash_run) =
+    row "+2 replicas, leader crash" ~replicas:2 ~faults:plan
+  in
   Report.print_table
     ~title:
       "HA replication: speculative backups and leader failover \
        (dist-quecc 1 leader + 2 backups, 4 cores, spec-lag 2; committed \
        state identical across all rows)"
     [ base; ha; crash ];
-  match json with
+  (match json with
   | None -> ()
   | Some path ->
       J.write path ~experiment:"failover" ~scale
@@ -617,19 +746,47 @@ let failover ?(scale = 1.0) ?json ?plan () =
                ("rep_lag_max", J.Int m.M.rep_lag_max);
                ("db_checksum", J.Int chk);
              ])
-           !results)
+           !results));
+  let replicated (label, m, chk) =
+    [
+      claim (m.M.committed = mbase.M.committed)
+        "failover: %s: lost commits (%d vs %d)" label m.M.committed
+        mbase.M.committed;
+      claim (chk = base_chk)
+        "failover: %s: committed state diverges from baseline (checksum %d \
+         vs %d)"
+        label chk base_chk;
+      claim (m.M.spec_executed > 0) "failover: %s: backups never speculated"
+        label;
+    ]
+  in
+  check
+    (replicated ha_run @ replicated crash_run
+    @
+    if not own_plan then []
+    else
+      [
+        claim
+          (mcrash.M.crashes = 1 && mcrash.M.failovers = 1)
+          "failover: leader crash did not trigger a failover (crashes %d, \
+           failovers %d)"
+          mcrash.M.crashes mcrash.M.failovers;
+        claim
+          (0 < mcrash.M.failover_time && mcrash.M.failover_time < epoch_ns)
+          "failover: failover took %dns, epoch is %dns"
+          mcrash.M.failover_time epoch_ns;
+      ])
 
-(* Durability (ISSUE 9 headline): QueCC's planned queues already fix the
-   commit order, so durability is one group-commit fsync per batch — the
-   WAL logs each batch's row images and hardens them at the batch commit
-   point.  Four rows: the no-WAL baseline (what durability costs), the
-   WAL run (the overhead must stay small at theta 0), the serial engine
-   with the same group-commit log, and the WAL run killed mid-run.  The
-   crashed run recovers from the newest snapshot plus the log and must
-   land bit-identical to a fault-free run truncated to the same durable
+(* Durability: QueCC's planned queues already fix the commit order, so
+   durability is one group-commit fsync per batch — the WAL logs each
+   batch's row images and hardens them at the batch commit point.  Four
+   rows: the no-WAL baseline (what durability costs), the WAL run (the
+   overhead must stay small at theta 0), the serial engine with the same
+   group-commit log, and the WAL run killed mid-run.  The crashed run
+   recovers from the newest snapshot plus the log and must land
+   bit-identical to a fault-free run truncated to the same durable
    boundary — that oracle run is re-executed here and the checksums
-   compared.  [json] dumps per-row counters plus the oracle comparison
-   for the CI durability-smoke job.
+   compared.  [json] dumps per-row counters plus the oracle comparison.
 
    Rows run with [~record:false]: the WAL's commit-point index
    probes happen outside planned-queue attribution, so the suite-wide
@@ -659,11 +816,13 @@ let durability ?(scale = 1.0) ?json () =
     ({ Report.label; metrics = m }, m, chk)
   in
   let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
-  let base, mbase, _ =
+  let base, mbase, base_chk =
     (* lint: engine-name-ok — report row label, not dispatch *)
     row "quecc" quecc ~txns ~wal:false ~faults:F.none
   in
-  let walled, mwal, _ = row "quecc --wal" quecc ~txns ~wal:true ~faults:F.none in
+  let walled, mwal, wal_chk =
+    row "quecc --wal" quecc ~txns ~wal:true ~faults:F.none
+  in
   let serial_r, _, _ =
     row "serial --wal" E.Serial ~txns ~wal:true ~faults:F.none
   in
@@ -711,7 +870,7 @@ let durability ?(scale = 1.0) ?json () =
      (%d txns), state %s the truncated fault-free run\n"
     overhead_pct mcrash.M.durable_batches mcrash.M.committed
     (if state_match then "matches" else "DIVERGES FROM");
-  match json with
+  (match json with
   | None -> ()
   | Some path ->
       let crash =
@@ -745,22 +904,53 @@ let durability ?(scale = 1.0) ?json () =
                ("recovery_ns", J.Int m.M.recovery_time);
                ("db_checksum", J.Int chk);
              ])
-           !results)
+           !results));
+  check
+    [
+      claim
+        (mcrash.M.crashes = 1 && mcrash.M.recovery_time > 0)
+        "durability: mid-run kill did not crash and recover (crashes %d, \
+         recovery %dns)"
+        mcrash.M.crashes mcrash.M.recovery_time;
+      claim (mcrash.M.durable_batches > 0)
+        "durability: nothing durable at the crash point (%d batches)"
+        mcrash.M.durable_batches;
+      claim state_match
+        "durability: recovered state diverges from the durable-boundary \
+         oracle (checksum %d vs %d)"
+        crash_chk oracle_chk;
+      claim
+        (mcrash.M.committed = oracle_committed)
+        "durability: lost or double commits (%d recovered vs %d in the \
+         oracle)"
+        mcrash.M.committed oracle_committed;
+      claim
+        (mwal.M.committed = mbase.M.committed && wal_chk = base_chk)
+        "durability: WAL changed the committed state (%d commits, checksum \
+         %d; baseline %d, %d)"
+        mwal.M.committed wal_chk mbase.M.committed base_chk;
+      claim
+        (mwal.M.durable_batches * batch_size >= mwal.M.committed
+        && mwal.M.wal_fsyncs = mwal.M.durable_batches)
+        "durability: group commit did not harden every batch (%d durable \
+         batches x %d < %d commits, or %d fsyncs)"
+        mwal.M.durable_batches batch_size mwal.M.committed mwal.M.wal_fsyncs;
+      claim (overhead_pct <= 15.0)
+        "durability: WAL overhead %.2f%% exceeds the 15%% budget" overhead_pct;
+    ]
 
-(* CDC (ISSUE 10 headline): QueCC's planning phase fixes the commit
-   order before execution starts, so the change stream is a pure
-   function of the input batches — the CDC feed must come out
-   byte-identical across lockstep, pipelined, stealing and split-queue
-   runs of the same seed, and the subscription hub must cost little at
-   the commit point.  Rows: the no-CDC quecc baseline, quecc --cdc
-   (replica subscription), quecc --cdc --views (replica + verified
-   materialized view), the same three alternate quecc schedules with
-   --cdc, and serial --cdc (group-commit feed; its batch boundaries
-   differ, so its digest is reported but not compared).  The feed digest
-   of every quecc-family row must match, the view must equal a full
-   recompute at every caught-up point (View verifies internally and the
-   run fails on divergence), and the CDC overhead must stay within
-   budget.  [json] dumps digests + counters for the CI cdc-smoke job. *)
+(* CDC: QueCC's planning phase fixes the commit order before execution
+   starts, so the change stream is a pure function of the input batches
+   — the CDC feed must come out byte-identical across lockstep,
+   pipelined, stealing and split-queue runs of the same seed, and the
+   subscription hub must cost little at the commit point.  Rows: the
+   no-CDC quecc baseline, quecc --cdc (replica subscription), quecc
+   --cdc --views (replica + verified materialized view), the same three
+   alternate quecc schedules with --cdc, and serial --cdc (group-commit
+   feed; its batch boundaries differ, so its digest is reported but not
+   compared).  The view must equal a full recompute at every caught-up
+   point (View verifies internally and the run fails on divergence).
+   [json] dumps digests + counters. *)
 let cdc ?(scale = 1.0) ?json () =
   let module M = Quill_txn.Metrics in
   let module Cdc = Quill_cdc.Cdc in
@@ -785,7 +975,7 @@ let cdc ?(scale = 1.0) ?json () =
           feed := Some (Cdc.digest h, Cdc.feed_bytes h, Cdc.events h))
         e
     in
-    results := !results @ [ (label, !feed, m) ];
+    results := !results @ [ (label, cdc, !feed, m) ];
     ({ Report.label; metrics = m }, m, !feed)
   in
   let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
@@ -830,8 +1020,6 @@ let cdc ?(scale = 1.0) ?json () =
     (digest feed0)
     (if view_ok then "held" else "NOT EXERCISED")
     overhead_pct;
-  if not deterministic then
-    failwith "cdc: feed digests diverge across quecc schedules";
   (match json with
   | None -> ()
   | Some path ->
@@ -843,7 +1031,7 @@ let cdc ?(scale = 1.0) ?json () =
             ("view_ok", J.Bool view_ok);
           ]
         (List.map
-           (fun (label, feed, m) ->
+           (fun (label, _, feed, m) ->
              let d, bytes, events =
                Option.value feed ~default:(0, 0, 0)
              in
@@ -857,18 +1045,55 @@ let cdc ?(scale = 1.0) ?json () =
                ("catchup", J.Int m.M.cdc_catchup);
                ("view_refreshes", J.Int m.M.view_refreshes);
              ])
-           !results))
+           !results));
+  let family =
+    [
+      ("quecc --cdc", feed0); ("quecc --cdc --views", feed_v);
+      ("pipelined --cdc", feed_p); ("pipelined+steal --cdc", feed_s);
+      ("split --cdc", feed_sp);
+    ]
+  in
+  let fed (label, cdc, feed, m) =
+    let _, _, events = Option.value feed ~default:(0, 0, 0) in
+    if not cdc then []
+    else
+      [
+        claim
+          (events > 0 && m.M.cdc_batches > 0)
+          "cdc: feed never flowed on %s (%d events, %d batches)" label events
+          m.M.cdc_batches;
+        claim (m.M.cdc_lag_max <= 4)
+          "cdc: %s: replica staleness %d exceeds the bound 4" label
+          m.M.cdc_lag_max;
+      ]
+  in
+  check
+    (claim
+       (List.exists (fun (_, cdc, _, _) -> cdc) !results)
+       "cdc: no --cdc rows"
+    :: claim deterministic "cdc: feed digests diverge across quecc schedules"
+    :: claim
+         (List.for_all (fun (_, f) -> f = feed0) family)
+         "cdc: quecc-family feeds diverge: %s"
+         (String.concat ", "
+            (List.map
+               (fun (l, f) -> Printf.sprintf "%s %x" l (digest f))
+               family))
+    :: claim view_ok "cdc: materialized view never refreshed/verified"
+    :: claim (overhead_pct <= 10.0)
+         "cdc: CDC overhead %.2f%% exceeds the 10%% budget" overhead_pct
+    :: List.concat_map fed !results)
 
 (* ------------------------------------------------------------------ *)
 
 module C = Quill_clients.Clients
 
-(* The overload sweep (ISSUE 4 headline): open-loop clients offer
-   0.25x..4x of each engine's own closed-loop saturation throughput and
-   the table contrasts plateau (admission control sheds / deadlines
-   drop the excess, goodput holds) with collapse (Block bounds the
-   queue but stalls the offered stream).  Anchoring the multipliers on
-   a per-engine closed-loop probe keeps "2x saturation" meaningful for
+(* The overload sweep: open-loop clients offer 0.25x..4x of each
+   engine's own closed-loop saturation throughput and the table
+   contrasts plateau (admission control sheds / deadlines drop the
+   excess, goodput holds) with collapse (Block bounds the queue but
+   stalls the offered stream).  Anchoring the multipliers on a
+   per-engine closed-loop probe keeps "2x saturation" meaningful for
    engines an order of magnitude apart in peak throughput.
 
    [arrival] pins an absolute arrival process for every row instead of
@@ -963,7 +1188,34 @@ let overload ?(scale = 1.0) ?arrival ?admission ?deadline ?retries () =
     ~title:
       "Overload: open-loop clients at a multiple of each engine's saturation \
        throughput (YCSB theta=0.6, 8 cores)"
-    ~param:"offered load" series
+    ~param:"offered load" series;
+  let module M = Quill_txn.Metrics in
+  let rows =
+    List.concat_map
+      (fun (load, rows) ->
+        List.map (fun r -> (r.Report.label ^ " at " ^ load, r.metrics)) rows)
+      series
+  in
+  let own_sweep =
+    arrival = None && admission = None && deadline = None && retries = None
+  in
+  let served (label, m) =
+    [
+      claim (M.throughput m > 0.0) "overload: %s: zero goodput" label;
+      claim
+        (Quill_common.Stats.Hist.count m.M.client_lat > 0)
+        "overload: %s: no client latency samples (p99 not rendered)" label;
+    ]
+  in
+  check
+    ((if own_sweep then
+        [
+          claim
+            (List.exists (fun (_, m) -> m.M.shed > 0) rows)
+            "overload: no transactions shed anywhere in the sweep";
+        ]
+      else [])
+    @ List.concat_map served rows)
 
 let all ?(scale = 1.0) () =
   table2_row1 ~scale ();

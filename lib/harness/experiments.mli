@@ -5,7 +5,19 @@
     [scale] trades precision for wall-clock time: 1.0 is the full
     configuration used in EXPERIMENTS.md, smaller values shrink
     transaction counts and table sizes proportionally (minimum sizes are
-    enforced). *)
+    enforced).
+
+    The extension experiments end by checking their claims on the values
+    they hold (metrics, checksums, feed digests, overheads): each false
+    claim is listed in one {!Claim_failed}, and nothing is printed when
+    all hold.  [dune runtest] runs them at scale 0.25 (bench/dune). *)
+
+exception Claim_failed of string list
+(** One line per false claim, naming its value and bound. *)
+
+val check : (bool * string) list -> unit
+(** [check claims] raises {!Claim_failed} with the line of every claim
+    whose flag is false, in order; it does nothing when all hold. *)
 
 val tracer : Quill_trace.Trace.t ref
 (** Tracer used for every run of the suite (default: the disabled null
@@ -16,9 +28,9 @@ val check_conflicts : bool ref
 (** When set (bench/CLI [--check-conflicts]), every QueCC-family run in
     the suite records its row accesses and is replayed through
     {!Quill_analysis.Conflict_check} after it completes; a per-run
-    [\[conflict-check\]] summary is printed and any violation fails the
-    suite with an exception.  Recording never affects virtual time, so
-    results are identical to an unchecked run. *)
+    [\[conflict-check\]] summary is printed, and a violation or an empty
+    access log fails the run's claims.  Recording never affects virtual
+    time, so results are identical to an unchecked run. *)
 
 val table2_row1 : ?scale:float -> unit -> unit
 (** Centralized QueCC vs deterministic H-Store, YCSB multi-partition
@@ -56,8 +68,10 @@ val pipeline : ?scale:float -> ?json:string -> unit -> unit
     distributed engines' lag-1 variant — the off rows are the oracle
     for the speedup shown (committed state is bit-identical per seed;
     the test suite asserts it).  [json] also writes every row to a
-    machine-readable JSON file (the CI [BENCH_pipeline.json]
-    perf-trajectory artifact). *)
+    machine-readable JSON file ([BENCH_pipeline.json]).  Claims: each
+    pipelined row commits its lockstep row's count at no lower
+    throughput, QueCC at theta 0 gains at least 1.1x, and under
+    [--check-conflicts] some run was recorded. *)
 
 val skew : ?scale:float -> ?json:string -> unit -> unit
 (** Adaptive planning under skew: QueCC plain vs hot-key queue splitting
@@ -67,8 +81,10 @@ val skew : ?scale:float -> ?json:string -> unit -> unit
     oracle — the adaptive mechanisms are schedule-preserving, so the
     committed-state checksums must match bit-for-bit.  [json] writes
     every row (throughput, split/repartition counters, checksum) to a
-    machine-readable file (the CI [BENCH_skew.json] artifact; the
-    skew-smoke job asserts the counters fire and the checksums agree). *)
+    machine-readable file ([BENCH_skew.json]).  Claims: at theta 0.9
+    splitting and repartitioning fire, every theta's rows agree on
+    commits and checksum, and adaptive theta 0.9 keeps at least 85% of
+    plain theta 0 throughput. *)
 
 val default_fault_plan : Quill_faults.Faults.spec
 (** One node-1 crash mid-run, 1% drop, 1% duplication, seed 7. *)
@@ -78,7 +94,9 @@ val fault_tolerance :
 (** Robustness headline: dist-quecc (queue replay) vs dist-calvin
     (sequencer-log replay) with and without an identical fault plan
     ([plan] defaults to {!default_fault_plan}); the fault table rows
-    report crashes, redone work and recovery time. *)
+    report crashes, redone work and recovery time.  Claims: under the
+    default plan some row spends time recovering; under
+    [--check-conflicts] some run was recorded. *)
 
 val failover :
   ?scale:float -> ?json:string -> ?plan:Quill_faults.Faults.spec -> unit -> unit
@@ -89,10 +107,11 @@ val failover :
     commit the same transactions to the same state; the replication
     table reports speculation, rollback and failover time.  [json]
     writes per-row checksums, [failover_ns] and the fault-free
-    [epoch_ns] (the CI [BENCH_failover.json] artifact; the
-    failover-smoke job asserts zero lost commits, nonzero speculation
-    and sub-epoch failover).  [plan] overrides the probed mid-run
-    leader crash. *)
+    [epoch_ns] ([BENCH_failover.json]).  [plan] overrides the probed
+    mid-run leader crash.  Claims: no replicated row loses a commit or
+    diverges from the baseline's checksum, and its backups speculated;
+    without [plan], the leader crashed and failed over once, in less
+    than one fault-free epoch. *)
 
 val durability :
   ?scale:float -> ?json:string -> unit -> unit
@@ -105,9 +124,9 @@ val durability :
     against a fault-free run truncated to the same durable boundary
     (bit-identity at the last durable batch).  [json] writes per-row
     WAL counters, the overhead percentage and the oracle comparison
-    (the CI [BENCH_durability.json] artifact; the durability-smoke job
-    asserts nonzero recovery, zero lost/double commits and bounded
-    overhead). *)
+    ([BENCH_durability.json]).  Claims: nonzero recovery of a nonzero
+    durable prefix, no lost or double commits, a state-neutral WAL
+    with one fsync per durable batch, and at most 15% overhead. *)
 
 val cdc : ?scale:float -> ?json:string -> unit -> unit
 (** CDC headline: ordered commit-stream subscriptions.  Seven rows at
@@ -119,10 +138,11 @@ val cdc : ?scale:float -> ?json:string -> unit -> unit
     [--cdc] (group-commit feed).  The feed digests of every
     QueCC-family row must be byte-identical — the planning phase fixes
     the commit order, so the change stream is a pure function of the
-    input — and the run fails otherwise.  [json] writes per-row digests,
-    feed counters and the overhead percentage (the CI [BENCH_cdc.json]
-    artifact; the cdc-smoke job asserts a live feed, digest equality,
-    the view invariant and bounded overhead). *)
+    input.  [json] writes per-row digests, feed counters and the
+    overhead percentage ([BENCH_cdc.json]).  Claims: a live feed on
+    every [--cdc] row with replica lag at most 4 batches, one feed
+    across the QueCC family, a refreshed view, and at most 10%
+    overhead. *)
 
 val overload :
   ?scale:float ->
@@ -140,6 +160,8 @@ val overload :
     and client-visible latency.  [arrival] pins one absolute arrival
     process instead of the multiplier sweep; [admission] uses a single
     [(policy, depth)] for every engine; [deadline] overrides the
-    deadline-row budget (ns); [retries] is [(max_retries, backoff_ns)]. *)
+    deadline-row budget (ns); [retries] is [(max_retries, backoff_ns)].
+    Claims: every row has nonzero goodput and client latency samples;
+    without any of the four overrides, some row sheds. *)
 
 val all : ?scale:float -> unit -> unit

@@ -51,9 +51,10 @@ let core =
     ]
 
 (* CPU time per phase (% of busy), idle time per wait cause (% of
-   busy+idle), then the pipeline columns, last so the chaos-smoke CI
-   job's column indices hold.  Stalls are per-contributing-thread
-   averages: engines stall in very different numbers of threads. *)
+   busy+idle), then the pipeline columns (in this order so printed
+   tables stay byte-identical; nothing parses them).  Stalls are
+   per-contributing-thread averages: engines stall in very different
+   numbers of threads. *)
 let phases =
   group "phases" (fun _ -> !phase_tables)
     [

@@ -599,8 +599,6 @@ let plan_order frags =
   ordered
   end
 
-let plan_order_for_dist = plan_order
-
 let slice_bounds ~batch_size ~planners p =
   let base = batch_size / planners and rem = batch_size mod planners in
   let start = (p * base) + min p rem in

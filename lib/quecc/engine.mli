@@ -133,9 +133,9 @@ val run :
     back through {!Quill_clients.Clients.complete}, so aborted
     transactions return in a later batch after their backoff. *)
 
-val plan_order_for_dist :
+val plan_order :
   Quill_txn.Fragment.t array -> Quill_txn.Fragment.t array
 (** Queue-insertion order for one transaction's fragments (dependency-free
-    abortable fragments first); shared with the distributed engine, which
-    needs the same ordering for its conservative-execution deadlock-freedom
-    argument. *)
+    abortable fragments first); shared with the distributed engines,
+    which need the same ordering for the conservative-execution
+    deadlock-freedom argument. *)

@@ -446,7 +446,9 @@ let run_rejected args =
       | _ -> false
       | exception Invalid_argument _ -> true)
 
-(* The exit-2 steps of CI and `make check`, and the repros of values that
+(* The exit-2 steps of `make check`, every rejection of an extension
+   flag (pipeline, adaptive, replication, WAL, CDC, client) on an engine
+   or configuration that cannot honor it, and the repros of values that
    used to die on an assertion, a division by zero or a late Sys_error,
    or ran silently. *)
 let test_cli_rejections () =
@@ -574,8 +576,9 @@ let test_bench_read_sets () =
     flags;
   Tutil.check_bool "temp path left alone" false (Sys.file_exists path)
 
-(* The command lines of CI, the Makefile, scripts/bench_diff.sh and the
-   README parse to what they meant before the grammar moved. *)
+(* The command lines of the Makefile, bench/dune's runtest rule,
+   scripts/bench_diff.sh and the README parse to what they meant before
+   the grammar moved. *)
 let test_documented_lines () =
   let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
   let ycsb ?(threads = 8) ?(theta = 0.0) ?(global_zipf = false) () =
@@ -641,7 +644,6 @@ let test_documented_lines () =
         E.make ~name:"dist-quecc" (E.Dist_quecc 4) (ycsb ()) );
     ];
   let json t = Filename.concat (Filename.get_temp_dir_name ()) (t ^ ".json") in
-  let crash = "crash@t=200us:node=1:down=200us,drop=0.01,dup=0.01,seed=7" in
   List.iter
     (fun args ->
       Tutil.check_bool (String.concat " " args) true (bench_accepts args))
@@ -654,9 +656,12 @@ let test_documented_lines () =
        [ "cdc"; "0.5"; "--json"; json "cdc" ];
        [ "all"; "0.5" ];
        [ "pipeline"; "0.25"; "--check-conflicts" ];
-       [ "fault-tolerance"; "0.25"; "--check-conflicts"; "--faults"; crash ];
-       [ "fault-tolerance"; "0.25"; "--phase-table"; "--faults"; crash ];
+       [ "fault-tolerance"; "0.25"; "--check-conflicts" ];
+       [ "skew"; "0.25" ];
+       [ "failover"; "0.25" ];
+       [ "durability"; "0.25" ];
        [ "overload"; "0.25" ];
+       [ "cdc"; "0.25" ];
        [ "fig-latency"; "0.125" ];
      ]
     @ List.map
@@ -675,6 +680,17 @@ let test_documented_lines () =
           "pipeline"; "skew"; "fault-tolerance"; "failover"; "durability";
           "cdc"; "overload";
         ])
+
+(* The claim checker passes when every claim holds and otherwise raises
+   with exactly the false claims' lines, in order. *)
+let test_claims () =
+  let module X = Quill_harness.Experiments in
+  X.check [];
+  X.check [ (true, "a"); (true, "b") ];
+  match X.check [ (false, "a"); (true, "b"); (false, "c"); (true, "d") ] with
+  | () -> Alcotest.fail "false claims passed"
+  | exception X.Claim_failed lines ->
+      Alcotest.(check (list string)) "false claims" [ "a"; "c" ] lines
 
 (* Random valid flag sets: parse, print back with [to_argv], parse again
    and get the same experiment. *)
@@ -795,6 +811,7 @@ let () =
             test_effective_txns_equal;
           Alcotest.test_case "trace export and phases" `Quick
             test_trace_export_and_phases;
+          Alcotest.test_case "claims" `Quick test_claims;
         ] );
       ( "cli",
         [

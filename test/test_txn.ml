@@ -91,7 +91,7 @@ let test_plan_order () =
     |]
   in
   let t = Txn.make ~tid:0 frags in
-  let ordered = Quill_quecc.Engine.plan_order_for_dist t.Txn.frags in
+  let ordered = Quill_quecc.Engine.plan_order t.Txn.frags in
   (* dep-free abortable first; abortable-with-deps stays in place *)
   Tutil.check_int "aborter first" 1 ordered.(0).Fragment.fid;
   Alcotest.(check (list int))
@@ -99,7 +99,7 @@ let test_plan_order () =
     (Array.to_list (Array.map (fun f -> f.Fragment.fid) ordered));
   (* empty txn is fine *)
   Tutil.check_int "empty" 0
-    (Array.length (Quill_quecc.Engine.plan_order_for_dist [||]))
+    (Array.length (Quill_quecc.Engine.plan_order [||]))
 
 (* ------------------------- metrics ------------------------- *)
 
