@@ -156,7 +156,21 @@ let last2 li =
 let wall_clock_fns =
   [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Unix.gmtime" ]
 
+(* [me] applies [Hashtbl.Make] or [Hashtbl.MakeSeeded]: the module it
+   binds iterates in the same unspecified bucket order as [Hashtbl]. *)
+let rec hashtbl_functor (me : Parsetree.module_expr) =
+  match me.pmod_desc with
+  | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+      match last2 txt with
+      | Some ("Hashtbl", ("Make" | "MakeSeeded")) -> true
+      | _ -> false)
+  | Pmod_constraint (me, _) -> hashtbl_functor me
+  | _ -> false
+
 let lint_structure ~file ~engine_names structure =
+  (* [Hashtbl] and the modules bound to its functors so far: a binding
+     precedes its uses, and the walk is in source order. *)
+  let hashtbls = ref [ "Hashtbl" ] in
   let found = ref [] in
   let add ~line ~rule ~msg =
     if not (allowlisted rule file) then
@@ -193,14 +207,14 @@ let lint_structure ~file ~engine_names structure =
                   virtual time only"
                  path);
         (match last2 txt with
-        | Some ("Hashtbl", ("iter" | "fold" as fn)) ->
+        | Some (m, ("iter" | "fold" as fn)) when List.mem m !hashtbls ->
             add ~line ~rule:"D3"
               ~msg:
                 (Printf.sprintf
-                   "Hashtbl.%s iterates in unspecified order — sort the \
+                   "%s.%s iterates in unspecified order — sort the \
                     bindings, or waive with a 'lint: order-insensitive' \
                     comment saying why"
-                   fn)
+                   m fn)
         | Some ("Obj", "magic") ->
             add ~line ~rule:"D5" ~msg:"Obj.magic defeats the type system"
         | _ -> ());
@@ -233,6 +247,13 @@ let lint_structure ~file ~engine_names structure =
         (fun it p ->
           on_pat p;
           default_iterator.pat it p);
+      module_binding =
+        (fun it mb ->
+          (match mb.pmb_name.txt with
+          | Some name when hashtbl_functor mb.pmb_expr ->
+              hashtbls := name :: !hashtbls
+          | _ -> ());
+          default_iterator.module_binding it mb);
     }
   in
   it.structure it structure;

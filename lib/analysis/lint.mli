@@ -7,8 +7,10 @@
     - {b D2} no wall-clock ([Unix.gettimeofday], [Unix.time],
       [Sys.time]) — engines live in virtual time (allowlisted:
       [lib/trace/trace.ml], the export path).
-    - {b D3} no [Hashtbl.iter]/[Hashtbl.fold] — iteration order is
-      unspecified and would leak into committed state.
+    - {b D3} no [Hashtbl.iter]/[Hashtbl.fold], nor [iter]/[fold] of a
+      module the same file binds to [Hashtbl.Make]/[MakeSeeded] —
+      iteration order is unspecified and would leak into committed
+      state.
     - {b D4} no engine-name string literals outside
       [lib/harness/engine_registry.ml] — the PR 5 registry invariant.
     - {b D5} no [Obj.magic] / physical equality [(==)] on mutable

@@ -2,6 +2,7 @@ module Sim = Quill_sim.Sim
 module Costs = Quill_sim.Costs
 module Db = Quill_storage.Db
 module Metrics = Quill_txn.Metrics
+module Vec = Quill_common.Vec
 
 type event = {
   table : int;
@@ -22,17 +23,16 @@ type consumer = {
   on_caught_up : batch_no:int -> unit;
 }
 
-(* A staged row: first pre-image wins (copied at stage time, because the
+(* A staged row: its pre-image, copied at stage time because the
    engine's publish overwrites [committed] before the feed entry is
-   sealed), last post-image wins (a reference, read at publish time —
-   for every engine the staged [data] array IS the final post-image by
-   the commit point, and later stagings of the same row would only
-   rebind it to the same array). *)
+   sealed ([None] for an insert), and its post-image, a reference read
+   at publish time — for every engine the staged [data] array IS the
+   final post-image by the commit point. *)
 type staged = {
   s_table : int;
   s_key : int;
   s_before : int array option;
-  mutable s_after : int array;
+  s_after : int array;
 }
 
 type sub = {
@@ -57,7 +57,9 @@ type t = {
   costs : Costs.t;
   db : Db.t;
   retain : int;
-  staging : (int * int, staged) Hashtbl.t;
+  staging : staged Vec.t;  (* in staging order; canonicalized at publish *)
+  out : event Vec.t;  (* publish scratch: the canonical events *)
+  entry : Buffer.t;  (* publish scratch: the serialized feed entry *)
   ring : batch Queue.t;
   feed_buf : Buffer.t option;  (* full serialized feed, tests only *)
   mutable batches : int;
@@ -75,7 +77,9 @@ let create ?(retain = 64) ?(record_feed = false) ~sim ~costs db =
     costs;
     db;
     retain;
-    staging = Hashtbl.create 1024;
+    staging = Vec.create ();
+    out = Vec.create ();
+    entry = Buffer.create 4096;
     ring = Queue.create ();
     feed_buf = (if record_feed then Some (Buffer.create 4096) else None);
     batches = 0;
@@ -121,19 +125,13 @@ let subscribe t ~name ?(max_queue = 256) ?(apply_every = 1) ?(join_at = 0)
   s
 
 let stage t ~table ~key ~before ~after =
-  match Hashtbl.find_opt t.staging (table, key) with
-  | Some st -> st.s_after <- after
-  | None ->
-      Hashtbl.replace t.staging (table, key)
-        { s_table = table; s_key = key; s_before = Some (Array.copy before);
-          s_after = after }
+  Vec.push t.staging
+    { s_table = table; s_key = key; s_before = Some (Array.copy before);
+      s_after = after }
 
 let stage_insert t ~table ~key ~after =
-  match Hashtbl.find_opt t.staging (table, key) with
-  | Some st -> st.s_after <- after
-  | None ->
-      Hashtbl.replace t.staging (table, key)
-        { s_table = table; s_key = key; s_before = None; s_after = after }
+  Vec.push t.staging
+    { s_table = table; s_key = key; s_before = None; s_after = after }
 
 (* ------------------------------------------------------------------ *)
 (* Feed serialization                                                  *)
@@ -144,8 +142,8 @@ let stage_insert t ~table ~key ~after =
    event  := table:4 key:8 kind:1 [pre:payload] post:payload
    payload := nfields:4 fields:8xn
    kind 0 = update (pre present), 1 = insert (no pre). *)
-let serialize_batch b =
-  let buf = Buffer.create 256 in
+let serialize_batch buf b =
+  Buffer.clear buf;
   Buffer.add_int64_le buf (Int64.of_int b.batch_no);
   Buffer.add_int64_le buf (Int64.of_int b.txns);
   Buffer.add_int32_le buf (Int32.of_int (Array.length b.events));
@@ -163,17 +161,16 @@ let serialize_batch b =
           payload pre
       | None -> Buffer.add_char buf '\001');
       payload ev.after)
-    b.events;
-  Buffer.contents buf
+    b.events
 
 (* djb2 rolled across the whole feed, masked to 32 bits: two feeds have
    equal digests iff their serialized bytes match (the [record_feed]
    tests additionally compare the bytes themselves). *)
-let digest_string h s =
+let digest_buffer h buf =
   let h = ref h in
-  String.iter
-    (fun c -> h := (((!h lsl 5) + !h) + Char.code c) land 0xffff_ffff)
-    s;
+  for i = 0 to Buffer.length buf - 1 do
+    h := (((!h lsl 5) + !h) + Char.code (Buffer.nth buf i)) land 0xffff_ffff
+  done;
   !h
 
 (* ------------------------------------------------------------------ *)
@@ -252,39 +249,53 @@ let deliver t ~charge b =
       end)
     (List.rev t.subs_rev)
 
+let by_row a b =
+  let c = Int.compare a.s_table b.s_table in
+  if c <> 0 then c else Int.compare a.s_key b.s_key
+
+let same_image a b =
+  let n = Array.length a in
+  let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+  n = Array.length b && from 0
+
+(* Canonicalize: one event per distinct (table, key), no-ops dropped,
+   sorted — the feed entry is a pure function of the pre/post-batch
+   committed states, independent of execution interleaving.  A stable
+   sort keeps each row's stagings in staging order, so the first one's
+   pre-image and the last one's post-image are at the ends of its
+   run. *)
+let canonical t =
+  let staged = Vec.to_array t.staging in
+  Vec.clear t.staging;
+  Array.stable_sort by_row staged;
+  let n = Array.length staged in
+  let i = ref 0 in
+  while !i < n do
+    let first = staged.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && by_row first staged.(!j) = 0 do
+      incr j
+    done;
+    let after = staged.(!j - 1).s_after in
+    (match first.s_before with
+    | Some pre when same_image pre after -> ()
+    | before ->
+        Vec.push t.out
+          { table = first.s_table; key = first.s_key; before;
+            after = Array.copy after });
+    i := !j
+  done;
+  let events = Vec.to_array t.out in
+  Vec.clear t.out;
+  events
+
 let publish t ~batch_no ~txns =
-  (* Canonicalize: one event per distinct (table, key), no-ops dropped,
-     sorted — the feed entry is a pure function of the pre/post-batch
-     committed states, independent of execution interleaving. *)
-  let evs = ref [] in
-  (* lint: order-insensitive — events are collected then sorted *)
-  Hashtbl.iter
-    (fun _ st ->
-      let keep =
-        match st.s_before with
-        | Some pre -> pre <> st.s_after
-        | None -> true
-      in
-      if keep then
-        evs :=
-          {
-            table = st.s_table;
-            key = st.s_key;
-            before = st.s_before;
-            after = Array.copy st.s_after;
-          }
-          :: !evs)
-    t.staging;
-  Hashtbl.reset t.staging;
-  let events =
-    List.sort (fun a b -> compare (a.table, a.key) (b.table, b.key)) !evs
-    |> Array.of_list
-  in
+  let events = canonical t in
   let b = { batch_no; txns; events } in
-  let bytes = serialize_batch b in
-  t.digest <- digest_string t.digest bytes;
-  t.feed_bytes <- t.feed_bytes + String.length bytes;
-  Option.iter (fun buf -> Buffer.add_string buf bytes) t.feed_buf;
+  serialize_batch t.entry b;
+  t.digest <- digest_buffer t.digest t.entry;
+  t.feed_bytes <- t.feed_bytes + Buffer.length t.entry;
+  Option.iter (fun buf -> Buffer.add_buffer buf t.entry) t.feed_buf;
   t.events <- t.events + Array.length events;
   t.batches <- t.batches + 1;
   t.last_batch <- batch_no;

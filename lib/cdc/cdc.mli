@@ -30,6 +30,11 @@ type event = {
       (** committed pre-image; [None] for a row inserted by this batch *)
   after : int array;  (** committed post-image *)
 }
+(** One row's change.  Both images are copies made for the feed (the
+    pre-image at {!stage}, the post-image at {!publish}) and are
+    immutable from then on: the retention ring, late joiners' replay
+    and every subscriber share the same arrays, so a consumer may keep
+    them (as {!Replica} does) but must never write to them. *)
 
 type batch = {
   batch_no : int;
@@ -84,17 +89,22 @@ val subscribe :
 
 val stage :
   t -> table:int -> key:int -> before:int array -> after:int array -> unit
-(** Stage one dirtied row into the in-flight batch's change set.
-    [before] is copied immediately (publish overwrites it); [after] is
-    read at {!publish} time, so the first call's pre-image and the
-    final post-image win regardless of staging order or duplication. *)
+(** Stage one dirtied row into the in-flight batch's change set, a
+    vector in staging order.  [before] is copied immediately (publish
+    overwrites it); [after] is read at {!publish} time.  {!publish}
+    canonicalizes the vector with one stable sort by (table, key) and
+    a merge of each key's adjacent stagings, so the first staging's
+    pre-image and the last one's post-image win however often a row is
+    staged. *)
 
 val stage_insert : t -> table:int -> key:int -> after:int array -> unit
 (** Stage a row inserted by the in-flight batch ([before = None]). *)
 
 val publish : t -> batch_no:int -> txns:int -> unit
 (** Seal the staged change set as the feed entry for [batch_no] and
-    deliver it: canonicalize, serialize into the feed digest, append to
+    deliver it: canonicalize (sort-merge; an event whose post-image
+    equals its pre-image is dropped), serialize into one reused buffer
+    that the feed digest is rolled over in place, append to
     the retention ring, enqueue to every active subscriber (activating
     late joiners first) and drain the subscribers whose apply period
     elapsed.  Must be called from a simulator thread at the engine's
@@ -105,6 +115,10 @@ val publish : t -> batch_no:int -> txns:int -> unit
 val finish : t -> unit
 (** End of run: drain every subscriber to the newest batch (no virtual
     time is charged — the run is over). *)
+
+val same_image : int array -> int array -> bool
+(** Int-array equality of two row images: the no-op test of
+    canonicalization, and {!Replica}'s consistency check. *)
 
 (* Feed accessors. *)
 

@@ -1,6 +1,7 @@
 (** Read-replica cache fed by the CDC stream.
 
-    Keeps a copy of every row image the feed delivered and serves reads
+    Keeps every row image the feed delivered, the event's own immutable
+    [after] array rather than a copy (see {!Cdc.event}), and serves reads
     at the subscription's cursor — a bounded-staleness replica: with
     [apply_every = k] the cache is never more than [k] batches behind
     the primary's commit point.  A catch-up snapshot re-seeds the whole
@@ -18,7 +19,8 @@ val consumer : t -> Cdc.consumer
 
 val read : t -> table:int -> key:int -> int array option
 (** The newest row image at the replica's cursor; [None] when the feed
-    has not mentioned the key (and no snapshot seeded it). *)
+    has not mentioned the key (and no snapshot seeded it).  The array
+    may be shared with the feed: read it, never write it. *)
 
 val cursor : t -> int
 (** Newest batch folded into the cache; -1 before any. *)

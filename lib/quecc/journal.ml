@@ -9,13 +9,17 @@ let k_set = 1
 let k_add = 2
 let k_insert = 3
 
+(* [Int.hash] is [Hashtbl.hash]: the generic table's buckets, without
+   its polymorphic equality. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   ops : int Vec.t;
   rows : Row.t Vec.t;
   (* Replay scratch, kept across batches.  A (row, field) pair is a
      [state] index: the row's base index (allocated on its first entry,
      one per field) plus the field. *)
-  bases : (int, int) Hashtbl.t array;  (* per table: key -> base *)
+  bases : int Itbl.t array;  (* per table: key -> base *)
   mutable nstates : int;
   mutable writer : int array;  (* per state: last writer or -1 *)
   mutable readers : int array;
@@ -34,7 +38,7 @@ let create ~tables =
   {
     ops = Vec.create ();
     rows = Vec.create ();
-    bases = Array.init tables (fun _ -> Hashtbl.create 64);
+    bases = Array.init tables (fun _ -> Itbl.create 64);
     nstates = 0;
     writer = [||];
     readers = [||];
@@ -77,7 +81,7 @@ let ensure a n =
 let state t table (row : Row.t) field =
   let h = t.bases.(table) in
   let base =
-    match Hashtbl.find_opt h row.Row.key with
+    match Itbl.find_opt h row.Row.key with
     | Some base -> base
     | None ->
         let base = t.nstates and n = Array.length row.Row.data in
@@ -88,7 +92,7 @@ let state t table (row : Row.t) field =
         Array.fill t.writer base n (-1);
         Array.fill t.readers base n (-1);
         Array.fill t.adders base n (-1);
-        Hashtbl.add h row.Row.key base;
+        Itbl.add h row.Row.key base;
         base
   in
   base + field
@@ -113,7 +117,7 @@ let edges_to_list t b i =
 
 let closure t n ~aborted =
   let len = Vec.length t.rows in
-  Array.iter Hashtbl.clear t.bases;
+  Array.iter Itbl.clear t.bases;
   t.nstates <- 0;
   t.older <- ensure t.older len;
   t.edges <- ensure t.edges n;

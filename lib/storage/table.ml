@@ -1,3 +1,8 @@
+(* The dynamic region is keyed by plain ints: [Int.hash] is
+   [Hashtbl.hash], so buckets and iteration order are the generic
+   table's, without its polymorphic equality. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   name : string;
   nfields : int;
@@ -5,8 +10,8 @@ type t = {
   rows : Row.t array;
   part_size : int;
   home_fn : (int -> int) option;
-  dyn : (int, Row.t) Hashtbl.t;
-  dyn_home : (int, int) Hashtbl.t;
+  dyn : Row.t Itbl.t;
+  dyn_home : int Itbl.t;
 }
 
 let create ?home_fn ~name ~nfields ~capacity ~nparts () =
@@ -22,8 +27,8 @@ let create ?home_fn ~name ~nfields ~capacity ~nparts () =
     rows;
     part_size;
     home_fn;
-    dyn = Hashtbl.create 64;
-    dyn_home = Hashtbl.create 64;
+    dyn = Itbl.create 64;
+    dyn_home = Itbl.create 64;
   }
 
 let name t = t.name
@@ -54,7 +59,7 @@ let dense t key =
 let find t key =
   probe t key ~insert:false;
   if key >= 0 && key < Array.length t.rows then Some t.rows.(key)
-  else Hashtbl.find_opt t.dyn key
+  else Itbl.find_opt t.dyn key
 
 let find_exn t key =
   match find t key with
@@ -62,7 +67,7 @@ let find_exn t key =
   | None -> raise Not_found
 
 let insert t ~home ~key payload =
-  if (key >= 0 && key < Array.length t.rows) || Hashtbl.mem t.dyn key then
+  if (key >= 0 && key < Array.length t.rows) || Itbl.mem t.dyn key then
     invalid_arg (Printf.sprintf "Table.insert %s: duplicate key %d" t.name key);
   if Array.length payload <> t.nfields then
     invalid_arg "Table.insert: payload arity mismatch";
@@ -70,8 +75,8 @@ let insert t ~home ~key payload =
   let row = Row.make ~key ~nfields:t.nfields in
   Array.blit payload 0 row.Row.data 0 t.nfields;
   Row.publish row;
-  Hashtbl.replace t.dyn key row;
-  Hashtbl.replace t.dyn_home key home;
+  Itbl.replace t.dyn key row;
+  Itbl.replace t.dyn_home key home;
   row
 
 let home_of_key t key =
@@ -81,25 +86,25 @@ let home_of_key t key =
       if key >= 0 && key < Array.length t.rows then
         min (key / t.part_size) (t.nparts - 1)
       else (
-        match Hashtbl.find_opt t.dyn_home key with
+        match Itbl.find_opt t.dyn_home key with
         | Some h -> h
         | None -> abs key mod t.nparts)
 
 let remove t key =
   if key >= 0 && key < Array.length t.rows then
     invalid_arg "Table.remove: dense keys cannot be removed";
-  Hashtbl.remove t.dyn key;
-  Hashtbl.remove t.dyn_home key
+  Itbl.remove t.dyn key;
+  Itbl.remove t.dyn_home key
 
-let inserted_count t = Hashtbl.length t.dyn
+let inserted_count t = Itbl.length t.dyn
 
 let sorted_dyn_keys t =
   (* lint: order-insensitive — bindings are collected then sorted *)
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.dyn [] in
+  let keys = Itbl.fold (fun k _ acc -> k :: acc) t.dyn [] in
   List.sort compare keys
 
 let iter_inserted f t =
-  List.iter (fun k -> f (Hashtbl.find t.dyn k)) (sorted_dyn_keys t)
+  List.iter (fun k -> f (Itbl.find t.dyn k)) (sorted_dyn_keys t)
 
 let clone t =
   let copy_row (r : Row.t) =
@@ -109,9 +114,9 @@ let clone t =
     r'.Row.dirty <- r.Row.dirty;
     r'
   in
-  let dyn = Hashtbl.create (max 64 (Hashtbl.length t.dyn)) in
+  let dyn = Itbl.create (max 64 (Itbl.length t.dyn)) in
   List.iter
-    (fun k -> Hashtbl.replace dyn k (copy_row (Hashtbl.find t.dyn k)))
+    (fun k -> Itbl.replace dyn k (copy_row (Itbl.find t.dyn k)))
     (sorted_dyn_keys t);
   {
     name = t.name;
@@ -121,7 +126,7 @@ let clone t =
     part_size = t.part_size;
     home_fn = t.home_fn;
     dyn;
-    dyn_home = Hashtbl.copy t.dyn_home;
+    dyn_home = Itbl.copy t.dyn_home;
   }
 
 let overwrite_from ~src dst =
@@ -138,20 +143,20 @@ let overwrite_from ~src dst =
   (* Dynamic region: drop rows absent in [src], then install fresh
      copies of every [src] row (insert-time state may differ). *)
   List.iter
-    (fun k -> if not (Hashtbl.mem src.dyn k) then Hashtbl.remove dst.dyn k)
+    (fun k -> if not (Itbl.mem src.dyn k) then Itbl.remove dst.dyn k)
     (sorted_dyn_keys dst);
   List.iter
     (fun k ->
-      let r = Hashtbl.find src.dyn k in
+      let r = Itbl.find src.dyn k in
       let r' = Row.make ~key:k ~nfields:dst.nfields in
       Array.blit r.Row.data 0 r'.Row.data 0 dst.nfields;
       Array.blit r.Row.committed 0 r'.Row.committed 0 dst.nfields;
       r'.Row.dirty <- r.Row.dirty;
-      Hashtbl.replace dst.dyn k r')
+      Itbl.replace dst.dyn k r')
     (sorted_dyn_keys src);
-  Hashtbl.reset dst.dyn_home;
+  Itbl.reset dst.dyn_home;
   List.iter
-    (fun k -> Hashtbl.replace dst.dyn_home k (Hashtbl.find src.dyn_home k))
+    (fun k -> Itbl.replace dst.dyn_home k (Itbl.find src.dyn_home k))
     (sorted_dyn_keys src)
 
 let iter_dense f t = Array.iter f t.rows

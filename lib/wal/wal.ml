@@ -22,6 +22,10 @@ let t_header = 1   (* payload: batch_no:8 *)
 let t_effect = 2   (* payload: table:4 home:4 key:8 nfields:4 fields:8xn *)
 let t_commit = 3   (* payload: batch_no:8 txns:8 *)
 
+(* [Int.hash] is [Hashtbl.hash]: the generic table's buckets, without
+   its polymorphic equality. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   sim : Sim.t;
   costs : Costs.t;
@@ -33,10 +37,15 @@ type t = {
      the live database with these put back. *)
   journal : (int * int * int * int array option) Vec.t;
       (* (table, home, key, pre-roll image) *)
-  journaled : (int, unit) Hashtbl.t array;  (* per table: keys journaled *)
+  journaled : unit Itbl.t array;  (* per table: keys journaled *)
   log : Buffer.t;  (* bytes on the modeled disk (since last truncation) *)
-  pending : (int * string) Queue.t;  (* (rec_no, record) awaiting flush *)
-  mutable pending_bytes : int;
+  (* The group buffer: the records awaiting flush, framed back to back
+     in [group.[0 .. group_len-1]]; reused across groups. *)
+  mutable group : Bytes.t;
+  mutable group_len : int;
+  mutable torn_cut : int;
+      (* the group's bytes up to the middle of the [torn_rec] record
+         when that record is in the group, else -1 *)
   mutable rec_no : int;  (* records ever appended, across truncations *)
   mutable wedged : bool;  (* a torn write killed the disk *)
   mutable snap_batch : int;
@@ -66,10 +75,11 @@ let create ?(disk = no_disk_faults) ~sim ~costs ~snapshot_every db =
     snapshot_every;
     db;
     journal = Vec.create ();
-    journaled = Array.init (Db.ntables db) (fun _ -> Hashtbl.create 64);
+    journaled = Array.init (Db.ntables db) (fun _ -> Itbl.create 64);
     log = Buffer.create 4096;
-    pending = Queue.create ();
-    pending_bytes = 0;
+    group = Bytes.create 4096;
+    group_len = 0;
+    torn_cut = -1;
     rec_no = 0;
     wedged = false;
     snap_batch = -1;
@@ -91,48 +101,62 @@ let durable_txns t = t.durable_txns
 let log_size t = Buffer.length t.log
 
 (* djb2 over the type byte + payload, masked to 32 bits. *)
-let crc s off len =
+let crc b off len =
   let h = ref 5381 in
   for i = off to off + len - 1 do
-    h := (((!h lsl 5) + !h) + Char.code (String.unsafe_get s i)) land 0xffff_ffff
+    h := (((!h lsl 5) + !h) + Char.code (Bytes.unsafe_get b i)) land 0xffff_ffff
   done;
   !h
 
-let scratch = Buffer.create 256
+(* A record is written straight into the group buffer: [open_record]
+   frames a [plen]-byte payload (length, type byte), the caller puts
+   the payload, and [close_record] appends the crc. *)
+let open_record t ty plen =
+  let start = t.group_len in
+  let need = start + 9 + plen in
+  if need > Bytes.length t.group then begin
+    let g = Bytes.create (max need (2 * Bytes.length t.group)) in
+    Bytes.blit t.group 0 g 0 start;
+    t.group <- g
+  end;
+  Bytes.set_int32_le t.group start (Int32.of_int plen);
+  Bytes.set t.group (start + 4) (Char.chr ty);
+  t.group_len <- start + 5;
+  start
 
-let append t ty payload =
-  Buffer.clear scratch;
-  Buffer.add_int32_le scratch (Int32.of_int (String.length payload));
-  Buffer.add_char scratch (Char.chr ty);
-  Buffer.add_string scratch payload;
-  let body = Buffer.contents scratch in
-  let c = crc body 4 (1 + String.length payload) in
-  Buffer.clear scratch;
-  Buffer.add_string scratch body;
-  Buffer.add_int32_le scratch (Int32.of_int c);
-  let rec_bytes = Buffer.contents scratch in
-  Queue.add (t.rec_no, rec_bytes) t.pending;
+let put32 t v =
+  Bytes.set_int32_le t.group t.group_len (Int32.of_int v);
+  t.group_len <- t.group_len + 4
+
+let put64 t v =
+  Bytes.set_int64_le t.group t.group_len (Int64.of_int v);
+  t.group_len <- t.group_len + 8
+
+let close_record t start =
+  put32 t (crc t.group (start + 4) (t.group_len - start - 4));
+  let len = t.group_len - start in
+  (match t.disk.torn_rec with
+  | Some k when k = t.rec_no -> t.torn_cut <- start + (len / 2)
+  | _ -> ());
   t.rec_no <- t.rec_no + 1;
-  t.pending_bytes <- t.pending_bytes + String.length rec_bytes;
-  t.bytes_appended <- t.bytes_appended + String.length rec_bytes
-
-let payload_buf = Buffer.create 256
+  t.bytes_appended <- t.bytes_appended + len
 
 let begin_batch t ~batch_no =
-  Buffer.clear payload_buf;
-  Buffer.add_int64_le payload_buf (Int64.of_int batch_no);
-  append t t_header (Buffer.contents payload_buf)
+  let r = open_record t t_header 8 in
+  put64 t batch_no;
+  close_record t r
 
 let log_effect t ~table ~home ~key payload =
-  Buffer.clear payload_buf;
-  Buffer.add_int32_le payload_buf (Int32.of_int table);
-  Buffer.add_int32_le payload_buf (Int32.of_int home);
-  Buffer.add_int64_le payload_buf (Int64.of_int key);
-  Buffer.add_int32_le payload_buf (Int32.of_int (Array.length payload));
-  Array.iter
-    (fun v -> Buffer.add_int64_le payload_buf (Int64.of_int v))
-    payload;
-  append t t_effect (Buffer.contents payload_buf)
+  let n = Array.length payload in
+  let r = open_record t t_effect (20 + (8 * n)) in
+  put32 t table;
+  put32 t home;
+  put64 t key;
+  put32 t n;
+  for i = 0 to n - 1 do
+    put64 t (Array.unsafe_get payload i)
+  done;
+  close_record t r
 
 (* Before publish overwrites [committed], the first staging since the
    roll journals it: the database was clean at the roll and only a
@@ -141,8 +165,8 @@ let log_effect t ~table ~home ~key payload =
 let log_row t ~table ~home (row : Row.t) =
   let key = row.Row.key in
   let seen = t.journaled.(table) in
-  if not (Hashtbl.mem seen key) then begin
-    Hashtbl.replace seen key ();
+  if not (Itbl.mem seen key) then begin
+    Itbl.replace seen key ();
     Vec.push t.journal
       ( table,
         home,
@@ -152,48 +176,46 @@ let log_row t ~table ~home (row : Row.t) =
   end;
   log_effect t ~table ~home ~key row.Row.data
 
-(* One modeled fsync of the whole pending group.  A failing fsync is
-   reported to the caller; a torn write is NOT — the record loses half
-   its bytes, the disk wedges, and only the recovery scan's checksums
-   find out.  Either way the group buffer is consumed. *)
+(* One modeled fsync of the whole group.  A failing fsync is reported
+   to the caller; a torn write is NOT — the record loses half its
+   bytes, the disk wedges, and only the recovery scan's checksums find
+   out.  Either way the group buffer is consumed. *)
 let flush t =
-  let bytes = t.pending_bytes in
+  let bytes = t.group_len in
   Sim.tick t.sim (t.costs.Costs.wal_fsync + bytes * t.costs.Costs.wal_byte / 1000);
   let fail =
     match t.disk.fsync_fail_at with
     | Some at -> Sim.now t.sim >= at
     | None -> false
   in
-  let fully_persisted = ref true in
-  if fail then begin
-    t.fsync_fails <- t.fsync_fails + 1;
-    fully_persisted := false;
-    Queue.clear t.pending
-  end
-  else begin
-    t.fsyncs <- t.fsyncs + 1;
-    Queue.iter
-      (fun (rno, rec_bytes) ->
-        if t.wedged then fully_persisted := false
-        else
-          match t.disk.torn_rec with
-          | Some k when rno = k ->
-              Buffer.add_substring t.log rec_bytes 0
-                (String.length rec_bytes / 2);
-              t.wedged <- true;
-              fully_persisted := false
-          | _ -> Buffer.add_string t.log rec_bytes)
-      t.pending;
-    Queue.clear t.pending
-  end;
-  t.pending_bytes <- 0;
-  (not fail, !fully_persisted)
+  let fully_persisted =
+    if fail then begin
+      t.fsync_fails <- t.fsync_fails + 1;
+      false
+    end
+    else begin
+      t.fsyncs <- t.fsyncs + 1;
+      if t.wedged then false
+      else if t.torn_cut >= 0 then begin
+        Buffer.add_subbytes t.log t.group 0 t.torn_cut;
+        t.wedged <- true;
+        false
+      end
+      else begin
+        Buffer.add_subbytes t.log t.group 0 bytes;
+        true
+      end
+    end
+  in
+  t.group_len <- 0;
+  t.torn_cut <- -1;
+  (not fail, fully_persisted)
 
 let commit_batch t ~batch_no ~txns =
-  Buffer.clear payload_buf;
-  Buffer.add_int64_le payload_buf (Int64.of_int batch_no);
-  Buffer.add_int64_le payload_buf (Int64.of_int txns);
-  append t t_commit (Buffer.contents payload_buf);
+  let r = open_record t t_commit 16 in
+  put64 t batch_no;
+  put64 t txns;
+  close_record t r;
   let reported_ok, durable = flush t in
   if reported_ok then t.group_txns <- t.group_txns + txns;
   if durable then begin
@@ -207,7 +229,7 @@ let commit_batch t ~batch_no ~txns =
     if (batch_no + 1) mod t.snapshot_every = 0 then begin
       Sim.tick t.sim t.costs.Costs.wal_fsync;
       Vec.clear t.journal;
-      Array.iter Hashtbl.clear t.journaled;
+      Array.iter Itbl.clear t.journaled;
       t.snap_batch <- batch_no;
       t.snap_txns <- t.durable_txns;
       Buffer.clear t.log;
@@ -254,7 +276,7 @@ let snapshot t =
   snap
 
 let recover t =
-  let bytes = Bytes.of_string (Buffer.contents t.log) in
+  let bytes = Buffer.to_bytes t.log in
   (* At-rest bit rot lands between the last flush and the scan. *)
   (match t.disk.corrupt_off with
   | Some off when off >= 0 && off < Bytes.length bytes ->
@@ -264,7 +286,6 @@ let recover t =
   let db = t.db in
   Db.overwrite_from ~src:(snapshot t) db;
   let len = Bytes.length bytes in
-  let s = Bytes.unsafe_to_string bytes in
   let pos = ref 0 in
   let cur_batch = ref min_int in
   let effects = ref [] in  (* current batch's effects, newest first *)
@@ -286,7 +307,7 @@ let recover t =
           Int32.to_int (Bytes.get_int32_le bytes (p + 5 + plen))
           land 0xffff_ffff
         in
-        if crc s (p + 4) (1 + plen) <> stored then invalid := true
+        if crc bytes (p + 4) (1 + plen) <> stored then invalid := true
         else begin
           let i64 off = Int64.to_int (Bytes.get_int64_le bytes off) in
           let i32 off = Int32.to_int (Bytes.get_int32_le bytes off) in

@@ -15,7 +15,9 @@
     (table/home/key/payload), batch commit marker (batch number +
     transaction count).  The crc covers the type byte and the payload,
     so a torn tail, a failed flush, or a flipped bit is {e detected} at
-    recovery rather than silently loaded.
+    recovery rather than silently loaded.  Each record is framed
+    straight into one reused in-memory group buffer, which the flush
+    appends to the modeled disk in one piece.
 
     Every [snapshot_every] durable batches the log rolls: the live
     database becomes the new snapshot and the log is truncated behind

@@ -6,9 +6,6 @@ type cfg = Tpcc_defs.cfg
 let default = Tpcc_defs.default
 let payment_mix = Tpcc_defs.payment_mix
 
-(* Registry so tests can recover the table handles from a workload. *)
-let registry : (string, Tpcc_load.handles) Hashtbl.t = Hashtbl.create 4
-
 let make (cfg : cfg) =
   assert (cfg.Tpcc_defs.warehouses > 0 && cfg.Tpcc_defs.nparts > 0);
   assert (
@@ -31,7 +28,6 @@ let make (cfg : cfg) =
   let name =
     Printf.sprintf "tpcc-w%d-%d" cfg.Tpcc_defs.warehouses cfg.Tpcc_defs.seed
   in
-  Hashtbl.replace registry name h;
   {
     Workload.name;
     db = h.Tpcc_load.db;
@@ -45,4 +41,4 @@ let make (cfg : cfg) =
         cfg.Tpcc_defs.mix_stock_level;
   }
 
-let handles (wl : Workload.t) = Hashtbl.find registry wl.Workload.name
+let handles (wl : Workload.t) = Tpcc_load.of_db wl.Workload.db

@@ -21,4 +21,5 @@ val make : cfg -> Quill_txn.Workload.t
 
 val handles : Quill_txn.Workload.t -> Tpcc_load.handles
 (** Table handles of a workload created by [make] (for tests and
-    invariant checks).  Raises [Not_found] for non-TPC-C workloads. *)
+    invariant checks), looked up in its database.  Raises
+    [Invalid_argument] for non-TPC-C workloads. *)

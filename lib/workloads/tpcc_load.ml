@@ -20,6 +20,25 @@ type handles = {
   ix_cust_by_name : int;  (* (dkey*1000 + last-name surrogate) -> ckeys *)
 }
 
+(* The handles of a database [build] created: its tables and index are
+   looked up by name, so a workload needs to keep nothing but its
+   database. *)
+let of_db db =
+  let t = Db.table_id db in
+  {
+    db;
+    t_warehouse = t "warehouse";
+    t_district = t "district";
+    t_customer = t "customer";
+    t_history = t "history";
+    t_new_order = t "new_order";
+    t_orders = t "orders";
+    t_order_line = t "order_line";
+    t_item = t "item";
+    t_stock = t "stock";
+    ix_cust_by_name = Db.index_id db "cust_by_name";
+  }
+
 let build (cfg : cfg) =
   let w = cfg.warehouses in
   let db = Db.create ~nparts:cfg.nparts in
@@ -30,53 +49,32 @@ let build (cfg : cfg) =
   let district_home dk = dk mod cfg.nparts in
   let order_home key = district_home (dkey_of_okey key) in
   let ol_home key = district_home (key lsr 28) in
-  let t_warehouse =
-    Db.add_table db ~name:"warehouse" ~nfields:W.nfields ~capacity:w
-      ~home_fn:(fun wk -> wk mod cfg.nparts)
-  in
-  let t_district =
-    Db.add_table db ~name:"district" ~nfields:D.nfields ~capacity:dcap
-      ~home_fn:district_home
-  in
-  let t_customer =
-    Db.add_table db ~name:"customer" ~nfields:C.nfields
-      ~capacity:(dcap * cfg.customers_per_district)
-  in
-  let t_history =
-    Db.add_table db ~name:"history" ~nfields:H.nfields ~capacity:0
-  in
-  let t_new_order =
-    Db.add_table db ~name:"new_order" ~nfields:NO.nfields ~capacity:0
-      ~home_fn:order_home
-  in
-  let t_orders =
-    Db.add_table db ~name:"orders" ~nfields:O.nfields ~capacity:0
-      ~home_fn:order_home
-  in
-  let t_order_line =
-    Db.add_table db ~name:"order_line" ~nfields:OL.nfields ~capacity:0
-      ~home_fn:ol_home
-  in
-  let t_item =
-    Db.add_table db ~name:"item" ~nfields:I.nfields ~capacity:cfg.items
-  in
-  let t_stock =
-    Db.add_table db ~name:"stock" ~nfields:S.nfields ~capacity:(w * 100_000)
-  in
-  let ix_cust_by_name = Db.add_index db ~name:"cust_by_name" in
-  {
-    db;
-    t_warehouse;
-    t_district;
-    t_customer;
-    t_history;
-    t_new_order;
-    t_orders;
-    t_order_line;
-    t_item;
-    t_stock;
-    ix_cust_by_name;
-  }
+  ignore
+    (Db.add_table db ~name:"warehouse" ~nfields:W.nfields ~capacity:w
+       ~home_fn:(fun wk -> wk mod cfg.nparts));
+  ignore
+    (Db.add_table db ~name:"district" ~nfields:D.nfields ~capacity:dcap
+       ~home_fn:district_home);
+  ignore
+    (Db.add_table db ~name:"customer" ~nfields:C.nfields
+       ~capacity:(dcap * cfg.customers_per_district));
+  ignore
+    (Db.add_table db ~name:"history" ~nfields:H.nfields ~capacity:0);
+  ignore
+    (Db.add_table db ~name:"new_order" ~nfields:NO.nfields ~capacity:0
+       ~home_fn:order_home);
+  ignore
+    (Db.add_table db ~name:"orders" ~nfields:O.nfields ~capacity:0
+       ~home_fn:order_home);
+  ignore
+    (Db.add_table db ~name:"order_line" ~nfields:OL.nfields ~capacity:0
+       ~home_fn:ol_home);
+  ignore
+    (Db.add_table db ~name:"item" ~nfields:I.nfields ~capacity:cfg.items);
+  ignore
+    (Db.add_table db ~name:"stock" ~nfields:S.nfields ~capacity:(w * 100_000));
+  ignore (Db.add_index db ~name:"cust_by_name");
+  of_db db
 
 let populate (cfg : cfg) h =
   let rng = Rng.create (cfg.seed * 31 + 5) in

@@ -20,6 +20,10 @@ type handles = {
       (** secondary index: [dkey * 1000 + last-name surrogate] -> ckeys *)
 }
 
+val of_db : Quill_storage.Db.t -> handles
+(** The handles of a database {!build} created, looked up by table and
+    index name.  Raises [Invalid_argument] when one is missing. *)
+
 val build : Tpcc_defs.cfg -> handles
 (** Create all nine tables and the customer-by-last-name index, empty. *)
 

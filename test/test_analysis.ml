@@ -70,6 +70,39 @@ let test_lint_d3_waivers () =
            let y = 1\n\
            let () = Hashtbl.iter f h")
     = [ "W1"; "D3" ]);
+  (* A table built by the functor iterates in the same unspecified
+     order, so its [iter]/[fold] are hits too when the file binds it. *)
+  Tutil.check_bool "Hashtbl.Make module iter flagged" true
+    (rules (lint "module H = Hashtbl.Make (Int)\nlet () = H.iter f h")
+    = [ "D3" ]);
+  Tutil.check_bool "Hashtbl.MakeSeeded module fold flagged" true
+    (rules
+       (lint "module H = Stdlib.Hashtbl.MakeSeeded (S)\nlet x = H.fold f h []")
+    = [ "D3" ]);
+  Tutil.check_bool "constrained functor module flagged" true
+    (rules
+       (lint
+          "module H : Hashtbl.S with type key = int = Hashtbl.Make (Int)\n\
+           let () = H.iter f h")
+    = [ "D3" ]);
+  Tutil.check_bool "nested functor module flagged" true
+    (rules
+       (lint
+          "module M = struct module H = Hashtbl.Make (Int) end\n\
+           let () = M.H.iter f h")
+    = [ "D3" ]);
+  Tutil.check_bool "functor module waiver suppresses" true
+    (lint
+       "module H = Hashtbl.Make (Int)\n\
+        (* lint: order-insensitive -- commutative sum *)\n\
+        let x = H.fold f h 0"
+    = []);
+  Tutil.check_bool "functor module lookups clean" true
+    (lint "module H = Hashtbl.Make (Int)\nlet () = H.replace h 1 (H.find h 0)"
+    = []);
+  Tutil.check_bool "iter of other modules clean" true
+    (lint "module H = Map.Make (Int)\nlet () = H.iter f m; Vec.iter g v"
+    = []);
   (* prose that merely mentions the syntax is not a waiver *)
   Tutil.check_bool "mention in prose ignored" true
     (lint "(* see the lint: rules in DESIGN.md *)\nlet x = 1" = [])

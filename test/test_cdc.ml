@@ -249,6 +249,127 @@ let test_serial_feed_deterministic () =
   Tutil.check_int "group-commit boundaries" b1 b2;
   Tutil.check_int "1024 txns / 256 = 4 groups" 4 b1
 
+(* Canonicalization, driven through [stage]/[stage_insert] directly: a
+   key staged twice keeps its first pre-image and its last post-image,
+   value-equal updates (also one changed and changed back) are dropped,
+   an insert has no pre-image, events come out sorted by (table, key),
+   and the feed is exactly the documented wire shape.  Post-images are
+   read at publish time and then never again: mutating a source array
+   afterwards changes neither the delivered event nor the replica that
+   keeps it. *)
+let test_canonicalization () =
+  let db = Db.create ~nparts:2 in
+  ignore (Db.add_table db ~name:"a" ~nfields:2 ~capacity:8);
+  ignore (Db.add_table db ~name:"b" ~nfields:2 ~capacity:8);
+  let sim = Sim.create () in
+  let cdc = Cdc.create ~record_feed:true ~sim ~costs:Costs.default db in
+  let rep = Replica.create db in
+  ignore (Cdc.subscribe cdc ~name:"replica" (Replica.consumer rep));
+  let delivered = ref [] in
+  ignore
+    (Cdc.subscribe cdc ~name:"capture"
+       {
+         Cdc.on_batch = (fun b -> delivered := b :: !delivered);
+         on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
+         on_caught_up = (fun ~batch_no:_ -> ());
+       });
+  let a1 = [| 1; 0 |] and a100 = [| 4; 4 |] in
+  let rep_a1 = ref None in
+  Sim.spawn sim (fun () ->
+      let pre13 = [| 1; 2 |] in
+      Cdc.stage cdc ~table:1 ~key:3 ~before:pre13 ~after:[| 3; 4 |];
+      pre13.(0) <- 99 (* copied at stage time *);
+      Cdc.stage cdc ~table:0 ~key:5 ~before:[| 7; 7 |] ~after:[| 7; 7 |];
+      Cdc.stage_insert cdc ~table:0 ~key:100 ~after:a100;
+      Cdc.stage cdc ~table:1 ~key:3 ~before:[| 9; 9 |] ~after:[| 5; 6 |];
+      Cdc.stage cdc ~table:0 ~key:1 ~before:[| 0; 0 |] ~after:a1;
+      Cdc.stage cdc ~table:1 ~key:0 ~before:[| 5; 5 |] ~after:[| 6; 5 |];
+      Cdc.stage cdc ~table:1 ~key:0 ~before:[| 6; 5 |] ~after:[| 5; 5 |];
+      a1.(1) <- 8 (* read at publish time *);
+      Cdc.publish cdc ~batch_no:0 ~txns:3;
+      a1.(0) <- 2;
+      a100.(0) <- 0;
+      rep_a1 := Replica.read rep ~table:0 ~key:1;
+      Cdc.stage cdc ~table:0 ~key:1 ~before:[| 1; 8 |] ~after:a1;
+      Cdc.publish cdc ~batch_no:1 ~txns:1);
+  ignore (Sim.run sim);
+  Cdc.finish cdc;
+  let evs (b : Cdc.batch) =
+    Array.to_list
+      (Array.map
+         (fun (e : Cdc.event) ->
+           (e.Cdc.table, e.Cdc.key, e.Cdc.before, e.Cdc.after))
+         b.Cdc.events)
+  in
+  let ev_t =
+    Alcotest.(
+      list
+        (pair (pair int int) (pair (option (array int)) (array int))))
+  in
+  let norm = List.map (fun (t, k, b, a) -> ((t, k), (b, a))) in
+  (match List.rev !delivered with
+  | [ b0; b1 ] ->
+      Alcotest.check ev_t "batch 0 events"
+        [
+          ((0, 1), (Some [| 0; 0 |], [| 1; 8 |]));
+          ((0, 100), (None, [| 4; 4 |]));
+          ((1, 3), (Some [| 1; 2 |], [| 5; 6 |]));
+        ]
+        (norm (evs b0));
+      Alcotest.check ev_t "batch 1 events"
+        [ ((0, 1), (Some [| 1; 8 |], [| 2; 8 |])) ]
+        (norm (evs b1));
+      Tutil.check_int "batch 0 txns" 3 b0.Cdc.txns
+  | l -> Alcotest.failf "%d batches delivered, expected 2" (List.length l));
+  Alcotest.(check (option (array int)))
+    "replica kept the delivered image, not the mutated source"
+    (Some [| 1; 8 |]) !rep_a1;
+  Alcotest.(check (option (array int)))
+    "insert image unchanged by the source" (Some [| 4; 4 |])
+    (Replica.read rep ~table:0 ~key:100);
+  Alcotest.(check (option (array int)))
+    "replica at batch 1" (Some [| 2; 8 |])
+    (Replica.read rep ~table:0 ~key:1);
+  (* batch := batch_no:8 txns:8 nevents:4 event*;
+     event := table:4 key:8 kind:1 [pre] post; payload := n:4 fields:8xn *)
+  let buf = Buffer.create 256 in
+  let i32 v = Buffer.add_int32_le buf (Int32.of_int v) in
+  let i64 v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let payload a =
+    i32 (Array.length a);
+    Array.iter i64 a
+  in
+  let event table key pre post =
+    i32 table;
+    i64 key;
+    (match pre with
+    | Some p ->
+        Buffer.add_char buf '\000';
+        payload p
+    | None -> Buffer.add_char buf '\001');
+    payload post
+  in
+  i64 0;
+  i64 3;
+  i32 3;
+  event 0 1 (Some [| 0; 0 |]) [| 1; 8 |];
+  event 0 100 None [| 4; 4 |];
+  event 1 3 (Some [| 1; 2 |]) [| 5; 6 |];
+  i64 1;
+  i64 1;
+  i32 1;
+  event 0 1 (Some [| 1; 8 |]) [| 2; 8 |];
+  let expect = Buffer.contents buf in
+  Alcotest.(check string) "feed bytes" expect (Cdc.feed cdc);
+  Tutil.check_int "feed_bytes" (String.length expect) (Cdc.feed_bytes cdc);
+  Tutil.check_int "events" 4 (Cdc.events cdc);
+  let djb2 =
+    String.fold_left
+      (fun h c -> ((h lsl 5) + h + Char.code c) land 0xffff_ffff)
+      5381 expect
+  in
+  Tutil.check_int "digest is djb2 of the feed" djb2 (Cdc.digest cdc)
+
 (* -------------------------- consumers -------------------------- *)
 
 let test_view_equals_recompute () =
@@ -486,6 +607,8 @@ let () =
             test_tpcc_feed_covers_every_change;
           Alcotest.test_case "serial group-commit feed" `Quick
             test_serial_feed_deterministic;
+          Alcotest.test_case "canonicalization + wire shape" `Quick
+            test_canonicalization;
           qc qcheck_feed_identity;
         ] );
       ( "consumers",

@@ -742,6 +742,68 @@ let test_golden_tpcc () =
       ("checksum", 1076902745064484743);
     ]
 
+(* Durable TPC-C: NewOrder inserts orders, order lines and new-order
+   rows under composite dynamic keys, and a speculative logic abort
+   removes an insert that re-execution puts back under the same key, so
+   the WAL's journal (rolled every two batches), the CDC feed's insert
+   events and the storage's dynamic-key tables are all pinned here: the
+   committed checksum, the feed digest, bytes and event count, the log
+   bytes and the durable batch count, for lockstep QueCC and for the
+   serial engine, which seals its batches through the same commit
+   point. *)
+let test_golden_tpcc_durable () =
+  let module E = Quill_harness.Experiment in
+  List.iter
+    (fun (name, engine, expect) ->
+      let e =
+        E.make ~threads:8 ~txns:2048 ~batch_size:256 ~wal:true ~cdc:true
+          ~snapshot_every:2 engine (E.Tpcc (Tutil.small_tpcc ()))
+      in
+      let db = ref None and cdc = ref [] in
+      let m =
+        E.run
+          ~on_workload:(fun wl -> db := Some wl.Workload.db)
+          ~on_cdc:(fun h ->
+            cdc :=
+              [
+                ("digest", Quill_cdc.Cdc.digest h);
+                ("feed_bytes", Quill_cdc.Cdc.feed_bytes h);
+                ("events", Quill_cdc.Cdc.events h);
+              ])
+          e
+      in
+      let checksum = match !db with Some d -> Db.checksum d | None -> 0 in
+      Alcotest.(check (list (pair string int)))
+        name expect
+        ([ ("checksum", checksum) ]
+        @ !cdc
+        @ [
+            ("wal_bytes", m.Metrics.wal_bytes);
+            ("durable_batches", m.Metrics.durable_batches);
+          ]))
+    [
+      ( "lockstep quecc tpcc + wal + cdc",
+        E.Quecc (Engine.Speculative, Engine.Serializable),
+        [
+          ("checksum", 4242084225238047927);
+          ("digest", 800612228);
+          ("feed_bytes", 1584453);
+          ("events", 22445);
+          ("wal_bytes", 1454670);
+          ("durable_batches", 8);
+        ] );
+      ( "serial tpcc + wal + cdc",
+        E.Serial,
+        [
+          ("checksum", 3584766106519053112);
+          ("digest", 186671238);
+          ("feed_bytes", 1726349);
+          ("events", 23941);
+          ("wal_bytes", 1544708);
+          ("durable_batches", 8);
+        ] );
+    ]
+
 (* Read-committed TPC-C: RC reads are spread over every executor, and
    OrderStatus/StockLevel read orders a NewOrder of the same batch may
    insert on another executor, so whether the probe finds the row (and
@@ -1006,6 +1068,8 @@ let () =
             test_golden_schedules;
           Alcotest.test_case "golden speculative tpcc" `Quick
             test_golden_tpcc;
+          Alcotest.test_case "golden durable tpcc" `Quick
+            test_golden_tpcc_durable;
           Alcotest.test_case "golden read-committed tpcc" `Quick
             test_golden_tpcc_rc;
           Alcotest.test_case "split + steal cascades == serial" `Quick

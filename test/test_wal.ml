@@ -310,6 +310,37 @@ let test_torn_tail_truncated () =
      Wal.record w m;
      m.Metrics.torn_records = 1 && m.Metrics.wal_truncations = 1)
 
+(* Tear each of [toy_wal]'s 44 records in turn (per batch: header, 20
+   effects, commit marker).  Recovery must keep exactly the batches
+   whose commit marker precedes the torn record, and cut the log at the
+   torn record's first byte: a header is 17 bytes, an effect 61 and a
+   commit marker 25, so the cut also checks where every record starts
+   inside the flushed group. *)
+let test_torn_write_sweep () =
+  let per_batch = 22 and batch_bytes = 17 + (20 * 61) + 25 in
+  let offset k =
+    let i = k mod per_batch in
+    (k / per_batch * batch_bytes)
+    + if i = 0 then 0 else 17 + (61 * min (i - 1) 20)
+  in
+  for k = 0 to (2 * per_batch) - 1 do
+    let w, db =
+      toy_wal ~disk:{ Wal.no_disk_faults with Wal.torn_rec = Some k }
+        ~snapshot_every:8 ()
+    in
+    let kept = if k < per_batch then 0 else 1 in
+    let name what = Printf.sprintf "torn record %d: %s" k what in
+    Tutil.check_int (name "durable batch") (kept - 1) (Wal.durable_batch w);
+    Tutil.check_int (name "durable txns") (20 * kept) (Wal.durable_txns w);
+    Tutil.check_int (name "image") (if kept = 0 then 0 else 5)
+      (committed0 db 5);
+    Tutil.check_int (name "log cut at the torn record") (offset k)
+      (Wal.log_size w);
+    let m = Metrics.create () in
+    Wal.record w m;
+    Tutil.check_int (name "torn records") 1 m.Metrics.torn_records
+  done
+
 let test_corrupt_byte_truncates () =
   (* flip a bit inside batch 1's region: the crc check fails there and
      recovery keeps exactly the valid prefix *)
@@ -532,6 +563,8 @@ let () =
             test_clean_log_replays_fully;
           Alcotest.test_case "torn tail truncated" `Quick
             test_torn_tail_truncated;
+          Alcotest.test_case "torn write at every record" `Quick
+            test_torn_write_sweep;
           Alcotest.test_case "corrupt byte truncated" `Quick
             test_corrupt_byte_truncates;
           Alcotest.test_case "fsync failure degrades" `Quick
