@@ -23,11 +23,11 @@ let op_credit = 2
 let build_db ~nparts =
   let db = Db.create ~nparts in
   let _ = Db.add_table db ~name:"account" ~nfields:1 ~capacity:accounts in
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(0) <- initial_balance;
-      Row.publish row)
-    (Db.table_by_name db "account");
+  let tbl = Db.table_by_name db "account" in
+  for key = 0 to accounts - 1 do
+    Table.set tbl key 0 initial_balance;
+    Table.publish tbl key
+  done;
   db
 
 let gen_transfer table rng tid =
@@ -77,10 +77,11 @@ let make_workload ~nparts ~seed =
   }
 
 let total_balance db =
+  let tbl = Db.table_by_name db "account" in
   let acc = ref 0 in
-  Table.iter_dense
-    (fun row -> acc := !acc + row.Row.committed.(0))
-    (Db.table_by_name db "account");
+  for key = 0 to accounts - 1 do
+    acc := !acc + Table.committed tbl key 0
+  done;
   !acc
 
 let () =
@@ -106,9 +107,10 @@ let () =
         total;
       (* No account may end negative: the overdraft check guarantees it
          under serializable execution. *)
+      let tbl = Db.table_by_name wl.Workload.db "account" in
       let negatives = ref 0 in
-      Table.iter_dense
-        (fun row -> if row.Row.committed.(0) < 0 then incr negatives)
-        (Db.table_by_name wl.Workload.db "account");
+      for key = 0 to accounts - 1 do
+        if Table.committed tbl key 0 < 0 then incr negatives
+      done;
       Printf.printf "  overdrawn accounts: %d\n" !negatives)
     [ ("speculative", Engine.Speculative); ("conservative", Engine.Conservative) ]

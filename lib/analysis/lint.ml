@@ -30,7 +30,6 @@ let waiver_rules =
     ("wall-clock-ok", "D2");
     ("order-insensitive", "D3");
     ("engine-name-ok", "D4");
-    ("phys-eq-ok", "D5");
   ]
 
 (* Per-rule file allowlists (path suffix match): the one sanctioned home
@@ -44,8 +43,6 @@ let default_allow =
     ("D2", "lib/trace/trace.ml");
     (* the engine registry is the single place engine names live *)
     ("D4", "lib/harness/engine_registry.ml");
-    (* row-identity checks on the storage's own row type *)
-    ("D5", "lib/protocols/pcommon.ml");
   ]
 
 let suffix_matches file suf =

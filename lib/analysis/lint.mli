@@ -13,8 +13,9 @@
       state.
     - {b D4} no engine-name string literals outside
       [lib/harness/engine_registry.ml] — the PR 5 registry invariant.
-    - {b D5} no [Obj.magic] / physical equality [(==)] on mutable
-      storage outside [lib/protocols/pcommon.ml].
+    - {b D5} no [Obj.magic] / physical equality [(==)], anywhere and
+      unwaivable: rows are named by (table, slot), so no code compares
+      storage by identity.
     - {b D6} library [.ml] under [lib/] must have an [.mli].
     - {b W1} stale or unknown waiver; {b W2} waiver without a
       justification; {b E0} file failed to parse.
@@ -22,7 +23,7 @@
     A finding is waived by [(* lint: <keyword> -- justification *)] on
     the offending line or the line directly above.  Keywords:
     [raw-random-ok] (D1), [wall-clock-ok] (D2), [order-insensitive]
-    (D3), [engine-name-ok] (D4), [phys-eq-ok] (D5). *)
+    (D3), [engine-name-ok] (D4). *)
 
 type finding = {
   f_file : string;

@@ -1,6 +1,7 @@
 module Sim = Quill_sim.Sim
 module Costs = Quill_sim.Costs
 module Db = Quill_storage.Db
+module Table = Quill_storage.Table
 module Metrics = Quill_txn.Metrics
 module Vec = Quill_common.Vec
 
@@ -24,15 +25,17 @@ type consumer = {
 }
 
 (* A staged row: its pre-image, copied at stage time because the
-   engine's publish overwrites [committed] before the feed entry is
-   sealed ([None] for an insert), and its post-image, a reference read
-   at publish time — for every engine the staged [data] array IS the
-   final post-image by the commit point. *)
+   engine's publish overwrites the committed image before the feed entry
+   is sealed ([None] for an insert), and its post-image, read at publish
+   time: [s_after], or the live image of slot [s_slot] of the hub's
+   database when [s_slot >= 0] — for every engine a staged row's live
+   image IS the final post-image by the commit point. *)
 type staged = {
   s_table : int;
   s_key : int;
   s_before : int array option;
   s_after : int array;
+  s_slot : int;
 }
 
 type sub = {
@@ -61,6 +64,8 @@ type t = {
   out : event Vec.t;  (* publish scratch: the canonical events *)
   entry : Buffer.t;  (* publish scratch: the serialized feed entry *)
   ring : batch Queue.t;
+      (* every published batch, while [retaining]; empty after *)
+  mutable retaining : bool;
   feed_buf : Buffer.t option;  (* full serialized feed, tests only *)
   mutable batches : int;
   mutable last_batch : int;
@@ -81,6 +86,7 @@ let create ?(retain = 64) ?(record_feed = false) ~sim ~costs db =
     out = Vec.create ();
     entry = Buffer.create 4096;
     ring = Queue.create ();
+    retaining = true;
     feed_buf = (if record_feed then Some (Buffer.create 4096) else None);
     batches = 0;
     last_batch = -1;
@@ -127,11 +133,22 @@ let subscribe t ~name ?(max_queue = 256) ?(apply_every = 1) ?(join_at = 0)
 let stage t ~table ~key ~before ~after =
   Vec.push t.staging
     { s_table = table; s_key = key; s_before = Some (Array.copy before);
-      s_after = after }
+      s_after = after; s_slot = -1 }
 
 let stage_insert t ~table ~key ~after =
   Vec.push t.staging
-    { s_table = table; s_key = key; s_before = None; s_after = after }
+    { s_table = table; s_key = key; s_before = None; s_after = after;
+      s_slot = -1 }
+
+let stage_row t ~table slot =
+  let tbl = Db.table t.db table in
+  let s_before =
+    if Table.inserter tbl slot >= 0 then None
+    else Some (Table.committed_image tbl slot)
+  in
+  Vec.push t.staging
+    { s_table = table; s_key = Table.key_of_slot tbl slot; s_before;
+      s_after = [||]; s_slot = slot }
 
 (* ------------------------------------------------------------------ *)
 (* Feed serialization                                                  *)
@@ -276,13 +293,20 @@ let canonical t =
     while !j < n && by_row first staged.(!j) = 0 do
       incr j
     done;
-    let after = staged.(!j - 1).s_after in
+    let last = staged.(!j - 1) in
+    (* The post-image, copied once: a staged slot's live image is
+       already a copy. *)
+    let after =
+      if last.s_slot >= 0 then
+        Table.live_image (Db.table t.db last.s_table) last.s_slot
+      else last.s_after
+    in
     (match first.s_before with
     | Some pre when same_image pre after -> ()
     | before ->
+        let after = if last.s_slot >= 0 then after else Array.copy after in
         Vec.push t.out
-          { table = first.s_table; key = first.s_key; before;
-            after = Array.copy after });
+          { table = first.s_table; key = first.s_key; before; after });
     i := !j
   done;
   let events = Vec.to_array t.out in
@@ -299,8 +323,20 @@ let publish t ~batch_no ~txns =
   t.events <- t.events + Array.length events;
   t.batches <- t.batches + 1;
   t.last_batch <- batch_no;
-  Queue.add b t.ring;
-  if Queue.length t.ring > t.retain then ignore (Queue.pop t.ring);
+  (* Keep the batch for late joiners only while one is still inactive
+     and the ring still holds every published batch: once either fails,
+     the ring can never serve a replay again, so it is emptied and no
+     longer filled. *)
+  if t.retaining then begin
+    if
+      Queue.length t.ring < t.retain
+      && List.exists (fun s -> not s.s_active) t.subs_rev
+    then Queue.add b t.ring
+    else begin
+      Queue.clear t.ring;
+      t.retaining <- false
+    end
+  end;
   Sim.tick t.sim
     (t.costs.Costs.cdc_publish
     + (Array.length events * t.costs.Costs.cdc_event));

@@ -64,7 +64,13 @@ val create :
   Quill_storage.Db.t ->
   t
 (** A hub over one run's commit stream.  [retain] bounds the ring of
-    recent batches kept for late-joiner replay (default 64);
+    batches kept for late-joiner replay (default 64).  The ring holds
+    every published batch, and is filled only while some subscriber is
+    still inactive (its [join_at] not yet reached) and no more than
+    [retain] batches have been published; after the first publish at
+    which either fails it is emptied for good.  So a run whose
+    subscribers all join at batch 0 keeps no ring, and a subscriber
+    registered after that point catches up by snapshot;
     [record_feed] additionally retains the full serialized feed for
     byte-level comparison in tests (default false).  The [Db.t] is the
     live database the engine commits into; snapshot catch-up scans its
@@ -84,8 +90,9 @@ val subscribe :
     the drain period in published batches — the subscriber's staleness
     bound.  [join_at] (default 0) delays activation until that batch is
     published: a late joiner catches up by ring replay when the ring
-    still covers every published batch, by snapshot otherwise.  Must be
-    called before the run publishes batch [join_at]. *)
+    still holds every published batch (see {!create}), by snapshot
+    otherwise.  Must be called before the run publishes batch
+    [join_at]. *)
 
 val stage :
   t -> table:int -> key:int -> before:int array -> after:int array -> unit
@@ -99,6 +106,12 @@ val stage :
 
 val stage_insert : t -> table:int -> key:int -> after:int array -> unit
 (** Stage a row inserted by the in-flight batch ([before = None]). *)
+
+val stage_row : t -> table:int -> int -> unit
+(** [stage_row t ~table slot]: stage a row of the hub's database by
+    slot — an insert when its [inserter] mark is set, an update from its
+    committed image otherwise.  Like {!stage}, the pre-image is copied
+    now and the post-image (the live image) is read at {!publish}. *)
 
 val publish : t -> batch_no:int -> txns:int -> unit
 (** Seal the staged change set as the feed entry for [batch_no] and

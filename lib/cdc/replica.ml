@@ -1,6 +1,5 @@
 module Db = Quill_storage.Db
 module Table = Quill_storage.Table
-module Row = Quill_storage.Row
 
 (* [Int.hash] is [Hashtbl.hash]: the generic table's buckets, without
    its polymorphic equality. *)
@@ -35,12 +34,11 @@ let consumer t =
     Array.iteri
       (fun tid cache ->
         Itbl.reset cache;
-        let copy (row : Row.t) =
-          Itbl.replace cache row.Row.key (Array.copy row.Row.committed)
-        in
         let tbl = Db.table db tid in
-        Table.iter_dense copy tbl;
-        Table.iter_inserted copy tbl)
+        Table.iter_rows
+          (fun key slot ->
+            Itbl.replace cache key (Table.committed_image tbl slot))
+          tbl)
       t.cache;
     t.cursor <- batch_no
   in
@@ -63,9 +61,9 @@ let consistent_with t db =
       (* lint: order-insensitive — conjunction over all cached rows *)
       Itbl.iter
         (fun key img ->
-          match Table.find tbl key with
-          | Some row when Cdc.same_image row.Row.committed img -> ()
-          | _ -> ok := false)
+          let slot = Table.find tbl key in
+          if slot < 0 || not (Cdc.same_image (Table.committed_image tbl slot) img)
+          then ok := false)
         cache)
     t.cache;
   !ok

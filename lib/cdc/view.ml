@@ -1,6 +1,5 @@
 module Db = Quill_storage.Db
 module Table = Quill_storage.Table
-module Row = Quill_storage.Row
 module Metrics = Quill_txn.Metrics
 
 type t = {
@@ -15,13 +14,12 @@ type t = {
 let recompute_into t sums =
   Hashtbl.reset sums;
   let tbl = Db.table t.db t.table in
-  let add (row : Row.t) =
-    let home = Table.home_of_key tbl row.Row.key in
-    let cur = Option.value (Hashtbl.find_opt sums home) ~default:0 in
-    Hashtbl.replace sums home (cur + row.Row.committed.(t.field))
-  in
-  Table.iter_dense add tbl;
-  Table.iter_inserted add tbl
+  Table.iter_rows
+    (fun key slot ->
+      let home = Table.home_of_key tbl key in
+      let cur = Option.value (Hashtbl.find_opt sums home) ~default:0 in
+      Hashtbl.replace sums home (cur + Table.committed tbl slot t.field))
+    tbl
 
 let create ?(verify = true) ~table ~field db =
   let t =

@@ -1,4 +1,3 @@
-open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
@@ -11,8 +10,7 @@ type t = {
   wal : Wal.t option;
   cdc : Cdc.t option;
   crash_at : int option;
-  tables : int Vec.t array;  (* per slot: each touched row's table ... *)
-  rows : Row.t Vec.t array;  (* ... and the row, in touch order *)
+  touched : Touched.t array;
   mutable crashed : bool;
   mutable batch_no : int;  (* the staged batch, sealed next *)
   mutable txns : int;
@@ -36,23 +34,18 @@ let create ?wal ?cdc ?crash_at ~slots sim db =
     wal;
     cdc;
     crash_at;
-    tables = Array.init slots (fun _ -> Vec.create ());
-    rows = Array.init slots (fun _ -> Vec.create ());
+    touched = Array.init slots (fun _ -> Touched.create ());
     crashed = false;
     batch_no = 0;
     txns = 0;
   }
 
-let touch t slot ~table (row : Row.t) =
-  if not row.Row.dirty then begin
-    row.Row.dirty <- true;
-    Vec.push t.tables.(slot) table;
-    Vec.push t.rows.(slot) row
-  end
+let touch t ts ~table slot = Touched.add t.db t.touched.(ts) ~table slot
 
-let touch_insert t slot ~table (row : Row.t) ~by =
-  row.Row.inserter <- by;
-  touch t slot ~table row
+let touch_insert t ts ~table slot ~by =
+  Table.set_inserter (Db.table t.db table) slot by;
+  touch t ts ~table slot
+
 
 let crash_due t =
   match t.crash_at with
@@ -64,50 +57,33 @@ let crash_due t =
 let crashed t = t.crashed
 
 (* Every status is settled but publish has not yet overwritten the
-   [committed] pre-images, so a touched row's [data] is exactly the image
-   publish will install: logging it now equals logging [committed]
-   later, the WAL can still journal the pre-image, and the CDC entry
-   gets (pre-batch committed, post-batch data).
-   The key is re-resolved because recovery may have removed the row or
-   re-inserted it under the same key. *)
+   committed pre-images, so a touched row's live image is exactly the
+   image publish will install: logging it now equals logging the
+   committed image later, the WAL can still journal the pre-image, and
+   the CDC entry gets (pre-batch committed, post-batch live).
+   The slot's key is re-resolved because recovery may have removed the
+   row or re-inserted the key at a fresh slot. *)
 let stage t ~batch_no ~txns =
   t.batch_no <- batch_no;
   t.txns <- txns;
   if t.wal <> None || t.cdc <> None then begin
     Option.iter (fun w -> Wal.begin_batch w ~batch_no) t.wal;
-    Array.iteri
-      (fun slot tables ->
-        Vec.iteri
-          (fun i table ->
-            let tbl = Db.table t.db table in
-            match Table.find tbl (Vec.get t.rows.(slot) i).Row.key with
-            | None -> ()
-            | Some r ->
-                let key = r.Row.key in
-                Option.iter
-                  (fun w ->
-                    Wal.log_row w ~table ~home:(Table.home_of_key tbl key) r)
-                  t.wal;
-                Option.iter
-                  (fun c ->
-                    if r.Row.inserter >= 0 then
-                      Cdc.stage_insert c ~table ~key ~after:r.Row.data
-                    else
-                      Cdc.stage c ~table ~key ~before:r.Row.committed
-                        ~after:r.Row.data)
-                  t.cdc)
-          tables)
-      t.tables
+    Array.iter
+      (Touched.iter (fun table touched ->
+          let tbl = Db.table t.db table in
+          let key = Table.key_of_slot tbl touched in
+          let slot = Table.find tbl key in
+          if slot >= 0 then begin
+            Option.iter
+              (fun w ->
+                Wal.log_row w ~table ~home:(Table.home_of_key tbl key) slot)
+              t.wal;
+            Option.iter (fun c -> Cdc.stage_row c ~table slot) t.cdc
+          end))
+      t.touched
   end
 
-let publish t slot =
-  Vec.iter
-    (fun row ->
-      Row.publish row;
-      row.Row.inserter <- -1)
-    t.rows.(slot);
-  Vec.clear t.tables.(slot);
-  Vec.clear t.rows.(slot)
+let publish t ts = Touched.publish t.db t.touched.(ts)
 
 (* Sealing runs after the publish barrier: a WAL snapshot roll then
    takes fully published state as its base, and subscriber catch-up sees exactly

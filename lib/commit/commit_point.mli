@@ -11,13 +11,14 @@
     + {!stage} — after every status is settled, before publish: one
       pass over the touched rows feeds both the WAL group buffer and the
       CDC staging area;
-    + {!publish} each slot — install [data] as [committed];
+    + {!publish} each touched set — install each live image as the
+      committed one;
     + {!seal} — flush the WAL group with one fsync and seal the feed
       entry; or, when {!crash_due} fired, drop the in-flight batch,
       recover from the log and reconcile the committed count.
 
-    An insert is a row whose [inserter] mark is set: {!touch_insert}
-    sets it, {!publish} clears it. *)
+    Rows are (table, slot) pairs.  An insert is a row whose [inserter]
+    mark is set: {!touch_insert} sets it, {!publish} clears it. *)
 
 type t
 
@@ -35,14 +36,13 @@ val create :
     crash-truncated run would feed subscribers retracted commits) or
     given without [wal] (nothing durable to recover from). *)
 
-val touch : t -> int -> table:int -> Quill_storage.Row.t -> unit
-(** [touch t slot ~table row]: add [row] to [slot]'s touched set unless
-    its dirty flag says it is already in one.  A touched set is two
-    parallel vectors, the table ids and the rows, so a touch allocates
-    nothing once they have grown to a batch's size. *)
+val touch : t -> int -> table:int -> int -> unit
+(** [touch t ts ~table slot]: add the row to touched set [ts] unless its
+    dirty flag says it is already in one.  A touched set is one int
+    vector of (table, slot) pairs, so a touch allocates nothing once it
+    has grown to a batch's size. *)
 
-val touch_insert :
-  t -> int -> table:int -> Quill_storage.Row.t -> by:int -> unit
+val touch_insert : t -> int -> table:int -> int -> by:int -> unit
 (** Mark a freshly inserted row as inserted by the batch's transaction
     [by], then {!touch} it. *)
 
@@ -56,14 +56,15 @@ val crashed : t -> bool
 val stage : t -> batch_no:int -> txns:int -> unit
 (** Stage the batch that committed [txns] transactions: a WAL batch
     header, then per touched row whose key still resolves (a rolled-back
-    insert does not) one WAL effect with its [data] (journaling the
-    row's pre-batch image, see {!Quill_wal.Wal.log_row}) and one CDC
-    staging (an insert, or an update from [committed] to [data]).  Probes
-    nothing when neither sink is attached. *)
+    insert does not) one WAL effect with the live image of the row the
+    key resolves to (journaling the row's pre-batch image, see
+    {!Quill_wal.Wal.log_row}) and one CDC staging (an insert, or an
+    update from the committed to the live image).  Probes nothing when
+    neither sink is attached. *)
 
 val publish : t -> int -> unit
-(** Publish and clear one slot's touched set, clearing each row's
-    [inserter] mark.  Every row a batch inserts or writes is in a
+(** Publish and clear one touched set, clearing each row's [inserter]
+    mark.  Every row a batch inserts or writes is in a
     touched set, so after the last slot is published no row carries
     state from the batch. *)
 

@@ -4,7 +4,10 @@
     experiment is reproducible from a single seed.  The generator is
     SplitMix64 (Steele et al., OOPSLA 2014): tiny state, good statistical
     quality, and splittable, which lets us hand independent streams to
-    planners, workers and workload generators without coordination. *)
+    planners, workers and workload generators without coordination.
+
+    [int], [int_incl], [float], [bool] and [chance] allocate nothing:
+    the state is kept unboxed. *)
 
 type t
 

@@ -34,7 +34,7 @@ type nstate = {
   work : sub Dlock.ticket option Sim.Chan.ch;
   mutable expected : int;   (* -1 until the scheduler finished the epoch *)
   mutable completed : int;
-  touched : Row.t Vec.t;
+  touched : Touched.t;
   subs : sub Vec.t;
       (* this epoch's local sub-txns in sequencer-log order: Calvin's
          redo log for crash recovery *)
@@ -269,7 +269,7 @@ let run ?sim ?(faults = Faults.none) ?clients cfg wl ~batches =
               work;
               expected = -1;
               completed = 0;
-              touched = Vec.create ();
+              touched = Touched.create ();
               subs = Vec.create ();
               crash_next = ref 0;
             });

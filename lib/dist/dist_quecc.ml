@@ -166,7 +166,7 @@ let executor_thread sh node e =
   let egid = (node * sh.cfg.executors) + e in
   (* Normal execution and crash replay share the partition's touched
      rows; only the replay context is quiet on the network. *)
-  let touched = Vec.create () in
+  let touched = Touched.create () in
   let executor replay =
     let st, ctx = Dist_rt.executor ~replay d ~node touched in
     match sh.recorder with

@@ -1,4 +1,3 @@
-open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
@@ -172,7 +171,7 @@ let abort t ~self rt =
 type exec = {
   node : int;
   cur : Direct.cursor;
-  touched : Row.t Vec.t;
+  touched : Touched.t;
   mutable rt : rt option;
   mutable frag : Fragment.t option;
   replay : bool;
@@ -182,19 +181,18 @@ let make_ctx t st =
   let costs = t.costs in
   let cur = st.cur in
   let the_rt () = match st.rt with Some rt -> rt | None -> assert false in
-  let read (_ : Fragment.t) field =
+  let read (frag : Fragment.t) field =
     Sim.tick t.sim costs.Costs.row_read;
-    if cur.found then cur.row.Row.data.(field) else 0
+    if cur.found then
+      Table.get (Db.table t.db frag.Fragment.table) cur.slot field
+    else 0
   in
-  let write _frag field v =
+  let write (frag : Fragment.t) field v =
     Sim.tick t.sim costs.Costs.row_write;
     if cur.found then begin
-      let row = cur.row in
-      if not row.Row.dirty then begin
-        row.Row.dirty <- true;
-        Vec.push st.touched row
-      end;
-      row.Row.data.(field) <- v
+      let table = frag.Fragment.table in
+      Touched.add t.db st.touched ~table cur.slot;
+      Table.set (Db.table t.db table) cur.slot field v
     end
   in
   let add frag field d = write frag field (read frag field + d) in
@@ -203,7 +201,7 @@ let make_ctx t st =
     let tbl = Db.table t.db frag.Fragment.table in
     (* Inserts publish immediately and survive a crash; replaying one
        verbatim would raise on the duplicate key. *)
-    if not (st.replay && Table.find tbl key <> None) then begin
+    if not (st.replay && Table.find tbl key >= 0) then begin
       let home = Db.home t.db frag.Fragment.table frag.Fragment.key in
       ignore (Table.insert tbl ~home ~key payload)
     end
@@ -275,8 +273,7 @@ let consume_crashes t ~node next ~touched ~replay =
     let c = plan.(!next) in
     incr next;
     Sim.in_phase t.sim Sim.Ph_recover (Sim.current_tid t.sim) (fun () ->
-        Vec.iter Row.revert touched;
-        Vec.clear touched;
+        Touched.revert t.db touched;
         let restart = c.Faults.at + c.Faults.down in
         if restart > Sim.now t.sim then
           Sim.sleep t.sim (restart - Sim.now t.sim);
@@ -341,8 +338,7 @@ let report_done t ~node = Net.send t.net ~src:node ~dst:0 ~bytes:8 Done
 let publish t ~node b touched =
   let stop = await_commit t ~node b in
   Sim.set_phase t.sim Sim.Ph_publish;
-  Vec.iter Row.publish touched;
-  Vec.clear touched;
+  Touched.publish t.db touched;
   Sim.set_phase t.sim Sim.Ph_other;
   stop
 

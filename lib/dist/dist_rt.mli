@@ -6,7 +6,6 @@
     replay.  Each engine supplies its planning, its own message payload,
     its executor and what a crash replays (DESIGN.md §8, §10). *)
 
-open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
@@ -93,7 +92,7 @@ type exec
 (** One executing thread's state. *)
 
 val executor :
-  ?replay:bool -> 'p t -> node:int -> Row.t Vec.t -> exec * Exec.ctx
+  ?replay:bool -> 'p t -> node:int -> Touched.t -> exec * Exec.ctx
 (** An executing thread's state and the context over it, dirtying rows
     into the given touched set (rows written since the last publish).
     A [replay] executor re-runs work completed before a crash: it sends
@@ -113,7 +112,7 @@ val consume_crashes :
   'p t ->
   node:int ->
   int ref ->
-  touched:Row.t Vec.t ->
+  touched:Touched.t ->
   replay:(unit -> unit) ->
   unit
 (** For each of [node]'s planned crashes from the cursor on whose time
@@ -140,7 +139,7 @@ val await_work : 'p t -> ('k, 'v Sim.Ivar.iv) Hashtbl.t -> 'k -> 'v
 
 val report_done : 'p t -> node:int -> unit
 
-val publish : 'p t -> node:int -> int -> Row.t Vec.t -> bool
+val publish : 'p t -> node:int -> int -> Touched.t -> bool
 (** Wait for batch [b]'s commit, publish and clear [touched]; returns
     the stop decision. *)
 

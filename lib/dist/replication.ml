@@ -26,7 +26,6 @@
    from the workload's deterministic streams and resumes the protocol
    with the remaining backups. *)
 
-open Quill_common
 open Quill_sim
 open Quill_storage
 open Quill_txn
@@ -52,7 +51,7 @@ type rmsg =
 type trec = {
   t_txn : Txn.t;
   mutable t_ok : bool;
-  mutable t_undo : (Row.t * int array) list;
+  mutable t_undo : (int * int * int array) list;
   mutable t_inserts : (int * int) list;
 }
 
@@ -61,10 +60,11 @@ type brec = {
   b_slices : Txn.t array option array;
   mutable b_have : int;
   mutable b_trecs : trec array;          (* [||] until spec-executed *)
-  mutable b_publish : (Row.t * int array) list;
-      (* end-of-batch snapshots of every row the batch wrote; publishing
-         blits these (not the current live data, which later speculative
-         batches may have overwritten) into the committed versions *)
+  mutable b_publish : (int * int * int array) list;
+      (* (table, slot, end-of-batch live image) of every row the batch
+         wrote; publishing blits these (not the current live images,
+         which later speculative batches may have overwritten) into the
+         committed images *)
   mutable b_specced : bool;
   mutable b_published : bool;
 }
@@ -78,7 +78,7 @@ type backup = {
   mutable k_spec : int;                  (* last spec-executed batch *)
   mutable k_required : int;  (* slices per batch: p_global, 1 after failover *)
   mutable k_leader : int;
-  k_written : Row.t Vec.t;               (* current batch's written rows *)
+  k_written : Touched.t;                 (* current batch's written rows *)
 }
 
 type t = {
@@ -144,7 +144,7 @@ let create ~sim ~costs ~wl ~replicas ~spec_lag ~slices ~total_batches
             k_spec = -1;
             k_required = slices;
             k_leader = 0;
-            k_written = Vec.create ();
+            k_written = Touched.create ();
           });
     acks = Hashtbl.create 64;
     ack_counts = Hashtbl.create 64;
@@ -253,11 +253,7 @@ let heartbeat t =
    (commit marker) and erasable (failover) after the fact. *)
 let backup_runner t bk =
   Direct.create ~db:bk.k_db ~charge:Direct.Per_txn
-    ~touch:(fun ~table:_ row ->
-      if not row.Row.dirty then begin
-        row.Row.dirty <- true;
-        Vec.push bk.k_written row
-      end)
+    ~touch:(fun ~table slot -> Touched.add bk.k_db bk.k_written ~table slot)
     t.sim t.costs t.wl
 
 let undo_trec db tr =
@@ -287,16 +283,17 @@ let spec_batch t bk st b =
   Sim.set_phase t.sim Sim.Ph_execute;
   let r = bk.k_recs.(b) in
   let txns = batch_txns bk b in
-  Vec.clear bk.k_written;
+  Touched.clear bk.k_written;
   r.b_trecs <- Array.map (spec_txn t st) txns;
-  (* Snapshot each written row's end-of-batch live value: that — not
-     whatever later speculative batches leave in [data] — is what the
+  (* Snapshot each written row's end-of-batch live image: that — not
+     whatever later speculative batches leave in it — is what the
      commit marker publishes. *)
   let pub = ref [] in
-  Vec.iter
-    (fun row ->
-      row.Row.dirty <- false;
-      pub := (row, Array.copy row.Row.data) :: !pub)
+  Touched.iter
+    (fun table slot ->
+      let tbl = Db.table bk.k_db table in
+      Table.set_dirty tbl slot false;
+      pub := (table, slot, Table.live_image tbl slot) :: !pub)
     bk.k_written;
   r.b_publish <- !pub;
   r.b_specced <- true;
@@ -325,9 +322,9 @@ let publish_to t bk f =
     assert (r.b_specced && not r.b_published);
     Sim.set_phase t.sim Sim.Ph_publish;
     List.iter
-      (fun (row, snap) ->
+      (fun (table, slot, snap) ->
         Sim.tick t.sim t.costs.Costs.row_write;
-        Array.blit snap 0 row.Row.committed 0 (Array.length snap))
+        Table.set_committed (Db.table bk.k_db table) slot snap)
       r.b_publish;
     r.b_published <- true;
     Sim.set_phase t.sim Sim.Ph_other

@@ -3,20 +3,21 @@
    FOEDUS; see DESIGN.md for the substitution argument) — as an {!Occ}
    policy whose timestamp is the attempt's number.
 
-   The row's live payload is always the newest version ([Row.data] with
-   interval [wts, rts]); older snapshots are kept on [Row.versions]
-   (newest first) so that readers with older timestamps never block or
-   abort.  Writers abort when they would invalidate a read that already
-   happened ([rts] in the future) or write below an installed version. *)
+   The row's live image is always the newest version (with interval
+   [wts, rts]); older snapshots are kept on the table's per-slot version
+   chain (newest first) so that readers with older timestamps never
+   block or abort.  Writers abort when they would invalidate a read that
+   already happened ([rts] in the future) or write below an installed
+   version. *)
 
 open Quill_storage
 
 let max_versions = 8
 
-let read_version ts row field =
-  if ts >= row.Row.wts then begin
-    if ts > row.Row.rts then row.Row.rts <- ts;
-    Some row.Row.data.(field)
+let read_version ts tbl slot field =
+  if ts >= Table.cc tbl Table.Wts slot then begin
+    if ts > Table.cc tbl Table.Rts slot then Table.set_cc tbl Table.Rts slot ts;
+    Some (Table.get tbl slot field)
   end
   else begin
     let rec go = function
@@ -28,12 +29,13 @@ let read_version ts row field =
           end
           else go rest
     in
-    go row.Row.versions
+    go (Table.versions tbl slot)
   end
 
 (* Writing at or above every installed version and performed read keeps
    timestamp order. *)
-let in_order (a : Occ.attempt) row = row.Row.wts <= a.ts && row.Row.rts <= a.ts
+let in_order (a : Occ.attempt) tbl slot =
+  Table.cc tbl Table.Wts slot <= a.ts && Table.cc tbl Table.Rts slot <= a.ts
 
 include Occ.Make (struct
   (* lint: engine-name-ok — protocol display name consumed by the registry *)
@@ -41,13 +43,21 @@ include Occ.Make (struct
 
   type rentry = unit
 
+  let use tbl =
+    Table.use_cc tbl Table.Wts;
+    Table.use_cc tbl Table.Rts;
+    Table.use_versions tbl
+
   let entry = None
 
-  let read (a : Occ.attempt) row field =
+  let read (a : Occ.attempt) tbl slot field =
     (* A latched row is mid-install: reading now could miss the version
        being written after its validation already passed (lost update).
        Abort and retry instead. *)
-    let v = if row.Row.lock <> 0 then None else read_version a.ts row field in
+    let v =
+      if Table.cc tbl Table.Lock slot <> 0 then None
+      else read_version a.ts tbl slot field
+    in
     match v with
     | Some v -> v
     | None ->
@@ -59,26 +69,28 @@ include Occ.Make (struct
   let admit_write = in_order
 
   let validate ~tick a ~reads:_ ~writes =
-    let valid row =
+    let valid (r : Pcommon.row) =
       tick ();
-      in_order a row
+      in_order a r.tbl r.slot
     in
     if List.for_all valid writes then Some a.Occ.ts else None
 
   (* Snapshot the current newest version before it is overwritten. *)
-  let pre_install row =
+  let pre_install (r : Pcommon.row) =
     let snap =
-      { Row.v_data = Array.copy row.Row.data; v_wts = row.Row.wts;
-        v_rts = row.Row.rts }
+      { Row.v_data = Table.live_image r.tbl r.slot;
+        v_wts = Table.cc r.tbl Table.Wts r.slot;
+        v_rts = Table.cc r.tbl Table.Rts r.slot }
     in
+    let versions = Table.versions r.tbl r.slot in
     let keep =
-      if List.length row.Row.versions >= max_versions - 1 then
-        List.filteri (fun i _ -> i < max_versions - 1) row.Row.versions
-      else row.Row.versions
+      if List.length versions >= max_versions - 1 then
+        List.filteri (fun i _ -> i < max_versions - 1) versions
+      else versions
     in
-    row.Row.versions <- snap :: keep
+    Table.set_versions r.tbl r.slot (snap :: keep)
 
-  let stamp row ts =
-    row.Row.wts <- ts;
-    row.Row.rts <- ts
+  let stamp tbl slot ts =
+    Table.set_cc tbl Table.Wts slot ts;
+    Table.set_cc tbl Table.Rts slot ts
 end)

@@ -16,48 +16,53 @@ module type POLICY = sig
 
   type rentry
 
-  val entry : (Row.t -> rentry) option
-  val read : attempt -> Row.t -> int -> int
-  val admit_write : attempt -> Row.t -> bool
+  val use : Table.t -> unit
+  val entry : (Table.t -> int -> rentry) option
+  val read : attempt -> Table.t -> int -> int -> int
+  val admit_write : attempt -> Table.t -> int -> bool
 
   val validate :
     tick:(unit -> unit) ->
     attempt ->
-    reads:(Row.t * rentry) list ->
-    writes:Row.t list ->
+    reads:(Pcommon.row * rentry) list ->
+    writes:Pcommon.row list ->
     int option
 
-  val pre_install : Row.t -> unit
-  val stamp : Row.t -> int -> unit
+  val pre_install : Pcommon.row -> unit
+  val stamp : Table.t -> int -> int -> unit
 end
-
-(* A buffered write: the row's table (the latch order's first key) and
-   the attempt's copy of its payload. *)
-type wentry = { wtable : int; wcopy : int array }
 
 module Make (P : POLICY) = struct
   let name = P.name
 
   type t = { sim : Sim.t; costs : Costs.t; db : Db.t; mutable attempts : int }
 
-  let create sim costs db = { sim; costs; db; attempts = 0 }
+  let create sim costs db =
+    for table = 0 to Db.ntables db - 1 do
+      let tbl = Db.table db table in
+      Table.use_cc tbl Table.Lock;
+      P.use tbl
+    done;
+    { sim; costs; db; attempts = 0 }
+
+  (* The write set in latch order: by table, then key. *)
+  let by_table_key ((a : Pcommon.row), _) ((b : Pcommon.row), _) =
+    let c = Int.compare a.table b.table in
+    if c <> 0 then c
+    else
+      Int.compare (Table.key_of_slot a.tbl a.slot)
+        (Table.key_of_slot b.tbl b.slot)
 
   let commit st a ~rset ~wset ~inserts =
-    let writes =
-      List.sort
-        (fun (r1, w1) (r2, w2) ->
-          let c = compare w1.wtable w2.wtable in
-          if c <> 0 then c else compare r1.Row.key r2.Row.key)
-        (Pcommon.Rowmap.elements wset)
-    in
+    let writes = List.sort by_table_key (Pcommon.Rowmap.elements wset) in
     let cas () = Sim.tick st.sim st.costs.Costs.cas in
     let latched = ref [] in
-    let latch (row, _) =
+    let latch ((r : Pcommon.row), _) =
       cas ();
-      if row.Row.lock <> 0 then false
+      if Table.cc r.tbl Table.Lock r.slot <> 0 then false
       else begin
-        row.Row.lock <- -1;
-        latched := row :: !latched;
+        Table.set_cc r.tbl Table.Lock r.slot (-1);
+        latched := r :: !latched;
         true
       end
     in
@@ -71,23 +76,24 @@ module Make (P : POLICY) = struct
     Option.iter
       (fun stamp ->
         List.iter
-          (fun (row, w) ->
+          (fun ((r : Pcommon.row), copy) ->
             Sim.tick st.sim st.costs.Costs.row_write;
-            P.pre_install row;
-            Array.blit w.wcopy 0 row.Row.data 0 (Array.length w.wcopy);
-            P.stamp row stamp;
-            Row.publish row)
+            P.pre_install r;
+            Table.restore r.tbl r.slot copy;
+            P.stamp r.tbl r.slot stamp;
+            Table.publish r.tbl r.slot)
           writes;
         List.iter
           (fun (table, key, payload, home) ->
             Sim.tick st.sim st.costs.Costs.index_insert;
-            P.stamp (Table.insert (Db.table st.db table) ~home ~key payload) stamp)
+            let tbl = Db.table st.db table in
+            P.stamp tbl (Table.insert tbl ~home ~key payload) stamp)
           (List.rev inserts))
       stamp;
     List.iter
-      (fun row ->
+      (fun (r : Pcommon.row) ->
         cas ();
-        row.Row.lock <- 0)
+        Table.set_cc r.tbl Table.Lock r.slot 0)
       !latched;
     if stamp = None then Exec.Blocked else Exec.Ok
 
@@ -95,45 +101,47 @@ module Make (P : POLICY) = struct
     st.attempts <- st.attempts + 1;
     let a = { ts = st.attempts; doomed = false } in
     let rset : P.rentry Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
-    let wset : wentry Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
+    (* the write buffer: the attempt's copy of each written row *)
+    let wset : int array Pcommon.Rowmap.t = Pcommon.Rowmap.create () in
     let inserts = ref [] in
     let frags = txn.Txn.frags in
     let slots = Array.make (Array.length frags) 0 in
     let cur = Direct.cursor () in
-    let note row =
+    let note ~table tbl slot =
       match P.entry with
-      | Some entry when Pcommon.Rowmap.find rset row = None ->
-          Pcommon.Rowmap.add rset row (entry row)
+      | Some entry when Pcommon.Rowmap.find rset ~table slot = None ->
+          Pcommon.Rowmap.add rset { Pcommon.table; slot; tbl } (entry tbl slot)
       | _ -> ()
     in
-    let read (_ : Fragment.t) field =
+    let read (frag : Fragment.t) field =
       Sim.tick st.sim st.costs.Costs.row_read;
       if not cur.found then 0
       else
-        match Pcommon.Rowmap.find wset cur.row with
-        | Some w -> w.wcopy.(field)
+        let table = frag.Fragment.table and slot = cur.slot in
+        match Pcommon.Rowmap.find wset ~table slot with
+        | Some copy -> copy.(field)
         | None ->
-            note cur.row;
-            P.read a cur.row field
+            let tbl = Db.table st.db table in
+            note ~table tbl slot;
+            P.read a tbl slot field
     in
     let write (frag : Fragment.t) field v =
       Sim.tick st.sim st.costs.Costs.row_write;
       if cur.found then begin
-        let row = cur.row in
-        if not (P.admit_write a row) then a.doomed <- true
+        let table = frag.Fragment.table and slot = cur.slot in
+        let tbl = Db.table st.db table in
+        if not (P.admit_write a tbl slot) then a.doomed <- true
         else
-          let w =
-            match Pcommon.Rowmap.find wset row with
-            | Some w -> w
+          let copy =
+            match Pcommon.Rowmap.find wset ~table slot with
+            | Some copy -> copy
             | None ->
-                note row;
-                let w =
-                  { wtable = frag.Fragment.table; wcopy = Array.copy row.Row.data }
-                in
-                Pcommon.Rowmap.add wset row w;
-                w
+                note ~table tbl slot;
+                let copy = Table.live_image tbl slot in
+                Pcommon.Rowmap.add wset { Pcommon.table; slot; tbl } copy;
+                copy
           in
-          w.wcopy.(field) <- v
+          copy.(field) <- v
       end
     in
     let add frag field d = write frag field (read frag field + d) in

@@ -27,35 +27,42 @@ module type POLICY = sig
 
   type rentry
 
-  val entry : (Quill_storage.Row.t -> rentry) option
-  (** What a read records about the row's version, once per row, on
-      its first read or before its first buffered write; [None] keeps
-      no read set. *)
+  val use : Quill_storage.Table.t -> unit
+  (** Allocate the policy's CC words on a table ({!Quill_storage.Table.use_cc});
+      called on every table when the engine is created, after the
+      latch word [Lock] that every policy uses. *)
 
-  val read : attempt -> Quill_storage.Row.t -> int -> int
-  (** A read of a row outside the write set, after [entry]. *)
+  val entry : (Quill_storage.Table.t -> int -> rentry) option
+  (** What a read records about the version of the row at a slot of a
+      table, once per row, on its first read or before its first
+      buffered write; [None] keeps no read set. *)
 
-  val admit_write : attempt -> Quill_storage.Row.t -> bool
+  val read : attempt -> Quill_storage.Table.t -> int -> int -> int
+  (** [read a tbl slot field]: a read of a row outside the write set,
+      after [entry]. *)
+
+  val admit_write : attempt -> Quill_storage.Table.t -> int -> bool
   (** Checked before every write to a found row; [false] dooms the
       attempt and drops the write. *)
 
   val validate :
     tick:(unit -> unit) ->
     attempt ->
-    reads:(Quill_storage.Row.t * rentry) list ->
-    writes:Quill_storage.Row.t list ->
+    reads:(Pcommon.row * rentry) list ->
+    writes:Pcommon.row list ->
     int option
   (** Runs with the write set latched.  [reads] is the read set, newest
       first; [writes] the write set in latch order; [tick] charges one
       [validate_access].  [Some stamp] commits under [stamp]; [None]
       refuses. *)
 
-  val pre_install : Quill_storage.Row.t -> unit
+  val pre_install : Pcommon.row -> unit
   (** Called on each written row just before its payload is
       overwritten. *)
 
-  val stamp : Quill_storage.Row.t -> int -> unit
-  (** Stamp an installed or inserted row with the commit stamp. *)
+  val stamp : Quill_storage.Table.t -> int -> int -> unit
+  (** [stamp tbl slot ts]: stamp an installed or inserted row with the
+      commit stamp [ts]. *)
 end
 
 module Make (P : POLICY) : Nd_driver.CC

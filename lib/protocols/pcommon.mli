@@ -1,19 +1,32 @@
 (** Shared helpers for the protocol implementations. *)
 
-(** Small association maps keyed by physical row identity; access sets
-    are tens of entries, so linear scans beat hashing. *)
+type row = { table : int; slot : int; tbl : Quill_storage.Table.t }
+(** A row of an access set: table id and slot, with the table itself
+    for its CC words.  Two rows are the same row when their table ids
+    and slots are equal. *)
+
+val row : Quill_storage.Db.t -> table:int -> int -> row
+
+val mem : row -> row list -> bool
+(** Whether the row is in the list. *)
+
+(** Small association maps keyed by row; access sets are tens of
+    entries, so linear scans beat hashing. *)
 module Rowmap : sig
   type 'a t
 
   val create : unit -> 'a t
-  val find : 'a t -> Quill_storage.Row.t -> 'a option
-  val add : 'a t -> Quill_storage.Row.t -> 'a -> unit
 
-  val replace : 'a t -> Quill_storage.Row.t -> 'a -> unit
+  val find : 'a t -> table:int -> int -> 'a option
+  (** [find m ~table slot]. *)
+
+  val add : 'a t -> row -> 'a -> unit
+
+  val replace : 'a t -> row -> 'a -> unit
   (** Replaces the existing binding (adds when absent). *)
 
-  val iter_rev : (Quill_storage.Row.t -> 'a -> unit) -> 'a t -> unit
-  val elements : 'a t -> (Quill_storage.Row.t * 'a) list
+  val iter_rev : (row -> 'a -> unit) -> 'a t -> unit
+  val elements : 'a t -> (row * 'a) list
 end
 
 val run_locked : Quill_txn.Direct.t -> Quill_txn.Txn.t -> Quill_txn.Exec.outcome

@@ -11,20 +11,23 @@ include Occ.Make (struct
 
   type rentry = int
 
-  let entry = Some (fun row -> row.Row.tid)
-  let read _ row field = row.Row.data.(field)
-  let admit_write _ _ = true
+  let use tbl = Table.use_cc tbl Table.Tid
+  let tid (r : Pcommon.row) = Table.cc r.tbl Table.Tid r.slot
+  let entry = Some (fun tbl slot -> Table.cc tbl Table.Tid slot)
+  let read _ = Table.get
+  let admit_write _ _ _ = true
 
   let validate ~tick _ ~reads ~writes =
-    let valid (row, seen) =
+    let valid ((r : Pcommon.row), seen) =
       tick ();
-      row.Row.tid = seen && (row.Row.lock = 0 || List.memq row writes)
+      tid r = seen
+      && (Table.cc r.tbl Table.Lock r.slot = 0 || Pcommon.mem r writes)
     in
     if not (List.for_all valid reads) then None
     else
       let seen = List.fold_left (fun acc (_, tid) -> max acc tid) 0 reads in
-      Some (1 + List.fold_left (fun acc row -> max acc row.Row.tid) seen writes)
+      Some (1 + List.fold_left (fun acc r -> max acc (tid r)) seen writes)
 
   let pre_install _ = ()
-  let stamp row tid = row.Row.tid <- tid
+  let stamp tbl slot tid = Table.set_cc tbl Table.Tid slot tid
 end)

@@ -13,21 +13,32 @@ include Occ.Make (struct
 
   type rentry = { r_wts : int; r_rts : int }
 
-  let entry = Some (fun row -> { r_wts = row.Row.wts; r_rts = row.Row.rts })
-  let read _ row field = row.Row.data.(field)
-  let admit_write _ _ = true
+  let use tbl =
+    Table.use_cc tbl Table.Wts;
+    Table.use_cc tbl Table.Rts
+
+  let wts (r : Pcommon.row) = Table.cc r.tbl Table.Wts r.slot
+  let rts (r : Pcommon.row) = Table.cc r.tbl Table.Rts r.slot
+  let entry =
+    Some
+      (fun tbl slot ->
+        { r_wts = Table.cc tbl Table.Wts slot; r_rts = Table.cc tbl Table.Rts slot })
+
+  let read _ = Table.get
+  let admit_write _ _ _ = true
 
   let validate ~tick _ ~reads ~writes =
-    let ts = List.fold_left (fun acc row -> max acc (row.Row.rts + 1)) 0 writes in
+    let ts = List.fold_left (fun acc r -> max acc (rts r + 1)) 0 writes in
     let ts = List.fold_left (fun acc (_, re) -> max acc re.r_wts) ts reads in
     (* Validate each read at [ts], extending its interval when needed. *)
-    let valid (row, re) =
+    let valid ((r : Pcommon.row), re) =
       tick ();
       if re.r_rts >= ts then true
-      else if row.Row.wts <> re.r_wts then false
-      else if row.Row.lock = -1 && not (List.memq row writes) then false
+      else if wts r <> re.r_wts then false
+      else if Table.cc r.tbl Table.Lock r.slot = -1 && not (Pcommon.mem r writes)
+      then false
       else begin
-        row.Row.rts <- max row.Row.rts ts;
+        Table.set_cc r.tbl Table.Rts r.slot (max (rts r) ts);
         true
       end
     in
@@ -35,7 +46,7 @@ include Occ.Make (struct
 
   let pre_install _ = ()
 
-  let stamp row ts =
-    row.Row.wts <- ts;
-    row.Row.rts <- ts
+  let stamp tbl slot ts =
+    Table.set_cc tbl Table.Wts slot ts;
+    Table.set_cc tbl Table.Rts slot ts
 end)

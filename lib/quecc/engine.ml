@@ -239,7 +239,7 @@ type exec_state = {
   eid : int;
   mutable cur_rt : rt;
   cur : Direct.cursor;
-  locate : Fragment.t -> Row.t option;  (* [Direct.find] on the database *)
+  locate : Fragment.t -> int;  (* [Direct.find] on the database *)
 }
 
 let dummy_rt = make_rt (Txn.make ~tid:(-1) [||]) (-1)
@@ -258,14 +258,14 @@ let make_exec_ctx sh st =
     Sim.tick_local sh.sim costs.Costs.row_read;
     if not cur.found then 0
     else begin
-      let row = cur.row in
+      let table = frag.Fragment.table and slot = cur.slot in
+      let tbl = Db.table sh.db table in
       match (sh.cfg.isolation, frag.Fragment.mode) with
-      | Read_committed, Fragment.Read -> row.Row.committed.(field)
+      | Read_committed, Fragment.Read -> Table.committed tbl slot field
       | _ ->
           if speculative then
-            Journal.read j ~bidx:st.cur_rt.bidx ~table:frag.Fragment.table row
-              field;
-          row.Row.data.(field)
+            Journal.read j ~bidx:st.cur_rt.bidx ~table slot field;
+          Table.get tbl slot field
     end
   in
   (* A set ([is_add] false, [x] the value) or a commutative add ([x] the
@@ -273,16 +273,16 @@ let make_exec_ctx sh st =
   let update (frag : Fragment.t) field ~is_add x =
     Sim.tick_local sh.sim costs.Costs.row_write;
     if cur.found then begin
-      let row = cur.row in
-      let table = frag.Fragment.table in
-      let old = row.Row.data.(field) in
+      let table = frag.Fragment.table and slot = cur.slot in
+      let tbl = Db.table sh.db table in
+      let old = Table.get tbl slot field in
       if speculative then begin
         let bidx = st.cur_rt.bidx in
-        if is_add then Journal.add j ~bidx ~table row field ~delta:x
-        else Journal.set j ~bidx ~table row field ~old
+        if is_add then Journal.add j ~bidx ~table slot field ~delta:x
+        else Journal.set j ~bidx ~table slot field ~old
       end;
-      Commit_point.touch sh.cp st.eid ~table row;
-      row.Row.data.(field) <- (if is_add then old + x else x)
+      Commit_point.touch sh.cp st.eid ~table slot;
+      Table.set tbl slot field (if is_add then old + x else x)
     end
   in
   let write frag field v = update frag field ~is_add:false v in
@@ -292,10 +292,10 @@ let make_exec_ctx sh st =
     let rt = st.cur_rt in
     let tbl = Db.table sh.db frag.Fragment.table in
     let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
-    let row = Table.insert tbl ~home ~key payload in
+    let slot = Table.insert tbl ~home ~key payload in
     if speculative then
-      Journal.insert j ~bidx:rt.bidx ~table:frag.Fragment.table row;
-    Commit_point.touch_insert sh.cp st.eid ~table:frag.Fragment.table row
+      Journal.insert j ~bidx:rt.bidx ~table:frag.Fragment.table slot;
+    Commit_point.touch_insert sh.cp st.eid ~table:frag.Fragment.table slot
       ~by:rt.bidx
   in
   let input fid =
@@ -893,8 +893,8 @@ let reexec_txn sh recovery_slot rt =
   let direct =
     Direct.create
       ~touch:(Commit_point.touch sh.cp recovery_slot)
-      ~inserted:(fun ~table row ->
-        Commit_point.touch_insert sh.cp recovery_slot ~table row ~by:rt.bidx)
+      ~inserted:(fun ~table slot ->
+        Commit_point.touch_insert sh.cp recovery_slot ~table slot ~by:rt.bidx)
       ~read_committed:(sh.cfg.isolation = Read_committed)
       ~add_reads:false sh.sim sh.cfg.costs sh.wl
   in
@@ -915,7 +915,7 @@ let recover sh ~parity =
     let in_a =
       Journal.closure sh.journal n ~aborted:(fun b -> aborter rts.(b))
     in
-    Journal.revert sh.journal sh.db in_a ~charge:(fun () ->
+    Journal.revert sh.journal in_a ~charge:(fun () ->
         Sim.tick sh.sim sh.cfg.costs.Costs.abort_cleanup);
     let recovery_slot = sh.cfg.executors in
     for b = 0 to n - 1 do
@@ -1387,7 +1387,7 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       cp =
         Commit_point.create ?wal ?cdc ?crash_at ~slots:(cfg.executors + 1) sim
           wl.Workload.db;
-      journal = Journal.create ~tables:(Db.ntables wl.Workload.db);
+      journal = Journal.create wl.Workload.db;
       batch_no = 0;
     }
   in

@@ -1,9 +1,9 @@
 open Quill_common
 open Quill_storage
 
-(* Entry [i] is the [stride] ints at [ops.(i * stride)] — transaction,
-   kind, table, field, old value or delta — and [rows.(i)]. *)
-let stride = 5
+(* Entry [i] is the [stride] ints at [ops.(i * stride)]: transaction,
+   kind, table, slot, field, old value or delta. *)
+let stride = 6
 let k_read = 0
 let k_set = 1
 let k_add = 2
@@ -14,12 +14,12 @@ let k_insert = 3
 module Itbl = Hashtbl.Make (Int)
 
 type t = {
+  db : Db.t;
   ops : int Vec.t;
-  rows : Row.t Vec.t;
   (* Replay scratch, kept across batches.  A (row, field) pair is a
      [state] index: the row's base index (allocated on its first entry,
      one per field) plus the field. *)
-  bases : int Itbl.t array;  (* per table: key -> base *)
+  bases : int Itbl.t array;  (* per table: slot -> base *)
   mutable nstates : int;
   mutable writer : int array;  (* per state: last writer or -1 *)
   mutable readers : int array;
@@ -34,11 +34,11 @@ type t = {
   edge_next : int Vec.t;
 }
 
-let create ~tables =
+let create db =
   {
+    db;
     ops = Vec.create ();
-    rows = Vec.create ();
-    bases = Array.init tables (fun _ -> Itbl.create 64);
+    bases = Array.init (Db.ntables db) (fun _ -> Itbl.create 64);
     nstates = 0;
     writer = [||];
     readers = [||];
@@ -49,25 +49,25 @@ let create ~tables =
     edge_next = Vec.create ();
   }
 
-let push t ~bidx kind ~table row field v =
+let push t ~bidx kind ~table slot field v =
   Vec.push t.ops bidx;
   Vec.push t.ops kind;
   Vec.push t.ops table;
+  Vec.push t.ops slot;
   Vec.push t.ops field;
-  Vec.push t.ops v;
-  Vec.push t.rows row
+  Vec.push t.ops v
 
-let read t ~bidx ~table row field = push t ~bidx k_read ~table row field 0
-let set t ~bidx ~table row field ~old = push t ~bidx k_set ~table row field old
+let read t ~bidx ~table slot field = push t ~bidx k_read ~table slot field 0
 
-let add t ~bidx ~table row field ~delta =
-  push t ~bidx k_add ~table row field delta
+let set t ~bidx ~table slot field ~old =
+  push t ~bidx k_set ~table slot field old
 
-let insert t ~bidx ~table row = push t ~bidx k_insert ~table row 0 0
+let add t ~bidx ~table slot field ~delta =
+  push t ~bidx k_add ~table slot field delta
 
-let clear t =
-  Vec.clear t.ops;
-  Vec.clear t.rows
+let insert t ~bidx ~table slot = push t ~bidx k_insert ~table slot 0 0
+let clear t = Vec.clear t.ops
+let length t = Vec.length t.ops / stride
 
 (* [a] with room for [n] entries, its contents kept. *)
 let ensure a n =
@@ -78,13 +78,13 @@ let ensure a n =
     b
   end
 
-let state t table (row : Row.t) field =
+let state t table slot field =
   let h = t.bases.(table) in
   let base =
-    match Itbl.find_opt h row.Row.key with
+    match Itbl.find_opt h slot with
     | Some base -> base
     | None ->
-        let base = t.nstates and n = Array.length row.Row.data in
+        let base = t.nstates and n = Table.nfields (Db.table t.db table) in
         t.nstates <- base + n;
         t.writer <- ensure t.writer t.nstates;
         t.readers <- ensure t.readers t.nstates;
@@ -92,7 +92,7 @@ let state t table (row : Row.t) field =
         Array.fill t.writer base n (-1);
         Array.fill t.readers base n (-1);
         Array.fill t.adders base n (-1);
-        Itbl.add h row.Row.key base;
+        Itbl.add h slot base;
         base
   in
   base + field
@@ -116,7 +116,7 @@ let edges_to_list t b i =
   done
 
 let closure t n ~aborted =
-  let len = Vec.length t.rows in
+  let len = length t in
   Array.iter Itbl.clear t.bases;
   t.nstates <- 0;
   t.older <- ensure t.older len;
@@ -128,9 +128,9 @@ let closure t n ~aborted =
     let o = i * stride in
     let b = Vec.get t.ops o and kind = Vec.get t.ops (o + 1) in
     if kind <> k_insert then begin
-      let row = Vec.get t.rows i in
-      edge t b row.Row.inserter;
-      let s = state t (Vec.get t.ops (o + 2)) row (Vec.get t.ops (o + 3)) in
+      let table = Vec.get t.ops (o + 2) and slot = Vec.get t.ops (o + 3) in
+      edge t b (Table.inserter (Db.table t.db table) slot);
+      let s = state t table slot (Vec.get t.ops (o + 4)) in
       edge t b t.writer.(s);
       if kind = k_read then begin
         edges_to_list t b t.adders.(s);
@@ -162,17 +162,18 @@ let closure t n ~aborted =
   done;
   in_closure
 
-let revert t db in_closure ~charge =
-  for i = Vec.length t.rows - 1 downto 0 do
+let revert t in_closure ~charge =
+  for i = length t - 1 downto 0 do
     let o = i * stride in
     let kind = Vec.get t.ops (o + 1) in
     if kind <> k_read && in_closure.(Vec.get t.ops o) then begin
       charge ();
-      let row = Vec.get t.rows i in
-      let field = Vec.get t.ops (o + 3) and v = Vec.get t.ops (o + 4) in
-      if kind = k_set then row.Row.data.(field) <- v
+      let tbl = Db.table t.db (Vec.get t.ops (o + 2)) in
+      let slot = Vec.get t.ops (o + 3) in
+      let field = Vec.get t.ops (o + 4) and v = Vec.get t.ops (o + 5) in
+      if kind = k_set then Table.set tbl slot field v
       else if kind = k_add then
-        row.Row.data.(field) <- row.Row.data.(field) - v
-      else Table.remove (Db.table db (Vec.get t.ops (o + 2))) row.Row.key
+        Table.set tbl slot field (Table.get tbl slot field - v)
+      else Table.remove tbl (Table.key_of_slot tbl slot)
     end
   done

@@ -4,7 +4,7 @@
     run past its commit dependencies; a logic abort then re-executes
     the transactions that saw the aborter's effects.  Everything that
     recovery needs is one append per access, in execution order: who
-    accessed which (row, field), how (read, set, commutative add or
+    accessed which (row, field) — a row is a (table, slot) pair — how (read, set, commutative add or
     insert), and the old value of a set or the delta of an add.  The
     simulator runs on one domain, so append order is the real order of
     the accesses to each (row, field), whichever executor, stolen queue
@@ -18,24 +18,22 @@
 
 type t
 
-val create : tables:int -> t
-(** A journal for accesses to tables [0 .. tables-1]. *)
+val create : Quill_storage.Db.t -> t
+(** A journal for accesses to the tables of a database. *)
 
-val read : t -> bidx:int -> table:int -> Quill_storage.Row.t -> int -> unit
-(** [read j ~bidx ~table row field]: transaction [bidx] of the batch read
-    [field] of [row] (a row of table [table]). *)
+val read : t -> bidx:int -> table:int -> int -> int -> unit
+(** [read j ~bidx ~table slot field]: transaction [bidx] of the batch
+    read [field] of the row at [slot] of table [table]. *)
 
-val set :
-  t -> bidx:int -> table:int -> Quill_storage.Row.t -> int -> old:int -> unit
+val set : t -> bidx:int -> table:int -> int -> int -> old:int -> unit
 (** A blind write of [field] that replaced [old]; call it before the
     write lands. *)
 
-val add :
-  t -> bidx:int -> table:int -> Quill_storage.Row.t -> int -> delta:int -> unit
+val add : t -> bidx:int -> table:int -> int -> int -> delta:int -> unit
 (** A commutative add of [delta] to [field]. *)
 
-val insert : t -> bidx:int -> table:int -> Quill_storage.Row.t -> unit
-(** [row] was inserted into table [table]. *)
+val insert : t -> bidx:int -> table:int -> int -> unit
+(** The row at [slot] was inserted into table [table]. *)
 
 val closure : t -> int -> aborted:(int -> bool) -> bool array
 (** [closure j n ~aborted]: which of the batch's [n] transactions must
@@ -56,9 +54,8 @@ val closure : t -> int -> aborted:(int -> bool) -> bool array
     or if it depends on an earlier transaction in the closure; the
     closure is taken in batch order. *)
 
-val revert :
-  t -> Quill_storage.Db.t -> bool array -> charge:(unit -> unit) -> unit
-(** [revert j db in_closure ~charge] undoes every set, add and insert of
+val revert : t -> bool array -> charge:(unit -> unit) -> unit
+(** [revert j in_closure ~charge] undoes every set, add and insert of
     the transactions in [in_closure], newest first: a set restores the
     old value, an add subtracts its delta and an insert removes the row
     from its table.  [charge] is called once per undone entry, before it

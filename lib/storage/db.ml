@@ -67,13 +67,13 @@ let digest_of ~live t =
   let acc = ref 0 in
   Vec.iteri
     (fun tid tbl ->
-      Table.iter_dense
-        (fun row ->
-          let payload = if live then row.Row.data else row.Row.committed in
-          Array.iteri
-            (fun f v -> acc := !acc + mix (mix tid row.Row.key) (mix f v))
-            payload)
-        tbl;
+      let read = if live then Table.get else Table.committed in
+      for key = 0 to Table.capacity tbl - 1 do
+        let row = mix tid key in
+        for f = 0 to Table.nfields tbl - 1 do
+          acc := !acc + mix row (mix f (read tbl key f))
+        done
+      done;
       acc := !acc + mix tid (Table.inserted_count tbl))
     t.tables;
   !acc land max_int

@@ -33,13 +33,14 @@ val live_checksum : t -> int
 (** Same digest over the live versions. *)
 
 val clone : t -> t
-(** Deep-copy every table and index (payloads, dynamic rows, index
-    cursors); protocol CC metadata starts fresh.  Replica databases for
-    the HA replication layer are stood up with this. *)
+(** Copy every table and index (images, batch state, dynamic rows,
+    index cursors) with array copies, slot for slot; no protocol CC
+    array is copied.  WAL snapshots and the HA replication layer's
+    replica databases are made with this. *)
 
 val overwrite_from : src:t -> t -> unit
 (** [overwrite_from ~src dst] makes [dst]'s visible state (table
-    payloads, dynamic rows, indexes) identical to [src]'s; shapes must
-    match.  After a leader failover the surviving replica's database is
+    images, dynamic rows, indexes) identical to [src]'s, slot for slot
+    (see {!Table.overwrite_from}); shapes must match.  After a leader failover the surviving replica's database is
     synced back into the harness's [Workload.db] with this, so
     [checksum] reflects the replicated state. *)

@@ -1,10 +1,9 @@
 open Quill_sim
 open Quill_storage
 
-type cursor = { mutable row : Row.t; mutable found : bool }
+type cursor = { mutable slot : int; mutable found : bool }
 
-let dummy_row = Row.make ~key:(-1) ~nfields:1
-let cursor () = { row = dummy_row; found = false }
+let cursor () = { slot = -1; found = false }
 
 let find db (frag : Fragment.t) =
   Table.find (Db.table db frag.Fragment.table) frag.Fragment.key
@@ -14,17 +13,13 @@ let step ?(local = false) sim (costs : Costs.t) (wl : Workload.t) ctx cur
   let tick sim n = if local then Sim.tick_local sim n else Sim.tick sim n in
   (match frag.Fragment.mode with
   | Fragment.Insert ->
-      cur.row <- dummy_row;
+      cur.slot <- -1;
       cur.found <- true
-  | Fragment.Read | Fragment.Write | Fragment.Rmw -> (
+  | Fragment.Read | Fragment.Write | Fragment.Rmw ->
       tick sim costs.Costs.index_probe;
-      match locate frag with
-      | Some row ->
-          cur.row <- row;
-          cur.found <- true
-      | None ->
-          cur.row <- dummy_row;
-          cur.found <- false));
+      let slot = locate frag in
+      cur.slot <- slot;
+      cur.found <- slot >= 0);
   tick sim costs.Costs.logic;
   wl.Workload.exec ctx txn frag
 
@@ -33,7 +28,7 @@ type abort_charge = Per_write | Per_row | Per_txn
 (* The current attempt: data-dependency slots and the undo/insert logs. *)
 type attempt = {
   mutable slots : int array;
-  mutable undo : (Row.t * int array) list;
+  mutable undo : (int * int * int array) list;  (* table, slot, image *)
   mutable inserts : (int * int) list;
 }
 
@@ -42,7 +37,7 @@ type t = {
   costs : Costs.t;
   db : Db.t;
   wl : Workload.t;
-  locate : Fragment.t -> Row.t option;
+  locate : Fragment.t -> int;
   charge : abort_charge;
   cur : cursor;
   att : attempt;
@@ -58,26 +53,28 @@ let create ?db ?locate ?(touch = no_hook) ?(inserted = no_hook)
   let locate = match locate with Some f -> f | None -> find db in
   let cur = cursor () in
   let att = { slots = [||]; undo = []; inserts = [] } in
+  let table (frag : Fragment.t) = Db.table db frag.Fragment.table in
   let read (frag : Fragment.t) field =
     Sim.tick sim costs.Costs.row_read;
     if not cur.found then 0
     else if read_committed && frag.Fragment.mode = Fragment.Read then
-      cur.row.Row.committed.(field)
-    else cur.row.Row.data.(field)
+      Table.committed (table frag) cur.slot field
+    else Table.get (table frag) cur.slot field
   in
   (* Log the pre-image and show the row to the hook before writing;
      [Per_row] logs only the image before the attempt's first write to
      the row. *)
-  let logged row =
-    (* lint: phys-eq-ok -- row identity, as in Pcommon.Rowmap *)
-    charge = Per_row && List.exists (fun (r, _) -> r == row) att.undo
+  let logged tid slot =
+    charge = Per_row
+    && List.exists (fun (t, s, _) -> t = tid && s = slot) att.undo
   in
   let set (frag : Fragment.t) field v =
-    let row = cur.row in
-    if not (logged row) then
-      att.undo <- (row, Array.copy row.Row.data) :: att.undo;
-    touch ~table:frag.Fragment.table row;
-    row.Row.data.(field) <- v
+    let tid = frag.Fragment.table and slot = cur.slot in
+    let tbl = table frag in
+    if not (logged tid slot) then
+      att.undo <- (tid, slot, Table.live_image tbl slot) :: att.undo;
+    touch ~table:tid slot;
+    Table.set tbl slot field v
   in
   let write frag field v =
     Sim.tick sim costs.Costs.row_write;
@@ -87,14 +84,13 @@ let create ?db ?locate ?(touch = no_hook) ?(inserted = no_hook)
     if add_reads then fun frag field d -> write frag field (read frag field + d)
     else fun frag field d ->
       Sim.tick sim costs.Costs.row_write;
-      if cur.found then set frag field (cur.row.Row.data.(field) + d)
+      if cur.found then set frag field (Table.get (table frag) cur.slot field + d)
   in
   let insert (frag : Fragment.t) ~key payload =
     Sim.tick sim costs.Costs.index_insert;
     let table = frag.Fragment.table in
     let home = Db.home db table frag.Fragment.key in
-    let row = Table.insert (Db.table db table) ~home ~key payload in
-    inserted ~table row;
+    inserted ~table (Table.insert (Db.table db table) ~home ~key payload);
     att.inserts <- (table, key) :: att.inserts
   in
   let input fid = att.slots.(fid) in
@@ -103,8 +99,10 @@ let create ?db ?locate ?(touch = no_hook) ?(inserted = no_hook)
   let ctx = { Exec.read; write; add; insert; input; output; found } in
   { sim; costs; db; wl; locate; charge; cur; att; ctx }
 
+let restore db (table, slot, saved) = Table.restore (Db.table db table) slot saved
+
 let revert db undo inserts =
-  List.iter (fun (row, saved) -> Row.restore row saved) undo;
+  List.iter (restore db) undo;
   List.iter (fun (table, key) -> Table.remove (Db.table db table) key) inserts
 
 let rollback t =
@@ -112,9 +110,9 @@ let rollback t =
   (match t.charge with
   | Per_write | Per_row ->
       List.iter
-        (fun (row, saved) ->
+        (fun u ->
           cleanup ();
-          Row.restore row saved)
+          restore t.db u)
         t.att.undo
   | Per_txn ->
       cleanup ();
@@ -141,5 +139,6 @@ let run t txn =
   if r <> Exec.Ok then rollback t;
   r
 
+let db t = t.db
 let undo t = t.att.undo
 let inserts t = t.att.inserts

@@ -16,15 +16,16 @@
     whose [locate] takes the locks.  What
     differs between them is a parameter of {!create}. *)
 
-type cursor = { mutable row : Quill_storage.Row.t; mutable found : bool }
-(** The record the current fragment operates on.  [found] is false when
-    the probe missed; an insert fragment has [found = true] and a dummy
-    row. *)
+type cursor = { mutable slot : int; mutable found : bool }
+(** The record the current fragment operates on: its slot in the
+    fragment's table.  [found] is false when the probe missed; an
+    insert fragment has [found = true] and no slot (-1). *)
 
 val cursor : unit -> cursor
 
-val find : Quill_storage.Db.t -> Fragment.t -> Quill_storage.Row.t option
-(** The plain index lookup for the fragment's routing key (no cost). *)
+val find : Quill_storage.Db.t -> Fragment.t -> int
+(** The plain index lookup for the fragment's routing key (no cost): its
+    slot, or -1 when absent. *)
 
 val step :
   ?local:bool ->
@@ -33,7 +34,7 @@ val step :
   Workload.t ->
   Exec.ctx ->
   cursor ->
-  locate:(Fragment.t -> Quill_storage.Row.t option) ->
+  locate:(Fragment.t -> int) ->
   Txn.t ->
   Fragment.t ->
   Exec.outcome
@@ -65,9 +66,9 @@ type t
 
 val create :
   ?db:Quill_storage.Db.t ->
-  ?locate:(Fragment.t -> Quill_storage.Row.t option) ->
-  ?touch:(table:int -> Quill_storage.Row.t -> unit) ->
-  ?inserted:(table:int -> Quill_storage.Row.t -> unit) ->
+  ?locate:(Fragment.t -> int) ->
+  ?touch:(table:int -> int -> unit) ->
+  ?inserted:(table:int -> int -> unit) ->
   ?read_committed:bool ->
   ?add_reads:bool ->
   ?charge:abort_charge ->
@@ -77,14 +78,17 @@ val create :
   t
 (** [db] (default the workload's) is the database executed against.
     [locate] (default {!find} on [db]) resolves a fragment's record.
-    [touch] sees every found row just before a write lands in it, and
-    [inserted] every inserted row: the batch commit point's touched set,
+    [touch] sees every found row's slot just before a write lands in it,
+    and [inserted] every inserted row's slot: the batch commit point's touched set,
     or a backup's written-row set (both default to no-ops).
     [read_committed] (default false): [Read]-mode fragments read the
     committed image.  [add_reads] (default true) charges a commutative
     [add] as a read plus a write, as the serial engine does; QueCC's
     recovery charges only the write.  [charge] defaults to
     [Per_write]. *)
+
+val db : t -> Quill_storage.Db.t
+(** The database the runner executes against. *)
 
 val run : t -> Txn.t -> Exec.outcome
 (** Execute every fragment in program order from fresh slots and logs,
@@ -93,18 +97,15 @@ val run : t -> Txn.t -> Exec.outcome
     attempt's writes are restored and its inserts removed, charged per
     the runner's [abort_charge]. *)
 
-val undo : t -> (Quill_storage.Row.t * int array) list
-(** The last attempt's undo log, newest first: one (row, image before
-    the write) per write; under [Per_row], one per distinct row, holding
-    its image before the attempt's first write to it. *)
+val undo : t -> (int * int * int array) list
+(** The last attempt's undo log, newest first: one (table, slot, image
+    before the write) per write; under [Per_row], one per distinct row,
+    holding its image before the attempt's first write to it. *)
 
 val inserts : t -> (int * int) list
 (** The last attempt's inserts as (table, key), newest first. *)
 
 val revert :
-  Quill_storage.Db.t ->
-  (Quill_storage.Row.t * int array) list ->
-  (int * int) list ->
-  unit
+  Quill_storage.Db.t -> (int * int * int array) list -> (int * int) list -> unit
 (** [revert db undo inserts] restores every undo image newest first and
     removes the inserts, charging nothing. *)

@@ -2,7 +2,6 @@ module Sim = Quill_sim.Sim
 module Costs = Quill_sim.Costs
 module Db = Quill_storage.Db
 module Table = Quill_storage.Table
-module Row = Quill_storage.Row
 module Metrics = Quill_txn.Metrics
 module Vec = Quill_common.Vec
 
@@ -146,24 +145,31 @@ let begin_batch t ~batch_no =
   put64 t batch_no;
   close_record t r
 
-let log_effect t ~table ~home ~key payload =
-  let n = Array.length payload in
+(* An effect record's frame and header; the caller puts the [n]
+   fields and closes it. *)
+let open_effect t ~table ~home ~key n =
   let r = open_record t t_effect (20 + (8 * n)) in
   put32 t table;
   put32 t home;
   put64 t key;
   put32 t n;
+  r
+
+let log_effect t ~table ~home ~key payload =
+  let n = Array.length payload in
+  let r = open_effect t ~table ~home ~key n in
   for i = 0 to n - 1 do
     put64 t (Array.unsafe_get payload i)
   done;
   close_record t r
 
-(* Before publish overwrites [committed], the first staging since the
-   roll journals it: the database was clean at the roll and only a
-   staged row is ever published, so [committed] is still the row's
-   roll-time image (an unpublished insert was absent then). *)
-let log_row t ~table ~home (row : Row.t) =
-  let key = row.Row.key in
+(* Before publish overwrites the committed image, the first staging
+   since the roll journals it: the database was clean at the roll and
+   only a staged row is ever published, so the committed image is still
+   the row's roll-time image (an unpublished insert was absent then). *)
+let log_row t ~table ~home slot =
+  let tbl = Db.table t.db table in
+  let key = Table.key_of_slot tbl slot in
   let seen = t.journaled.(table) in
   if not (Itbl.mem seen key) then begin
     Itbl.replace seen key ();
@@ -171,10 +177,15 @@ let log_row t ~table ~home (row : Row.t) =
       ( table,
         home,
         key,
-        if row.Row.inserter >= 0 then None
-        else Some (Array.copy row.Row.committed) )
+        if Table.inserter tbl slot >= 0 then None
+        else Some (Table.committed_image tbl slot) )
   end;
-  log_effect t ~table ~home ~key row.Row.data
+  let n = Table.nfields tbl in
+  let r = open_effect t ~table ~home ~key n in
+  for i = 0 to n - 1 do
+    put64 t (Table.get tbl slot i)
+  done;
+  close_record t r
 
 (* One modeled fsync of the whole group.  A failing fsync is reported
    to the caller; a torn write is NOT — the record loses half its
@@ -245,13 +256,9 @@ let commit_batch t ~batch_no ~txns =
 
 let apply_effect db ~table ~home ~key payload =
   let tbl = Db.table db table in
-  match Table.find tbl key with
-  | Some row ->
-      let n = Array.length payload in
-      Array.blit payload 0 row.Row.data 0 n;
-      Array.blit payload 0 row.Row.committed 0 n;
-      row.Row.dirty <- false
-  | None -> ignore (Table.insert tbl ~home ~key payload)
+  let slot = Table.find tbl key in
+  if slot >= 0 then Table.load tbl slot payload
+  else ignore (Table.insert tbl ~home ~key payload)
 
 (* The database as of the last roll: a copy of the live one with every
    row back at its committed image, the inserts no batch published
@@ -261,11 +268,9 @@ let snapshot t =
   for table = 0 to Db.ntables snap - 1 do
     let tbl = Db.table snap table in
     Table.iter_inserted
-      (fun (r : Row.t) ->
-        if r.Row.inserter >= 0 then Table.remove tbl r.Row.key)
-      (Db.table t.db table);
-    Table.iter_dense Row.revert tbl;
-    Table.iter_inserted Row.revert tbl
+      (fun key slot -> if Table.inserter tbl slot >= 0 then Table.remove tbl key)
+      tbl;
+    Table.iter_rows (fun _ slot -> Table.revert tbl slot) tbl
   done;
   Vec.iter
     (fun (table, home, key, pre) ->

@@ -32,7 +32,7 @@
     last durable batch — never aborts, never loads garbage.
 
     The journal relies on the database being clean at every roll (and
-    at creation): every row published, [data] = [committed], no dirty
+    at creation): every row published, live image = committed image, no dirty
     bit and no unpublished insert, and no run ever mutating an index.
     Then the only rows that differ from the snapshot are the ones
     published since, and every published row was staged first.
@@ -81,12 +81,12 @@ val log_effect : t -> table:int -> home:int -> key:int -> int array -> unit
     {!commit_batch} flushes.  The journal does not see it: a caller
     that mutates the database itself must stage through {!log_row}. *)
 
-val log_row : t -> table:int -> home:int -> Quill_storage.Row.t -> unit
-(** Stage a row of the live database after its batch settled and
-    before publish: {!log_effect} of its [data], and, the first time
-    since the last roll, a journal entry with the row's image as of
-    that roll — its [committed], or "absent" for an unpublished insert
-    ([inserter >= 0]). *)
+val log_row : t -> table:int -> home:int -> int -> unit
+(** [log_row t ~table ~home slot]: stage a row of the live database
+    after its batch settled and before publish: {!log_effect} of its
+    live image, and, the first time since the last roll, a journal
+    entry with the row's image as of that roll — its committed image,
+    or "absent" for an unpublished insert ([inserter >= 0]). *)
 
 val commit_batch : t -> batch_no:int -> txns:int -> bool
 (** Append the commit marker, then flush the whole group with one

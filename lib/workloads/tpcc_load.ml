@@ -76,26 +76,26 @@ let build (cfg : cfg) =
   ignore (Db.add_index db ~name:"cust_by_name");
   of_db db
 
+(* [init tbl key] for every dense row of [tbl], in key order, each row
+   published after its fields are set. *)
+let load tbl init =
+  for key = 0 to Table.capacity tbl - 1 do
+    init tbl key;
+    Table.publish tbl key
+  done
+
 let populate (cfg : cfg) h =
   let rng = Rng.create (cfg.seed * 31 + 5) in
   let db = h.db in
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(W.ytd) <- 3_000_000_00;
-      row.Row.data.(W.tax) <- Rng.int_incl rng 0 2000;
-      Row.publish row)
-    (Db.table db h.t_warehouse);
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(D.ytd) <- 300_000_00;
-      row.Row.data.(D.tax) <- Rng.int_incl rng 0 2000;
-      row.Row.data.(D.next_o_id) <- 0;
-      Row.publish row)
-    (Db.table db h.t_district);
+  load (Db.table db h.t_warehouse) (fun tbl key ->
+      Table.set tbl key W.ytd 3_000_000_00;
+      Table.set tbl key W.tax (Rng.int_incl rng 0 2000));
+  load (Db.table db h.t_district) (fun tbl key ->
+      Table.set tbl key D.ytd 300_000_00;
+      Table.set tbl key D.tax (Rng.int_incl rng 0 2000);
+      Table.set tbl key D.next_o_id 0);
   let idx = Db.index db h.ix_cust_by_name in
-  Table.iter_dense
-    (fun row ->
-      let ck = row.Row.key in
+  load (Db.table db h.t_customer) (fun tbl ck ->
       let dk = ck / 3000 in
       (* Clause 4.3.3.1: the first 1000 customers of each district get
          sequential last names, the rest NURand(255). *)
@@ -104,32 +104,23 @@ let populate (cfg : cfg) h =
         if cpos < 1000 && cfg.customers_per_district >= 1000 then cpos
         else last_name_num rng
       in
-      row.Row.data.(C.balance) <- -10_00;
-      row.Row.data.(C.ytd_payment) <- 10_00;
-      row.Row.data.(C.payment_cnt) <- 1;
-      row.Row.data.(C.discount) <- Rng.int_incl rng 0 5000;
-      row.Row.data.(C.last) <- last;
-      row.Row.data.(C.delivery_cnt) <- 0;
-      row.Row.data.(C.credit) <- (if Rng.int rng 100 < 10 then 1 else 0);
-      Row.publish row;
-      Index.add idx ((dk * 1000) + last) ck)
-    (Db.table db h.t_customer);
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(I.price) <- Rng.int_incl rng 100 10000;
-      row.Row.data.(I.im) <- Rng.int_incl rng 1 10_000;
-      row.Row.data.(I.name) <- Rng.int rng 1_000_000;
-      Row.publish row)
-    (Db.table db h.t_item);
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(S.quantity) <- Rng.int_incl rng 10 100;
-      row.Row.data.(S.ytd) <- 0;
-      row.Row.data.(S.order_cnt) <- 0;
-      row.Row.data.(S.remote_cnt) <- 0;
-      Row.publish row)
-    (Db.table db h.t_stock);
-  ()
+      Table.set tbl ck C.balance (-10_00);
+      Table.set tbl ck C.ytd_payment 10_00;
+      Table.set tbl ck C.payment_cnt 1;
+      Table.set tbl ck C.discount (Rng.int_incl rng 0 5000);
+      Table.set tbl ck C.last last;
+      Table.set tbl ck C.delivery_cnt 0;
+      Table.set tbl ck C.credit (if Rng.int rng 100 < 10 then 1 else 0);
+      Index.add idx ((dk * 1000) + last) ck);
+  load (Db.table db h.t_item) (fun tbl key ->
+      Table.set tbl key I.price (Rng.int_incl rng 100 10000);
+      Table.set tbl key I.im (Rng.int_incl rng 1 10_000);
+      Table.set tbl key I.name (Rng.int rng 1_000_000));
+  load (Db.table db h.t_stock) (fun tbl key ->
+      Table.set tbl key S.quantity (Rng.int_incl rng 10 100);
+      Table.set tbl key S.ytd 0;
+      Table.set tbl key S.order_cnt 0;
+      Table.set tbl key S.remote_cnt 0)
 
 let make cfg =
   let h = build cfg in

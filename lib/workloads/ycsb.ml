@@ -48,13 +48,12 @@ let build_db cfg =
   in
   let tbl = Db.table_by_name db "usertable" in
   let rng = Rng.create (cfg.seed * 7919) in
-  Table.iter_dense
-    (fun row ->
-      for f = 0 to cfg.fields - 1 do
-        row.Row.data.(f) <- Rng.int rng 1_000_000
-      done;
-      Row.publish row)
-    tbl;
+  for key = 0 to Table.capacity tbl - 1 do
+    for f = 0 to cfg.fields - 1 do
+      Table.set tbl key f (Rng.int rng 1_000_000)
+    done;
+    Table.publish tbl key
+  done;
   db
 
 (* Partitions are [part_size] rows each, in key order; the last one gets

@@ -129,8 +129,12 @@ let test_lint_d5 () =
   Tutil.check_bool "phys-eq flagged" true
     (rules (lint "let b = a == c") = [ "D5" ]);
   Tutil.check_bool "structural eq clean" true (lint "let b = a = c" = []);
-  Tutil.check_bool "pcommon.ml allowlisted" true
-    (L.lint_source ~file:"lib/protocols/pcommon.ml" "let b = a == c" = [])
+  Tutil.check_bool "flagged in pcommon.ml too" true
+    (rules (L.lint_source ~file:"lib/protocols/pcommon.ml" "let b = a == c")
+    = [ "D5" ]);
+  Tutil.check_bool "no waiver for D5" true
+    (List.mem "D5"
+       (rules (lint "(* lint: phys-eq-ok -- identity *)\nlet b = a == c")))
 
 let test_lint_d6_e0 () =
   Tutil.check_bool "missing mli -> D6" true

@@ -124,8 +124,8 @@ let test_feed_replays_to_committed_state () =
   let ok = ref true in
   Hashtbl.iter
     (fun (tid, key) img ->
-      match Table.find (Db.table wl.Workload.db tid) key with
-      | Some row -> if row.Row.committed <> img then ok := false
+      match Tutil.committed_row (Db.table wl.Workload.db tid) key with
+      | Some committed -> if committed <> img then ok := false
       | None -> ok := false)
     shadow;
   Tutil.check_bool "every event post-image = committed image" true !ok;
@@ -213,22 +213,20 @@ let test_tpcc_feed_covers_every_change () =
   let db = wl.Workload.db in
   let missing = ref 0 and inserts = ref 0 in
   for tid = 0 to Db.ntables db - 1 do
-    let check (row : Row.t) =
-      let prior = Table.find (Db.table before tid) row.Row.key in
+    let tbl = Db.table db tid in
+    let check key slot =
+      let committed = Table.committed_image tbl slot in
+      let prior = Tutil.committed_row (Db.table before tid) key in
       let changed =
-        match prior with
-        | Some r -> r.Row.committed <> row.Row.committed
-        | None -> true
+        match prior with Some r -> r <> committed | None -> true
       in
       if changed then
-        match Hashtbl.find_opt shadow (tid, row.Row.key) with
-        | Some (ins, img) when img = row.Row.committed && ins = (prior = None)
-          ->
+        match Hashtbl.find_opt shadow (tid, key) with
+        | Some (ins, img) when img = committed && ins = (prior = None) ->
             if ins then incr inserts
         | _ -> incr missing
     in
-    Table.iter_dense check (Db.table db tid);
-    Table.iter_inserted check (Db.table db tid)
+    Table.iter_rows check tbl
   done;
   Tutil.check_int "changed rows without a matching event" 0 !missing;
   Tutil.check_bool "inserts reached the feed" true (!inserts > 0)

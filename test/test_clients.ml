@@ -229,11 +229,10 @@ let test_retry_commits_exactly_once () =
   let db = Db.create ~nparts:2 in
   let table_id = Db.add_table db ~name:"t" ~nfields:1 ~capacity:total in
   let tbl = Db.table_by_name db "t" in
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(0) <- 1000 + row.Row.key;
-      Row.publish row)
-    tbl;
+  for key = 0 to total - 1 do
+    Table.set tbl key 0 (1000 + key);
+    Table.publish tbl key
+  done;
   let gen g =
     let f =
       Fragment.make ~fid:0 ~table:table_id ~key:g ~mode:Fragment.Rmw ~op:0
@@ -307,13 +306,12 @@ let test_retry_commits_exactly_once () =
   Tutil.check_int "no retry budget exhausted" 0 m.Metrics.retry_exhausted;
   Tutil.check_int "nothing shed" 0 m.Metrics.shed;
   (* serial-oracle state: one +7 per row, never zero, never double *)
-  Table.iter_dense
-    (fun row ->
-      Tutil.check_int
-        (Printf.sprintf "row %d applied exactly once" row.Row.key)
-        (1000 + row.Row.key + 7)
-        row.Row.committed.(0))
-    tbl
+  for key = 0 to total - 1 do
+    Tutil.check_int
+      (Printf.sprintf "row %d applied exactly once" key)
+      (1000 + key + 7)
+      (Table.committed tbl key 0)
+  done
 
 (* ------------------------- determinism ------------------------- *)
 

@@ -59,6 +59,49 @@ let test_rng_chance () =
   done;
   Tutil.check_bool "chance ~ 25%" true (abs (!hits - 25_000) < 1_000)
 
+(* The generator's first outputs per seed are pinned: every workload,
+   schedule and checksum is drawn from them.  Then 10k draws of each
+   kind allocate nothing but, for [float], the box of the returned
+   float: a dev build compiles with [-opaque], which keeps [Rng.float]
+   from being inlined into its caller (with inlining it is 0 too). *)
+let test_rng_pinned_no_alloc () =
+  List.iter
+    (fun (seed, next, int, float, bool, chance) ->
+      let r = Rng.create seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Tutil.check_int (name "next") next (Rng.next r);
+      Tutil.check_int (name "int") int (Rng.int r 1_000_000);
+      Tutil.check_bool (name "float") true (Rng.float r 1.0 = float);
+      Tutil.check_bool (name "bool") bool (Rng.bool r);
+      Tutil.check_bool (name "chance") chance (Rng.chance r 0.5))
+    [
+      (0, 4073552104164651883, 588925, 0x1.b1174620025p-6, false, true);
+      (1, 3457603482011350492, 166673, 0x1.c0cd7f0f6bcf6p-2, false, true);
+      (7, 2418118848055258963, 282181, 0x1.e1ca420e19806p-1, true, false);
+      (42, 2749113066540076570, 47797, 0x1.54c85f31d00d8p-3, false, false);
+    ];
+  let r = Rng.create 42 and acc = ref 0 in
+  let draws = 10_000 in
+  let words =
+    Tutil.minor_words_during (fun () ->
+        for _ = 1 to draws do
+          acc := !acc + Rng.int r 1000 + Rng.int_incl r (-5) 5;
+          if Rng.bool r then incr acc;
+          if Rng.chance r 0.25 then incr acc
+        done)
+  in
+  Tutil.check_bool "int, int_incl, bool, chance allocate nothing" true
+    (words = 0.);
+  let words =
+    Tutil.minor_words_during (fun () ->
+        for _ = 1 to draws do
+          if Rng.float r 1.0 < 0.5 then incr acc
+        done)
+  in
+  Tutil.check_bool "float allocates at most its result's box" true
+    (words <= float_of_int (2 * draws));
+  ignore (Sys.opaque_identity !acc)
+
 (* ------------------------- Zipf ------------------------- *)
 
 let test_zipf_bounds () =
@@ -358,6 +401,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick
             test_rng_shuffle_permutation;
           Alcotest.test_case "chance" `Quick test_rng_chance;
+          Alcotest.test_case "pinned outputs, no allocation" `Quick
+            test_rng_pinned_no_alloc;
         ] );
       ( "zipf",
         [

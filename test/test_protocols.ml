@@ -221,11 +221,13 @@ let test_mvto_versions () =
   (* MVTO run leaves version chains bounded and committed = live. *)
   let wl = Ycsb.make (Tutil.small_ycsb ~table_size:64 ~read_ratio:0.5 ()) in
   let _ = Nd_driver.run (module Mvto) (nd_cfg 4) wl ~txns:1000 in
-  Table.iter_dense
-    (fun row ->
-      Tutil.check_bool "chain bounded" true (List.length row.Row.versions <= 8);
-      Tutil.check_int "committed = live" row.Row.data.(0) row.Row.committed.(0))
-    (Db.table_by_name wl.Workload.db "usertable")
+  let tbl = Db.table_by_name wl.Workload.db "usertable" in
+  for key = 0 to Table.capacity tbl - 1 do
+    Tutil.check_bool "chain bounded" true
+      (List.length (Table.versions tbl key) <= 8);
+    Tutil.check_int "committed = live" (Table.get tbl key 0)
+      (Table.committed tbl key 0)
+  done
 
 (* ------------------------- golden schedules ------------------------- *)
 

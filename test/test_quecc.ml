@@ -215,11 +215,10 @@ let test_conservative_abort_purity () =
   let db = Db.create ~nparts:2 in
   let table_id = Db.add_table db ~name:"t" ~nfields:1 ~capacity:(2 * total) in
   let tbl = Db.table_by_name db "t" in
-  Table.iter_dense
-    (fun row ->
-      row.Row.data.(0) <- 1000 + row.Row.key;
-      Row.publish row)
-    tbl;
+  for key = 0 to Table.capacity tbl - 1 do
+    Table.set tbl key 0 (1000 + key);
+    Table.publish tbl key
+  done;
   let op_gated = 0 and op_maybe_abort = 1 in
   let gen g =
     let f0 =
@@ -271,24 +270,24 @@ let test_conservative_abort_purity () =
   in
   let expected_aborts = ref 0 in
   for g = 0 to total - 1 do
-    let r0 = Table.dense tbl (2 * g) and r1 = Table.dense tbl ((2 * g) + 1) in
+    let r0 = 2 * g and r1 = (2 * g) + 1 in
     let init0 = 1000 + (2 * g) and init1 = 1000 + (2 * g) + 1 in
     if init1 mod 3 = 0 then begin
       incr expected_aborts;
       Tutil.check_int "aborted: gated update absent (committed)" init0
-        r0.Row.committed.(0);
+        (Table.committed tbl r0 0);
       Tutil.check_int "aborted: gated update absent (live)" init0
-        r0.Row.data.(0);
+        (Table.get tbl r0 0);
       Tutil.check_int "aborted: abortable write absent (committed)" init1
-        r1.Row.committed.(0);
+        (Table.committed tbl r1 0);
       Tutil.check_int "aborted: abortable write absent (live)" init1
-        r1.Row.data.(0)
+        (Table.get tbl r1 0)
     end
     else begin
       Tutil.check_int "committed: gated update applied" (init0 + 100)
-        r0.Row.committed.(0);
+        (Table.committed tbl r0 0);
       Tutil.check_int "committed: abortable write applied" (init1 + 7)
-        r1.Row.committed.(0)
+        (Table.committed tbl r1 0)
     end
   done;
   Tutil.check_bool "test exercises both outcomes" true
@@ -914,18 +913,17 @@ let journal_db () =
    execution order, then the closure of [aborted] over 6 transactions. *)
 let test_journal_edges () =
   let db, t, tbl = journal_db () in
-  let row = Table.dense tbl in
   let closure name accesses aborted expect =
-    let j = J.create ~tables:1 in
+    let j = J.create db in
     List.iter (fun push -> push j) accesses;
     let c = J.closure j 6 ~aborted:(fun b -> List.mem b aborted) in
     Alcotest.(check (list int))
       name expect
       (List.filter (fun b -> c.(b)) [ 0; 1; 2; 3; 4; 5 ])
   in
-  let rd b k f j = J.read j ~bidx:b ~table:t (row k) f
-  and st b k f j = J.set j ~bidx:b ~table:t (row k) f ~old:0
-  and ad b k f j = J.add j ~bidx:b ~table:t (row k) f ~delta:1 in
+  let rd b k f j = J.read j ~bidx:b ~table:t k f
+  and st b k f j = J.set j ~bidx:b ~table:t k f ~old:0
+  and ad b k f j = J.add j ~bidx:b ~table:t k f ~delta:1 in
   closure "read after write" [ st 0 0 0; rd 1 0 0 ] [ 0 ] [ 0; 1 ];
   closure "another field" [ st 0 0 0; rd 1 0 1 ] [ 0 ] [ 0 ];
   closure "another row" [ st 0 0 0; rd 1 1 0 ] [ 0 ] [ 0 ];
@@ -945,48 +943,47 @@ let test_journal_edges () =
   closure "only earlier transactions drag" [ st 3 0 0; rd 1 0 0 ] [ 3 ]
     [ 3 ];
   let ins = Table.insert tbl ~home:0 ~key:100 [| 0; 0 |] in
-  ins.Row.inserter <- 1;
+  Table.set_inserter tbl ins 1;
   closure "access to an inserted row"
     [ (fun j -> J.insert j ~bidx:1 ~table:t ins);
       (fun j -> J.read j ~bidx:4 ~table:t ins 1) ]
-    [ 1 ] [ 1; 4 ];
-  ignore db
+    [ 1 ] [ 1; 4 ]
 
 (* Undo is newest first: a set restores its old value, an add subtracts
    its delta, an insert is removed; one charge per undone entry, none for
    reads or for transactions outside the closure. *)
 let test_journal_revert () =
   let db, t, tbl = journal_db () in
-  let r0 = Table.dense tbl 0 and r1 = Table.dense tbl 1 in
-  let j = J.create ~tables:1 in
+  let r0 = 0 and r1 = 1 in
+  let j = J.create db in
   let set b row f v =
-    J.set j ~bidx:b ~table:t row f ~old:row.Row.data.(f);
-    row.Row.data.(f) <- v
+    J.set j ~bidx:b ~table:t row f ~old:(Table.get tbl row f);
+    Table.set tbl row f v
   and add b row f d =
     J.add j ~bidx:b ~table:t row f ~delta:d;
-    row.Row.data.(f) <- row.Row.data.(f) + d
+    Table.set tbl row f (Table.get tbl row f + d)
   in
-  r0.Row.data.(0) <- 5;
+  Table.set tbl r0 0 5;
   add 0 r0 0 3;
   set 1 r0 0 7;
   J.read j ~bidx:1 ~table:t r0 0;
   add 1 r0 0 10;
   set 1 r1 1 9;
   let ins = Table.insert tbl ~home:0 ~key:100 [| 1; 1 |] in
-  ins.Row.inserter <- 1;
+  Table.set_inserter tbl ins 1;
   J.insert j ~bidx:1 ~table:t ins;
   set 2 r0 0 4;
   let c = J.closure j 3 ~aborted:(fun b -> b = 1) in
   Alcotest.(check (array bool)) "closure" [| false; true; true |] c;
   let charges = ref 0 in
-  J.revert j db c ~charge:(fun () -> incr charges);
-  Tutil.check_int "sets and adds of the closure undone" 8 r0.Row.data.(0);
-  Tutil.check_int "set undone" 0 r1.Row.data.(1);
-  Tutil.check_bool "insert removed" true (Table.find tbl 100 = None);
+  J.revert j c ~charge:(fun () -> incr charges);
+  Tutil.check_int "sets and adds of the closure undone" 8 (Table.get tbl r0 0);
+  Tutil.check_int "set undone" 0 (Table.get tbl r1 1);
+  Tutil.check_bool "insert removed" true (Table.find tbl 100 = -1);
   Tutil.check_int "one charge per undone entry" 5 !charges;
   J.clear j;
   charges := 0;
-  J.revert j db [| true; true; true |] ~charge:(fun () -> incr charges);
+  J.revert j [| true; true; true |] ~charge:(fun () -> incr charges);
   Tutil.check_int "cleared" 0 !charges
 
 (* ------------------------- property tests ------------------------- *)

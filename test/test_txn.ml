@@ -177,7 +177,8 @@ let in_sim f =
   ignore (Sim.run sim);
   (Option.get !r, Sim.busy_time sim)
 
-let row wl key = Table.dense (Db.table wl.Workload.db 0) key
+let tbl wl = Db.table wl.Workload.db 0
+let live wl key = Table.live_image (tbl wl) key
 
 (* Two writes to row 0, an insert and a write to row 1, then a logic
    abort: the attempt rolls back, charged per the runner's policy. *)
@@ -209,7 +210,7 @@ let test_direct_rollback () =
   List.iter
     (fun (charge, name, expect) ->
       let wl = direct_wl exec in
-      (row wl 0).Quill_storage.Row.data.(2) <- 9;
+      Table.set (tbl wl) 0 2 9;
       let touched = ref 0 and inserted = ref 0 in
       let r, busy =
         in_sim (fun sim ->
@@ -225,11 +226,10 @@ let test_direct_rollback () =
       Tutil.check_int (name ^ ": abort charge") expect busy;
       Alcotest.(check (array int))
         (name ^ ": row 0 restored") [| 0; 0; 9; 0 |]
-        (row wl 0).Quill_storage.Row.data;
-      Tutil.check_int (name ^ ": row 1 restored") 0
-        (row wl 1).Quill_storage.Row.data.(0);
+        (live wl 0);
+      Tutil.check_int (name ^ ": row 1 restored") 0 (Table.get (tbl wl) 1 0);
       Tutil.check_bool (name ^ ": insert removed") true
-        (Table.find (Db.table wl.Workload.db 0) 1000 = None);
+        (Table.find (tbl wl) 1000 = -1);
       Tutil.check_int (name ^ ": touch per write") 3 !touched;
       Tutil.check_int (name ^ ": inserted hook") 1 !inserted)
     [
@@ -255,7 +255,7 @@ let test_direct_add_and_isolation () =
   List.iter
     (fun (add_reads, read_committed, busy_want, seen_want) ->
       let wl = direct_wl exec in
-      (row wl 3).Quill_storage.Row.data.(0) <- 42;
+      Table.set (tbl wl) 3 0 42;
       let r, busy =
         in_sim (fun sim ->
             Direct.run
@@ -266,8 +266,7 @@ let test_direct_add_and_isolation () =
       Tutil.check_bool (name ^ ": commits") true (r = Exec.Ok);
       Tutil.check_int (name ^ ": charge") busy_want busy;
       Tutil.check_int (name ^ ": read image") seen_want !seen;
-      Tutil.check_int (name ^ ": add applied") 5
-        (row wl 4).Quill_storage.Row.data.(0))
+      Tutil.check_int (name ^ ": add applied") 5 (Table.get (tbl wl) 4 0))
     [ (true, false, 120, 42); (false, false, 110, 42); (false, true, 110, 0) ]
 
 (* A [locate] that raises (2PL refusing a lock) stops the step after the
@@ -323,10 +322,8 @@ let test_direct_run_locate_raises () =
         Direct.run (Direct.create ~locate ~charge:Direct.Per_row sim costs wl) txn)
   in
   Tutil.check_bool "blocked" true (r = Exec.Blocked);
-  Alcotest.(check (array int)) "row 0 restored" [| 0; 0; 0; 0 |]
-    (row wl 0).Quill_storage.Row.data;
-  Tutil.check_bool "insert removed" true
-    (Table.find (Db.table wl.Workload.db 0) 1000 = None);
+  Alcotest.(check (array int)) "row 0 restored" [| 0; 0; 0; 0 |] (live wl 0);
+  Tutil.check_bool "insert removed" true (Table.find (tbl wl) 1000 = -1);
   Tutil.check_int "abort charge per row" 1000 busy
 
 let () =

@@ -285,9 +285,9 @@ let toy_wal ?disk ~snapshot_every () =
   (Option.get !w, db)
 
 let committed0 db key =
-  match Table.find (Db.table db 0) key with
-  | Some row -> row.Row.committed.(0)
-  | None -> -1
+  let tbl = Db.table db 0 in
+  let slot = Table.find tbl key in
+  if slot < 0 then -1 else Table.committed tbl slot 0
 
 let test_clean_log_replays_fully () =
   let w, db = toy_wal ~snapshot_every:8 () in

@@ -99,11 +99,29 @@ let ycsb_committed_delta txns =
     0 txns
 
 let sum_field0 db name =
+  let module Table = Quill_storage.Table in
+  let tbl = Quill_storage.Db.table_by_name db name in
   let acc = ref 0 in
-  Quill_storage.Table.iter_dense
-    (fun row -> acc := !acc + row.Quill_storage.Row.committed.(0))
-    (Quill_storage.Db.table_by_name db name);
+  for key = 0 to Table.capacity tbl - 1 do
+    acc := !acc + Table.committed tbl key 0
+  done;
   !acc
+
+(* Minor-heap words allocated while [f] runs, net of the measurement's
+   own boxed float. *)
+let minor_words_during f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure ignore
+
+(* The committed image of [key] in [tbl]; [None] when absent. *)
+let committed_row tbl key =
+  let slot = Quill_storage.Table.find tbl key in
+  if slot < 0 then None
+  else Some (Quill_storage.Table.committed_image tbl slot)
 
 (* Minimal JSON syntax checker for the trace-export tests: verifies the
    string is exactly one well-formed JSON value.  Returns [Some error]
