@@ -31,7 +31,7 @@ lint:
 check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine quecc --workload ycsb \
 	  --txns 2048 --batch 512 --trace $(SMOKE_TRACE) --phase-table \
-	  --pipeline --steal --check-conflicts
+	  --pipeline --check-conflicts
 	dune exec bin/quill_cli.exe -- run --engine calvin --txns 2048 \
 	  --arrival 200000 --admission deadline:64 --deadline 20us --retries 2
 	dune exec bin/quill_cli.exe -- run --engine calvin --txns 2048 \

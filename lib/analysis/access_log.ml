@@ -172,8 +172,7 @@ let probe_count t = Vec.length t.probe_log
 (* Interpose on an executor context.  [rc_read] marks fragments whose
    reads are served from the committed image (read-committed isolation):
    those commute with anything in flight, so the conflict checker must
-   not treat them as conflicting accesses — exactly mirroring their
-   exclusion from the engine's steal signatures. *)
+   not treat them as conflicting accesses. *)
 let wrap_exec_ctx t ?(rc_read = fun (_ : Fragment.t) -> false)
     (c : Exec.ctx) =
   {

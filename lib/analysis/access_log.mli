@@ -75,9 +75,9 @@ val set_slot :
   unit
 (** Set the queue-slot context attributed to subsequent row accesses.
     Engines call this from their drain loops before executing each queue
-    entry; [owner <> thread] marks a stolen queue (or, with
-    [subseq >= 0], a chain segment running on a foreign executor).
-    Pass [subseq:(-1)] for a plain queue entry. *)
+    entry; [subseq >= 0] marks a chain segment, which may run on a
+    foreign executor ([owner <> thread]).  Pass [subseq:(-1)] for a
+    plain queue entry, which only its owner drains. *)
 
 val record_row : t -> table:int -> key:int -> op:op -> unit
 val record_probe : t -> table:string -> key:int -> insert:bool -> unit
@@ -91,8 +91,7 @@ val wrap_exec_ctx :
     executor context.  [rc_read f] should return [true] when fragment
     [f]'s read is served from the committed image (read-committed
     isolation) — such reads commute and are logged as [Committed_read],
-    which the checker exempts from ordering rules, mirroring their
-    exclusion from steal signatures. *)
+    which the checker exempts from ordering rules. *)
 
 val with_sim : t -> Quill_sim.Sim.t -> (unit -> 'a) -> 'a
 (** [with_sim t sim f] wires the log to [sim] (clock/phase/thread-id

@@ -2,13 +2,19 @@ open Quill_common
 open Quill_sim
 module A = Access_log
 
-type rule = Plan_access | Priority_order | Cross_owner | Steal_overlap
+type rule =
+  | Plan_access
+  | Priority_order
+  | Cross_owner
+  | Off_owner
+  | Segment_overlap
 
 let rule_name = function
   | Plan_access -> "plan-access"
   | Priority_order -> "priority-order"
   | Cross_owner -> "cross-owner"
-  | Steal_overlap -> "steal-overlap"
+  | Off_owner -> "off-owner"
+  | Segment_overlap -> "segment-overlap"
 
 type violation = {
   v_rule : rule;
@@ -22,7 +28,6 @@ type report = {
   r_rows : int;
   r_probes : int;
   r_batches : int;
-  r_stolen : int;
   r_segments : int;
   violations : violation list;
 }
@@ -35,9 +40,9 @@ let pp_violation fmt v =
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "conflict-check: %d row accesses, %d probes, %d batches, %d stolen \
-     queues, %d chain segments, %d violations"
-    r.r_rows r.r_probes r.r_batches r.r_stolen r.r_segments
+    "conflict-check: %d row accesses, %d probes, %d batches, %d chain \
+     segments, %d violations"
+    r.r_rows r.r_probes r.r_batches r.r_segments
     (List.length r.violations);
   List.iter (fun v -> Format.fprintf fmt "@.  %a" pp_violation v) r.violations
 
@@ -94,8 +99,7 @@ let check_plan_access ~(rows : A.row_access array)
 (* Execute-phase records that participate in ordering rules.  Recovery
    replay (Ph_recover) legitimately re-executes a batch prefix serially
    and out of global order; committed-image reads commute with anything
-   in flight.  Both are excluded, mirroring the engine's own steal
-   signatures. *)
+   in flight.  Both are excluded. *)
 let ordered_rows rows =
   let v = Vec.create () in
   Array.iter
@@ -204,10 +208,10 @@ let check_priority_order sorted add =
 
 (* One drained execution (sub-)queue: who drained it, which keys it
    touched, and the seq window over which it was drained.  A hot-key
-   chain segment ([q_subseq >= 0]) is its own queue: it runs on a
-   foreign thread like a steal, and the same concurrent-overlap check
-   applies to it (its window must not overlap any other thread's queue
-   that shares a key — chain sequencing is what guarantees that). *)
+   chain segment ([q_subseq >= 0]) is its own queue: it may run on a
+   foreign thread, so its window must not overlap any other thread's
+   queue that shares a key — chain sequencing is what guarantees
+   that. *)
 type queue = {
   q_batch : int;
   q_owner : int;
@@ -275,8 +279,8 @@ let build_queues sorted =
           q.q_max_seq <- max q.q_max_seq a.A.a_seq;
           q.q_min_seq <- min q.q_min_seq a.A.a_seq;
           (* a queue is drained by one thread; a second thread showing up
-             mid-queue is itself suspicious, keep the last thief so the
-             steal check sees the steal *)
+             mid-queue is itself suspicious, keep the last one so the
+             off-owner check sees it *)
           q.q_thread <- a.A.a_thread;
           Vec.push q.q_keys (a.A.a_table, a.A.a_key)
         end
@@ -302,22 +306,36 @@ let keys_intersect a b =
   done;
   !hit
 
-(* C3: a stolen queue (drained by a thread other than its owner) must be
-   key-disjoint from every queue drained concurrently by a different
-   thread.  The engine only steals when signatures are disjoint against
-   all unfinished queues; a queue fully drained before the steal window
-   opened ([q_max_seq < q_min_seq of the stolen one]) may share keys.
-   Hot-key chain segments also run off-owner, but by sequencing rather
-   than disjointness: their windows must simply never overlap another
-   thread's queue sharing the key, which the same scan verifies.  They
-   are tallied as segments, not steals. *)
-let check_steal_overlap queues add =
+(* C3: every plain queue is drained by its owner; a queue on any other
+   thread is a violation whatever its keys, since no engine moves a
+   queue off the executor it was planned for.  A hot-key chain segment
+   is the one (sub-)queue that runs on a foreign thread, and it is
+   ordered by sequencing rather than placement: its window must never
+   overlap a queue of another thread that shares its key.  Returns the
+   number of segments seen. *)
+let check_queue_placement queues add =
   let n = Array.length queues in
-  let stolen = ref 0 and segments = ref 0 in
+  let segments = ref 0 in
   for a = 0 to n - 1 do
     let qa = queues.(a) in
-    if qa.q_subseq >= 0 || qa.q_thread <> qa.q_owner then begin
-      if qa.q_subseq >= 0 then incr segments else incr stolen;
+    if qa.q_subseq < 0 then begin
+      if qa.q_thread <> qa.q_owner then
+        let table, key = Vec.get qa.q_keys 0 in
+        add
+          {
+            v_rule = Off_owner;
+            v_batch = qa.q_batch;
+            v_table = Printf.sprintf "table#%d" table;
+            v_key = key;
+            v_msg =
+              Printf.sprintf
+                "queue (owner %d, prio %d) drained by thread %d, not its \
+                 owner"
+                qa.q_owner qa.q_prio qa.q_thread;
+          }
+    end
+    else begin
+      incr segments;
       for b = 0 to n - 1 do
         let qb = queues.(b) in
         if
@@ -332,27 +350,22 @@ let check_steal_overlap queues add =
           | Some (table, key) ->
               add
                 {
-                  v_rule = Steal_overlap;
+                  v_rule = Segment_overlap;
                   v_batch = qa.q_batch;
                   v_table = Printf.sprintf "table#%d" table;
                   v_key = key;
                   v_msg =
                     Printf.sprintf
-                      "%s (owner %d, prio %d, sub %d) on thread %d \
-                       overlaps concurrent queue (owner %d, prio %d, \
-                       sub %d) on thread %d — %s"
-                      (if qa.q_subseq >= 0 then "chain segment"
-                       else "stolen queue")
+                      "chain segment (owner %d, prio %d, sub %d) on thread \
+                       %d overlaps concurrent queue (owner %d, prio %d, \
+                       sub %d) on thread %d — chain sequencing was violated"
                       qa.q_owner qa.q_prio qa.q_subseq qa.q_thread
-                      qb.q_owner qb.q_prio qb.q_subseq qb.q_thread
-                      (if qa.q_subseq >= 0 then
-                         "chain sequencing was violated"
-                       else "signatures were not disjoint");
+                      qb.q_owner qb.q_prio qb.q_subseq qb.q_thread;
                 }
       done
     end
   done;
-  (!stolen, !segments)
+  !segments
 
 let count_batches (rows : A.row_access array) =
   let seen = ref [] in
@@ -371,12 +384,11 @@ let check_log log =
   let sorted = ordered_rows rows in
   check_priority_order sorted add;
   let queues = build_queues sorted in
-  let stolen, segments = check_steal_overlap queues add in
+  let segments = check_queue_placement queues add in
   {
     r_rows = Array.length rows;
     r_probes = Array.length probes;
     r_batches = count_batches rows;
-    r_stolen = stolen;
     r_segments = segments;
     violations = Vec.to_list acc;
   }

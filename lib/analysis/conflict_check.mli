@@ -18,16 +18,23 @@
       planner routing broke per-key locality.  (A chain segment runs on
       a foreign {e thread} but keeps its home {e owner}, so splitting
       does not trip this rule.)
-    - {b steal-overlap} (C3): a stolen queue is key-disjoint from every
-      queue drained concurrently by a different thread — the
-      work-stealing signatures really were disjoint.  Chain segments get
-      the same concurrent-overlap scan (their windows must be serialized
-      by the chain ivars, never concurrent with a key-sharing queue).
+    - {b off-owner} (C3): every plain queue is drained by the executor
+      it was planned for; a queue drained by any other thread is a
+      violation whatever keys it holds.
+    - {b segment-overlap} (C3): a hot-key chain segment, the one
+      (sub-)queue that runs on a foreign thread, never overlaps a queue
+      of another thread that shares its key (its window must be
+      serialized by the chain ivars).
 
     The checker iterates sorted arrays only (never an unordered
     container), so its own output is deterministic. *)
 
-type rule = Plan_access | Priority_order | Cross_owner | Steal_overlap
+type rule =
+  | Plan_access
+  | Priority_order
+  | Cross_owner
+  | Off_owner
+  | Segment_overlap
 
 val rule_name : rule -> string
 
@@ -43,7 +50,6 @@ type report = {
   r_rows : int;  (** row accesses examined *)
   r_probes : int;  (** storage probes examined *)
   r_batches : int;  (** distinct batches covered *)
-  r_stolen : int;  (** stolen queues observed *)
   r_segments : int;  (** hot-key chain segments observed (cfg.split) *)
   violations : violation list;
 }

@@ -11,8 +11,8 @@
     Sealing canonicalizes the change set — one event per distinct
     (table, key), first pre-image / last post-image, value-equal no-ops
     dropped, sorted by (table, key) — so the serialized feed depends
-    only on the sequence of committed states.  Lockstep, pipelined,
-    stealing and split-queue runs of the same seed therefore produce a
+    only on the sequence of committed states.  Lockstep, pipelined and
+    split-queue runs of the same seed therefore produce a
     {e byte-identical} feed (the headline determinism test).
 
     Subscriptions are typed cursors over that feed: bounded in-process

@@ -214,7 +214,7 @@ let executor_thread sh node e =
         (match sh.recorder with
         | None -> ()
         | Some log ->
-            (* no stealing in the distributed engine: owner = thread *)
+            (* executors drain only their own queues: owner = thread *)
             Quill_analysis.Access_log.set_slot log ~thread:egid ~owner:egid
               ~prio ~subseq:(-1) ~pos:i ~batch:b);
         exec_entry sh st ctx (Vec.get q i);

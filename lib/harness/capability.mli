@@ -15,9 +15,8 @@ type t =
   | Replication  (** HA queue replication ([--replicas N]) *)
   | Pipeline     (** overlapped plan/execute batches ([--pipeline]) *)
   | Adaptive
-      (** queue-level adaptation: work stealing ([--steal]), hot-key
-          splitting ([--split]) and between-batch adaptation
-          ([--adapt]) *)
+      (** queue-level adaptation: hot-key splitting ([--split]) and
+          between-batch adaptation ([--adapt]) *)
 
 val all : t list
 (** Every capability, in canonical order. *)

@@ -195,15 +195,6 @@ let pipeline_t =
            N+1 with execution of batch N (committed state stays \
            bit-identical per seed).  Other engines reject it (exit 2).")
 
-let steal_t =
-  Arg.(
-    value & flag
-    & info [ "steal" ] ~docs:s_exec
-        ~doc:
-          "QueCC: let drained executors steal whole queues whose key \
-           signatures are disjoint from every unfinished queue of the \
-           victim (deterministic outcome preserved).")
-
 let split_t =
   Arg.(
     value
@@ -283,8 +274,8 @@ let cdc_t =
            subscribers.  A bounded-staleness read-replica cache consumes \
            the feed (at most 4 batches behind) and is checked against \
            committed state after the run.  The feed is byte-identical \
-           across lockstep, pipelined, stealing and split-queue runs of \
-           the same seed.  Cannot be combined with crash/disk faults.")
+           across lockstep, pipelined and split-queue runs of the same \
+           seed.  Cannot be combined with crash/disk faults.")
 
 let views_t =
   Arg.(
@@ -311,10 +302,11 @@ let check_conflicts =
         ~doc:
           "Record every row access and verify the planned-order \
            invariants after the run (plan does no row access, \
-           conflicting accesses follow planned queue priority, stolen \
-           queues are key-disjoint).  Prints a conflict-check report; \
-           exits 1 on any violation.  Only the QueCC-family engines \
-           record; recording never affects virtual time.")
+           conflicting accesses follow planned queue priority, each \
+           queue runs on its own executor, split-key segments do not \
+           overlap).  Prints a conflict-check report; exits 1 on any \
+           violation.  Only the QueCC-family engines record; recording \
+           never affects virtual time.")
 
 let trace =
   Arg.(
@@ -387,7 +379,6 @@ let experiment =
   and+ deadline = deadline
   and+ retries = retries
   and+ pipeline = pipeline_t
-  and+ steal = steal_t
   and+ split = split_t
   and+ adapt_repart, adapt_batch = adapt_t
   and+ replicas = replicas_t
@@ -400,7 +391,7 @@ let experiment =
   let tpcc = { Tpcc.default with Tpcc_defs.warehouses; nparts = threads; seed } in
   E.make ~name ~threads ~txns ~batch_size ?faults
     ?clients:(clients_cfg ~seed arrival admission deadline retries)
-    ~pipeline ~steal ?split ~adapt_repart ~adapt_batch ~replicas ~spec_lag
+    ~pipeline ?split ~adapt_repart ~adapt_batch ~replicas ~spec_lag
     ~wal ~snapshot_every ~cdc ~views engine
     (match w with
     | `Ycsb ->
@@ -491,7 +482,6 @@ let to_argv (t : E.t) =
         (if t.faults = F.none then [] else opt "--faults" (F.to_string t.faults));
         clients;
         flag "--pipeline" t.pipeline;
-        flag "--steal" t.steal;
         (match t.split with Some n -> opt "--split" (int n) | None -> []);
         (match (t.adapt_repart, t.adapt_batch) with
         | false, false -> []
@@ -576,7 +566,7 @@ let bench ~micro =
       plain "fig-modes" "Execution mode x isolation ablation." X.fig_modes;
       plain "fig-latency" "Latency distributions." X.fig_latency;
       plain "fig-batch" "QueCC batch-size sensitivity." X.fig_batch;
-      with_json "pipeline" "Pipelined batches and stealing." X.pipeline;
+      with_json "pipeline" "Pipelined vs lockstep batches." X.pipeline;
       with_json "skew" "Adaptive planning under skew." X.skew;
       target "fault-tolerance" "Distributed recovery under a fault plan."
         (let+ plan = faults in

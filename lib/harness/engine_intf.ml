@@ -4,7 +4,12 @@
    (see Engine_registry). *)
 
 module Run_cfg = struct
-  type exec_cfg = { pipeline : bool; steal : bool }
+  type exec_cfg = {
+    pipeline : bool;
+    steal : bool;
+        (* read by no engine: kept only until the benchmark stops
+           naming it *)
+  }
 
   type adaptive_cfg = {
     split : int option;

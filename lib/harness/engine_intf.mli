@@ -12,7 +12,9 @@
 module Run_cfg : sig
   type exec_cfg = {
     pipeline : bool;  (** overlap planning and execution (QueCC family) *)
-    steal : bool;     (** executor work stealing (QueCC family) *)
+    steal : bool;
+        (** read by no engine: work stealing was removed.  Kept only
+            until the benchmark stops naming it. *)
   }
 
   type adaptive_cfg = {

@@ -117,7 +117,6 @@ let quecc name mode isolation =
           isolation;
           costs = cfg.RC.costs;
           pipeline = cfg.RC.exec.RC.pipeline;
-          steal = cfg.RC.exec.RC.steal;
           split =
             (match cfg.RC.adaptive.RC.split with
             | Some t -> Some { Qe.default_split with Qe.hot_threshold = t }

@@ -55,7 +55,7 @@ type t = {
 
 let make ?name ?(threads = 8) ?(txns = 20_000) ?(batch_size = 1024)
     ?(costs = Costs.default) ?(faults = Faults.none) ?clients
-    ?(pipeline = false) ?(steal = false) ?split ?(adapt_repart = false)
+    ?(pipeline = false) ?split ?(adapt_repart = false)
     ?(adapt_batch = false) ?(replicas = 0) ?(spec_lag = 1) ?(wal = false)
     ?(snapshot_every = 8) ?(cdc = false) ?(views = false) engine workload =
   let name =
@@ -72,7 +72,7 @@ let make ?name ?(threads = 8) ?(txns = 20_000) ?(batch_size = 1024)
     faults;
     clients;
     pipeline;
-    steal;
+    steal = false;
     split;
     adapt_repart;
     adapt_batch;
@@ -129,6 +129,10 @@ let check_ranges t =
   | Tpcc c -> need (c.Tpcc_defs.warehouses >= 1) "--warehouses" ">= 1"
 
 let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
+  if t.steal then
+    invalid_arg
+      "Experiment.run: work stealing (steal = true) was removed; QueCC \
+       executors drain only their own planned queues";
   check_ranges t;
   Trace.begin_process tracer t.name;
   let batches = batches t in
@@ -161,7 +165,6 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
             [ (Capability.Replication, "--replicas") ]
           else []);
          (if t.pipeline then [ (Capability.Pipeline, "--pipeline") ] else []);
-         (if t.steal then [ (Capability.Adaptive, "--steal") ] else []);
          (if t.split <> None then [ (Capability.Adaptive, "--split") ]
           else []);
          (if t.adapt_repart || t.adapt_batch then
@@ -204,7 +207,7 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
       batches;
       batch_size = t.batch_size;
       costs = t.costs;
-      exec = { RC.pipeline = t.pipeline; steal = t.steal };
+      exec = { RC.default.RC.exec with RC.pipeline = t.pipeline };
       adaptive =
         {
           RC.split = t.split;

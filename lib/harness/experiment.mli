@@ -53,8 +53,9 @@ type t = {
           batch [N] (see {!Quill_quecc.Engine.cfg}); ignored by engines
           without a planning phase. *)
   steal : bool;
-      (** QueCC: executor work stealing on queue imbalance; implies
-          nothing without [pipeline] but composes with either path. *)
+      (** Always [false]: work stealing was removed, and {!run} raises
+          [Invalid_argument] when it is set.  Kept only until the
+          benchmark stops naming it. *)
   split : int option;
       (** QueCC: hot-key queue splitting threshold (per-planner per-key
           op count that triggers sub-queues); [None] = off.  See
@@ -111,7 +112,6 @@ val make :
   ?faults:Quill_faults.Faults.spec ->
   ?clients:Quill_clients.Clients.cfg ->
   ?pipeline:bool ->
-  ?steal:bool ->
   ?split:int ->
   ?adapt_repart:bool ->
   ?adapt_batch:bool ->

@@ -339,21 +339,21 @@ let fig_batch ?(scale = 1.0) () =
     rows
 
 (* Pipelined batch execution.  Each theta runs QueCC with the pipeline
-   off, on, and on-with-stealing on the same workload spec, so the off
-   row is the oracle both for state (bit-identical per seed, covered by
-   the test suite) and for the speedup the sweep table shows.  The
-   distributed engines get the lag-1 variant at low contention.  [json]
-   additionally dumps every row as machine-readable JSON. *)
+   off and on on the same workload spec, so the off row is the oracle
+   both for state (bit-identical per seed, covered by the test suite)
+   and for the speedup the sweep table shows.  The distributed engines
+   get the lag-1 variant at low contention.  [json] additionally dumps
+   every row as machine-readable JSON. *)
 let pipeline ?(scale = 1.0) ?json () =
   let module M = Quill_txn.Metrics in
   let txns = scaled scale 16_384 ~min_v:4096 in
   let size = scaled scale 200_000 ~min_v:20_000 in
   let checked0 = !conflict_checked in
   let results = ref [] in
-  let row engine label ~theta ~pipeline ~steal ~threads ~batch_size spec =
-    let e = E.make ~threads ~txns ~batch_size ~pipeline ~steal engine spec in
+  let row engine label ~theta ~pipeline ~threads ~batch_size spec =
+    let e = E.make ~threads ~txns ~batch_size ~pipeline engine spec in
     let m = run_exp e in
-    results := (E.engine_name engine, theta, pipeline, steal, m) :: !results;
+    results := (E.engine_name engine, theta, pipeline, m) :: !results;
     { Report.label; metrics = m }
   in
   let series =
@@ -368,9 +368,8 @@ let pipeline ?(scale = 1.0) ?json () =
         let rows =
           [
             (* lint: engine-name-ok — report row label, not dispatch *)
-            r "quecc" ~pipeline:false ~steal:false spec;
-            r "quecc+pipe" ~pipeline:true ~steal:false spec;
-            r "quecc+pipe+steal" ~pipeline:true ~steal:true spec;
+            r "quecc" ~pipeline:false spec;
+            r "quecc+pipe" ~pipeline:true spec;
           ]
         in
         (Printf.sprintf "theta=%.2f" theta, rows))
@@ -393,7 +392,7 @@ let pipeline ?(scale = 1.0) ?json () =
       }
   in
   let drows =
-    let r = row ~theta:0.0 ~steal:false ~threads:8 ~batch_size:2048 in
+    let r = row ~theta:0.0 ~threads:8 ~batch_size:2048 in
     [
       (* lint: engine-name-ok — report row label, not dispatch *)
       r (E.Dist_quecc 4) "dist-quecc" ~pipeline:false dspec;
@@ -413,8 +412,7 @@ let pipeline ?(scale = 1.0) ?json () =
      for a stable artifact. *)
   let rows =
     List.sort
-      (fun (n1, t1, p1, s1, _) (n2, t2, p2, s2, _) ->
-        compare (n1, t1, p1, s1) (n2, t2, p2, s2))
+      (fun (n1, t1, p1, _) (n2, t2, p2, _) -> compare (n1, t1, p1) (n2, t2, p2))
       !results
   in
   (match json with
@@ -422,25 +420,24 @@ let pipeline ?(scale = 1.0) ?json () =
   | Some path ->
       J.write path ~experiment:"pipeline" ~scale
         (List.map
-           (fun (name, theta, pipe, steal, m) ->
+           (fun (name, theta, pipe, m) ->
              [
                ("engine", J.Str name); ("theta", J.Num theta);
-               ("pipeline", J.Bool pipe); ("steal", J.Bool steal);
+               ("pipeline", J.Bool pipe);
                ("tput", tput m); ("committed", J.Int m.M.committed);
                ("fill_stall", J.Int m.M.pipe_fill_stall);
                ("drain_stall", J.Int m.M.pipe_drain_stall);
-               ("stolen_queues", J.Int m.M.stolen_queues);
              ])
            rows));
   let find name theta ~pipe =
     List.find_map
-      (fun (n, t, p, s, m) ->
-        if n = name && t = theta && p = pipe && not s then Some m else None)
+      (fun (n, t, p, m) ->
+        if n = name && t = theta && p = pipe then Some m else None)
       rows
   in
   let piped =
     List.filter_map
-      (fun (n, t, p, s, m) -> if p && not s then Some (n, t, m) else None)
+      (fun (n, t, p, m) -> if p then Some (n, t, m) else None)
       rows
   in
   let pair_claims (name, theta, m) =
@@ -942,10 +939,10 @@ let durability ?(scale = 1.0) ?json () =
 (* CDC: QueCC's planning phase fixes the commit order before execution
    starts, so the change stream is a pure function of the input batches
    — the CDC feed must come out byte-identical across lockstep,
-   pipelined, stealing and split-queue runs of the same seed, and the
+   pipelined and split-queue runs of the same seed, and the
    subscription hub must cost little at the commit point.  Rows: the
    no-CDC quecc baseline, quecc --cdc (replica subscription), quecc
-   --cdc --views (replica + verified materialized view), the same three
+   --cdc --views (replica + verified materialized view), the two
    alternate quecc schedules with --cdc, and serial --cdc (group-commit
    feed; its batch boundaries differ, so its digest is reported but not
    compared).  The view must equal a full recompute at every caught-up
@@ -962,11 +959,10 @@ let cdc ?(scale = 1.0) ?json () =
   in
   let threads = 8 and batch_size = 512 in
   let results = ref [] in
-  let row label engine ~cdc ~views ?(pipeline = false) ?(steal = false)
-      ?split () =
+  let row label engine ~cdc ~views ?(pipeline = false) ?split () =
     let e =
       E.make ~name:label ~threads ~txns ~batch_size ~cdc ~views ~pipeline
-        ~steal ?split engine spec
+        ?split engine spec
     in
     let feed = ref None in
     let m =
@@ -990,10 +986,6 @@ let cdc ?(scale = 1.0) ?json () =
   let pipe_r, _, feed_p =
     row "pipelined --cdc" quecc ~cdc:true ~views:false ~pipeline:true ()
   in
-  let steal_r, _, feed_s =
-    row "pipelined+steal --cdc" quecc ~cdc:true ~views:false ~pipeline:true
-      ~steal:true ()
-  in
   let split_r, _, feed_sp =
     row "split --cdc" quecc ~cdc:true ~views:false ~split:16 ()
   in
@@ -1002,7 +994,7 @@ let cdc ?(scale = 1.0) ?json () =
   let deterministic =
     List.for_all
       (fun f -> digest f = digest feed0 && digest feed0 <> 0)
-      [ feed_v; feed_p; feed_s; feed_sp ]
+      [ feed_v; feed_p; feed_sp ]
   in
   let view_ok = mviews.M.view_refreshes > 0 in
   let overhead_pct =
@@ -1012,9 +1004,9 @@ let cdc ?(scale = 1.0) ?json () =
     ~title:
       "CDC: ordered commit-stream subscriptions (YCSB theta=0.6, 8 cores; \
        replica at staleness 4; view verified against recompute)"
-    [ base; cdc_r; views_r; pipe_r; steal_r; split_r; serial_r ];
+    [ base; cdc_r; views_r; pipe_r; split_r; serial_r ];
   Printf.printf
-    "cdc: feed %s across lockstep/pipelined/steal/split (digest %08x); \
+    "cdc: feed %s across lockstep/pipelined/split (digest %08x); \
      view=recompute %s; overhead %.1f%%\n"
     (if deterministic then "byte-identical" else "DIVERGES")
     (digest feed0)
@@ -1049,8 +1041,7 @@ let cdc ?(scale = 1.0) ?json () =
   let family =
     [
       ("quecc --cdc", feed0); ("quecc --cdc --views", feed_v);
-      ("pipelined --cdc", feed_p); ("pipelined+steal --cdc", feed_s);
-      ("split --cdc", feed_sp);
+      ("pipelined --cdc", feed_p); ("split --cdc", feed_sp);
     ]
   in
   let fed (label, cdc, feed, m) =

@@ -64,7 +64,7 @@ val fig_batch : ?scale:float -> unit -> unit
 
 val pipeline : ?scale:float -> ?json:string -> unit -> unit
 (** Pipelined batch execution: QueCC with the double-buffered pipeline
-    off / on / on-with-work-stealing across zipfian theta, plus the
+    off / on across zipfian theta, plus the
     distributed engines' lag-1 variant — the off rows are the oracle
     for the speedup shown (committed state is bit-identical per seed;
     the test suite asserts it).  [json] also writes every row to a
@@ -133,8 +133,8 @@ val cdc : ?scale:float -> ?json:string -> unit -> unit
     YCSB theta=0.6 — QueCC without CDC (baseline), QueCC [--cdc]
     (bounded-staleness replica subscription), QueCC [--cdc --views]
     (replica plus a materialized per-partition aggregate view verified
-    against a full recompute at every caught-up point), the pipelined /
-    pipelined+stealing / split-queue schedules with [--cdc], and serial
+    against a full recompute at every caught-up point), the pipelined
+    and split-queue schedules with [--cdc], and serial
     [--cdc] (group-commit feed).  The feed digests of every
     QueCC-family row must be byte-identical — the planning phase fixes
     the commit order, so the change stream is a pure function of the

@@ -70,8 +70,6 @@ let phases =
       of_span "idle:sleep" (fun m -> m.idle_sleep);
       lat "fill-stall/thr" fill_stall_avg;
       lat "drain-stall/thr" drain_stall_avg;
-      int "stolen" (fun m -> m.stolen_queues);
-      pair "steal a/r" (fun m -> m.steal_attempts) (fun m -> m.steal_rejects);
       pair "split k/q" (fun m -> m.split_keys) (fun m -> m.split_subqueues);
       int "repart" (fun m -> m.repart_moves);
       int "resize" (fun m -> m.batch_resizes);

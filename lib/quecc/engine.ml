@@ -43,9 +43,6 @@ type cfg = {
   pipeline : bool;
       (* overlap planning of batch N+1 with execution of batch N via a
          double-buffered queue matrix; off = the lockstep oracle path *)
-  steal : bool;
-      (* drained executors steal whole queues from the most-loaded peer
-         when the steal is provably record-disjoint *)
   split : split_cfg option;  (* hot-key queue splitting; None = off *)
   adapt : adapt_cfg option;  (* dynamic repartitioning / batch tuning *)
 }
@@ -59,7 +56,6 @@ let default_cfg =
     isolation = Serializable;
     costs = Costs.default;
     pipeline = false;
-    steal = false;
     split = None;
     adapt = None;
   }
@@ -116,12 +112,7 @@ type autobs = {
 
 (* The queue matrix and the per-slot runtimes are double-buffered by
    batch parity so a pipelined run can plan batch N+1 while batch N is
-   still executing.  The non-pipelined path only ever uses parity 0.
-   [qstate]/[qsig] exist only under [cfg.steal]: per-(planner, executor)
-   claim state (0 unclaimed / 1 claimed / 2 done) and an exact
-   key-signature set used to prove a candidate steal record-disjoint
-   (a Bloom filter is the wrong tool here: certifying DISJOINTNESS of
-   n-entry sets needs ~n^2 bits, so real queues would never steal). *)
+   still executing.  The non-pipelined path only ever uses parity 0. *)
 type shared = {
   cfg : cfg;
   sim : Sim.t;
@@ -130,14 +121,6 @@ type shared = {
   queues : qentry Vec.t array array array;
       (* [parity].[planner].[executor] *)
   rts : rt option array array;         (* [parity].[slot] -> runtime *)
-  qstate : int array array array;      (* [parity].[planner].[executor] *)
-  qsig : (int, unit) Hashtbl.t array array array;
-      (* [parity].[planner].[executor] *)
-  qpend : int array array array;
-      (* [parity].[planner].[executor], cfg.steal only: completion units
-         left before qstate may flip to 2 — the queue drain itself, plus
-         one for the chain joins homed there.  Without splitting every
-         cell is 1 and this degenerates to the old drain => done. *)
   chain_starts : unit Sim.Ivar.iv Vec.t array array array;
       (* [parity].[planner].[home executor]: segment-0 start ivars, filled
          by the home executor when it reaches that priority *)
@@ -167,18 +150,6 @@ type shared = {
 
 (* Pack (table, key) into one int; tables are small. *)
 let sig_key table key = (key lsl 6) lor table
-
-let sig_disjoint a b =
-  let small, big =
-    if Hashtbl.length a <= Hashtbl.length b then (a, b) else (b, a)
-  in
-  try
-    (* Whether ANY key of [small] is in [big] does not depend on visit
-       order, and the walk mutates nothing. *)
-    (* lint: order-insensitive — pure existence scan, order-independent *)
-    Hashtbl.iter (fun k () -> if Hashtbl.mem big k then raise Exit) small;
-    true
-  with Exit -> false
 
 (* ------------------------------------------------------------------ *)
 (* Transaction runtime                                                 *)
@@ -316,8 +287,8 @@ let make_exec_ctx sh st =
 
 (* Executor [eid]'s state and context, with conflict-detector
    interposition when a recorder is active.  Read-committed reads are
-   flagged so the checker exempts them from ordering rules, exactly as
-   planning exempts them from steal signatures. *)
+   flagged so the checker exempts them from ordering rules: they only
+   read committed state, and planning spreads them over every core. *)
 let new_executor sh eid =
   let st =
     {
@@ -371,71 +342,8 @@ let exec_entry sh st ctx { rt; frag } =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Queue draining and work stealing                                    *)
+(* Queue draining                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* A steal of queue [cand] from victim [v] is safe iff its key signature
-   is disjoint from every other not-yet-finished queue of [v]: then no
-   record of [cand] can appear in any queue still in flight on [v]'s
-   core, so per-record FIFO order is preserved even though [v] proceeds
-   past the stolen priority.  (Queues of other executors never share
-   records: home-partition routing pins a record to one executor, and
-   round-robined read-committed reads are excluded from signatures
-   because they only read committed state.) *)
-let steal_safe sh parity v cand =
-  let ok = ref true in
-  for p' = 0 to sh.cfg.planners - 1 do
-    if
-      p' <> cand
-      && sh.qstate.(parity).(p').(v) <> 2
-      && not
-           (sig_disjoint sh.qsig.(parity).(cand).(v)
-              sh.qsig.(parity).(p').(v))
-    then ok := false
-  done;
-  !ok
-
-(* Pick a queue for an idle executor to steal: the victim with the most
-   unclaimed work, then its tail-most (lowest-priority) unclaimed queue
-   that passes the disjointness check.  It syncs first (peers' claim
-   state is read as of the thief's clock) and then runs without any Sim
-   call, so the find + claim pair is atomic under the cooperative
-   scheduler; the caller charges [Costs.steal_scan] per candidate
-   examined (counted in [scanned]) after claiming. *)
-let find_steal sh ~parity ~thief ~scanned =
-  Sim.sync sh.sim;
-  let pn = sh.cfg.planners and en = sh.cfg.executors in
-  let qs = sh.queues.(parity) and qstate = sh.qstate.(parity) in
-  let load = Array.make en 0 in
-  for v = 0 to en - 1 do
-    if v <> thief then
-      for p = 0 to pn - 1 do
-        if qstate.(p).(v) = 0 then
-          load.(v) <- load.(v) + Vec.length qs.(p).(v)
-      done
-  done;
-  let found = ref None in
-  let more = ref true in
-  while !more do
-    let v = ref (-1) in
-    for u = 0 to en - 1 do
-      if load.(u) > 0 && (!v < 0 || load.(u) > load.(!v)) then v := u
-    done;
-    if !v < 0 then more := false
-    else begin
-      let v = !v in
-      let p = ref (pn - 1) in
-      while !found = None && !p >= 0 do
-        if qstate.(!p).(v) = 0 && Vec.length qs.(!p).(v) > 0 then begin
-          incr scanned;
-          if steal_safe sh parity v !p then found := Some (!p, v)
-        end;
-        decr p
-      done;
-      if !found <> None then more := false else load.(v) <- 0
-    end
-  done;
-  !found
 
 (* Chain-segment execution.  The home executor fills every segment-0
    start ivar for chains homed at (p, e) when it reaches priority p
@@ -497,75 +405,23 @@ let spawn_segment_runner sh e ~parity =
   end
 
 let chain_join sh ~parity p e =
-  sh.chain_joins <> [||]
-  && Vec.length sh.chain_joins.(parity).(p).(e) > 0
-  && begin
-       Vec.iter
-         (fun iv -> Sim.Ivar.read sh.sim iv)
-         sh.chain_joins.(parity).(p).(e);
-       true
-     end
+  if sh.chain_joins <> [||] then
+    Vec.iter
+      (fun iv -> Sim.Ivar.read sh.sim iv)
+      sh.chain_joins.(parity).(p).(e)
 
-(* Execute every queue destined for executor [st.eid] in priority order.
-   Without [cfg.steal] this is the oracle drain loop; with it, queues
-   are claimed (so a peer can steal ahead of a slow owner) and an
-   executor that runs dry turns thief. *)
+(* Execute every queue planned for executor [st.eid], in priority order:
+   the oracle drain loop.  With a recorder active each entry is stamped
+   with its queue slot so the conflict checker can replay priority order
+   ([subseq >= 0] marks a chain segment). *)
 let drain_queues sh st ctx ~parity =
   let e = st.eid in
-  (* [owner] is the executor the queue was planned for; with a recorder
-     active each entry is stamped with its queue slot so the conflict
-     checker can replay priority order ([owner <> e] marks a steal;
-     [subseq >= 0] marks a chain segment). *)
-  let drain = drain_with sh st ctx in
   spawn_segment_runner sh e ~parity;
-  if not sh.cfg.steal then
-    for p = 0 to sh.cfg.planners - 1 do
-      chain_begin sh ~parity p e;
-      drain ~owner:e ~subseq:(-1) p sh.queues.(parity).(p).(e);
-      ignore (chain_join sh ~parity p e)
-    done
-  else begin
-    let qstate = sh.qstate.(parity) in
-    (* One completion unit retired; the last one makes the cell
-       steal-done.  No Sim call between decrement and flip, so it is
-       atomic under the cooperative scheduler. *)
-    let finish p v =
-      Sim.sync sh.sim;
-      sh.qpend.(parity).(p).(v) <- sh.qpend.(parity).(p).(v) - 1;
-      if sh.qpend.(parity).(p).(v) = 0 then qstate.(p).(v) <- 2
-    in
-    for p = 0 to sh.cfg.planners - 1 do
-      chain_begin sh ~parity p e;
-      (* A thief may have claimed the queue while this one ran ahead. *)
-      Sim.sync sh.sim;
-      if qstate.(p).(e) = 0 then begin
-        qstate.(p).(e) <- 1;
-        drain ~owner:e ~subseq:(-1) p sh.queues.(parity).(p).(e);
-        finish p e
-      end;
-      if chain_join sh ~parity p e then finish p e
-    done;
-    let m = sh.metrics in
-    let costs = sh.cfg.costs in
-    let more = ref true in
-    while !more do
-      let scanned = ref 0 in
-      m.Metrics.steal_attempts <- m.Metrics.steal_attempts + 1;
-      match find_steal sh ~parity ~thief:e ~scanned with
-      | None ->
-          m.Metrics.steal_rejects <- m.Metrics.steal_rejects + 1;
-          if !scanned > 0 then
-            Sim.tick sh.sim (!scanned * costs.Costs.steal_scan);
-          more := false
-      | Some (p, v) ->
-          qstate.(p).(v) <- 1;
-          m.Metrics.stolen_queues <- m.Metrics.stolen_queues + 1;
-          Sim.tick sh.sim
-            ((!scanned * costs.Costs.steal_scan) + costs.Costs.queue_op);
-          drain ~owner:v ~subseq:(-1) p sh.queues.(parity).(p).(v);
-          finish p v
-    done
-  end
+  for p = 0 to sh.cfg.planners - 1 do
+    chain_begin sh ~parity p e;
+    drain_with sh st ctx ~owner:e ~subseq:(-1) p sh.queues.(parity).(p).(e);
+    chain_join sh ~parity p e
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
@@ -626,10 +482,6 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
   let m = sh.metrics in
   let queues = sh.queues.(parity).(p) in
   Array.iter Vec.clear queues;
-  if sh.cfg.steal then begin
-    Array.iter Hashtbl.reset sh.qsig.(parity).(p);
-    Array.fill sh.qstate.(parity).(p) 0 en 0
-  end;
   if sh.segs <> [||] then
     for e = 0 to en - 1 do
       Vec.clear sh.chain_starts.(parity).(p).(e);
@@ -799,17 +651,10 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
           end
           else route_exec f.Fragment.table f.Fragment.key
         in
-        let sk = sig_key f.Fragment.table f.Fragment.key in
-        (* RC reads stay out of the signature: they only read committed
-           state, so they commute with any steal.  Split keys stay IN:
-           the home queue's signature must keep protecting the key's
-           cross-priority order while its chain is in flight. *)
-        if sh.cfg.steal && not rc_read then
-          Hashtbl.replace sh.qsig.(parity).(p).(e) sk ();
         let in_chain =
           (not rc_read)
           &&
-          match chain_for sk e with
+          match chain_for (sig_key f.Fragment.table f.Fragment.key) e with
           | Some ch ->
               chain_push ch { rt; frag = f };
               true
@@ -845,18 +690,7 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
             (b.sg_home, b.sg_key, b.sg_idx))
         sh.segs.(parity).(p).(e)
     done
-  end;
-  if sh.cfg.steal then
-    (* Completion units per queue cell: the drain itself, plus one if
-       chain joins are homed there (see [drain_queues]). *)
-    for e = 0 to en - 1 do
-      sh.qpend.(parity).(p).(e) <-
-        (if
-           sh.chain_joins <> [||]
-           && Vec.length sh.chain_joins.(parity).(p).(e) > 0
-         then 2
-         else 1)
-    done
+  end
 
 (* Where a batch's transactions come from: [Stream n], [n] transactions
    drawn from the planners' workload streams, each planner its own
@@ -1373,9 +1207,6 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       db = wl.Workload.db;
       queues = matrix Vec.create;
       rts = Array.init nbuf (fun _ -> Array.make cfg.batch_size None);
-      qstate = matrix ~on:cfg.steal (fun () -> 0);
-      qsig = matrix ~on:cfg.steal (fun () -> Hashtbl.create 64);
-      qpend = matrix ~on:cfg.steal (fun () -> 1);
       chain_starts = matrix ~on:split_on Vec.create;
       chain_joins = matrix ~on:split_on Vec.create;
       segs = matrix ~on:split_on Vec.create;

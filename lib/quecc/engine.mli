@@ -73,11 +73,6 @@ type cfg = {
           per batch.  Dedicated planner and executor threads
           ([planners + executors] cores).  Committed DB state is
           bit-identical to the non-pipelined path for the same seed. *)
-  steal : bool;
-      (** executors that drain their queues early steal whole queues
-          from the most-loaded peer when a key-signature check proves
-          the steal record-disjoint from the victim's remaining work
-          (per-record FIFO order survives) *)
   split : split_cfg option;
       (** hot-key queue splitting: spread a hot key's operations across
           sub-queues on different executors, chained by intra-key
@@ -91,8 +86,7 @@ type cfg = {
 
 val default_cfg : cfg
 (** 4 planners, 4 executors, 1024-txn batches, speculative,
-    serializable, default costs, pipeline, steal, split and adapt
-    off. *)
+    serializable, default costs, pipeline, split and adapt off. *)
 
 val run :
   ?sim:Quill_sim.Sim.t ->

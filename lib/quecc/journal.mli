@@ -7,8 +7,8 @@
     accessed which (row, field) — a row is a (table, slot) pair — how (read, set, commutative add or
     insert), and the old value of a set or the delta of an add.  The
     simulator runs on one domain, so append order is the real order of
-    the accesses to each (row, field), whichever executor, stolen queue
-    or chain segment made them.
+    the accesses to each (row, field), whichever executor or chain
+    segment made them.
 
     A push allocates nothing once the buffers have grown to a batch's
     size.  Cascade edges and undo are derived from the journal only

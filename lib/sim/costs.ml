@@ -8,7 +8,6 @@ type t = {
   lock_release : int;
   lock_mgr_op : int;
   queue_op : int;
-  steal_scan : int;
   plan_fragment : int;
   txn_overhead : int;
   validate_access : int;
@@ -37,7 +36,6 @@ let default =
     lock_release = 25;
     lock_mgr_op = 900;
     queue_op = 25;
-    steal_scan = 15;
     plan_fragment = 70;
     txn_overhead = 250;
     validate_access = 35;
@@ -66,7 +64,6 @@ let zero =
     lock_release = 0;
     lock_mgr_op = 0;
     queue_op = 0;
-    steal_scan = 0;
     plan_fragment = 0;
     txn_overhead = 0;
     validate_access = 0;

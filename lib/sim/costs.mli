@@ -17,9 +17,6 @@ type t = {
   lock_release : int;
   lock_mgr_op : int;     (** centralized lock-manager queue operation (Calvin) *)
   queue_op : int;        (** push/pop on an execution queue *)
-  steal_scan : int;      (** examine one candidate queue during a steal
-                             disjointness scan (charged per queue scanned,
-                             whether or not the steal goes ahead) *)
   plan_fragment : int;   (** planner work per fragment (routing + tagging) *)
   txn_overhead : int;    (** per-transaction bookkeeping (begin/commit path) *)
   validate_access : int; (** OCC validation work per access-set entry *)

@@ -33,8 +33,7 @@ type t = {
   (* Pipelined-execution counters; stay 0 on non-pipelined runs.  Fill
      stalls: executor idle waiting for the next planned batch (pipeline
      starved); drain stalls: planner idle waiting for a queue buffer to
-     drain (pipeline backed up).  [stolen_queues] counts whole execution
-     queues stolen by idle executors (cfg.steal). *)
+     drain (pipeline backed up). *)
   mutable pipe_fill_stall : int;
   mutable pipe_drain_stall : int;
   (* Threads contributing to each stall sum (executors for fill,
@@ -43,12 +42,6 @@ type t = {
      [fill_stall_avg] / [drain_stall_avg]. *)
   mutable pipe_fill_threads : int;
   mutable pipe_drain_threads : int;
-  mutable stolen_queues : int;
-  (* Work-stealing visibility: [steal_attempts] counts find-steal scans,
-     [steal_rejects] the scans that found no provably-disjoint queue —
-     so "steal did nothing" is distinguishable from "steal never ran". *)
-  mutable steal_attempts : int;
-  mutable steal_rejects : int;
   (* Adaptive-planning counters (QueCC cfg.split / cfg.adapt). *)
   mutable split_keys : int;      (* hot keys split into sub-queue chains *)
   mutable split_subqueues : int; (* chain segments created *)
@@ -141,9 +134,6 @@ let create () =
     pipe_drain_stall = 0;
     pipe_fill_threads = 0;
     pipe_drain_threads = 0;
-    stolen_queues = 0;
-    steal_attempts = 0;
-    steal_rejects = 0;
     split_keys = 0;
     split_subqueues = 0;
     repart_moves = 0;

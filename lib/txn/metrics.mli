@@ -43,9 +43,6 @@ type t = {
   mutable pipe_drain_threads : int;
       (** threads whose waits feed [pipe_drain_stall] (planners /
           sequencers); see {!drain_stall_avg} *)
-  mutable stolen_queues : int;  (** whole queues stolen by idle executors *)
-  mutable steal_attempts : int; (** find-steal disjointness scans run *)
-  mutable steal_rejects : int;  (** scans that found no safely-stealable queue *)
   mutable split_keys : int;     (** hot keys split into sub-queue chains *)
   mutable split_subqueues : int;(** sub-queue chain segments created *)
   mutable repart_moves : int;   (** virtual partitions remapped between batches *)

@@ -243,63 +243,71 @@ let test_cc_cross_owner () =
   Tutil.check_bool "same key planned into two owners caught" true
     (List.mem CC.Cross_owner (vrules (CC.check_log log)))
 
-let test_cc_steal_overlap () =
-  (* thread 1 steals owner 2's queue while thread 0 is concurrently
-     draining its own queue that shares key 9 -> signatures were not
-     disjoint.  Reads keep Cross_owner out of the picture: the steal
-     rule must catch this on its own. *)
-  let log, _, tid = make_log () in
-  slot log ~thread:0 ~owner:0 ~prio:0 ~pos:0 ();
-  A.record_row log ~table:0 ~key:1 ~op:A.Read;
-  tid := 1;
-  slot log ~thread:1 ~owner:2 ~prio:0 ~pos:0 ();
-  A.record_row log ~table:0 ~key:9 ~op:A.Read;
-  tid := 0;
-  slot log ~thread:0 ~owner:0 ~prio:0 ~pos:1 ();
-  A.record_row log ~table:0 ~key:9 ~op:A.Read;
-  let r = CC.check_log log in
-  Tutil.check_int "steal observed" 1 r.CC.r_stolen;
-  Tutil.check_bool "overlapping steal caught" true
-    (vrules r = [ CC.Steal_overlap ]);
-  (* same shape with disjoint keys: a legitimate steal, no violation *)
-  let log, _, tid = make_log () in
-  slot log ~thread:0 ~owner:0 ~prio:0 ~pos:0 ();
-  A.record_row log ~table:0 ~key:1 ~op:A.Read;
-  tid := 1;
-  slot log ~thread:1 ~owner:2 ~prio:0 ~pos:0 ();
-  A.record_row log ~table:0 ~key:9 ~op:A.Read;
-  tid := 0;
-  slot log ~thread:0 ~owner:0 ~prio:0 ~pos:1 ();
-  A.record_row log ~table:0 ~key:2 ~op:A.Read;
-  let r = CC.check_log log in
-  Tutil.check_int "steal still observed" 1 r.CC.r_stolen;
-  Tutil.check_bool "disjoint steal clean" true (CC.ok r)
+let test_cc_off_owner () =
+  (* thread 1 drains owner 2's plain queue while thread 0 drains its
+     own.  No engine moves a queue off its owner, so this is flagged
+     whether or not the keys overlap.  Reads keep Cross_owner out of the
+     picture: the off-owner rule must catch it on its own. *)
+  List.iter
+    (fun (name, key) ->
+      let log, _, tid = make_log () in
+      slot log ~thread:0 ~owner:0 ~prio:0 ~pos:0 ();
+      A.record_row log ~table:0 ~key:1 ~op:A.Read;
+      tid := 1;
+      slot log ~thread:1 ~owner:2 ~prio:0 ~pos:0 ();
+      A.record_row log ~table:0 ~key:9 ~op:A.Read;
+      tid := 0;
+      slot log ~thread:0 ~owner:0 ~prio:0 ~pos:1 ();
+      A.record_row log ~table:0 ~key ~op:A.Read;
+      Tutil.check_bool name true (vrules (CC.check_log log) = [ CC.Off_owner ]))
+    [ ("off-owner queue, overlapping keys", 9);
+      ("off-owner queue, disjoint keys", 2) ]
+
+let test_cc_segment_overlap () =
+  (* a chain segment of owner 0 runs on thread 1 while thread 0 drains
+     a queue: flagged only when that queue shares the segment's key *)
+  List.iter
+    (fun (name, key, want) ->
+      let log, _, tid = make_log () in
+      slot log ~thread:0 ~owner:0 ~prio:0 ~pos:0 ();
+      A.record_row log ~table:0 ~key:1 ~op:A.Read;
+      tid := 1;
+      slot log ~thread:1 ~owner:0 ~prio:0 ~subseq:0 ~pos:0 ();
+      A.record_row log ~table:0 ~key:9 ~op:A.Read;
+      tid := 0;
+      slot log ~thread:0 ~owner:0 ~prio:0 ~pos:1 ();
+      A.record_row log ~table:0 ~key ~op:A.Read;
+      let r = CC.check_log log in
+      Tutil.check_int (name ^ ": segment observed") 1 r.CC.r_segments;
+      Tutil.check_bool name true (vrules r = want))
+    [ ("overlapping segment", 9, [ CC.Segment_overlap ]);
+      ("disjoint segment", 2, []) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine sweep: real runs are violation-free and recording is free    *)
 (* ------------------------------------------------------------------ *)
 
 let run_quecc ?(mode = Engine.Speculative) ?(isolation = Engine.Serializable)
-    ?(pipeline = false) ?(steal = false) ?split ?adapt ?recorder cfg
+    ?(pipeline = false) ?split ?adapt ?recorder cfg
     ~batch_size =
   let wl = Ycsb.make cfg in
   let m =
     Engine.run ?recorder
       { Engine.planners = 4; executors = 4; batch_size; mode; isolation;
-        costs = Quill_sim.Costs.default; pipeline; steal; split; adapt }
+        costs = Quill_sim.Costs.default; pipeline; split; adapt }
       wl ~batches:4
   in
   (Db.checksum wl.Workload.db, m)
 
-let check_recorded_run name ?mode ?isolation ?pipeline ?steal ?split ?adapt
-    cfg ~batch_size =
+let check_recorded_run name ?mode ?isolation ?pipeline ?split ?adapt cfg
+    ~batch_size =
   let base, _ =
-    run_quecc ?mode ?isolation ?pipeline ?steal ?split ?adapt cfg ~batch_size
+    run_quecc ?mode ?isolation ?pipeline ?split ?adapt cfg ~batch_size
   in
   let log = A.create () in
   let chk, m =
-    run_quecc ?mode ?isolation ?pipeline ?steal ?split ?adapt ~recorder:log
-      cfg ~batch_size
+    run_quecc ?mode ?isolation ?pipeline ?split ?adapt ~recorder:log cfg
+      ~batch_size
   in
   let r = CC.check_log log in
   if not (CC.ok r) then
@@ -329,25 +337,12 @@ let test_sweep_pipeline () =
   ignore
     (check_recorded_run "pipeline" ~pipeline:true (contended ())
        ~batch_size:128);
+  (* one partition over uniform keys: every executor but one runs dry *)
   ignore
-    (check_recorded_run "pipeline+steal" ~pipeline:true ~steal:true
+    (check_recorded_run "pipeline, one partition" ~pipeline:true
        (Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.0
           ~read_ratio:0.0 ())
        ~batch_size:32)
-
-let test_sweep_steal () =
-  (* the steal-conservation configuration: single-partition routing
-     starves three executors, so steals must fire — and the checker's
-     independently reconstructed steal count must agree with the
-     engine's own metric. *)
-  let cfg =
-    Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.0 ~read_ratio:0.0
-      ()
-  in
-  let r, m = check_recorded_run "steal" ~steal:true cfg ~batch_size:32 in
-  Tutil.check_bool "steals fired" true (m.Metrics.stolen_queues > 0);
-  Tutil.check_int "checker sees every steal" m.Metrics.stolen_queues
-    r.CC.r_stolen
 
 let test_sweep_split () =
   (* Hot-key splitting under global zipf: the checker must reconstruct
@@ -363,29 +358,19 @@ let test_sweep_split () =
   Tutil.check_bool "splits fired" true (m.Metrics.split_keys > 0);
   Tutil.check_int "checker sees every sub-queue segment"
     m.Metrics.split_subqueues r.CC.r_segments;
-  (* splitting + stealing together: split keys stay in the steal
-     signatures (the home queue must keep protecting the key's
-     cross-priority order while its chain is in flight), so under global
-     hotness most candidate steals are rightly rejected — the joint
-     invariant is exact accounting, not forced firing: every steal the
-     engine counts is one the checker independently reconstructs, with
-     segments riding in the same batches. *)
-  let cfg_steal =
+  (* the same on one partition, where a single executor owns every key
+     and the segments carry all the cross-executor work *)
+  let cfg_one =
     Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.9 ~global_zipf:true
       ~read_ratio:0.0 ()
   in
   let r2, m2 =
-    check_recorded_run "split+steal" ~steal:true ?split cfg_steal
-      ~batch_size:128
+    check_recorded_run "split, one partition" ?split cfg_one ~batch_size:128
   in
-  Tutil.check_bool "splits fired alongside stealing" true
+  Tutil.check_bool "splits fired on one partition" true
     (m2.Metrics.split_keys > 0);
-  Tutil.check_bool "steals attempted" true (m2.Metrics.steal_attempts > 0);
-  Tutil.check_int "accepted steals = attempts - rejects"
-    (m2.Metrics.steal_attempts - m2.Metrics.steal_rejects)
-    m2.Metrics.stolen_queues;
-  Tutil.check_int "steal count exact with segments present"
-    m2.Metrics.stolen_queues r2.CC.r_stolen
+  Tutil.check_int "segment count exact on one partition"
+    m2.Metrics.split_subqueues r2.CC.r_segments
 
 let test_sweep_dist () =
   let cfg =
@@ -415,24 +400,23 @@ let test_sweep_dist () =
         (base = chk))
     [ ("dist", false); ("dist+pipe", true) ]
 
-(* Randomized sweep: any seed/contention/pipeline/steal combination is
-   violation-free and commits identical state with the recorder on. *)
+(* Randomized sweep: any seed/contention/pipeline/partitioning
+   combination is violation-free and commits identical state with the
+   recorder on. *)
 let qcheck_sweep =
   QCheck.Test.make ~count:8 ~name:"recorded runs conflict-free (random cfg)"
     QCheck.(
       quad (int_bound 999) (int_bound 95) bool bool)
-    (fun (seed, theta_pct, pipeline, steal) ->
-      let nparts = if steal then 1 else 4 in
+    (fun (seed, theta_pct, pipeline, one_part) ->
+      let nparts = if one_part then 1 else 4 in
       let cfg =
         Tutil.small_ycsb ~table_size:4_000 ~nparts
           ~theta:(float_of_int theta_pct /. 100.)
           ~seed:(seed + 1) ()
       in
-      let base, _ = run_quecc ~pipeline ~steal cfg ~batch_size:64 in
+      let base, _ = run_quecc ~pipeline cfg ~batch_size:64 in
       let log = A.create () in
-      let chk, _ =
-        run_quecc ~pipeline ~steal ~recorder:log cfg ~batch_size:64
-      in
+      let chk, _ = run_quecc ~pipeline ~recorder:log cfg ~batch_size:64 in
       CC.ok (CC.check_log log) && base = chk)
 
 let () =
@@ -457,14 +441,14 @@ let () =
             test_cc_plan_access;
           Alcotest.test_case "cross owner mutation" `Quick
             test_cc_cross_owner;
-          Alcotest.test_case "steal overlap mutations" `Quick
-            test_cc_steal_overlap;
+          Alcotest.test_case "off-owner mutations" `Quick test_cc_off_owner;
+          Alcotest.test_case "segment overlap mutations" `Quick
+            test_cc_segment_overlap;
         ] );
       ( "engine-sweep",
         [
           Alcotest.test_case "modes x isolation" `Quick test_sweep_modes;
           Alcotest.test_case "pipeline" `Quick test_sweep_pipeline;
-          Alcotest.test_case "steal accounting" `Quick test_sweep_steal;
           Alcotest.test_case "split accounting" `Quick test_sweep_split;
           Alcotest.test_case "dist-quecc" `Quick test_sweep_dist;
           QCheck_alcotest.to_alcotest qcheck_sweep;

@@ -2,8 +2,8 @@
 
    The headline claim: QueCC's planning phase fixes the commit order
    before execution starts, so the serialized change feed is a pure
-   function of the input batches — lockstep, pipelined, stealing and
-   split-queue runs of the same seed produce byte-identical feeds.
+   function of the input batches — lockstep, pipelined and split-queue
+   runs of the same seed produce byte-identical feeds.
    Plus the subscription mechanics: bounded queues with overflow
    recovery, late-joiner catch-up (ring replay vs snapshot), the
    materialized view's view-equals-recompute invariant and the read
@@ -23,12 +23,11 @@ module Row = Quill_storage.Row
 module E = Quill_harness.Experiment
 module F = Quill_faults.Faults
 
-type mode = Lockstep | Pipelined | Steal | Split
+type mode = Lockstep | Pipelined | Split
 
 let mode_name = function
   | Lockstep -> "lockstep"
   | Pipelined -> "pipelined"
-  | Steal -> "pipelined+steal"
   | Split -> "split"
 
 (* One quecc run under [mode] over a fresh same-seed workload, with the
@@ -49,8 +48,7 @@ let quecc_feed ?(seed = 42) ?(theta = 0.6) ?(batches = 4) ?(retain = 64)
       Qe.planners = 2;
       executors = 2;
       batch_size = 256;
-      pipeline = (mode = Pipelined || mode = Steal);
-      steal = (mode = Steal);
+      pipeline = (mode = Pipelined);
       split =
         (if mode = Split then
            Some { Qe.hot_threshold = 8; max_subqueues = 4 }
@@ -74,7 +72,7 @@ let test_feed_identical_across_modes () =
       Tutil.check_int
         (mode_name mode ^ " digest matches")
         (Cdc.digest base) (Cdc.digest c))
-    [ Pipelined; Steal; Split ];
+    [ Pipelined; Split ];
   (* sanity: the digest depends on the input (not trivially constant) *)
   let other, _ = quecc_feed ~seed:43 Lockstep in
   Tutil.check_bool "different seed, different feed" true
@@ -86,7 +84,7 @@ let qcheck_feed_identity =
   let gen =
     QCheck.Gen.(
       triple (int_range 1 500) (oneofl [ 0.0; 0.6; 0.9 ])
-        (oneofl [ Pipelined; Steal; Split ]))
+        (oneofl [ Pipelined; Split ]))
   in
   let arb =
     QCheck.make gen ~print:(fun (seed, theta, mode) ->

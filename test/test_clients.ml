@@ -291,7 +291,6 @@ let test_retry_commits_exactly_once () =
         isolation = Qe.Serializable;
         costs = Quill_sim.Costs.default;
         pipeline = false;
-        steal = false;
         split = None;
         adapt = None;
       }
@@ -358,7 +357,6 @@ let quecc_overloaded seed =
         isolation = Qe.Serializable;
         costs = Quill_sim.Costs.default;
         pipeline = false;
-        steal = false;
         split = None;
         adapt = None;
       }
@@ -403,7 +401,6 @@ let test_pipeline_clients_identical () =
           isolation = Qe.Serializable;
           costs = Quill_sim.Costs.default;
           pipeline;
-          steal = false;
           split = None;
           adapt = None;
         }

@@ -123,7 +123,7 @@ let test_capability_sweep () =
             in
             mk ~name ~replicas:2 engine tiny_ycsb
         | Cap.Pipeline -> mk ~name ~pipeline:true engine tiny_ycsb
-        | Cap.Adaptive -> mk ~name ~steal:true engine tiny_ycsb
+        | Cap.Adaptive -> mk ~name ~split:1 engine tiny_ycsb
       in
       let effect_of cap (m : Metrics.t) =
         match cap with
@@ -134,7 +134,7 @@ let test_capability_sweep () =
         | Cap.Cdc -> m.Metrics.cdc_events > 0
         | Cap.Replication -> Metrics.replicated m
         | Cap.Pipeline -> m.Metrics.pipe_fill_threads > 0
-        | Cap.Adaptive -> m.Metrics.steal_attempts > 0
+        | Cap.Adaptive -> m.Metrics.split_keys > 0
       in
       List.iter
         (fun cap ->
@@ -357,6 +357,18 @@ open Quill_workloads
 
 (* Every bad value is rejected by the one chokepoint with an
    Invalid_argument naming its flag, before the workload is built. *)
+(* Work stealing was removed; the record field that named it stays for
+   the benchmark's sake, and setting it is an error, not a no-op. *)
+let test_steal_rejected () =
+  let e =
+    E.make ~txns:256 (E.Quecc (Qe.Speculative, Qe.Serializable)) tiny_ycsb
+  in
+  match E.run { e with E.steal = true } with
+  | _ -> Alcotest.fail "steal = true ran"
+  | exception Invalid_argument msg ->
+      Tutil.check_bool ("names the removal: " ^ msg) true
+        (Tutil.contains msg "removed")
+
 let test_range_checks () =
   let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
   let ycsb f = E.Ycsb (f { Ycsb.default with Ycsb.table_size = 1_000 }) in
@@ -466,6 +478,8 @@ let test_cli_rejections () =
       [ "pipeline"; "inf"; "--json"; "x.json" ];
       [ "pipeline"; "nan" ];
       [ "pipeline"; "0" ];
+      (* work stealing was removed: an unknown option *)
+      [ "pipeline"; "0.01"; "--steal" ];
       [ "fig-batch"; "0.01"; "--phase-table"; "extra" ];
       [ "fig-batch"; "0.01"; "--phase-table"; "--phase-table" ];
       [ "0.25" ];
@@ -477,6 +491,7 @@ let test_cli_rejections () =
         (run_rejected args))
     [
       [ "--engine"; "silo"; "--workload"; "ycsb"; "--pipeline" ];
+      [ "--steal" ];
       [ "-e"; "dist-quecc-4n"; "--pipeline"; "--arrival"; "2000000" ];
       [ "-e"; "dist-calvin-4n"; "--pipeline"; "--arrival"; "2000000" ];
       [ "--engine"; "quecc"; "--workload"; "ycsb"; "--split"; "bogus" ];
@@ -602,9 +617,8 @@ let test_documented_lines () =
       | Some e -> Tutil.check_bool line true (e = expect))
     [
       ( "--engine quecc --workload ycsb --txns 2048 --batch 512 --trace "
-        ^ smoke ^ " --phase-table --pipeline --steal --check-conflicts",
-        E.make ~txns:2048 ~batch_size:512 ~pipeline:true ~steal:true q
-          (ycsb ()) );
+        ^ smoke ^ " --phase-table --pipeline --check-conflicts",
+        E.make ~txns:2048 ~batch_size:512 ~pipeline:true q (ycsb ()) );
       ( "--engine calvin --txns 2048 --arrival 200000 --admission deadline:64 \
          --deadline 20us --retries 2",
         E.make ~txns:2048
@@ -751,7 +765,6 @@ let qcheck_to_argv =
                 (map2 ( ^ ) (num (int_range 0 9))
                    (oneof [ return ""; map (fun t -> ":" ^ t) time ])));
            flag "--pipeline";
-           flag "--steal";
            maybe (valued "--split" (num (int_range 1 256)));
            maybe (valued "--adapt" (oneofl [ "repart"; "batch"; "all" ]));
            maybe (valued "--replicas" (num (int_range 0 4)));
@@ -816,6 +829,8 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "range checks" `Quick test_range_checks;
+          Alcotest.test_case "removed steal rejected" `Quick
+            test_steal_rejected;
           Alcotest.test_case "rejections" `Quick test_cli_rejections;
           Alcotest.test_case "bench read sets" `Quick test_bench_read_sets;
           Alcotest.test_case "documented lines" `Quick test_documented_lines;

@@ -15,13 +15,13 @@ module Engine = Quill_quecc.Engine
 
 let run_engine ?(mode = Engine.Speculative) ?(isolation = Engine.Serializable)
     ?(planners = 4) ?(executors = 4) ?(batch_size = 128) ?(batches = 4)
-    ?(pipeline = false) ?(steal = false) ?split ?adapt cfg =
+    ?(pipeline = false) ?split ?adapt cfg =
   let wl = Ycsb.make cfg in
   let wl_rec, logs = Tutil.record wl in
   let m =
     Engine.run
       { Engine.planners; executors; batch_size; mode; isolation;
-        costs = Quill_sim.Costs.default; pipeline; steal; split; adapt }
+        costs = Quill_sim.Costs.default; pipeline; split; adapt }
       wl_rec ~batches
   in
   (wl, logs, m)
@@ -33,15 +33,12 @@ let serial_state cfg logs ~streams ~batch_size ~batches =
   (Db.checksum wl.Workload.db, m, txns)
 
 let check_against_oracle ?mode ?isolation ?(planners = 4) ?(executors = 4)
-    ?(batch_size = 128) ?(batches = 4) ?(pipeline = false) ?(steal = false)
-    ?split ?adapt ?fired name cfg =
+    ?(batch_size = 128) ?(batches = 4) ?(pipeline = false) ?split ?adapt
+    name cfg =
   let wl, logs, m =
     run_engine ?mode ?isolation ~planners ~executors ~batch_size ~batches
-      ~pipeline ~steal ?split ?adapt cfg
+      ~pipeline ?split ?adapt cfg
   in
-  Option.iter
-    (fun (what, f) -> Tutil.check_bool (name ^ ": " ^ what) true (f m))
-    fired;
   let oracle, m_serial, _ =
     serial_state cfg logs ~streams:planners ~batch_size ~batches
   in
@@ -311,17 +308,13 @@ let test_pipeline_oracle () =
   check_against_oracle ~pipeline:true ~mode:Engine.Conservative
     "pipelined conservative"
     (Tutil.small_ycsb ~abort_ratio:0.2 ~chain_deps:true ~theta:0.9 ());
-  (* Skewed keys cascade on the asymmetric layout, but make every steal
-     unsafe; one partition leaves four executors idle, and small batches
-     of uniform keys over 100k rows keep the three planners' queues
-     disjoint enough to take (7 steals). *)
-  check_against_oracle ~pipeline:true ~steal:true ~planners:3 ~executors:5
-    "pipelined+steal asymmetric"
+  (* Skewed keys cascade on the asymmetric layout; one partition leaves
+     four executors idle while executor 0 drains every queue. *)
+  check_against_oracle ~pipeline:true ~planners:3 ~executors:5
+    "pipelined asymmetric"
     (Tutil.small_ycsb ~theta:0.7 ~abort_ratio:0.1 ());
-  check_against_oracle ~pipeline:true ~steal:true ~planners:3 ~executors:5
-    ~batch_size:32
-    ~fired:("steals fired", fun m -> m.Metrics.stolen_queues > 0)
-    "pipelined+steal asymmetric, stealing"
+  check_against_oracle ~pipeline:true ~planners:3 ~executors:5
+    ~batch_size:32 "pipelined asymmetric, one partition"
     (Tutil.small_ycsb ~table_size:100_000 ~nparts:1 ~theta:0.0
        ~read_ratio:0.0 ~abort_ratio:0.1 ())
 
@@ -370,38 +363,6 @@ let test_pipeline_switches () =
     (Printf.sprintf "%.2f resumes per committed txn <= 2" per_txn)
     true (per_txn <= 2.0)
 
-(* Work stealing needs genuine imbalance with sparse key overlap to
-   fire: a single-partition workload homes every queue on executor 0,
-   leaving the rest idle, and small batches over a 10k-row uniform
-   keyspace keep queue signatures disjoint.  The steal must be
-   invisible: serial-oracle state, and (write-only RMW workload) every
-   committed delta applied exactly once — nothing lost or doubled. *)
-let test_steal_conservation () =
-  let cfg =
-    Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.0
-      ~read_ratio:0.0 ()
-  in
-  let wl = Ycsb.make cfg in
-  let initial = Tutil.sum_field0 wl.Workload.db "usertable" in
-  let wl_rec, logs = Tutil.record wl in
-  let m =
-    Engine.run
-      { Engine.default_cfg with Engine.planners = 4; executors = 4;
-        batch_size = 32; steal = true }
-      wl_rec ~batches:4
-  in
-  Tutil.check_bool "steals fired" true (m.Metrics.stolen_queues > 0);
-  let oracle, m_serial, txns =
-    serial_state cfg logs ~streams:4 ~batch_size:32 ~batches:4
-  in
-  Tutil.check_int "commits match serial" m_serial.Metrics.committed
-    m.Metrics.committed;
-  Tutil.check_bool "state equals serial" true
-    (Db.checksum wl.Workload.db = oracle);
-  let delta = Tutil.ycsb_committed_delta txns in
-  Tutil.check_int "sum conserved" (initial + delta)
-    (Tutil.sum_field0 wl.Workload.db "usertable")
-
 (* ------------------------- adaptive planning ------------------------- *)
 
 (* A global-zipf skew so the same hottest keys land in every stream: the
@@ -448,8 +409,7 @@ let test_repart_fires () =
 
 (* The acceptance property: same seed, adaptive planning on vs off, the
    committed state must be bit-identical across random workload shapes,
-   modes and isolation levels, lockstep and pipelined, with and without
-   stealing. *)
+   modes and isolation levels, lockstep and pipelined. *)
 let prop_adaptive_bit_identical =
   QCheck.Test.make
     ~name:"split+repart == plain committed state on random configs" ~count:10
@@ -469,7 +429,6 @@ let prop_adaptive_bit_identical =
         if seed mod 2 = 0 then Engine.Read_committed
         else Engine.Serializable
       in
-      let steal = seed mod 5 = 0 in
       let fp adaptive =
         let split = if adaptive then tiny_split else None in
         let adapt =
@@ -480,7 +439,7 @@ let prop_adaptive_bit_identical =
         in
         let wl, _, m =
           run_engine ~mode ~isolation ~batch_size:64 ~batches:3 ~pipeline
-            ~steal ?split ?adapt cfg
+            ?split ?adapt cfg
         in
         ( Db.checksum wl.Workload.db,
           m.Metrics.committed,
@@ -539,9 +498,10 @@ let prop_pipeline_bit_identical =
     ~name:"pipelined == lockstep committed state on random configs" ~count:10
     QCheck.(
       quad (int_range 0 1000) (int_range 0 99) (int_range 0 30) bool)
-    (fun (seed, theta_pct, abort_pct, steal) ->
+    (fun (seed, theta_pct, abort_pct, one_part) ->
       let cfg =
-        Tutil.small_ycsb ~table_size:512 ~nparts:4
+        Tutil.small_ycsb ~table_size:512
+          ~nparts:(if one_part then 1 else 4)
           ~theta:(float_of_int theta_pct /. 100.0)
           ~abort_ratio:(float_of_int abort_pct /. 100.0)
           ~chain_deps:(seed mod 2 = 0) ~seed ()
@@ -555,8 +515,7 @@ let prop_pipeline_bit_identical =
       in
       let fp pipeline =
         let wl, _, m =
-          run_engine ~mode ~isolation ~batch_size:64 ~batches:3 ~pipeline
-            ~steal cfg
+          run_engine ~mode ~isolation ~batch_size:64 ~batches:3 ~pipeline cfg
         in
         ( Db.checksum wl.Workload.db,
           m.Metrics.committed,
@@ -574,8 +533,7 @@ let prop_pipeline_bit_identical =
    batches, or to how speculation is recorded and recovered, must leave
    every value as it is. *)
 let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
-    ?(adapt_batch = false) ?(adapt_repart = false) ?(steal = false) name
-    expect =
+    ?(adapt_batch = false) ?(adapt_repart = false) name expect =
   let module E = Quill_harness.Experiment in
   let clients =
     if clients then
@@ -588,7 +546,6 @@ let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
   let e =
     E.make ~threads:4 ~txns:1024 ~batch_size:128 ?clients ~pipeline
       ~wal:durable ~cdc:durable ~snapshot_every:2 ~adapt_batch ~adapt_repart
-      ~steal
       (E.Quecc (Engine.Speculative, Engine.Serializable))
       (E.Ycsb (Tutil.small_ycsb ~abort_ratio:0.1 ()))
   in
@@ -680,17 +637,17 @@ let test_golden_schedules () =
       ("recover_busy", 91220);
       ("checksum", 180940947452833136);
     ];
-  golden ~pipeline:true ~adapt_batch:true ~adapt_repart:true ~steal:true
-    "pipelined auto-batch + repart + steal"
+  golden ~pipeline:true ~adapt_batch:true ~adapt_repart:true
+    "pipelined auto-batch + repart"
     [
-      ("elapsed", 991245);
-      ("busy", 3970595);
+      ("elapsed", 993345);
+      ("busy", 3969950);
       ("fill_stall", 138600);
-      ("drain_stall", 2894920);
+      ("drain_stall", 2897520);
       ("committed", 988);
       ("batch_resizes", 3);
       ("cascades", 61);
-      ("recover_busy", 136280);
+      ("recover_busy", 136240);
       ("checksum", 180940947452833136);
     ]
 
@@ -856,23 +813,22 @@ let test_golden_tpcc_rc () =
         ] );
     ]
 
-(* Cascades under hot-key splitting and work stealing, against the serial
-   oracle: chain segments write on foreign executors and stolen queues
-   run ahead of their owner's order, so recovery must undo their writes
-   in their real execution order.  No one input does both.  The planner
-   never splits a key that a transaction with data dependencies touches
-   (with [chain_deps] nearly every transaction has one), and skewed keys
-   put every queue's signature in conflict, so no steal is safe; the
-   steal run therefore uses one partition over uniform keys, which leaves
-   three executors idle with disjoint queues to take. *)
-let test_split_steal_cascades_oracle () =
+(* Cascades under hot-key splitting, against the serial oracle: chain
+   segments write on foreign executors, so recovery must undo their
+   writes in their real execution order.  The planner never splits a key
+   that a transaction with data dependencies touches (with [chain_deps]
+   nearly every transaction has one), so the chain-deps run, on one
+   partition over uniform keys, cascades through dependency slots on a
+   single busy executor instead. *)
+let test_split_cascades_oracle () =
   List.iter
-    (fun (name, cfg, batch_size, (what, fired)) ->
+    (fun (name, cfg, batch_size, fired) ->
       let wl, logs, m =
-        run_engine ~batch_size ~pipeline:true ~steal:true ?split:tiny_split
-          cfg
+        run_engine ~batch_size ~pipeline:true ?split:tiny_split cfg
       in
-      Tutil.check_bool (name ^ ": " ^ what) true (fired m);
+      Option.iter
+        (fun (what, f) -> Tutil.check_bool (name ^ ": " ^ what) true (f m))
+        fired;
       Tutil.check_bool
         (name ^ ": cascades beyond the aborters")
         true
@@ -891,12 +847,12 @@ let test_split_steal_cascades_oracle () =
         Tutil.small_ycsb ~table_size:2_000 ~nparts:4 ~theta:0.9
           ~global_zipf:true ~abort_ratio:0.2 (),
         128,
-        ("split fired", fun m -> m.Metrics.split_keys > 0) );
-      ( "steal + chain deps",
+        Some ("split fired", fun m -> m.Metrics.split_keys > 0) );
+      ( "one partition + chain deps",
         Tutil.small_ycsb ~table_size:10_000 ~nparts:1 ~theta:0.0
           ~read_ratio:0.0 ~abort_ratio:0.2 ~chain_deps:true (),
         32,
-        ("steals fired", fun m -> m.Metrics.stolen_queues > 0) );
+        None );
     ]
 
 (* ------------------------- speculation journal ------------------------- *)
@@ -1052,8 +1008,6 @@ let () =
           Alcotest.test_case "pipelined faster" `Quick test_pipeline_faster;
           Alcotest.test_case "fiber switches per txn" `Quick
             test_pipeline_switches;
-          Alcotest.test_case "steal conservation" `Quick
-            test_steal_conservation;
           qc prop_pipeline_bit_identical;
         ] );
       ( "adaptive",
@@ -1069,8 +1023,8 @@ let () =
             test_golden_tpcc_durable;
           Alcotest.test_case "golden read-committed tpcc" `Quick
             test_golden_tpcc_rc;
-          Alcotest.test_case "split + steal cascades == serial" `Quick
-            test_split_steal_cascades_oracle;
+          Alcotest.test_case "split + chain-deps cascades == serial" `Quick
+            test_split_cascades_oracle;
           Alcotest.test_case "auto-batch rejected off the pipeline" `Quick
             test_autobatch_rejected_off_pipeline;
           Alcotest.test_case "auto-batch deterministic + conserving" `Quick

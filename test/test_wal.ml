@@ -25,7 +25,6 @@ let quecc_cfg ?(planners = 4) ?(executors = 4) ?(batch_size = 128)
     isolation = Engine.Serializable;
     costs = Costs.default;
     pipeline;
-    steal = false;
     split = None;
     adapt = None;
   }
