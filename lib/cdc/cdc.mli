@@ -96,13 +96,17 @@ val subscribe :
 
 val stage :
   t -> table:int -> key:int -> before:int array -> after:int array -> unit
-(** Stage one dirtied row into the in-flight batch's change set, a
-    vector in staging order.  [before] is copied immediately (publish
-    overwrites it); [after] is read at {!publish} time.  {!publish}
-    canonicalizes the vector with one stable sort by (table, key) and
-    a merge of each key's adjacent stagings, so the first staging's
-    pre-image and the last one's post-image win however often a row is
-    staged. *)
+(** Stage one dirtied row into the in-flight batch's change set: int
+    vectors in staging order (table, key, source, and the pre-image's
+    place in one flat vector of pre-images).  [before] is copied
+    immediately (publish overwrites it); [after] is read at {!publish}
+    time.  {!publish} canonicalizes by sorting the stagings by (table,
+    key, staging order) — a counting sort by table, then a stable radix
+    sort of each table's keys, with no comparator — and merging each
+    key's adjacent stagings, so the first staging's pre-image and the
+    last one's post-image win however often a row is staged.  [table]
+    is a table index of a database ([Invalid_argument] when
+    negative); it need not be one of the hub's. *)
 
 val stage_insert : t -> table:int -> key:int -> after:int array -> unit
 (** Stage a row inserted by the in-flight batch ([before = None]). *)
@@ -111,13 +115,15 @@ val stage_row : t -> table:int -> int -> unit
 (** [stage_row t ~table slot]: stage a row of the hub's database by
     slot — an insert when its [inserter] mark is set, an update from its
     committed image otherwise.  Like {!stage}, the pre-image is copied
-    now and the post-image (the live image) is read at {!publish}. *)
+    now (into the flat pre-image vector, no array allocated) and the
+    post-image (the live image of [slot]) is read at {!publish}. *)
 
 val publish : t -> batch_no:int -> txns:int -> unit
 (** Seal the staged change set as the feed entry for [batch_no] and
     deliver it: canonicalize (sort-merge; an event whose post-image
-    equals its pre-image is dropped), serialize into one reused buffer
-    that the feed digest is rolled over in place, append to
+    equals its pre-image is dropped), serialize into one reused [Bytes]
+    that the feed digest ({!Quill_common.Djb2.fold}, the WAL's crc loop)
+    is rolled over in place, append to
     the retention ring, enqueue to every active subscriber (activating
     late joiners first) and drain the subscribers whose apply period
     elapsed.  Must be called from a simulator thread at the engine's
@@ -128,10 +134,6 @@ val publish : t -> batch_no:int -> txns:int -> unit
 val finish : t -> unit
 (** End of run: drain every subscriber to the newest batch (no virtual
     time is charged — the run is over). *)
-
-val same_image : int array -> int array -> bool
-(** Int-array equality of two row images: the no-op test of
-    canonicalization, and {!Replica}'s consistency check. *)
 
 (* Feed accessors. *)
 

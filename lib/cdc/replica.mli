@@ -6,7 +6,13 @@
     [apply_every = k] the cache is never more than [k] batches behind
     the primary's commit point.  A catch-up snapshot re-seeds the whole
     cache from committed state (after which it also covers rows the
-    feed alone would not have mentioned). *)
+    feed alone would not have mentioned).
+
+    Per table, a dense key (below the table's capacity) indexes a flat
+    array of images, allocated at the first dense key the feed
+    mentions, plus one byte per key saying whether it holds one;
+    inserted keys go to an open-addressing table (linear probing, at
+    most half full), so caching an image allocates nothing. *)
 
 type t
 
@@ -32,4 +38,8 @@ val reads : t -> int  (** [read] calls served *)
 val consistent_with : t -> Quill_storage.Db.t -> bool
 (** Every cached image equals the database's committed image — the
     replica-correctness check, meaningful once the cursor has reached
-    the newest published batch (e.g. after {!Cdc.finish}). *)
+    the newest published batch (e.g. after {!Cdc.finish}).  Each image
+    is compared field by field in place
+    ({!Quill_storage.Table.same_committed}): a differing field, an image
+    of the wrong arity or a cached key the database lacks reads
+    [false]. *)

@@ -61,26 +61,26 @@ let crashed t = t.crashed
    image publish will install: logging it now equals logging the
    committed image later, the WAL can still journal the pre-image, and
    the CDC entry gets (pre-batch committed, post-batch live).
-   The slot's key is re-resolved because recovery may have removed the
-   row or re-inserted the key at a fresh slot. *)
+   A touched slot is staged as it is while it still holds its key, with
+   the home read from the slot.  Only a slot that recovery removed is
+   re-resolved by key: the row is gone (-1), or the key was inserted
+   again at a fresh slot, which is then staged once more. *)
 let stage t ~batch_no ~txns =
   t.batch_no <- batch_no;
   t.txns <- txns;
   if t.wal <> None || t.cdc <> None then begin
     Option.iter (fun w -> Wal.begin_batch w ~batch_no) t.wal;
-    Array.iter
-      (Touched.iter (fun table touched ->
-          let tbl = Db.table t.db table in
-          let key = Table.key_of_slot tbl touched in
-          let slot = Table.find tbl key in
-          if slot >= 0 then begin
-            Option.iter
-              (fun w ->
-                Wal.log_row w ~table ~home:(Table.home_of_key tbl key) slot)
-              t.wal;
-            Option.iter (fun c -> Cdc.stage_row c ~table slot) t.cdc
-          end))
-      t.touched
+    let row table touched =
+      let tbl = Db.table t.db table in
+      let slot = Table.resolve tbl touched in
+      if slot >= 0 then begin
+        (match t.wal with
+        | Some w -> Wal.log_row w ~table ~home:(Table.home tbl slot) slot
+        | None -> ());
+        match t.cdc with Some c -> Cdc.stage_row c ~table slot | None -> ()
+      end
+    in
+    Array.iter (Touched.iter row) t.touched
   end
 
 let publish t ts = Touched.publish t.db t.touched.(ts)

@@ -55,12 +55,16 @@ val crashed : t -> bool
 
 val stage : t -> batch_no:int -> txns:int -> unit
 (** Stage the batch that committed [txns] transactions: a WAL batch
-    header, then per touched row whose key still resolves (a rolled-back
-    insert does not) one WAL effect with the live image of the row the
-    key resolves to (journaling the row's pre-batch image, see
+    header, then per touched row one WAL effect with its live image
+    (journaling the row's pre-batch image, see
     {!Quill_wal.Wal.log_row}) and one CDC staging (an insert, or an
-    update from the committed to the live image).  Probes nothing when
-    neither sink is attached. *)
+    update from the committed to the live image).  A touched slot is
+    staged directly while it holds its key, its home read from the slot;
+    a slot whose row recovery removed is re-resolved by key
+    ({!Quill_storage.Table.resolve}): skipped when the key is gone,
+    staged at the fresh slot when it was inserted again.  Either way
+    each touched row probes its key once.  Probes nothing when neither
+    sink is attached. *)
 
 val publish : t -> int -> unit
 (** Publish and clear one touched set, clearing each row's [inserter]

@@ -636,7 +636,8 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
      chain segments. *)
   for j = 0 to count - 1 do
     let txn, entry = slice.(j) in
-    let txn = Txn.admit sh.sim costs (fun () -> txn) in
+    (* drawn before pass 2 and private until the planned gate *)
+    let txn = Txn.admit ~local:true sh.sim costs (fun () -> txn) in
     let rt = make_rt ?entry txn (start + j) in
     sh.rts.(parity).(start + j) <- Some rt;
     Array.iter

@@ -9,17 +9,16 @@ let k_set = 1
 let k_add = 2
 let k_insert = 3
 
-(* [Int.hash] is [Hashtbl.hash]: the generic table's buckets, without
-   its polymorphic equality. *)
-module Itbl = Hashtbl.Make (Int)
-
 type t = {
   db : Db.t;
-  ops : int Vec.t;
+  ops : Ivec.t;
   (* Replay scratch, kept across batches.  A (row, field) pair is a
      [state] index: the row's base index (allocated on its first entry,
      one per field) plus the field. *)
-  bases : int Itbl.t array;  (* per table: slot -> base *)
+  bases : int array array;
+      (* per table, per slot: [stamp lsl 32 lor base], valid when its
+         stamp is this replay's *)
+  mutable stamp : int;  (* replays so far; 0 never stamps a row *)
   mutable nstates : int;
   mutable writer : int array;  (* per state: last writer or -1 *)
   mutable readers : int array;
@@ -30,32 +29,35 @@ type t = {
   mutable edges : int array;
       (* per transaction: its newest edge, or -1; [edge_next] links each
          edge to the next older one of the same transaction *)
-  edge_to : int Vec.t;
-  edge_next : int Vec.t;
+  edge_to : Ivec.t;
+  edge_next : Ivec.t;
 }
 
 let create db =
   {
     db;
-    ops = Vec.create ();
-    bases = Array.init (Db.ntables db) (fun _ -> Itbl.create 64);
+    ops = Ivec.create ();
+    bases = Array.make (Db.ntables db) [||];
+    stamp = 0;
     nstates = 0;
     writer = [||];
     readers = [||];
     adders = [||];
     older = [||];
     edges = [||];
-    edge_to = Vec.create ();
-    edge_next = Vec.create ();
+    edge_to = Ivec.create ();
+    edge_next = Ivec.create ();
   }
 
 let push t ~bidx kind ~table slot field v =
-  Vec.push t.ops bidx;
-  Vec.push t.ops kind;
-  Vec.push t.ops table;
-  Vec.push t.ops slot;
-  Vec.push t.ops field;
-  Vec.push t.ops v
+  let o = Ivec.extend t.ops stride in
+  let d = Ivec.data t.ops in
+  d.(o) <- bidx;
+  d.(o + 1) <- kind;
+  d.(o + 2) <- table;
+  d.(o + 3) <- slot;
+  d.(o + 4) <- field;
+  d.(o + 5) <- v
 
 let read t ~bidx ~table slot field = push t ~bidx k_read ~table slot field 0
 
@@ -66,8 +68,8 @@ let add t ~bidx ~table slot field ~delta =
   push t ~bidx k_add ~table slot field delta
 
 let insert t ~bidx ~table slot = push t ~bidx k_insert ~table slot 0 0
-let clear t = Vec.clear t.ops
-let length t = Vec.length t.ops / stride
+let clear t = Ivec.clear t.ops
+let length t = Ivec.length t.ops / stride
 
 (* [a] with room for [n] entries, its contents kept. *)
 let ensure a n =
@@ -79,21 +81,34 @@ let ensure a n =
   end
 
 let state t table slot field =
-  let h = t.bases.(table) in
+  let bs = t.bases.(table) in
+  let bs =
+    if slot < Array.length bs then bs
+    else begin
+      (* doubling, but never past the table's slots *)
+      let tbl = Db.table t.db table in
+      let n = max (slot + 1) (min (2 * Array.length bs) (Table.slots tbl)) in
+      let b = Array.make n 0 in
+      Array.blit bs 0 b 0 (Array.length bs);
+      t.bases.(table) <- b;
+      b
+    end
+  in
+  let v = bs.(slot) in
   let base =
-    match Itbl.find_opt h slot with
-    | Some base -> base
-    | None ->
-        let base = t.nstates and n = Table.nfields (Db.table t.db table) in
-        t.nstates <- base + n;
-        t.writer <- ensure t.writer t.nstates;
-        t.readers <- ensure t.readers t.nstates;
-        t.adders <- ensure t.adders t.nstates;
-        Array.fill t.writer base n (-1);
-        Array.fill t.readers base n (-1);
-        Array.fill t.adders base n (-1);
-        Itbl.add h slot base;
-        base
+    if v lsr 32 = t.stamp then v land 0xffff_ffff
+    else begin
+      let base = t.nstates and n = Table.nfields (Db.table t.db table) in
+      t.nstates <- base + n;
+      t.writer <- ensure t.writer t.nstates;
+      t.readers <- ensure t.readers t.nstates;
+      t.adders <- ensure t.adders t.nstates;
+      Array.fill t.writer base n (-1);
+      Array.fill t.readers base n (-1);
+      Array.fill t.adders base n (-1);
+      bs.(slot) <- (t.stamp lsl 32) lor base;
+      base
+    end
   in
   base + field
 
@@ -102,35 +117,36 @@ let state t table slot field =
    are dropped. *)
 let edge t b d =
   if d >= 0 && d < b then begin
-    Vec.push t.edge_to d;
-    Vec.push t.edge_next t.edges.(b);
-    t.edges.(b) <- Vec.length t.edge_to - 1
+    Ivec.push t.edge_to d;
+    Ivec.push t.edge_next t.edges.(b);
+    t.edges.(b) <- Ivec.length t.edge_to - 1
   end
 
 (* [b] depends on the transaction of every entry of the list from [i]. *)
 let edges_to_list t b i =
   let i = ref i in
   while !i >= 0 do
-    edge t b (Vec.get t.ops (!i * stride));
+    edge t b (Ivec.data t.ops).(!i * stride);
     i := t.older.(!i)
   done
 
 let closure t n ~aborted =
   let len = length t in
-  Array.iter Itbl.clear t.bases;
+  t.stamp <- t.stamp + 1;
   t.nstates <- 0;
   t.older <- ensure t.older len;
   t.edges <- ensure t.edges n;
   Array.fill t.edges 0 n (-1);
-  Vec.clear t.edge_to;
-  Vec.clear t.edge_next;
+  Ivec.clear t.edge_to;
+  Ivec.clear t.edge_next;
+  let ops = Ivec.data t.ops in
   for i = 0 to len - 1 do
     let o = i * stride in
-    let b = Vec.get t.ops o and kind = Vec.get t.ops (o + 1) in
+    let b = ops.(o) and kind = ops.(o + 1) in
     if kind <> k_insert then begin
-      let table = Vec.get t.ops (o + 2) and slot = Vec.get t.ops (o + 3) in
+      let table = ops.(o + 2) and slot = ops.(o + 3) in
       edge t b (Table.inserter (Db.table t.db table) slot);
-      let s = state t table slot (Vec.get t.ops (o + 4)) in
+      let s = state t table slot ops.(o + 4) in
       edge t b t.writer.(s);
       if kind = k_read then begin
         edges_to_list t b t.adders.(s);
@@ -156,21 +172,22 @@ let closure t n ~aborted =
     in_closure.(b) <- aborted b;
     let e = ref t.edges.(b) in
     while (not in_closure.(b)) && !e >= 0 do
-      in_closure.(b) <- in_closure.(Vec.get t.edge_to !e);
-      e := Vec.get t.edge_next !e
+      in_closure.(b) <- in_closure.(Ivec.get t.edge_to !e);
+      e := Ivec.get t.edge_next !e
     done
   done;
   in_closure
 
 let revert t in_closure ~charge =
+  let ops = Ivec.data t.ops in
   for i = length t - 1 downto 0 do
     let o = i * stride in
-    let kind = Vec.get t.ops (o + 1) in
-    if kind <> k_read && in_closure.(Vec.get t.ops o) then begin
+    let kind = ops.(o + 1) in
+    if kind <> k_read && in_closure.(ops.(o)) then begin
       charge ();
-      let tbl = Db.table t.db (Vec.get t.ops (o + 2)) in
-      let slot = Vec.get t.ops (o + 3) in
-      let field = Vec.get t.ops (o + 4) and v = Vec.get t.ops (o + 5) in
+      let tbl = Db.table t.db ops.(o + 2) in
+      let slot = ops.(o + 3) in
+      let field = ops.(o + 4) and v = ops.(o + 5) in
       if kind = k_set then Table.set tbl slot field v
       else if kind = k_add then
         Table.set tbl slot field (Table.get tbl slot field - v)

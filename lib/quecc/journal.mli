@@ -10,11 +10,14 @@
     the accesses to each (row, field), whichever executor or chain
     segment made them.
 
-    A push allocates nothing once the buffers have grown to a batch's
-    size.  Cascade edges and undo are derived from the journal only
-    when a batch has a logic abort: {!closure} replays it to rebuild the
-    per-(row, field) dependency edges and takes the cascade closure, and
-    {!revert} rolls the closure's writes and inserts back. *)
+    A push allocates nothing once the buffers (one flat int vector) have
+    grown to a batch's size.  Cascade edges and undo are derived from
+    the journal only when a batch has a logic abort: {!closure} replays
+    it to rebuild the per-(row, field) dependency edges and takes the
+    cascade closure, and {!revert} rolls the closure's writes and
+    inserts back.  The replay finds a row's per-field state through one
+    slot-indexed int array per table, stamped with the replay's number,
+    so nothing keyed is built or cleared per batch. *)
 
 type t
 

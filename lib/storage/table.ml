@@ -32,6 +32,7 @@ type t = {
   mutable dkey : int array;
   mutable dhome : int array;
   mutable dins : int array;  (* inserter *)
+  mutable dgone : Bytes.t;  (* '\001' once the slot's row is removed *)
   mutable slot_of : int Itbl.t;  (* live dynamic key -> slot *)
   (* Per slot, allocated by the engines that use them. *)
   cc : int array array;  (* by [cc_index]; [||] until used *)
@@ -59,6 +60,7 @@ let create ?home_fn ~name ~nfields ~capacity ~nparts () =
     dkey = [||];
     dhome = [||];
     dins = [||];
+    dgone = Bytes.empty;
     slot_of = Itbl.create 64;
     cc = Array.make cc_words [||];
     cc_used = Array.make cc_words false;
@@ -93,6 +95,16 @@ let find t key =
 let key_of_slot t slot =
   if slot < t.capacity then slot else t.dkey.(slot - t.capacity)
 
+let resolve t slot =
+  if slot < t.capacity || Bytes.get t.dgone (slot - t.capacity) = '\000'
+  then begin
+    probe t (key_of_slot t slot) ~insert:false;
+    slot
+  end
+  else find t t.dkey.(slot - t.capacity)
+
+let slots t = t.nslots
+
 (* [a] resized to [n] entries, new ones [fill]. *)
 let resize a n fill =
   let b = Array.make n fill in
@@ -111,6 +123,9 @@ let grow t =
   t.dkey <- resize t.dkey dcap 0;
   t.dhome <- resize t.dhome dcap 0;
   t.dins <- resize t.dins dcap (-1);
+  let g = Bytes.make dcap '\000' in
+  Bytes.blit t.dgone 0 g 0 (Bytes.length t.dgone);
+  t.dgone <- g;
   List.iter
     (fun w ->
       let i = cc_index w in
@@ -147,10 +162,21 @@ let home_of_key t key =
         | Some s -> t.dhome.(s - t.capacity)
         | None -> abs key mod t.nparts)
 
+let home t slot =
+  match t.home_fn with
+  | Some f -> f (key_of_slot t slot)
+  | None ->
+      if slot < t.capacity then min (slot / t.part_size) (t.nparts - 1)
+      else t.dhome.(slot - t.capacity)
+
 let remove t key =
   if key >= 0 && key < t.capacity then
     invalid_arg "Table.remove: dense keys cannot be removed";
-  Itbl.remove t.slot_of key
+  match Itbl.find_opt t.slot_of key with
+  | Some s ->
+      Bytes.set t.dgone (s - t.capacity) '\001';
+      Itbl.remove t.slot_of key
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Images                                                              *)
@@ -164,6 +190,19 @@ let get t slot field = t.img.(off t slot field)
 let set t slot field v = t.img.(off t slot field) <- v
 let committed t slot field = t.img.(off t slot field + t.nfields)
 let live_image t slot = Array.sub t.img (slot * t.stride) t.nfields
+
+let blit_live t slot dst off =
+  Array.blit t.img (slot * t.stride) dst off t.nfields
+
+let blit_committed t slot dst off =
+  Array.blit t.img ((slot * t.stride) + t.nfields) dst off t.nfields
+
+let same_committed t slot img =
+  let o = (slot * t.stride) + t.nfields in
+  let rec from i =
+    i = t.nfields || (t.img.(o + i) = Array.unsafe_get img i && from (i + 1))
+  in
+  Array.length img = t.nfields && from 0
 
 let committed_image t slot =
   Array.sub t.img ((slot * t.stride) + t.nfields) t.nfields
@@ -264,6 +303,7 @@ let clone t =
     dkey = Array.copy t.dkey;
     dhome = Array.copy t.dhome;
     dins = Array.copy t.dins;
+    dgone = Bytes.copy t.dgone;
     slot_of = Itbl.copy t.slot_of;
     cc = Array.make cc_words [||];
     cc_used = Array.make cc_words false;
@@ -283,6 +323,7 @@ let overwrite_from ~src dst =
   dst.dkey <- Array.copy src.dkey;
   dst.dhome <- Array.copy src.dhome;
   dst.dins <- Array.copy src.dins;
+  dst.dgone <- Bytes.copy src.dgone;
   dst.slot_of <- Itbl.copy src.slot_of;
   dst.nslots <- src.nslots;
   (* CC state stays with the dense rows; dynamic rows are fresh. *)

@@ -44,6 +44,18 @@ val find : t -> int -> int
 val key_of_slot : t -> int -> int
 (** The key a slot was created under (also for a removed row). *)
 
+val resolve : t -> int -> int
+(** [resolve t slot]: the slot that holds [key_of_slot t slot] now.
+    That is [slot] itself while its row is in the table (a dense slot
+    always is; a dynamic slot until {!remove}), read from a per-slot
+    removed bit without hashing; for a removed slot it is
+    [find t (key_of_slot t slot)]: -1, or the fresh slot of a
+    re-insert.  Probes the key exactly like {!find}. *)
+
+val slots : t -> int
+(** Slots ever used: [capacity] plus every insert, removed rows
+    included.  Every slot is below it. *)
+
 val insert : t -> home:int -> key:int -> int array -> int
 (** Insert a fresh row with the given payload (live and committed) into
     the dynamic region and return its slot.  Raises [Invalid_argument]
@@ -58,6 +70,10 @@ val home_of_key : t -> int -> int
 (** Partition of a key: [home_fn] when given; otherwise range
     partitioning for dense keys and the home recorded at insert time for
     dynamic keys. *)
+
+val home : t -> int -> int
+(** [home t slot]: {!home_of_key} of the slot's key, read from the slot
+    (no lookup).  For a slot whose row is in the table. *)
 
 val set_probe_hook :
   (table:string -> key:int -> insert:bool -> unit) option -> unit
@@ -84,6 +100,17 @@ val live_image : t -> int -> int array
 
 val committed_image : t -> int -> int array
 (** A fresh copy of the committed image. *)
+
+val blit_live : t -> int -> int array -> int -> unit
+(** [blit_live t slot dst off] copies the live image into
+    [dst.(off .. off+nfields-1)]. *)
+
+val blit_committed : t -> int -> int array -> int -> unit
+(** {!blit_live} of the committed image. *)
+
+val same_committed : t -> int -> int array -> bool
+(** Whether an image equals the slot's committed image, field by field
+    in place; [false] when its arity is not [nfields]. *)
 
 val restore : t -> int -> int array -> unit
 (** Overwrite the live image with a saved one. *)

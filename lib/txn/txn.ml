@@ -44,8 +44,9 @@ let make ~tid frags =
     attempts = 0;
   }
 
-let admit sim (costs : Quill_sim.Costs.t) draw =
-  Quill_sim.Sim.tick sim costs.Quill_sim.Costs.txn_overhead;
+let admit ?(local = false) sim (costs : Quill_sim.Costs.t) draw =
+  (if local then Quill_sim.Sim.tick_local else Quill_sim.Sim.tick)
+    sim costs.Quill_sim.Costs.txn_overhead;
   let t = draw () in
   t.submit_time <- Quill_sim.Sim.now sim;
   t.status <- Active;

@@ -3,7 +3,8 @@ module Costs = Quill_sim.Costs
 module Db = Quill_storage.Db
 module Table = Quill_storage.Table
 module Metrics = Quill_txn.Metrics
-module Vec = Quill_common.Vec
+module Ivec = Quill_common.Ivec
+module Djb2 = Quill_common.Djb2
 
 type disk = {
   torn_rec : int option;
@@ -21,9 +22,9 @@ let t_header = 1   (* payload: batch_no:8 *)
 let t_effect = 2   (* payload: table:4 home:4 key:8 nfields:4 fields:8xn *)
 let t_commit = 3   (* payload: batch_no:8 txns:8 *)
 
-(* [Int.hash] is [Hashtbl.hash]: the generic table's buckets, without
-   its polymorphic equality. *)
-module Itbl = Hashtbl.Make (Int)
+(* A journal entry is [j_stride] ints: table, key, slot and the offset
+   of its pre-roll image in [pre] (-1: inserted since). *)
+let j_stride = 4
 
 type t = {
   sim : Sim.t;
@@ -32,11 +33,14 @@ type t = {
   snapshot_every : int;
   db : Db.t;  (* the live database the run mutates *)
   (* The undo journal: each row staged since the last roll, once, with
-     its image at the roll ([None]: inserted since).  The snapshot is
-     the live database with these put back. *)
-  journal : (int * int * int * int array option) Vec.t;
-      (* (table, home, key, pre-roll image) *)
-  journaled : unit Itbl.t array;  (* per table: keys journaled *)
+     its image at the roll (none: inserted since).  The snapshot is the
+     live database with these put back. *)
+  journal : Ivec.t;  (* [j_stride] ints per entry *)
+  pre : Ivec.t;  (* the entries' pre-roll images, back to back *)
+  mutable marks : Bytes.t array;
+      (* per table, per slot: '\001' while the slot's row is in the
+         journal; cleared at a roll through the journal's slots *)
+  mutable row : int array;  (* [log_row] scratch: one live image *)
   log : Buffer.t;  (* bytes on the modeled disk (since last truncation) *)
   (* The group buffer: the records awaiting flush, framed back to back
      in [group.[0 .. group_len-1]]; reused across groups. *)
@@ -73,8 +77,12 @@ let create ?(disk = no_disk_faults) ~sim ~costs ~snapshot_every db =
     disk;
     snapshot_every;
     db;
-    journal = Vec.create ();
-    journaled = Array.init (Db.ntables db) (fun _ -> Itbl.create 64);
+    journal = Ivec.create ();
+    pre = Ivec.create ();
+    marks =
+      Array.init (Db.ntables db) (fun i ->
+          Bytes.make (Table.slots (Db.table db i)) '\000');
+    row = [||];
     log = Buffer.create 4096;
     group = Bytes.create 4096;
     group_len = 0;
@@ -100,12 +108,7 @@ let durable_txns t = t.durable_txns
 let log_size t = Buffer.length t.log
 
 (* djb2 over the type byte + payload, masked to 32 bits. *)
-let crc b off len =
-  let h = ref 5381 in
-  for i = off to off + len - 1 do
-    h := (((!h lsl 5) + !h) + Char.code (Bytes.unsafe_get b i)) land 0xffff_ffff
-  done;
-  !h
+let crc b off len = Djb2.fold Djb2.init b off len
 
 (* A record is written straight into the group buffer: [open_record]
    frames a [plen]-byte payload (length, type byte), the caller puts
@@ -163,29 +166,66 @@ let log_effect t ~table ~home ~key payload =
   done;
   close_record t r
 
+let marked t table slot =
+  let m = t.marks.(table) in
+  slot < Bytes.length m && Bytes.get m slot <> '\000'
+
+let mark t table slot =
+  let m = t.marks.(table) in
+  if slot >= Bytes.length m then begin
+    let g = Bytes.make (max (slot + 1) (2 * Bytes.length m)) '\000' in
+    Bytes.blit m 0 g 0 (Bytes.length m);
+    t.marks.(table) <- g
+  end;
+  Bytes.set t.marks.(table) slot '\001'
+
 (* Before publish overwrites the committed image, the first staging
    since the roll journals it: the database was clean at the roll and
    only a staged row is ever published, so the committed image is still
-   the row's roll-time image (an unpublished insert was absent then). *)
+   the row's roll-time image (an unpublished insert was absent then).
+   "First" is per key, and the mark is per slot: a key lives at one
+   slot for a whole roll interval, except an insert that speculative
+   recovery removes and re-inserts inside its batch, whose first slot
+   is never staged (the commit point re-resolves it to the fresh one).
+   Replay in [recover] may move keys too, but a recovered node stages
+   nothing more. *)
 let log_row t ~table ~home slot =
   let tbl = Db.table t.db table in
   let key = Table.key_of_slot tbl slot in
-  let seen = t.journaled.(table) in
-  if not (Itbl.mem seen key) then begin
-    Itbl.replace seen key ();
-    Vec.push t.journal
-      ( table,
-        home,
-        key,
-        if Table.inserter tbl slot >= 0 then None
-        else Some (Table.committed_image tbl slot) )
-  end;
   let n = Table.nfields tbl in
+  if not (marked t table slot) then begin
+    mark t table slot;
+    let j = Ivec.extend t.journal j_stride in
+    let d = Ivec.data t.journal in
+    d.(j) <- table;
+    d.(j + 1) <- key;
+    d.(j + 2) <- slot;
+    d.(j + 3) <-
+      (if Table.inserter tbl slot >= 0 then -1
+       else begin
+         let o = Ivec.extend t.pre n in
+         Table.blit_committed tbl slot (Ivec.data t.pre) o;
+         o
+       end)
+  end;
+  if Array.length t.row < n then t.row <- Array.make n 0;
+  Table.blit_live tbl slot t.row 0;
   let r = open_effect t ~table ~home ~key n in
   for i = 0 to n - 1 do
-    put64 t (Table.get tbl slot i)
+    put64 t (Array.unsafe_get t.row i)
   done;
   close_record t r
+
+(* Forget the journal: unmark every journaled slot, then empty it. *)
+let clear_journal t =
+  let d = Ivec.data t.journal in
+  let j = ref 0 in
+  while !j < Ivec.length t.journal do
+    Bytes.set t.marks.(d.(!j)) d.(!j + 2) '\000';
+    j := !j + j_stride
+  done;
+  Ivec.clear t.journal;
+  Ivec.clear t.pre
 
 (* One modeled fsync of the whole group.  A failing fsync is reported
    to the caller; a torn write is NOT — the record loses half its
@@ -239,8 +279,7 @@ let commit_batch t ~batch_no ~txns =
        empties the journal. *)
     if (batch_no + 1) mod t.snapshot_every = 0 then begin
       Sim.tick t.sim t.costs.Costs.wal_fsync;
-      Vec.clear t.journal;
-      Array.iter Itbl.clear t.journaled;
+      clear_journal t;
       t.snap_batch <- batch_no;
       t.snap_txns <- t.durable_txns;
       Buffer.clear t.log;
@@ -272,12 +311,16 @@ let snapshot t =
       tbl;
     Table.iter_rows (fun _ slot -> Table.revert tbl slot) tbl
   done;
-  Vec.iter
-    (fun (table, home, key, pre) ->
-      match pre with
-      | None -> Table.remove (Db.table snap table) key
-      | Some img -> apply_effect snap ~table ~home ~key img)
-    t.journal;
+  let d = Ivec.data t.journal and pre = Ivec.data t.pre in
+  let j = ref 0 in
+  while !j < Ivec.length t.journal do
+    let tbl = Db.table snap d.(!j) and o = d.(!j + 3) in
+    (* [snap] is a clone, slot for slot; a row with a pre-roll image was
+       published, so it is still at its slot *)
+    if o < 0 then Table.remove tbl d.(!j + 1)
+    else Table.load tbl d.(!j + 2) (Array.sub pre o (Table.nfields tbl));
+    j := !j + j_stride
+  done;
   snap
 
 let recover t =

@@ -13,7 +13,9 @@
 
     with three record types — batch header, per-row effect
     (table/home/key/payload), batch commit marker (batch number +
-    transaction count).  The crc covers the type byte and the payload,
+    transaction count).  The crc ({!Quill_common.Djb2.fold} from 5381,
+    the loop the CDC feed digest rolls) covers the type byte and the
+    payload,
     so a torn tail, a failed flush, or a flipped bit is {e detected} at
     recovery rather than silently loaded.  Each record is framed
     straight into one reused in-memory group buffer, which the flush
@@ -25,8 +27,15 @@
     roll or at creation.  Instead the log keeps an undo journal, fed at
     the commit point: the first time since the last roll that a row is
     staged ({!log_row}), its image as of the roll is recorded, so a roll
-    costs O(rows changed since the previous one).  {!recover} rebuilds
-    the snapshot from the live database and the journal, then replays
+    costs O(rows changed since the previous one).  The journal is two
+    flat int vectors (entries and pre-roll images), and "staged since
+    the roll" is a per-slot mark, cleared at a roll through the
+    journal's own slots.  It keeps its per-key meaning because a staged
+    slot always holds its key (see {!log_row}) and a key stays at one
+    slot between rolls; replay in {!recover} may move keys, so a
+    recovered log takes no further stagings (the node is dead).
+    {!recover} rebuilds the snapshot from the live database and the
+    journal, then replays
     every complete, checksum-valid commit group in the remaining log;
     the scan truncates at the first invalid record and degrades to the
     last durable batch — never aborts, never loads garbage.
@@ -84,9 +93,11 @@ val log_effect : t -> table:int -> home:int -> key:int -> int array -> unit
 val log_row : t -> table:int -> home:int -> int -> unit
 (** [log_row t ~table ~home slot]: stage a row of the live database
     after its batch settled and before publish: {!log_effect} of its
-    live image, and, the first time since the last roll, a journal
-    entry with the row's image as of that roll — its committed image,
-    or "absent" for an unpublished insert ([inserter >= 0]). *)
+    live image, and, the first time since the last roll (the slot is
+    unmarked), a journal entry with the row's image as of that roll —
+    its committed image, or "absent" for an unpublished insert
+    ([inserter >= 0]).  [slot] must hold its key (see
+    {!Quill_storage.Table.resolve}). *)
 
 val commit_batch : t -> batch_no:int -> txns:int -> bool
 (** Append the commit marker, then flush the whole group with one
@@ -107,7 +118,8 @@ val durable_txns : t -> int
     batches folded into snapshots). *)
 
 val recover : t -> unit
-(** Crash recovery of the live database: rebuild the newest snapshot
+(** Crash recovery of the live database, the log's last act: rebuild the
+    newest snapshot
     (one [Db.clone] of the live database, every row reverted to
     [committed], unpublished inserts dropped, journaled rows put back),
     overwrite the database from it, then scan the log and apply every

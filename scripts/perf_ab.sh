@@ -14,10 +14,15 @@
 # both medians and quartiles, the NEW/BASE ratio and how many pairs NEW
 # won.  Raw outputs stay in _build/perf-ab/out/.
 #
-# Exit status: 1 when a virtual metric (unit vns, vus or Mtxn/vs) or the
-# checksum differs between the sides for the same seed, or a run fails
-# its correctness checks; 2 on a usage error; 0 otherwise.  Wall-clock
-# differences never fail the script: read the table.
+# Exit status: 1 when, for the same seed, the sides differ in a virtual
+# metric (unit vns, vus or Mtxn/vs), in the checksum or in a per-layer
+# counter that is a pure function of the seed (the COUNTERS list below:
+# WAL and feed bytes, fsyncs, snapshots, group sizes, events, lag,
+# cascades, batch size, probes, inserts, fragments), or a run fails its
+# correctness checks; 2 on a usage error; 0 otherwise.  The gc.* words,
+# the *_ns* timings and the *_ms timings are measured, not derived from
+# the seed, so they are only printed.  Wall-clock differences never fail
+# the script: read the table.
 set -euo pipefail
 
 base="" pairs=10 secs=20 seed=42
@@ -84,6 +89,13 @@ import json, os, statistics, sys
 out, pairs, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 spec = {m["name"]: m for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 virtual = lambda unit: unit.startswith("v") or "/v" in unit
+# per-layer values fixed by the seed: any difference is a changed result
+COUNTERS = {
+    "wal.bytes_per_txn", "wal.fsyncs", "wal.snapshots", "wal.group_txns",
+    "cdc.events_per_txn", "cdc.bytes_per_txn", "cdc.lag_max",
+    "quecc.cascades", "quecc.batch_txns", "storage.probes_per_txn",
+    "storage.inserts_per_txn", "workloads.frags_per_txn",
+}
 bad = []
 
 def last_json(path):
@@ -135,11 +147,14 @@ for w in workloads:
                    f"{sides['base']['checksum']} vs {sides['new']['checksum']}")
     for name, v in sides["base"]["per_layer"].items():
         nv = sides["new"]["per_layer"].get(name)
-        if virtual(v["unit"]) and (nv is None or nv["value"] != v["value"]):
-            bad.append(f"{w} {name}: virtual metric differs: {v['value']} vs "
+        kind = ("virtual metric" if virtual(v["unit"])
+                else "counter" if name in COUNTERS else None)
+        if kind and (nv is None or nv["value"] != v["value"]):
+            bad.append(f"{w} {name}: {kind} differs: {v['value']} vs "
                        f"{nv and nv['value']}")
 for line in bad:
     print("perf-ab: " + line)
-print("perf-ab: " + ("FAILED" if bad else "virtual metrics and checksums identical"))
+print("perf-ab: " + ("FAILED" if bad else
+                      "virtual metrics, counters and checksums identical"))
 sys.exit(1 if bad else 0)
 PY

@@ -366,6 +366,202 @@ let test_canonicalization () =
   in
   Tutil.check_int "digest is djb2 of the feed" djb2 (Cdc.digest cdc)
 
+(* The canonicalizer before the feed went slot-native, kept as the
+   reference: boxed stagings, one [Array.stable_sort] by (table, key),
+   first pre-image and last post-image per run, value-equal no-ops
+   dropped; the entry serialized field by field into a [Buffer]. *)
+type ref_staged = {
+  r_table : int;
+  r_key : int;
+  r_before : int array option;
+  r_after : int array;
+}
+
+let ref_canonical staged =
+  let a = Array.of_list staged in
+  let by_row x y =
+    let c = Int.compare x.r_table y.r_table in
+    if c <> 0 then c else Int.compare x.r_key y.r_key
+  in
+  Array.stable_sort by_row a;
+  let out = ref [] and i = ref 0 in
+  while !i < Array.length a do
+    let j = ref (!i + 1) in
+    while !j < Array.length a && by_row a.(!i) a.(!j) = 0 do
+      incr j
+    done;
+    let first = a.(!i) and last = a.(!j - 1) in
+    (match first.r_before with
+    | Some pre when pre = last.r_after -> ()
+    | before ->
+        out :=
+          {
+            Cdc.table = first.r_table;
+            key = first.r_key;
+            before;
+            after = last.r_after;
+          }
+          :: !out);
+    i := !j
+  done;
+  List.rev !out
+
+let ref_serialize buf ~batch_no ~txns events =
+  let i32 v = Buffer.add_int32_le buf (Int32.of_int v) in
+  let i64 v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let payload a =
+    i32 (Array.length a);
+    Array.iter i64 a
+  in
+  i64 batch_no;
+  i64 txns;
+  i32 (List.length events);
+  List.iter
+    (fun (ev : Cdc.event) ->
+      i32 ev.Cdc.table;
+      i64 ev.Cdc.key;
+      (match ev.Cdc.before with
+      | Some pre ->
+          Buffer.add_char buf '\000';
+          payload pre
+      | None -> Buffer.add_char buf '\001');
+      payload ev.Cdc.after)
+    events
+
+(* Random staging sequences over three tables: keys from small pools so
+   rows are staged several times (value-equal no-ops and rows changed
+   back included, from 2-field images over {0, 1, 2}), inserts, negative
+   keys, dynamic keys >= 2^40, keys that differ only in the top bit of
+   one byte, and keys at both ends of the int range.
+   Each batch draws from a few key pools, so that some sort a narrow
+   key range.  Every batch must give the reference's events, the feed
+   its bytes and the digest djb2 of those bytes. *)
+let qcheck_canonical_reference =
+  let open QCheck.Gen in
+  let keys =
+    [
+      int_range 0 12;
+      map (fun k -> (1 lsl 40) + k) (int_range 0 12);
+      map (fun k -> (1 lsl 40) + (k lsl 20)) (int_range 0 40);
+      map (fun d -> 1 lsl ((8 * d) + 7)) (int_range 0 6);
+      int_range (-6) (-1);
+      map (fun k -> max_int - k) (int_range 0 2);
+      map (fun k -> min_int + k) (int_range 0 2);
+    ]
+  in
+  let img = map (fun (a, b) -> [| a; b |]) (pair (int_range 0 2) (int_range 0 2)) in
+  let staged key =
+    map
+      (fun (((table, key), ins), (before, after)) ->
+        {
+          r_table = table;
+          r_key = key;
+          r_before = (if ins then None else Some before);
+          r_after = after;
+        })
+      (pair
+         (pair (pair (int_range 0 2) key) (frequencyl [ (1, true); (4, false) ]))
+         (pair img img))
+  in
+  (* each batch draws its keys from one to three of the pools *)
+  let batch =
+    list_size (int_range 1 3) (oneofl keys) >>= fun pools ->
+    list_size (int_range 0 200) (staged (oneof pools))
+  in
+  let batches = list_size (int_range 1 3) batch in
+  let print bs =
+    String.concat " | "
+      (List.map
+         (fun b ->
+           String.concat ";"
+             (List.map
+                (fun s ->
+                  Printf.sprintf "%d/%d%s" s.r_table s.r_key
+                    (if s.r_before = None then "+" else ""))
+                b))
+         bs)
+  in
+  QCheck.Test.make ~name:"canonicalization = boxed stable-sort reference"
+    ~count:300 (QCheck.make ~print batches) (fun batches ->
+      let sim = Sim.create () in
+      let cdc =
+        Cdc.create ~record_feed:true ~sim ~costs:Costs.default
+          (Db.create ~nparts:1)
+      in
+      let got = ref [] in
+      ignore
+        (Cdc.subscribe cdc ~name:"capture"
+           {
+             Cdc.on_batch = (fun b -> got := Array.to_list b.Cdc.events :: !got);
+             on_snapshot = (fun _ ~batch_no:_ -> ());
+             on_caught_up = (fun ~batch_no:_ -> ());
+           });
+      Sim.spawn sim (fun () ->
+          List.iteri
+            (fun b staged ->
+              List.iter
+                (fun s ->
+                  match s.r_before with
+                  | Some before ->
+                      Cdc.stage cdc ~table:s.r_table ~key:s.r_key ~before
+                        ~after:s.r_after
+                  | None ->
+                      Cdc.stage_insert cdc ~table:s.r_table ~key:s.r_key
+                        ~after:s.r_after)
+                staged;
+              Cdc.publish cdc ~batch_no:b ~txns:(List.length staged))
+            batches);
+      ignore (Sim.run sim);
+      Cdc.finish cdc;
+      let buf = Buffer.create 256 in
+      let expect =
+        List.mapi
+          (fun b staged ->
+            let evs = ref_canonical staged in
+            ref_serialize buf ~batch_no:b ~txns:(List.length staged) evs;
+            evs)
+          batches
+      in
+      let feed = Buffer.contents buf in
+      let djb2 =
+        String.fold_left
+          (fun h c -> ((h lsl 5) + h + Char.code c) land 0xffff_ffff)
+          5381 feed
+      in
+      List.rev !got = expect
+      && Cdc.feed cdc = feed
+      && Cdc.digest cdc = djb2
+      && Cdc.feed_bytes cdc = String.length feed)
+
+(* [Replica.consistent_with] compares each cached image with the
+   committed one in place.  Equal state reads true; one differing field
+   (of a dense row, of an inserted row), a cached key the database does
+   not have, and an image of the wrong arity each read false. *)
+let test_replica_check_mutations () =
+  let db = Db.create ~nparts:1 in
+  ignore (Db.add_table db ~name:"a" ~nfields:3 ~capacity:8);
+  let tbl = Db.table db 0 in
+  for k = 0 to 7 do
+    Table.load tbl k [| k; 10 * k; 100 * k |]
+  done;
+  let dyn = 1 lsl 40 in
+  ignore (Table.insert tbl ~home:0 ~key:dyn [| 1; 2; 3 |]);
+  let ev key after = { Cdc.table = 0; key; before = None; after } in
+  let check name expect events =
+    let rep = Replica.create db in
+    (Replica.consumer rep).Cdc.on_batch
+      { Cdc.batch_no = 0; txns = 1; events = Array.of_list events };
+    Tutil.check_bool name expect (Replica.consistent_with rep db)
+  in
+  let equal = [ ev 2 [| 2; 20; 200 |]; ev 7 [| 7; 70; 700 |]; ev dyn [| 1; 2; 3 |] ] in
+  check "equal state" true equal;
+  check "empty replica" true [];
+  check "dense field differs" false (equal @ [ ev 7 [| 7; 70; 701 |] ]);
+  check "inserted row's field differs" false (equal @ [ ev dyn [| 1; 9; 3 |] ]);
+  check "cached key absent from the db" false (equal @ [ ev (dyn + 1) [| 1; 2; 3 |] ]);
+  check "image too long" false (equal @ [ ev 2 [| 2; 20; 200; 0 |] ]);
+  check "image too short" false (equal @ [ ev dyn [| 1; 2 |] ])
+
 (* -------------------------- consumers -------------------------- *)
 
 let test_view_equals_recompute () =
@@ -605,6 +801,7 @@ let () =
             test_serial_feed_deterministic;
           Alcotest.test_case "canonicalization + wire shape" `Quick
             test_canonicalization;
+          qc qcheck_canonical_reference;
           qc qcheck_feed_identity;
         ] );
       ( "consumers",
@@ -615,6 +812,8 @@ let () =
             test_view_through_experiment;
           Alcotest.test_case "replica bounded staleness" `Quick
             test_replica_bounded_staleness;
+          Alcotest.test_case "replica check mutations" `Quick
+            test_replica_check_mutations;
         ] );
       ( "catch-up",
         [

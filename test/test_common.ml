@@ -387,6 +387,64 @@ let prop_hist_bucket_edge_bounds_value =
     QCheck.(int_range 0 1_000_000_000)
     (fun v -> Stats.Hist.upper_edge (Stats.Hist.index_of v) >= v)
 
+(* [Djb2.fold] is the byte-at-a-time djb2 loop on any sub-range, and
+   folding two adjacent pieces is folding their concatenation. *)
+let prop_djb2_reference =
+  QCheck.Test.make ~name:"djb2 fold = byte loop, composes" ~count:300
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let b' = Bytes.of_string s and n = String.length s in
+      let off = min a n in
+      let len = min b (n - off) in
+      let reference h =
+        let h = ref h in
+        for i = off to off + len - 1 do
+          h := ((!h lsl 5) + !h + Char.code s.[i]) land 0xffff_ffff
+        done;
+        !h
+      in
+      let cut = off + (len / 3) in
+      Quill_common.Djb2.fold Quill_common.Djb2.init b' off len
+      = reference 5381
+      && Quill_common.Djb2.fold 0xffff_ffff b' off len = reference 0xffff_ffff
+      && Quill_common.Djb2.fold
+           (Quill_common.Djb2.fold 5381 b' off (cut - off))
+           b' cut (off + len - cut)
+         = reference 5381)
+
+(* [Ivec] against a list model: pushes, reserved blocks filled through
+   [data], writes through [data], [clear]. *)
+let prop_ivec_model =
+  QCheck.Test.make ~name:"ivec = list model" ~count:200
+    QCheck.(list (pair (int_range 0 3) small_int))
+    (fun ops ->
+      let module Iv = Quill_common.Ivec in
+      let v = Iv.create () and model = ref [] in
+      List.iter
+        (fun (op, x) ->
+          match op with
+          | 0 ->
+              Iv.push v x;
+              model := !model @ [ x ]
+          | 1 ->
+              let o = Iv.extend v x in
+              for i = 0 to x - 1 do
+                (Iv.data v).(o + i) <- i
+              done;
+              model := !model @ List.init x Fun.id
+          | 2 when !model <> [] ->
+              let i = x mod List.length !model in
+              (Iv.data v).(i) <- -x;
+              model := List.mapi (fun j y -> if j = i then -x else y) !model
+          | _ ->
+              if x mod 5 = 0 then begin
+                Iv.clear v;
+                model := []
+              end)
+        ops;
+      Iv.length v = List.length !model
+      && List.for_all Fun.id (List.mapi (fun i y -> Iv.get v i = y) !model))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "common"
@@ -420,7 +478,9 @@ let () =
           Alcotest.test_case "out of bounds" `Quick test_vec_oob;
           Alcotest.test_case "sort/fold" `Quick test_vec_sort_fold;
           qc prop_vec_model;
+          qc prop_ivec_model;
         ] );
+      ("djb2", [ qc prop_djb2_reference ]);
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick test_bitset_basic;

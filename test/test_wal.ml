@@ -210,6 +210,74 @@ let test_fsync_fail_then_crash () =
     (wl.Workload.db, m)
     (oracle_db tpcc logs ~streams:4 ~batch_size:128 ~batches:durable)
 
+(* The roll journal is per key.  Speculative recovery re-executes a
+   cascade inside its batch, so a NewOrder's order id, and with it its
+   order keys, can shift when an earlier NewOrder of its district is
+   reverted: an order key is inserted, removed with its reverted
+   inserter and inserted again at a fresh slot by the re-executed
+   transaction that now draws that id.  Here such keys are inserted
+   after the last roll (they are in the recovered database, not in the
+   oracle at the roll) and the run crashes before the next roll, so the
+   snapshot must drop each of them whatever slot it lived at.  The WAL
+   bytes and the durable boundary are pinned. *)
+let test_roll_journal_reinsert () =
+  let tpcc () = Tpcc.make (Tutil.small_tpcc ~nparts:8 ~seed:1 ()) in
+  let batches = 8 and snapshot_every = 2 in
+  let planners = 8 and executors = 8 and batch_size = 256 in
+  let _, mprobe = run_plain ~planners ~executors ~batch_size ~batches tpcc in
+  let crash_at = mprobe.Metrics.elapsed * 3 / 4 in
+  (* insert probes per (table, key) made before the crash time *)
+  let inserts = Hashtbl.create 4096 in
+  let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
+  Table.set_probe_hook
+    (Some
+       (fun ~table ~key ~insert ->
+         if insert && Sim.in_thread sim && Sim.now sim < crash_at then
+           let n =
+             Option.value ~default:0 (Hashtbl.find_opt inserts (table, key))
+           in
+           Hashtbl.replace inserts (table, key) (n + 1)));
+  let wl = tpcc () in
+  let wl_rec, logs = Tutil.record wl in
+  let m =
+    Fun.protect
+      ~finally:(fun () -> Table.set_probe_hook None)
+      (fun () ->
+        let w =
+          Wal.create ~sim ~costs:Costs.default ~snapshot_every wl.Workload.db
+        in
+        Engine.run ~sim ~wal:w ~crash_at
+          (quecc_cfg ~planners ~executors ~batch_size ())
+          wl_rec ~batches)
+  in
+  let db = wl.Workload.db and durable = m.Metrics.durable_batches in
+  let oracle batches =
+    oracle_db tpcc logs ~streams:planners ~batch_size ~batches
+  in
+  Tutil.check_int "crashed once" 1 m.Metrics.crashes;
+  let rolled = durable / snapshot_every * snapshot_every in
+  Tutil.check_bool "a durable batch after a roll" true
+    (rolled >= snapshot_every && rolled < durable);
+  let at_roll, _ = oracle rolled in
+  let moved =
+    Hashtbl.fold
+      (fun (name, key) n acc ->
+        let table = Db.table_id db name in
+        if
+          n >= 2
+          && Table.find (Db.table db table) key >= 0
+          && Table.find (Db.table at_roll table) key < 0
+        then acc + 1
+        else acc)
+      inserts 0
+  in
+  Tutil.check_bool
+    (Printf.sprintf "%d keys re-inserted since the roll" moved)
+    true (moved > 0);
+  check_recovered_state "re-insert since the roll" (db, m) (oracle durable);
+  Tutil.check_int "wal bytes" 955960 m.Metrics.wal_bytes;
+  Tutil.check_int "durable batches" 5 durable
+
 (* A crashed pipelined node stops planning.  Its planners can be at
    most two batches past the durable boundary (the batch the crash
    killed and the one planned behind it), so they never plan more than a
@@ -550,6 +618,8 @@ let () =
             test_crash_recovers_tpcc_inserts;
           Alcotest.test_case "fsync failure, then crash" `Quick
             test_fsync_fail_then_crash;
+          Alcotest.test_case "key re-inserted since the roll" `Quick
+            test_roll_journal_reinsert;
           Alcotest.test_case "serial engine" `Quick
             test_serial_crash_recovers;
           Alcotest.test_case "serial engine, tpcc" `Quick
