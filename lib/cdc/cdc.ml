@@ -22,7 +22,6 @@ type batch = {
 
 type consumer = {
   on_batch : batch -> unit;
-  on_snapshot : Db.t -> batch_no:int -> unit;
   on_caught_up : batch_no:int -> unit;
 }
 
@@ -37,27 +36,18 @@ type consumer = {
 let st_stride = 5
 
 type sub = {
-  s_name : string;
   s_consumer : consumer;
-  s_max_queue : int;
   s_apply_every : int;
-  s_join_at : int;
-  s_queue : batch Queue.t;
-  mutable s_active : bool;
+  s_queue : batch Queue.t;  (* published, not yet applied *)
   mutable s_cursor : int;
-  mutable s_since_apply : int;
-  mutable s_overflow : bool;
   mutable s_lag_max : int;
   mutable s_delivered : int;
-  mutable s_catchup : int;
-  mutable s_overflows : int;
 }
 
 type t = {
   sim : Sim.t;
   costs : Costs.t;
   db : Db.t;
-  retain : int;
   staging : Ivec.t;  (* [st_stride] ints per staging *)
   pres : Ivec.t;  (* the stagings' pre-images, back to back *)
   afters : int array Vec.t;  (* post-images given to [stage] *)
@@ -70,25 +60,20 @@ type t = {
   counts : int array;  (* radix-sort digit counts *)
   out : event Vec.t;  (* the canonical events *)
   mutable entry : Bytes.t;  (* the serialized feed entry *)
-  ring : batch Queue.t;
-      (* every published batch, while [retaining]; empty after *)
-  mutable retaining : bool;
   feed_buf : Buffer.t option;  (* full serialized feed, tests only *)
   mutable batches : int;
   mutable last_batch : int;
   mutable events : int;
   mutable feed_bytes : int;
   mutable digest : int;
-  mutable subs_rev : sub list;
+  mutable subs : sub list;  (* registration order *)
 }
 
-let create ?(retain = 64) ?(record_feed = false) ~sim ~costs db =
-  if retain < 1 then invalid_arg "Cdc.create: retain must be >= 1";
+let create ?(record_feed = false) ~sim ~costs db =
   {
     sim;
     costs;
     db;
-    retain;
     staging = Ivec.create ();
     pres = Ivec.create ();
     afters = Vec.create ();
@@ -100,49 +85,34 @@ let create ?(retain = 64) ?(record_feed = false) ~sim ~costs db =
     counts = Array.make 257 0;
     out = Vec.create ();
     entry = Bytes.create 4096;
-    ring = Queue.create ();
-    retaining = true;
     feed_buf = (if record_feed then Some (Buffer.create 4096) else None);
     batches = 0;
     last_batch = -1;
     events = 0;
     feed_bytes = 0;
     digest = Djb2.init;
-    subs_rev = [];
+    subs = [];
   }
 
-let subscribe t ~name ?(max_queue = 256) ?(apply_every = 1) ?(join_at = 0)
-    consumer =
-  if max_queue < 1 then invalid_arg "Cdc.subscribe: max_queue must be >= 1";
+let subscribe t ~name ?(apply_every = 1) consumer =
   if apply_every < 1 then invalid_arg "Cdc.subscribe: apply_every must be >= 1";
-  if join_at <= t.last_batch then
+  if t.batches > 0 then
     invalid_arg
       (Printf.sprintf
-         "Cdc.subscribe %s: join_at=%d is already published (last batch %d)"
-         name join_at t.last_batch);
+         "Cdc.subscribe %s: batch %d is already published; subscribe \
+          before the first publish"
+         name t.last_batch);
   let s =
     {
-      s_name = name;
       s_consumer = consumer;
-      s_max_queue = max_queue;
       s_apply_every = apply_every;
-      s_join_at = join_at;
       s_queue = Queue.create ();
-      s_active = false;
       s_cursor = -1;
-      s_since_apply = 0;
-      s_overflow = false;
       s_lag_max = 0;
       s_delivered = 0;
-      s_catchup = 0;
-      s_overflows = 0;
     }
   in
-  (* Joining at the very next batch is not late: activate now, with
-     nothing to catch up on.  Larger [join_at]s activate at publish
-     time via ring replay or snapshot. *)
-  if join_at = t.last_batch + 1 then s.s_active <- true;
-  t.subs_rev <- s :: t.subs_rev;
+  t.subs <- t.subs @ [ s ];
   s
 
 let push_staging t ~table ~key ~src ~pre ~len =
@@ -242,74 +212,27 @@ let serialize_batch t (b : batch) =
 let tick t ~charge cost = if charge && cost > 0 then Sim.tick t.sim cost
 
 (* Drain a subscriber to the newest batch: apply the queued entries in
-   order, or — after an overflow dropped the queue — re-seed from a
-   snapshot scan of the committed database and skip straight to the
-   cursor.  The snapshot is the CDC analogue of WAL snapshot recovery:
-   everything the subscriber missed is folded into one state transfer
-   and accounted as catch-up, not delivery. *)
+   order, then report the caught-up point.  Only called with a
+   non-empty queue. *)
 let apply t ~charge s =
-  let applied = ref false in
-  if s.s_overflow then begin
-    s.s_consumer.on_snapshot t.db ~batch_no:t.last_batch;
-    s.s_catchup <- s.s_catchup + (t.last_batch - s.s_cursor);
-    s.s_cursor <- t.last_batch;
-    s.s_overflow <- false;
-    tick t ~charge t.costs.Costs.cdc_publish;
-    applied := true
-  end
-  else
-    while not (Queue.is_empty s.s_queue) do
-      let b = Queue.pop s.s_queue in
-      s.s_consumer.on_batch b;
-      s.s_delivered <- s.s_delivered + Array.length b.events;
-      s.s_cursor <- b.batch_no;
-      tick t ~charge (Array.length b.events * t.costs.Costs.cdc_event);
-      applied := true
-    done;
-  s.s_since_apply <- 0;
-  if !applied then s.s_consumer.on_caught_up ~batch_no:s.s_cursor
-
-(* Late-joiner activation at the publish of batch [join_at] or later:
-   replay the retention ring when it still covers every published batch,
-   otherwise hand the consumer a snapshot as of the current batch. *)
-let activate t ~charge s =
-  s.s_active <- true;
-  if Queue.length t.ring = t.batches then begin
-    Queue.iter
-      (fun b ->
-        s.s_consumer.on_batch b;
-        s.s_delivered <- s.s_delivered + Array.length b.events;
-        s.s_cursor <- b.batch_no;
-        tick t ~charge (Array.length b.events * t.costs.Costs.cdc_event))
-      t.ring;
-    s.s_catchup <- s.s_catchup + Queue.length t.ring
-  end
-  else begin
-    s.s_consumer.on_snapshot t.db ~batch_no:t.last_batch;
-    s.s_cursor <- t.last_batch;
-    s.s_catchup <- s.s_catchup + t.batches;
-    tick t ~charge t.costs.Costs.cdc_publish
-  end;
+  while not (Queue.is_empty s.s_queue) do
+    let b = Queue.pop s.s_queue in
+    s.s_consumer.on_batch b;
+    s.s_delivered <- s.s_delivered + Array.length b.events;
+    s.s_cursor <- b.batch_no;
+    tick t ~charge (Array.length b.events * t.costs.Costs.cdc_event)
+  done;
   s.s_consumer.on_caught_up ~batch_no:s.s_cursor
 
-let deliver t ~charge b =
+(* Queue [b] to every subscriber, in registration order, and drain each
+   one whose queue holds [apply_every] batches. *)
+let deliver t b =
   List.iter
     (fun s ->
-      if not s.s_active then begin
-        if s.s_join_at <= b.batch_no then activate t ~charge s
-      end
-      else begin
-        Queue.add b s.s_queue;
-        s.s_since_apply <- s.s_since_apply + 1;
-        s.s_lag_max <- max s.s_lag_max (b.batch_no - s.s_cursor);
-        if Queue.length s.s_queue > s.s_max_queue then begin
-          Queue.clear s.s_queue;
-          s.s_overflow <- true;
-          s.s_overflows <- s.s_overflows + 1
-        end;
-        if s.s_since_apply >= s.s_apply_every then apply t ~charge s
-      end)
-    (List.rev t.subs_rev)
+      Queue.add b s.s_queue;
+      s.s_lag_max <- max s.s_lag_max (b.batch_no - s.s_cursor);
+      if Queue.length s.s_queue >= s.s_apply_every then apply t ~charge:true s)
+    t.subs
 
 (* Sort [keys.(lo .. hi-1)] by signed value, carrying [idx] along and
    keeping equal keys in their order (stable): an insertion sort on a
@@ -467,31 +390,16 @@ let publish t ~batch_no ~txns =
   t.events <- t.events + Array.length events;
   t.batches <- t.batches + 1;
   t.last_batch <- batch_no;
-  (* Keep the batch for late joiners only while one is still inactive
-     and the ring still holds every published batch: once either fails,
-     the ring can never serve a replay again, so it is emptied and no
-     longer filled. *)
-  if t.retaining then begin
-    if
-      Queue.length t.ring < t.retain
-      && List.exists (fun s -> not s.s_active) t.subs_rev
-    then Queue.add b t.ring
-    else begin
-      Queue.clear t.ring;
-      t.retaining <- false
-    end
-  end;
   Sim.tick t.sim
     (t.costs.Costs.cdc_publish
     + (Array.length events * t.costs.Costs.cdc_event));
-  deliver t ~charge:true b
+  deliver t b
 
 let finish t =
   List.iter
     (fun s ->
-      if s.s_active && ((not (Queue.is_empty s.s_queue)) || s.s_overflow)
-      then apply t ~charge:false s)
-    (List.rev t.subs_rev)
+      if not (Queue.is_empty s.s_queue) then apply t ~charge:false s)
+    t.subs
 
 let batches t = t.batches
 let events t = t.events
@@ -502,21 +410,14 @@ let feed t =
   match t.feed_buf with Some buf -> Buffer.contents buf | None -> ""
 
 let last_batch t = t.last_batch
-let sub_name s = s.s_name
-let cursor s = s.s_cursor
 let lag_max s = s.s_lag_max
 let delivered s = s.s_delivered
-let catchup_batches s = s.s_catchup
-let overflows s = s.s_overflows
-let subs t = List.rev t.subs_rev
 
 let record t (m : Metrics.t) =
   m.Metrics.cdc_events <- m.Metrics.cdc_events + t.events;
   m.Metrics.cdc_bytes <- m.Metrics.cdc_bytes + t.feed_bytes;
   m.Metrics.cdc_batches <- m.Metrics.cdc_batches + t.batches;
-  m.Metrics.cdc_subs <- m.Metrics.cdc_subs + List.length t.subs_rev;
+  m.Metrics.cdc_subs <- m.Metrics.cdc_subs + List.length t.subs;
   List.iter
-    (fun s ->
-      m.Metrics.cdc_lag_max <- max m.Metrics.cdc_lag_max s.s_lag_max;
-      m.Metrics.cdc_catchup <- m.Metrics.cdc_catchup + s.s_catchup)
-    t.subs_rev
+    (fun s -> m.Metrics.cdc_lag_max <- max m.Metrics.cdc_lag_max s.s_lag_max)
+    t.subs

@@ -15,13 +15,11 @@
     split-queue runs of the same seed therefore produce a
     {e byte-identical} feed (the headline determinism test).
 
-    Subscriptions are typed cursors over that feed: bounded in-process
-    queues drained every [apply_every] batches, with lag accounting,
-    queue-overflow recovery and late-joiner catch-up.  A subscriber that
-    falls too far behind (or joins after the retention ring has moved
-    on) is re-seeded from a snapshot scan of the committed database —
-    the CDC analogue of the WAL's snapshot-then-replay recovery — and
-    the batches it skipped are counted as [catchup_batches]. *)
+    A subscription is an in-order cursor over that feed.  Every
+    subscriber registers before the first publish, so each one is
+    handed every batch exactly once, in batch order, through one path:
+    a queue drained every [apply_every] batches, which bounds its lag
+    to [apply_every] batches. *)
 
 type event = {
   table : int;
@@ -32,9 +30,9 @@ type event = {
 }
 (** One row's change.  Both images are copies made for the feed (the
     pre-image at {!stage}, the post-image at {!publish}) and are
-    immutable from then on: the retention ring, late joiners' replay
-    and every subscriber share the same arrays, so a consumer may keep
-    them (as {!Replica} does) but must never write to them. *)
+    immutable from then on: every subscriber shares the same arrays, so
+    a consumer may keep them (as {!Replica} does) but must never write
+    to them. *)
 
 type batch = {
   batch_no : int;
@@ -45,9 +43,6 @@ type batch = {
 type consumer = {
   on_batch : batch -> unit;
       (** one feed entry, delivered in batch order *)
-  on_snapshot : Quill_storage.Db.t -> batch_no:int -> unit;
-      (** catch-up re-seed: the committed database as of [batch_no];
-          replaces everything delivered so far *)
   on_caught_up : batch_no:int -> unit;
       (** the subscriber's cursor just reached [batch_no] (end of an
           apply round) — safe point for consistency checks *)
@@ -57,42 +52,24 @@ type sub
 type t
 
 val create :
-  ?retain:int ->
   ?record_feed:bool ->
   sim:Quill_sim.Sim.t ->
   costs:Quill_sim.Costs.t ->
   Quill_storage.Db.t ->
   t
-(** A hub over one run's commit stream.  [retain] bounds the ring of
-    batches kept for late-joiner replay (default 64).  The ring holds
-    every published batch, and is filled only while some subscriber is
-    still inactive (its [join_at] not yet reached) and no more than
-    [retain] batches have been published; after the first publish at
-    which either fails it is emptied for good.  So a run whose
-    subscribers all join at batch 0 keeps no ring, and a subscriber
-    registered after that point catches up by snapshot;
-    [record_feed] additionally retains the full serialized feed for
-    byte-level comparison in tests (default false).  The [Db.t] is the
-    live database the engine commits into; snapshot catch-up scans its
-    committed images. *)
+(** A hub over one run's commit stream.  [record_feed] additionally
+    retains the full serialized feed for byte-level comparison in tests
+    (default false).  The [Db.t] is the live database the engine
+    commits into; {!stage_row} and {!publish} read its images. *)
 
-val subscribe :
-  t ->
-  name:string ->
-  ?max_queue:int ->
-  ?apply_every:int ->
-  ?join_at:int ->
-  consumer ->
-  sub
-(** Register a subscriber.  [max_queue] (default 256) bounds the
-    unapplied-batch queue: overflowing drops the queue and re-seeds from
-    a snapshot at the next apply point.  [apply_every] (default 1) is
-    the drain period in published batches — the subscriber's staleness
-    bound.  [join_at] (default 0) delays activation until that batch is
-    published: a late joiner catches up by ring replay when the ring
-    still holds every published batch (see {!create}), by snapshot
-    otherwise.  Must be called before the run publishes batch
-    [join_at]. *)
+val subscribe : t -> name:string -> ?apply_every:int -> consumer -> sub
+(** Register a subscriber; [Invalid_argument] once the hub has published
+    a batch, so no subscriber can miss one.  It is handed every batch,
+    in batch order, exactly once.  [apply_every] (default 1) is the
+    drain period: a published batch is queued, and once the queue holds
+    [apply_every] batches they are applied and [on_caught_up] is
+    called.  So the subscriber's cursor never trails the newest batch by
+    more than [apply_every] batches. *)
 
 val stage :
   t -> table:int -> key:int -> before:int array -> after:int array -> unit
@@ -123,10 +100,8 @@ val publish : t -> batch_no:int -> txns:int -> unit
     deliver it: canonicalize (sort-merge; an event whose post-image
     equals its pre-image is dropped), serialize into one reused [Bytes]
     that the feed digest ({!Quill_common.Djb2.fold}, the WAL's crc loop)
-    is rolled over in place, append to
-    the retention ring, enqueue to every active subscriber (activating
-    late joiners first) and drain the subscribers whose apply period
-    elapsed.  Must be called from a simulator thread at the engine's
+    is rolled over in place, queue it to every subscriber and drain
+    the subscribers whose queue holds [apply_every] batches.  Must be called from a simulator thread at the engine's
     commit point, after the batch's effects are committed; ticks
     [cdc_publish] plus [cdc_event] per serialized and per applied
     event. *)
@@ -154,24 +129,12 @@ val last_batch : t -> int  (** newest published batch number; -1 if none *)
 
 (* Subscription accessors. *)
 
-val sub_name : sub -> string
-
-val cursor : sub -> int
-(** Newest batch applied through the consumer; -1 before any. *)
-
 val lag_max : sub -> int
 (** Widest gap ever observed between the newest published batch and
-    this subscriber's cursor. *)
+    this subscriber's cursor (the newest batch it applied, -1 before
+    any): [min apply_every] the number of published batches. *)
 
 val delivered : sub -> int  (** events applied via [on_batch] *)
-
-val catchup_batches : sub -> int
-(** Batches absorbed through ring replay or snapshot re-seed instead of
-    live delivery (late join + overflow recovery). *)
-
-val overflows : sub -> int  (** queue overflows forcing a snapshot *)
-
-val subs : t -> sub list  (** registration order *)
 
 val record : t -> Quill_txn.Metrics.t -> unit
 (** Accumulate feed + subscription counters into a metrics record. *)

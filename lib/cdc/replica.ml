@@ -21,7 +21,6 @@ type cache = {
 }
 
 type t = {
-  db : Db.t;
   cache : cache array;
   mutable cursor : int;
   mutable reads : int;
@@ -42,7 +41,6 @@ let new_cache tbl =
 
 let create db =
   {
-    db;
     cache = Array.init (Db.ntables db) (fun i -> new_cache (Db.table db i));
     cursor = -1;
     reads = 0;
@@ -96,18 +94,8 @@ let put c key img =
   end
   else put_dyn c key img
 
-let clear c =
-  c.dense <- [||];
-  c.present <- Bytes.empty;
-  c.ndense <- 0;
-  c.keys <- Array.make 16 0;
-  c.imgs <- Array.make 16 [||];
-  c.used <- Bytes.make 16 '\000';
-  c.shift <- Sys.int_size - 4;
-  c.ndyn <- 0
-
 (* Feed events are immutable, so the cache keeps each event's [after]
-   array as it is; only a snapshot, which reads live rows, copies. *)
+   array as it is. *)
 let consumer t =
   let on_batch (b : Cdc.batch) =
     Array.iter
@@ -116,19 +104,8 @@ let consumer t =
       b.Cdc.events;
     t.cursor <- b.Cdc.batch_no
   in
-  let on_snapshot db ~batch_no =
-    Array.iteri
-      (fun tid c ->
-        clear c;
-        let tbl = Db.table db tid in
-        Table.iter_rows
-          (fun key slot -> put c key (Table.committed_image tbl slot))
-          tbl)
-      t.cache;
-    t.cursor <- batch_no
-  in
   let on_caught_up ~batch_no:_ = () in
-  { Cdc.on_batch; on_snapshot; on_caught_up }
+  { Cdc.on_batch; on_caught_up }
 
 let read t ~table ~key =
   t.reads <- t.reads + 1;

@@ -4,9 +4,8 @@
     [after] array rather than a copy (see {!Cdc.event}), and serves reads
     at the subscription's cursor — a bounded-staleness replica: with
     [apply_every = k] the cache is never more than [k] batches behind
-    the primary's commit point.  A catch-up snapshot re-seeds the whole
-    cache from committed state (after which it also covers rows the
-    feed alone would not have mentioned).
+    the primary's commit point.  It holds exactly the rows the feed
+    mentioned.
 
     Per table, a dense key (below the table's capacity) indexes a flat
     array of images, allocated at the first dense key the feed
@@ -17,15 +16,15 @@
 type t
 
 val create : Quill_storage.Db.t -> t
-(** The database is only held for catch-up snapshots; live reads never
-    touch it. *)
+(** The database is read only to size each table's cache; the replica
+    keeps no reference to it, and reads never touch it. *)
 
 val consumer : t -> Cdc.consumer
 (** Plug into {!Cdc.subscribe}. *)
 
 val read : t -> table:int -> key:int -> int array option
 (** The newest row image at the replica's cursor; [None] when the feed
-    has not mentioned the key (and no snapshot seeded it).  The array
+    has not mentioned the key.  The array
     may be shared with the feed: read it, never write it. *)
 
 val cursor : t -> int

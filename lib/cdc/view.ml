@@ -6,7 +6,6 @@ type t = {
   db : Db.t;
   table : int;
   field : int;
-  verify : bool;
   sums : (int, int) Hashtbl.t;  (* home partition -> field sum *)
   mutable refreshes : int;
 }
@@ -21,10 +20,8 @@ let recompute_into t sums =
       Hashtbl.replace sums home (cur + Table.committed tbl slot t.field))
     tbl
 
-let create ?(verify = true) ~table ~field db =
-  let t =
-    { db; table; field; verify; sums = Hashtbl.create 64; refreshes = 0 }
-  in
+let create ~table ~field db =
+  let t = { db; table; field; sums = Hashtbl.create 64; refreshes = 0 } in
   recompute_into t t.sums;
   t
 
@@ -64,18 +61,14 @@ let consumer t =
       b.Cdc.events;
     t.refreshes <- t.refreshes + 1
   in
-  let on_snapshot _db ~batch_no:_ =
-    recompute_into t t.sums;
-    t.refreshes <- t.refreshes + 1
-  in
   let on_caught_up ~batch_no =
-    if t.verify && not (check t) then
+    if not (check t) then
       failwith
         (Printf.sprintf
            "Cdc view diverged from recompute at batch %d (table %d field %d)"
            batch_no t.table t.field)
   in
-  { Cdc.on_batch; on_snapshot; on_caught_up }
+  { Cdc.on_batch; on_caught_up }
 
 let record t (m : Metrics.t) =
   m.Metrics.view_refreshes <- m.Metrics.view_refreshes + t.refreshes

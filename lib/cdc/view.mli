@@ -5,21 +5,19 @@
     field [w_ytd] this is the per-warehouse year-to-date total; for
     YCSB it is a per-partition field sum).  Each feed entry updates the
     sums from the events' before/after images alone, never touching the
-    base table; a catch-up snapshot recomputes from committed state.
+    base table.
 
-    With [verify] set, every time the subscription's cursor reaches the
-    newest batch the incremental sums are checked against a full
-    recompute from the committed database — the view-equals-recompute
-    invariant the CDC acceptance tests and the [cdc] experiment's claims
-    rely on.  Divergence raises [Failure]. *)
+    At every caught-up point (each time the subscription's cursor
+    reaches the newest batch) the incremental sums are checked against
+    a full recompute from the committed database — the
+    view-equals-recompute invariant the CDC acceptance tests and the
+    [cdc] experiment's claims rely on.  Divergence raises [Failure]. *)
 
 type t
 
-val create :
-  ?verify:bool -> table:int -> field:int -> Quill_storage.Db.t -> t
+val create : table:int -> field:int -> Quill_storage.Db.t -> t
 (** Seeds the sums from the database's current committed state (the
-    pre-run image), so batch 0's deltas apply cleanly.  [verify]
-    defaults to true. *)
+    pre-run image), so batch 0's deltas apply cleanly. *)
 
 val consumer : t -> Cdc.consumer
 (** Plug into {!Cdc.subscribe}. *)

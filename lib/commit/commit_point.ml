@@ -61,19 +61,18 @@ let crashed t = t.crashed
    image publish will install: logging it now equals logging the
    committed image later, the WAL can still journal the pre-image, and
    the CDC entry gets (pre-batch committed, post-batch live).
-   A touched slot is staged as it is while it still holds its key, with
-   the home read from the slot.  Only a slot that recovery removed is
-   re-resolved by key: the row is gone (-1), or the key was inserted
-   again at a fresh slot, which is then staged once more. *)
+   A touched slot is staged as it is, with the home read from the slot,
+   unless recovery removed its row.  Every insert goes through
+   [touch_insert], so a key that recovery removed and inserted again
+   is staged once, through its fresh slot's own touch. *)
 let stage t ~batch_no ~txns =
   t.batch_no <- batch_no;
   t.txns <- txns;
   if t.wal <> None || t.cdc <> None then begin
     Option.iter (fun w -> Wal.begin_batch w ~batch_no) t.wal;
-    let row table touched =
+    let row table slot =
       let tbl = Db.table t.db table in
-      let slot = Table.resolve tbl touched in
-      if slot >= 0 then begin
+      if not (Table.removed tbl slot) then begin
         (match t.wal with
         | Some w -> Wal.log_row w ~table ~home:(Table.home tbl slot) slot
         | None -> ());
@@ -86,8 +85,8 @@ let stage t ~batch_no ~txns =
 let publish t ts = Touched.publish t.db t.touched.(ts)
 
 (* Sealing runs after the publish barrier: a WAL snapshot roll then
-   takes fully published state as its base, and subscriber catch-up sees exactly
-   the state the feed has reached.  On a crash the in-flight batch was
+   takes fully published state as its base, and a subscriber's
+   caught-up check sees exactly the state the feed has reached.  On a crash the in-flight batch was
    never flushed, so it is lost; any batch acked before its group
    survived the disk (a failing or wedged fsync) is retracted by the
    reconciliation — the lost-commit window the durability tests

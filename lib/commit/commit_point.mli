@@ -59,12 +59,10 @@ val stage : t -> batch_no:int -> txns:int -> unit
     (journaling the row's pre-batch image, see
     {!Quill_wal.Wal.log_row}) and one CDC staging (an insert, or an
     update from the committed to the live image).  A touched slot is
-    staged directly while it holds its key, its home read from the slot;
-    a slot whose row recovery removed is re-resolved by key
-    ({!Quill_storage.Table.resolve}): skipped when the key is gone,
-    staged at the fresh slot when it was inserted again.  Either way
-    each touched row probes its key once.  Probes nothing when neither
-    sink is attached. *)
+    staged directly, its home read from the slot, and skipped when
+    recovery removed its row ({!Quill_storage.Table.removed}); a key
+    inserted again has a fresh slot of its own, touched by its own
+    {!touch_insert}.  Probes no key. *)
 
 val publish : t -> int -> unit
 (** Publish and clear one touched set, clearing each row's [inserter]

@@ -296,10 +296,7 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
     else
       Option.map
         (fun hub ->
-          let v =
-            View.create ~verify:true ~table:0 ~field:0
-              wl.Quill_txn.Workload.db
-          in
+          let v = View.create ~table:0 ~field:0 wl.Quill_txn.Workload.db in
           ignore (Cdc.subscribe hub ~name:"view" (View.consumer v));
           v)
         cdc_hub

@@ -1034,7 +1034,6 @@ let cdc ?(scale = 1.0) ?json () =
                ("batches", J.Int m.M.cdc_batches);
                ("subs", J.Int m.M.cdc_subs);
                ("lag_max", J.Int m.M.cdc_lag_max);
-               ("catchup", J.Int m.M.cdc_catchup);
                ("view_refreshes", J.Int m.M.view_refreshes);
              ])
            !results));

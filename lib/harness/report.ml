@@ -139,7 +139,6 @@ let cdc =
       int "cdc-b" (fun m -> m.cdc_batches);
       int "subs" (fun m -> m.cdc_subs);
       int "sub-lag-max" (fun m -> m.cdc_lag_max);
-      int "catchup-b" (fun m -> m.cdc_catchup);
       int "view-refr" (fun m -> m.view_refreshes);
     ]
 

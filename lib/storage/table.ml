@@ -95,13 +95,8 @@ let find t key =
 let key_of_slot t slot =
   if slot < t.capacity then slot else t.dkey.(slot - t.capacity)
 
-let resolve t slot =
-  if slot < t.capacity || Bytes.get t.dgone (slot - t.capacity) = '\000'
-  then begin
-    probe t (key_of_slot t slot) ~insert:false;
-    slot
-  end
-  else find t t.dkey.(slot - t.capacity)
+let removed t slot =
+  slot >= t.capacity && Bytes.get t.dgone (slot - t.capacity) <> '\000'
 
 let slots t = t.nslots
 

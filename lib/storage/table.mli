@@ -44,13 +44,9 @@ val find : t -> int -> int
 val key_of_slot : t -> int -> int
 (** The key a slot was created under (also for a removed row). *)
 
-val resolve : t -> int -> int
-(** [resolve t slot]: the slot that holds [key_of_slot t slot] now.
-    That is [slot] itself while its row is in the table (a dense slot
-    always is; a dynamic slot until {!remove}), read from a per-slot
-    removed bit without hashing; for a removed slot it is
-    [find t (key_of_slot t slot)]: -1, or the fresh slot of a
-    re-insert.  Probes the key exactly like {!find}. *)
+val removed : t -> int -> bool
+(** Whether the slot's row was removed ({!remove}); never for a dense
+    slot.  Reads a per-slot bit: no lookup, no probe. *)
 
 val slots : t -> int
 (** Slots ever used: [capacity] plus every insert, removed rows

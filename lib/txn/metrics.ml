@@ -82,8 +82,6 @@ type t = {
      [cdc_events] counts canonical feed events (one per distinct dirty
      (table, key) per batch); [cdc_lag_max] is the widest batch gap any
      subscriber's cursor ever trailed the commit point by;
-     [cdc_catchup] counts batches subscribers absorbed through ring
-     replay or snapshot re-seed (late joins + overflow recovery);
      [view_refreshes] counts incremental materialized-view refresh
      operations. *)
   mutable cdc_events : int;
@@ -91,7 +89,6 @@ type t = {
   mutable cdc_batches : int;
   mutable cdc_subs : int;
   mutable cdc_lag_max : int;
-  mutable cdc_catchup : int;
   mutable view_refreshes : int;
   (* Open-loop client / admission counters; stay 0 on closed-loop runs. *)
   mutable offered : int;
@@ -160,7 +157,6 @@ let create () =
     cdc_batches = 0;
     cdc_subs = 0;
     cdc_lag_max = 0;
-    cdc_catchup = 0;
     view_refreshes = 0;
     offered = 0;
     shed = 0;

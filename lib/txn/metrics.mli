@@ -84,9 +84,6 @@ type t = {
   mutable cdc_lag_max : int;
       (** widest batch gap any subscriber's cursor ever trailed the
           commit point by *)
-  mutable cdc_catchup : int;
-      (** batches subscribers absorbed via ring replay or snapshot
-          re-seed (late joins + queue-overflow recovery) *)
   mutable view_refreshes : int;
       (** incremental materialized-view refresh operations *)
   mutable offered : int;        (** transactions offered by open-loop clients *)

@@ -186,7 +186,7 @@ let mark t table slot =
    "First" is per key, and the mark is per slot: a key lives at one
    slot for a whole roll interval, except an insert that speculative
    recovery removes and re-inserts inside its batch, whose first slot
-   is never staged (the commit point re-resolves it to the fresh one).
+   is never staged (the commit point skips a removed slot).
    Replay in [recover] may move keys too, but a recovered node stages
    nothing more. *)
 let log_row t ~table ~home slot =

@@ -96,8 +96,8 @@ val log_row : t -> table:int -> home:int -> int -> unit
     live image, and, the first time since the last roll (the slot is
     unmarked), a journal entry with the row's image as of that roll —
     its committed image, or "absent" for an unpublished insert
-    ([inserter >= 0]).  [slot] must hold its key (see
-    {!Quill_storage.Table.resolve}). *)
+    ([inserter >= 0]).  [slot]'s row must not be removed (see
+    {!Quill_storage.Table.removed}). *)
 
 val commit_batch : t -> batch_no:int -> txns:int -> bool
 (** Append the commit marker, then flush the whole group with one

@@ -4,8 +4,8 @@
    before execution starts, so the serialized change feed is a pure
    function of the input batches — lockstep, pipelined and split-queue
    runs of the same seed produce byte-identical feeds.
-   Plus the subscription mechanics: bounded queues with overflow
-   recovery, late-joiner catch-up (ring replay vs snapshot), the
+   Plus the subscription mechanics: every subscriber gets every batch
+   once, in order, with its lag bounded by its apply period, the
    materialized view's view-equals-recompute invariant and the read
    replica's bounded staleness. *)
 
@@ -33,13 +33,12 @@ let mode_name = function
 (* One quecc run under [mode] over a fresh same-seed workload, with the
    full serialized feed retained; returns the hub (drained) and the
    workload for committed-state checks. *)
-let quecc_feed ?(seed = 42) ?(theta = 0.6) ?(batches = 4) ?(retain = 64)
+let quecc_feed ?(seed = 42) ?(theta = 0.6) ?(batches = 4)
     ?(subscribe = fun _ -> ()) mode =
   let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed ~theta ()) in
   let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
   let cdc =
-    Cdc.create ~retain ~record_feed:true ~sim ~costs:Costs.default
-      wl.Workload.db
+    Cdc.create ~record_feed:true ~sim ~costs:Costs.default wl.Workload.db
   in
   subscribe cdc;
   let cfg =
@@ -114,7 +113,6 @@ let test_feed_replays_to_committed_state () =
                    Hashtbl.replace shadow (ev.Cdc.table, ev.Cdc.key)
                      (Array.copy ev.Cdc.after))
                  b.Cdc.events);
-           on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
            on_caught_up = (fun ~batch_no:_ -> ());
          })
   in
@@ -198,7 +196,6 @@ let test_tpcc_feed_covers_every_change () =
                    in
                    Hashtbl.replace shadow k (inserted, Array.copy ev.Cdc.after))
                  b.Cdc.events);
-           on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
            on_caught_up = (fun ~batch_no:_ -> ());
          })
   in
@@ -266,7 +263,6 @@ let test_canonicalization () =
     (Cdc.subscribe cdc ~name:"capture"
        {
          Cdc.on_batch = (fun b -> delivered := b :: !delivered);
-         on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
          on_caught_up = (fun ~batch_no:_ -> ());
        });
   let a1 = [| 1; 0 |] and a100 = [| 4; 4 |] in
@@ -493,7 +489,6 @@ let qcheck_canonical_reference =
         (Cdc.subscribe cdc ~name:"capture"
            {
              Cdc.on_batch = (fun b -> got := Array.to_list b.Cdc.events :: !got);
-             on_snapshot = (fun _ ~batch_no:_ -> ());
              on_caught_up = (fun ~batch_no:_ -> ());
            });
       Sim.spawn sim (fun () ->
@@ -570,7 +565,7 @@ let test_view_equals_recompute () =
   let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed:5 ()) in
   let sim = Sim.create () in
   let cdc = Cdc.create ~sim ~costs:Costs.default wl.Workload.db in
-  let v = View.create ~verify:true ~table:0 ~field:0 wl.Workload.db in
+  let v = View.create ~table:0 ~field:0 wl.Workload.db in
   ignore (Cdc.subscribe cdc ~name:"view" (View.consumer v));
   ignore (Serial.run ~sim ~cdc ~batch_size:256 wl ~txns:1024);
   Cdc.finish cdc;
@@ -622,8 +617,6 @@ let test_replica_bounded_staleness () =
   Tutil.check_bool "replica rows cached" true (Replica.rows rep > 0);
   Tutil.check_bool "replica = committed state" true
     (Replica.consistent_with rep wl.Workload.db);
-  Tutil.check_int "no catch-up on a live subscriber" 0
-    (Cdc.catchup_batches sub);
   (* spot-check a read against the base table *)
   let served = ref false in
   (try
@@ -641,74 +634,81 @@ let test_replica_bounded_staleness () =
    with Exit -> ());
   Tutil.check_bool "replica reads counted" true (Replica.reads rep > 0)
 
-(* ---------------------- catch-up mechanics ---------------------- *)
+(* --------------------------- delivery --------------------------- *)
 
-let test_late_joiner_ring_replay () =
-  let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed:13 ()) in
-  let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
-  (* retain 64 >> 6 batches: the ring covers everything, so the late
-     joiner catches up by replay, never by snapshot *)
-  let cdc = Cdc.create ~retain:64 ~sim ~costs:Costs.default wl.Workload.db in
-  let rep = Replica.create wl.Workload.db in
-  let sub =
-    Cdc.subscribe cdc ~name:"late" ~join_at:2 (Replica.consumer rep)
-  in
-  let cfg =
-    { Qe.default_cfg with Qe.planners = 2; executors = 2; batch_size = 256 }
-  in
-  ignore (Qe.run ~sim ~cdc cfg wl ~batches:6);
-  Cdc.finish cdc;
-  Tutil.check_bool "ring replay counted as catch-up" true
-    (Cdc.catchup_batches sub >= 3);
-  Tutil.check_int "no overflow" 0 (Cdc.overflows sub);
-  Tutil.check_bool "events delivered live after joining" true
-    (Cdc.delivered sub > 0);
-  Tutil.check_bool "late joiner converges to committed state" true
-    (Replica.consistent_with rep wl.Workload.db)
+(* Every subscriber gets every batch once, in order, whatever the engine
+   and however many subscribers with whatever apply periods: each sees
+   batch numbers 0 .. last_batch in order, applies every event of the
+   feed, is caught up to the newest batch after [finish], and its lag
+   peaks at its apply period, or at the batch count when the run is
+   shorter. *)
+type engine = Quecc_in of mode | Serial_groups
 
-let test_late_joiner_snapshot () =
-  let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed:17 ()) in
-  let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
-  (* retain 2 < join_at: by the time the subscriber activates the ring
-     no longer covers batch 0, forcing the snapshot path *)
-  let cdc = Cdc.create ~retain:2 ~sim ~costs:Costs.default wl.Workload.db in
-  let rep = Replica.create wl.Workload.db in
-  let sub =
-    Cdc.subscribe cdc ~name:"very-late" ~join_at:4 (Replica.consumer rep)
+let qcheck_every_batch_in_order =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ Quecc_in Lockstep; Quecc_in Pipelined; Serial_groups ])
+        (int_range 1 8)
+        (list_size (int_range 1 3) (int_range 1 6)))
   in
-  let cfg =
-    { Qe.default_cfg with Qe.planners = 2; executors = 2; batch_size = 256 }
+  let print (engine, batches, periods) =
+    Printf.sprintf "%s batches=%d apply_every=[%s]"
+      (match engine with Quecc_in m -> mode_name m | Serial_groups -> "serial")
+      batches
+      (String.concat ";" (List.map string_of_int periods))
   in
-  ignore (Qe.run ~sim ~cdc cfg wl ~batches:6);
-  Cdc.finish cdc;
-  Tutil.check_bool "snapshot catch-up counted" true
-    (Cdc.catchup_batches sub >= 5);
-  Tutil.check_bool "snapshot seeds the whole cache" true
-    (Replica.rows rep > 0);
-  Tutil.check_bool "snapshot joiner converges" true
-    (Replica.consistent_with rep wl.Workload.db)
-
-let test_overflow_snapshot_recovery () =
-  let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed:19 ()) in
-  let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
-  let cdc = Cdc.create ~sim ~costs:Costs.default wl.Workload.db in
-  let rep = Replica.create wl.Workload.db in
-  (* a slow consumer: drains every 100 batches with a 2-deep queue, so
-     the queue overflows and recovery must go through a snapshot *)
-  let sub =
-    Cdc.subscribe cdc ~name:"slow" ~max_queue:2 ~apply_every:100
-      (Replica.consumer rep)
-  in
-  let cfg =
-    { Qe.default_cfg with Qe.planners = 2; executors = 2; batch_size = 256 }
-  in
-  ignore (Qe.run ~sim ~cdc cfg wl ~batches:6);
-  Cdc.finish cdc;
-  Tutil.check_bool "queue overflowed" true (Cdc.overflows sub >= 1);
-  Tutil.check_bool "overflow absorbed as catch-up" true
-    (Cdc.catchup_batches sub > 0);
-  Tutil.check_bool "overflowing subscriber still converges" true
-    (Replica.consistent_with rep wl.Workload.db)
+  QCheck.Test.make ~name:"every subscriber gets every batch once, in order"
+    ~count:20 (QCheck.make ~print gen)
+    (fun (engine, batches, periods) ->
+      let wl = Ycsb.make (Tutil.small_ycsb ~table_size:1_000 ()) in
+      let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
+      let cdc = Cdc.create ~sim ~costs:Costs.default wl.Workload.db in
+      let subs =
+        List.mapi
+          (fun i apply_every ->
+            let seen = ref [] and events = ref 0 and caught_up = ref (-1) in
+            let sub =
+              Cdc.subscribe cdc ~name:(Printf.sprintf "sub%d" i) ~apply_every
+                {
+                  Cdc.on_batch =
+                    (fun b ->
+                      seen := b.Cdc.batch_no :: !seen;
+                      events := !events + Array.length b.Cdc.events);
+                  on_caught_up = (fun ~batch_no -> caught_up := batch_no);
+                }
+            in
+            (apply_every, sub, seen, events, caught_up))
+          periods
+      in
+      let batch_size = 64 in
+      (match engine with
+      | Serial_groups ->
+          ignore
+            (Serial.run ~sim ~cdc ~batch_size wl ~txns:(batches * batch_size))
+      | Quecc_in mode ->
+          let cfg =
+            {
+              Qe.default_cfg with
+              Qe.planners = 2;
+              executors = 2;
+              batch_size;
+              pipeline = (mode = Pipelined);
+            }
+          in
+          ignore (Qe.run ~sim ~cdc cfg wl ~batches));
+      Cdc.finish cdc;
+      let last = Cdc.last_batch cdc in
+      Cdc.batches cdc = batches
+      && last = batches - 1
+      && List.for_all
+           (fun (apply_every, sub, seen, events, caught_up) ->
+             List.rev !seen = List.init (last + 1) Fun.id
+             && !events = Cdc.events cdc
+             && Cdc.delivered sub = Cdc.events cdc
+             && !caught_up = last
+             && Cdc.lag_max sub = min apply_every batches)
+           subs)
 
 (* ------------------------- validation ------------------------- *)
 
@@ -750,17 +750,18 @@ let test_rejections () =
         (Qe.run ~sim ~cdc ~crash_at:1_000
            { Qe.default_cfg with Qe.planners = 2; executors = 2 }
            wl ~batches:1));
-  (* subscribing into the past is a programming error *)
+  (* a subscriber registered after a publish would miss that batch *)
   let wl2 = Ycsb.make (Tutil.small_ycsb ~table_size:1_000 ()) in
   let sim2 = Sim.create () in
   let cdc2 = Cdc.create ~sim:sim2 ~costs:Costs.default wl2.Workload.db in
   ignore (Serial.run ~sim:sim2 ~cdc:cdc2 ~batch_size:128 wl2 ~txns:256);
-  Alcotest.check_raises "join_at in the past rejected"
+  Alcotest.check_raises "subscribe after a publish rejected"
     (Invalid_argument
-       "Cdc.subscribe stale: join_at=0 is already published (last batch 1)")
+       "Cdc.subscribe stale: batch 1 is already published; subscribe \
+        before the first publish")
     (fun () ->
       ignore
-        (Cdc.subscribe cdc2 ~name:"stale" ~join_at:0
+        (Cdc.subscribe cdc2 ~name:"stale"
            (Replica.consumer (Replica.create wl2.Workload.db))))
 
 let test_experiment_counters () =
@@ -815,15 +816,7 @@ let () =
           Alcotest.test_case "replica check mutations" `Quick
             test_replica_check_mutations;
         ] );
-      ( "catch-up",
-        [
-          Alcotest.test_case "late joiner ring replay" `Quick
-            test_late_joiner_ring_replay;
-          Alcotest.test_case "late joiner snapshot" `Quick
-            test_late_joiner_snapshot;
-          Alcotest.test_case "overflow snapshot recovery" `Quick
-            test_overflow_snapshot_recovery;
-        ] );
+      ("delivery", [ qc qcheck_every_batch_in_order ]);
       ( "harness",
         [
           Alcotest.test_case "rejections" `Quick test_rejections;

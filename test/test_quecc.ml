@@ -749,7 +749,7 @@ let test_golden_tpcc_durable () =
           ("digest", 800612228);
           ("feed_bytes", 1584453);
           ("events", 22445);
-          ("wal_bytes", 1454670);
+          ("wal_bytes", 1446278);
           ("durable_batches", 8);
         ] );
       ( "serial tpcc + wal + cdc",

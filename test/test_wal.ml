@@ -275,7 +275,7 @@ let test_roll_journal_reinsert () =
     (Printf.sprintf "%d keys re-inserted since the roll" moved)
     true (moved > 0);
   check_recovered_state "re-insert since the roll" (db, m) (oracle durable);
-  Tutil.check_int "wal bytes" 955960 m.Metrics.wal_bytes;
+  Tutil.check_int "wal bytes" 930675 m.Metrics.wal_bytes;
   Tutil.check_int "durable batches" 5 durable
 
 (* A crashed pipelined node stops planning.  Its planners can be at
