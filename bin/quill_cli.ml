@@ -25,8 +25,7 @@ let run (exp : E.t) trace_file phase_table check_conflicts () =
   let m = E.run ~tracer ?recorder exp in
   Format.printf "%s on %s:@.  %a@." label (Cli.workload_name exp.E.workload)
     Quill_txn.Metrics.pp m;
-  Quill_harness.Report.phase_tables := phase_table;
-  Quill_harness.Report.print_table ~title:"result"
+  Quill_harness.Report.print_table ~phase_table ~title:"result"
     [ { Quill_harness.Report.label; metrics = m } ];
   (match trace_file with
   | Some path ->

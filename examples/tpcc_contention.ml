@@ -34,7 +34,7 @@ let () =
             E.Mvto;
           ]
       in
-      Quill_harness.Report.print_table
+      Quill_harness.Report.print_table ~phase_table:false
         ~title:
           (Printf.sprintf
              "TPC-C NewOrder/Payment, %d warehouse(s), 8 cores (aborts = \

@@ -203,17 +203,21 @@ let split_t =
         ~doc:
           "QueCC: split any key planned N+ times in one batch slice into ordered sub-queues executed chain-serially across executors (committed state stays bit-identical per seed; see DESIGN.md section 12).  N is a positive integer op-count threshold.")
 
+(* --adapt's values: (repartition, auto-batch). *)
+let adapt_modes =
+  [
+    ("off", (false, false)); ("repart", (true, false));
+    ("batch", (false, true)); ("all", (true, true));
+  ]
+
+let adapt_name (t : E.t) =
+  let mode = (t.adapt_repart, t.adapt_batch) in
+  fst (List.find (fun (_, v) -> v = mode) adapt_modes)
+
 let adapt_t =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("repart", (true, false));
-             ("batch", (false, true));
-             ("all", (true, true));
-           ])
-        (false, false)
+    & opt (enum (List.tl adapt_modes)) (false, false)
     & info [ "adapt" ] ~docs:s_exec ~docv:"repart|batch|all"
         ~absent:"off"
         ~doc:
@@ -483,11 +487,7 @@ let to_argv (t : E.t) =
         clients;
         flag "--pipeline" t.pipeline;
         (match t.split with Some n -> opt "--split" (int n) | None -> []);
-        (match (t.adapt_repart, t.adapt_batch) with
-        | false, false -> []
-        | true, false -> opt "--adapt" "repart"
-        | false, true -> opt "--adapt" "batch"
-        | true, true -> opt "--adapt" "all");
+        (match adapt_name t with "off" -> [] | a -> opt "--adapt" a);
         opt "--replicas" (int t.replicas);
         opt "--spec-lag" (int t.spec_lag);
         flag "--wal" t.wal;
@@ -506,18 +506,106 @@ let to_argv (t : E.t) =
          t.name)
 
 (* ------------------------------------------------------------------ *)
+(* Experiment -> BENCH row                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The configuration fields of a BENCH row: what [to_argv] would say,
+   for any experiment, including the settings no flag reaches. *)
+let config (t : E.t) =
+  let open Bench_json in
+  let workload =
+    match t.workload with
+    | E.Ycsb c ->
+        Ycsb.
+          [
+            ("table_size", Int c.table_size); ("nparts", Int c.nparts);
+            ("theta", Num c.theta); ("mp", Num c.mp_ratio);
+            ("parts_per_txn", Int c.parts_per_txn);
+            ("abort_ratio", Num c.abort_ratio);
+            ("global_zipf", Bool c.global_zipf); ("seed", Int c.seed);
+          ]
+    | E.Tpcc c ->
+        Tpcc_defs.
+          [
+            ("warehouses", Int c.warehouses); ("nparts", Int c.nparts);
+            ("seed", Int c.seed);
+          ]
+  in
+  let clients (c : C.cfg) =
+    C.
+      [
+        ("arrival", Str (arrival_to_string c.arrival));
+        ("policy", Str (policy_name c.policy)); ("depth", Int c.depth);
+        ("deadline", Int c.deadline); ("max_retries", Int c.max_retries);
+        ("backoff", Int c.backoff);
+      ]
+  in
+  let faults = if t.faults = F.none then "none" else F.to_string t.faults in
+  List.concat
+    [
+      [
+        ("engine", Str (E.engine_name t.engine));
+        ("workload", Str (workload_name t.workload));
+        ("threads", Int t.threads); ("txns", Int t.txns);
+        ("batch", Int t.batch_size);
+      ];
+      workload;
+      ("faults", Str faults)
+      :: Option.fold t.clients ~none:[] ~some:(fun c ->
+             [ ("clients", Obj (clients c)) ]);
+      [
+        ("pipeline", Bool t.pipeline);
+        ("split", Int (Option.value t.split ~default:0));
+        ("adapt", Str (adapt_name t));
+        ("replicas", Int t.replicas); ("spec_lag", Int t.spec_lag);
+        ("wal", Bool t.wal); ("snapshot_every", Int t.snapshot_every);
+        ("cdc", Bool t.cdc); ("views", Bool t.views);
+      ];
+    ]
+
+(* One BENCH row per printed row; a row's groups are those live in the
+   table it prints in. *)
+let json_rows (r : X.t) =
+  let open Bench_json in
+  let opt key f = Option.fold ~none:[] ~some:(fun v -> [ (key, f v) ]) in
+  let table (rows : X.row list) =
+    let groups = Report.fields (List.map (fun (r : X.row) -> r.metrics) rows) in
+    List.map
+      (fun (r : X.row) ->
+        List.concat
+          [
+            [ ("label", Str r.label) ];
+            opt "sweep" (fun v -> Str v) r.sweep;
+            [ ("config", Obj (config r.exp)); ("checksum", Int r.checksum) ];
+            opt "digest" (fun d -> Int d) r.digest;
+            groups r.metrics;
+          ])
+      rows
+  in
+  List.concat_map
+    (fun (tb : X.table) ->
+      List.concat_map (fun (_, rows) -> table rows) (X.series tb.rows))
+    r.tables
+
+(* ------------------------------------------------------------------ *)
 (* The bench targets                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs a target under its suite flags: the report/conflict switches,
+(* An experiment's report: its tables and notes, the BENCH file [write]
+   makes, then its claims. *)
+let report ~phase_table ?(write = ignore) (r : X.t) =
+  X.print ~phase_table r;
+  write r;
+  X.check r.claims
+
+(* Runs a target under its suite flags: the conflict/trace switches,
    the header, the run, then the trace file. *)
 let harness ~scale ?(suite = (None, false, false)) run () =
-  let trace, phase_tables, conflicts = suite in
-  Report.phase_tables := phase_tables;
+  let trace, phase_table, conflicts = suite in
   X.check_conflicts := conflicts;
   if trace <> None then X.tracer := Quill_trace.Trace.create ();
   Printf.printf "quill benchmark harness (scale=%.2f)\n%!" scale;
-  run ();
+  run ~phase_table;
   (match trace with
   | Some path ->
       let tr = !X.tracer in
@@ -535,26 +623,32 @@ let suite =
 
 let bench ~micro =
   let open Term.Syntax in
-  (* A target reading the suite flags, SCALE and whatever [term] reads. *)
+  (* An experiment target: the suite flags, SCALE, --json and whatever
+     [term] reads. *)
   let target name doc term =
     Cmd.v (Cmd.info name ~doc)
-      (let+ suite = suite and+ scale = scale and+ run = term in
-       harness ~scale ~suite (fun () -> run scale))
+      (let+ suite = suite and+ scale = scale and+ json = json and+ run = term in
+       let write (r : X.t) =
+         Option.iter
+           (fun path ->
+             Bench_json.write path ~experiment:name ~scale ~head:r.summary
+               (json_rows r))
+           json
+       in
+       harness ~scale ~suite (fun ~phase_table ->
+           report ~phase_table ~write (run scale)))
   in
-  let plain name doc (run : ?scale:float -> unit -> unit) =
+  let plain name doc (run : ?scale:float -> unit -> X.t) =
     target name doc (Term.const (fun scale -> run ~scale ()))
   in
-  let with_json name doc (run : ?scale:float -> ?json:string -> unit -> unit) =
-    target name doc (let+ json = json in fun scale -> run ~scale ?json ())
-  in
-  let all scale =
-    X.all ~scale ();
+  let all ~phase_table scale =
+    List.iter (fun run -> report ~phase_table (run scale)) X.all;
     micro ()
   in
   Cmd.group
     ~default:
       (let+ suite = suite in
-       harness ~scale:0.5 ~suite (fun () -> all 0.5))
+       harness ~scale:0.5 ~suite (all 0.5))
     (Cmd.info "main.exe"
        ~doc:"Regenerate the paper's tables and figures; see $(b,TARGET --help)")
     [
@@ -566,16 +660,16 @@ let bench ~micro =
       plain "fig-modes" "Execution mode x isolation ablation." X.fig_modes;
       plain "fig-latency" "Latency distributions." X.fig_latency;
       plain "fig-batch" "QueCC batch-size sensitivity." X.fig_batch;
-      with_json "pipeline" "Pipelined vs lockstep batches." X.pipeline;
-      with_json "skew" "Adaptive planning under skew." X.skew;
+      plain "pipeline" "Pipelined vs lockstep batches." X.pipeline;
+      plain "skew" "Adaptive planning under skew." X.skew;
       target "fault-tolerance" "Distributed recovery under a fault plan."
         (let+ plan = faults in
          fun scale -> X.fault_tolerance ~scale ?plan ());
       target "failover" "HA replication and leader failover."
-        (let+ json = json and+ plan = faults in
-         fun scale -> X.failover ~scale ?json ?plan ());
-      with_json "durability" "Group-commit WAL and recovery." X.durability;
-      with_json "cdc" "Ordered change-data-capture." X.cdc;
+        (let+ plan = faults in
+         fun scale -> X.failover ~scale ?plan ());
+      plain "durability" "Group-commit WAL and recovery." X.durability;
+      plain "cdc" "Ordered change-data-capture." X.cdc;
       target "overload" "Open-loop clients past saturation."
         (let+ arrival = arrival
          and+ admission = admission
@@ -585,8 +679,11 @@ let bench ~micro =
       Cmd.v
         (Cmd.info "micro" ~doc:"Bechamel microbenchmarks (reads no flags).")
         (let+ scale = scale in
-         harness ~scale micro);
-      target "all" "Every experiment, then the microbenchmarks." (Term.const all);
+         harness ~scale (fun ~phase_table:_ -> micro ()));
+      Cmd.v
+        (Cmd.info "all" ~doc:"Every experiment, then the microbenchmarks.")
+        (let+ suite = suite and+ scale = scale in
+         harness ~scale ~suite (all scale));
     ]
 
 (* ------------------------------------------------------------------ *)

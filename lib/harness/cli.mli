@@ -27,6 +27,15 @@ val to_argv : Experiment.t -> string list
     [costs], a name that is not the engine's, workload or client
     settings no flag reaches). *)
 
+val json_rows : Experiments.t -> (string * Bench_json.value) list list
+(** The BENCH rows of an experiment, one per printed row, in print
+    order: [label], [sweep] (in a swept table), [config] (every
+    {!Experiment.t} setting: engine, workload and its parameters,
+    threads, txns, batch, faults, clients, pipeline, split, adapt,
+    replicas, spec_lag, wal, snapshot_every, cdc, views), [checksum],
+    [digest] (CDC runs), then one object per {!Report} group live in the
+    row's printed table, phases always included. *)
+
 (** {1 Flags read outside the experiment} *)
 
 val faults : Quill_faults.Faults.spec option Cmdliner.Term.t
@@ -52,10 +61,13 @@ val scale : float Cmdliner.Term.t
 val bench : micro:(unit -> unit) -> (unit -> unit) Cmdliner.Cmd.t
 (** [bench/main.exe]: one subcommand per experiment of {!Experiments}
     plus [micro] (runs [micro]) and [all], each reading only its own
-    flags ([--json] on the JSON-writing targets, [--faults] on
-    fault-tolerance and failover, the client flags on overload, the
-    suite flags [--trace]/[--phase-table]/[--check-conflicts] on all
-    but micro).  No subcommand runs [all] at scale 0.5. *)
+    flags ([--json] on every experiment, [--faults] on fault-tolerance
+    and failover, the client flags on overload, the suite flags
+    [--trace]/[--phase-table]/[--check-conflicts] on all but micro).
+    No subcommand runs [all] at scale 0.5.  An experiment target prints
+    the experiment's tables, writes its BENCH file under [--json FILE]
+    ([{"experiment", "scale", <summary>, "rows": {!json_rows}}], the one
+    call of the BENCH writer), then checks its claims. *)
 
 val eval : (unit -> unit) Cmdliner.Cmd.t -> unit
 (** Parses [Sys.argv] and runs the command.  A command-line error, or

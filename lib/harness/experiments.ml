@@ -1,8 +1,25 @@
 open Quill_workloads
 module E = Experiment
+module M = Quill_txn.Metrics
+module F = Quill_faults.Faults
 module Qe = Quill_quecc.Engine
 
 let scaled scale n ~min_v = max min_v (int_of_float (float_of_int n *. scale))
+
+(* A YCSB spec of [size] rows; the settings not named keep
+   [Ycsb.default]'s. *)
+let ycsb ?(nparts = 8) ?(theta = 0.0) ?(mp = 0.0) ?(parts = 2)
+    ?(global_zipf = false) size =
+  E.Ycsb
+    {
+      Ycsb.default with
+      Ycsb.table_size = size;
+      nparts;
+      theta;
+      mp_ratio = mp;
+      parts_per_txn = parts;
+      global_zipf;
+    }
 
 (* Tracer shared by every run of the suite (bench --trace); the default
    null tracer records nothing. *)
@@ -50,230 +67,229 @@ let records_conflicts (engine : E.engine) =
   | E.Mvto | E.Hstore | E.Calvin | E.Dist_calvin _ ->
       false
 
-(* [record:false] keeps a run out of the conflict recorder even under
-   --check-conflicts (replication and the WAL touch rows outside the
-   planned-queue attribution). *)
-let run_exp ?(record = true) ?on_workload e =
-  if not (record && !check_conflicts && records_conflicts e.E.engine) then
-    E.run ~tracer:!tracer ?on_workload e
-  else begin
-    let module CC = Quill_analysis.Conflict_check in
-    let log = Quill_analysis.Access_log.create () in
-    let m = E.run ~tracer:!tracer ~recorder:log ?on_workload e in
-    let r = CC.check_log log in
-    Format.printf "[conflict-check] %s: %a@." e.E.name CC.pp_report r;
-    incr conflict_checked;
-    check
-      [
-        claim (CC.ok r) "conflict-check: %d planned-order violations in %s"
-          (List.length r.CC.violations) e.E.name;
-        claim (r.CC.r_rows > 0) "conflict-check: 0 row accesses recorded in %s"
-          e.E.name;
-      ];
-    m
-  end
+(* ------------------------------------------------------------------ *)
+(* Rows and results                                                    *)
+(* ------------------------------------------------------------------ *)
 
-(* [run_exp] plus the checksum of the committed database it left. *)
-let run_checksummed ?record e =
-  let db = ref None in
-  let on_workload wl = db := Some wl.Quill_txn.Workload.db in
-  let m = run_exp ?record ~on_workload e in
-  (m, match !db with Some db -> Quill_storage.Db.checksum db | None -> 0)
+type row = {
+  label : string;
+  sweep : string option;
+  exp : E.t;
+  metrics : M.t;
+  checksum : int;
+  digest : int option;
+}
 
-module J = Bench_json
+type table = { title : string; param : string option; rows : row list }
 
-(* Every BENCH row reports throughput with one decimal. *)
-let tput m = J.Fixed (1, Quill_txn.Metrics.throughput m)
+type t = {
+  tables : table list;
+  notes : string list;
+  summary : (string * Bench_json.value) list;
+  claims : (bool * string) list;
+}
 
-let run_row engine spec ~threads ~txns ~batch_size =
-  let e = E.make ~threads ~txns ~batch_size engine spec in
-  { Report.label = E.engine_name e.E.engine; metrics = run_exp e }
+(* Runs [e] as the row [label] (default: the experiment's name) of the
+   table value [sweep], keeping the checksum of the committed database
+   it left and, on a CDC run, the feed digest.  [record:false] keeps a
+   run out of the conflict recorder even under --check-conflicts. *)
+let run ?(record = true) ?sweep ?label e =
+  let db = ref None and digest = ref None in
+  let on_workload wl = db := Some wl.Quill_txn.Workload.db
+  and on_cdc hub = digest := Some (Quill_cdc.Cdc.digest hub) in
+  let metrics =
+    if not (record && !check_conflicts && records_conflicts e.E.engine) then
+      E.run ~tracer:!tracer ~on_workload ~on_cdc e
+    else begin
+      let module CC = Quill_analysis.Conflict_check in
+      let log = Quill_analysis.Access_log.create () in
+      let m = E.run ~tracer:!tracer ~recorder:log ~on_workload ~on_cdc e in
+      let r = CC.check_log log in
+      Format.printf "[conflict-check] %s: %a@." e.E.name CC.pp_report r;
+      incr conflict_checked;
+      check
+        [
+          claim (CC.ok r) "conflict-check: %d planned-order violations in %s"
+            (List.length r.CC.violations) e.E.name;
+          claim (r.CC.r_rows > 0)
+            "conflict-check: 0 row accesses recorded in %s" e.E.name;
+        ];
+      m
+    end
+  in
+  {
+    label = Option.value label ~default:e.E.name;
+    sweep;
+    exp = e;
+    metrics;
+    checksum = Option.fold ~none:0 ~some:Quill_storage.Db.checksum !db;
+    digest = !digest;
+  }
+
+let find ?sweep label rows =
+  List.find (fun r -> r.label = label && r.sweep = sweep) rows
+
+let tput r = M.throughput r.metrics
+let table ?param title rows = { title; param; rows }
+
+let result ?(notes = []) ?(summary = []) ?(claims = []) tables =
+  { tables; notes; summary; claims }
+
+(* The table's rows per sweep value, in order. *)
+let series rows =
+  List.fold_right
+    (fun r acc ->
+      match acc with
+      | (v, rs) :: rest when v = r.sweep -> (v, r :: rs) :: rest
+      | _ -> (r.sweep, [ r ]) :: acc)
+    rows []
+
+let print ~phase_table t =
+  let report r = { Report.label = r.label; metrics = r.metrics } in
+  List.iter
+    (fun { title; param; rows } ->
+      match param with
+      | None -> Report.print_table ~phase_table ~title (List.map report rows)
+      | Some param ->
+          Report.print_sweep ~phase_table ~title ~param
+            (List.map
+               (fun (v, rs) -> (Option.value v ~default:"", List.map report rs))
+               (series rows)))
+    t.tables;
+  List.iter print_endline t.notes
+
+(* A swept table: the rows [rows ~sweep v] for each value [v], [sweep]
+   being [v] as the table prints it. *)
+let sweep ~param ~show title values rows =
+  table ~param title
+    (List.concat_map (fun v -> rows ~sweep:(show v) v) values)
+
+let pct f = Printf.sprintf "%.0f%%" (f *. 100.0)
+let quecc = E.Quecc (Qe.Speculative, Qe.Serializable)
 
 (* ------------------------------------------------------------------ *)
 
 let table2_row1 ?(scale = 1.0) () =
   let txns = scaled scale 12_288 ~min_v:2048 in
   let size = scaled scale 200_000 ~min_v:20_000 in
-  let series =
-    List.map
-      (fun mp ->
-        let spec =
-          E.Ycsb
-            {
-              Ycsb.default with
-              Ycsb.table_size = size;
-              nparts = 8;
-              theta = 0.0;
-              mp_ratio = mp;
-              parts_per_txn = 4;
-            }
-        in
-        let rows =
-          [
-            run_row (E.Quecc (Qe.Speculative, Qe.Serializable)) spec
-              ~threads:8 ~txns ~batch_size:2048;
-            run_row E.Hstore spec ~threads:8 ~txns ~batch_size:2048;
-          ]
-        in
-        (Printf.sprintf "%.0f%%" (mp *. 100.0), rows))
-      [ 0.0; 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 ]
-  in
-  Report.print_sweep
-    ~title:
-      "Table 2 row 1: QueCC vs H-Store, YCSB multi-partition (4 parts/txn, \
-       8 cores)"
-    ~param:"multi-partition txns" series
+  result
+    [
+      sweep ~param:"multi-partition txns" ~show:pct
+        "Table 2 row 1: QueCC vs H-Store, YCSB multi-partition (4 parts/txn, \
+         8 cores)"
+        [ 0.0; 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 ]
+        (fun ~sweep mp ->
+          List.map
+            (fun engine ->
+              run ~sweep
+                (E.make ~threads:8 ~txns ~batch_size:2048 engine
+                   (ycsb ~mp ~parts:4 size)))
+            [ quecc; E.Hstore ]);
+    ]
 
 let table2_row2 ?(scale = 1.0) () =
   let txns = scaled scale 20_480 ~min_v:4096 in
   let size = scaled scale 320_000 ~min_v:32_000 in
-  let spec mp nparts =
-    E.Ycsb
-      {
-        Ycsb.default with
-        Ycsb.table_size = size;
-        nparts;
-        theta = 0.0;
-        mp_ratio = mp;
-        parts_per_txn = 2;
-      }
-  in
-  let series =
-    List.map
-      (fun mp ->
-        let rows =
-          [
-            (* 16 virtual cores per node: 8 planners + 8 executors. *)
-            run_row (E.Dist_quecc 4) (spec mp 32) ~threads:16 ~txns
-              ~batch_size:4096;
-            run_row (E.Dist_calvin 4) (spec mp 16) ~threads:16 ~txns
-              ~batch_size:4096;
-          ]
-        in
-        (Printf.sprintf "%.0f%%" (mp *. 100.0), rows))
-      [ 0.0; 0.2 ]
-  in
-  Report.print_sweep
-    ~title:
-      "Table 2 row 2: distributed QueCC vs Calvin, YCSB uniform (4 nodes x \
-       16 cores)"
-    ~param:"multi-node txns" series
+  result
+    [
+      sweep ~param:"multi-node txns" ~show:pct
+        "Table 2 row 2: distributed QueCC vs Calvin, YCSB uniform (4 nodes x \
+         16 cores)"
+        [ 0.0; 0.2 ]
+        (fun ~sweep mp ->
+          (* 16 virtual cores per node: 8 planners + 8 executors. *)
+          List.map
+            (fun (engine, nparts) ->
+              run ~sweep
+                (E.make ~threads:16 ~txns ~batch_size:4096 engine
+                   (ycsb ~nparts ~mp size)))
+            [ (E.Dist_quecc 4, 32); (E.Dist_calvin 4, 16) ]);
+    ]
 
 let table2_row3 ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:2048 in
-  let series =
-    List.map
-      (fun w ->
-        let spec =
-          E.Tpcc
-            (Tpcc.payment_mix
-               { Tpcc.default with Tpcc_defs.warehouses = w; nparts = 8 })
-        in
-        let engines =
-          [
-            E.Quecc (Qe.Conservative, Qe.Serializable);
-            E.Quecc (Qe.Speculative, Qe.Serializable);
-            E.Twopl_nowait;
-            E.Twopl_waitdie;
-            E.Silo;
-            E.Tictoc;
-            E.Mvto;
-          ]
-        in
-        let rows =
+  result
+    [
+      sweep ~param:"warehouses" ~show:string_of_int
+        "Table 2 row 3: QueCC vs non-deterministic protocols, TPC-C \
+         NewOrder/Payment (8 cores)"
+        [ 1; 4 ]
+        (fun ~sweep w ->
+          let spec =
+            E.Tpcc
+              (Tpcc.payment_mix
+                 { Tpcc.default with Tpcc_defs.warehouses = w; nparts = 8 })
+          in
           List.map
-            (fun e -> run_row e spec ~threads:8 ~txns ~batch_size:1024)
-            engines
-        in
-        (string_of_int w, rows))
-      [ 1; 4 ]
-  in
-  Report.print_sweep
-    ~title:
-      "Table 2 row 3: QueCC vs non-deterministic protocols, TPC-C \
-       NewOrder/Payment (8 cores)"
-    ~param:"warehouses" series
+            (fun e ->
+              run ~sweep (E.make ~threads:8 ~txns ~batch_size:1024 e spec))
+            [
+              E.Quecc (Qe.Conservative, Qe.Serializable); quecc; E.Twopl_nowait;
+              E.Twopl_waitdie; E.Silo; E.Tictoc; E.Mvto;
+            ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
 let fig_contention ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:2048 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let series =
-    List.map
-      (fun theta ->
-        let spec =
-          E.Ycsb
-            { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta }
-        in
-        let rows =
+  result
+    [
+      sweep ~param:"theta" ~show:(Printf.sprintf "%.2f")
+        "Contention sweep: YCSB zipfian theta (8 cores)"
+        [ 0.0; 0.6; 0.9; 0.99 ]
+        (fun ~sweep theta ->
           List.map
-            (fun e -> run_row e spec ~threads:8 ~txns ~batch_size:2048)
-            E.all_centralized
-        in
-        (Printf.sprintf "%.2f" theta, rows))
-      [ 0.0; 0.6; 0.9; 0.99 ]
-  in
-  Report.print_sweep
-    ~title:"Contention sweep: YCSB zipfian theta (8 cores)" ~param:"theta"
-    series
+            (fun e ->
+              run ~sweep
+                (E.make ~threads:8 ~txns ~batch_size:2048 e (ycsb ~theta size)))
+            E.all_centralized);
+    ]
 
 let fig_scalability ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:2048 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let series =
-    List.map
-      (fun threads ->
-        let spec =
-          E.Ycsb
-            {
-              Ycsb.default with
-              Ycsb.table_size = size;
-              nparts = threads;
-              theta = 0.9;
-            }
-        in
-        let rows =
+  result
+    [
+      sweep ~param:"cores" ~show:string_of_int "Scalability: YCSB theta=0.9"
+        [ 1; 2; 4; 8; 16; 32 ]
+        (fun ~sweep threads ->
           List.map
-            (fun e -> run_row e spec ~threads ~txns ~batch_size:2048)
-            [
-              E.Quecc (Qe.Speculative, Qe.Serializable);
-              E.Silo;
-              E.Twopl_nowait;
-              E.Calvin;
-            ]
-        in
-        (string_of_int threads, rows))
-      [ 1; 2; 4; 8; 16; 32 ]
-  in
-  Report.print_sweep ~title:"Scalability: YCSB theta=0.9" ~param:"cores"
-    series
+            (fun e ->
+              run ~sweep
+                (E.make ~threads ~txns ~batch_size:2048 e
+                   (ycsb ~nparts:threads ~theta:0.9 size)))
+            [ quecc; E.Silo; E.Twopl_nowait; E.Calvin ]);
+    ]
 
 let fig_modes ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:2048 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let series =
-    List.map
-      (fun abort_ratio ->
-        let spec =
-          E.Ycsb
-            {
-              Ycsb.default with
-              Ycsb.table_size = size;
-              nparts = 8;
-              theta = 0.6;
-              abort_ratio;
-              abort_threshold = 128;
-              chain_deps = true;
-            }
-        in
-        let rows =
+  result
+    [
+      sweep ~param:"abortable txns" ~show:pct
+        "Execution modes & isolation ablation (paper section 3.2): YCSB with \
+         abortable fragments"
+        [ 0.0; 0.02; 0.1 ]
+        (fun ~sweep abort_ratio ->
+          let spec =
+            E.Ycsb
+              {
+                Ycsb.default with
+                Ycsb.table_size = size;
+                nparts = 8;
+                theta = 0.6;
+                abort_ratio;
+                abort_threshold = 128;
+                chain_deps = true;
+              }
+          in
           List.map
             (fun (label, mode, iso) ->
-              let e = E.make ~threads:8 ~txns ~batch_size:2048
-                        (E.Quecc (mode, iso)) spec
-              in
-              { Report.label; metrics = run_exp e })
+              run ~sweep ~label
+                (E.make ~threads:8 ~txns ~batch_size:2048
+                   (E.Quecc (mode, iso)) spec))
             [
               ("speculative/serializable", Qe.Speculative, Qe.Serializable);
               ("conservative/serializable", Qe.Conservative, Qe.Serializable);
@@ -281,191 +297,106 @@ let fig_modes ?(scale = 1.0) () =
               ( "conservative/read-committed",
                 Qe.Conservative,
                 Qe.Read_committed );
-            ]
-        in
-        (Printf.sprintf "%.0f%%" (abort_ratio *. 100.0), rows))
-      [ 0.0; 0.02; 0.1 ]
-  in
-  Report.print_sweep
-    ~title:
-      "Execution modes & isolation ablation (paper section 3.2): YCSB with \
-       abortable fragments"
-    ~param:"abortable txns" series
+            ]);
+    ]
 
 let fig_latency ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:2048 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let spec =
-    E.Ycsb
-      { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta = 0.9 }
-  in
-  let rows =
-    List.map
-      (fun e -> run_row e spec ~threads:8 ~txns ~batch_size:2048)
-      [
-        E.Quecc (Qe.Speculative, Qe.Serializable);
-        E.Calvin;
-        E.Silo;
-        E.Twopl_nowait;
-      ]
-  in
-  Report.print_table
-    ~title:"Latency distribution: YCSB theta=0.9 (batching vs per-txn)" rows
+  result
+    [
+      table "Latency distribution: YCSB theta=0.9 (batching vs per-txn)"
+        (List.map
+           (fun e ->
+             run
+               (E.make ~threads:8 ~txns ~batch_size:2048 e
+                  (ycsb ~theta:0.9 size)))
+           [ quecc; E.Calvin; E.Silo; E.Twopl_nowait ]);
+    ]
 
 let fig_batch ?(scale = 1.0) () =
   let txns = scaled scale 32_768 ~min_v:8192 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let spec =
-    E.Ycsb
-      { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta = 0.9 }
-  in
-  let rows =
-    List.map
-      (fun batch_size ->
-        let e =
-          E.make
-            ~name:(Printf.sprintf "quecc-batch-%d" batch_size)
-            ~threads:8 ~txns ~batch_size
-            (E.Quecc (Qe.Speculative, Qe.Serializable))
-            spec
-        in
-        { Report.label = e.E.name; metrics = run_exp e })
-      [ 128; 512; 2048; 8192 ]
-  in
-  Report.print_table
-    ~title:
-      "Batch-size sensitivity: larger batches amortize planning but pay \
-       latency (YCSB theta=0.9, 8 cores)"
-    rows
+  result
+    [
+      table
+        "Batch-size sensitivity: larger batches amortize planning but pay \
+         latency (YCSB theta=0.9, 8 cores)"
+        (List.map
+           (fun batch_size ->
+             run
+               (E.make
+                  ~name:(Printf.sprintf "quecc-batch-%d" batch_size)
+                  ~threads:8 ~txns ~batch_size quecc (ycsb ~theta:0.9 size)))
+           [ 128; 512; 2048; 8192 ]);
+    ]
 
 (* Pipelined batch execution.  Each theta runs QueCC with the pipeline
    off and on on the same workload spec, so the off row is the oracle
    both for state (bit-identical per seed, covered by the test suite)
    and for the speedup the sweep table shows.  The distributed engines
-   get the lag-1 variant at low contention.  [json] additionally dumps
-   every row as machine-readable JSON. *)
-let pipeline ?(scale = 1.0) ?json () =
-  let module M = Quill_txn.Metrics in
+   get the lag-1 variant at low contention. *)
+let pipeline ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:4096 in
   let size = scaled scale 200_000 ~min_v:20_000 in
   let checked0 = !conflict_checked in
-  let results = ref [] in
-  let row engine label ~theta ~pipeline ~threads ~batch_size spec =
-    let e = E.make ~threads ~txns ~batch_size ~pipeline engine spec in
-    let m = run_exp e in
-    results := (E.engine_name engine, theta, pipeline, m) :: !results;
-    { Report.label; metrics = m }
+  (* A lockstep row and its pipelined twin, [label] and [label+pipe]. *)
+  let pair ?sweep label engine ~batch_size spec =
+    let row pipeline label =
+      run ?sweep ~label
+        (E.make ~threads:8 ~txns ~batch_size ~pipeline engine spec)
+    in
+    [ row false label; row true (label ^ "+pipe") ]
   in
-  let series =
-    List.map
-      (fun theta ->
-        let spec =
-          E.Ycsb
-            { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta }
-        in
-        let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
-        let r = row quecc ~theta ~threads:8 ~batch_size:1024 in
-        let rows =
-          [
-            (* lint: engine-name-ok — report row label, not dispatch *)
-            r "quecc" ~pipeline:false spec;
-            r "quecc+pipe" ~pipeline:true spec;
-          ]
-        in
-        (Printf.sprintf "theta=%.2f" theta, rows))
-      [ 0.0; 0.6; 0.9 ]
-  in
-  Report.print_sweep
-    ~title:
+  let by_theta =
+    sweep ~param:"contention" ~show:(Printf.sprintf "theta=%.2f")
       "Pipelined batches: planning of batch N+1 overlapped with execution \
        of batch N (YCSB, 8 cores, committed state identical per seed)"
-    ~param:"contention" series;
-  let dspec =
-    E.Ycsb
-      {
-        Ycsb.default with
-        Ycsb.table_size = size;
-        nparts = 16;
-        theta = 0.0;
-        mp_ratio = 0.2;
-        parts_per_txn = 2;
-      }
+      [ 0.0; 0.6; 0.9 ]
+      (fun ~sweep theta ->
+        (* lint: engine-name-ok — report row label, not dispatch *)
+        pair ~sweep "quecc" quecc ~batch_size:1024 (ycsb ~theta size))
   in
-  let drows =
-    let r = row ~theta:0.0 ~threads:8 ~batch_size:2048 in
-    [
-      (* lint: engine-name-ok — report row label, not dispatch *)
-      r (E.Dist_quecc 4) "dist-quecc" ~pipeline:false dspec;
-      r (E.Dist_quecc 4) "dist-quecc+pipe" ~pipeline:true dspec;
-      (* lint: engine-name-ok — report row label, not dispatch *)
-      r (E.Dist_calvin 4) "dist-calvin" ~pipeline:false dspec;
-      r (E.Dist_calvin 4) "dist-calvin+pipe" ~pipeline:true dspec;
-    ]
-  in
-  Report.print_table
-    ~title:
+  let dist =
+    table
       "Distributed lag-1 pipelining: plan/sequence batch N+1 during batch \
        N (YCSB theta=0, 20% multi-node, 4 nodes)"
-    drows;
-  (* OCaml evaluates list elements right-to-left, so [results]
-     accumulates in a surprising order; sort on the identifying fields
-     for a stable artifact. *)
-  let rows =
-    List.sort
-      (fun (n1, t1, p1, _) (n2, t2, p2, _) -> compare (n1, t1, p1) (n2, t2, p2))
-      !results
+      (List.concat_map
+         (fun (label, engine) ->
+           pair label engine ~batch_size:2048 (ycsb ~nparts:16 ~mp:0.2 size))
+         (* lint: engine-name-ok — report row labels, not dispatch *)
+         [ ("dist-quecc", E.Dist_quecc 4); ("dist-calvin", E.Dist_calvin 4) ])
   in
-  (match json with
-  | None -> ()
-  | Some path ->
-      J.write path ~experiment:"pipeline" ~scale
-        (List.map
-           (fun (name, theta, pipe, m) ->
-             [
-               ("engine", J.Str name); ("theta", J.Num theta);
-               ("pipeline", J.Bool pipe);
-               ("tput", tput m); ("committed", J.Int m.M.committed);
-               ("fill_stall", J.Int m.M.pipe_fill_stall);
-               ("drain_stall", J.Int m.M.pipe_drain_stall);
-             ])
-           rows));
-  let find name theta ~pipe =
-    List.find_map
-      (fun (n, t, p, m) ->
-        if n = name && t = theta && p = pipe then Some m else None)
-      rows
+  let rows = by_theta.rows @ dist.rows in
+  let piped = List.filter (fun r -> r.exp.E.pipeline) rows in
+  let theta r =
+    match r.exp.E.workload with E.Ycsb c -> c.Ycsb.theta | E.Tpcc _ -> 0.0
   in
-  let piped =
-    List.filter_map
-      (fun (n, t, p, m) -> if p then Some (n, t, m) else None)
-      rows
+  (* A pipelined row against its lockstep twin: the same experiment,
+     unpipelined. *)
+  let pair_claims p =
+    let name = E.engine_name p.exp.E.engine and theta = theta p in
+    let lockstep = { p.exp with E.pipeline = false } in
+    let b = List.find (fun b -> b.exp = lockstep) rows in
+    [
+      claim (p.metrics.M.committed = b.metrics.M.committed)
+        "pipeline: %s theta=%.2f: commits diverge (%d vs %d)" name theta
+        p.metrics.M.committed b.metrics.M.committed;
+      claim (tput p >= tput b)
+        "pipeline: %s theta=%.2f: pipelined tput %.1f < lockstep %.1f" name
+        theta (tput p) (tput b);
+    ]
   in
-  let pair_claims (name, theta, m) =
-    match find name theta ~pipe:false with
-    | None ->
-        [ claim false "pipeline: %s theta=%.2f: no lockstep row" name theta ]
-    | Some b ->
-        [
-          claim (m.M.committed = b.M.committed)
-            "pipeline: %s theta=%.2f: commits diverge (%d vs %d)" name theta
-            m.M.committed b.M.committed;
-          claim (M.throughput m >= M.throughput b)
-            "pipeline: %s theta=%.2f: pipelined tput %.1f < lockstep %.1f" name
-            theta (M.throughput m) (M.throughput b);
-        ]
-  in
-  let quecc = E.engine_name (E.Quecc (Qe.Speculative, Qe.Serializable)) in
-  let speedup =
-    match (find quecc 0.0 ~pipe:true, find quecc 0.0 ~pipe:false) with
-    | Some m, Some b -> M.throughput m /. M.throughput b
-    | _ -> 0.0
-  in
-  check
-    (recorded_since checked0
-    :: claim (piped <> []) "pipeline: no pipelined rows"
-    :: claim (speedup >= 1.1)
-         "pipeline: quecc theta=0 pipeline speedup %.3f < 1.1" speedup
-    :: List.concat_map pair_claims piped)
+  let at0 label = find ~sweep:"theta=0.00" label by_theta.rows in
+  (* lint: engine-name-ok — report row label, not dispatch *)
+  let speedup = tput (at0 "quecc+pipe") /. tput (at0 "quecc") in
+  result [ by_theta; dist ]
+    ~claims:
+      (recorded_since checked0
+      :: claim (piped <> []) "pipeline: no pipelined rows"
+      :: claim (speedup >= 1.1)
+           "pipeline: quecc theta=0 pipeline speedup %.3f < 1.1" speedup
+      :: List.concat_map pair_claims piped)
 
 (* Adaptive planning under skew: QueCC with hot-key queue splitting and
    dynamic repartitioning against the plain planner, on a YCSB variant
@@ -473,91 +404,40 @@ let pipeline ?(scale = 1.0) ?json () =
    stream — the worst case for static key→executor routing).  The plain
    row at each theta is the state oracle: splitting and repartitioning
    are schedule-preserving, so the committed-state checksum must match
-   it bit-for-bit ([json] dumps it with the split/repartition counters). *)
-let skew ?(scale = 1.0) ?json () =
-  let module M = Quill_txn.Metrics in
+   it bit-for-bit. *)
+let skew ?(scale = 1.0) () =
   let txns = scaled scale 16_384 ~min_v:4096 in
   let size = scaled scale 100_000 ~min_v:10_000 in
-  let results = ref [] in
-  let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
-  let row label ~theta ~split ~adapt_repart spec =
-    let e =
-      E.make ~threads:8 ~txns ~batch_size:1024 ?split ~adapt_repart quecc
-        spec
-    in
-    let m, chk = run_checksummed e in
-    results := (theta, split, adapt_repart, chk, m) :: !results;
-    { Report.label; metrics = m }
-  in
   let thetas = [ 0.0; 0.6; 0.9 ] in
-  let series =
-    List.map
-      (fun theta ->
-        let spec =
-          E.Ycsb
-            {
-              Ycsb.default with
-              Ycsb.table_size = size;
-              nparts = 8;
-              theta;
-              global_zipf = true;
-            }
-        in
-        let rows =
-          [
-            (* lint: engine-name-ok — report row label, not dispatch *)
-            row "quecc" ~theta ~split:None ~adapt_repart:false spec;
-            row "quecc+split" ~theta ~split:(Some 32) ~adapt_repart:false
-              spec;
-            row "quecc+split+repart" ~theta ~split:(Some 32)
-              ~adapt_repart:true spec;
-          ]
-        in
-        (Printf.sprintf "theta=%.2f" theta, rows))
-      thetas
-  in
-  Report.print_sweep
-    ~title:
+  let show = Printf.sprintf "theta=%.2f" in
+  let by_theta =
+    sweep ~param:"contention" ~show
       "Adaptive planning under skew: hot-key queue splitting and dynamic \
        repartitioning vs the static planner (YCSB global-zipf, 8 cores, \
        committed state identical per seed)"
-    ~param:"contention" series;
-  (match json with
-  | None -> ()
-  | Some path ->
-      let rows =
-        List.sort
-          (fun (t1, s1, r1, _, _) (t2, s2, r2, _, _) ->
-            compare (t1, s1, r1) (t2, s2, r2))
-          !results
-      in
-      J.write path ~experiment:"skew" ~scale
-        (List.map
-           (fun (theta, split, repart, chk, m) ->
-             [
-               ("engine", J.Str (E.engine_name quecc)); ("theta", J.Num theta);
-               ("split", J.Int (Option.value split ~default:0));
-               ("repart", J.Bool repart); ("tput", tput m);
-               ("committed", J.Int m.M.committed);
-               ("split_keys", J.Int m.M.split_keys);
-               ("split_subqueues", J.Int m.M.split_subqueues);
-               ("repart_moves", J.Int m.M.repart_moves);
-               ("db_checksum", J.Int chk);
-             ])
-           rows));
-  let pick theta split repart =
-    List.find
-      (fun (t, s, r, _, _) -> t = theta && s = split && r = repart)
-      !results
+      thetas
+      (fun ~sweep theta ->
+        List.map
+          (fun (label, split, adapt_repart) ->
+            run ~sweep ~label
+              (E.make ~threads:8 ~txns ~batch_size:1024 ?split ~adapt_repart
+                 quecc (ycsb ~theta ~global_zipf:true size)))
+          [
+            (* lint: engine-name-ok — report row label, not dispatch *)
+            ("quecc", None, false);
+            ("quecc+split", Some 32, false);
+            ("quecc+split+repart", Some 32, true);
+          ])
   in
-  let _, _, _, _, hot = pick 0.9 (Some 32) true in
-  let _, _, _, _, plain0 = pick 0.0 None false in
-  let ratio = M.throughput hot /. M.throughput plain0 in
+  let rows = by_theta.rows in
+  let hot = (find ~sweep:(show 0.9) "quecc+split+repart" rows).metrics in
+  (* lint: engine-name-ok — report row label, not dispatch *)
+  let ratio = M.throughput hot /. tput (find ~sweep:(show 0.0) "quecc" rows) in
   let same theta =
-    let group = List.filter (fun (t, _, _, _, _) -> t = theta) !results in
+    let group = List.filter (fun r -> r.sweep = Some (show theta)) rows in
     let values f = List.map (fun r -> string_of_int (f r)) group in
     let one f = List.length (List.sort_uniq compare (values f)) = 1 in
-    let chk (_, _, _, c, _) = c and committed (_, _, _, _, m) = m.M.committed in
+    let chk r = r.checksum and committed r = r.metrics.M.committed in
     [
       claim (one chk)
         "skew: theta=%.2f: adaptive rows diverge from plain (checksums %s)"
@@ -566,19 +446,20 @@ let skew ?(scale = 1.0) ?json () =
         (String.concat ", " (values committed));
     ]
   in
-  check
-    (claim
-       (hot.M.split_keys > 0 && hot.M.split_subqueues > 0)
-       "skew: splitting never fired at theta=0.90 (split k/q %d/%d)"
-       hot.M.split_keys hot.M.split_subqueues
-    :: claim (hot.M.repart_moves > 0)
-         "skew: repartitioning never fired at theta=0.90 (%d moves)"
-         hot.M.repart_moves
-    :: claim (ratio >= 0.85)
-         "skew: adaptive theta=0.90 holds only %.3f of theta=0 tput (bound \
-          0.85)"
-         ratio
-    :: List.concat_map same thetas)
+  result [ by_theta ]
+    ~claims:
+      (claim
+         (hot.M.split_keys > 0 && hot.M.split_subqueues > 0)
+         "skew: splitting never fired at theta=0.90 (split k/q %d/%d)"
+         hot.M.split_keys hot.M.split_subqueues
+      :: claim (hot.M.repart_moves > 0)
+           "skew: repartitioning never fired at theta=0.90 (%d moves)"
+           hot.M.repart_moves
+      :: claim (ratio >= 0.85)
+           "skew: adaptive theta=0.90 holds only %.3f of theta=0 tput (bound \
+            0.85)"
+           ratio
+      :: List.concat_map same thetas)
 
 (* One crash mid-run on node 1 plus 1% drop and 1% duplication: the
    EXPERIMENTS.md robustness headline.  The crash time is tuned to land
@@ -589,7 +470,7 @@ let skew ?(scale = 1.0) ?json () =
    fired). *)
 let default_fault_plan =
   match
-    Quill_faults.Faults.parse
+    F.parse
       "crash@t=200us:node=1:down=200us,drop=0.01,dup=0.01,seed=7"
   with
   | Ok s -> s
@@ -601,55 +482,33 @@ let fault_tolerance ?(scale = 1.0) ?plan () =
   let checked0 = !conflict_checked in
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
-  let spec =
-    E.Ycsb
-      {
-        Ycsb.default with
-        Ycsb.table_size = size;
-        nparts = 16;
-        theta = 0.6;
-        mp_ratio = 0.2;
-        parts_per_txn = 2;
-      }
-  in
-  let row engine faults =
-    let e = E.make ~threads:8 ~txns ~batch_size:1024 ~faults engine spec in
-    {
-      Report.label = E.engine_name e.E.engine;
-      metrics = run_exp e;
-    }
-  in
-  let engines = [ E.Dist_quecc 4; E.Dist_calvin 4 ] in
-  let series =
-    [
-      ("none", List.map (fun e -> row e Quill_faults.Faults.none) engines);
-      ( Quill_faults.Faults.to_string plan,
-        List.map (fun e -> row e plan) engines );
-    ]
-  in
-  Report.print_sweep
-    ~title:
+  let spec = ycsb ~nparts:16 ~theta:0.6 ~mp:0.2 size in
+  let by_plan =
+    sweep ~param:"fault plan" ~show:fst
       "Fault tolerance: dist-quecc (queue replay) vs dist-calvin (sequencer \
        replay) under an identical fault plan (4 nodes x 8 cores)"
-    ~param:"fault plan" series;
-  let recover =
-    List.concat_map
-      (fun (_, rows) ->
-        List.map (fun r -> r.Report.metrics.Quill_txn.Metrics.recover_busy)
-          rows)
-      series
+      [ ("none", F.none); (F.to_string plan, plan) ]
+      (fun ~sweep (_, faults) ->
+        List.map
+          (fun engine ->
+            run ~sweep
+              (E.make ~threads:8 ~txns ~batch_size:1024 ~faults engine spec))
+          [ E.Dist_quecc 4; E.Dist_calvin 4 ])
   in
-  check
-    (recorded_since checked0
-    :: (if own_plan then
-          [
-            claim
-              (List.exists (fun t -> t > 0) recover)
-              "fault-tolerance: no recovery time recorded under the crash \
-               plan (recover busy ns per row: %s)"
-              (String.concat ", " (List.map string_of_int recover));
-          ]
-        else []))
+  let recover = List.map (fun r -> r.metrics.M.recover_busy) by_plan.rows in
+  result [ by_plan ]
+    ~claims:
+      (recorded_since checked0
+      ::
+      (if own_plan then
+         [
+           claim
+             (List.exists (fun t -> t > 0) recover)
+             "fault-tolerance: no recovery time recorded under the crash \
+              plan (recover busy ns per row: %s)"
+             (String.concat ", " (List.map string_of_int recover));
+         ]
+       else []))
 
 (* HA replication and leader failover: a single-node dist-quecc leader
    streams its planned queues to two backups that speculatively execute
@@ -659,120 +518,79 @@ let fault_tolerance ?(scale = 1.0) ?plan () =
    bill).  All three must commit the same transactions to the same
    state — replication is visibility-deferred speculation over the same
    deterministic plan, and failover loses nothing the leader ever
-   acknowledged.  [json] dumps per-row checksums, failover_ns and the
-   fault-free epoch_ns; [plan] overrides the probed mid-run crash.
+   acknowledged.  The summary holds the fault-free epoch_ns; [plan]
+   overrides the probed mid-run crash.
 
    Rows run with [~record:false]: replication does not compose with
    the conflict recorder (the backups replay txns outside the planned
    queue attribution), so the suite-wide --check-conflicts flag must not
    attach one here. *)
-let failover ?(scale = 1.0) ?json ?plan () =
-  let module M = Quill_txn.Metrics in
+let failover ?(scale = 1.0) ?plan () =
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
-  let spec =
-    E.Ycsb
-      {
-        Ycsb.default with
-        Ycsb.table_size = size;
-        nparts = 2;
-        theta = 0.6;
-        mp_ratio = 0.2;
-      }
-  in
-  let results = ref [] in
+  let spec = ycsb ~nparts:2 ~theta:0.6 ~mp:0.2 size in
   let row label ~replicas ~faults =
-    let e =
-      E.make ~threads:4 ~txns ~batch_size:1024 ~faults ~replicas ~spec_lag:2
-        (E.Dist_quecc 1) spec
-    in
-    let m, chk = run_checksummed ~record:false e in
-    results := !results @ [ (label, replicas, chk, m) ];
-    ({ Report.label; metrics = m }, (label, m, chk))
+    run ~record:false ~label
+      (E.make ~threads:4 ~txns ~batch_size:1024 ~faults ~replicas ~spec_lag:2
+         (E.Dist_quecc 1) spec)
   in
-  let base, (_, mbase, base_chk) =
-    row "dist-quecc-1n" ~replicas:0 ~faults:Quill_faults.Faults.none
-  in
-  let ha, ((_, mha, _) as ha_run) =
-    row "+2 replicas" ~replicas:2 ~faults:Quill_faults.Faults.none
-  in
-  let epoch_ns = mha.M.elapsed / max 1 (E.batches (E.make (E.Dist_quecc 1) spec ~txns ~batch_size:1024)) in
+  let base = row "dist-quecc-1n" ~replicas:0 ~faults:F.none in
+  let ha = row "+2 replicas" ~replicas:2 ~faults:F.none in
+  let epoch_ns = ha.metrics.M.elapsed / max 1 (E.batches ha.exp) in
   let own_plan = plan = None in
   let plan =
     match plan with
     | Some p -> p
     | None ->
         (* kill the leader in the middle of the replicated run *)
-        {
-          Quill_faults.Faults.none with
-          Quill_faults.Faults.seed = 7;
-          crashes =
-            [
-              {
-                Quill_faults.Faults.node = 0;
-                at = mha.M.elapsed / 2;
-                down = 1;
-              };
-            ];
-        }
+        F.
+          {
+            none with
+            seed = 7;
+            crashes = [ { node = 0; at = ha.metrics.M.elapsed / 2; down = 1 } ];
+          }
   in
-  let crash, ((_, mcrash, _) as crash_run) =
-    row "+2 replicas, leader crash" ~replicas:2 ~faults:plan
-  in
-  Report.print_table
-    ~title:
-      "HA replication: speculative backups and leader failover \
-       (dist-quecc 1 leader + 2 backups, 4 cores, spec-lag 2; committed \
-       state identical across all rows)"
-    [ base; ha; crash ];
-  (match json with
-  | None -> ()
-  | Some path ->
-      J.write path ~experiment:"failover" ~scale
-        ~head:[ ("epoch_ns", J.Int epoch_ns) ]
-        (List.map
-           (fun (label, replicas, chk, m) ->
-             [
-               ("label", J.Str label); ("replicas", J.Int replicas);
-               ("tput", tput m); ("committed", J.Int m.M.committed);
-               ("crashes", J.Int m.M.crashes);
-               ("failovers", J.Int m.M.failovers);
-               ("failover_ns", J.Int m.M.failover_time);
-               ("spec_executed", J.Int m.M.spec_executed);
-               ("spec_wasted", J.Int m.M.spec_wasted);
-               ("rep_lag_max", J.Int m.M.rep_lag_max);
-               ("db_checksum", J.Int chk);
-             ])
-           !results));
-  let replicated (label, m, chk) =
+  let crash = row "+2 replicas, leader crash" ~replicas:2 ~faults:plan in
+  let mbase = base.metrics and mcrash = crash.metrics in
+  let replicated r =
+    let m = r.metrics in
     [
       claim (m.M.committed = mbase.M.committed)
-        "failover: %s: lost commits (%d vs %d)" label m.M.committed
+        "failover: %s: lost commits (%d vs %d)" r.label m.M.committed
         mbase.M.committed;
-      claim (chk = base_chk)
+      claim (r.checksum = base.checksum)
         "failover: %s: committed state diverges from baseline (checksum %d \
          vs %d)"
-        label chk base_chk;
+        r.label r.checksum base.checksum;
       claim (m.M.spec_executed > 0) "failover: %s: backups never speculated"
-        label;
+        r.label;
     ]
   in
-  check
-    (replicated ha_run @ replicated crash_run
-    @
-    if not own_plan then []
-    else
-      [
-        claim
-          (mcrash.M.crashes = 1 && mcrash.M.failovers = 1)
-          "failover: leader crash did not trigger a failover (crashes %d, \
-           failovers %d)"
-          mcrash.M.crashes mcrash.M.failovers;
-        claim
-          (0 < mcrash.M.failover_time && mcrash.M.failover_time < epoch_ns)
-          "failover: failover took %dns, epoch is %dns"
-          mcrash.M.failover_time epoch_ns;
-      ])
+  result
+    [
+      table
+        "HA replication: speculative backups and leader failover \
+         (dist-quecc 1 leader + 2 backups, 4 cores, spec-lag 2; committed \
+         state identical across all rows)"
+        [ base; ha; crash ];
+    ]
+    ~summary:[ ("epoch_ns", Bench_json.Int epoch_ns) ]
+    ~claims:
+      (replicated ha @ replicated crash
+      @
+      if not own_plan then []
+      else
+        [
+          claim
+            (mcrash.M.crashes = 1 && mcrash.M.failovers = 1)
+            "failover: leader crash did not trigger a failover (crashes %d, \
+             failovers %d)"
+            mcrash.M.crashes mcrash.M.failovers;
+          claim
+            (0 < mcrash.M.failover_time && mcrash.M.failover_time < epoch_ns)
+            "failover: failover took %dns, epoch is %dns"
+            mcrash.M.failover_time epoch_ns;
+        ])
 
 (* Durability: QueCC's planned queues already fix the commit order, so
    durability is one group-commit fsync per batch — the WAL logs each
@@ -783,46 +601,29 @@ let failover ?(scale = 1.0) ?json ?plan () =
    recovers from the newest snapshot plus the log and must land
    bit-identical to a fault-free run truncated to the same durable
    boundary — that oracle run is re-executed here and the checksums
-   compared.  [json] dumps per-row counters plus the oracle comparison.
+   compared (the summary's crash object).
 
    Rows run with [~record:false]: the WAL's commit-point index
    probes happen outside planned-queue attribution, so the suite-wide
    --check-conflicts recorder must not attach here (same reason as
    [failover]). *)
-let durability ?(scale = 1.0) ?json () =
-  let module M = Quill_txn.Metrics in
-  let module F = Quill_faults.Faults in
+let durability ?(scale = 1.0) () =
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
   let ycfg =
     { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta = 0.0 }
   in
-  let spec = E.Ycsb ycfg in
   let threads = 8 and batch_size = 512 in
-  let results = ref [] in
-  let run_one label engine ~txns ~wal ~faults =
-    let e =
-      E.make ~name:label ~threads ~txns ~batch_size ~faults ~wal
-        ~snapshot_every:8 engine spec
-    in
-    run_checksummed ~record:false e
-  in
   let row label engine ~txns ~wal ~faults =
-    let m, chk = run_one label engine ~txns ~wal ~faults in
-    results := !results @ [ (label, wal, chk, m) ];
-    ({ Report.label; metrics = m }, m, chk)
+    run ~record:false
+      (E.make ~name:label ~threads ~txns ~batch_size ~faults ~wal
+         ~snapshot_every:8 engine (E.Ycsb ycfg))
   in
-  let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
-  let base, mbase, base_chk =
-    (* lint: engine-name-ok — report row label, not dispatch *)
-    row "quecc" quecc ~txns ~wal:false ~faults:F.none
-  in
-  let walled, mwal, wal_chk =
-    row "quecc --wal" quecc ~txns ~wal:true ~faults:F.none
-  in
-  let serial_r, _, _ =
-    row "serial --wal" E.Serial ~txns ~wal:true ~faults:F.none
-  in
+  (* lint: engine-name-ok — report row label, not dispatch *)
+  let base = row "quecc" quecc ~txns ~wal:false ~faults:F.none in
+  let walled = row "quecc --wal" quecc ~txns ~wal:true ~faults:F.none in
+  let serial = row "serial --wal" E.Serial ~txns ~wal:true ~faults:F.none in
+  let mbase = base.metrics and mwal = walled.metrics in
   (* kill the WAL run in the middle; recovery happens inside the run *)
   let plan =
     {
@@ -831,9 +632,8 @@ let durability ?(scale = 1.0) ?json () =
       crashes = [ { F.node = 0; at = mwal.M.elapsed / 2; down = 1 } ];
     }
   in
-  let crash_r, mcrash, crash_chk =
-    row "quecc --wal, crash" quecc ~txns ~wal:true ~faults:plan
-  in
+  let crash = row "quecc --wal, crash" quecc ~txns ~wal:true ~faults:plan in
+  let mcrash = crash.metrics in
   (* Oracle: a fault-free run over the same streams, truncated to the
      crashed run's durable boundary.  Bit-identity at that boundary is
      the whole durability claim. *)
@@ -845,96 +645,83 @@ let durability ?(scale = 1.0) ?json () =
           (Ycsb.make ycfg).Quill_txn.Workload.db,
         0 )
     else
-      let m, chk =
-        run_one "oracle" quecc ~txns:durable_txns ~wal:false ~faults:F.none
-      in
-      (chk, m.M.committed)
+      let o = row "oracle" quecc ~txns:durable_txns ~wal:false ~faults:F.none in
+      (o.checksum, o.metrics.M.committed)
   in
   let state_match =
-    crash_chk = oracle_chk && mcrash.M.committed = oracle_committed
+    crash.checksum = oracle_chk && mcrash.M.committed = oracle_committed
   in
-  let overhead_pct =
-    100.0 *. (1.0 -. (M.throughput mwal /. M.throughput mbase))
+  let overhead_pct = 100.0 *. (1.0 -. (tput walled /. tput base)) in
+  let crash_summary =
+    Bench_json.
+      [
+        ("durable_batches", Int mcrash.M.durable_batches);
+        ("durable_txns", Int durable_txns);
+        ("recovered_committed", Int mcrash.M.committed);
+        ("oracle_committed", Int oracle_committed);
+        ("recovered_checksum", Int crash.checksum);
+        ("oracle_checksum", Int oracle_chk);
+        ("state_match", Bool state_match);
+        ("recovery_ns", Int mcrash.M.recovery_time);
+      ]
   in
-  Report.print_table
-    ~title:
-      "Durability: batch-aligned group-commit WAL (YCSB theta=0, 8 cores; \
-       snapshot every 8 batches; crashed run recovers to the last durable \
-       batch)"
-    [ base; walled; serial_r; crash_r ];
-  Printf.printf
-    "durability: WAL overhead %.1f%%; crash recovered %d batches \
-     (%d txns), state %s the truncated fault-free run\n"
-    overhead_pct mcrash.M.durable_batches mcrash.M.committed
-    (if state_match then "matches" else "DIVERGES FROM");
-  (match json with
-  | None -> ()
-  | Some path ->
-      let crash =
-        [
-          ("durable_batches", J.Int mcrash.M.durable_batches);
-          ("durable_txns", J.Int durable_txns);
-          ("recovered_committed", J.Int mcrash.M.committed);
-          ("oracle_committed", J.Int oracle_committed);
-          ("recovered_checksum", J.Int crash_chk);
-          ("oracle_checksum", J.Int oracle_chk);
-          ("state_match", J.Bool state_match);
-          ("recovery_ns", J.Int mcrash.M.recovery_time);
-        ]
-      in
-      J.write path ~experiment:"durability" ~scale
-        ~head:
-          [ ("overhead_pct", J.Fixed (2, overhead_pct)); ("crash", J.Obj crash) ]
-        (List.map
-           (fun (label, wal, chk, m) ->
-             [
-               ("label", J.Str label); ("wal", J.Bool wal); ("tput", tput m);
-               ("committed", J.Int m.M.committed);
-               ("durable_batches", J.Int m.M.durable_batches);
-               ("wal_bytes", J.Int m.M.wal_bytes);
-               ("fsyncs", J.Int m.M.wal_fsyncs);
-               ("fsync_fails", J.Int m.M.wal_fsync_fails);
-               ("snapshots", J.Int m.M.snapshots);
-               ("truncations", J.Int m.M.wal_truncations);
-               ("torn", J.Int m.M.torn_records);
-               ("crashes", J.Int m.M.crashes);
-               ("recovery_ns", J.Int m.M.recovery_time);
-               ("db_checksum", J.Int chk);
-             ])
-           !results));
-  check
+  result
     [
-      claim
-        (mcrash.M.crashes = 1 && mcrash.M.recovery_time > 0)
-        "durability: mid-run kill did not crash and recover (crashes %d, \
-         recovery %dns)"
-        mcrash.M.crashes mcrash.M.recovery_time;
-      claim (mcrash.M.durable_batches > 0)
-        "durability: nothing durable at the crash point (%d batches)"
-        mcrash.M.durable_batches;
-      claim state_match
-        "durability: recovered state diverges from the durable-boundary \
-         oracle (checksum %d vs %d)"
-        crash_chk oracle_chk;
-      claim
-        (mcrash.M.committed = oracle_committed)
-        "durability: lost or double commits (%d recovered vs %d in the \
-         oracle)"
-        mcrash.M.committed oracle_committed;
-      claim
-        (mwal.M.committed = mbase.M.committed && wal_chk = base_chk)
-        "durability: WAL changed the committed state (%d commits, checksum \
-         %d; baseline %d, %d)"
-        mwal.M.committed wal_chk mbase.M.committed base_chk;
-      claim
-        (mwal.M.durable_batches * batch_size >= mwal.M.committed
-        && mwal.M.wal_fsyncs = mwal.M.durable_batches)
-        "durability: group commit did not harden every batch (%d durable \
-         batches x %d < %d commits, or %d fsyncs)"
-        mwal.M.durable_batches batch_size mwal.M.committed mwal.M.wal_fsyncs;
-      claim (overhead_pct <= 15.0)
-        "durability: WAL overhead %.2f%% exceeds the 15%% budget" overhead_pct;
+      table
+        "Durability: batch-aligned group-commit WAL (YCSB theta=0, 8 cores; \
+         snapshot every 8 batches; crashed run recovers to the last durable \
+         batch)"
+        [ base; walled; serial; crash ];
     ]
+    ~notes:
+      [
+        Printf.sprintf
+          "durability: WAL overhead %.1f%%; crash recovered %d batches (%d \
+           txns), state %s the truncated fault-free run"
+          overhead_pct mcrash.M.durable_batches mcrash.M.committed
+          (if state_match then "matches" else "DIVERGES FROM");
+      ]
+    ~summary:
+      Bench_json.
+        [
+          ("overhead_pct", Fixed (2, overhead_pct));
+          ("crash", Obj crash_summary);
+        ]
+    ~claims:
+      [
+        claim
+          (mcrash.M.crashes = 1 && mcrash.M.recovery_time > 0)
+          "durability: mid-run kill did not crash and recover (crashes %d, \
+           recovery %dns)"
+          mcrash.M.crashes mcrash.M.recovery_time;
+        claim (mcrash.M.durable_batches > 0)
+          "durability: nothing durable at the crash point (%d batches)"
+          mcrash.M.durable_batches;
+        claim state_match
+          "durability: recovered state diverges from the durable-boundary \
+           oracle (checksum %d vs %d)"
+          crash.checksum oracle_chk;
+        claim
+          (mcrash.M.committed = oracle_committed)
+          "durability: lost or double commits (%d recovered vs %d in the \
+           oracle)"
+          mcrash.M.committed oracle_committed;
+        claim
+          (mwal.M.committed = mbase.M.committed
+          && walled.checksum = base.checksum)
+          "durability: WAL changed the committed state (%d commits, checksum \
+           %d; baseline %d, %d)"
+          mwal.M.committed walled.checksum mbase.M.committed base.checksum;
+        claim
+          (mwal.M.durable_batches * batch_size >= mwal.M.committed
+          && mwal.M.wal_fsyncs = mwal.M.durable_batches)
+          "durability: group commit did not harden every batch (%d durable \
+           batches x %d < %d commits, or %d fsyncs)"
+          mwal.M.durable_batches batch_size mwal.M.committed mwal.M.wal_fsyncs;
+        claim (overhead_pct <= 15.0)
+          "durability: WAL overhead %.2f%% exceeds the 15%% budget"
+          overhead_pct;
+      ]
 
 (* CDC: QueCC's planning phase fixes the commit order before execution
    starts, so the change stream is a pure function of the input batches
@@ -947,132 +734,89 @@ let durability ?(scale = 1.0) ?json () =
    feed; its batch boundaries differ, so its digest is reported but not
    compared).  The view must equal a full recompute at every caught-up
    point (View verifies internally and the run fails on divergence).
-   [json] dumps digests + counters. *)
-let cdc ?(scale = 1.0) ?json () =
-  let module M = Quill_txn.Metrics in
-  let module Cdc = Quill_cdc.Cdc in
+   Rows run with [~record:false], as [durability]'s do. *)
+let cdc ?(scale = 1.0) () =
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
-  let spec =
-    E.Ycsb
-      { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta = 0.6 }
-  in
+  let spec = ycsb ~theta:0.6 size in
   let threads = 8 and batch_size = 512 in
-  let results = ref [] in
   let row label engine ~cdc ~views ?(pipeline = false) ?split () =
-    let e =
-      E.make ~name:label ~threads ~txns ~batch_size ~cdc ~views ~pipeline
-        ?split engine spec
-    in
-    let feed = ref None in
-    let m =
-      E.run ~tracer:!tracer
-        ~on_cdc:(fun h ->
-          feed := Some (Cdc.digest h, Cdc.feed_bytes h, Cdc.events h))
-        e
-    in
-    results := !results @ [ (label, cdc, !feed, m) ];
-    ({ Report.label; metrics = m }, m, !feed)
+    run ~record:false
+      (E.make ~name:label ~threads ~txns ~batch_size ~cdc ~views ~pipeline
+         ?split engine spec)
   in
-  let quecc = E.Quecc (Qe.Speculative, Qe.Serializable) in
-  let base, mbase, _ =
-    (* lint: engine-name-ok — report row label, not dispatch *)
-    row "quecc" quecc ~cdc:false ~views:false ()
-  in
-  let cdc_r, mcdc, feed0 = row "quecc --cdc" quecc ~cdc:true ~views:false () in
-  let views_r, mviews, feed_v =
-    row "quecc --cdc --views" quecc ~cdc:true ~views:true ()
-  in
-  let pipe_r, _, feed_p =
+  (* lint: engine-name-ok — report row label, not dispatch *)
+  let base = row "quecc" quecc ~cdc:false ~views:false () in
+  let fed = row "quecc --cdc" quecc ~cdc:true ~views:false () in
+  let views = row "quecc --cdc --views" quecc ~cdc:true ~views:true () in
+  let piped =
     row "pipelined --cdc" quecc ~cdc:true ~views:false ~pipeline:true ()
   in
-  let split_r, _, feed_sp =
-    row "split --cdc" quecc ~cdc:true ~views:false ~split:16 ()
-  in
-  let serial_r, _, _ = row "serial --cdc" E.Serial ~cdc:true ~views:false () in
-  let digest = function Some (d, _, _) -> d | None -> 0 in
+  let split = row "split --cdc" quecc ~cdc:true ~views:false ~split:16 () in
+  let serial = row "serial --cdc" E.Serial ~cdc:true ~views:false () in
+  let rows = [ base; fed; views; piped; split; serial ] in
+  let digest r = Option.value r.digest ~default:0 in
+  let feed r = (r.digest, r.metrics.M.cdc_bytes, r.metrics.M.cdc_events) in
+  let family = [ fed; views; piped; split ] in
   let deterministic =
     List.for_all
-      (fun f -> digest f = digest feed0 && digest feed0 <> 0)
-      [ feed_v; feed_p; feed_sp ]
+      (fun r -> digest r = digest fed && digest fed <> 0)
+      [ views; piped; split ]
   in
-  let view_ok = mviews.M.view_refreshes > 0 in
-  let overhead_pct =
-    100.0 *. (1.0 -. (M.throughput mcdc /. M.throughput mbase))
-  in
-  Report.print_table
-    ~title:
-      "CDC: ordered commit-stream subscriptions (YCSB theta=0.6, 8 cores; \
-       replica at staleness 4; view verified against recompute)"
-    [ base; cdc_r; views_r; pipe_r; split_r; serial_r ];
-  Printf.printf
-    "cdc: feed %s across lockstep/pipelined/split (digest %08x); \
-     view=recompute %s; overhead %.1f%%\n"
-    (if deterministic then "byte-identical" else "DIVERGES")
-    (digest feed0)
-    (if view_ok then "held" else "NOT EXERCISED")
-    overhead_pct;
-  (match json with
-  | None -> ()
-  | Some path ->
-      J.write path ~experiment:"cdc" ~scale
-        ~head:
-          [
-            ("overhead_pct", J.Fixed (2, overhead_pct));
-            ("deterministic", J.Bool deterministic);
-            ("view_ok", J.Bool view_ok);
-          ]
-        (List.map
-           (fun (label, _, feed, m) ->
-             let d, bytes, events =
-               Option.value feed ~default:(0, 0, 0)
-             in
-             [
-               ("label", J.Str label); ("tput", tput m);
-               ("committed", J.Int m.M.committed); ("digest", J.Int d);
-               ("feed_bytes", J.Int bytes); ("events", J.Int events);
-               ("batches", J.Int m.M.cdc_batches);
-               ("subs", J.Int m.M.cdc_subs);
-               ("lag_max", J.Int m.M.cdc_lag_max);
-               ("view_refreshes", J.Int m.M.view_refreshes);
-             ])
-           !results));
-  let family =
-    [
-      ("quecc --cdc", feed0); ("quecc --cdc --views", feed_v);
-      ("pipelined --cdc", feed_p); ("split --cdc", feed_sp);
-    ]
-  in
-  let fed (label, cdc, feed, m) =
-    let _, _, events = Option.value feed ~default:(0, 0, 0) in
-    if not cdc then []
+  let view_ok = views.metrics.M.view_refreshes > 0 in
+  let overhead_pct = 100.0 *. (1.0 -. (tput fed /. tput base)) in
+  let flowing r =
+    let m = r.metrics in
+    if not r.exp.E.cdc then []
     else
       [
         claim
-          (events > 0 && m.M.cdc_batches > 0)
-          "cdc: feed never flowed on %s (%d events, %d batches)" label events
-          m.M.cdc_batches;
+          (m.M.cdc_events > 0 && m.M.cdc_batches > 0)
+          "cdc: feed never flowed on %s (%d events, %d batches)" r.label
+          m.M.cdc_events m.M.cdc_batches;
         claim (m.M.cdc_lag_max <= 4)
-          "cdc: %s: replica staleness %d exceeds the bound 4" label
+          "cdc: %s: replica staleness %d exceeds the bound 4" r.label
           m.M.cdc_lag_max;
       ]
   in
-  check
-    (claim
-       (List.exists (fun (_, cdc, _, _) -> cdc) !results)
-       "cdc: no --cdc rows"
-    :: claim deterministic "cdc: feed digests diverge across quecc schedules"
-    :: claim
-         (List.for_all (fun (_, f) -> f = feed0) family)
-         "cdc: quecc-family feeds diverge: %s"
-         (String.concat ", "
-            (List.map
-               (fun (l, f) -> Printf.sprintf "%s %x" l (digest f))
-               family))
-    :: claim view_ok "cdc: materialized view never refreshed/verified"
-    :: claim (overhead_pct <= 10.0)
-         "cdc: CDC overhead %.2f%% exceeds the 10%% budget" overhead_pct
-    :: List.concat_map fed !results)
+  result
+    [
+      table
+        "CDC: ordered commit-stream subscriptions (YCSB theta=0.6, 8 cores; \
+         replica at staleness 4; view verified against recompute)"
+        rows;
+    ]
+    ~notes:
+      [
+        Printf.sprintf
+          "cdc: feed %s across lockstep/pipelined/split (digest %08x); \
+           view=recompute %s; overhead %.1f%%"
+          (if deterministic then "byte-identical" else "DIVERGES")
+          (digest fed)
+          (if view_ok then "held" else "NOT EXERCISED")
+          overhead_pct;
+      ]
+    ~summary:
+      Bench_json.
+        [
+          ("overhead_pct", Fixed (2, overhead_pct));
+          ("deterministic", Bool deterministic);
+          ("view_ok", Bool view_ok);
+        ]
+    ~claims:
+      (claim (List.exists (fun r -> r.exp.E.cdc) rows) "cdc: no --cdc rows"
+      :: claim deterministic "cdc: feed digests diverge across quecc schedules"
+      :: claim
+           (List.for_all (fun r -> feed r = feed fed) family)
+           "cdc: quecc-family feeds diverge: %s"
+           (String.concat ", "
+              (List.map
+                 (fun r -> Printf.sprintf "%s %x" r.label (digest r))
+                 family))
+      :: claim view_ok "cdc: materialized view never refreshed/verified"
+      :: claim (overhead_pct <= 10.0)
+           "cdc: CDC overhead %.2f%% exceeds the 10%% budget" overhead_pct
+      :: List.concat_map flowing rows)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1093,23 +837,15 @@ module C = Quill_clients.Clients
 let overload ?(scale = 1.0) ?arrival ?admission ?deadline ?retries () =
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
-  let spec =
-    E.Ycsb { Ycsb.default with Ycsb.table_size = size; nparts = 8; theta = 0.6 }
-  in
+  let spec = ycsb ~theta:0.6 size in
   let threads = 8 and batch_size = 512 in
-  let engines =
-    [ E.Quecc (Qe.Speculative, Qe.Serializable); E.Calvin; E.Twopl_nowait ]
-  in
+  let engines = [ quecc; E.Calvin; E.Twopl_nowait ] in
   let probe =
     List.map
-      (fun eng ->
-        let e = E.make ~threads ~txns ~batch_size eng spec in
-        (eng, run_exp e))
+      (fun eng -> (eng, run (E.make ~threads ~txns ~batch_size eng spec)))
       engines
   in
-  let sat eng =
-    Float.max 1.0 (Quill_txn.Metrics.throughput (List.assoc eng probe))
-  in
+  let sat eng = Float.max 1.0 (tput (List.assoc eng probe)) in
   (* Deadline budget: the closed-loop QueCC p99 — the SLO a capacity
      plan would set from the engine's profile at saturation.  Roomy
      below saturation, but shorter than the residency of a full
@@ -1119,9 +855,9 @@ let overload ?(scale = 1.0) ?arrival ?admission ?deadline ?retries () =
     match deadline with
     | Some d -> d
     | None ->
-        let quecc_m = List.assoc (List.hd engines) probe in
+        let quecc = List.assoc (List.hd engines) probe in
         max 200_000
-          (Quill_common.Stats.Hist.percentile quecc_m.Quill_txn.Metrics.lat 99.0)
+          (Quill_common.Stats.Hist.percentile quecc.metrics.M.lat 99.0)
   in
   let max_retries, backoff =
     match retries with Some r -> r | None -> (3, 2_000)
@@ -1139,7 +875,7 @@ let overload ?(scale = 1.0) ?arrival ?admission ?deadline ?retries () =
           (List.nth engines 2, C.Shed_oldest);
         ]
   in
-  let row ~mult (eng, policy) =
+  let row ~sweep ~mult (eng, policy) =
     let arrival =
       match arrival with
       | Some a -> a
@@ -1159,67 +895,62 @@ let overload ?(scale = 1.0) ?arrival ?admission ?deadline ?retries () =
     let label =
       Printf.sprintf "%s+%s" (E.engine_name eng) (C.policy_name policy)
     in
-    let e =
-      E.make ~name:label ~threads ~txns ~batch_size ~clients:ccfg eng spec
-    in
-    { Report.label; metrics = run_exp e }
+    run ~sweep
+      (E.make ~name:label ~threads ~txns ~batch_size ~clients:ccfg eng spec)
   in
-  let series =
+  let loads =
     match arrival with
-    | Some a ->
-        [ (C.arrival_to_string a, List.map (row ~mult:1.0) variants) ]
+    | Some a -> [ (C.arrival_to_string a, 1.0) ]
     | None ->
         List.map
-          (fun mult ->
-            (Printf.sprintf "%.2fx" mult, List.map (row ~mult) variants))
+          (fun mult -> (Printf.sprintf "%.2fx" mult, mult))
           [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
   in
-  Report.print_sweep
-    ~title:
+  let by_load =
+    sweep ~param:"offered load" ~show:fst
       "Overload: open-loop clients at a multiple of each engine's saturation \
        throughput (YCSB theta=0.6, 8 cores)"
-    ~param:"offered load" series;
-  let module M = Quill_txn.Metrics in
-  let rows =
-    List.concat_map
-      (fun (load, rows) ->
-        List.map (fun r -> (r.Report.label ^ " at " ^ load, r.metrics)) rows)
-      series
+      loads
+      (fun ~sweep (_, mult) -> List.map (row ~sweep ~mult) variants)
   in
   let own_sweep =
     arrival = None && admission = None && deadline = None && retries = None
   in
-  let served (label, m) =
+  let served r =
+    let label = r.label ^ " at " ^ Option.value r.sweep ~default:"" in
     [
-      claim (M.throughput m > 0.0) "overload: %s: zero goodput" label;
+      claim (tput r > 0.0) "overload: %s: zero goodput" label;
       claim
-        (Quill_common.Stats.Hist.count m.M.client_lat > 0)
+        (Quill_common.Stats.Hist.count r.metrics.M.client_lat > 0)
         "overload: %s: no client latency samples (p99 not rendered)" label;
     ]
   in
-  check
-    ((if own_sweep then
-        [
-          claim
-            (List.exists (fun (_, m) -> m.M.shed > 0) rows)
-            "overload: no transactions shed anywhere in the sweep";
-        ]
-      else [])
-    @ List.concat_map served rows)
+  result [ by_load ]
+    ~claims:
+      ((if own_sweep then
+          [
+            claim
+              (List.exists (fun r -> r.metrics.M.shed > 0) by_load.rows)
+              "overload: no transactions shed anywhere in the sweep";
+          ]
+        else [])
+      @ List.concat_map served by_load.rows)
 
-let all ?(scale = 1.0) () =
-  table2_row1 ~scale ();
-  table2_row2 ~scale ();
-  table2_row3 ~scale ();
-  fig_contention ~scale ();
-  fig_scalability ~scale ();
-  fig_modes ~scale ();
-  fig_latency ~scale ();
-  fig_batch ~scale ();
-  pipeline ~scale ();
-  skew ~scale ();
-  fault_tolerance ~scale ();
-  failover ~scale ();
-  durability ~scale ();
-  cdc ~scale ();
-  overload ~scale ()
+let all =
+  [
+    (fun scale -> table2_row1 ~scale ());
+    (fun scale -> table2_row2 ~scale ());
+    (fun scale -> table2_row3 ~scale ());
+    (fun scale -> fig_contention ~scale ());
+    (fun scale -> fig_scalability ~scale ());
+    (fun scale -> fig_modes ~scale ());
+    (fun scale -> fig_latency ~scale ());
+    (fun scale -> fig_batch ~scale ());
+    (fun scale -> pipeline ~scale ());
+    (fun scale -> skew ~scale ());
+    (fun scale -> fault_tolerance ~scale ());
+    (fun scale -> failover ~scale ());
+    (fun scale -> durability ~scale ());
+    (fun scale -> cdc ~scale ());
+    (fun scale -> overload ~scale ());
+  ]

@@ -8,10 +8,12 @@
 # REV is exported into _build/perf-ab/<sha>/ and its bench/main.exe built
 # there by scripts/export_base.sh.  Each side then runs every bench
 # target except micro and all as `main.exe <target> 0.25 --phase-table`,
-# adding `--json <target>.json` for the targets that write JSON, from its
-# own output directory (_build/perf-ab/bench-diff/{base,new}/) so the
-# "wrote <path>" lines match.  Every stdout and JSON pair is compared
-# with cmp; the first differing lines of each differing pair are printed.
+# adding `--json <target>.json` when that side's target reads --json
+# (its --help lists it), from its own output directory
+# (_build/perf-ab/bench-diff/{base,new}/).  Every stdout pair is compared
+# without the "<target>: wrote <target>.json" line, and every JSON pair
+# with cmp; a JSON file written on one side only is a difference.  The
+# first differing lines of each differing pair are printed.
 #
 # Exit status: 1 when any pair differs or a run fails; 2 on a usage
 # error; 0 when every pair is byte-identical.  Refactors that should not
@@ -35,7 +37,6 @@ done
 targets="table2-row1 table2-row2 table2-row3 fig-contention fig-scalability
   fig-modes fig-latency fig-batch pipeline skew fault-tolerance failover
   durability cdc overload"
-json_targets=" pipeline skew failover durability cdc "
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -49,20 +50,25 @@ mkdir -p "$out/base" "$out/new"
 
 status=0
 for t in $targets; do
-  files="$t.txt"
   for s in base new; do
     echo "bench-diff: $t $s" >&2
-    args=("$t" 0.25 --phase-table)
-    case "$json_targets" in *" $t "*) args+=(--json "$t.json") ;; esac
     exe=$base_exe; [ "$s" = new ] && exe=$new_exe
-    if ! (cd "$out/$s" && "$exe" "${args[@]}" >"$t.txt" 2>&1); then
-      echo "bench-diff: $t failed on $s (see $out/$s/$t.txt)"
+    args=("$t" 0.25 --phase-table)
+    help=$(PAGER=cat MANPAGER=cat TERM=dumb "$exe" "$t" --help=plain)
+    case "$help" in *--json*) args+=(--json "$t.json") ;; esac
+    if ! (cd "$out/$s" && "$exe" "${args[@]}" >"$t.out" 2>&1); then
+      echo "bench-diff: $t failed on $s (see $out/$s/$t.out)"
       status=1
     fi
+    grep -v -x -F "$t: wrote $t.json" "$out/$s/$t.out" >"$out/$s/$t.txt" || true
   done
-  case "$json_targets" in *" $t "*) files="$files $t.json" ;; esac
-  for f in $files; do
-    if cmp -s "$out/base/$f" "$out/new/$f"; then
+  for f in "$t.txt" "$t.json"; do
+    if [ ! -e "$out/base/$f" ] && [ ! -e "$out/new/$f" ]; then
+      continue
+    elif [ ! -e "$out/base/$f" ] || [ ! -e "$out/new/$f" ]; then
+      echo "DIFFERS $f (written on one side only)"
+      status=1
+    elif cmp -s "$out/base/$f" "$out/new/$f"; then
       echo "same    $f"
     else
       echo "DIFFERS $f"

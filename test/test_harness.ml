@@ -313,9 +313,10 @@ let test_report_rendering () =
   let cells2 = R.cells ~baseline:617.0 R.core r in
   Alcotest.(check string) "speedup" "2.00x" (List.nth cells2 8)
 
-(* The BENCH writer's layout, and JSON (not OCaml) string escapes: a
-   label with a quote, a backslash and a control character must still
-   parse. *)
+(* The BENCH writer's layout for the one row schema (label, sweep,
+   config, checksum, digest, then the live metric groups), and JSON (not
+   OCaml) string escapes: a label with a quote, a backslash and a
+   control character must still parse. *)
 let test_bench_json () =
   let module J = Quill_harness.Bench_json in
   let s =
@@ -326,8 +327,20 @@ let test_bench_json () =
           ("crash", J.Obj [ ("ok", J.Bool true) ]);
         ]
       [
-        [ ("label", J.Str "a\"b\\c\001d"); ("tput", J.Fixed (1, 2.0)) ];
-        [ ("label", J.Str "plain"); ("theta", J.Num 0.6); ("n", J.Int 3) ];
+        [
+          ("label", J.Str "a\"b\\c\001d"); ("sweep", J.Str "theta=0.60");
+          ("config", J.Obj [ ("engine", J.Str "quecc"); ("theta", J.Num 0.6) ]);
+          ("checksum", J.Int (-3)); ("digest", J.Int 7);
+          ( "core",
+            J.Obj [ ("tput", J.Fixed (1, 2.0)); ("committed", J.Int 3) ] );
+        ];
+        [
+          ("label", J.Str "plain");
+          ( "config",
+            J.Obj [ ("engine", J.Str "serial"); ("wal", J.Bool true) ] );
+          ("checksum", J.Int 5);
+          ("core", J.Obj [ ("tput", J.Fixed (1, 2.5)) ]);
+        ];
       ]
   in
   (match Tutil.json_error s with
@@ -340,12 +353,62 @@ let test_bench_json () =
   "overhead_pct": 1.50,
   "crash": {"ok": true},
   "rows": [
-    {"label": "a\"b\\c\u0001d", "tput": 2.0},
-    {"label": "plain", "theta": 0.6, "n": 3}
+    {"label": "a\"b\\c\u0001d", "sweep": "theta=0.60", "config": {"engine": "quecc", "theta": 0.6}, "checksum": -3, "digest": 7, "core": {"tput": 2.0, "committed": 3}},
+    {"label": "plain", "config": {"engine": "serial", "wal": true}, "checksum": 5, "core": {"tput": 2.5}}
   ]
 }
 |}
     s
+
+(* [Cli.json_rows]: one row per printed row, its keys in schema order,
+   and a group on every row of a table where any row activates it
+   (phases always), whatever [--phase-table] says. *)
+let test_bench_rows () =
+  let module X = Quill_harness.Experiments in
+  let row ?sweep ?digest label wal_bytes =
+    let m = Metrics.create () in
+    m.Metrics.wal_bytes <- wal_bytes;
+    {
+      X.label;
+      sweep;
+      exp = E.make (E.Quecc (Qe.Speculative, Qe.Serializable)) tiny_ycsb;
+      metrics = m;
+      checksum = 1;
+      digest;
+    }
+  in
+  let r =
+    {
+      X.tables =
+        [
+          {
+            X.title = "swept";
+            param = Some "theta";
+            rows =
+              [
+                row ~sweep:"0" ~digest:9 "a" 0; row ~sweep:"0" "b" 10;
+                row ~sweep:"1" "c" 0;
+              ];
+          };
+          { X.title = "plain"; param = None; rows = [ row "d" 0 ] };
+        ];
+      notes = [];
+      summary = [];
+      claims = [];
+    }
+  in
+  Alcotest.(check (list (list string)))
+    "keys per row"
+    [
+      [
+        "label"; "sweep"; "config"; "checksum"; "digest"; "core"; "phases";
+        "wal";
+      ];
+      [ "label"; "sweep"; "config"; "checksum"; "core"; "phases"; "wal" ];
+      [ "label"; "sweep"; "config"; "checksum"; "core"; "phases" ];
+      [ "label"; "config"; "checksum"; "core"; "phases" ];
+    ]
+    (List.map (List.map fst) (Quill_harness.Cli.json_rows r))
 
 (* ------------------------------------------------------------------ *)
 (* The command line                                                    *)
@@ -473,6 +536,7 @@ let test_cli_rejections () =
     [
       [ "durability"; "0.01"; "--faults"; "drop=0.5"; "--json"; "x.json" ];
       [ "fig-latency"; "0.01"; "--json"; "y.json"; "--arrival"; "1000" ];
+      [ "all"; "0.01"; "--json"; "y.json" ];
       [ "pipeline"; "0.01"; "--json"; "no-such-dir/z.json" ];
       [ "fig-batch"; "0.01"; "--trace"; "/nonexistent/t.json" ];
       [ "pipeline"; "inf"; "--json"; "x.json" ];
@@ -550,21 +614,22 @@ let test_bench_read_sets () =
   let json = "--json" :: suite in
   let reads =
     [
-      ("table2-row1", suite);
-      ("table2-row2", suite);
-      ("table2-row3", suite);
-      ("fig-contention", suite);
-      ("fig-scalability", suite);
-      ("fig-modes", suite);
-      ("fig-latency", suite);
-      ("fig-batch", suite);
+      ("table2-row1", json);
+      ("table2-row2", json);
+      ("table2-row3", json);
+      ("fig-contention", json);
+      ("fig-scalability", json);
+      ("fig-modes", json);
+      ("fig-latency", json);
+      ("fig-batch", json);
       ("pipeline", json);
       ("skew", json);
-      ("fault-tolerance", "--faults" :: suite);
+      ("fault-tolerance", "--faults" :: json);
       ("failover", "--faults" :: json);
       ("durability", json);
       ("cdc", json);
-      ("overload", [ "--arrival"; "--admission"; "--deadline"; "--retries" ] @ suite);
+      ( "overload",
+        [ "--arrival"; "--admission"; "--deadline"; "--retries" ] @ json );
       ("micro", []);
       ("all", suite);
     ]
@@ -590,6 +655,18 @@ let test_bench_read_sets () =
         (bench_accepts args))
     flags;
   Tutil.check_bool "temp path left alone" false (Sys.file_exists path)
+
+let bench_targets =
+  [
+    "table2-row1"; "table2-row2"; "table2-row3"; "fig-contention";
+    "fig-scalability"; "fig-modes"; "fig-latency"; "fig-batch"; "pipeline";
+    "skew"; "fault-tolerance"; "failover"; "durability"; "cdc"; "overload";
+  ]
+
+(* scripts/bench_diff.sh's command line for [target]. *)
+let bench_diff_line target =
+  let json = Filename.concat (Filename.get_temp_dir_name ()) target in
+  [ target; "0.25"; "--phase-table"; "--json"; json ^ ".json" ]
 
 (* The command lines of the Makefile, bench/dune's runtest rule,
    scripts/bench_diff.sh and the README parse to what they meant before
@@ -665,9 +742,9 @@ let test_documented_lines () =
        [];
        [ "table2-row3"; "0.5" ];
        [ "skew"; "0.5" ];
-       [ "failover"; "0.5"; "--json"; json "failover" ];
-       [ "durability"; "0.5"; "--json"; json "durability" ];
-       [ "cdc"; "0.5"; "--json"; json "cdc" ];
+       [ "failover"; "1"; "--json"; json "failover" ];
+       [ "durability"; "1"; "--json"; json "durability" ];
+       [ "cdc"; "1"; "--json"; json "cdc" ];
        [ "all"; "0.5" ];
        [ "pipeline"; "0.25"; "--check-conflicts" ];
        [ "fault-tolerance"; "0.25"; "--check-conflicts" ];
@@ -681,19 +758,75 @@ let test_documented_lines () =
     @ List.map
         (fun t -> [ t; "1"; "--json"; json t ])
         [ "durability"; "cdc"; "pipeline"; "skew"; "failover" ]
-    @ List.map
-        (fun t ->
-          [ t; "0.25"; "--phase-table" ]
-          @
-          if List.mem t [ "pipeline"; "skew"; "failover"; "durability"; "cdc" ]
-          then [ "--json"; json t ]
-          else [])
-        [
-          "table2-row1"; "table2-row2"; "table2-row3"; "fig-contention";
-          "fig-scalability"; "fig-modes"; "fig-latency"; "fig-batch";
-          "pipeline"; "skew"; "fault-tolerance"; "failover"; "durability";
-          "cdc"; "overload";
-        ])
+    @ List.map bench_diff_line bench_targets)
+
+(* Runs [f] with stdout sent to a file; returns what it printed. *)
+let capture_stdout f =
+  let path = Filename.temp_file "quill-bench" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved);
+  let out = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  out
+
+(* The labels of the printed core-table rows, in order. *)
+let printed_labels out =
+  let cell l = String.trim (List.nth (String.split_on_char '|' l) 1) in
+  let rec scan in_core acc = function
+    | [] -> List.rev acc
+    | l :: rest when String.starts_with ~prefix:"| engine " l ->
+        (* past the header's closing separator *)
+        scan (Tutil.contains l "tput (txn/s)") acc (List.tl rest)
+    | l :: rest when in_core && String.starts_with ~prefix:"|" l ->
+        scan true (cell l :: acc) rest
+    | _ :: rest -> scan false acc rest
+  in
+  scan false [] (String.split_on_char '\n' out)
+
+(* Every experiment target, run as bench_diff.sh runs it: the BENCH file
+   it writes parses, has one row per printed row label, in print order,
+   and carries a checksum on every row. *)
+let test_bench_targets_write_rows () =
+  List.iter
+    (fun target ->
+      let args = bench_diff_line target in
+      let path = List.nth args 4 in
+      let out =
+        match eval bench ("main.exe" :: args) with
+        | Ok (`Ok run) -> capture_stdout run
+        | _ -> Alcotest.failf "%s: does not parse" target
+      in
+      let json = In_channel.with_open_text path In_channel.input_all in
+      Sys.remove path;
+      (match Tutil.json_error json with
+      | None -> ()
+      | Some err -> Alcotest.failf "%s: BENCH JSON malformed: %s" target err);
+      let rows =
+        List.filter
+          (String.starts_with ~prefix:"    {")
+          (String.split_on_char '\n' json)
+      in
+      let label row =
+        let from = String.length "    {\"label\": \"" in
+        String.sub row from (String.index_from row from '"' - from)
+      in
+      Tutil.check_bool (target ^ " wrote rows") true (rows <> []);
+      Alcotest.(check (list string))
+        (target ^ ": one row per printed row")
+        (printed_labels out) (List.map label rows);
+      List.iter
+        (fun row ->
+          Tutil.check_bool (target ^ " row has a checksum") true
+            (Tutil.contains row "\"checksum\": "))
+        rows)
+    bench_targets
 
 (* The claim checker passes when every claim holds and otherwise raises
    with exactly the false claims' lines, in order. *)
@@ -834,6 +967,8 @@ let () =
           Alcotest.test_case "rejections" `Quick test_cli_rejections;
           Alcotest.test_case "bench read sets" `Quick test_bench_read_sets;
           Alcotest.test_case "documented lines" `Quick test_documented_lines;
+          Alcotest.test_case "bench targets write their rows" `Slow
+            test_bench_targets_write_rows;
           Alcotest.test_case "to_argv rejects" `Quick test_to_argv_rejects;
           QCheck_alcotest.to_alcotest qcheck_to_argv;
         ] );
@@ -841,5 +976,6 @@ let () =
         [
           Alcotest.test_case "rendering" `Quick test_report_rendering;
           Alcotest.test_case "bench json" `Quick test_bench_json;
+          Alcotest.test_case "bench rows" `Quick test_bench_rows;
         ] );
     ]
