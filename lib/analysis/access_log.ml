@@ -166,8 +166,6 @@ let with_sim t sim f =
 
 let rows t = Vec.to_array t.row_log
 let probes t = Vec.to_array t.probe_log
-let row_count t = Vec.length t.row_log
-let probe_count t = Vec.length t.probe_log
 
 (* Interpose on an executor context.  [rc_read] marks fragments whose
    reads are served from the committed image (read-committed isolation):

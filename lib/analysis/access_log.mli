@@ -101,5 +101,3 @@ val with_sim : t -> Quill_sim.Sim.t -> (unit -> 'a) -> 'a
 
 val rows : t -> row_access array
 val probes : t -> probe array
-val row_count : t -> int
-val probe_count : t -> int

@@ -113,7 +113,6 @@ let wait t vecs node =
 (* ------------------------------------------------------------------ *)
 
 let exhausted t = t.live = 0
-let node_exhausted t ~node = t.node_live.(node) = 0
 let queued t ~node = Queue.length t.queues.(node)
 
 (* Final resolution: the entry will never be seen again.  Exhaustion is

@@ -98,7 +98,6 @@ val exhausted : t -> bool
     (committed, shed, deadline-missed, or retry-exhausted).  Stable:
     once true it never becomes false. *)
 
-val node_exhausted : t -> node:int -> bool
 val queued : t -> node:int -> int
 
 val record : t -> Quill_txn.Metrics.t -> unit

@@ -1,35 +1,3 @@
-module Acc = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min_v : float;
-    mutable max_v : float;
-    mutable total : float;
-  }
-
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity;
-      total = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x;
-    t.total <- t.total +. x
-
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-  let min t = if t.n = 0 then 0.0 else t.min_v
-  let max t = if t.n = 0 then 0.0 else t.max_v
-  let total t = t.total
-end
-
 module Hist = struct
   (* 64 power-of-two magnitude groups x 16 linear sub-buckets. *)
   let sub_bits = 4

@@ -1,19 +1,4 @@
-(** Online statistics and latency histograms for the benchmark harness. *)
-
-(** Welford online mean / variance accumulator. *)
-module Acc : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val total : t -> float
-end
+(** Latency histograms for the benchmark harness. *)
 
 (** Log-scale histogram for latency distributions (HdrHistogram-style, base
     bucketing by powers of two with linear sub-buckets).  Values are

@@ -31,7 +31,6 @@ let create ?(theta = 0.99) n =
   end
 
 let theta t = t.theta
-let cardinality t = t.n
 
 let sample t rng =
   if t.theta = 0.0 then Rng.int rng t.n

@@ -13,7 +13,6 @@ val create : ?theta:float -> int -> t
     contention" setting.  Cost: O(n) once (zeta precomputation). *)
 
 val theta : t -> float
-val cardinality : t -> int
 
 val sample : t -> Rng.t -> int
 (** Draw a key; key 0 is the hottest. *)

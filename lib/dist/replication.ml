@@ -156,7 +156,6 @@ let create ~sim ~costs ~wl ~replicas ~spec_lag ~slices ~total_batches
     winner = 0;
   }
 
-let replica_db t i = t.backups.(i).k_db
 let failed_over t = t.failed_over
 let winner_db t = t.backups.(t.winner - 1).k_db
 

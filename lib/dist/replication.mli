@@ -90,9 +90,5 @@ val record : t -> unit
 
 val failed_over : t -> bool
 
-val replica_db : t -> int -> Db.t
-(** [replica_db t i] is backup [i+1]'s database (0-indexed over the
-    [replicas] backups). *)
-
 val winner_db : t -> Db.t
 (** The elected leader's database; only meaningful after a failover. *)

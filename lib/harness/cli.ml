@@ -203,25 +203,15 @@ let split_t =
         ~doc:
           "QueCC: split any key planned N+ times in one batch slice into ordered sub-queues executed chain-serially across executors (committed state stays bit-identical per seed; see DESIGN.md section 12).  N is a positive integer op-count threshold.")
 
-(* --adapt's values: (repartition, auto-batch). *)
-let adapt_modes =
-  [
-    ("off", (false, false)); ("repart", (true, false));
-    ("batch", (false, true)); ("all", (true, true));
-  ]
-
-let adapt_name (t : E.t) =
-  let mode = (t.adapt_repart, t.adapt_batch) in
-  fst (List.find (fun (_, v) -> v = mode) adapt_modes)
+let adapt_name (t : E.t) = if t.adapt_repart then "repart" else "off"
 
 let adapt_t =
   Arg.(
     value
-    & opt (enum (List.tl adapt_modes)) (false, false)
-    & info [ "adapt" ] ~docs:s_exec ~docv:"repart|batch|all"
-        ~absent:"off"
+    & opt (enum [ ("repart", true) ]) false
+    & info [ "adapt" ] ~docs:s_exec ~docv:"repart" ~absent:"off"
         ~doc:
-          "QueCC adaptive planning: 'repart' rebalances key-to-executor routing between batches from queue-depth counters (state-identical); 'batch' auto-tunes the batch size from pipeline stall counters (pipelined closed-loop runs only, exit 2 otherwise; alters the schedule); 'all' enables both.")
+          "QueCC adaptive planning: 'repart' rebalances key-to-executor routing between batches from queue-depth counters (state-identical).")
 
 let replicas_t =
   Arg.(
@@ -384,7 +374,7 @@ let experiment =
   and+ retries = retries
   and+ pipeline = pipeline_t
   and+ split = split_t
-  and+ adapt_repart, adapt_batch = adapt_t
+  and+ adapt_repart = adapt_t
   and+ replicas = replicas_t
   and+ spec_lag = spec_lag_t
   and+ wal = wal_t
@@ -395,7 +385,7 @@ let experiment =
   let tpcc = { Tpcc.default with Tpcc_defs.warehouses; nparts = threads; seed } in
   E.make ~name ~threads ~txns ~batch_size ?faults
     ?clients:(clients_cfg ~seed arrival admission deadline retries)
-    ~pipeline ?split ~adapt_repart ~adapt_batch ~replicas ~spec_lag
+    ~pipeline ?split ~adapt_repart ~replicas ~spec_lag
     ~wal ~snapshot_every ~cdc ~views engine
     (match w with
     | `Ycsb ->
@@ -615,13 +605,13 @@ let harness ~scale ?(suite = (None, false, false)) run () =
   | None -> ());
   print_endline "\ndone."
 
-(* The flags every target but micro reads. *)
+(* The flags every target reads. *)
 let suite =
   let open Term.Syntax in
   let+ trace = trace and+ p = phase_table and+ c = check_conflicts in
   (trace, p, c)
 
-let bench ~micro =
+let bench =
   let open Term.Syntax in
   (* An experiment target: the suite flags, SCALE, --json and whatever
      [term] reads. *)
@@ -642,8 +632,7 @@ let bench ~micro =
     target name doc (Term.const (fun scale -> run ~scale ()))
   in
   let all ~phase_table scale =
-    List.iter (fun run -> report ~phase_table (run scale)) X.all;
-    micro ()
+    List.iter (fun run -> report ~phase_table (run scale)) X.all
   in
   Cmd.group
     ~default:
@@ -677,11 +666,7 @@ let bench ~micro =
          and+ retries = retries in
          fun scale -> X.overload ~scale ?arrival ?admission ?deadline ?retries ());
       Cmd.v
-        (Cmd.info "micro" ~doc:"Bechamel microbenchmarks (reads no flags).")
-        (let+ scale = scale in
-         harness ~scale (fun ~phase_table:_ -> micro ()));
-      Cmd.v
-        (Cmd.info "all" ~doc:"Every experiment, then the microbenchmarks.")
+        (Cmd.info "all" ~doc:"Every experiment.")
         (let+ suite = suite and+ scale = scale in
          harness ~scale ~suite (all scale));
     ]

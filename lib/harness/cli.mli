@@ -58,12 +58,12 @@ val scale : float Cmdliner.Term.t
 
 (** {1 Commands} *)
 
-val bench : micro:(unit -> unit) -> (unit -> unit) Cmdliner.Cmd.t
+val bench : (unit -> unit) Cmdliner.Cmd.t
 (** [bench/main.exe]: one subcommand per experiment of {!Experiments}
-    plus [micro] (runs [micro]) and [all], each reading only its own
-    flags ([--json] on every experiment, [--faults] on fault-tolerance
-    and failover, the client flags on overload, the suite flags
-    [--trace]/[--phase-table]/[--check-conflicts] on all but micro).
+    plus [all], each reading only its own flags ([--json] on every
+    experiment, [--faults] on fault-tolerance and failover, the client
+    flags on overload, the suite flags
+    [--trace]/[--phase-table]/[--check-conflicts] on all).
     No subcommand runs [all] at scale 0.5.  An experiment target prints
     the experiment's tables, writes its BENCH file under [--json FILE]
     ([{"experiment", "scale", <summary>, "rows": {!json_rows}}], the one

@@ -14,10 +14,11 @@ module Run_cfg = struct
   type adaptive_cfg = {
     split : int option;
         (* QueCC hot-key queue splitting: per-planner per-key op count
-           that triggers a split; None = off.  Plain int (not the
-           engine's record) so the harness stays engine-agnostic. *)
+           that triggers a split; None = off *)
     repart : bool;  (* dynamic repartitioning between batches *)
-    auto_batch : bool;  (* batch-size auto-tuning (pipelined runs) *)
+    auto_batch : bool;
+        (* read by no engine: kept only until the benchmark stops
+           naming it *)
   }
 
   type replication_cfg = {

@@ -20,15 +20,13 @@ module Run_cfg : sig
   type adaptive_cfg = {
     split : int option;
         (** QueCC hot-key queue splitting: per-planner per-key op count
-            that triggers sub-queues; [None] = off.  Kept as a plain
-            int (not the engine's [split_cfg]) so the harness stays
-            engine-agnostic. *)
+            that triggers sub-queues; [None] = off. *)
     repart : bool;
         (** QueCC dynamic repartitioning of key→executor routing
             between batches (queue-depth driven). *)
     auto_batch : bool;
-        (** QueCC batch-size auto-tuning from pipeline stall counters
-            (pipelined closed-loop runs only). *)
+        (** read by no engine: batch auto-tuning was removed.  Kept
+            only until the benchmark stops naming it. *)
   }
 
   type replication_cfg = {

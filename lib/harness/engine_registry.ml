@@ -117,20 +117,8 @@ let quecc name mode isolation =
           isolation;
           costs = cfg.RC.costs;
           pipeline = cfg.RC.exec.RC.pipeline;
-          split =
-            (match cfg.RC.adaptive.RC.split with
-            | Some t -> Some { Qe.default_split with Qe.hot_threshold = t }
-            | None -> None);
-          adapt =
-            (if cfg.RC.adaptive.RC.repart || cfg.RC.adaptive.RC.auto_batch
-             then
-               Some
-                 {
-                   Qe.default_adapt with
-                   Qe.repartition = cfg.RC.adaptive.RC.repart;
-                   auto_batch = cfg.RC.adaptive.RC.auto_batch;
-                 }
-             else None);
+          split = cfg.RC.adaptive.RC.split;
+          repart = cfg.RC.adaptive.RC.repart;
         }
         wl ~batches:cfg.RC.batches)
 

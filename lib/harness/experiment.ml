@@ -55,8 +55,8 @@ type t = {
 
 let make ?name ?(threads = 8) ?(txns = 20_000) ?(batch_size = 1024)
     ?(costs = Costs.default) ?(faults = Faults.none) ?clients
-    ?(pipeline = false) ?split ?(adapt_repart = false)
-    ?(adapt_batch = false) ?(replicas = 0) ?(spec_lag = 1) ?(wal = false)
+    ?(pipeline = false) ?split ?(adapt_repart = false) ?(replicas = 0)
+    ?(spec_lag = 1) ?(wal = false)
     ?(snapshot_every = 8) ?(cdc = false) ?(views = false) engine workload =
   let name =
     match name with Some n -> n | None -> engine_name engine
@@ -75,7 +75,7 @@ let make ?name ?(threads = 8) ?(txns = 20_000) ?(batch_size = 1024)
     steal = false;
     split;
     adapt_repart;
-    adapt_batch;
+    adapt_batch = false;
     replicas;
     spec_lag;
     wal;
@@ -129,10 +129,15 @@ let check_ranges t =
   | Tpcc c -> need (c.Tpcc_defs.warehouses >= 1) "--warehouses" ">= 1"
 
 let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
-  if t.steal then
-    invalid_arg
-      "Experiment.run: work stealing (steal = true) was removed; QueCC \
-       executors drain only their own planned queues";
+  (* The benchmark still names these fields; setting one is an error,
+     not a no-op. *)
+  List.iter
+    (fun (set, removed) ->
+      if set then invalid_arg ("Experiment.run: " ^ removed ^ " was removed"))
+    [
+      (t.steal, "work stealing (steal = true)");
+      (t.adapt_batch, "batch auto-tuning (adapt_batch = true)");
+    ];
   check_ranges t;
   Trace.begin_process tracer t.name;
   let batches = batches t in
@@ -167,7 +172,7 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
          (if t.pipeline then [ (Capability.Pipeline, "--pipeline") ] else []);
          (if t.split <> None then [ (Capability.Adaptive, "--split") ]
           else []);
-         (if t.adapt_repart || t.adapt_batch then
+         (if t.adapt_repart then
             [ (Capability.Adaptive, "--adapt") ]
           else []);
        ]);
@@ -210,9 +215,9 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
       exec = { RC.default.RC.exec with RC.pipeline = t.pipeline };
       adaptive =
         {
+          RC.default.RC.adaptive with
           RC.split = t.split;
           repart = t.adapt_repart;
-          auto_batch = t.adapt_batch;
         };
       replication = { RC.replicas = t.replicas; spec_lag = t.spec_lag };
       recorder;

@@ -59,14 +59,14 @@ type t = {
   split : int option;
       (** QueCC: hot-key queue splitting threshold (per-planner per-key
           op count that triggers sub-queues); [None] = off.  See
-          {!Quill_quecc.Engine.split_cfg}. *)
+          {!Quill_quecc.Engine.cfg}. *)
   adapt_repart : bool;
       (** QueCC: dynamic repartitioning of key→executor routing between
           batches, driven by queue-depth counters. *)
   adapt_batch : bool;
-      (** QueCC: batch-size auto-tuning from pipeline stall counters
-          (pipelined closed-loop runs only; schedule-altering, so not
-          bit-identical with the fixed-size run). *)
+      (** Always [false]: batch auto-tuning was removed, and {!run}
+          raises [Invalid_argument] when it is set.  Kept only until the
+          benchmark stops naming it. *)
   replicas : int;
       (** HA: backup nodes receiving the planned-batch stream and commit
           markers (0 = off).  Requires the [Replication] capability
@@ -114,7 +114,6 @@ val make :
   ?pipeline:bool ->
   ?split:int ->
   ?adapt_repart:bool ->
-  ?adapt_batch:bool ->
   ?replicas:int ->
   ?spec_lag:int ->
   ?wal:bool ->

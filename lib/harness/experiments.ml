@@ -60,9 +60,12 @@ let recorded_since since =
     ((not !check_conflicts) || !conflict_checked > since)
     "conflict-check: no run was recorded"
 
-let records_conflicts (engine : E.engine) =
-  match engine with
-  | E.Quecc _ | E.Dist_quecc _ -> true
+(* The QueCC family records; dist-quecc only unreplicated, because
+   [Dist_quecc.run] rejects a recorder on a replicated run. *)
+let records_conflicts (e : E.t) =
+  match e.E.engine with
+  | E.Quecc _ -> true
+  | E.Dist_quecc _ -> e.E.replicas = 0
   | E.Serial | E.Twopl_nowait | E.Twopl_waitdie | E.Silo | E.Tictoc
   | E.Mvto | E.Hstore | E.Calvin | E.Dist_calvin _ ->
       false
@@ -91,14 +94,13 @@ type t = {
 
 (* Runs [e] as the row [label] (default: the experiment's name) of the
    table value [sweep], keeping the checksum of the committed database
-   it left and, on a CDC run, the feed digest.  [record:false] keeps a
-   run out of the conflict recorder even under --check-conflicts. *)
-let run ?(record = true) ?sweep ?label e =
+   it left and, on a CDC run, the feed digest. *)
+let run ?sweep ?label e =
   let db = ref None and digest = ref None in
   let on_workload wl = db := Some wl.Quill_txn.Workload.db
   and on_cdc hub = digest := Some (Quill_cdc.Cdc.digest hub) in
   let metrics =
-    if not (record && !check_conflicts && records_conflicts e.E.engine) then
+    if not (!check_conflicts && records_conflicts e) then
       E.run ~tracer:!tracer ~on_workload ~on_cdc e
     else begin
       let module CC = Quill_analysis.Conflict_check in
@@ -519,18 +521,14 @@ let fault_tolerance ?(scale = 1.0) ?plan () =
    state — replication is visibility-deferred speculation over the same
    deterministic plan, and failover loses nothing the leader ever
    acknowledged.  The summary holds the fault-free epoch_ns; [plan]
-   overrides the probed mid-run crash.
-
-   Rows run with [~record:false]: replication does not compose with
-   the conflict recorder (the backups replay txns outside the planned
-   queue attribution), so the suite-wide --check-conflicts flag must not
-   attach one here. *)
+   overrides the probed mid-run crash. *)
 let failover ?(scale = 1.0) ?plan () =
+  let checked0 = !conflict_checked in
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
   let spec = ycsb ~nparts:2 ~theta:0.6 ~mp:0.2 size in
   let row label ~replicas ~faults =
-    run ~record:false ~label
+    run ~label
       (E.make ~threads:4 ~txns ~batch_size:1024 ~faults ~replicas ~spec_lag:2
          (E.Dist_quecc 1) spec)
   in
@@ -576,7 +574,7 @@ let failover ?(scale = 1.0) ?plan () =
     ]
     ~summary:[ ("epoch_ns", Bench_json.Int epoch_ns) ]
     ~claims:
-      (replicated ha @ replicated crash
+      (recorded_since checked0 :: replicated ha @ replicated crash
       @
       if not own_plan then []
       else
@@ -601,13 +599,9 @@ let failover ?(scale = 1.0) ?plan () =
    recovers from the newest snapshot plus the log and must land
    bit-identical to a fault-free run truncated to the same durable
    boundary — that oracle run is re-executed here and the checksums
-   compared (the summary's crash object).
-
-   Rows run with [~record:false]: the WAL's commit-point index
-   probes happen outside planned-queue attribution, so the suite-wide
-   --check-conflicts recorder must not attach here (same reason as
-   [failover]). *)
+   compared (the summary's crash object). *)
 let durability ?(scale = 1.0) () =
+  let checked0 = !conflict_checked in
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
   let ycfg =
@@ -615,7 +609,7 @@ let durability ?(scale = 1.0) () =
   in
   let threads = 8 and batch_size = 512 in
   let row label engine ~txns ~wal ~faults =
-    run ~record:false
+    run
       (E.make ~name:label ~threads ~txns ~batch_size ~faults ~wal
          ~snapshot_every:8 engine (E.Ycsb ycfg))
   in
@@ -689,6 +683,7 @@ let durability ?(scale = 1.0) () =
         ]
     ~claims:
       [
+        recorded_since checked0;
         claim
           (mcrash.M.crashes = 1 && mcrash.M.recovery_time > 0)
           "durability: mid-run kill did not crash and recover (crashes %d, \
@@ -733,15 +728,15 @@ let durability ?(scale = 1.0) () =
    alternate quecc schedules with --cdc, and serial --cdc (group-commit
    feed; its batch boundaries differ, so its digest is reported but not
    compared).  The view must equal a full recompute at every caught-up
-   point (View verifies internally and the run fails on divergence).
-   Rows run with [~record:false], as [durability]'s do. *)
+   point (View verifies internally and the run fails on divergence). *)
 let cdc ?(scale = 1.0) () =
+  let checked0 = !conflict_checked in
   let txns = scaled scale 8_192 ~min_v:2048 in
   let size = scaled scale 64_000 ~min_v:8_000 in
   let spec = ycsb ~theta:0.6 size in
   let threads = 8 and batch_size = 512 in
   let row label engine ~cdc ~views ?(pipeline = false) ?split () =
-    run ~record:false
+    run
       (E.make ~name:label ~threads ~txns ~batch_size ~cdc ~views ~pipeline
          ?split engine spec)
   in
@@ -752,9 +747,10 @@ let cdc ?(scale = 1.0) () =
   let piped =
     row "pipelined --cdc" quecc ~cdc:true ~views:false ~pipeline:true ()
   in
-  let split = row "split --cdc" quecc ~cdc:true ~views:false ~split:16 () in
+  let split = row "split --cdc" quecc ~cdc:true ~views:false ~split:2 () in
   let serial = row "serial --cdc" E.Serial ~cdc:true ~views:false () in
   let rows = [ base; fed; views; piped; split; serial ] in
+  let msplit = split.metrics in
   let digest r = Option.value r.digest ~default:0 in
   let feed r = (r.digest, r.metrics.M.cdc_bytes, r.metrics.M.cdc_events) in
   let family = [ fed; views; piped; split ] in
@@ -804,8 +800,13 @@ let cdc ?(scale = 1.0) () =
           ("view_ok", Bool view_ok);
         ]
     ~claims:
-      (claim (List.exists (fun r -> r.exp.E.cdc) rows) "cdc: no --cdc rows"
+      (recorded_since checked0
+      :: claim (List.exists (fun r -> r.exp.E.cdc) rows) "cdc: no --cdc rows"
       :: claim deterministic "cdc: feed digests diverge across quecc schedules"
+      :: claim
+           (msplit.M.split_keys > 0 && msplit.M.split_subqueues > 0)
+           "cdc: splitting never fired on split --cdc (split k/q %d/%d)"
+           msplit.M.split_keys msplit.M.split_subqueues
       :: claim
            (List.for_all (fun r -> feed r = feed fed) family)
            "cdc: quecc-family feeds diverge: %s"

@@ -13,8 +13,9 @@
 
     The extension experiments carry claims on the values they hold
     (metrics, checksums, feed digests, overheads); {!check} lists each
-    false claim in one {!Claim_failed}.  [dune runtest] runs them at
-    scale 0.25 (bench/dune). *)
+    false claim in one {!Claim_failed}.  [dune runtest] runs every
+    target at scale 0.25 (test_harness' "bench targets write their
+    rows"). *)
 
 exception Claim_failed of string list
 (** One line per false claim, naming its value and bound. *)
@@ -30,7 +31,8 @@ val tracer : Quill_trace.Trace.t ref
 
 val check_conflicts : bool ref
 (** When set (bench/CLI [--check-conflicts]), every QueCC-family run in
-    the suite records its row accesses and is replayed through
+    the suite (dist-quecc only without replicas) records its row
+    accesses and is replayed through
     {!Quill_analysis.Conflict_check} after it completes; a per-run
     [\[conflict-check\]] summary is printed, and a violation or an empty
     access log fails the run's claims.  Recording never affects virtual
@@ -147,7 +149,8 @@ val failover : ?scale:float -> ?plan:Quill_faults.Faults.spec -> unit -> t
     mid-run leader crash.  Claims: no replicated row loses a commit or
     diverges from the baseline's checksum, and its backups speculated;
     without [plan], the leader crashed and failed over once, in less
-    than one fault-free epoch. *)
+    than one fault-free epoch; under [--check-conflicts] some run (the
+    unreplicated baseline) was recorded. *)
 
 val durability : ?scale:float -> unit -> t
 (** Durability headline: batch-aligned group-commit WAL on the
@@ -161,7 +164,8 @@ val durability : ?scale:float -> unit -> t
     overhead percentage and the oracle comparison ([crash];
     [BENCH_durability.json]).  Claims: nonzero recovery of a nonzero
     durable prefix, no lost or double commits, a state-neutral WAL
-    with one fsync per durable batch, and at most 15% overhead. *)
+    with one fsync per durable batch, at most 15% overhead, and under
+    [--check-conflicts] some run was recorded. *)
 
 val cdc : ?scale:float -> unit -> t
 (** CDC headline: ordered commit-stream subscriptions.  Six rows at
@@ -169,15 +173,16 @@ val cdc : ?scale:float -> unit -> t
     (bounded-staleness replica subscription), QueCC [--cdc --views]
     (replica plus a materialized per-partition aggregate view verified
     against a full recompute at every caught-up point), the pipelined
-    and split-queue schedules with [--cdc], and serial
+    and split-queue (threshold 2) schedules with [--cdc], and serial
     [--cdc] (group-commit feed).  The feed digests of every
     QueCC-family row must be byte-identical — the planning phase fixes
     the commit order, so the change stream is a pure function of the
     input.  The summary holds the overhead percentage, [deterministic]
     and [view_ok] ([BENCH_cdc.json]).  Claims: a live feed on
     every [--cdc] row with replica lag at most 4 batches, one feed
-    across the QueCC family, a refreshed view, and at most 10%
-    overhead. *)
+    across the QueCC family, splitting fired on the split row, a
+    refreshed view, at most 10% overhead, and under
+    [--check-conflicts] some run was recorded. *)
 
 val overload :
   ?scale:float ->

@@ -90,7 +90,6 @@ let phases =
       lat "drain-stall/thr" drain_stall_avg;
       pair "split k/q" (fun m -> m.split_keys) (fun m -> m.split_subqueues);
       int "repart" (fun m -> m.repart_moves);
-      int "resize" (fun m -> m.batch_resizes);
     ]
     (ints
        [ ("plan_busy", fun m -> m.plan_busy);
@@ -108,8 +107,7 @@ let phases =
          ("pipe_drain_threads", fun m -> m.pipe_drain_threads);
          ("split_keys", fun m -> m.split_keys);
          ("split_subqueues", fun m -> m.split_subqueues);
-         ("repart_moves", fun m -> m.repart_moves);
-         ("batch_resizes", fun m -> m.batch_resizes); ])
+         ("repart_moves", fun m -> m.repart_moves); ])
 
 let faults =
   group "faults" faulted

@@ -10,28 +10,16 @@ module Commit_point = Quill_commit.Commit_point
 type exec_mode = Speculative | Conservative
 type isolation = Serializable | Read_committed
 
-(* Hot-key queue splitting: when one planner routes at least
-   [hot_threshold] operations to a single key, that key's operations are
-   spread across up to [max_subqueues] sub-queues (chain segments) on
+(* Hot-key queue splitting: when one planner routes at least the
+   [split] threshold of operations to a single key, that key's operations
+   are spread across up to [max_subqueues] sub-queues (chain segments) on
    different executors, tagged with intra-key sequence numbers so the
    per-record access order is exactly the enqueue order. *)
-type split_cfg = { hot_threshold : int; max_subqueues : int }
+let max_subqueues = 8
 
-let default_split = { hot_threshold = 32; max_subqueues = 8 }
-
-(* Between-batch adaptation.  [repartition] remaps virtual partitions
-   ([spread] per executor) to executors by measured per-partition load;
-   [auto_batch] lets pipelined closed-loop runs tune the batch size
-   from the fill/drain stall split, never below [min_batch]. *)
-type adapt_cfg = {
-  repartition : bool;
-  spread : int;
-  auto_batch : bool;
-  min_batch : int;
-}
-
-let default_adapt =
-  { repartition = true; spread = 8; auto_batch = false; min_batch = 64 }
+(* Repartitioning remaps virtual partitions, [spread] per executor, to
+   executors by measured per-partition load. *)
+let spread = 8
 
 type cfg = {
   planners : int;
@@ -43,8 +31,8 @@ type cfg = {
   pipeline : bool;
       (* overlap planning of batch N+1 with execution of batch N via a
          double-buffered queue matrix; off = the lockstep oracle path *)
-  split : split_cfg option;  (* hot-key queue splitting; None = off *)
-  adapt : adapt_cfg option;  (* dynamic repartitioning / batch tuning *)
+  split : int option;  (* hot-key split threshold; None = off *)
+  repart : bool;  (* dynamic repartitioning between batches *)
 }
 
 let default_cfg =
@@ -57,7 +45,7 @@ let default_cfg =
     costs = Costs.default;
     pipeline = false;
     split = None;
-    adapt = None;
+    repart = false;
   }
 
 (* Per-batch runtime state of one transaction. *)
@@ -100,16 +88,6 @@ type chain = {
   mutable ch_nsegs : int;
 }
 
-(* Auto-tuner state (pipelined closed-loop runs under adapt.auto_batch):
-   the planned batch size floats between adapt.min_batch and
-   cfg.batch_size, and the total transaction budget is conserved. *)
-type autobs = {
-  mutable abs_remaining : int;
-  mutable abs_cur : int;
-  mutable abs_last_fill : int;
-  mutable abs_last_drain : int;
-}
-
 (* The queue matrix and the per-slot runtimes are double-buffered by
    batch parity so a pipelined run can plan batch N+1 while batch N is
    still executing.  The non-pipelined path only ever uses parity 0. *)
@@ -137,7 +115,6 @@ type shared = {
   recorder : Alog.t option;
       (* conflict-detector access log (--check-conflicts); None on the
          hot path *)
-  abs : autobs option;
   cp : Commit_point.t;
       (* the batch commit point: touched sets per executor + one
          recovery slot, WAL, CDC and the crash point *)
@@ -489,25 +466,21 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
       Vec.clear sh.segs.(parity).(p).(e)
     done;
   let split_en =
-    match sh.cfg.split with Some sc when en > 1 -> Some sc | _ -> None
+    match sh.cfg.split with Some t when en > 1 -> Some t | _ -> None
   in
-  let repart =
-    match sh.cfg.adapt with
-    | Some a when a.repartition && Array.length sh.rmap > 0 -> Some a
-    | _ -> None
-  in
+  let repart = sh.cfg.repart in
   let bpar = bno land 1 in
   let is_rc = is_rc sh in
   (* Home-executor routing: the base modulo map, refined through the
      virtual-partition map when repartitioning is on.  Also feeds the
      per-vpart load counters the next rebalance consumes. *)
   let route_exec t k =
-    match repart with
-    | Some a ->
-        let vp = ((Db.home sh.db t k mod en) * a.spread) + (k mod a.spread) in
-        sh.vload.(bpar).(vp) <- sh.vload.(bpar).(vp) + 1;
-        sh.rmap.(bpar).(vp)
-    | None -> Db.home sh.db t k mod en
+    if repart then begin
+      let vp = ((Db.home sh.db t k mod en) * spread) + (k mod spread) in
+      sh.vload.(bpar).(vp) <- sh.vload.(bpar).(vp) + 1;
+      sh.rmap.(bpar).(vp)
+    end
+    else Db.home sh.db t k mod en
   in
   (* Pass 1 (splitting only): materialize the slice and count per-key
      routed operations, so pass 2 knows which keys are hot before the
@@ -566,15 +539,13 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
   let chain_for sk home =
     match split_en with
     | None -> None
-    | Some sc -> (
+    | Some threshold -> (
         match Hashtbl.find_opt chain_tbl sk with
         | Some ch -> Some ch
         | None -> (
             match Hashtbl.find_opt counts sk with
-            | Some (c, true) when c >= sc.hot_threshold ->
-                let nsegs =
-                  min sc.max_subqueues (max 2 (c / sc.hot_threshold))
-                in
+            | Some (c, true) when c >= threshold ->
+                let nsegs = min max_subqueues (max 2 (c / threshold)) in
                 let seg_len = (c + nsegs - 1) / nsegs in
                 let start = Sim.Ivar.create () in
                 Vec.push sh.chain_starts.(parity).(p).(home) start;
@@ -693,24 +664,23 @@ let plan_txns sh ~parity ~bno p ~start ~count ~get rr =
     done
   end
 
-(* Where a batch's transactions come from: [Stream n], [n] transactions
-   drawn from the planners' workload streams, each planner its own
-   slice (closed loop, fixed or auto-tuned size), or [Admitted entries],
-   whatever the admission queue held at batch-close (client mode,
-   variable size). *)
-type work = Stream of int | Admitted of Clients.entry array
+(* Where a batch's transactions come from: [Stream], [cfg.batch_size]
+   transactions drawn from the planners' workload streams, each planner
+   its own slice (closed loop), or [Admitted entries], whatever the
+   admission queue held at batch-close (client mode, variable size). *)
+type work = Stream | Admitted of Clients.entry array
 
 (* Plan planner [p]'s slice of the batch; every planner splits it the
    same way, and one whose slice is empty still clears its queues. *)
 let plan_work sh ~streams ~parity ~bno p work rr =
   let batch_size =
-    match work with Stream n -> n | Admitted es -> Array.length es
+    match work with Stream -> sh.cfg.batch_size | Admitted es -> Array.length es
   in
   let start, count = slice_bounds ~batch_size ~planners:sh.cfg.planners p in
   plan_txns sh ~parity ~bno p ~start ~count
     ~get:(fun j ->
       match work with
-      | Stream _ -> (streams.(p) (), None)
+      | Stream -> (streams.(p) (), None)
       | Admitted es ->
           let e = es.(start + j) in
           (e.Clients.txn, Some e))
@@ -786,85 +756,55 @@ let finalize_statuses sh ~parity =
    the rewrite can never race a planner (batch [bno + 1] planning uses
    the other parity).  Zero-load vparts keep their mapping. *)
 let rebalance sh ~bno =
-  match sh.cfg.adapt with
-  | Some a when a.repartition && Array.length sh.rmap > 0 ->
-      let par = bno land 1 in
-      let load = sh.vload.(par) and map = sh.rmap.(par) in
-      let nvp = Array.length map in
-      let idx = Array.init nvp (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          let c = compare load.(j) load.(i) in
-          if c <> 0 then c else compare i j)
-        idx;
-      let eload = Array.make sh.cfg.executors 0 in
-      let moves = ref 0 in
-      Array.iter
-        (fun vp ->
-          if load.(vp) > 0 then begin
-            let best = ref 0 in
-            for e = 1 to sh.cfg.executors - 1 do
-              if eload.(e) < eload.(!best) then best := e
-            done;
-            Sim.tick sh.sim sh.cfg.costs.Costs.queue_op;
-            if map.(vp) <> !best then begin
-              incr moves;
-              map.(vp) <- !best
-            end;
-            eload.(!best) <- eload.(!best) + load.(vp)
-          end)
-        idx;
-      Array.fill load 0 nvp 0;
-      sh.metrics.Metrics.repart_moves <-
-        sh.metrics.Metrics.repart_moves + !moves
-  | _ -> ()
-
-(* Pick the size of the next planned batch from the stall split since
-   the last decision: fill stalls (executors starved) say planning is
-   the bottleneck — grow the batch; drain stalls (planners blocked on a
-   busy buffer) say execution is — shrink it.  25% steps, clamped to
-   [adapt.min_batch, cfg.batch_size]; the run's total transaction
-   budget is conserved exactly. *)
-let next_batch_size sh abs =
-  let m = sh.metrics in
-  let df = m.Metrics.pipe_fill_stall - abs.abs_last_fill
-  and dd = m.Metrics.pipe_drain_stall - abs.abs_last_drain in
-  abs.abs_last_fill <- m.Metrics.pipe_fill_stall;
-  abs.abs_last_drain <- m.Metrics.pipe_drain_stall;
-  let min_b =
-    match sh.cfg.adapt with
-    | Some a -> min a.min_batch sh.cfg.batch_size
-    | None -> 1
-  in
-  let old = abs.abs_cur in
-  if df > dd then abs.abs_cur <- min sh.cfg.batch_size (old + max 1 (old / 4))
-  else if dd > df then abs.abs_cur <- max min_b (old - max 1 (old / 4));
-  if abs.abs_cur <> old then
-    m.Metrics.batch_resizes <- m.Metrics.batch_resizes + 1;
-  let sz = min abs.abs_cur abs.abs_remaining in
-  abs.abs_remaining <- abs.abs_remaining - sz;
-  sz
+  if sh.cfg.repart then begin
+    let par = bno land 1 in
+    let load = sh.vload.(par) and map = sh.rmap.(par) in
+    let nvp = Array.length map in
+    let idx = Array.init nvp (fun i -> i) in
+    Array.sort
+      (fun i j ->
+        let c = compare load.(j) load.(i) in
+        if c <> 0 then c else compare i j)
+      idx;
+    let eload = Array.make sh.cfg.executors 0 in
+    let moves = ref 0 in
+    Array.iter
+      (fun vp ->
+        if load.(vp) > 0 then begin
+          let best = ref 0 in
+          for e = 1 to sh.cfg.executors - 1 do
+            if eload.(e) < eload.(!best) then best := e
+          done;
+          Sim.tick sh.sim sh.cfg.costs.Costs.queue_op;
+          if map.(vp) <> !best then begin
+            incr moves;
+            map.(vp) <- !best
+          end;
+          eload.(!best) <- eload.(!best) + load.(vp)
+        end)
+      idx;
+    Array.fill load 0 nvp 0;
+    sh.metrics.Metrics.repart_moves <-
+      sh.metrics.Metrics.repart_moves + !moves
+  end
 
 (* Batch [b]'s work, or [None] at the end of the run: once the node has
-   crashed, once the [batches] fixed-size batches are out, once the
-   auto-tuned budget is spent, or once a drain comes back empty (every
-   client transaction is finally resolved).  Only the fixed-size answer
-   is a pure function of [b]; the other two consume state, so each batch
-   asks once and shares the answer.  The admission queue and the crash
-   flag are shared, so it syncs first. *)
+   crashed, once the [batches] fixed-size batches are out, or once a
+   drain comes back empty (every client transaction is finally
+   resolved).  Only the closed-loop answer is a pure function of [b]; a
+   drain consumes the admission queue, so each client batch asks once
+   and shares the answer.  The admission queue and the crash flag are
+   shared, so it syncs first. *)
 let next_work ?clients sh ~batches b =
   Sim.sync sh.sim;
   if Commit_point.crashed sh.cp then None
   else
-    match (clients, sh.abs) with
-    | Some c, _ -> (
+    match clients with
+    | Some c -> (
         match Clients.drain c ~node:0 ~max:sh.cfg.batch_size with
         | [||] -> None
         | es -> Some (Admitted es))
-    | None, Some abs -> (
-        match next_batch_size sh abs with 0 -> None | n -> Some (Stream n))
-    | None, None ->
-        if b < batches then Some (Stream sh.cfg.batch_size) else None
+    | None -> if b < batches then Some Stream else None
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -952,7 +892,7 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
   let cfg = sh.cfg in
   let nthreads = max cfg.planners cfg.executors in
   let barrier = Sim.Barrier.create nthreads in
-  let local = clients = None && sh.abs = None in
+  let local = clients = None in
   (* A shared decision is made by thread 0 strictly before the round
      barrier and read by everyone strictly after it, so every thread runs
      the same barrier sequence (a bare loop check here deadlocks: late
@@ -1030,7 +970,7 @@ type batch_sync = {
 let spawn_pipelined sim sh ?clients ~batches ~streams () =
   let cfg = sh.cfg in
   let m = sh.metrics in
-  let local = clients = None && sh.abs = None in
+  let local = clients = None in
   (* One record per batch in flight, created on first access (any thread
      may get there first; creation never yields, so the check-then-add
      pair is atomic under the cooperative scheduler) and removed once
@@ -1158,17 +1098,7 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
         "Quecc.Engine.run: crash faults and open-loop clients cannot be \
          combined (a crashed node strands the admission queue)"
   | _ -> ());
-  (match cfg.adapt with
-  | Some a ->
-      assert (a.spread > 0 && a.min_batch > 0);
-      if a.auto_batch && ((not cfg.pipeline) || clients <> None) then
-        invalid_arg
-          "Quecc.Engine.run: batch auto-tuning needs a pipelined \
-           closed-loop run (it tunes from the pipeline's fill/drain stalls)"
-  | None -> ());
-  (match cfg.split with
-  | Some sc -> assert (sc.hot_threshold > 0 && sc.max_subqueues >= 2)
-  | None -> ());
+  (match cfg.split with Some t -> assert (t > 0) | None -> ());
   let sim = Sim.of_costs ?sim cfg.costs in
   let nbuf = if cfg.pipeline then 2 else 1 in
   (* A [parity].[planner].[executor] matrix, or none when [on] is off. *)
@@ -1181,24 +1111,11 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
   in
   let split_on = cfg.split <> None && cfg.executors > 1 in
   let rmap, vload =
-    match cfg.adapt with
-    | Some a when a.repartition ->
-        let nvp = cfg.executors * a.spread in
-        ( Array.init 2 (fun _ -> Array.init nvp (fun vp -> vp / a.spread)),
-          Array.init 2 (fun _ -> Array.make nvp 0) )
-    | _ -> ([||], [||])
-  in
-  let abs =
-    match cfg.adapt with
-    | Some a when a.auto_batch ->
-        Some
-          {
-            abs_remaining = batches * cfg.batch_size;
-            abs_cur = cfg.batch_size;
-            abs_last_fill = 0;
-            abs_last_drain = 0;
-          }
-    | _ -> None
+    if cfg.repart then
+      let nvp = cfg.executors * spread in
+      ( Array.init 2 (fun _ -> Array.init nvp (fun vp -> vp / spread)),
+        Array.init 2 (fun _ -> Array.make nvp 0) )
+    else ([||], [||])
   in
   let sh =
     {
@@ -1215,7 +1132,6 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
       vload;
       metrics = Metrics.create ();
       recorder;
-      abs;
       cp =
         Commit_point.create ?wal ?cdc ?crash_at ~slots:(cfg.executors + 1) sim
           wl.Workload.db;

@@ -30,36 +30,6 @@
 type exec_mode = Speculative | Conservative
 type isolation = Serializable | Read_committed
 
-type split_cfg = {
-  hot_threshold : int;
-      (** per-planner, per-key routed-operation count at which the key's
-          queue is split into a sub-queue chain *)
-  max_subqueues : int;  (** maximum chain segments per hot key *)
-}
-
-val default_split : split_cfg
-(** [hot_threshold = 32], [max_subqueues = 8]. *)
-
-type adapt_cfg = {
-  repartition : bool;
-      (** remap virtual partitions ([spread] per executor) to executors
-          between batches, by measured per-partition load; takes effect
-          two batches after measurement (the pipeline-safe lag) *)
-  spread : int;
-  auto_batch : bool;
-      (** pipelined closed-loop runs only ({!run} raises
-          [Invalid_argument] without [pipeline] or with [?clients]):
-          tune the planned batch size from the fill/drain stall split,
-          conserving the total transaction budget (changes the schedule,
-          so committed state is NOT bit-identical to the fixed-size
-          run) *)
-  min_batch : int;  (** auto-tuner floor *)
-}
-
-val default_adapt : adapt_cfg
-(** [repartition = true], [spread = 8], [auto_batch = false],
-    [min_batch = 64]. *)
-
 type cfg = {
   planners : int;
   executors : int;
@@ -73,20 +43,24 @@ type cfg = {
           per batch.  Dedicated planner and executor threads
           ([planners + executors] cores).  Committed DB state is
           bit-identical to the non-pipelined path for the same seed. *)
-  split : split_cfg option;
-      (** hot-key queue splitting: spread a hot key's operations across
-          sub-queues on different executors, chained by intra-key
-          sequence numbers so the key's operations still execute in
-          exact planned order — committed state stays bit-identical to
-          the unsplit run (DESIGN.md §12).  [None] = off. *)
-  adapt : adapt_cfg option;
-      (** between-batch adaptation (dynamic repartitioning and batch
-          auto-tuning); [None] = off *)
+  split : int option;
+      (** hot-key queue splitting at this threshold: once one planner
+          routes that many operations of a batch to a single key, the
+          key's operations are spread across up to 8 sub-queues on
+          different executors, chained by intra-key sequence numbers so
+          they still execute in exact planned order — committed state
+          stays bit-identical to the unsplit run (DESIGN.md §12).
+          [None] = off. *)
+  repart : bool;
+      (** dynamic repartitioning: remap virtual partitions (8 per
+          executor) to executors between batches by measured
+          per-partition load; takes effect two batches after measurement
+          (the pipeline-safe lag).  Committed state stays bit-identical. *)
 }
 
 val default_cfg : cfg
 (** 4 planners, 4 executors, 1024-txn batches, speculative,
-    serializable, default costs, pipeline, split and adapt off. *)
+    serializable, default costs, pipeline, split and repart off. *)
 
 val run :
   ?sim:Quill_sim.Sim.t ->

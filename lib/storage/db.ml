@@ -52,7 +52,6 @@ let index_id t name =
   | Some id -> id
   | None -> invalid_arg ("Db.index_id: unknown " ^ name)
 
-let index_by_name t name = index t (index_id t name)
 let ntables t = Vec.length t.tables
 let home t tid key = Table.home_of_key (table t tid) key
 

@@ -17,7 +17,6 @@ val table : t -> int -> Table.t
 val table_by_name : t -> string -> Table.t
 val table_id : t -> string -> int
 val index : t -> int -> Index.t
-val index_by_name : t -> string -> Index.t
 val index_id : t -> string -> int
 val ntables : t -> int
 

@@ -1,6 +1,5 @@
 (** Secondary index: maps a secondary key to the primary keys that carry
-    it.  Built at load time (TPC-C customer-by-last-name) and appended to
-    at run time (TPC-C orders-by-customer, new-order queue). *)
+    it.  Built at load time (TPC-C customer-by-last-name). *)
 
 type t
 
@@ -14,17 +13,8 @@ val add : t -> int -> int -> unit
 val find : t -> int -> int list
 (** All primary keys under [skey], oldest first; [] when absent. *)
 
-val find_vec : t -> int -> int Quill_common.Vec.t option
-
-val pop_min : t -> int -> int option
-(** Remove and return the oldest primary key under [skey] (FIFO); the
-    TPC-C delivery transaction's new-order dequeue. *)
-
-val size : t -> int
-
 val clone : t -> t
-(** Deep copy (entry vectors and FIFO cursors); deterministic regardless
-    of hash-bucket layout. *)
+(** Deep copy; deterministic regardless of hash-bucket layout. *)
 
 val overwrite_from : src:t -> t -> unit
 (** Make [dst]'s entries identical to [src]'s (post-failover sync). *)

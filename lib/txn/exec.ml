@@ -12,5 +12,3 @@ type ctx = {
 
 exception Blocked_exn
 
-let exec_abort = Abort
-let exec_ok = Ok

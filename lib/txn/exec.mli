@@ -38,5 +38,3 @@ exception Blocked_exn
 (** Raised by ND-protocol accessors on lock conflict / validation
     prefail; engines catch it and retry. *)
 
-val exec_abort : outcome
-val exec_ok : outcome

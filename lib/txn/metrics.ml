@@ -42,11 +42,10 @@ type t = {
      [fill_stall_avg] / [drain_stall_avg]. *)
   mutable pipe_fill_threads : int;
   mutable pipe_drain_threads : int;
-  (* Adaptive-planning counters (QueCC cfg.split / cfg.adapt). *)
+  (* Adaptive-planning counters (QueCC cfg.split / cfg.repart). *)
   mutable split_keys : int;      (* hot keys split into sub-queue chains *)
   mutable split_subqueues : int; (* chain segments created *)
   mutable repart_moves : int;    (* virtual partitions remapped between batches *)
-  mutable batch_resizes : int;   (* auto-tuner batch-size adjustments *)
   (* Replication / failover counters (HA runs); stay 0 when replicas=0.
      [rep_lag_max] is the widest batch gap a backup ever observed between
      the newest fully-received batch and the newest committed one —
@@ -134,7 +133,6 @@ let create () =
     split_keys = 0;
     split_subqueues = 0;
     repart_moves = 0;
-    batch_resizes = 0;
     replicas = 0;
     spec_executed = 0;
     spec_wasted = 0;

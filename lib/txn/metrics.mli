@@ -46,7 +46,6 @@ type t = {
   mutable split_keys : int;     (** hot keys split into sub-queue chains *)
   mutable split_subqueues : int;(** sub-queue chain segments created *)
   mutable repart_moves : int;   (** virtual partitions remapped between batches *)
-  mutable batch_resizes : int;  (** auto-tuner batch-size adjustments *)
   mutable replicas : int;       (** backup nodes receiving the queue stream *)
   mutable spec_executed : int;
       (** transactions a backup speculatively executed ahead of the

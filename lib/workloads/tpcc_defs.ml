@@ -90,7 +90,7 @@ end
 
 module O = struct
   let c = 0
-  let entry_d = 1
+  (* field 1 (o_entry_d) stays 0: no transaction reads it *)
   let carrier = 2
   let ol_cnt = 3
   let nfields = 4

@@ -86,7 +86,6 @@ end
 
 module O : sig
   val c : int
-  val entry_d : int
   val carrier : int
   val ol_cnt : int
   val nfields : int

@@ -7,7 +7,7 @@
 #
 # REV is exported into _build/perf-ab/<sha>/ and its bench/main.exe built
 # there by scripts/export_base.sh.  Each side then runs every bench
-# target except micro and all as `main.exe <target> 0.25 --phase-table`,
+# target except all as `main.exe <target> 0.25 --phase-table`,
 # adding `--json <target>.json` when that side's target reads --json
 # (its --help lists it), from its own output directory
 # (_build/perf-ab/bench-diff/{base,new}/).  Every stdout pair is compared
@@ -33,7 +33,7 @@ while [ $# -gt 0 ]; do
 done
 [ -n "$base" ] || usage
 
-# The targets of bench/main.exe's usage message, micro and all excepted.
+# The targets of bench/main.exe's usage message, all excepted.
 targets="table2-row1 table2-row2 table2-row3 fig-contention fig-scalability
   fig-modes fig-latency fig-batch pipeline skew fault-tolerance failover
   durability cdc overload"

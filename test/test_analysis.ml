@@ -288,25 +288,25 @@ let test_cc_segment_overlap () =
 (* ------------------------------------------------------------------ *)
 
 let run_quecc ?(mode = Engine.Speculative) ?(isolation = Engine.Serializable)
-    ?(pipeline = false) ?split ?adapt ?recorder cfg
+    ?(pipeline = false) ?split ?recorder cfg
     ~batch_size =
   let wl = Ycsb.make cfg in
   let m =
     Engine.run ?recorder
       { Engine.planners = 4; executors = 4; batch_size; mode; isolation;
-        costs = Quill_sim.Costs.default; pipeline; split; adapt }
+        costs = Quill_sim.Costs.default; pipeline; split; repart = false }
       wl ~batches:4
   in
   (Db.checksum wl.Workload.db, m)
 
-let check_recorded_run name ?mode ?isolation ?pipeline ?split ?adapt cfg
+let check_recorded_run name ?mode ?isolation ?pipeline ?split cfg
     ~batch_size =
   let base, _ =
-    run_quecc ?mode ?isolation ?pipeline ?split ?adapt cfg ~batch_size
+    run_quecc ?mode ?isolation ?pipeline ?split cfg ~batch_size
   in
   let log = A.create () in
   let chk, m =
-    run_quecc ?mode ?isolation ?pipeline ?split ?adapt ~recorder:log cfg
+    run_quecc ?mode ?isolation ?pipeline ?split ~recorder:log cfg
       ~batch_size
   in
   let r = CC.check_log log in
@@ -353,7 +353,7 @@ let test_sweep_split () =
     Tutil.small_ycsb ~table_size:2_000 ~nparts:4 ~theta:0.9 ~global_zipf:true
       ()
   in
-  let split = Some { Engine.hot_threshold = 8; max_subqueues = 4 } in
+  let split = Some 8 in
   let r, m = check_recorded_run "split" ?split cfg ~batch_size:128 in
   Tutil.check_bool "splits fired" true (m.Metrics.split_keys > 0);
   Tutil.check_int "checker sees every sub-queue segment"

@@ -48,10 +48,7 @@ let quecc_feed ?(seed = 42) ?(theta = 0.6) ?(batches = 4)
       executors = 2;
       batch_size = 256;
       pipeline = (mode = Pipelined);
-      split =
-        (if mode = Split then
-           Some { Qe.hot_threshold = 8; max_subqueues = 4 }
-         else None);
+      split = (if mode = Split then Some 8 else None);
     }
   in
   ignore (Qe.run ~sim ~cdc cfg wl ~batches);

@@ -292,7 +292,7 @@ let test_retry_commits_exactly_once () =
         costs = Quill_sim.Costs.default;
         pipeline = false;
         split = None;
-        adapt = None;
+        repart = false;
       }
       wl ~batches:0
   in
@@ -358,7 +358,7 @@ let quecc_overloaded seed =
         costs = Quill_sim.Costs.default;
         pipeline = false;
         split = None;
-        adapt = None;
+        repart = false;
       }
       wl ~batches:0
   in
@@ -402,7 +402,7 @@ let test_pipeline_clients_identical () =
           costs = Quill_sim.Costs.default;
           pipeline;
           split = None;
-          adapt = None;
+          repart = false;
         }
         wl ~batches:0
     in

@@ -272,17 +272,6 @@ let prop_bitset_model =
 
 (* ------------------------- Stats ------------------------- *)
 
-let test_acc () =
-  let a = Stats.Acc.create () in
-  List.iter (Stats.Acc.add a) [ 2.0; 4.0; 6.0; 8.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.Acc.mean a);
-  Alcotest.(check (float 1e-9))
-    "variance" (20.0 /. 3.0) (Stats.Acc.variance a);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.Acc.min a);
-  Alcotest.(check (float 1e-9)) "max" 8.0 (Stats.Acc.max a);
-  Tutil.check_int "count" 4 (Stats.Acc.count a);
-  Alcotest.(check (float 1e-9)) "total" 20.0 (Stats.Acc.total a)
-
 let test_hist_exact_small () =
   let h = Stats.Hist.create () in
   for v = 0 to 15 do
@@ -488,7 +477,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "acc" `Quick test_acc;
           Alcotest.test_case "hist exact small" `Quick test_hist_exact_small;
           Alcotest.test_case "hist percentile bounds" `Quick
             test_hist_percentile_bounds;

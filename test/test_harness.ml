@@ -420,17 +420,30 @@ open Quill_workloads
 
 (* Every bad value is rejected by the one chokepoint with an
    Invalid_argument naming its flag, before the workload is built. *)
-(* Work stealing was removed; the record field that named it stays for
-   the benchmark's sake, and setting it is an error, not a no-op. *)
-let test_steal_rejected () =
-  let e =
-    E.make ~txns:256 (E.Quecc (Qe.Speculative, Qe.Serializable)) tiny_ycsb
-  in
-  match E.run { e with E.steal = true } with
-  | _ -> Alcotest.fail "steal = true ran"
-  | exception Invalid_argument msg ->
-      Tutil.check_bool ("names the removal: " ^ msg) true
-        (Tutil.contains msg "removed")
+(* Work stealing and batch auto-tuning were removed; the record fields
+   that named them stay for the benchmark's sake, and setting one is an
+   error, not a no-op, lockstep and pipelined alike. *)
+let removed_rejected what set () =
+  List.iter
+    (fun pipeline ->
+      let e =
+        E.make ~txns:256 ~pipeline
+          (E.Quecc (Qe.Speculative, Qe.Serializable))
+          tiny_ycsb
+      in
+      match E.run (set e) with
+      | _ -> Alcotest.failf "%s ran (pipeline %b)" what pipeline
+      | exception Invalid_argument msg ->
+          Tutil.check_bool ("names the removal: " ^ msg) true
+            (Tutil.contains msg what && Tutil.contains msg "removed"))
+    [ false; true ]
+
+let test_steal_rejected =
+  removed_rejected "steal = true" (fun e -> { e with E.steal = true })
+
+let test_autobatch_rejected =
+  removed_rejected "adapt_batch = true" (fun e ->
+      { e with E.adapt_batch = true })
 
 let test_range_checks () =
   let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
@@ -504,7 +517,7 @@ let parse_run args =
   | Ok (`Ok e) -> Some e
   | Ok (`Help | `Version) | Error _ -> None
 
-let bench = Cli.bench ~micro:ignore
+let bench = Cli.bench
 
 let bench_accepts args =
   match eval bench ("main.exe" :: args) with
@@ -544,6 +557,8 @@ let test_cli_rejections () =
       [ "pipeline"; "0" ];
       (* work stealing was removed: an unknown option *)
       [ "pipeline"; "0.01"; "--steal" ];
+      (* the bechamel target was removed: an unknown command *)
+      [ "micro" ];
       [ "fig-batch"; "0.01"; "--phase-table"; "extra" ];
       [ "fig-batch"; "0.01"; "--phase-table"; "--phase-table" ];
       [ "0.25" ];
@@ -562,6 +577,7 @@ let test_cli_rejections () =
       [ "--engine"; "quecc"; "--workload"; "ycsb"; "--adapt"; "wat" ];
       [ "--engine"; "silo"; "--workload"; "ycsb"; "--split"; "32" ];
       [ "--engine"; "quecc"; "--workload"; "ycsb"; "--adapt"; "batch" ];
+      [ "--engine"; "quecc"; "--workload"; "ycsb"; "--adapt"; "all" ];
       [ "--engine"; "dist-quecc-1n"; "--replicas"; "2"; "--spec-lag"; "0" ];
       [ "--engine"; "silo"; "--replicas"; "2" ];
       [ "--engine"; "silo"; "--wal" ];
@@ -630,7 +646,6 @@ let test_bench_read_sets () =
       ("cdc", json);
       ( "overload",
         [ "--arrival"; "--admission"; "--deadline"; "--retries" ] @ json );
-      ("micro", []);
       ("all", suite);
     ]
   in
@@ -668,9 +683,8 @@ let bench_diff_line target =
   let json = Filename.concat (Filename.get_temp_dir_name ()) target in
   [ target; "0.25"; "--phase-table"; "--json"; json ^ ".json" ]
 
-(* The command lines of the Makefile, bench/dune's runtest rule,
-   scripts/bench_diff.sh and the README parse to what they meant before
-   the grammar moved. *)
+(* The command lines of the Makefile, scripts/bench_diff.sh and the
+   README parse to what they meant before the grammar moved. *)
 let test_documented_lines () =
   let q = E.Quecc (Qe.Speculative, Qe.Serializable) in
   let ycsb ?(threads = 8) ?(theta = 0.0) ?(global_zipf = false) () =
@@ -746,13 +760,6 @@ let test_documented_lines () =
        [ "durability"; "1"; "--json"; json "durability" ];
        [ "cdc"; "1"; "--json"; json "cdc" ];
        [ "all"; "0.5" ];
-       [ "pipeline"; "0.25"; "--check-conflicts" ];
-       [ "fault-tolerance"; "0.25"; "--check-conflicts" ];
-       [ "skew"; "0.25" ];
-       [ "failover"; "0.25" ];
-       [ "durability"; "0.25" ];
-       [ "overload"; "0.25" ];
-       [ "cdc"; "0.25" ];
        [ "fig-latency"; "0.125" ];
      ]
     @ List.map
@@ -790,13 +797,25 @@ let printed_labels out =
   in
   scan false [] (String.split_on_char '\n' out)
 
-(* Every experiment target, run as bench_diff.sh runs it: the BENCH file
-   it writes parses, has one row per printed row label, in print order,
-   and carries a checksum on every row. *)
+(* Every experiment target, run as bench_diff.sh runs it: its claims
+   hold (the run raises on a false one), and the BENCH file it writes
+   parses, has one row per printed row label, in print order, and
+   carries a checksum on every row.  The targets with QueCC-family rows
+   under a WAL, a feed, a pipeline or faults also replay those rows
+   through the conflict checker. *)
+let conflict_checked_targets =
+  [ "pipeline"; "fault-tolerance"; "durability"; "cdc"; "failover" ]
+
 let test_bench_targets_write_rows () =
   List.iter
     (fun target ->
-      let args = bench_diff_line target in
+      let args =
+        bench_diff_line target
+        @
+        if List.mem target conflict_checked_targets then
+          [ "--check-conflicts" ]
+        else []
+      in
       let path = List.nth args 4 in
       let out =
         match eval bench ("main.exe" :: args) with
@@ -899,7 +918,7 @@ let qcheck_to_argv =
                    (oneof [ return ""; map (fun t -> ":" ^ t) time ])));
            flag "--pipeline";
            maybe (valued "--split" (num (int_range 1 256)));
-           maybe (valued "--adapt" (oneofl [ "repart"; "batch"; "all" ]));
+           maybe (valued "--adapt" (return "repart"));
            maybe (valued "--replicas" (num (int_range 0 4)));
            maybe (valued "--spec-lag" (num (int_range 1 8)));
            flag "--wal";
@@ -962,6 +981,8 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "range checks" `Quick test_range_checks;
+          Alcotest.test_case "removed auto-batch rejected" `Quick
+            test_autobatch_rejected;
           Alcotest.test_case "removed steal rejected" `Quick
             test_steal_rejected;
           Alcotest.test_case "rejections" `Quick test_cli_rejections;

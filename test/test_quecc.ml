@@ -15,13 +15,13 @@ module Engine = Quill_quecc.Engine
 
 let run_engine ?(mode = Engine.Speculative) ?(isolation = Engine.Serializable)
     ?(planners = 4) ?(executors = 4) ?(batch_size = 128) ?(batches = 4)
-    ?(pipeline = false) ?split ?adapt cfg =
+    ?(pipeline = false) ?split ?(repart = false) cfg =
   let wl = Ycsb.make cfg in
   let wl_rec, logs = Tutil.record wl in
   let m =
     Engine.run
       { Engine.planners; executors; batch_size; mode; isolation;
-        costs = Quill_sim.Costs.default; pipeline; split; adapt }
+        costs = Quill_sim.Costs.default; pipeline; split; repart }
       wl_rec ~batches
   in
   (wl, logs, m)
@@ -33,11 +33,11 @@ let serial_state cfg logs ~streams ~batch_size ~batches =
   (Db.checksum wl.Workload.db, m, txns)
 
 let check_against_oracle ?mode ?isolation ?(planners = 4) ?(executors = 4)
-    ?(batch_size = 128) ?(batches = 4) ?(pipeline = false) ?split ?adapt
+    ?(batch_size = 128) ?(batches = 4) ?(pipeline = false) ?split ?repart
     name cfg =
   let wl, logs, m =
     run_engine ?mode ?isolation ~planners ~executors ~batch_size ~batches
-      ~pipeline ?split ?adapt cfg
+      ~pipeline ?split ?repart cfg
   in
   let oracle, m_serial, _ =
     serial_state cfg logs ~streams:planners ~batch_size ~batches
@@ -376,7 +376,7 @@ let skewed_cfg ?(seed = 42) () =
   Tutil.small_ycsb ~table_size:2_000 ~nparts:4 ~theta:0.9 ~global_zipf:true
     ~seed ()
 
-let tiny_split = Some { Engine.hot_threshold = 8; max_subqueues = 4 }
+let tiny_split = Some 8
 
 (* Splitting must be invisible in the committed state: the serial oracle
    holds exactly as for the plain engine, and the counters prove the
@@ -397,11 +397,7 @@ let test_split_fires () =
 
 let test_repart_fires () =
   let cfg = skewed_cfg () in
-  let adapt =
-    Some { Engine.default_adapt with Engine.repartition = true;
-           auto_batch = false }
-  in
-  let wl, logs, m = run_engine ?split:tiny_split ?adapt cfg in
+  let wl, logs, m = run_engine ?split:tiny_split ~repart:true cfg in
   Tutil.check_bool "repartitioning fired" true (m.Metrics.repart_moves > 0);
   let oracle, m_serial, _ =
     serial_state cfg logs ~streams:4 ~batch_size:128 ~batches:4
@@ -435,67 +431,15 @@ let prop_adaptive_bit_identical =
       in
       let fp adaptive =
         let split = if adaptive then tiny_split else None in
-        let adapt =
-          if adaptive then
-            Some { Engine.default_adapt with Engine.repartition = true;
-                   auto_batch = false }
-          else None
-        in
         let wl, _, m =
           run_engine ~mode ~isolation ~batch_size:64 ~batches:3 ~pipeline
-            ?split ?adapt cfg
+            ?split ~repart:adaptive cfg
         in
         ( Db.checksum wl.Workload.db,
           m.Metrics.committed,
           m.Metrics.logic_aborted )
       in
       fp false = fp true)
-
-(* Batch auto-tuning deliberately alters the schedule (it is NOT
-   bit-identical to the fixed-size run), but it must stay deterministic
-   run-to-run and conserve the transaction count: shrinking a batch
-   defers the remainder, it never drops or duplicates work. *)
-let test_autobatch_deterministic_and_conserving () =
-  let cfg = skewed_cfg () in
-  let adapt =
-    Some { Engine.default_adapt with Engine.repartition = false;
-           auto_batch = true; min_batch = 32 }
-  in
-  let run () =
-    run_engine ~pipeline:true ~batch_size:128 ~batches:4 ?adapt cfg
-  in
-  let wl1, _, m1 = run () in
-  let wl2, _, m2 = run () in
-  Tutil.check_bool "run-to-run state identical" true
-    (Db.checksum wl1.Workload.db = Db.checksum wl2.Workload.db);
-  Tutil.check_int "run-to-run commits identical" m1.Metrics.committed
-    m2.Metrics.committed;
-  Tutil.check_int "run-to-run elapsed identical" m1.Metrics.elapsed
-    m2.Metrics.elapsed;
-  Tutil.check_int "committed + aborted = total" (128 * 4)
-    (m1.Metrics.committed + m1.Metrics.logic_aborted)
-
-(* Auto-tuning reads the pipeline's stall split, which lockstep and
-   client-mode runs do not have: both are rejected up front rather than
-   silently run at the fixed size. *)
-let test_autobatch_rejected_off_pipeline () =
-  let module E = Quill_harness.Experiment in
-  let reject name ?clients ~pipeline () =
-    Alcotest.check_raises name
-      (Invalid_argument
-         "Quecc.Engine.run: batch auto-tuning needs a pipelined closed-loop \
-          run (it tunes from the pipeline's fill/drain stalls)")
-      (fun () ->
-        ignore
-          (E.run
-             (E.make ~threads:2 ~txns:256 ~batch_size:128 ?clients ~pipeline
-                ~adapt_batch:true
-                (E.Quecc (Engine.Speculative, Engine.Serializable))
-                (E.Ycsb (Tutil.small_ycsb ())))))
-  in
-  reject "lockstep" ~pipeline:false ();
-  reject "client mode" ~clients:Quill_clients.Clients.default ~pipeline:true
-    ()
 
 let prop_pipeline_bit_identical =
   QCheck.Test.make
@@ -529,15 +473,15 @@ let prop_pipeline_bit_identical =
 
 (* ------------------------- golden schedules ------------------------- *)
 
-(* Client mode and batch auto-tuning run in no BENCH file, so their exact
-   schedules are pinned here: virtual time, both pipeline stalls,
-   commits, batch resizes, the cascade count, the recover phase's busy
-   time, the committed-state checksum and, with CDC on, the feed
-   digest.  A change to how either spawn path sources or hands off its
-   batches, or to how speculation is recorded and recovered, must leave
-   every value as it is. *)
+(* Client mode and pipelined repartitioning run in no BENCH file, so
+   their exact schedules are pinned here: virtual time, both pipeline
+   stalls, commits, the cascade count, the recover phase's busy time,
+   the committed-state checksum and, with CDC on, the feed digest.  A
+   change to how either spawn path sources or hands off its batches, or
+   to how speculation is recorded and recovered, must leave every value
+   as it is. *)
 let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
-    ?(adapt_batch = false) ?(adapt_repart = false) name expect =
+    ?(adapt_repart = false) name expect =
   let module E = Quill_harness.Experiment in
   let clients =
     if clients then
@@ -549,7 +493,7 @@ let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
   in
   let e =
     E.make ~threads:4 ~txns:1024 ~batch_size:128 ?clients ~pipeline
-      ~wal:durable ~cdc:durable ~snapshot_every:2 ~adapt_batch ~adapt_repart
+      ~wal:durable ~cdc:durable ~snapshot_every:2 ~adapt_repart
       (E.Quecc (Engine.Speculative, Engine.Serializable))
       (E.Ycsb (Tutil.small_ycsb ~abort_ratio:0.1 ()))
   in
@@ -568,7 +512,6 @@ let golden ?(clients = false) ?(pipeline = false) ?(durable = false)
       ("fill_stall", m.Metrics.pipe_fill_stall);
       ("drain_stall", m.Metrics.pipe_drain_stall);
       ("committed", m.Metrics.committed);
-      ("batch_resizes", m.Metrics.batch_resizes);
       ("cascades", m.Metrics.cascades);
       ("recover_busy", m.Metrics.recover_busy);
       ("checksum", checksum);
@@ -585,7 +528,6 @@ let test_golden_schedules () =
       ("fill_stall", 0);
       ("drain_stall", 0);
       ("committed", 999);
-      ("batch_resizes", 0);
       ("cascades", 158);
       ("recover_busy", 298910);
       ("checksum", 375564231417489309);
@@ -597,7 +539,6 @@ let test_golden_schedules () =
       ("fill_stall", 0);
       ("drain_stall", 0);
       ("committed", 999);
-      ("batch_resizes", 0);
       ("cascades", 139);
       ("recover_busy", 246630);
       ("checksum", 375564231417489309);
@@ -610,7 +551,6 @@ let test_golden_schedules () =
       ("fill_stall", 61168);
       ("drain_stall", 3692120);
       ("committed", 999);
-      ("batch_resizes", 0);
       ("cascades", 157);
       ("recover_busy", 295930);
       ("checksum", 375564231417489309);
@@ -623,35 +563,20 @@ let test_golden_schedules () =
       ("fill_stall", 2513484);
       ("drain_stall", 6634300);
       ("committed", 999);
-      ("batch_resizes", 0);
       ("cascades", 157);
       ("recover_busy", 296090);
       ("checksum", 375564231417489309);
       ("digest", 4102366264);
     ];
-  golden ~pipeline:true ~adapt_batch:true "pipelined auto-batch"
+  golden ~pipeline:true ~adapt_repart:true "pipelined + repart"
     [
-      ("elapsed", 1011025);
-      ("busy", 3913860);
-      ("fill_stall", 138600);
-      ("drain_stall", 2971600);
+      ("elapsed", 1027485);
+      ("busy", 4042120);
+      ("fill_stall", 132600);
+      ("drain_stall", 2089000);
       ("committed", 988);
-      ("batch_resizes", 3);
-      ("cascades", 49);
-      ("recover_busy", 91220);
-      ("checksum", 180940947452833136);
-    ];
-  golden ~pipeline:true ~adapt_batch:true ~adapt_repart:true
-    "pipelined auto-batch + repart"
-    [
-      ("elapsed", 993345);
-      ("busy", 3969950);
-      ("fill_stall", 138600);
-      ("drain_stall", 2897520);
-      ("committed", 988);
-      ("batch_resizes", 3);
-      ("cascades", 61);
-      ("recover_busy", 136240);
+      ("cascades", 88);
+      ("recover_busy", 207840);
       ("checksum", 180940947452833136);
     ]
 
@@ -1019,7 +944,7 @@ let () =
           Alcotest.test_case "split fires + oracle" `Quick test_split_fires;
           Alcotest.test_case "repartition fires + oracle" `Quick
             test_repart_fires;
-          Alcotest.test_case "golden client + auto-batch schedules" `Quick
+          Alcotest.test_case "golden client + repart schedules" `Quick
             test_golden_schedules;
           Alcotest.test_case "golden speculative tpcc" `Quick
             test_golden_tpcc;
@@ -1029,10 +954,6 @@ let () =
             test_golden_tpcc_rc;
           Alcotest.test_case "split + chain-deps cascades == serial" `Quick
             test_split_cascades_oracle;
-          Alcotest.test_case "auto-batch rejected off the pipeline" `Quick
-            test_autobatch_rejected_off_pipeline;
-          Alcotest.test_case "auto-batch deterministic + conserving" `Quick
-            test_autobatch_deterministic_and_conserving;
           qc prop_adaptive_bit_identical;
         ] );
       ( "journal",

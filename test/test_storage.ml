@@ -283,12 +283,17 @@ let test_index () =
   Index.add ix 20 200;
   Alcotest.(check (list int)) "find order" [ 100; 101 ] (Index.find ix 10);
   Alcotest.(check (list int)) "missing" [] (Index.find ix 99);
-  Tutil.check_bool "pop fifo" true (Index.pop_min ix 10 = Some 100);
-  Alcotest.(check (list int)) "after pop" [ 101 ] (Index.find ix 10);
-  Tutil.check_bool "pop again" true (Index.pop_min ix 10 = Some 101);
-  Tutil.check_bool "pop empty" true (Index.pop_min ix 10 = None);
-  Tutil.check_bool "pop missing" true (Index.pop_min ix 77 = None);
-  Tutil.check_int "size" 2 (Index.size ix)
+  let c = Index.clone ix in
+  Index.add ix 10 102;
+  Alcotest.(check (list int)) "clone is deep" [ 100; 101 ] (Index.find c 10);
+  Alcotest.(check (list int)) "original grows" [ 100; 101; 102 ]
+    (Index.find ix 10);
+  Index.overwrite_from ~src:c ix;
+  Alcotest.(check (list int)) "overwritten" [ 100; 101 ] (Index.find ix 10);
+  Alcotest.(check (list int)) "other keys kept" [ 200 ] (Index.find ix 20);
+  Alcotest.check_raises "name mismatch"
+    (Invalid_argument "Index.overwrite_from: name") (fun () ->
+      Index.overwrite_from ~src:c (Index.create ~name:"j"))
 
 (* ------------------------- db ------------------------- *)
 

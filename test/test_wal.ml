@@ -26,7 +26,7 @@ let quecc_cfg ?(planners = 4) ?(executors = 4) ?(batch_size = 128)
     costs = Costs.default;
     pipeline;
     split = None;
-    adapt = None;
+    repart = false;
   }
 
 (* Run quecc with a WAL attached (and optionally a crash) over [make ()],
