@@ -18,7 +18,8 @@ lint:
 	dune exec bin/quill_lint.exe
 
 # Full verification: build, test suite (with every bench target's claims,
-# test_harness), determinism lint, then CLI smoke runs: one exports
+# test_harness and test_bench_rows), determinism lint, then CLI smoke
+# runs: one exports
 # a trace (test_harness checks the exporter's JSON) and replays the
 # planned-order conflict check; one drives a per-transaction engine in
 # open loop with deadlines and retries; a non-finite --deadline must be

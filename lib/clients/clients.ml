@@ -65,11 +65,45 @@ type entry = {
                            independent of completion order *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* Admission queues                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One node's FIFO admission queue.  [lo] is a lower bound on the
+   queued entries' [deadline_at] ([max_int] when empty since the last
+   scan): a push lowers it, a removal leaves it a bound, and a scan
+   recomputes it.  A purge at [now <= lo] finds nothing expired and
+   skips its scan, so it costs O(1) unless some entry can have expired.
+   Retries keep their first offer's deadline, so deadlines are not in
+   queue order and a scan that runs still visits every entry. *)
+module Admission = struct
+  type q = { q : entry Queue.t; mutable lo : int }
+
+  let create () = { q = Queue.create (); lo = max_int }
+  let length a = Queue.length a.q
+  let is_empty a = Queue.is_empty a.q
+  let pop a = Queue.pop a.q
+  let take_opt a = Queue.take_opt a.q
+
+  let push a (e : entry) =
+    Queue.push e a.q;
+    if e.deadline_at < a.lo then a.lo <- e.deadline_at
+
+  let purge a ~now miss =
+    if now > a.lo then begin
+      a.lo <- max_int;
+      for _ = 1 to Queue.length a.q do
+        let e = Queue.pop a.q in
+        if now > e.deadline_at then miss e else push a e
+      done
+    end
+end
+
 type t = {
   cfg : cfg;
   sim : Sim.t;
   nodes : int;
-  queues : entry Queue.t array;                  (* per node *)
+  queues : Admission.q array;                    (* per node *)
   mutable live : int;
   node_live : int array;
   work_waiters : unit Sim.Ivar.iv Vec.t array;   (* take/drain parked here *)
@@ -113,7 +147,7 @@ let wait t vecs node =
 (* ------------------------------------------------------------------ *)
 
 let exhausted t = t.live = 0
-let queued t ~node = Queue.length t.queues.(node)
+let queued t ~node = Admission.length t.queues.(node)
 
 (* Final resolution: the entry will never be seen again.  Exhaustion is
    an arrival of sorts — blocked takers must wake up and re-check. *)
@@ -135,19 +169,13 @@ let miss t e =
 (* Drop entries whose deadline already passed (lazy purge: expiry is
    only ever observed at queue-touch points, keeping the clock honest). *)
 let purge_expired t node =
-  if t.cfg.deadline > 0 then begin
-    let q = t.queues.(node) in
-    let n = Queue.length q in
-    for _ = 1 to n do
-      let e = Queue.pop q in
-      if expired t e then miss t e else Queue.push e q
-    done
-  end
+  if t.cfg.deadline > 0 then
+    Admission.purge t.queues.(node) ~now:(Sim.now t.sim) (miss t)
 
 let enqueue t (e : entry) =
   let q = t.queues.(e.node) in
-  Queue.push e q;
-  if Queue.length q > t.qmax then t.qmax <- Queue.length q;
+  Admission.push q e;
+  if Admission.length q > t.qmax then t.qmax <- Admission.length q;
   signal t t.work_waiters e.node
 
 (* Admission: apply the overload policy when the queue is full.  [Block]
@@ -156,7 +184,7 @@ let enqueue t (e : entry) =
 let rec admit t (e : entry) =
   let q = t.queues.(e.node) in
   if t.cfg.policy = Deadline then purge_expired t e.node;
-  if Queue.length q < t.cfg.depth then enqueue t e
+  if Admission.length q < t.cfg.depth then enqueue t e
   else
     match t.cfg.policy with
     | Block ->
@@ -166,7 +194,7 @@ let rec admit t (e : entry) =
         t.shed <- t.shed + 1;
         finish t e
     | Shed_oldest ->
-        let victim = Queue.pop q in
+        let victim = Admission.pop q in
         t.shed <- t.shed + 1;
         finish t victim;
         enqueue t e
@@ -177,7 +205,7 @@ let rec admit t (e : entry) =
 
 let rec take t ~node =
   purge_expired t node;
-  match Queue.take_opt t.queues.(node) with
+  match Admission.take_opt t.queues.(node) with
   | Some e ->
       signal t t.space_waiters node;
       Some e
@@ -194,9 +222,9 @@ let rec take t ~node =
 let rec drain t ~node ~max:m =
   purge_expired t node;
   let q = t.queues.(node) in
-  if not (Queue.is_empty q) then begin
-    let n = min m (Queue.length q) in
-    let out = Array.init n (fun _ -> Queue.pop q) in
+  if not (Admission.is_empty q) then begin
+    let n = min m (Admission.length q) in
+    let out = Array.init n (fun _ -> Admission.pop q) in
     signal t t.space_waiters node;
     out
   end
@@ -314,7 +342,7 @@ let create ~sim ~nodes (wl : Workload.t) cfg =
       cfg;
       sim;
       nodes;
-      queues = Array.init nodes (fun _ -> Queue.create ());
+      queues = Array.init nodes (fun _ -> Admission.create ());
       live = cfg.total;
       node_live;
       work_waiters = Array.init nodes (fun _ -> Vec.create ());

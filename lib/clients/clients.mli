@@ -53,6 +53,29 @@ type entry = {
   rng : Quill_common.Rng.t;
 }
 
+(** One node's FIFO admission queue.  It keeps a lower bound on the
+    queued [deadline_at]s, so a purge that can find nothing expired
+    costs O(1) instead of a scan. *)
+module Admission : sig
+  type q
+
+  val create : unit -> q
+  val length : q -> int
+  val is_empty : q -> bool
+  val push : q -> entry -> unit
+
+  val pop : q -> entry
+  (** The head; raises [Queue.Empty] when empty. *)
+
+  val take_opt : q -> entry option
+
+  val purge : q -> now:int -> (entry -> unit) -> unit
+  (** [purge q ~now miss] removes every entry with [now > deadline_at]
+      and calls [miss] on each, in queue order; the others keep their
+      order.  No scan runs when the bound shows that no entry can have
+      expired. *)
+end
+
 type t
 
 val create : sim:Quill_sim.Sim.t -> nodes:int -> Quill_txn.Workload.t -> cfg -> t

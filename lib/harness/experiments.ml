@@ -353,7 +353,8 @@ let pipeline ?(scale = 1.0) () =
   let by_theta =
     sweep ~param:"contention" ~show:(Printf.sprintf "theta=%.2f")
       "Pipelined batches: planning of batch N+1 overlapped with execution \
-       of batch N (YCSB, 8 cores, committed state identical per seed)"
+       of batch N (YCSB; lockstep on 8 cores, pipelined on 16: 8 planners \
+       + 8 executors; committed state identical per seed)"
       [ 0.0; 0.6; 0.9 ]
       (fun ~sweep theta ->
         (* lint: engine-name-ok — report row label, not dispatch *)
@@ -385,8 +386,9 @@ let pipeline ?(scale = 1.0) () =
         "pipeline: %s theta=%.2f: commits diverge (%d vs %d)" name theta
         p.metrics.M.committed b.metrics.M.committed;
       claim (tput p >= tput b)
-        "pipeline: %s theta=%.2f: pipelined tput %.1f < lockstep %.1f" name
-        theta (tput p) (tput b);
+        "pipeline: %s theta=%.2f: pipelined tput %.1f on %d virtual cores < \
+         lockstep %.1f on %d"
+        name theta (tput p) p.metrics.M.threads (tput b) b.metrics.M.threads;
     ]
   in
   let at0 label = find ~sweep:"theta=0.00" label by_theta.rows in

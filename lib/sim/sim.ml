@@ -42,48 +42,87 @@ let phase_name = function
   | Ph_recover -> "recover"
   | Ph_publish -> "publish"
 
-(* The run queue is a binary min-heap private to the scheduler, keyed on
-   [(at, ord)] with inline int comparisons.  [ord] is unique per
-   scheduled entry, so the minimum (hence the dispatch order) does not
-   depend on the heap's layout.
+(* The run queue is a calendar queue private to the scheduler (Brown,
+   CACM 1988), ordered on [(at, ord)]: [ord] numbers every
+   (re)scheduling, so the dispatch order is "smallest [at], then
+   earliest scheduled", whatever the layout.
+
+   Entries are int ids into flat arrays ([e_at], [e_ord], ...), so
+   queueing one writes no pointer.  An entry whose [at] lies in the
+   window [base, base + window) sits in the FIFO bucket [at land mask],
+   which then holds only entries of that exact [at]; a bitmap marks the
+   non-empty buckets.  Every other entry (a sleep, timeout or latency
+   beyond the window, or a [spawn ~at] before [base]) waits in a small
+   binary heap, [ovf].  [base] is the last dispatched time and never
+   moves back; when it advances, the overflow entries the window now
+   reaches move into their buckets in [(at, ord)] order, before any new
+   entry can land there.  A new entry always takes the newest [ord], so
+   each bucket's FIFO order is its [ord] order.  [bmin] and [omin] are
+   the least [at] in the buckets and in the heap ([max_int] when
+   empty), which makes [due] two comparisons.
 
    A context switch is the hot path: most [tick]s on a busy core yield
    to another core due at or before the new clock.  The yielding thread
-   re-enters the queue through its own preallocated [self] entry and
-   handler, and is not pushed: it is held aside in [held] and merged
-   with the root by the dispatch loop in one sift-down (or dispatched
-   directly when it is still the minimum).  A switch therefore
-   allocates only the runtime's continuation.  Entries for wake-ups
-   from blocking primitives are fresh records pushed as usual.
+   re-enters the queue through its own permanent [sid] entry and
+   handler, and is not pushed: it is held aside in [held].  It carries
+   the newest [ord], so the dispatch loop runs it directly iff its [at]
+   is below the queue's minimum, and otherwise pops the minimum and
+   queues it.  A switch therefore allocates only the runtime's
+   continuation.  Entries for starts and wake-ups take a fresh id,
+   released when they run.
 
    [tick_local] charges without yielding and records the clock as a
    pending yield point; [sync] replays the points in order, re-entering
-   the queue through [self] at each one where [tick]'s rule would have
-   yielded.  A dispatched [self] goes on with the replay without
+   the queue through [sid] at each one where [tick]'s rule would have
+   yielded.  A dispatched [sid] goes on with the replay without
    resuming the fiber, so a thread's private work costs one resume per
    sync instead of one per tick, in the dispatch order of the all-[tick]
    program. *)
+(* 4,096 ns: on the bench/perf workloads at most 0.2% of queued
+   entries fall beyond it (client arrival gaps, timeouts, latencies);
+   head, tail and bitmap take 65 KB. *)
+let window_bits = 12
+let window = 1 lsl window_bits
+let mask = window - 1
+
 type t = {
-  mutable heap : entry array;  (* [heap.(0 .. size-1)] is the queue *)
-  mutable size : int;
-  mutable held : entry;        (* meaningful only when [has_held] *)
-  mutable has_held : bool;
+  (* entry ids *)
+  mutable e_at : time array;
+  mutable e_ord : int array;
+  mutable e_next : int array;          (* next id in the bucket, or -1 *)
+  mutable e_fresh : bool array;        (* released when dispatched *)
+  mutable e_resume : (unit -> unit) array;
+  mutable free : int array;            (* [free.(0 .. nfree-1)]: released ids *)
+  mutable nfree : int;
+  mutable nids : int;                  (* ids ever handed out *)
+  (* the window *)
+  head : int array;                    (* per bucket: first id, or -1 *)
+  tail : int array;                    (* per bucket: last id *)
+  bits : int array;                    (* 32 buckets per word: non-empty *)
+  mutable base : time;
+  mutable nb : int;                    (* entries in buckets *)
+  mutable bmin : time;
+  (* the overflow heap: [ovf.(0 .. novf-1)] *)
+  mutable ovf : int array;
+  mutable novf : int;
+  mutable omin : time;
+  mutable held : int;                  (* a yielded [sid], or -1 *)
   mutable order : int;
-  mutable resumes : int;       (* fiber resumptions, starts included *)
-  mutable current : thread;    (* [no_thread] between dispatches *)
+  mutable resumes : int;               (* fiber resumptions, starts included *)
+  mutable current : thread;            (* [no_thread] between dispatches *)
   mutable spawned : int;
   mutable completed : int;
   mutable busy : int;
   mutable idle : int;
   mutable horizon : time;
   wake_cost : int;
-  busy_by_phase : int array;   (* indexed by phase_index *)
-  idle_by_cause : int array;   (* indexed by cause_index *)
+  busy_by_phase : int array;           (* indexed by phase_index *)
+  idle_by_cause : int array;           (* indexed by cause_index *)
   tracer : Trace.t;
 }
 
 (* [tid < 0] only for [no_thread].  [k] is the continuation a yield
-   parked; [self] is the entry that re-enters it.  [pts.(next ..
+   parked; [sid] is the entry that re-enters it.  [pts.(next ..
    npts-1)] are the yield points [tick_local] recorded and [sync] has
    not replayed yet, in clock order. *)
 and thread = {
@@ -91,21 +130,10 @@ and thread = {
   mutable clock : time;
   mutable phase : int;
   mutable k : (unit, unit) Effect.Deep.continuation;
-  self : entry;
+  mutable sid : int;
   mutable pts : time array;
   mutable npts : int;
   mutable next : int;
-}
-
-(* [phantom] entries are scheduler bookkeeping (e.g. receive timeouts)
-   that may never fire: they must not drag the horizon forward, or an
-   unused timeout would inflate the run's elapsed time.  [at] and [ord]
-   are mutable only so a thread's [self] entry can be reused. *)
-and entry = {
-  mutable at : time;
-  mutable ord : int;
-  phantom : bool;
-  resume : unit -> unit;
 }
 
 type _ Effect.t +=
@@ -128,25 +156,39 @@ let no_k : (unit, unit) Effect.Deep.continuation =
     };
   match !cell with Some k -> k | None -> assert false
 
-let no_entry = { at = max_int; ord = max_int; phantom = true; resume = ignore }
 let no_thread =
   {
     tid = -1;
     clock = 0;
     phase = 0;
     k = no_k;
-    self = no_entry;
+    sid = -1;
     pts = [||];
     npts = 0;
     next = 0;
   }
 
 let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
+  let n = 64 in
   {
-    heap = Array.make 64 no_entry;
-    size = 0;
-    held = no_entry;
-    has_held = false;
+    e_at = Array.make n 0;
+    e_ord = Array.make n 0;
+    e_next = Array.make n (-1);
+    e_fresh = Array.make n false;
+    e_resume = Array.make n ignore;
+    free = Array.make n 0;
+    nfree = 0;
+    nids = 0;
+    head = Array.make window (-1);
+    tail = Array.make window (-1);
+    bits = Array.make (window / 32) 0;
+    base = 0;
+    nb = 0;
+    bmin = max_int;
+    ovf = Array.make n 0;
+    novf = 0;
+    omin = max_int;
+    held = -1;
     order = 0;
     resumes = 0;
     current = no_thread;
@@ -164,60 +206,193 @@ let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
 let of_costs ?sim (costs : Costs.t) =
   match sim with Some s -> s | None -> create ~wake_cost:costs.Costs.wakeup ()
 
-let[@inline] before a b = a.at < b.at || (a.at = b.at && a.ord < b.ord)
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-(* Sift [e] up from the hole at [i]. *)
-let rec sift_up h i e =
+(* A new id running [resume]; its [at] and [ord] are set when queued. *)
+let alloc t ~fresh resume =
+  let id =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      Array.unsafe_get t.free t.nfree
+    end
+    else begin
+      let id = t.nids in
+      let n = Array.length t.e_at in
+      if id = n then begin
+        t.e_at <- grow t.e_at (2 * n) 0;
+        t.e_ord <- grow t.e_ord (2 * n) 0;
+        t.e_next <- grow t.e_next (2 * n) (-1);
+        t.e_fresh <- grow t.e_fresh (2 * n) false;
+        t.e_resume <- grow t.e_resume (2 * n) ignore;
+        t.free <- grow t.free (2 * n) 0;
+        t.ovf <- grow t.ovf (2 * n) 0
+      end;
+      t.nids <- id + 1;
+      id
+    end
+  in
+  t.e_fresh.(id) <- fresh;
+  t.e_resume.(id) <- resume;
+  id
+
+(* Drop [id]'s closure (and the continuation it may hold) and recycle
+   the id. *)
+let release t id =
+  t.e_resume.(id) <- ignore;
+  Array.unsafe_set t.free t.nfree id;
+  t.nfree <- t.nfree + 1
+
+(* ---- overflow heap, on [(at, ord)] ---- *)
+
+let[@inline] before t a b =
+  let at = t.e_at in
+  let x = Array.unsafe_get at a and y = Array.unsafe_get at b in
+  x < y || (x = y && Array.unsafe_get t.e_ord a < Array.unsafe_get t.e_ord b)
+
+let rec sift_up t h i id =
   let p = (i - 1) / 2 in
-  if i > 0 && before e (Array.unsafe_get h p) then begin
+  if i > 0 && before t id (Array.unsafe_get h p) then begin
     Array.unsafe_set h i (Array.unsafe_get h p);
-    sift_up h p e
+    sift_up t h p id
   end
-  else Array.unsafe_set h i e
+  else Array.unsafe_set h i id
 
-(* Sift [e] down from the hole at [i] in [h.(0 .. n-1)]. *)
-let rec sift_down h n i e =
+let rec sift_down t h n i id =
   let l = (2 * i) + 1 in
-  if l >= n then Array.unsafe_set h i e
+  if l >= n then Array.unsafe_set h i id
   else begin
     let c =
-      if l + 1 < n && before (Array.unsafe_get h (l + 1)) (Array.unsafe_get h l)
+      if l + 1 < n && before t (Array.unsafe_get h (l + 1)) (Array.unsafe_get h l)
       then l + 1
       else l
     in
-    let ce = Array.unsafe_get h c in
-    if before ce e then begin
-      Array.unsafe_set h i ce;
-      sift_down h n c e
+    let cid = Array.unsafe_get h c in
+    if before t cid id then begin
+      Array.unsafe_set h i cid;
+      sift_down t h n c id
     end
-    else Array.unsafe_set h i e
+    else Array.unsafe_set h i id
   end
 
-let push t e =
-  if t.size = Array.length t.heap then begin
-    let h = Array.make (2 * t.size) no_entry in
-    Array.blit t.heap 0 h 0 t.size;
-    t.heap <- h
-  end;
-  sift_up t.heap t.size e;
-  t.size <- t.size + 1
+let ovf_push t id =
+  sift_up t t.ovf t.novf id;
+  t.novf <- t.novf + 1;
+  t.omin <- t.e_at.(t.ovf.(0))
 
-(* Remove the root and put [e] in its place. *)
-let replace_root t e = sift_down t.heap t.size 0 e
-
-let pop_root t =
-  let top = t.heap.(0) in
-  let n = t.size - 1 in
-  t.size <- n;
-  let last = t.heap.(n) in
-  t.heap.(n) <- no_entry;
-  if n > 0 then replace_root t last;
+let ovf_pop t =
+  let h = t.ovf in
+  let top = h.(0) in
+  let n = t.novf - 1 in
+  t.novf <- n;
+  if n > 0 then begin
+    sift_down t h n 0 h.(n);
+    t.omin <- t.e_at.(h.(0))
+  end
+  else t.omin <- max_int;
   top
 
+(* ---- the window ---- *)
+
+(* Index of the lowest set bit of a non-zero 32-bit word (de Bruijn). *)
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let[@inline] ctz32 x =
+  Char.code
+    (String.unsafe_get debruijn
+       ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
+
+let bucket_push t id at =
+  let b = at land mask in
+  Array.unsafe_set t.e_next id (-1);
+  let hd = Array.unsafe_get t.head b in
+  if hd < 0 then begin
+    Array.unsafe_set t.head b id;
+    let w = b lsr 5 in
+    Array.unsafe_set t.bits w
+      (Array.unsafe_get t.bits w lor (1 lsl (b land 31)))
+  end
+  else Array.unsafe_set t.e_next (Array.unsafe_get t.tail b) id;
+  Array.unsafe_set t.tail b id;
+  t.nb <- t.nb + 1;
+  if at < t.bmin then t.bmin <- at
+
+(* The first set bit in the words after [w], circularly; one is set.
+   Top-level, so a call allocates no closure. *)
+let rec next_bit bits w =
+  let w = (w + 1) land (Array.length bits - 1) in
+  let m = Array.unsafe_get bits w in
+  if m = 0 then next_bit bits w else (w lsl 5) + ctz32 m
+
+(* The first non-empty bucket after [a]'s, which is empty, in the window
+   [a, a + window): some bucket is non-empty. *)
+let next_time t a =
+  let ia = a land mask in
+  let start = (ia + 1) land mask in
+  let w0 = start lsr 5 in
+  let m = Array.unsafe_get t.bits w0 land (-1 lsl (start land 31)) in
+  let idx = if m <> 0 then (w0 lsl 5) + ctz32 m else next_bit t.bits w0 in
+  a + ((idx - ia) land mask)
+
+(* Remove the head of bucket [a = bmin], with [base = a]. *)
+let bucket_pop t a =
+  let b = a land mask in
+  let id = Array.unsafe_get t.head b in
+  let nx = Array.unsafe_get t.e_next id in
+  Array.unsafe_set t.head b nx;
+  t.nb <- t.nb - 1;
+  if nx < 0 then begin
+    let w = b lsr 5 in
+    Array.unsafe_set t.bits w
+      (Array.unsafe_get t.bits w land lnot (1 lsl (b land 31)));
+    t.bmin <- (if t.nb = 0 then max_int else next_time t a)
+  end;
+  id
+
+(* Move [base] up to [a]: no bucket entry lies before [a], and none in
+   the heap either. *)
+let advance_base t a =
+  t.base <- a;
+  let lim = a + window in
+  while t.omin < lim do
+    let id = ovf_pop t in
+    bucket_push t id (Array.unsafe_get t.e_at id)
+  done
+
+let[@inline] insert t id at =
+  if at >= t.base && at - t.base < window then bucket_push t id at
+  else ovf_push t id
+
+(* Remove the minimum; the queue is not empty. *)
+let pop t =
+  let o = t.omin in
+  if o < t.bmin then
+    if o < t.base then ovf_pop t
+    else begin
+      (* The window is empty: it moves to the heap's minimum. *)
+      advance_base t o;
+      bucket_pop t o
+    end
+  else begin
+    let a = t.bmin in
+    if a > t.base then advance_base t a;
+    bucket_pop t a
+  end
+
+(* A [phantom] entry (a receive timeout that may never fire) leaves the
+   horizon alone, so an unused timeout cannot stretch the run's elapsed
+   time. *)
 let schedule ?(phantom = false) t ~at resume =
   if (not phantom) && at > t.horizon then t.horizon <- at;
-  push t { at; ord = t.order; phantom; resume };
-  t.order <- t.order + 1
+  let id = alloc t ~fresh:true resume in
+  t.e_at.(id) <- at;
+  t.e_ord.(id) <- t.order;
+  t.order <- t.order + 1;
+  insert t id at
 
 let cur t =
   let th = t.current in
@@ -235,15 +410,15 @@ let make_resume t th k () =
    list). *)
 let suspend (_ : t) f = Effect.perform (Suspend f)
 
-(* Put [th]'s [self] entry at [(p, next ord)]: where a yield at clock
-   [p] re-enters the queue. *)
+(* Put [th]'s [sid] entry at [(p, next ord)]: where a yield at clock [p]
+   re-enters the queue. *)
 let[@inline] place t th p =
-  let self = th.self in
-  self.at <- p;
-  self.ord <- t.order;
+  let id = th.sid in
+  Array.unsafe_set t.e_at id p;
+  Array.unsafe_set t.e_ord id t.order;
   t.order <- t.order + 1
 
-let[@inline] due t p = t.size > 0 && (Array.unsafe_get t.heap 0).at <= p
+let[@inline] due t p = t.bmin <= p || t.omin <= p
 
 let push_point th p =
   let n = th.npts in
@@ -256,7 +431,7 @@ let push_point th p =
   th.npts <- n + 1
 
 (* Consume [th]'s pending points up to the first one at which [tick]'s
-   rule yields, placing [self] there; [false] (and nothing pending) when
+   rule yields, placing [sid] there; [false] (and nothing pending) when
    none does.  The queue is the one the all-[tick] program would see at
    that point: only this thread's private work lies in between. *)
 let rec replay t th =
@@ -283,46 +458,38 @@ let sync t = sync_thread t (cur t)
 
 let spawn ?(at = 0) t body =
   if t.current.tid >= 0 then sync t;
-  let rec th =
+  let th =
     {
       tid = t.spawned;
       clock = at;
       phase = 0;
       k = no_k;
-      self;
+      sid = -1;
       pts = [||];
       npts = 0;
       next = 0;
     }
-  and self =
-    {
-      at;
-      ord = 0;
-      phantom = false;
-      resume =
-        (fun () ->
-          (* A replayed yield point: go on with the replay, and resume
-             the fiber only once no point is left. *)
-          if th.npts > 0 && replay t th then begin
-            t.held <- self;
-            t.has_held <- true
-          end
-          else begin
-            t.current <- th;
-            t.resumes <- t.resumes + 1;
-            Effect.Deep.continue th.k ()
-          end);
-    }
   in
+  let sid =
+    alloc t ~fresh:false (fun () ->
+        (* A replayed yield point: go on with the replay, and resume the
+           fiber only once no point is left. *)
+        if th.npts > 0 && replay t th then t.held <- th.sid
+        else begin
+          t.current <- th;
+          t.resumes <- t.resumes + 1;
+          Effect.Deep.continue th.k ()
+        end)
+  in
+  th.sid <- sid;
   t.spawned <- t.spawned + 1;
   (* Preallocated so a yield allocates neither the handler nor its
-     [Some]: park [k] and hold [self] (already placed) aside. *)
+     [Some]: park [k] and hold [sid] (already placed) aside. *)
   let on_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         th.k <- k;
-        t.held <- self;
-        t.has_held <- true)
+        t.held <- sid)
   in
   (* A thread replays its pending points before it completes. *)
   let body () =
@@ -334,7 +501,10 @@ let spawn ?(at = 0) t body =
     t.resumes <- t.resumes + 1;
     Effect.Deep.match_with body ()
       {
-        retc = (fun () -> t.completed <- t.completed + 1);
+        retc =
+          (fun () ->
+            t.completed <- t.completed + 1;
+            release t sid);
         exnc = raise;
         effc =
           (fun (type a) (eff : a Effect.t) :
@@ -349,21 +519,27 @@ let spawn ?(at = 0) t body =
 
 (* Dispatch the minimum of the held-aside entry and the queue. *)
 let rec loop t =
-  if t.has_held then begin
-    t.has_held <- false;
-    let h = t.held in
-    if t.size = 0 || before h t.heap.(0) then dispatch t h
+  let h = t.held in
+  if h >= 0 then begin
+    t.held <- -1;
+    let at = Array.unsafe_get t.e_at h in
+    if at < t.bmin && at < t.omin then begin
+      if at > t.base then advance_base t at;
+      dispatch t h
+    end
     else begin
-      let e = t.heap.(0) in
-      replace_root t h;
+      (* Pop first: the base it may advance lets [h] land in a bucket. *)
+      let e = pop t in
+      insert t h at;
       dispatch t e
     end
   end
-  else if t.size > 0 then dispatch t (pop_root t)
+  else if t.bmin < max_int || t.omin < max_int then dispatch t (pop t)
 
-and dispatch t e =
-  if (not e.phantom) && e.at > t.horizon then t.horizon <- e.at;
-  e.resume ();
+and dispatch t id =
+  let f = Array.unsafe_get t.e_resume id in
+  if Array.unsafe_get t.e_fresh id then release t id;
+  f ();
   loop t
 
 let run t =
@@ -374,7 +550,7 @@ let run t =
          yield entry pending. *)
       let bt = Printexc.get_raw_backtrace () in
       t.current <- no_thread;
-      t.has_held <- false;
+      t.held <- -1;
       Printexc.raise_with_backtrace ex bt);
   t.current <- no_thread;
   t.spawned - t.completed

@@ -17,16 +17,25 @@
     deterministically).  A thread that charges with {!tick_local} runs
     ahead of that order on private state and rejoins it at {!sync}.
 
-    The run queue is a min-heap on [(at, ord)], where [ord] numbers every
+    The run queue is ordered on [(at, ord)], where [ord] numbers every
     (re)scheduling; the dispatch order is exactly "smallest [at], then
-    earliest scheduled".  A [tick] or [sleep] yields only when another
-    entry is due at or before the caller's new clock.  That yield — the
-    context switch, the simulator's hottest path — allocates nothing but
-    the runtime's continuation: the yielding thread is held aside and
-    merged with the queue's root in one sift-down.  Adding, removing or
-    moving a yield point changes tie order, hence virtual results; the
-    dispatch order is pinned by a golden trace and a reference-scheduler
-    property in [test/test_sim.ml]. *)
+    earliest scheduled".  It is a calendar queue: entries due within a
+    {!window} that starts at the last dispatched time sit in FIFO
+    buckets, one per exact [at]; every other entry (beyond the window,
+    or scheduled before its base by a [spawn ~at]) waits in a small
+    overflow heap.  A new entry always takes the newest [ord], and the
+    overflow entries the window reaches when it moves enter their
+    buckets in [(at, ord)] order before any new entry can, so a
+    bucket's FIFO order is its [ord] order.  A [tick] or [sleep] yields
+    only when another entry is due at or before the caller's new clock.
+    That yield — the context switch, the simulator's hottest path —
+    allocates nothing but the runtime's continuation and writes no
+    pointer into the queue: the yielding thread is held aside with the
+    newest [ord], runs again directly iff its [at] is below the queue's
+    minimum, and otherwise is queued as the minimum is taken.  Adding,
+    removing or moving a yield point changes tie order, hence virtual
+    results; the dispatch order is pinned by a golden trace and a
+    reference-scheduler property in [test/test_sim.ml]. *)
 
 type t
 type time = int
@@ -53,6 +62,12 @@ val create : ?wake_cost:int -> ?tracer:Quill_trace.Trace.t -> unit -> t
     that releases the others.  [tracer] (default {!Quill_trace.Trace.null},
     disabled) receives wait spans for idle time; it never affects
     virtual time. *)
+
+val window : int
+(** Width in ns of the run queue's calendar window, a power of two.  It
+    moves no virtual result: entries beyond it, or before its base, only
+    take the queue's slower overflow path.  Exposed so tests can
+    schedule across it. *)
 
 val of_costs : ?sim:t -> Costs.t -> t
 (** [sim] when given, else a fresh simulator whose [wake_cost] is the

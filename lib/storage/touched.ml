@@ -1,23 +1,26 @@
-type t = int Quill_common.Vec.t
+type t = Quill_common.Ivec.t
 
-module Vec = Quill_common.Vec
+module Ivec = Quill_common.Ivec
 
-let create () = Vec.create ()
+let create () = Ivec.create ()
 
 let add db t ~table slot =
   let tbl = Db.table db table in
   if not (Table.dirty tbl slot) then begin
     Table.set_dirty tbl slot true;
-    Vec.push t table;
-    Vec.push t slot
+    let i = Ivec.extend t 2 in
+    let d = Ivec.data t in
+    Array.unsafe_set d i table;
+    Array.unsafe_set d (i + 1) slot
   end
 
 let iter f t =
-  for i = 0 to (Vec.length t / 2) - 1 do
-    f (Vec.get t (2 * i)) (Vec.get t ((2 * i) + 1))
+  let d = Ivec.data t in
+  for i = 0 to (Ivec.length t / 2) - 1 do
+    f (Array.unsafe_get d (2 * i)) (Array.unsafe_get d ((2 * i) + 1))
   done
 
-let clear = Vec.clear
+let clear = Ivec.clear
 
 let publish db t =
   iter (fun table slot -> Table.publish (Db.table db table) slot) t;

@@ -1,8 +1,8 @@
 (** A touched set: the rows a thread wrote since its last publish, as
     (table, slot) pairs in touch order.  Each row's [dirty] flag keeps
-    it in at most one touched set.  One int vector holds the pairs, so
-    adding allocates nothing once the vector has grown to a batch's
-    size. *)
+    it in at most one touched set.  One flat int vector
+    ({!Quill_common.Ivec}) holds the pairs, so adding allocates nothing
+    and writes no pointer once it has grown to a batch's size. *)
 
 type t
 

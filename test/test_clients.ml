@@ -512,6 +512,140 @@ let test_dist_reject_pipelined_clients () =
         (fun () -> ignore (E.run e)))
     [ (E.Dist_quecc 2, "Dist_quecc.run"); (E.Dist_calvin 2, "Dist_calvin.run") ]
 
+(* ------------------------- deadline purge ------------------------- *)
+
+(* [Clients.Admission]'s purge against a naive full scan kept here as
+   the reference.  One driver runs a random script on either queue under
+   the [Deadline] policy's rules: an offer or a retry purges, then
+   queues or sheds on a full queue (a retry that already expired
+   misses first); a drain purges, then takes up to [k] entries; a
+   failed completion misses when expired, else waits to come back as a
+   retry with its first offer's deadline, which puts deadlines out of
+   queue order.  Both queues must miss the same entries in the same
+   order, keep the same survivors in the same order and count the
+   same. *)
+module type Admission_queue = sig
+  type q
+
+  val create : unit -> q
+  val length : q -> int
+  val push : q -> C.entry -> unit
+  val pop : q -> C.entry
+  val purge : q -> now:int -> (C.entry -> unit) -> unit
+end
+
+module Naive_admission : Admission_queue = struct
+  type q = C.entry Queue.t
+
+  let create = Queue.create
+  let length = Queue.length
+  let push q e = Queue.push e q
+  let pop = Queue.pop
+
+  let purge q ~now miss =
+    for _ = 1 to Queue.length q do
+      let e = Queue.pop q in
+      if now > e.C.deadline_at then miss e else Queue.push e q
+    done
+end
+
+type purge_op = Offer | Retry | Drain of int | Complete of bool | Step of int
+
+let run_admission (module Q : Admission_queue) ~depth ~deadline script =
+  let q = Q.create () in
+  let now = ref 0 in
+  let ids = ref [] in
+  let id e = List.assq e !ids in
+  let events = ref [] in
+  let note tag e = events := Printf.sprintf "%s%d" tag (id e) :: !events in
+  let misses = ref 0 and sheds = ref 0 and qmax = ref 0 in
+  let inflight = Queue.create () and waiting = Queue.create () in
+  let txn = Txn.make ~tid:0 [||] in
+  let miss e = incr misses; note "m" e in
+  let admit e =
+    Q.purge q ~now:!now miss;
+    if Q.length q < depth then begin
+      Q.push q e;
+      qmax := max !qmax (Q.length q)
+    end
+    else begin
+      incr sheds;
+      note "s" e
+    end
+  in
+  List.iter
+    (function
+      | Offer ->
+          let e =
+            {
+              C.txn;
+              node = 0;
+              first_offer = !now;
+              deadline_at = !now + deadline;
+              attempt = 1;
+              rng = Rng.create (List.length !ids);
+            }
+          in
+          ids := (e, List.length !ids) :: !ids;
+          admit e
+      | Retry -> (
+          match Queue.take_opt waiting with
+          | None -> ()
+          | Some e -> if !now > e.C.deadline_at then miss e else admit e)
+      | Drain k ->
+          Q.purge q ~now:!now miss;
+          for _ = 1 to min k (Q.length q) do
+            let e = Q.pop q in
+            note "d" e;
+            Queue.push e inflight
+          done
+      | Complete ok -> (
+          match Queue.take_opt inflight with
+          | None -> ()
+          | Some e ->
+              if ok then note "c" e
+              else if !now > e.C.deadline_at then miss e
+              else begin
+                e.C.attempt <- e.C.attempt + 1;
+                Queue.push e waiting
+              end)
+      | Step n -> now := !now + n)
+    script;
+  let survivors = List.init (Q.length q) (fun _ -> id (Q.pop q)) in
+  ( List.rev !events,
+    survivors,
+    (!misses, !sheds, !qmax, Queue.length waiting) )
+
+let prop_purge_matches_full_scan =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, return Offer);
+        (2, return Retry);
+        (2, map (fun k -> Drain k) (int_range 1 4));
+        (3, map (fun ok -> Complete ok) bool);
+        (3, map (fun n -> Step n) (int_bound 60));
+      ]
+  in
+  let print_op = function
+    | Offer -> "O"
+    | Retry -> "R"
+    | Drain k -> Printf.sprintf "D%d" k
+    | Complete ok -> if ok then "C" else "F"
+    | Step n -> Printf.sprintf "+%d" n
+  in
+  QCheck.Test.make ~count:500
+    ~name:"admission purge = full-scan reference"
+    (QCheck.make
+       ~print:(fun (depth, deadline, script) ->
+         Printf.sprintf "depth=%d deadline=%d %s" depth deadline
+           (String.concat " " (List.map print_op script)))
+       (triple (int_range 1 8) (int_range 1 200) (list_size (int_bound 200) op)))
+    (fun (depth, deadline, script) ->
+      let run q = run_admission q ~depth ~deadline script in
+      run (module C.Admission) = run (module Naive_admission))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "clients"
@@ -530,6 +664,7 @@ let () =
           Alcotest.test_case "shed-oldest" `Quick test_shed_oldest;
           Alcotest.test_case "shed-newest" `Quick test_shed_newest;
           Alcotest.test_case "deadline misses" `Quick test_deadline_misses;
+          qc prop_purge_matches_full_scan;
           Alcotest.test_case "retry budget exhaustion" `Quick
             test_retry_budget_exhaustion;
           Alcotest.test_case "cfg validation" `Quick test_create_validates;

@@ -498,11 +498,7 @@ let test_range_checks () =
       E.Tpcc (Tpcc.payment_mix { Tpcc.default with Tpcc_defs.warehouses = 1 });
     ]
 
-let null_fmt = Format.make_formatter (fun _ _ _ -> ()) ignore
-
-let eval cmd argv =
-  Cmdliner.Cmd.eval_value ~catch:false ~help:null_fmt ~err:null_fmt
-    ~argv:(Array.of_list argv) cmd
+let eval = Bench_rows.eval
 
 (* quill_cli's run command: the experiment plus the observability flags. *)
 let run_cmd =
@@ -671,17 +667,8 @@ let test_bench_read_sets () =
     flags;
   Tutil.check_bool "temp path left alone" false (Sys.file_exists path)
 
-let bench_targets =
-  [
-    "table2-row1"; "table2-row2"; "table2-row3"; "fig-contention";
-    "fig-scalability"; "fig-modes"; "fig-latency"; "fig-batch"; "pipeline";
-    "skew"; "fault-tolerance"; "failover"; "durability"; "cdc"; "overload";
-  ]
-
-(* scripts/bench_diff.sh's command line for [target]. *)
-let bench_diff_line target =
-  let json = Filename.concat (Filename.get_temp_dir_name ()) target in
-  [ target; "0.25"; "--phase-table"; "--json"; json ^ ".json" ]
+let bench_targets = Bench_rows.targets
+let bench_diff_line = Bench_rows.bench_diff_line
 
 (* The command lines of the Makefile, scripts/bench_diff.sh and the
    README parse to what they meant before the grammar moved. *)
@@ -766,86 +753,6 @@ let test_documented_lines () =
         (fun t -> [ t; "1"; "--json"; json t ])
         [ "durability"; "cdc"; "pipeline"; "skew"; "failover" ]
     @ List.map bench_diff_line bench_targets)
-
-(* Runs [f] with stdout sent to a file; returns what it printed. *)
-let capture_stdout f =
-  let path = Filename.temp_file "quill-bench" ".txt" in
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  Fun.protect f ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved);
-  let out = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  out
-
-(* The labels of the printed core-table rows, in order. *)
-let printed_labels out =
-  let cell l = String.trim (List.nth (String.split_on_char '|' l) 1) in
-  let rec scan in_core acc = function
-    | [] -> List.rev acc
-    | l :: rest when String.starts_with ~prefix:"| engine " l ->
-        (* past the header's closing separator *)
-        scan (Tutil.contains l "tput (txn/s)") acc (List.tl rest)
-    | l :: rest when in_core && String.starts_with ~prefix:"|" l ->
-        scan true (cell l :: acc) rest
-    | _ :: rest -> scan false acc rest
-  in
-  scan false [] (String.split_on_char '\n' out)
-
-(* Every experiment target, run as bench_diff.sh runs it: its claims
-   hold (the run raises on a false one), and the BENCH file it writes
-   parses, has one row per printed row label, in print order, and
-   carries a checksum on every row.  The targets with QueCC-family rows
-   under a WAL, a feed, a pipeline or faults also replay those rows
-   through the conflict checker. *)
-let conflict_checked_targets =
-  [ "pipeline"; "fault-tolerance"; "durability"; "cdc"; "failover" ]
-
-let test_bench_targets_write_rows () =
-  List.iter
-    (fun target ->
-      let args =
-        bench_diff_line target
-        @
-        if List.mem target conflict_checked_targets then
-          [ "--check-conflicts" ]
-        else []
-      in
-      let path = List.nth args 4 in
-      let out =
-        match eval bench ("main.exe" :: args) with
-        | Ok (`Ok run) -> capture_stdout run
-        | _ -> Alcotest.failf "%s: does not parse" target
-      in
-      let json = In_channel.with_open_text path In_channel.input_all in
-      Sys.remove path;
-      (match Tutil.json_error json with
-      | None -> ()
-      | Some err -> Alcotest.failf "%s: BENCH JSON malformed: %s" target err);
-      let rows =
-        List.filter
-          (String.starts_with ~prefix:"    {")
-          (String.split_on_char '\n' json)
-      in
-      let label row =
-        let from = String.length "    {\"label\": \"" in
-        String.sub row from (String.index_from row from '"' - from)
-      in
-      Tutil.check_bool (target ^ " wrote rows") true (rows <> []);
-      Alcotest.(check (list string))
-        (target ^ ": one row per printed row")
-        (printed_labels out) (List.map label rows);
-      List.iter
-        (fun row ->
-          Tutil.check_bool (target ^ " row has a checksum") true
-            (Tutil.contains row "\"checksum\": "))
-        rows)
-    bench_targets
 
 (* The claim checker passes when every claim holds and otherwise raises
    with exactly the false claims' lines, in order. *)
@@ -989,7 +896,7 @@ let () =
           Alcotest.test_case "bench read sets" `Quick test_bench_read_sets;
           Alcotest.test_case "documented lines" `Quick test_documented_lines;
           Alcotest.test_case "bench targets write their rows" `Slow
-            test_bench_targets_write_rows;
+            (fun () -> Bench_rows.check Bench_rows.first_half);
           Alcotest.test_case "to_argv rejects" `Quick test_to_argv_rejects;
           QCheck_alcotest.to_alcotest qcheck_to_argv;
         ] );

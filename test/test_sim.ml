@@ -429,19 +429,33 @@ let golden_expected =
 let test_golden_dispatch_order () =
   Alcotest.(check string) "golden trace" golden_expected (golden_trace ())
 
-(* Random tick/sleep/yield/local/sync programs against a reference
-   scheduler: run the runnable fiber with the minimum [(clock, seq)],
-   where [seq] counts (re)schedulings; after a tick, local tick or
-   sleep, yield only when another fiber is due at or before the new
-   clock; [yield] always reschedules; [sync] never does.  The reference
-   reads every [Local] as a [Tick]: [Sim.tick_local] defers those yields
-   to the next sync point, where they must replay exactly.  Each fiber
-   logs [(fid, clock)] on start and after every operation but a local
-   tick, which it performs without being resumed. *)
-type op = Tick of int | Sleep of int | Yield_op | Local of int | Sync_op
+(* Random tick/sleep/yield/local/sync/spawn programs against a
+   reference scheduler: run the runnable fiber with the minimum
+   [(clock, seq)], where [seq] counts (re)schedulings; after a tick,
+   local tick or sleep, yield only when another fiber is due at or
+   before the new clock; [yield] always reschedules; [sync] and [spawn]
+   never do.  The reference reads every [Local] as a [Tick]:
+   [Sim.tick_local] defers those yields to the next sync point, where
+   they must replay exactly.  Each fiber logs [(fid, clock)] on start
+   and after every operation but a local tick, which it performs
+   without being resumed.  Fibers are numbered in spawn order.
+
+   Durations and start times reach past [Sim.window] (up to 3x it), so
+   entries go through the run queue's overflow heap and the window
+   moves, sometimes with only overflow entries queued; a [Spawn] starts
+   a child [d] ns before the caller's clock (at 0 at the earliest),
+   usually before the window's base. *)
+type op =
+  | Tick of int
+  | Sleep of int
+  | Yield_op
+  | Local of int
+  | Sync_op
+  | Spawn of int * op list
 
 let reference progs =
   let log = ref [] and seq = ref 0 and q = ref [] in
+  let fibers = ref (List.length progs) in
   (* [logs]: whether the fiber notes its clock when dispatched. *)
   let add clock f ops logs = q := (clock, !seq, f, ops, logs) :: !q; incr seq in
   List.iteri (fun f (start, ops) -> add start f ops true) progs;
@@ -461,6 +475,10 @@ let reference progs =
                     (c, List.exists (fun (c', _, _, _, _) -> c' <= c) !q)
                 | Yield_op -> (clock, true)
                 | Sync_op -> (clock, false)
+                | Spawn (d, child) ->
+                    add (max 0 (clock - d)) !fibers child true;
+                    incr fibers;
+                    (clock, false)
               in
               let logs = match op with Local _ -> false | _ -> true in
               if yields then add clock f rest logs
@@ -479,42 +497,59 @@ let simulated progs =
   let s = Sim.create () in
   let log = ref [] in
   let note () = log := (Sim.current_tid s, Sim.now s) :: !log in
-  List.iter
-    (fun (at, ops) ->
-      Sim.spawn ~at s (fun () ->
-          note ();
-          List.iter
-            (fun op ->
-              match op with
-              | Tick n -> Sim.tick s n; note ()
-              | Sleep n -> Sim.sleep s n; note ()
-              | Yield_op -> Sim.yield s; note ()
-              | Local n -> Sim.tick_local s n
-              | Sync_op -> Sim.sync s; note ())
-            ops))
-    progs;
+  let rec body ops () =
+    note ();
+    List.iter
+      (fun op ->
+        match op with
+        | Tick n -> Sim.tick s n; note ()
+        | Sleep n -> Sim.sleep s n; note ()
+        | Yield_op -> Sim.yield s; note ()
+        | Local n -> Sim.tick_local s n
+        | Sync_op -> Sim.sync s; note ()
+        | Spawn (d, child) ->
+            Sim.spawn ~at:(max 0 (Sim.now s - d)) s (body child);
+            note ())
+      ops
+  in
+  List.iter (fun (at, ops) -> Sim.spawn ~at s (body ops)) progs;
   let parked = Sim.run s in
   (parked, List.rev !log)
 
 let arb_progs =
   let open QCheck.Gen in
+  let w = Sim.window in
+  (* Mostly short, else near the window's width or up to 3x it. *)
+  let span =
+    frequency
+      [ (6, int_bound 20); (1, int_range (w - 4) (w + 4)); (1, int_bound (3 * w)) ]
+  in
   let op =
     frequency
       [
-        (4, map (fun n -> Tick n) (int_bound 20));
-        (2, map (fun n -> Sleep n) (int_bound 20));
+        (4, map (fun n -> Tick n) span);
+        (2, map (fun n -> Sleep n) span);
         (1, return Yield_op);
-        (6, map (fun n -> Local n) (int_bound 20));
+        (6, map (fun n -> Local n) span);
         (1, return Sync_op);
       ]
   in
-  let fiber = pair (int_bound 20) (list_size (int_bound 16) op) in
-  let print_op = function
+  let op_or_spawn =
+    frequency
+      [
+        (15, op);
+        (1, map2 (fun d ops -> Spawn (d, ops)) span (list_size (int_bound 6) op));
+      ]
+  in
+  let fiber = pair span (list_size (int_bound 16) op_or_spawn) in
+  let rec print_op = function
     | Tick n -> Printf.sprintf "T%d" n
     | Sleep n -> Printf.sprintf "S%d" n
     | Yield_op -> "Y"
     | Local n -> Printf.sprintf "L%d" n
     | Sync_op -> "Z"
+    | Spawn (d, ops) ->
+        Printf.sprintf "P%d[%s]" d (String.concat ";" (List.map print_op ops))
   in
   QCheck.make
     ~print:
