@@ -2,6 +2,7 @@ SMOKE_TRACE := /tmp/quill-smoke-trace.json
 SMOKE_OUT := /tmp/quill-smoke.out
 SMOKE_ERR := /tmp/quill-smoke.err
 BENCH_TARGETS := durability cdc pipeline skew failover
+EXAMPLES := quickstart banking tpcc_contention distributed_demo isolation_modes
 
 .PHONY: all build test lint check bench-check bench-diff perf-ab clean
 
@@ -28,7 +29,8 @@ lint:
 # unwritable --trace path and a non-finite bench scale, before the run
 # prints anything (the last one writing no --json file); and a YCSB table
 # whose last partition is smaller than a transaction's key draw, under a
-# timeout so that a regression fails instead of hanging.
+# timeout so that a regression fails instead of hanging.  Last, every
+# example runs and must exit 0.
 check: build test lint
 	dune exec bin/quill_cli.exe -- run --engine quecc --workload ycsb \
 	  --txns 2048 --batch 512 --trace $(SMOKE_TRACE) --phase-table \
@@ -49,6 +51,9 @@ check: build test lint
 	dune exec bench/main.exe -- pipeline inf --json /tmp/quill-inf.json \
 	  >$(SMOKE_OUT); test $$? -eq 2 && test ! -s $(SMOKE_OUT) \
 	  && test ! -e /tmp/quill-inf.json
+	for e in $(EXAMPLES); do \
+	  dune exec --no-print-directory examples/$$e.exe > /dev/null || exit 1; \
+	done
 
 # Regenerate every checked-in BENCH_*.json at scale 1 and fail on any
 # difference: their numbers are deterministic virtual time, so a change

@@ -36,8 +36,6 @@ type rule =
   | Off_owner
   | Segment_overlap
 
-val rule_name : rule -> string
-
 type violation = {
   v_rule : rule;
   v_batch : int;  (** -1 when the access predates batch attribution *)
@@ -56,5 +54,4 @@ type report = {
 
 val ok : report -> bool
 val check_log : Access_log.t -> report
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

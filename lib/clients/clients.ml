@@ -147,7 +147,6 @@ let wait t vecs node =
 (* ------------------------------------------------------------------ *)
 
 let exhausted t = t.live = 0
-let queued t ~node = Admission.length t.queues.(node)
 
 (* Final resolution: the entry will never be seen again.  Exhaustion is
    an arrival of sorts — blocked takers must wake up and re-check. *)
@@ -265,10 +264,8 @@ let complete t (e : entry) ~ok =
 (* Arrival generators                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker [i]'s share of [total] split evenly across [n]. *)
-let share total n i = (total / n) + if i < total mod n then 1 else 0
-
-let quota cfg gi = share cfg.total cfg.clients gi
+(* Client [gi]'s share of the offered transactions. *)
+let quota cfg gi = snd (Workload.slice ~total:cfg.total ~parts:cfg.clients gi)
 
 (* Exponential interarrival gap in ns at [rate] txn/s. *)
 let exp_gap rng rate =
@@ -369,7 +366,7 @@ let serve ?clients (wl : Workload.t) ~workers ~worker ~txns run =
   match clients with
   | None ->
       let stream = wl.Workload.new_stream worker in
-      for _ = 1 to share txns workers worker do
+      for _ = 1 to snd (Workload.slice ~total:txns ~parts:workers worker) do
         ignore (run stream)
       done
   | Some t ->

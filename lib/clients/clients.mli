@@ -121,8 +121,6 @@ val exhausted : t -> bool
     (committed, shed, deadline-missed, or retry-exhausted).  Stable:
     once true it never becomes false. *)
 
-val queued : t -> node:int -> int
-
 val record : t -> Quill_txn.Metrics.t -> unit
 (** Copy the overload counters and client-latency histogram into [m]. *)
 

@@ -22,9 +22,6 @@ let[@inline] next64 t =
   Bytes.set_int64_ne t 0 s;
   mix64 s
 
-let split t = of_state (next64 t)
-let copy t = Bytes.copy t
-
 (* Keep results non-negative by dropping the top two bits: a 62-bit range
    is plenty and avoids [abs min_int] pitfalls. *)
 let[@inline] next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
@@ -47,17 +44,4 @@ let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next64 t) 1L = 1L
 let chance t p = float t 1.0 < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

@@ -49,8 +49,6 @@ let render ?align ~header rows =
 
 let print ?align ~header rows = print_string (render ?align ~header rows)
 
-let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
-
 let fmt_si v =
   let abs = Float.abs v in
   if abs >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)

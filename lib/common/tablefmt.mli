@@ -9,6 +9,5 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 
 val print : ?align:align list -> header:string list -> string list list -> unit
 
-val fmt_float : ?decimals:int -> float -> string
 val fmt_si : float -> string
 (** Engineering notation with an SI suffix: [fmt_si 1.23e6 = "1.23M"]. *)

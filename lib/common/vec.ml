@@ -28,23 +28,9 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if length t = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    let x = t.data.(t.len) in
-    t.data.(t.len) <- t.data.(0);
-    (* overwrite with a live value to avoid keeping [x] reachable *)
-    Some x
-  end
-
 let get t i =
   if i < 0 || i >= length t then invalid_arg "Vec.get";
   t.data.(i)
-
-let set t i x =
-  if i < 0 || i >= length t then invalid_arg "Vec.set";
-  t.data.(i) <- x
 
 let clear t =
   if t.len > 0 then begin
@@ -63,17 +49,6 @@ let iteri f t =
   for i = 0 to length t - 1 do
     f i t.data.(i)
   done
-
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to length t - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let exists p t =
-  let rec go i = i < length t && (p t.data.(i) || go (i + 1)) in
-  go 0
 
 let to_array t = Array.sub t.data 0 (length t)
 let to_list t = Array.to_list (to_array t)

@@ -7,18 +7,12 @@ val create : ?capacity:int -> unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a option
-(** Removes and returns the last element. *)
-
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val clear : 'a t -> unit
 (** Resets length to 0 (keeps capacity; releases element references). *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_array : 'a array -> 'a t

@@ -30,8 +30,6 @@ let create ?(theta = 0.99) n =
     { n; theta; alpha; zetan; eta; half_pow_theta = 0.5 ** theta }
   end
 
-let theta t = t.theta
-
 let sample t rng =
   if t.theta = 0.0 then Rng.int rng t.n
   else begin

@@ -12,8 +12,6 @@ val create : ?theta:float -> int -> t
     YCSB skew parameter: 0 is uniform, 0.99 is the classic "high
     contention" setting.  Cost: O(n) once (zeta precomputation). *)
 
-val theta : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a key; key 0 is the hottest. *)
 

@@ -57,7 +57,9 @@ let get_slice sh epoch src dst = Dist_rt.get_iv sh.slices (epoch, src, dst)
 
 let sequencer_thread sh node stream =
   let d = sh.d in
-  let start, count = Dist_rt.slice d ~parts:sh.cfg.nodes node in
+  let start, count =
+    Workload.slice ~total:d.Dist_rt.batch_size ~parts:sh.cfg.nodes node
+  in
   (* Sequence one epoch's slice into its global slots and broadcast it
      (the plan loop decides how far ahead to run).  In client mode the
      sequencer closes the epoch against its node's admission queue (up

@@ -47,6 +47,10 @@ type shared = {
 let p_global sh = sh.cfg.nodes * sh.cfg.planners
 let e_global sh = sh.cfg.nodes * sh.cfg.executors
 
+(* Global planner [gid]'s slice of a batch: (first slot, count). *)
+let slice sh gid =
+  Workload.slice ~total:sh.d.Dist_rt.batch_size ~parts:(p_global sh) gid
+
 let frag_part ~db ~parts (f : Fragment.t) =
   Db.home db f.Fragment.table f.Fragment.key mod parts
 
@@ -59,9 +63,8 @@ let get_reg sh batch prio egid = Dist_rt.get_iv sh.reg (batch, prio, egid)
 (* The contiguous slot range owned by a node (union of its planners'
    slices; used whole by planner 0 in client mode). *)
 let node_slot_range sh node =
-  let slice gid = Dist_rt.slice sh.d ~parts:(p_global sh) gid in
-  let start = fst (slice (node * sh.cfg.planners)) in
-  let last, n = slice (((node + 1) * sh.cfg.planners) - 1) in
+  let start = fst (slice sh (node * sh.cfg.planners)) in
+  let last, n = slice sh (((node + 1) * sh.cfg.planners) - 1) in
   (start, last + n - start)
 
 let planner_thread sh node p stream =
@@ -78,7 +81,7 @@ let planner_thread sh node p stream =
           { rt; frag = f })
       (Quill_quecc.Engine.plan_order txn.Txn.frags)
   in
-  let start, count = Dist_rt.slice d ~parts:(p_global sh) gid in
+  let start, count = slice sh gid in
   let fill =
     match d.clients with
     | None ->
@@ -300,10 +303,6 @@ let run ?sim ?(faults = Faults.none) ?clients ?recorder cfg wl ~batches =
     if clients <> None then
       invalid_arg
         "Dist_quecc.run: replication does not compose with open-loop clients";
-    if recorder <> None then
-      invalid_arg
-        "Dist_quecc.run: replication does not compose with the conflict \
-         recorder";
     if List.length faults.Faults.crashes > 1 then
       invalid_arg "Dist_quecc.run: replication supports one leader crash"
   end;
@@ -331,7 +330,7 @@ let run ?sim ?(faults = Faults.none) ?clients ?recorder cfg wl ~batches =
       let streams =
         Array.init (p_global sh) (fun gid -> wl.Workload.new_stream gid)
       in
-      let count gid = snd (Dist_rt.slice d ~parts:(p_global sh) gid) in
+      let count gid = snd (slice sh gid) in
       Array.iteri
         (fun gid s ->
           for _ = 1 to first * count gid do

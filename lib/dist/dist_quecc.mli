@@ -40,7 +40,7 @@ type cfg = {
           batch commit on their acks, and survive a fault-plan leader
           crash by failing over to the lowest-id backup (see
           {!Replication}).  Requires [nodes = 1] (the backups are the
-          redundancy), no open-loop clients and no conflict recorder. *)
+          redundancy) and no open-loop clients. *)
   spec_lag : int;
       (** how many batches past the newest commit marker a backup may
           speculatively execute (>= 1); acks double as backpressure, so
@@ -64,6 +64,8 @@ val run :
 (** [?recorder] records row accesses with queue-slot attribution for
     the conflict detector ([--check-conflicts]); crash-replay accesses
     are recorded under the recover phase, which the checker exempts.
+    With [replicas > 0] only the leader's executors record: the backups
+    and a leader elected by failover replay through [Direct] unrecorded.
 
     Requires the workload database to be partitioned with
     [nparts = nodes * executors].  [faults] (default

@@ -90,10 +90,6 @@ let get_iv tbl key =
 
 let fill t iv v = if not (Sim.Ivar.is_full iv) then Sim.Ivar.fill t.sim iv v
 
-let slice t ~parts i =
-  let base = t.batch_size / parts and rem = t.batch_size mod parts in
-  ((i * base) + min i rem, base + if i < rem then 1 else 0)
-
 (* ------------------------------------------------------------------ *)
 (* Transaction runtimes                                                *)
 (* ------------------------------------------------------------------ *)
@@ -222,12 +218,16 @@ let make_ctx t st =
   (* On replay the inputs this fragment feeds are already full: they
      were computed and sent before the crash. *)
   let output fid v =
-    if not st.replay then
+    if not st.replay then begin
+      (* [fill]'s full check and [Net.send]'s link sequence numbers are
+         shared with other threads. *)
+      Sim.sync t.sim;
       List.iter
         (fun (dst, iv) ->
           if dst = st.node then fill t iv v
           else Net.send t.net ~src:st.node ~dst ~bytes:16 (Fill { iv; v }))
         (the_rt ()).producers.(fid)
+    end
   in
   let found _ = cur.found in
   { Exec.read; write; add; insert; input; output; found }

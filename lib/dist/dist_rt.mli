@@ -77,10 +77,6 @@ val get_iv : ('k, 'v Sim.Ivar.iv) Hashtbl.t -> 'k -> 'v Sim.Ivar.iv
 
 val fill : 'p t -> 'v Sim.Ivar.iv -> 'v -> unit  (** unless already full *)
 
-val slice : 'p t -> parts:int -> int -> int * int
-(** [(first slot, count)] of part [i] when a batch is split evenly into
-    [parts] contiguous slices. *)
-
 val admit : 'p t -> ?centry:Quill_clients.Clients.entry -> Txn.t -> rt
 (** Charge a transaction's admission and build its runtime. *)
 

@@ -42,8 +42,6 @@ let create ?faults sim costs ~nodes =
     dups_dropped = 0;
   }
 
-let nodes t = Array.length t.inboxes
-
 let check t fn what v =
   if v < 0 || v >= Array.length t.inboxes then
     invalid_arg

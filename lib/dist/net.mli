@@ -25,8 +25,6 @@ val create :
 (** An inactive fault plan (or none) leaves the fault machinery
     entirely out of the message path. *)
 
-val nodes : 'a t -> int
-
 val send : 'a t -> src:int -> dst:int -> bytes:int -> 'a -> unit
 (** Must be called from a simulated thread on node [src].  Raises
     [Invalid_argument] with a descriptive message when [src] or [dst]

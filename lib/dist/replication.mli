@@ -30,12 +30,6 @@ open Quill_txn
 
 type t
 
-val heartbeat_every : Costs.t -> int
-(** Leader heartbeat period, virtual ns (sized from the net latency). *)
-
-val detect_timeout : Costs.t -> int
-(** Silence window after which backups declare the leader dead. *)
-
 val create :
   sim:Sim.t ->
   costs:Costs.t ->

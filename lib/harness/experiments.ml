@@ -60,12 +60,12 @@ let recorded_since since =
     ((not !check_conflicts) || !conflict_checked > since)
     "conflict-check: no run was recorded"
 
-(* The QueCC family records; dist-quecc only unreplicated, because
-   [Dist_quecc.run] rejects a recorder on a replicated run. *)
+(* The QueCC family records (a replicated dist-quecc run records its
+   leader's executors; backups and a post-failover leader replay through
+   [Direct] unrecorded). *)
 let records_conflicts (e : E.t) =
   match e.E.engine with
-  | E.Quecc _ -> true
-  | E.Dist_quecc _ -> e.E.replicas = 0
+  | E.Quecc _ | E.Dist_quecc _ -> true
   | E.Serial | E.Twopl_nowait | E.Twopl_waitdie | E.Silo | E.Tictoc
   | E.Mvto | E.Hstore | E.Calvin | E.Dist_calvin _ ->
       false
@@ -576,7 +576,11 @@ let failover ?(scale = 1.0) ?plan () =
     ]
     ~summary:[ ("epoch_ns", Bench_json.Int epoch_ns) ]
     ~claims:
-      (recorded_since checked0 :: replicated ha @ replicated crash
+      (claim
+         ((not !check_conflicts) || !conflict_checked - checked0 = 3)
+         "conflict-check: %d of 3 failover rows recorded"
+         (!conflict_checked - checked0)
+      :: replicated ha @ replicated crash
       @
       if not own_plan then []
       else

@@ -125,15 +125,13 @@ val skew : ?scale:float -> unit -> t
     commits and checksum, and adaptive theta 0.9 keeps at least 85% of
     plain theta 0 throughput. *)
 
-val default_fault_plan : Quill_faults.Faults.spec
-(** One node-1 crash mid-run, 1% drop, 1% duplication, seed 7. *)
-
 val fault_tolerance :
   ?scale:float -> ?plan:Quill_faults.Faults.spec -> unit -> t
 (** Robustness headline: dist-quecc (queue replay) vs dist-calvin
     (sequencer-log replay) with and without an identical fault plan
-    ([plan] defaults to {!default_fault_plan}); the fault table rows
-    report crashes, redone work and recovery time.  Claims: under the
+    ([plan] defaults to one node-1 crash mid-run, 1% drop, 1%
+    duplication, seed 7); the fault table rows report crashes, redone
+    work and recovery time.  Claims: under the
     default plan some row spends time recovering; under
     [--check-conflicts] some run was recorded. *)
 
@@ -149,8 +147,8 @@ val failover : ?scale:float -> ?plan:Quill_faults.Faults.spec -> unit -> t
     mid-run leader crash.  Claims: no replicated row loses a commit or
     diverges from the baseline's checksum, and its backups speculated;
     without [plan], the leader crashed and failed over once, in less
-    than one fault-free epoch; under [--check-conflicts] some run (the
-    unreplicated baseline) was recorded. *)
+    than one fault-free epoch; under [--check-conflicts] all three rows
+    were recorded (a replicated row records its leader's executors). *)
 
 val durability : ?scale:float -> unit -> t
 (** Durability headline: batch-aligned group-commit WAL on the

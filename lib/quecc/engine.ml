@@ -432,12 +432,6 @@ let plan_order frags =
   ordered
   end
 
-let slice_bounds ~batch_size ~planners p =
-  let base = batch_size / planners and rem = batch_size mod planners in
-  let start = (p * base) + min p rem in
-  let count = base + if p < rem then 1 else 0 in
-  (start, count)
-
 (* A fragment may enter a hot-key chain only if it can never block a
    foreign executor: no abortable sibling (so no commit gate and no
    abort path), no data-dependency slots anywhere in its transaction,
@@ -676,7 +670,9 @@ let plan_work sh ~streams ~parity ~bno p work rr =
   let batch_size =
     match work with Stream -> sh.cfg.batch_size | Admitted es -> Array.length es
   in
-  let start, count = slice_bounds ~batch_size ~planners:sh.cfg.planners p in
+  let start, count =
+    Workload.slice ~total:batch_size ~parts:sh.cfg.planners p
+  in
   plan_txns sh ~parity ~bno p ~start ~count
     ~get:(fun j ->
       match work with

@@ -44,15 +44,11 @@ type time = int
     ([Cause_sleep] is an explicit {!sleep}, e.g. contention backoff). *)
 type idle_cause = Cause_barrier | Cause_ivar | Cause_chan | Cause_sleep
 
-val cause_name : idle_cause -> string
-
 (** Engine phase of the calling thread; busy time charged via {!tick} is
     attributed to the phase active at that moment.  The labels follow
     the QueCC plan / execute / recover / publish pipeline; engines
     without a phase use the subset that applies (default [Ph_other]). *)
 type phase = Ph_other | Ph_plan | Ph_execute | Ph_recover | Ph_publish
-
-val phase_name : phase -> string
 
 val create : ?wake_cost:int -> ?tracer:Quill_trace.Trace.t -> unit -> t
 (** [wake_cost] is added to a thread's clock whenever it is woken from a

@@ -1,6 +1,6 @@
-(* Virtual-time tracing: spans, counters, and instants recorded against
-   the simulator's nanosecond clock, exported in the Chrome trace-event
-   JSON format (load in chrome://tracing or https://ui.perfetto.dev).
+(* Virtual-time tracing: spans and counters recorded against the
+   simulator's nanosecond clock, exported in the Chrome trace-event JSON
+   format (load in chrome://tracing or https://ui.perfetto.dev).
 
    The tracer is zero-cost when disabled: [null] is a shared sentinel
    whose [enabled] flag is false, every recording function checks that
@@ -16,7 +16,6 @@ type event =
               ts : int; dur : int }
   | Counter of { pid : int; tid : int; name : string; series : string;
                  ts : int; value : int }
-  | Instant of { pid : int; tid : int; name : string; ts : int }
   | Process_name of { pid : int; name : string }
 
 type t = {
@@ -46,9 +45,6 @@ let span t ~tid ?(cat = "phase") ~name ~ts ~dur () =
 let counter t ~tid ~name ~series ~ts ~value =
   if t.enabled then
     Vec.push t.events (Counter { pid = t.pid; tid; name; series; ts; value })
-
-let instant t ~tid ~name ~ts =
-  if t.enabled then Vec.push t.events (Instant { pid = t.pid; tid; name; ts })
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON                                             *)
@@ -82,10 +78,6 @@ let add_event buf = function
       Printf.bprintf buf
         {|{"name":"%s","cat":"counter","ph":"C","pid":%d,"tid":%d,"ts":%.3f,"args":{"%s":%d}}|}
         (escape name) pid tid (us ts) (escape series) value
-  | Instant { pid; tid; name; ts } ->
-      Printf.bprintf buf
-        {|{"name":"%s","cat":"instant","ph":"i","s":"t","pid":%d,"tid":%d,"ts":%.3f}|}
-        (escape name) pid tid (us ts)
   | Process_name { pid; name } ->
       Printf.bprintf buf
         {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"%s"}}|}

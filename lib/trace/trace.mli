@@ -1,8 +1,8 @@
 (** Virtual-time tracing with a Chrome trace-event exporter.
 
-    Spans, counters and instant markers are recorded against the
-    simulator's nanosecond clock and exported in the Chrome trace-event
-    JSON format (load the file in chrome://tracing or
+    Spans and counters are recorded against the simulator's nanosecond
+    clock and exported in the Chrome trace-event JSON format (load the
+    file in chrome://tracing or
     {{:https://ui.perfetto.dev}Perfetto}).
 
     The tracer is zero-cost when disabled: {!null} is a shared sentinel
@@ -39,8 +39,6 @@ val counter :
   t -> tid:int -> name:string -> series:string -> ts:int -> value:int -> unit
 (** Counter sample ([ph:"C"]): the value of [series] under counter
     [name] at virtual ns [ts]. *)
-
-val instant : t -> tid:int -> name:string -> ts:int -> unit
 
 val to_chrome_json : t -> string
 (** The whole trace as one JSON object:

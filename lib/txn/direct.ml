@@ -10,18 +10,19 @@ let find db (frag : Fragment.t) =
 
 let step ?(local = false) sim (costs : Costs.t) (wl : Workload.t) ctx cur
     ~locate txn (frag : Fragment.t) =
-  let tick sim n = if local then Sim.tick_local sim n else Sim.tick sim n in
   (match frag.Fragment.mode with
   | Fragment.Insert ->
       cur.slot <- -1;
       cur.found <- true
   | Fragment.Read | Fragment.Write | Fragment.Rmw ->
-      tick sim costs.Costs.index_probe;
+      (if local then Sim.tick_local else Sim.tick) sim costs.Costs.index_probe;
       let slot = locate frag in
       cur.slot <- slot;
       cur.found <- slot >= 0);
-  tick sim costs.Costs.logic;
-  wl.Workload.exec ctx txn frag
+  Sim.tick_local sim costs.Costs.logic;
+  let r = wl.Workload.exec ctx txn frag in
+  if not local then Sim.sync sim;
+  r
 
 type abort_charge = Per_write | Per_row | Per_txn
 

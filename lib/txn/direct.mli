@@ -43,13 +43,19 @@ val step :
     [logic], and run [frag]'s logic.  An exception raised by [locate]
     (2PL's [Exec.Blocked_exn]) leaves the step after the probe, before
     the logic charge; {!run} maps [Blocked_exn] to [Blocked].
-    [local] (default false) charges the probe and the logic with
-    {!Quill_sim.Sim.tick_local}: only for a fragment whose [locate] and
-    context touch no state another thread reads or writes before they
-    sync.  A lookup of a key another thread may insert meanwhile is not
-    such a fragment: QueCC passes [~local:true] for fragments on their
-    key's home executor, not for read-committed reads, which may run on
-    any executor. *)
+    The logic charge is always a {!Quill_sim.Sim.tick_local}: only
+    private work follows it, because a workload's [exec] reaches shared
+    state only through [ctx], whose accessors sync before they touch
+    state another thread may write meanwhile.  Unless [local], the step
+    syncs once the logic returns, so its caller may touch shared state
+    right after it (a fragment's logic may end without an accessor that
+    syncs, such as TPC-C's invalid item).  [local] (default false)
+    charges the probe with [tick_local] too and skips that sync: only
+    for a fragment whose [locate], and whose caller until its next sync,
+    touch no state another thread reads or writes.  A lookup of a key
+    another thread may insert meanwhile is not such a fragment: QueCC
+    passes [~local:true] for fragments on their key's home executor, not
+    for read-committed reads, which may run on any executor. *)
 
 (** How a rolled-back attempt is charged [abort_cleanup]. *)
 type abort_charge =

@@ -30,15 +30,3 @@ let make ?(abortable = false) ?(early = false) ?(data_deps = [||])
 
 let updates t =
   match t.mode with Write | Rmw | Insert -> true | Read -> false
-
-let mode_str = function
-  | Read -> "R"
-  | Write -> "W"
-  | Rmw -> "RMW"
-  | Insert -> "INS"
-
-let pp fmt t =
-  Format.fprintf fmt "f%d[%s t%d k%d%s%s]" t.fid (mode_str t.mode) t.table
-    t.key
-    (if t.abortable then " abortable" else "")
-    (if t.commit_dep then " cdep" else "")

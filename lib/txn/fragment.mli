@@ -59,5 +59,3 @@ val make :
 
 val updates : t -> bool
 (** True for [Write], [Rmw] and [Insert] fragments. *)
-
-val pp : Format.formatter -> t -> unit

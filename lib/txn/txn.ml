@@ -1,5 +1,3 @@
-open Quill_storage
-
 type status = Pending | Active | Committed | Aborted
 
 type t = {
@@ -52,23 +50,3 @@ let admit ?(local = false) sim (costs : Quill_sim.Costs.t) draw =
   t.status <- Active;
   t.attempts <- t.attempts + 1;
   t
-
-let partitions db t =
-  let parts =
-    Array.fold_left
-      (fun acc (f : Fragment.t) ->
-        let p = Db.home db f.Fragment.table f.Fragment.key in
-        if List.mem p acc then acc else p :: acc)
-      [] t.frags
-  in
-  List.sort compare parts
-
-let is_read_only t =
-  not (Array.exists Fragment.updates t.frags)
-
-let pp fmt t =
-  Format.fprintf fmt "txn%d{%a}" t.tid
-    (Format.pp_print_array
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Fragment.pp)
-    t.frags

@@ -37,9 +37,3 @@ val admit :
     {!Quill_sim.Sim.tick_local} instead of [tick]: for a caller that
     touches nothing shared until its next sync, such as a QueCC planner,
     whose transactions stay private until the batch's planned gate. *)
-
-val partitions : Quill_storage.Db.t -> t -> int list
-(** Distinct home partitions touched, ascending. *)
-
-val is_read_only : t -> bool
-val pp : Format.formatter -> t -> unit

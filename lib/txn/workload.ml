@@ -1,3 +1,5 @@
+open Quill_common
+
 type t = {
   name : string;
   db : Quill_storage.Db.t;
@@ -6,13 +8,17 @@ type t = {
   describe : string;
 }
 
-let exec_txn t ctx txn =
-  let n = Array.length txn.Txn.frags in
-  let rec go i =
-    if i >= n then Exec.Ok
-    else
-      match t.exec ctx txn txn.Txn.frags.(i) with
-      | Exec.Ok -> go (i + 1)
-      | (Exec.Abort | Exec.Blocked) as r -> r
-  in
-  go 0
+let streams ~seed gen =
+  let base = Rng.create seed in
+  let seeds = Array.init 1024 (fun _ -> Rng.next base) in
+  fun i ->
+    let rng = Rng.create seeds.(i mod 1024) in
+    let counter = ref 0 in
+    fun () ->
+      let tid = (!counter * 1024) + (i mod 1024) in
+      incr counter;
+      gen rng tid
+
+let slice ~total ~parts i =
+  let base = total / parts and rem = total mod parts in
+  ((i * base) + min i rem, base + if i < rem then 1 else 0)

@@ -1,4 +1,3 @@
-open Quill_common
 open Quill_txn
 
 type cfg = Tpcc_defs.cfg
@@ -15,15 +14,9 @@ let make (cfg : cfg) =
     = 100);
   let h = Tpcc_load.make cfg in
   let book = Tpcc_gen.make_book cfg in
-  let base = Rng.create cfg.Tpcc_defs.seed in
-  let stream_seeds = Array.init 1024 (fun _ -> Rng.next base) in
-  let new_stream i =
-    let rng = Rng.create stream_seeds.(i mod 1024) in
-    let counter = ref 0 in
-    fun () ->
-      let tid = (!counter * 1024) + (i mod 1024) in
-      incr counter;
-      Tpcc_gen.gen_txn cfg h book rng tid
+  let new_stream =
+    Workload.streams ~seed:cfg.Tpcc_defs.seed (fun rng tid ->
+        Tpcc_gen.gen_txn cfg h book rng tid)
   in
   let name =
     Printf.sprintf "tpcc-w%d-%d" cfg.Tpcc_defs.warehouses cfg.Tpcc_defs.seed

@@ -21,14 +21,9 @@ type handles = {
 }
 
 val of_db : Quill_storage.Db.t -> handles
-(** The handles of a database {!build} created, looked up by table and
+(** The handles of a database {!make} created, looked up by table and
     index name.  Raises [Invalid_argument] when one is missing. *)
 
-val build : Tpcc_defs.cfg -> handles
-(** Create all nine tables and the customer-by-last-name index, empty. *)
-
-val populate : Tpcc_defs.cfg -> handles -> unit
-(** Load warehouses, districts, customers, items and stock per spec. *)
-
 val make : Tpcc_defs.cfg -> handles
-(** [build] then [populate]. *)
+(** Create all nine tables and the customer-by-last-name index, then
+    load warehouses, districts, customers, items and stock per spec. *)

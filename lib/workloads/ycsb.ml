@@ -187,15 +187,9 @@ let make cfg =
   let db = build_db cfg in
   let table_id = Db.table_id db "usertable" in
   let zipf = Zipf.create ~theta:cfg.theta cfg.table_size in
-  let base = Rng.create cfg.seed in
-  let stream_seeds = Array.init 1024 (fun _ -> Rng.next base) in
-  let new_stream i =
-    let rng = Rng.create stream_seeds.(i mod 1024) in
-    let counter = ref 0 in
-    fun () ->
-      let tid = (!counter * 1024) + (i mod 1024) in
-      incr counter;
-      gen_txn cfg zipf table_id rng tid
+  let new_stream =
+    Workload.streams ~seed:cfg.seed (fun rng tid ->
+        gen_txn cfg zipf table_id rng tid)
   in
   {
     Workload.name = "ycsb";

@@ -43,9 +43,6 @@ val min_part_rows : cfg -> int
 val make : cfg -> Quill_txn.Workload.t
 (** Builds and populates the database, returns the workload handle. *)
 
-(* Opcodes, exposed for white-box tests. *)
-val op_read : int
 val op_rmw : int
-val op_write : int
-val op_abort_check : int
-val op_rmw_dep : int
+(** The opcode of a plain read-modify-write fragment, which adds its
+    [args.(0)] to field 0. *)

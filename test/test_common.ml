@@ -19,16 +19,6 @@ let test_rng_bounds () =
     Tutil.check_bool "float range" true (f >= 0.0 && f < 2.0)
   done
 
-let test_rng_split_independent () =
-  let a = Rng.create 3 in
-  let b = Rng.split a in
-  (* The split stream must not mirror the parent. *)
-  let equal = ref 0 in
-  for _ = 1 to 100 do
-    if Rng.next a = Rng.next b then incr equal
-  done;
-  Tutil.check_bool "split diverges" true (!equal < 5)
-
 let test_rng_uniformity () =
   let r = Rng.create 99 in
   let buckets = Array.make 10 0 in
@@ -42,14 +32,6 @@ let test_rng_uniformity () =
       Tutil.check_bool "bucket within 10% of uniform" true
         (abs (c - (n / 10)) < n / 100))
     buckets
-
-let test_rng_shuffle_permutation () =
-  let r = Rng.create 5 in
-  let a = Array.init 100 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
 
 let test_rng_chance () =
   let r = Rng.create 12 in
@@ -66,19 +48,23 @@ let test_rng_chance () =
    from being inlined into its caller (with inlining it is 0 too). *)
 let test_rng_pinned_no_alloc () =
   List.iter
-    (fun (seed, next, int, float, bool, chance) ->
+    (fun (seed, next, int, float, next2, chance) ->
       let r = Rng.create seed in
       let name what = Printf.sprintf "seed %d: %s" seed what in
       Tutil.check_int (name "next") next (Rng.next r);
       Tutil.check_int (name "int") int (Rng.int r 1_000_000);
       Tutil.check_bool (name "float") true (Rng.float r 1.0 = float);
-      Tutil.check_bool (name "bool") bool (Rng.bool r);
+      Tutil.check_int (name "next again") next2 (Rng.next r);
       Tutil.check_bool (name "chance") chance (Rng.chance r 0.5))
     [
-      (0, 4073552104164651883, 588925, 0x1.b1174620025p-6, false, true);
-      (1, 3457603482011350492, 166673, 0x1.c0cd7f0f6bcf6p-2, false, true);
-      (7, 2418118848055258963, 282181, 0x1.e1ca420e19806p-1, true, false);
-      (42, 2749113066540076570, 47797, 0x1.54c85f31d00d8p-3, false, false);
+      (0, 4073552104164651883, 588925, 0x1.b1174620025p-6, 4477402844195135611,
+       true);
+      (1, 3457603482011350492, 166673, 0x1.c0cd7f0f6bcf6p-2, 4400086718694418251,
+       true);
+      (7, 2418118848055258963, 282181, 0x1.e1ca420e19806p-1, 4073176065533173718,
+       false);
+      (42, 2749113066540076570, 47797, 0x1.54c85f31d00d8p-3, 221479889520321091,
+       false);
     ];
   let r = Rng.create 42 and acc = ref 0 in
   let draws = 10_000 in
@@ -86,11 +72,10 @@ let test_rng_pinned_no_alloc () =
     Tutil.minor_words_during (fun () ->
         for _ = 1 to draws do
           acc := !acc + Rng.int r 1000 + Rng.int_incl r (-5) 5;
-          if Rng.bool r then incr acc;
           if Rng.chance r 0.25 then incr acc
         done)
   in
-  Tutil.check_bool "int, int_incl, bool, chance allocate nothing" true
+  Tutil.check_bool "int, int_incl, chance allocate nothing" true
     (words = 0.);
   let words =
     Tutil.minor_words_during (fun () ->
@@ -209,28 +194,22 @@ let test_vec_basic () =
   done;
   Tutil.check_int "length" 100 (Vec.length v);
   Tutil.check_int "get" 42 (Vec.get v 42);
-  Vec.set v 42 1000;
-  Tutil.check_int "set" 1000 (Vec.get v 42);
-  Tutil.check_int "pop" 99 (match Vec.pop v with Some x -> x | None -> -1);
-  Tutil.check_int "length after pop" 99 (Vec.length v);
   Vec.clear v;
   Tutil.check_int "cleared" 0 (Vec.length v);
-  Tutil.check_bool "pop empty" true (Vec.pop v = None)
+  Tutil.check_bool "empty again" true (Vec.is_empty v)
 
 let test_vec_oob () =
   let v = Vec.of_array [| 1; 2; 3 |] in
   Alcotest.check_raises "get oob" (Invalid_argument "Vec.get") (fun () ->
       ignore (Vec.get v 3));
-  Alcotest.check_raises "set oob" (Invalid_argument "Vec.set") (fun () ->
-      Vec.set v (-1) 0)
+  Alcotest.check_raises "negative get" (Invalid_argument "Vec.get") (fun () ->
+      ignore (Vec.get v (-1)))
 
 let test_vec_sort_fold () =
   let v = Vec.of_array [| 5; 1; 4; 2; 3 |] in
   Vec.sort compare v;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Vec.to_list v);
-  Tutil.check_int "fold" 15 (Vec.fold ( + ) 0 v);
-  Tutil.check_bool "exists" true (Vec.exists (fun x -> x = 4) v);
-  Tutil.check_bool "not exists" false (Vec.exists (fun x -> x = 9) v)
+  Alcotest.(check (array int)) "to_array" [| 1; 2; 3; 4; 5 |] (Vec.to_array v)
 
 let prop_vec_model =
   QCheck.Test.make ~name:"vec behaves like list" ~count:200
@@ -241,34 +220,6 @@ let prop_vec_model =
       Vec.to_list v = xs
       && Vec.length v = List.length xs
       && List.for_all2 ( = ) (Vec.to_list v) xs)
-
-(* ------------------------- Bitset ------------------------- *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  Tutil.check_int "cardinal" 4 (Bitset.cardinal b);
-  Tutil.check_bool "mem" true (Bitset.mem b 64);
-  Bitset.remove b 64;
-  Tutil.check_bool "removed" false (Bitset.mem b 64);
-  Tutil.check_int "cardinal after remove" 3 (Bitset.cardinal b);
-  Alcotest.(check (list int)) "to_list" [ 0; 63; 99 ] (Bitset.to_list b);
-  Bitset.clear b;
-  Tutil.check_int "cleared" 0 (Bitset.cardinal b)
-
-let prop_bitset_model =
-  QCheck.Test.make ~name:"bitset behaves like int set" ~count:200
-    QCheck.(list (int_bound 199))
-    (fun xs ->
-      let b = Bitset.create 200 in
-      List.iter (Bitset.add b) xs;
-      let module S = Set.Make (Int) in
-      let s = S.of_list xs in
-      Bitset.cardinal b = S.cardinal s
-      && Bitset.to_list b = S.elements s)
 
 (* ------------------------- Stats ------------------------- *)
 
@@ -347,8 +298,7 @@ let test_tablefmt () =
   (* numbers right-aligned by default: "  22 " not "22   " *)
   Tutil.check_bool "right aligned" true (contains s "    22 ");
   Tutil.check_bool "si formatting" true (Tablefmt.fmt_si 1_230_000.0 = "1.23M");
-  Tutil.check_bool "si small" true (Tablefmt.fmt_si 12.0 = "12.00");
-  Tutil.check_bool "float fmt" true (Tablefmt.fmt_float ~decimals:1 1.25 = "1.2")
+  Tutil.check_bool "si small" true (Tablefmt.fmt_si 12.0 = "12.00")
 
 let prop_hist_percentile_monotone =
   QCheck.Test.make ~name:"hist percentile monotone in p" ~count:50
@@ -442,11 +392,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
-          Alcotest.test_case "split independent" `Quick
-            test_rng_split_independent;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
-          Alcotest.test_case "shuffle permutation" `Quick
-            test_rng_shuffle_permutation;
           Alcotest.test_case "chance" `Quick test_rng_chance;
           Alcotest.test_case "pinned outputs, no allocation" `Quick
             test_rng_pinned_no_alloc;
@@ -470,11 +416,6 @@ let () =
           qc prop_ivec_model;
         ] );
       ("djb2", [ qc prop_djb2_reference ]);
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          qc prop_bitset_model;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "hist exact small" `Quick test_hist_exact_small;

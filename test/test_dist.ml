@@ -211,9 +211,14 @@ let golden_clients sim wl =
       total = 384;
       seed = 7 }
 
-(* [run sim wl] runs one engine; its result is pinned with [expect]. *)
-let golden ?(nparts = 4) name run expect =
-  let wl = Ycsb.make { (golden_ycsb ()) with Ycsb.nparts } in
+(* [run sim wl] runs one engine; its result is pinned with [expect].
+   [tpcc] runs that TPC-C configuration instead of the YCSB mix. *)
+let golden ?(nparts = 4) ?tpcc name run expect =
+  let wl =
+    match tpcc with
+    | Some cfg -> Tpcc.make cfg
+    | None -> Ycsb.make { (golden_ycsb ()) with Ycsb.nparts }
+  in
   let sim =
     Quill_sim.Sim.create ~wake_cost:Quill_sim.Costs.default.wakeup ()
   in
@@ -237,10 +242,10 @@ let test_golden_schedules () =
   let noisy =
     golden_faults "crash@t=150us:node=1:down=50us,drop=0.05,dup=0.05,seed=7"
   in
-  let dq ?faults ?(clients = false) cfg sim wl =
+  let dq ?faults ?(clients = false) ?(batches = 4) cfg sim wl =
     let clients = if clients then Some (golden_clients sim wl) else None in
     Dq.run ~sim ?faults ?clients cfg wl
-      ~batches:(if clients = None then 4 else 0)
+      ~batches:(if clients = None then batches else 0)
   in
   let dc ?faults ?(clients = false) cfg sim wl =
     let clients = if clients then Some (golden_clients sim wl) else None in
@@ -308,6 +313,43 @@ let test_golden_schedules () =
       ("fill_stall", 0);
       ("drain_stall", 0);
       ("checksum", 1146175515754635975)
+    ];
+  (* TPC-C on dist-quecc: fragments whose logic ends without a row
+     access (an invalid item, a missing order) hand values and votes to
+     other threads, so these pin that [Direct.step]'s local logic charge
+     and the runtime's [output] sync before shared state.  The first
+     deadlocks when [output] does not sync; the second moves when a
+     non-local step does not sync after its logic. *)
+  golden
+    ~tpcc:(Tutil.small_tpcc ~warehouses:1 ~nparts:4 ~seed:1 ())
+    "dist-quecc tpcc 1w" (dq (dq_cfg ~batch_size:256 ()))
+    [
+      ("elapsed", 16622782);
+      ("busy", 38362030);
+      ("msgs", 4572);
+      ("committed", 1020);
+      ("logic_aborted", 4);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 1248524950086161702)
+    ];
+  golden
+    ~tpcc:
+      { (Tutil.small_tpcc ~warehouses:2 ~nparts:8 ~seed:42 ()) with
+        Tpcc_defs.items = 100_000 }
+    "dist-quecc tpcc 2w"
+    (dq ~batches:2 (dq_cfg ~planners:4 ~executors:4 ~batch_size:1024 ()))
+    [
+      ("elapsed", 30890057);
+      ("busy", 83380920);
+      ("msgs", 10111);
+      ("committed", 2035);
+      ("logic_aborted", 13);
+      ("redone", 0);
+      ("fill_stall", 0);
+      ("drain_stall", 0);
+      ("checksum", 2076799466790817053)
     ];
   golden "dist-calvin lockstep" (dc (dc_cfg ()))
     [

@@ -54,31 +54,6 @@ let test_commit_dep_computation () =
   Tutil.check_bool "self-guarding aborter" false
     t3.Txn.frags.(0).Fragment.commit_dep
 
-let test_txn_read_only () =
-  let ro =
-    Txn.make ~tid:0
-      [| frag ~fid:0 ~key:0 Fragment.Read; frag ~fid:1 ~key:1 Fragment.Read |]
-  in
-  Tutil.check_bool "read only" true (Txn.is_read_only ro);
-  let rw =
-    Txn.make ~tid:1
-      [| frag ~fid:0 ~key:0 Fragment.Read; frag ~fid:1 ~key:1 Fragment.Rmw |]
-  in
-  Tutil.check_bool "not read only" false (Txn.is_read_only rw)
-
-let test_txn_partitions () =
-  let db = Quill_storage.Db.create ~nparts:4 in
-  let _ = Quill_storage.Db.add_table db ~name:"t" ~nfields:1 ~capacity:100 in
-  let t =
-    Txn.make ~tid:0
-      [|
-        frag ~fid:0 ~key:0 Fragment.Read;
-        frag ~fid:1 ~key:99 Fragment.Read;
-        frag ~fid:2 ~key:1 Fragment.Read;
-      |]
-  in
-  Alcotest.(check (list int)) "partitions" [ 0; 3 ] (Txn.partitions db t)
-
 (* ------------------------- plan order ------------------------- *)
 
 let test_plan_order () =
@@ -117,7 +92,27 @@ let test_metrics () =
   Alcotest.(check (float 1e-6)) "zero tput" 0.0 (Metrics.throughput empty);
   Alcotest.(check (float 1e-6)) "zero abort" 0.0 (Metrics.abort_rate empty)
 
-(* ------------------------- workload serial executor ----------------- *)
+(* ------------------------- batch slicing ------------------------- *)
+
+(* [Workload.slice] against its contract: slices in order are contiguous
+   and cover [0, total); sizes differ by at most one, larger first. *)
+let prop_slice =
+  QCheck.Test.make ~name:"slices partition [0, total), larger first"
+    ~count:500
+    QCheck.(pair (int_range 0 5000) (int_range 1 64))
+    (fun (total, parts) ->
+      let s = Array.init parts (fun i -> Workload.slice ~total ~parts i) in
+      let next = ref 0 and ok = ref true in
+      Array.iteri
+        (fun i (start, count) ->
+          if start <> !next || count < 0 then ok := false;
+          if i > 0 && count > snd s.(i - 1) then ok := false;
+          if count - snd s.(parts - 1) > 1 then ok := false;
+          next := start + count)
+        s;
+      !ok && !next = total)
+
+(* ------------------------- in-place runner ------------------------- *)
 
 let dummy_ctx =
   {
@@ -129,33 +124,6 @@ let dummy_ctx =
     output = (fun _ _ -> ());
     found = (fun _ -> true);
   }
-
-let test_exec_txn_stops_at_abort () =
-  let calls = ref [] in
-  let wl =
-    {
-      Workload.name = "t";
-      db = Quill_storage.Db.create ~nparts:1;
-      new_stream = (fun _ () -> assert false);
-      exec =
-        (fun _ _ f ->
-          calls := f.Fragment.fid :: !calls;
-          if f.Fragment.fid = 1 then Exec.Abort else Exec.Ok);
-      describe = "";
-    }
-  in
-  let t =
-    Txn.make ~tid:0
-      [|
-        frag ~fid:0 ~key:0 Fragment.Read;
-        frag ~fid:1 ~key:1 Fragment.Read;
-        frag ~fid:2 ~key:2 Fragment.Read;
-      |]
-  in
-  Tutil.check_bool "aborts" true (Workload.exec_txn wl dummy_ctx t = Exec.Abort);
-  Alcotest.(check (list int)) "stopped at abort" [ 0; 1 ] (List.rev !calls)
-
-(* ------------------------- in-place runner ------------------------- *)
 
 module Sim = Quill_sim.Sim
 module Costs = Quill_sim.Costs
@@ -335,16 +303,10 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_txn_validation;
           Alcotest.test_case "commit deps" `Quick test_commit_dep_computation;
-          Alcotest.test_case "read only" `Quick test_txn_read_only;
-          Alcotest.test_case "partitions" `Quick test_txn_partitions;
           Alcotest.test_case "plan order" `Quick test_plan_order;
         ] );
       ("metrics", [ Alcotest.test_case "math" `Quick test_metrics ]);
-      ( "workload",
-        [
-          Alcotest.test_case "exec stops at abort" `Quick
-            test_exec_txn_stops_at_abort;
-        ] );
+      ("workload", [ QCheck_alcotest.to_alcotest prop_slice ]);
       ( "direct",
         [
           Alcotest.test_case "rollback per abort charge" `Quick

@@ -26,12 +26,9 @@ let record (wl : Workload.t) =
   ({ wl with Workload.new_stream }, logs)
 
 (* Global batch order for a planner-major engine: batch b consists of the
-   b-th slice of every stream in stream order. *)
+   b-th slice ([Workload.slice]) of every stream in stream order. *)
 let batch_order logs ~streams ~batch_size ~batches =
-  (* Mirror the engines' slice_bounds: the remainder goes to the first
-     [batch_size mod streams] planners. *)
-  let base = batch_size / streams and rem = batch_size mod streams in
-  let count p = base + if p < rem then 1 else 0 in
+  let count p = snd (Workload.slice ~total:batch_size ~parts:streams p) in
   let acc = ref [] in
   for b = 0 to batches - 1 do
     for p = 0 to streams - 1 do
